@@ -22,6 +22,7 @@ then optional training-state entries under the reserved "opt." prefix
 from __future__ import annotations
 
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -34,23 +35,30 @@ OPT_PREFIX = "opt."
 
 
 def save_checkpoint(path, config_text: str, entries: dict[str, np.ndarray]) -> None:
+    """Write path.tmp, then rename it into place: a failed save leaves no partial path."""
     blob = config_text.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<Q", len(entries)))
-        for name, arr in entries.items():
-            # asarray keeps 0-d entries 0-d (opt.step is a scalar)
-            data = np.asarray(arr, dtype=np.float64)
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<I", data.ndim))
-            for dim in data.shape:
-                fh.write(struct.pack("<Q", dim))
-            fh.write(data.astype("<f8", copy=False).tobytes(order="C"))
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            fh.write(struct.pack("<Q", len(entries)))
+            for name, arr in entries.items():
+                # asarray keeps 0-d entries 0-d (opt.step is a scalar)
+                data = np.asarray(arr, dtype=np.float64)
+                raw = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(raw)))
+                fh.write(raw)
+                fh.write(struct.pack("<I", data.ndim))
+                for dim in data.shape:
+                    fh.write(struct.pack("<Q", dim))
+                fh.write(data.astype("<f8", copy=False).tobytes(order="C"))
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_exact(fh, count: int, path, what: str) -> bytes:

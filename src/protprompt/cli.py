@@ -143,6 +143,18 @@ def _prune_checkpoints(out_dir: Path, keep_last: int) -> None:
         old.unlink()
 
 
+def _drop_log_rows_from(log_path: Path, start_step: int) -> None:
+    """Cut the log before its first row of step >= start_step; resume replays those."""
+    offset = 0
+    with open(log_path, "r+b") as fh:
+        for line in fh:
+            cell = line.split(b",", 1)[0]
+            if cell.isdigit() and int(cell) >= start_step:
+                break
+            offset += len(line)
+        fh.truncate(offset)
+
+
 def _print_warnings(cfg: RunConfig) -> None:
     for note in cfg.warnings():
         print(note, file=sys.stderr)
@@ -206,6 +218,8 @@ def cmd_pretrain(args) -> int:
     T.write_vocab(out_dir / "vocab.txt")
     log_path = out_dir / "metrics.csv"
     log_mode = "a" if args.resume and log_path.exists() else "w"
+    if log_mode == "a":
+        _drop_log_rows_from(log_path, start_step)
     with open(log_path, log_mode) as log:
         if log_mode == "w":
             log.write("\n".join(_metrics_log_header(cfg, tasks)) + "\n")
@@ -227,6 +241,7 @@ def cmd_pretrain(args) -> int:
             )
             log.write(report.log_line(tasks) + "\n")
             if (step + 1) % cfg.checkpoint_every == 0:
+                log.flush()  # a checkpoint never runs ahead of its log rows
                 ckpt.save_model(_checkpoint_path(out_dir, step + 1), model, cfg, optimizer)
                 _prune_checkpoints(out_dir, cfg.keep_last)
     ckpt.save_model(out_dir / "final.bin", model, cfg, optimizer)
@@ -267,7 +282,7 @@ def _load_for_task(args, extra_keys: tuple[str, ...] = ()):
 _TASKS = ("ppi", "contact", "ss", "regress")
 
 
-def _read_labeled_tsv(path, n_value_cols: int | None = None):
+def _read_labeled_tsv(path):
     """Rows of id, sequence, value... used by ss/regress tasks."""
     rows = []
     with open(path) as fh:

@@ -11,9 +11,7 @@ Two application modes exist. "additive" (default) adds a large negative
 penalty to disallowed logits before the row softmax, so every attention row
 still sums to 1. "literal" multiplies the already-normalised attention
 matrix elementwise by M, which deliberately destroys row normalisation and
-is kept for ablation. Padding key columns are always excluded by AND-ing a
-padding mask into M in both modes. A row left with no allowed key falls
-back to attending to itself.
+is kept for ablation. Inputs are never padded, so M is the whole mask.
 
 Prompt rows receive no position and no segment embedding, and they pass
 through the same per-layer residual/layernorm/feed-forward block as every
@@ -30,7 +28,7 @@ import numpy as np
 from . import numerics as nm
 from .errors import ConfigError, ContractError, ShapeError
 from .numerics import MASK_NEG, Tensor
-from .tokenizer import PAD_ID, VOCAB_SIZE, TokenSequence
+from .tokenizer import VOCAB_SIZE, TokenSequence
 
 PROMPT_INIT_STD = 0.02
 INIT_STD = 0.02
@@ -100,26 +98,6 @@ def build_mask(m: int, n: int) -> AttentionMask:
     return AttentionMask(m=m, n=n, matrix=mat)
 
 
-def combine_key_mask(mask: AttentionMask, key_keep: np.ndarray | None) -> np.ndarray:
-    """AND the structural mask with a per-key keep vector (False = padding).
-
-    Any row left all-zero falls back to self-attention on its diagonal.
-    """
-    allowed = mask.matrix.copy()
-    if key_keep is not None:
-        key_keep = np.asarray(key_keep, dtype=bool)
-        if key_keep.shape != (mask.m + mask.n,):
-            raise ShapeError(
-                f"key mask length {key_keep.shape} does not match {mask.m + mask.n} keys"
-            )
-        allowed *= key_keep[None, :].astype(np.float64)
-    dead = allowed.sum(axis=1) == 0.0
-    if dead.any():
-        idx = np.flatnonzero(dead)
-        allowed[idx, idx] = 1.0
-    return allowed
-
-
 class PromptSet:
     """Named, ordered collection of learnable prompt vectors.
 
@@ -168,7 +146,7 @@ class EncoderOutput:
         return nm.slice_rows(self.h, self.m, self.h.shape[0])
 
     def residue_rows(self) -> Tensor:
-        """Rows of real residues only (CLS, EOS, PAD and prompts excluded)."""
+        """Rows of real residues only (CLS, EOS and prompts excluded)."""
         return nm.select_rows(self.h, self.m + self.seq.residue_positions())
 
 
@@ -235,7 +213,7 @@ def masked_attention(
     mask_mode: str,
     collect: list | None = None,
 ) -> Tensor:
-    """Multi-head attention over x with the combined binary mask applied.
+    """Multi-head attention over x with the binary mask applied.
 
     additive: disallowed logits get MASK_NEG before softmax (rows sum to 1).
     literal: the softmax output is multiplied elementwise by the mask
@@ -349,7 +327,7 @@ class ProteinEncoder:
     # -- forward pieces --
 
     def embed(self, seq: TokenSequence) -> Tensor:
-        """Token + segment + position embedding sum over the padded length."""
+        """Token + segment + position embedding sum over the sequence."""
         n = seq.ids.size
         if n > self.config.max_len:
             raise ShapeError(
@@ -374,17 +352,15 @@ class ProteinEncoder:
         collect_attn: bool = False,
     ) -> EncoderOutput:
         m = len(prompt_names)
-        n = seq.ids.size
         x = self.attach_prompts(self.embed(seq), prompt_names)
-        key_keep = np.concatenate([np.ones(m, dtype=bool), seq.ids != PAD_ID])
-        allowed = combine_key_mask(build_mask(m, n), key_keep)
+        allowed = build_mask(m, seq.length).matrix
         collect: list | None = [] if collect_attn else None
         for layer in self.layers:
             x = layer.forward(x, allowed, self.config.mask_mode, collect)
         return EncoderOutput(h=x, m=m, seq=seq, attn=collect)
 
     def pool(self, out: EncoderOutput) -> Tensor:
-        """Mean of real-residue rows; prompts, CLS, EOS and PAD excluded."""
+        """Mean of real-residue rows; prompts, CLS and EOS excluded."""
         if out.seq.n_residues < 1:
             raise ContractError("pool needs at least one real residue")
         return nm.mean_over_rows(out.residue_rows())

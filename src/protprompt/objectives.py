@@ -241,9 +241,7 @@ def _forward_mlm(model, batch: MlmTaskBatch, reduction: str) -> Tensor:
         raise ContractError("empty masked-token batch")
     loss: Tensor | None = None
     for seq, masked in zip(batch.sequences, batch.masked):
-        corrupted = TokenSequence(
-            ids=masked.corrupted, length=seq.length, source_id=seq.source_id
-        )
+        corrupted = TokenSequence(ids=masked.corrupted, source_id=seq.source_id)
         out = model.encode(corrupted, batch.prompt_names)
         logits = model.mlm_logits(out, masked.positions)
         term = mlm_loss(logits, masked.targets, reduction)

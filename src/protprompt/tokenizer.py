@@ -25,7 +25,7 @@ UNKNOWN = "X"
 
 CLS_ID = 0
 EOS_ID = 1
-PAD_ID = 2
+PAD_ID = 2  # never emitted by encode; kept because VOCAB_SIZE fixes the embedding shape
 MASK_ID = 3
 FIRST_RESIDUE_ID = 4
 UNKNOWN_ID = 24
@@ -51,11 +51,14 @@ def write_vocab(path) -> None:
 
 @dataclass
 class TokenSequence:
-    """An encoded sequence: CLS + residues + EOS, padded to max_len."""
+    """An encoded sequence: CLS + residues + EOS, never padded."""
 
     ids: np.ndarray
-    length: int  # count of real (non-PAD) tokens, CLS and EOS included
     source_id: str = ""
+
+    @property
+    def length(self) -> int:  # CLS and EOS included
+        return self.ids.size
 
     def residue_positions(self) -> np.ndarray:
         """Positions of real residues (between CLS and EOS)."""
@@ -77,11 +80,11 @@ class MlmBatch:
 
 
 def encode(residues: str, max_len: int, source_id: str = "") -> TokenSequence:
-    """Encode a residue string as CLS + ids + EOS, PAD-filled to max_len.
+    """Encode a residue string as CLS + ids + EOS, len(residues) + 2 ids.
 
     Case-insensitive. Unknown characters raise EncodingError naming the
-    1-based position; sequences longer than max_len - 2 raise
-    TruncationError rather than being cut.
+    1-based position. max_len is a limit, not a padded size: sequences
+    longer than max_len - 2 raise TruncationError rather than being cut.
     """
     if max_len < 2:
         raise ConfigError(f"max_len must be >= 2, got {max_len}")
@@ -91,7 +94,7 @@ def encode(residues: str, max_len: int, source_id: str = "") -> TokenSequence:
             f"sequence {source_id or '<anonymous>'!s} has {len(seq)} residues "
             f"but max_len {max_len} leaves room for {max_len - 2}; refusing to truncate"
         )
-    ids = np.full(max_len, PAD_ID, dtype=np.int64)
+    ids = np.empty(len(seq) + 2, dtype=np.int64)
     ids[0] = CLS_ID
     for i, ch in enumerate(seq):
         tok = _CHAR_TO_ID.get(ch)
@@ -99,7 +102,7 @@ def encode(residues: str, max_len: int, source_id: str = "") -> TokenSequence:
             raise EncodingError(f"illegal residue {ch!r} at position {i + 1}")
         ids[1 + i] = tok
     ids[1 + len(seq)] = EOS_ID
-    return TokenSequence(ids=ids, length=len(seq) + 2, source_id=source_id)
+    return TokenSequence(ids=ids, source_id=source_id)
 
 
 def decode(ids) -> str:

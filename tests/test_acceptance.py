@@ -175,15 +175,15 @@ def test_1_gradient_suite_primitives_and_full_encoder():
         err = nm.finite_diff_check(f, x)
         assert err < 1e-4, f"{name}: rel err {err:.3e}"
 
-    # full 2-layer prompt-masked encoder with a padded input; parameters
-    # are re-drawn at a larger scale so every gradient is well measurable
+    # full 2-layer prompt-masked encoder; parameters are re-drawn at a
+    # larger scale so every gradient is well measurable
     cfg = ModelConfig(d=8, layers=2, heads=2, max_len=10, prompt_names=("Seq", "IC"))
     model = ProteinEncoder(cfg, seed=9)
     rng = np.random.default_rng(31)
     for _, p in model.parameters().items():
         p.data[:] = rng.normal(0.0, 0.2, p.data.shape)
     seq = T.encode("ACDWK", 10, "g")
-    c = Tensor(rng.normal(size=(12, 8)))
+    c = Tensor(rng.normal(size=(2 + 7, 8)))  # 2 prompts + CLS, 5 residues, EOS
 
     def loss():
         return nm.sum_all(nm.mul(model.encode(seq, ("Seq", "IC")).h, c))

@@ -110,6 +110,63 @@ def test_resume_reproduces_single_run_bitwise(ws, tmp_path):
     assert [r[:-1] for r in resumed_rows] == [r[:-1] for r in straight_rows]
 
 
+def test_resume_mid_interval_logs_each_step_once(ws, tmp_path):
+    out = tmp_path / "mid"
+    common = ["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
+              "--out-dir", str(out), "--seed", "7", *BASE_SETS,
+              "--set", "checkpoint_every=3"]
+    assert main([*common, "--steps", "6"]) == 0
+    straight_rows = _metric_rows(out)
+    shutil.rmtree(out)
+
+    # stop at step 5: steps 3 and 4 are logged after the last checkpoint
+    assert main([*common, "--steps", "5"]) == 0
+    assert [r[0] for r in _metric_rows(out)] == ["0", "1", "2", "3", "4"]
+    assert main([*common, "--steps", "6",
+                 "--resume", str(out / "ckpt_step3.bin")]) == 0
+    resumed_rows = _metric_rows(out)
+    assert [r[0] for r in resumed_rows] == ["0", "1", "2", "3", "4", "5"]
+    assert [r[:-1] for r in resumed_rows] == [r[:-1] for r in straight_rows]
+
+
+class _FullDisk:
+    """Writable file that fails once `room` bytes have been written."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        if len(data) > self.room:
+            self.fh.write(data[: self.room])
+            raise OSError(28, "No space left on device")
+        self.room -= len(data)
+        return self.fh.write(data)
+
+
+def test_failed_checkpoint_save_keeps_the_previous_one(ws, tmp_path, monkeypatch):
+    out = tmp_path / "full"
+
+    def open_failing_step4(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return _FullDisk(fh, room=200) if "ckpt_step4" in str(path) else fh
+
+    monkeypatch.setattr(ckpt, "open", open_failing_step4, raising=False)
+    rc = main(["pretrain", "--fasta", str(ws["fasta"]), "--out-dir", str(out),
+               "--steps", "4", "--seed", "7", *BASE_SETS, "--set", "keep_last=1"])
+    assert rc == 1
+    # the newest good checkpoint survives; no partial or temporary file is left
+    assert sorted(p.name for p in out.iterdir()) == [
+        "ckpt_step2.bin", "metrics.csv", "vocab.txt"]
+    _, _, state = ckpt.load_model(out / "ckpt_step2.bin")
+    assert int(state["opt.step"]) == 2
+
+
 def _metric_rows(out_dir):
     lines = (out_dir / "metrics.csv").read_text().splitlines()
     start = lines.index("step,l_conserve,l_ppi,total,ms") + 1

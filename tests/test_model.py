@@ -7,12 +7,10 @@ from protprompt import numerics as nm
 from protprompt import tokenizer as T
 from protprompt.errors import ConfigError, ContractError, ShapeError
 from protprompt.model import (
-    AttentionMask,
     ModelConfig,
     ProteinEncoder,
     PromptSet,
     build_mask,
-    combine_key_mask,
 )
 from protprompt.numerics import Tape, Tensor
 
@@ -72,19 +70,6 @@ def test_mask_argument_validation():
         build_mask(1, 0)
 
 
-def test_combine_key_mask_padding_and_dead_rows():
-    base = build_mask(1, 3)
-    keep = np.array([True, True, False, False])
-    allowed = combine_key_mask(base, keep)
-    assert np.array_equal(allowed[:, 2:], np.zeros((4, 2)))
-    assert allowed[1, 1] == 1.0
-    # a row with every key masked falls back to its own diagonal
-    dead = combine_key_mask(AttentionMask(0, 2, np.zeros((2, 2))), None)
-    assert np.array_equal(dead, np.eye(2))
-    with pytest.raises(ShapeError):
-        combine_key_mask(base, np.ones(3, dtype=bool))
-
-
 # ---------------------------------------------------------------------------
 # prompt registry
 
@@ -131,13 +116,12 @@ def test_additive_prompt_self_weight_is_exactly_one():
 
 def test_additive_rows_sum_to_one_everywhere():
     model = small_model()
-    seq = T.encode("ACD", 10)  # includes padding columns
+    seq = T.encode("ACD", 10)
     _, attn = _attn_maps(model, seq, ("Seq", "IC"))
     for layer_maps in attn:
         for head in layer_maps:
+            assert head.shape == (7, 7)  # 2 prompts + CLS, 3 residues, EOS; no padding
             assert np.allclose(head.sum(axis=1), 1.0, atol=1e-12)
-            # padding keys receive zero attention from every row
-            assert np.all(head[:, 7:] == 0.0)
 
 
 def test_literal_mode_masks_after_normalisation():
@@ -172,6 +156,31 @@ def test_zero_prompts_reduce_to_plain_encoder_bitwise():
         got = model.encode(seq, ()).h.data
         want = reference_forward(model, seq.ids)
         assert np.array_equal(got, want)
+
+
+def test_trimmed_encode_matches_padded_reference_additive():
+    # the padded path computed PAD rows that real rows never read; running
+    # the reference over PAD-filled ids must agree on every real row
+    model = small_model(seed=8, max_len=16)
+    for s in ("ACDEFGHIKLMNP", "WYW", "K"):
+        seq = T.encode(s, 16)
+        padded = np.concatenate([seq.ids, np.full(16 - seq.length, T.PAD_ID)])
+        want = reference_forward(model, padded)[: seq.length]
+        got = model.encode(seq, ()).h.data
+        assert got.shape == (seq.length, 16)
+        assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("mask_mode", ["additive", "literal"])
+def test_output_does_not_depend_on_max_len(mask_mode):
+    model = small_model(mask_mode=mask_mode, seed=6, max_len=64)
+    s = "MKTAYIAKQRQISFVKSHFSRQ"  # 22 residues
+    outs = [model.encode(T.encode(s, max_len), ("Seq", "IC")) for max_len in (24, 64)]
+    for out in outs:
+        assert out.h.shape == (2 + 24, 16)
+    a, b = outs
+    assert np.array_equal(a.residue_rows().data, b.residue_rows().data)
+    assert np.array_equal(model.pool(a).data, model.pool(b).data)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +255,7 @@ def test_unknown_prompt_rejected_at_encode():
 
 def test_sequence_longer_than_position_table():
     model = small_model(max_len=6)
-    seq = T.encode("ACDE", 8)  # 8 ids, table only has 6 positions
+    seq = T.encode("ACDEFG", 8)  # 8 ids, table only has 6 positions
     with pytest.raises(ShapeError, match="position table"):
         model.embed(seq)
 

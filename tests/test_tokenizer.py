@@ -26,7 +26,7 @@ def test_write_vocab(tmp_path):
 
 def test_encode_basic():
     seq = T.encode("ACD", 6, "p1")
-    assert seq.ids.tolist() == [T.CLS_ID, 4, 5, 6, T.EOS_ID, T.PAD_ID]
+    assert seq.ids.tolist() == [T.CLS_ID, 4, 5, 6, T.EOS_ID]  # never padded to max_len
     assert seq.length == 5
     assert seq.n_residues == 3
     assert seq.residue_positions().tolist() == [1, 2, 3]
@@ -35,7 +35,7 @@ def test_encode_basic():
 
 def test_encode_lowercase_and_unknown():
     assert T.encode("acd", 6).ids.tolist() == T.encode("ACD", 6).ids.tolist()
-    assert T.encode("AXC", 6).ids.tolist() == [0, 4, T.UNKNOWN_ID, 5, 1, 2]
+    assert T.encode("AXC", 6).ids.tolist() == [0, 4, T.UNKNOWN_ID, 5, 1]
 
 
 def test_encode_illegal_symbol_position():
@@ -82,7 +82,7 @@ def test_mlm_mask_golden_seed_42():
     assert m.targets.tolist() == [8, 12, 19, 21]
     assert m.corrupted.tolist() == [
         0, 4, 5, 6, 7, 3, 9, 10, 11, 3, 13, 14, 15,
-        16, 17, 18, 19, 20, 17, 22, 23, 1, 2, 2,
+        16, 17, 18, 19, 20, 17, 22, 23, 1,
     ]
 
 
@@ -116,12 +116,12 @@ def test_mlm_mask_never_touches_specials_or_padding():
     seq = T.encode("ACDE", 12)
     for seed in range(200):
         m = T.apply_mlm_mask(seq, 0.5, seed)
+        assert m.corrupted.size == 6  # no padding appended
         assert m.corrupted[0] == T.CLS_ID
         assert m.corrupted[5] == T.EOS_ID
-        assert np.all(m.corrupted[6:] == T.PAD_ID)
         assert np.all(m.positions >= 1) and np.all(m.positions <= 4)
         assert np.array_equal(m.targets, seq.ids[m.positions])
-        untouched = np.setdiff1d(np.arange(12), m.positions)
+        untouched = np.setdiff1d(np.arange(6), m.positions)
         assert np.array_equal(m.corrupted[untouched], seq.ids[untouched])
 
 
