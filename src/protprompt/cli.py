@@ -303,8 +303,8 @@ def cmd_inject(args) -> int:
     """Register a new prompt and train it (plus the task head) on a task.
 
     The encoder is frozen unless --no-freeze-encoder is given; frozen
-    parameters are simply absent from the optimizer, so they stay bitwise
-    identical to the base checkpoint.
+    parameters are absent from the optimizer and need no gradient, so they
+    stay bitwise identical to the base checkpoint.
     """
     model, cfg, stored_cfg = _load_for_task(args, ("steps", "lr", "seed"))
     _print_warnings(cfg)
@@ -324,6 +324,8 @@ def cmd_inject(args) -> int:
         trainable[name] = all_params[name]
     if args.no_freeze_encoder:
         trainable.update(model.encoder_parameters())
+    for name, p in all_params.items():
+        p.requires_grad = name in trainable
 
     optimizer = O.Adam(
         trainable, lr=cfg.lr, betas=(cfg.beta1, cfg.beta2), eps=cfg.adam_eps,

@@ -12,6 +12,8 @@ penalty to disallowed logits before the row softmax, so every attention row
 still sums to 1. "literal" multiplies the already-normalised attention
 matrix elementwise by M, which deliberately destroys row normalisation and
 is kept for ablation. Inputs are never padded, so M is the whole mask.
+encode builds the array its mode applies once. All heads of a layer run as
+one tape node, numerics.multihead_attention, with a closed-form backward.
 
 Prompt rows receive no position and no segment embedding, and they pass
 through the same per-layer residual/layernorm/feed-forward block as every
@@ -20,7 +22,6 @@ other row.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,16 +108,14 @@ class PromptSet:
 
     def __init__(self):
         self._vectors: dict[str, Tensor] = {}
-        self.trainable: dict[str, bool] = {}
 
-    def register(self, name: str, vector: Tensor, trainable: bool = True) -> None:
+    def register(self, name: str, vector: Tensor) -> None:
         if name in self._vectors:
             raise ConfigError(f"prompt name collision: {name!r} already registered")
         if vector.data.ndim != 1:
             raise ShapeError(f"prompt {name!r} must be a vector, got {vector.shape}")
-        vector.requires_grad = trainable
+        vector.requires_grad = True
         self._vectors[name] = vector
-        self.trainable[name] = trainable
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._vectors)
@@ -154,9 +153,7 @@ class EncoderLayer:
     """Multi-head masked attention followed by the residual/LN/FF block."""
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator):
-        self.d = d
         self.heads = heads
-        self.d_head = d // heads
 
         def w(shape):
             return Tensor(rng.normal(0.0, INIT_STD, shape), requires_grad=True)
@@ -196,11 +193,11 @@ class EncoderLayer:
     def forward(
         self,
         x: Tensor,
-        allowed: np.ndarray,
+        mask: np.ndarray,
         mask_mode: str,
         collect: list | None = None,
     ) -> Tensor:
-        attn_out = masked_attention(x, allowed, self, mask_mode, collect)
+        attn_out = masked_attention(x, mask, self, mask_mode, collect)
         x = nm.layernorm(nm.add(x, attn_out), self.ln1_gain, self.ln1_bias)
         ff = nm.affine(nm.gelu(nm.affine(x, self.ff_w1, self.ff_b1)), self.ff_w2, self.ff_b2)
         return nm.layernorm(nm.add(x, ff), self.ln2_gain, self.ln2_bias)
@@ -208,46 +205,22 @@ class EncoderLayer:
 
 def masked_attention(
     x: Tensor,
-    allowed: np.ndarray,
+    mask: np.ndarray,
     layer: EncoderLayer,
     mask_mode: str,
     collect: list | None = None,
 ) -> Tensor:
-    """Multi-head attention over x with the binary mask applied.
+    """Multi-head attention over x under the one-way mask.
 
-    additive: disallowed logits get MASK_NEG before softmax (rows sum to 1).
-    literal: the softmax output is multiplied elementwise by the mask
-    (row mass equals the surviving probability, <= 1).
+    mask is the array mask_mode applies, built once per encode:
+    additive: MASK_NEG at disallowed logits before softmax (rows sum to 1).
+    literal: the binary mask times the softmax output (row mass <= 1).
     """
-    size = x.shape[0]
-    if allowed.shape != (size, size):
-        raise ShapeError(f"mask shape {allowed.shape} does not match {size} rows")
     q = nm.affine(x, layer.wq, layer.bq)
     k = nm.affine(x, layer.wk, layer.bk)
     v = nm.affine(x, layer.wv, layer.bv)
-    inv_sqrt = 1.0 / math.sqrt(layer.d_head)
-    additive = Tensor(np.where(allowed > 0, 0.0, MASK_NEG))
-    multiplicative = Tensor(allowed)
-    outs = []
-    layer_maps = [] if collect is not None else None
-    for h in range(layer.heads):
-        lo, hi = h * layer.d_head, (h + 1) * layer.d_head
-        qh = nm.slice_cols(q, lo, hi)
-        kh = nm.slice_cols(k, lo, hi)
-        vh = nm.slice_cols(v, lo, hi)
-        scores = nm.scale(nm.matmul(qh, nm.transpose(kh)), inv_sqrt)
-        if mask_mode == "additive":
-            weights = nm.softmax_rows(nm.add(scores, additive))
-        elif mask_mode == "literal":
-            weights = nm.mul(nm.softmax_rows(scores), multiplicative)
-        else:
-            raise ConfigError(f"unknown mask_mode {mask_mode!r}")
-        if layer_maps is not None:
-            layer_maps.append(weights.data.copy())
-        outs.append(nm.matmul(weights, vh))
-    if collect is not None:
-        collect.append(layer_maps)
-    return nm.affine(nm.concat_cols(outs), layer.wo, layer.bo)
+    heads_out = nm.multihead_attention(q, k, v, layer.heads, mask, mask_mode, collect)
+    return nm.affine(heads_out, layer.wo, layer.bo)
 
 
 class ProteinEncoder:
@@ -353,10 +326,12 @@ class ProteinEncoder:
     ) -> EncoderOutput:
         m = len(prompt_names)
         x = self.attach_prompts(self.embed(seq), prompt_names)
+        mode = self.config.mask_mode
         allowed = build_mask(m, seq.length).matrix
+        mask = allowed if mode == "literal" else np.where(allowed > 0, 0.0, MASK_NEG)
         collect: list | None = [] if collect_attn else None
         for layer in self.layers:
-            x = layer.forward(x, allowed, self.config.mask_mode, collect)
+            x = layer.forward(x, mask, mode, collect)
         return EncoderOutput(h=x, m=m, seq=seq, attn=collect)
 
     def pool(self, out: EncoderOutput) -> Tensor:

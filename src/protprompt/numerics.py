@@ -248,18 +248,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node((a, b), out_data, backprop, "matmul")
 
 
-def transpose(x: Tensor) -> Tensor:
-    """2-d transpose."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-d tensor, got {x.shape}")
-    out_data = x.data.T.copy()
-
-    def backprop(g):
-        _accum(x, g.T)
-
-    return _node((x,), out_data, backprop, "transpose")
-
-
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     """Row-major reshape; element count must be preserved."""
     out_data = x.data.reshape(shape).copy()
@@ -287,23 +275,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     return _node(tuple(parts), out_data, backprop, "concat_rows")
 
 
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Stack 2-d tensors along axis 1; row counts must agree."""
-    if not parts:
-        raise ContractError("concat_cols needs at least one tensor")
-    rows = {p.shape[0] for p in parts if p.data.ndim == 2}
-    if any(p.data.ndim != 2 for p in parts) or len(rows) != 1:
-        raise ShapeError(f"concat_cols got shapes {[p.shape for p in parts]}")
-    out_data = np.concatenate([p.data for p in parts], axis=1)
-    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
-
-    def backprop(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[:, lo:hi])
-
-    return _node(tuple(parts), out_data, backprop, "concat_cols")
-
-
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     """Contiguous row slice x[start:stop] of a 2-d tensor."""
     if x.data.ndim != 2:
@@ -318,22 +289,6 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
         _accum(x, full)
 
     return _node((x,), out_data, backprop, "slice_rows")
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous column slice x[:, start:stop] of a 2-d tensor."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"slice_cols needs a 2-d tensor, got {x.shape}")
-    if not (0 <= start <= stop <= x.shape[1]):
-        raise ShapeError(f"slice_cols [{start}:{stop}] out of range for {x.shape}")
-    out_data = x.data[:, start:stop].copy()
-
-    def backprop(g):
-        full = np.zeros_like(x.data)
-        full[:, start:stop] = g
-        _accum(x, full)
-
-    return _node((x,), out_data, backprop, "slice_cols")
 
 
 def select_rows(x: Tensor, indices) -> Tensor:
@@ -402,19 +357,81 @@ def mean_over_rows(x: Tensor) -> Tensor:
     return _node((x,), out_data, backprop, "mean_over_rows")
 
 
+def _softmax_last(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, stabilised by max subtraction."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax of a 2-d tensor, stabilised by row-max subtraction."""
     if x.data.ndim != 2:
         raise ShapeError(f"softmax_rows needs a 2-d tensor, got {x.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = _softmax_last(x.data)
 
     def backprop(g):
         inner = (g * y).sum(axis=1, keepdims=True)
         _accum(x, y * (g - inner))
 
     return _node((x,), y, backprop, "softmax_rows")
+
+
+def multihead_attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    heads: int,
+    mask: np.ndarray,
+    mask_mode: str,
+    collect: list | None = None,
+) -> Tensor:
+    """Masked scaled dot-product attention over `heads` column blocks.
+
+    q, k, v are (n, d); head h owns columns [h*dh, (h+1)*dh), dh = d/heads.
+    S = (Q_h K_h^T) * c, c = 1/sqrt(dh); W = softmax(S + mask) if additive
+    (mask of 0/MASK_NEG), softmax(S) * mask if literal (mask of 0/1); the
+    heads' W V_h fill the (n, d) result, and collect (a list) gets the W.
+    One tape node; with Y the softmax output and G a head's upstream block:
+    dV = W^T G, dW = G V^T (times mask if literal),
+    dS = Y * (dW - rowsum(dW * Y)) * c, dQ = dS K, dK = (Q^T dS)^T.
+    """
+    n, d = q.shape
+    if k.shape != (n, d) or v.shape != (n, d) or d % heads or mask.shape != (n, n):
+        raise ShapeError(f"attention got q/k/v {q.shape}/{k.shape}/{v.shape}, "
+                         f"{heads} heads and mask {mask.shape}")
+    if mask_mode not in ("additive", "literal"):
+        raise ContractError(f"unknown mask_mode {mask_mode!r}")
+    dh = d // heads
+    c = 1.0 / float(np.sqrt(dh))
+
+    def split(a):  # (n, d) -> contiguous (heads, n, dh)
+        return np.ascontiguousarray(a.reshape(n, heads, dh).transpose(1, 0, 2))
+
+    def merge(a):  # (heads, n, dh) -> C-ordered (n, d), as a copy
+        return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(n, d)
+
+    qh, vh = split(q.data), split(v.data)
+    kt = np.ascontiguousarray(split(k.data).transpose(0, 2, 1))
+    s = (qh @ kt) * c
+    if mask_mode == "additive":
+        y = w = _softmax_last(s + mask)
+    else:
+        y = _softmax_last(s)
+        w = y * mask
+    if collect is not None:
+        collect.append(list(w.copy()))
+
+    def backprop(g):
+        gh = g.reshape(n, heads, dh).transpose(1, 0, 2)
+        _accum(v, merge(w.transpose(0, 2, 1) @ gh))
+        dw = gh @ vh.transpose(0, 2, 1)
+        if mask_mode == "literal":
+            dw = dw * mask
+        ds = y * (dw - (dw * y).sum(axis=-1, keepdims=True)) * c
+        _accum(q, merge(ds @ kt.transpose(0, 2, 1)))
+        _accum(k, merge((qh.transpose(0, 2, 1) @ ds).transpose(0, 2, 1)))
+
+    return _node((q, k, v), merge(w @ vh), backprop, "multihead_attention")
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:
@@ -451,12 +468,15 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYERNORM_EPS)
     out_data = xhat * gain.data + bias.data
 
     def backprop(g):
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-        _accum(x, invstd * (dxhat - m1 - xhat * m2))
-        _accum(gain, (g * xhat).sum(axis=0))
-        _accum(bias, g.sum(axis=0))
+        if x.requires_grad:
+            dxhat = g * gain.data
+            m1 = dxhat.mean(axis=1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+            _accum(x, invstd * (dxhat - m1 - xhat * m2))
+        if gain.requires_grad:
+            _accum(gain, (g * xhat).sum(axis=0))
+        if bias.requires_grad:
+            _accum(bias, g.sum(axis=0))
 
     return _node((x, gain, bias), out_data, backprop, "layernorm")
 
@@ -487,10 +507,13 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def backprop(g):
         g2 = g[None, :] if vector_in else g
-        gx = g2 @ w.data.T
-        _accum(x, gx[0] if vector_in else gx)
-        _accum(w, xd.T @ g2)
-        _accum(b, g2.sum(axis=0))
+        if x.requires_grad:
+            gx = g2 @ w.data.T
+            _accum(x, gx[0] if vector_in else gx)
+        if w.requires_grad:
+            _accum(w, xd.T @ g2)
+        if b.requires_grad:
+            _accum(b, g2.sum(axis=0))
 
     return _node((x, w, b), out_data, backprop, "affine")
 

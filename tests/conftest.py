@@ -46,3 +46,35 @@ def reference_forward(model, ids):
         x = ln(x + (g @ p[f"{pre}.ff.w2"] + p[f"{pre}.ff.b2"]),
                p[f"{pre}.ln2.gain"], p[f"{pre}.ln2.bias"])
     return x
+
+
+def reference_attention(q, k, v, heads, mask, mask_mode, g):
+    """Plain numpy, one-head-at-a-time multi-head masked attention.
+
+    Returns the (n, d) output and the gradients of sum(out * g) with
+    respect to q, k and v, each head computed and differentiated as its
+    own chain of 2-d operations in the model's operation order.
+    """
+    n, d = q.shape
+    dh = d // heads
+    c = 1.0 / math.sqrt(dh)
+    out, dq, dk, dv = (np.zeros((n, d)) for _ in range(4))
+    for h in range(heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        qh, kh, vh = q[:, sl].copy(), k[:, sl].copy(), v[:, sl].copy()
+        s = (qh @ kh.T.copy()) * c
+        if mask_mode == "additive":
+            s = s + mask
+        e = np.exp(s - s.max(axis=1, keepdims=True))
+        y = e / e.sum(axis=1, keepdims=True)
+        w = y * mask if mask_mode == "literal" else y
+        out[:, sl] = w @ vh
+        gh = g[:, sl].copy()
+        dv[:, sl] = w.T @ gh
+        dw = gh @ vh.T
+        if mask_mode == "literal":
+            dw = dw * mask
+        ds = (y * (dw - (dw * y).sum(axis=1, keepdims=True))) * c
+        dq[:, sl] = ds @ kh
+        dk[:, sl] = (qh.T @ ds).T
+    return out, dq, dk, dv

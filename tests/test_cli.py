@@ -219,6 +219,32 @@ def test_inject_trains_prompt_with_frozen_encoder(ws, tmp_path):
     assert not np.array_equal(plugged, base_model.encode(seq, ()).h.data)
 
 
+def test_inject_frozen_parameters_collect_no_gradient(ws, tmp_path, monkeypatch):
+    saved = {}
+    save_model = ckpt.save_model
+
+    def capture(path, model, *args, **kwargs):
+        saved["model"] = model
+        return save_model(path, model, *args, **kwargs)
+
+    monkeypatch.setattr(ckpt, "save_model", capture)
+    rc = main([
+        "inject", "--checkpoint", str(ws["final"]), "--prompt", "PPI",
+        "--task", "ppi", "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"]),
+        "--out", str(tmp_path / "inj"), "--steps", "2",
+    ])
+    assert rc == 0
+    params = saved["model"].parameters()
+    frozen = [n for n in params if n.startswith(("embed.", "layer", "prompt.Seq", "prompt.IC"))]
+    assert len(frozen) == 3 + 16 + 2
+    assert all(params[n].grad is None for n in frozen)
+    assert params["prompt.PPI"].grad is not None
+    base_model, base_cfg, _ = ckpt.load_model(ws["final"])
+    seq = T.encode("ACDWKE", base_cfg.max_len, "q")
+    assert np.array_equal(saved["model"].encode(seq, ("Seq", "IC")).h.data,
+                          base_model.encode(seq, ("Seq", "IC")).h.data)
+
+
 def test_inject_metrics_log(ws, tmp_path):
     inj = tmp_path / "inj2"
     rc = main([

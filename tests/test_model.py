@@ -183,6 +183,23 @@ def test_output_does_not_depend_on_max_len(mask_mode):
     assert np.array_equal(model.pool(a).data, model.pool(b).data)
 
 
+@pytest.mark.parametrize("mask_mode", ["additive", "literal"])
+def test_encode_tape_size_does_not_depend_on_heads(mask_mode):
+    # attention is one tape node per layer whatever the head count: 5 embed
+    # and 3 prompt nodes, then 12 per layer (q/k/v/o affines, attention,
+    # two residual adds, two layernorms, the feed-forward affine-gelu-affine)
+    seq = T.encode("MKTAYIAKQR", 16)
+    sizes = []
+    for heads in (1, 2, 4, 8):
+        cfg = ModelConfig(d=32, layers=2, heads=heads, max_len=16,
+                          mask_mode=mask_mode, prompt_names=("Seq", "IC"))
+        tape = Tape()
+        with tape:
+            ProteinEncoder(cfg, seed=0).encode(seq, ("Seq", "IC"))
+        sizes.append(len(tape.nodes))
+    assert sizes == [32] * 4
+
+
 # ---------------------------------------------------------------------------
 # one-way information flow (gradients, additive mode)
 
