@@ -405,14 +405,16 @@ def read_contact_map(path) -> ContactMap:
             stripped = line.strip()
             if not stripped:
                 continue
-            if len(stripped) != n or set(stripped) - {"0", "1"}:
+            # strip("01") leaves nothing exactly when every character is 0 or 1
+            if len(stripped) != n or stripped.strip("01"):
                 raise FormatError(
                     f"{path}:{lineno}: expected {n} characters of 0/1, got {stripped!r}"
                 )
-            rows.append([c == "1" for c in stripped])
+            rows.append(stripped)
         if len(rows) != n:
             raise FormatError(f"{path}: expected {n} rows, found {len(rows)}")
-    bits = np.array(rows, dtype=bool) if n else np.zeros((0, 0), dtype=bool)
+    text = "".join(rows).encode("ascii")
+    bits = (np.frombuffer(text, dtype=np.uint8) == ord("1")).reshape(n, n)
     if not np.array_equal(bits, bits.T):
         raise FormatError(f"{path}: contact map is not symmetric")
     if n and bits.diagonal().any():

@@ -365,22 +365,19 @@ class ProteinEncoder:
         raise ConfigError(f"unknown pair head kind {kind!r}")
 
     def contact_logits(self, out: EncoderOutput) -> Tensor:
-        """Residue-residue contact logits, (n_res, n_res), symmetric.
+        """Residue-residue contact logits, (n_res, n_res).
 
         Feature for pair (i, j) is [h_i * h_j, |h_i - h_j|], an affine map
-        to one logit; both blocks are symmetric in (i, j) by construction.
+        to one logit. numerics.contact_scores computes the product block as
+        one matmul and the difference block over row blocks, never building
+        per-pair feature rows, and symmetrises the result, so the matrix is
+        symmetric bit for bit.
         """
-        n = out.seq.n_residues
-        if n < 1:
+        if out.seq.n_residues < 1:
             raise ContractError("contact_logits needs at least one residue")
-        h = out.residue_rows()
-        ii = np.repeat(np.arange(n), n)
-        jj = np.tile(np.arange(n), n)
-        hi = nm.select_rows(h, ii)
-        hj = nm.select_rows(h, jj)
-        prod = nm.affine(nm.mul(hi, hj), self.contact_w_prod, self.contact_b)
-        diff = nm.matmul(nm.absval(nm.sub(hi, hj)), self.contact_w_diff)
-        return nm.reshape(nm.add(prod, diff), (n, n))
+        return nm.contact_scores(
+            out.residue_rows(), self.contact_w_prod, self.contact_w_diff, self.contact_b
+        )
 
     def token_logits(self, out: EncoderOutput, classes: int) -> Tensor:
         """Per-residue class logits for 3- or 8-state structure labels."""

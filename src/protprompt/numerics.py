@@ -28,6 +28,10 @@ LAYERNORM_EPS = 1e-5
 # subtraction inside softmax_rows.
 MASK_NEG = -1.0e9
 
+# Rows per block of contact_scores' (rows, n, d) difference tensor: 2 MB
+# at n=256, d=64, so peak memory stays far below one (n*n, d) array.
+CONTACT_BLOCK_ROWS = 16
+
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
@@ -540,14 +544,59 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _node((table,), out_data, backprop, "embedding_lookup")
 
 
-def absval(x: Tensor) -> Tensor:
-    """Elementwise absolute value (subgradient 0 at 0)."""
-    out_data = np.abs(x.data)
+def contact_scores(h: Tensor, w_prod: Tensor, w_diff: Tensor, b: Tensor) -> Tensor:
+    """Symmetric pair scores L_ij = (h_i*h_j) @ w_prod + b + |h_i - h_j| @ w_diff.
+
+    h (n,d), w_prod and w_diff (d,1), b (1,) -> (n,n). The product term is
+    one matmul; the difference term runs over CONTACT_BLOCK_ROWS rows at a
+    time, so no (n*n, d) array is built. The result is 0.5 * (L + L^T),
+    symmetric bit for bit. One tape node; with Gs = 0.5 * (G + G^T):
+    dh = 2 (Gs h) * wp + 2 wd * sum_j Gs_aj sign(h_a - h_j) (sign(0) = 0),
+    dwp = sum_i h_i * (Gs h)_i, dwd = sum_ij Gs_ij |h_i - h_j|, db = sum G.
+    """
+    if h.data.ndim != 2:
+        raise ShapeError(f"contact_scores needs a 2-d h, got {h.shape}")
+    n, d = h.shape
+    if w_prod.shape != (d, 1) or w_diff.shape != (d, 1) or b.shape != (1,):
+        raise ShapeError(f"contact_scores weights {w_prod.shape}/{w_diff.shape}/{b.shape} "
+                         f"do not fit width {d}")
+    hd, wp, wd = h.data, w_prod.data[:, 0], w_diff.data[:, 0]
+
+    def blocks(upper: bool):
+        # h_i - h_j for a block of rows i against every column j, or only
+        # against j >= the block's first row; one buffer serves all blocks
+        buf = np.empty(min(CONTACT_BLOCK_ROWS, n) * n * d)
+        for lo in range(0, n, CONTACT_BLOCK_ROWS):
+            hi, c = min(lo + CONTACT_BLOCK_ROWS, n), lo if upper else 0
+            out = buf[: (hi - lo) * (n - c) * d].reshape(hi - lo, n - c, d)
+            yield lo, hi, np.subtract(hd[lo:hi, None, :], hd[None, c:, :], out=out)
+
+    # |h_i - h_j| @ wd is symmetric in (i, j): compute the upper triangle
+    # (with the diagonal blocks) and mirror it
+    dist = np.zeros((n, n))
+    for lo, hi, diff in blocks(upper=True):
+        np.abs(diff, out=diff)
+        dist[lo:hi, lo:] = (diff.reshape(-1, d) @ wd).reshape(hi - lo, n - lo)
+    scores = (hd * wp) @ hd.T + b.data
+    scores += np.triu(dist) + np.triu(dist, 1).T
+    out_data = 0.5 * (scores + scores.T)
 
     def backprop(g):
-        _accum(x, g * np.sign(x.data))
+        gs = 0.5 * (g + g.T)
+        gh = gs @ hd
+        sign_sum = np.empty((n, d))
+        dwd = np.zeros(d)
+        for lo, hi, diff in blocks(upper=False):
+            gblk = gs[lo:hi]
+            sign_sum[lo:hi] = (gblk[:, None, :] @ np.sign(diff))[:, 0, :]
+            np.abs(diff, out=diff)
+            dwd += (gblk.reshape(1, -1) @ diff.reshape(-1, d))[0]
+        _accum(h, 2.0 * gh * wp + 2.0 * wd * sign_sum)
+        _accum(w_prod, (hd * gh).sum(axis=0)[:, None])
+        _accum(w_diff, dwd[:, None])
+        _accum(b, np.array([g.sum()]))
 
-    return _node((x,), out_data, backprop, "absval")
+    return _node((h, w_prod, w_diff, b), out_data, backprop, "contact_scores")
 
 
 def bce_with_logits_mean(logits: Tensor, labels) -> Tensor:

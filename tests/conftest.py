@@ -78,3 +78,24 @@ def reference_attention(q, k, v, heads, mask, mask_mode, g):
         dq[:, sl] = ds @ kh
         dk[:, sl] = (qh.T @ ds).T
     return out, dq, dk, dv
+
+
+def reference_contact(h, w_prod, w_diff, b, g):
+    """Plain numpy rendition of the per-pair contact head.
+
+    Gathers the (n*n, d) feature rows [h_i * h_j, |h_i - h_j|] for every
+    ordered pair, maps them to one logit each and reshapes to (n, n), as the
+    head did before it had a primitive of its own. Returns the logits and
+    the gradients of sum(logits * g) with respect to h, w_prod, w_diff and b.
+    """
+    n, d = h.shape
+    ii, jj = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+    hi, hj = h[ii], h[jj]
+    logits = (((hi * hj) @ w_prod + b) + np.abs(hi - hj) @ w_diff).reshape(n, n)
+    gcol = g.reshape(-1, 1)
+    sign = np.sign(hi - hj)
+    dh = np.zeros((n, d))
+    np.add.at(dh, ii, gcol * w_prod.T * hj + gcol * w_diff.T * sign)
+    np.add.at(dh, jj, gcol * w_prod.T * hi - gcol * w_diff.T * sign)
+    return (logits, dh, (hi * hj).T @ gcol, np.abs(hi - hj).T @ gcol,
+            np.array([gcol.sum()]))

@@ -127,10 +127,6 @@ def _primitive_cases():
     yield "embedding_lookup", a(), lambda t: _contract(
         nm.embedding_lookup(t, [1, 1, 0, 2])
     )
-    # keep absval away from its kink at 0
-    av = Tensor(np.abs(np.random.default_rng(4).normal(size=(3, 4))) + 0.5,
-                requires_grad=True)
-    yield "absval", av, lambda x: _contract(nm.absval(x))
     lg = _probe((5, 1), 5)
     lbl = np.random.default_rng(6).integers(0, 2, size=(5, 1)).astype(np.float64)
     yield "bce_with_logits_mean", lg, lambda x: nm.bce_with_logits_mean(x, lbl)
@@ -149,6 +145,24 @@ def _attention_cases():
 
             for name, p in zip("qkv", qkv):
                 yield f"attention_{mode}_h{heads}_{name}", p, loss
+
+
+def _contact_cases():
+    # every column holds distinct multiples of 0.3 (plus a shift), so no two
+    # rows come within 4 * eps of each other and |h_i - h_j| stays off its kink
+    rng = np.random.default_rng(50)
+    n, d = 5, 4
+    rank = np.argsort(rng.random((n, d)), axis=0)
+    h = Tensor((rank + rng.uniform(0.0, 0.5, (1, d))) * 0.3)
+    gaps = np.abs(h.data[:, None, :] - h.data[None, :, :])[~np.eye(n, dtype=bool)]
+    assert gaps.min() > 4 * 1e-3
+    args = [h, _probe((d, 1), 51), _probe((d, 1), 52), _probe((1,), 53)]
+
+    def loss():
+        return _contract(nm.contact_scores(*args))
+
+    for name, p in zip(("h", "w_prod", "w_diff", "b"), args):
+        yield f"contact_scores_{name}", p, loss
 
 
 def _tape_grad(f, p):
@@ -191,7 +205,7 @@ def test_1_gradient_suite_primitives_and_full_encoder():
     for name, x, f in _primitive_cases():
         err = nm.finite_diff_check(f, x)
         assert err < 1e-4, f"{name}: rel err {err:.3e}"
-    for name, p, f in _attention_cases():
+    for name, p, f in (*_attention_cases(), *_contact_cases()):
         err = _rel_err(_tape_grad(f, p), _richardson_fd(f, p))
         assert err < 1e-4, f"{name}: rel err {err:.3e}"
 

@@ -355,6 +355,10 @@ def test_contact_map_round_trip(tmp_path):
     back = D.read_contact_map(path)
     assert back.n == 17 and back.threshold == 6.5 and back.tag == "native"
     assert np.array_equal(back.bits, cmap.bits)
+    empty = tmp_path / "empty.cmap"
+    empty.write_text("n=0 threshold=8.0 tag=native\n")
+    back = D.read_contact_map(empty)
+    assert back.n == 0 and back.bits.shape == (0, 0) and back.bits.dtype == bool
 
 
 def test_contact_map_tamper_detection(tmp_path):
@@ -371,9 +375,11 @@ def test_contact_map_tamper_detection(tmp_path):
 
     expect([lines[0], "010", "000", "000"], "not symmetric")
     expect([lines[0], "110", "100", "000"], "diagonal")
-    expect([lines[0], lines[1], lines[2]], "expected 3 rows")
-    expect([lines[0], "01", "10", "00"], "0/1")
-    expect([lines[0], "01x", "100", "x00"], "0/1")
+    expect([lines[0], lines[1], lines[2]], "expected 3 rows, found 2")
+    expect([lines[0], "01", "10", "00"], r"bad\.cmap:2: expected 3 characters of 0/1")
+    expect([lines[0], lines[1], "1000", lines[3]], r"bad\.cmap:3: .*'1000'")
+    expect([lines[0], lines[1], "", lines[2], "002"], r"bad\.cmap:5: .*'002'")
+    expect([lines[0], "01x", "100", "x00"], r"bad\.cmap:2: .*0/1")
     expect(["n=3 tag=native", *lines[1:]], "bad contact map header")
     expect(["n=three threshold=8.0 tag=native", *lines[1:]], "non-numeric")
 

@@ -1,5 +1,7 @@
 """Mask semantics, encoder forward/backward contracts and task heads."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -304,11 +306,29 @@ def test_pair_logits_symmetry_and_kinds():
 
 
 def test_contact_logits_symmetric_matrix():
-    model = small_model()
-    out = model.encode(T.encode("ACDEFG", 10), ("IC",))
-    c = model.contact_logits(out)
-    assert c.shape == (6, 6)
-    assert np.array_equal(c.data, c.data.T)
+    model = small_model(max_len=256)
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 17, 254):
+        residues = "".join(rng.choice(list("ACDEFGHIKLMNPQRSTVWY"), size=n))
+        c = model.contact_logits(model.encode(T.encode(residues, 256), ("IC",)))
+        assert c.shape == (n, n)
+        assert np.array_equal(c.data, c.data.T), n
+
+
+def test_contact_logits_builds_no_pair_feature_rows():
+    # one (n*n, d) float64 array is n*n*d*8 bytes; the head must peak far
+    # below that, so no per-pair gather can come back unnoticed
+    n, d = 254, 64
+    model = ProteinEncoder(ModelConfig(d=d, layers=1, heads=4, max_len=256), seed=3)
+    residues = "".join(np.random.default_rng(13).choice(list("ACDEFGHIKLMNPQRSTVWY"), size=n))
+    out = model.encode(T.encode(residues, 256), ())
+    tracemalloc.start()
+    try:
+        model.contact_logits(out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * d * 8 / 4, peak
 
 
 def test_mlm_logits_selects_input_positions():
