@@ -381,10 +381,11 @@ def build_contact_map(
 
 def write_contact_map(cmap: ContactMap, path) -> None:
     """Text form: 'n=<n> threshold=<t> tag=<tag>' then n rows of 0/1."""
+    body = np.full((cmap.n, cmap.n + 1), ord("\n"), dtype=np.uint8)
+    body[:, :-1] = np.where(cmap.bits, ord("1"), ord("0"))
     with open(path, "w") as fh:
         fh.write(f"n={cmap.n} threshold={cmap.threshold!r} tag={cmap.tag}\n")
-        for row in cmap.bits:
-            fh.write("".join("1" if b else "0" for b in row) + "\n")
+        fh.write(body.tobytes().decode("ascii"))
 
 
 def read_contact_map(path) -> ContactMap:

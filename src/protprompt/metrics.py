@@ -66,10 +66,16 @@ def precision_at_l_half(
     ii, jj = ii[keep], jj[keep]
     if ii.size == 0 or k == 0:
         return ContactPrecision(precision=0.0, scored_pairs=0, truncated=True)
-    # sort by score descending, then i, then j ascending
-    order = np.lexsort((jj, ii, -scores[ii, jj]))
+    # rank by score descending, then (i, j) ascending: the pairs are already
+    # in (i, j) order, so a stable sort of the candidates that can reach the
+    # top `take` (every score at least the take-th best) breaks ties by it.
+    # `not >` keeps NaN scores as candidates; they sort last, as in a full sort
+    neg = -scores[ii, jj]
     take = min(k, ii.size)
-    top_i, top_j = ii[order[:take]], jj[order[:take]]
+    cut = np.partition(neg, take - 1)[take - 1]
+    cand = np.flatnonzero(~(neg > cut))
+    top = cand[np.argsort(neg[cand], kind="stable")[:take]]
+    top_i, top_j = ii[top], jj[top]
     hits = int(truth.bits[top_i, top_j].sum())
     return ContactPrecision(
         precision=hits / take, scored_pairs=take, truncated=take < k

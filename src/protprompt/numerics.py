@@ -9,6 +9,15 @@ valid topological order, visiting each node exactly once.
 Every primitive validates that its output is finite; NaN/Inf is raised as
 NumericsError instead of propagating silently. All computations are
 deterministic: identical inputs give bit-identical outputs and gradients.
+
+Kernels finish large intermediates with in-place ufuncs (`out=`, `*=`)
+rather than chains of fresh temporaries: freed (heads, n, n) blocks go
+back to the operating system and page-fault in again on the next
+allocation. An in-place rewrite performs the same IEEE operations in the
+same order as the expression it replaces, so results stay bit for bit the
+same, and it writes only into arrays the kernel itself has just allocated:
+never into an input's .data, an upstream gradient, or an array already
+captured by a backward closure or handed to a caller.
 """
 
 from __future__ import annotations
@@ -80,7 +89,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64, order="C")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericsError("tensor constructed with non-finite values")
         self.data = arr
         self.requires_grad = requires_grad
@@ -130,7 +139,7 @@ class Tensor:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericsError(f"non-finite values produced by {op}")
     return arr
 
@@ -361,17 +370,20 @@ def mean_over_rows(x: Tensor) -> Tensor:
     return _node((x,), out_data, backprop, "mean_over_rows")
 
 
-def _softmax_last(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, stabilised by max subtraction."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax_last_inplace(s: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, stabilised by max subtraction, written
+    into s (which the caller owns) and returned."""
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
 
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax of a 2-d tensor, stabilised by row-max subtraction."""
     if x.data.ndim != 2:
         raise ShapeError(f"softmax_rows needs a 2-d tensor, got {x.shape}")
-    y = _softmax_last(x.data)
+    y = _softmax_last_inplace(x.data.copy())
 
     def backprop(g):
         inner = (g * y).sum(axis=1, keepdims=True)
@@ -416,11 +428,13 @@ def multihead_attention(
 
     qh, vh = split(q.data), split(v.data)
     kt = np.ascontiguousarray(split(k.data).transpose(0, 2, 1))
-    s = (qh @ kt) * c
+    s = qh @ kt
+    s *= c
     if mask_mode == "additive":
-        y = w = _softmax_last(s + mask)
+        s += mask
+        y = w = _softmax_last_inplace(s)
     else:
-        y = _softmax_last(s)
+        y = _softmax_last_inplace(s)
         w = y * mask
     if collect is not None:
         collect.append(list(w.copy()))
@@ -428,10 +442,12 @@ def multihead_attention(
     def backprop(g):
         gh = g.reshape(n, heads, dh).transpose(1, 0, 2)
         _accum(v, merge(w.transpose(0, 2, 1) @ gh))
-        dw = gh @ vh.transpose(0, 2, 1)
+        ds = gh @ vh.transpose(0, 2, 1)  # dW, turned into dS in place
         if mask_mode == "literal":
-            dw = dw * mask
-        ds = y * (dw - (dw * y).sum(axis=-1, keepdims=True)) * c
+            ds *= mask
+        ds -= (ds * y).sum(axis=-1, keepdims=True)
+        np.multiply(y, ds, out=ds)
+        ds *= c
         _accum(q, merge(ds @ kt.transpose(0, 2, 1)))
         _accum(k, merge((qh.transpose(0, 2, 1) @ ds).transpose(0, 2, 1)))
 
@@ -465,11 +481,12 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYERNORM_EPS)
         raise ShapeError(
             f"layernorm gain/bias shapes {gain.shape}/{bias.shape} do not match width {d}"
         )
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=1, keepdims=True)
+    xhat = x.data - x.data.mean(axis=1, keepdims=True)  # centred, scaled below
+    var = np.square(xhat).mean(axis=1, keepdims=True)
     invstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * invstd
-    out_data = xhat * gain.data + bias.data
+    xhat *= invstd
+    out_data = xhat * gain.data
+    out_data += bias.data
 
     def backprop(g):
         if x.requires_grad:
@@ -487,12 +504,24 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYERNORM_EPS)
 
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU, applied elementwise."""
-    cdf = 0.5 * (1.0 + erf(x.data / _SQRT2))
+    # out= arrays rather than `x.data / _SQRT2`, which is a numpy scalar
+    # (and no valid out=) for a 0-d x
+    cdf = np.divide(x.data, _SQRT2, out=np.empty_like(x.data))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out_data = x.data * cdf
 
     def backprop(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-        _accum(x, g * (cdf + x.data * pdf))
+        # g * (cdf + x * pdf), pdf = _INV_SQRT_2PI * exp(-0.5 * x * x)
+        dx = np.multiply(-0.5, x.data, out=np.empty_like(x.data))
+        dx *= x.data
+        np.exp(dx, out=dx)
+        dx *= _INV_SQRT_2PI
+        dx *= x.data
+        dx += cdf
+        dx *= g
+        _accum(x, dx)
 
     return _node((x,), out_data, backprop, "gelu")
 
@@ -505,7 +534,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"affine shapes {x.shape} and {w.shape} do not align")
     if b.shape != (w.shape[1],):
         raise ShapeError(f"affine bias shape {b.shape} does not match {w.shape}")
-    out_data = xd @ w.data + b.data
+    out_data = xd @ w.data
+    out_data += b.data
     if vector_in:
         out_data = out_data[0]
 

@@ -99,3 +99,28 @@ def reference_contact(h, w_prod, w_diff, b, g):
     np.add.at(dh, jj, gcol * w_prod.T * hi - gcol * w_diff.T * sign)
     return (logits, dh, (hi * hj).T @ gcol, np.abs(hi - hj).T @ gcol,
             np.array([gcol.sum()]))
+
+
+def reference_gelu(x, g):
+    """Plain-expression exact GELU and its gradient for upstream g."""
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    pdf = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * x * x)
+    return x * cdf, g * (cdf + x * pdf)
+
+
+def reference_layernorm(x, gain, bias, g, eps=1e-5):
+    """Plain-expression row layernorm and its gradients (x, gain, bias)."""
+    mu = x.mean(axis=1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
+    invstd = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * invstd
+    dxhat = g * gain
+    m1 = dxhat.mean(axis=1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+    return (xhat * gain + bias, invstd * (dxhat - m1 - xhat * m2),
+            (g * xhat).sum(axis=0), g.sum(axis=0))
+
+
+def reference_affine(x, w, b, g):
+    """Plain-expression x @ w + b for 2-d x and its gradients (x, w, b)."""
+    return x @ w + b, g @ w.T, x.T @ g, g.sum(axis=0)

@@ -361,6 +361,20 @@ def test_contact_map_round_trip(tmp_path):
     assert back.n == 0 and back.bits.shape == (0, 0) and back.bits.dtype == bool
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 17, 60])
+def test_contact_map_writer_bytes(tmp_path, n):
+    # byte for byte what the per-character writer produced
+    bits = np.random.default_rng(n).random((n, n)) < 0.4
+    bits = np.triu(bits, 1)
+    cmap = D.ContactMap(n=n, bits=bits | bits.T, threshold=7.25, tag="native")
+    want = f"n={n} threshold=7.25 tag=native\n" + "".join(
+        "".join("1" if b else "0" for b in row) + "\n" for row in cmap.bits)
+    path = tmp_path / "m.cmap"
+    D.write_contact_map(cmap, path)
+    assert path.read_bytes() == want.encode("ascii")
+    assert np.array_equal(D.read_contact_map(path).bits, cmap.bits)
+
+
 def test_contact_map_tamper_detection(tmp_path):
     good = D.build_contact_map(_records([(0, 0, 0), (1, 0, 0), (30, 0, 0)]))
     path = tmp_path / "g.cmap"

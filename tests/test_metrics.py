@@ -64,6 +64,42 @@ def test_precision_matches_brute_force():
         assert got.scored_pairs == want_n and got.truncated == want_t
 
 
+def _lexsort_precision(scores, truth, range_class):
+    # the full 3-key sort over every eligible pair that precision_at_l_half
+    # used before it selected the top floor(L/2) by partition
+    n = truth.n
+    k = n // 2
+    ii, jj = np.triu_indices(n, k=1)
+    sep = jj - ii
+    keep = sep >= range_class.min_sep
+    if range_class.max_sep is not None:
+        keep &= sep <= range_class.max_sep
+    ii, jj = ii[keep], jj[keep]
+    if ii.size == 0 or k == 0:
+        return M.ContactPrecision(precision=0.0, scored_pairs=0, truncated=True)
+    order = np.lexsort((jj, ii, -scores[ii, jj]))
+    take = min(k, ii.size)
+    hits = int(truth.bits[ii[order[:take]], jj[order[:take]]].sum())
+    return M.ContactPrecision(precision=hits / take, scored_pairs=take, truncated=take < k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 13, 60, 150, 254])
+def test_precision_matches_the_full_sort_on_tie_heavy_scores(n):
+    rng = np.random.default_rng(n)
+    bits = rng.random((n, n)) < 0.3
+    bits = np.triu(bits, 1)
+    truth = D.ContactMap(n=n, bits=bits | bits.T)
+    gauss = rng.normal(size=(n, n))
+    with_nan = np.round(gauss, 1)
+    with_nan[rng.random((n, n)) < 0.05] = np.nan
+    for scores in (gauss, np.round(gauss, 1), np.round(gauss), np.zeros((n, n)),
+                   rng.integers(0, 3, (n, n)).astype(float), -np.zeros((n, n)), with_nan,
+                   np.full((n, n), np.nan)):
+        for rc in M.RANGE_CLASSES.values():
+            assert M.precision_at_l_half(scores, truth, rc) == _lexsort_precision(
+                scores, truth, rc), (n, rc.name)
+
+
 def test_precision_tie_break_is_lexicographic():
     n = 14
     bits = np.zeros((n, n), dtype=bool)

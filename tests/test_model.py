@@ -331,6 +331,24 @@ def test_contact_logits_builds_no_pair_feature_rows():
     assert peak < n * n * d * 8 / 4, peak
 
 
+def test_encode_peak_memory_stays_near_one_attention_block():
+    # a tape-free encode keeps a few (heads, n, n) arrays alive at a time;
+    # chains of fresh attention temporaries would need many more
+    residues, heads = 254, 4
+    model = ProteinEncoder(ModelConfig(d=64, layers=1, heads=heads, max_len=256), seed=3)
+    seq = T.encode("".join(np.random.default_rng(13).choice(list("ACDEFGHIKLMNPQRSTVWY"),
+                                                          size=residues)), 256)
+    n = seq.length
+    model.encode(seq, ())
+    tracemalloc.start()
+    try:
+        model.encode(seq, ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * heads * n * n * 8, peak
+
+
 def test_mlm_logits_selects_input_positions():
     model = small_model()
     seq = T.encode("ACDEF", 10)

@@ -13,7 +13,8 @@ from protprompt.errors import ContractError, NumericsError, OracleError, ShapeEr
 from protprompt.model import INIT_STD, build_mask
 from protprompt.numerics import Tape, Tensor
 
-from conftest import reference_attention, reference_contact
+from conftest import (reference_affine, reference_attention, reference_contact,
+                      reference_gelu, reference_layernorm)
 
 FD_TOL = 1e-6
 
@@ -182,6 +183,70 @@ def test_affine_gradients_all_arguments():
     x = Tensor(np.random.default_rng(37).normal(0, 1, (5, 4)))
     _check(lambda t: nm.affine(x, t, b), _rand((4, 3), 38))
     _check(lambda t: nm.affine(x, w, t), _rand((3,), 39))
+
+
+def _kernel_cases():
+    """(f, inputs, g, collect) per in-place kernel, as pytest params."""
+    rng = np.random.default_rng(60)
+
+    def rand(*shape):
+        return Tensor(rng.normal(0.0, 1.0, shape), requires_grad=True)
+
+    def attention(mask_mode):
+        q, k, v, mask, g = _attention_inputs(mask_mode, m=2, n=9, d=8)
+        collect = []
+        return (lambda *qkv: nm.multihead_attention(*qkv, 2, mask, mask_mode, collect),
+                (q, k, v), g, collect)
+
+    cases = {
+        "attention-additive": attention("additive"),
+        "attention-literal": attention("literal"),
+        "gelu": (nm.gelu, (rand(6, 5),), rng.normal(size=(6, 5)), []),
+        "gelu-0d": (nm.gelu, (rand(),), rng.normal(size=()), []),
+        "layernorm": (nm.layernorm, (rand(6, 5), rand(5), rand(5)), rng.normal(size=(6, 5)), []),
+        "affine": (nm.affine, (rand(6, 5), rand(5, 3), rand(3)), rng.normal(size=(6, 3)), []),
+        "affine-vector": (nm.affine, (rand(5), rand(5, 3), rand(3)), rng.normal(size=3), []),
+        "softmax_rows": (nm.softmax_rows, (rand(6, 5),), rng.normal(size=(6, 5)), []),
+    }
+    return [pytest.param(*case, id=name) for name, case in cases.items()]
+
+
+@pytest.mark.parametrize("f, inputs, g, collect", _kernel_cases())
+def test_kernels_write_only_into_their_own_arrays(f, inputs, g, collect):
+    # in-place kernels must leave their inputs, the upstream gradient, their
+    # own output and the maps handed to collect as they were
+    before = [t.data.tobytes() for t in inputs]
+    g_before = g.tobytes()
+    with Tape():
+        out = f(*inputs)
+    out_before = out.data.tobytes()
+    maps_before = [w.tobytes() for maps in collect for w in maps]
+    out._backprop(g)
+    assert [t.data.tobytes() for t in inputs] == before
+    assert g.tobytes() == g_before
+    assert out.data.tobytes() == out_before
+    assert [w.tobytes() for maps in collect for w in maps] == maps_before
+    assert all(t.grad is not None and not np.shares_memory(t.grad, g) for t in inputs)
+
+
+@pytest.mark.parametrize("kernel, reference, shapes", [
+    pytest.param(nm.gelu, reference_gelu, [()], id="gelu-0d"),
+    pytest.param(nm.gelu, reference_gelu, [(7,)], id="gelu-1d"),
+    pytest.param(nm.gelu, reference_gelu, [(9, 16)], id="gelu-2d"),
+    pytest.param(nm.layernorm, reference_layernorm, [(11, 16), (16,), (16,)], id="layernorm"),
+    pytest.param(nm.affine, reference_affine, [(9, 16), (16, 5), (5,)], id="affine"),
+])
+def test_kernel_is_bitwise_the_plain_formula(kernel, reference, shapes):
+    rng = np.random.default_rng(61)
+    inputs = [Tensor(rng.normal(0.3, 2.0, s), requires_grad=True) for s in shapes]
+    with Tape():
+        out = kernel(*inputs)
+    g = rng.normal(size=out.shape)
+    out._backprop(g)
+    ref_out, *ref_grads = reference(*(t.data for t in inputs), g)
+    assert np.array_equal(out.data, ref_out)
+    for t, ref in zip(inputs, ref_grads):
+        assert np.array_equal(t.grad, ref)
 
 
 def test_bce_gradient():
