@@ -17,11 +17,15 @@ Layout (all integers little-endian):
 Entries appear in a fixed order: model parameters in registration order,
 then optional training-state entries under the reserved "opt." prefix
 (step counter and Adam moments), which loaders ignore for inference.
+
+Checkpoints go through atomic_write, as do the CLI's eval records, probe
+CSVs and contact maps, so an interrupted write leaves no partial file.
 """
 
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -34,31 +38,42 @@ VERSION = 1
 OPT_PREFIX = "opt."
 
 
-def save_checkpoint(path, config_text: str, entries: dict[str, np.ndarray]) -> None:
-    """Write path.tmp, then rename it into place: a failed save leaves no partial path."""
-    blob = config_text.encode("utf-8")
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open path.tmp for writing and rename it onto path when the block ends.
+
+    If the block or the write fails, path.tmp is removed and path keeps
+    whatever it held before, so a reader never sees a partial file.
+    """
     tmp = Path(f"{path}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
-            fh.write(struct.pack("<Q", len(entries)))
-            for name, arr in entries.items():
-                # asarray keeps 0-d entries 0-d (opt.step is a scalar)
-                data = np.asarray(arr, dtype=np.float64)
-                raw = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<I", data.ndim))
-                for dim in data.shape:
-                    fh.write(struct.pack("<Q", dim))
-                fh.write(data.astype("<f8", copy=False).tobytes(order="C"))
+        with open(tmp, mode) as fh:
+            yield fh
         tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_checkpoint(path, config_text: str, entries: dict[str, np.ndarray]) -> None:
+    """Write the checkpoint through atomic_write: a failed save leaves no partial path."""
+    blob = config_text.encode("utf-8")
+    with atomic_write(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", VERSION))
+        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(blob)
+        fh.write(struct.pack("<Q", len(entries)))
+        for name, arr in entries.items():
+            # asarray keeps 0-d entries 0-d (opt.step is a scalar)
+            data = np.asarray(arr, dtype=np.float64)
+            raw = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(raw)))
+            fh.write(raw)
+            fh.write(struct.pack("<I", data.ndim))
+            for dim in data.shape:
+                fh.write(struct.pack("<Q", dim))
+            fh.write(data.astype("<f8", copy=False).tobytes(order="C"))
 
 
 def _read_exact(fh, count: int, path, what: str) -> bytes:

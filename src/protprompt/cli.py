@@ -336,7 +336,7 @@ def cmd_inject(args) -> int:
     routes = {name: frozenset({"ppi"}) for name in model.prompts.names()}
     if "Seq" in routes:
         routes["Seq"] = frozenset({O.CONSERVE})
-    policy = O.RoutingPolicy(prompt_routes=routes, encoder_losses=frozenset({"ppi"}))
+    policy = O.RoutingPolicy(prompt_routes=routes)
 
     batches_fn = _inject_ppi_batches(args, cfg)
     prompt_sel = cfg.prompt_names()
@@ -409,7 +409,8 @@ def cmd_eval(args) -> int:
         lines.append(f"{task},{metric},{value!r},{sel}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        with ckpt.atomic_write(args.out) as fh:
+            fh.write(text)
     sys.stdout.write(text)
     return 0
 
@@ -543,7 +544,8 @@ def cmd_build_contacts(args) -> int:
             out_path = out_dir / f"{pdb_file.stem}_{chain_id}.cmap"
             D.write_contact_map(cmap, out_path)
             report_lines.append(f"{out_path.name}: n={cmap.n} from {pdb_file.name}")
-    (out_dir / "report.txt").write_text("\n".join(report_lines) + "\n")
+    with ckpt.atomic_write(out_dir / "report.txt") as fh:
+        fh.write("\n".join(report_lines) + "\n")
     print(f"built contact maps for {len(pdb_files)} files, {hard_errors} hard errors")
     return 1 if hard_errors else 0
 
@@ -578,7 +580,8 @@ def cmd_probe(args) -> int:
         seq = T.encode(residues, cfg.max_len, name)
         report = MX.embedding_shift_probe(model, seq, args.prompt, cfg.probe_cutoff)
         lines = [f"# config_hash={cfg.hash()}"] + report.csv_lines()
-        (out_dir / f"{name}.csv").write_text("\n".join(lines) + "\n")
+        with ckpt.atomic_write(out_dir / f"{name}.csv") as fh:
+            fh.write("\n".join(lines) + "\n")
         flagged = sum(e.flagged for e in report.entries)
         print(f"{name}: {len(report.entries)} residues, {flagged} above cutoff")
     return 0

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .errors import ConfigError, DataError, FormatError
 
 CONTACT_THRESHOLD = 8.0
@@ -383,7 +384,7 @@ def write_contact_map(cmap: ContactMap, path) -> None:
     """Text form: 'n=<n> threshold=<t> tag=<tag>' then n rows of 0/1."""
     body = np.full((cmap.n, cmap.n + 1), ord("\n"), dtype=np.uint8)
     body[:, :-1] = np.where(cmap.bits, ord("1"), ord("0"))
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"n={cmap.n} threshold={cmap.threshold!r} tag={cmap.tag}\n")
         fh.write(body.tobytes().decode("ascii"))
 

@@ -39,7 +39,3 @@ class ContractError(Error):
 
 class NumericsError(Error):
     """Non-finite value produced or training diverged."""
-
-
-class OracleError(Error):
-    """A test oracle detected an inconsistency (e.g. non-deterministic f)."""

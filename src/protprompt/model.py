@@ -311,11 +311,22 @@ class ProteinEncoder:
         pos = nm.embedding_lookup(self.pos_table, np.arange(n, dtype=np.intp))
         return nm.add(nm.add(tok, seg), pos)
 
-    def attach_prompts(self, x_in: Tensor, prompt_names: tuple[str, ...]) -> Tensor:
-        """Prepend prompt rows (no position/segment embedding) to x_in."""
+    def attach_prompts(
+        self, x_in: Tensor, prompt_names: tuple[str, ...], frozen: frozenset[str] = frozenset()
+    ) -> Tensor:
+        """Prepend prompt rows (no position/segment embedding) to x_in.
+
+        A prompt named in frozen enters as a constant copy of its vector,
+        so no gradient from this encode reaches the prompt itself.
+        """
         if not prompt_names:
             return x_in
-        rows = [nm.reshape(self.prompts.get(n), (1, self.config.d)) for n in prompt_names]
+        rows = []
+        for name in prompt_names:
+            vec = self.prompts.get(name)
+            if name in frozen:
+                vec = Tensor(vec.data)
+            rows.append(nm.reshape(vec, (1, self.config.d)))
         return nm.concat_rows(rows + [x_in])
 
     def encode(
@@ -323,9 +334,10 @@ class ProteinEncoder:
         seq: TokenSequence,
         prompt_names: tuple[str, ...] = (),
         collect_attn: bool = False,
+        frozen: frozenset[str] = frozenset(),
     ) -> EncoderOutput:
         m = len(prompt_names)
-        x = self.attach_prompts(self.embed(seq), prompt_names)
+        x = self.attach_prompts(self.embed(seq), prompt_names, frozen)
         mode = self.config.mask_mode
         allowed = build_mask(m, seq.length).matrix
         mask = allowed if mode == "literal" else np.where(allowed > 0, 0.0, MASK_NEG)

@@ -28,13 +28,13 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import ContractError, NumericsError, OracleError, ShapeError
+from .errors import ContractError, NumericsError, ShapeError
 
 LAYERNORM_EPS = 1e-5
 
 # Additive attention-mask penalty. Finite so the no-NaN invariant holds,
 # yet large enough that exp() underflows to exactly 0.0 after the row-max
-# subtraction inside softmax_rows.
+# subtraction inside the attention softmax.
 MASK_NEG = -1.0e9
 
 # Rows per block of contact_scores' (rows, n, d) difference tensor: 2 MB
@@ -116,27 +116,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Light operator sugar; everything routes through the primitives so
-    # recording stays uniform.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
     if not np.isfinite(arr).all():
@@ -174,9 +153,11 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 def backward(tape: Tape, loss: Tensor) -> None:
     """Reverse sweep from a scalar loss recorded on the tape.
 
-    Gradients accumulate into .grad of every tensor reachable from loss;
-    leaves keep their gradients across calls (callers zero them), while
-    intermediate node gradients are cleared at the start of each sweep.
+    Gradients accumulate into .grad of every leaf reachable from loss, and
+    leaves keep them across calls (callers zero them). An intermediate
+    node's gradient is dropped as soon as its closure has run, so the sweep
+    holds only the gradients of nodes it has not reached yet; after it,
+    every node on the tape has .grad None.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -190,6 +171,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
         if node.grad is None or node._backprop is None:
             continue
         node._backprop(node.grad)
+        node.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -207,19 +189,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, g)
 
     return _node((a, b), out_data, backprop, "add")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise a - b; shapes must match exactly."""
-    if a.shape != b.shape:
-        raise ShapeError(f"sub shapes {a.shape} and {b.shape} differ")
-    out_data = a.data - b.data
-
-    def backprop(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return _node((a, b), out_data, backprop, "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -244,21 +213,6 @@ def scale(x: Tensor, c: float) -> Tensor:
         _accum(x, g * c)
 
     return _node((x,), out_data, backprop, "scale")
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product, (n,k) @ (k,m) -> (n,m)."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shapes {a.shape} and {b.shape} do not align")
-    out_data = a.data @ b.data
-
-    def backprop(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
-
-    return _node((a, b), out_data, backprop, "matmul")
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -377,19 +331,6 @@ def _softmax_last_inplace(s: np.ndarray) -> np.ndarray:
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
     return s
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-d tensor, stabilised by row-max subtraction."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"softmax_rows needs a 2-d tensor, got {x.shape}")
-    y = _softmax_last_inplace(x.data.copy())
-
-    def backprop(g):
-        inner = (g * y).sum(axis=1, keepdims=True)
-        _accum(x, y * (g - inner))
-
-    return _node((x,), y, backprop, "softmax_rows")
 
 
 def multihead_attention(
@@ -652,47 +593,3 @@ def bce_with_logits_mean(logits: Tensor, labels) -> Tensor:
         _accum(logits, float(g) * (sig - y) / n)
 
     return _node((logits,), out_data, backprop, "bce_with_logits_mean")
-
-
-# ---------------------------------------------------------------------------
-# gradient oracle
-
-
-def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
-    """Compare the tape gradient of scalar f(x) against central differences.
-
-    f is evaluated twice up front; any bitwise mismatch means f is not
-    deterministic and raises OracleError. x.data is perturbed in place one
-    element at a time (and restored), so f may either use its argument or
-    close over x. Returns the worst relative error, with the denominator
-    floored at 1e-8.
-    """
-    if eps <= 0:
-        raise ContractError("finite_diff_check needs eps > 0")
-    x.requires_grad = True
-    tape = Tape()
-    with tape:
-        y = f(x)
-    if y.data.size != 1:
-        raise ContractError(f"f must return a scalar, got shape {y.shape}")
-    y2 = f(x)
-    if not np.array_equal(y.data, y2.data):
-        raise OracleError("f is not deterministic: double evaluation mismatch")
-    x.grad = None
-    backward(tape, y)
-    g = x.grad if x.grad is not None else np.zeros_like(x.data)
-
-    flat = x.data.reshape(-1)
-    fd = np.zeros(flat.size)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fa = float(f(x).data.reshape(()))
-        flat[i] = orig - eps
-        fb = float(f(x).data.reshape(()))
-        flat[i] = orig
-        fd[i] = (fa - fb) / (2.0 * eps)
-    fd = fd.reshape(x.shape)
-
-    denom = np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-8)
-    return float((np.abs(g - fd) / denom).max())

@@ -6,12 +6,14 @@ The total loss is
 
 where L_conserve is the masked-token cross-entropy (sum reduction by
 default) and each injection task contributes a weighted loss. Routing
-decides which loss sources may update which parameters: by default the
-sequence prompt learns from the conservation loss only, every other prompt
-from its injection task only, and the encoder (embeddings and layers) from
-all sources. Heads receive gradients only from their own loss by
-construction. The policy is switchable; with routing off every trainable
-parameter receives the full combined gradient.
+decides which loss sources may update which prompts: by default the
+sequence prompt learns from the conservation loss only and every other
+prompt from the injection tasks only; with routing off every prompt learns
+from every source. The encoder (embeddings and layers) learns from every
+source present and each head from its own loss, by construction. Routing
+happens in the forward pass: while a source's forward runs, each prompt
+outside its route enters as a constant, so one backward sweep of the
+weighted total gives every parameter exactly its routed gradient.
 """
 
 from __future__ import annotations
@@ -110,15 +112,14 @@ class LossReport:
 
 @dataclass
 class RoutingPolicy:
-    """Which loss sources may update which parameters.
+    """Which loss sources may update which prompts.
 
     prompt_routes maps prompt name -> set of loss names ("mlm" or a task
-    name); encoder_losses lists the sources allowed to move encoder
-    parameters. An empty route freezes that prompt.
+    name). An empty route freezes that prompt. The encoder and heads are
+    not routed: they learn from every source whose loss reaches them.
     """
 
     prompt_routes: dict[str, frozenset[str]]
-    encoder_losses: frozenset[str]
 
     def validate(self, prompt_names: tuple[str, ...]) -> None:
         missing = [n for n in prompt_names if n not in self.prompt_routes]
@@ -128,32 +129,27 @@ class RoutingPolicy:
         if extra:
             raise ConfigError(f"routing policy names unknown prompts {extra}")
 
-    def allowed(self, param_name: str, source: str) -> bool:
-        if param_name.startswith("prompt."):
-            return source in self.prompt_routes[param_name.split(".", 1)[1]]
-        return source in self.encoder_losses
+    def frozen(self, source: str) -> frozenset[str]:
+        """Prompts whose route excludes source: constants in its forward pass."""
+        return frozenset(n for n, route in self.prompt_routes.items() if source not in route)
 
 
 def default_policy(prompt_names: tuple[str, ...], task_names: tuple[str, ...]) -> RoutingPolicy:
     """Seq learns from conservation, every other prompt from all injection
-    tasks, the encoder from everything."""
+    tasks."""
     routes: dict[str, frozenset[str]] = {}
     for name in prompt_names:
         if name == "Seq":
             routes[name] = frozenset({CONSERVE})
         else:
             routes[name] = frozenset(task_names)
-    return RoutingPolicy(
-        prompt_routes=routes, encoder_losses=frozenset({CONSERVE, *task_names})
-    )
+    return RoutingPolicy(prompt_routes=routes)
 
 
 def open_policy(prompt_names: tuple[str, ...], task_names: tuple[str, ...]) -> RoutingPolicy:
-    """Routing disabled: every source updates everything."""
+    """Routing disabled: every source updates every prompt."""
     everything = frozenset({CONSERVE, *task_names})
-    return RoutingPolicy(
-        prompt_routes={n: everything for n in prompt_names}, encoder_losses=everything
-    )
+    return RoutingPolicy(prompt_routes={n: everything for n in prompt_names})
 
 
 class Adam:
@@ -236,20 +232,22 @@ class PairTaskBatch:
     prompt_names: tuple[str, ...] = ()
 
 
-def _forward_mlm(model, batch: MlmTaskBatch, reduction: str) -> Tensor:
+def _forward_mlm(
+    model, batch: MlmTaskBatch, reduction: str, frozen: frozenset[str] = frozenset()
+) -> Tensor:
     if not batch.sequences:
         raise ContractError("empty masked-token batch")
     loss: Tensor | None = None
     for seq, masked in zip(batch.sequences, batch.masked):
         corrupted = TokenSequence(ids=masked.corrupted, source_id=seq.source_id)
-        out = model.encode(corrupted, batch.prompt_names)
+        out = model.encode(corrupted, batch.prompt_names, frozen=frozen)
         logits = model.mlm_logits(out, masked.positions)
         term = mlm_loss(logits, masked.targets, reduction)
         loss = term if loss is None else nm.add(loss, term)
     return loss
 
 
-def _forward_pairs(model, batch: PairTaskBatch) -> Tensor:
+def _forward_pairs(model, batch: PairTaskBatch, frozen: frozenset[str] = frozenset()) -> Tensor:
     if not batch.pairs:
         raise ContractError("empty pair batch")
     pooled: dict[str, Tensor] = {}
@@ -258,7 +256,7 @@ def _forward_pairs(model, batch: PairTaskBatch) -> Tensor:
         # each distinct protein is encoded once per step
         key = seq.source_id or seq.ids.tobytes().hex()
         if key not in pooled:
-            pooled[key] = model.pool(model.encode(seq, batch.prompt_names))
+            pooled[key] = model.pool(model.encode(seq, batch.prompt_names, frozen=frozen))
         return pooled[key]
 
     logit_rows = [
@@ -281,11 +279,14 @@ def train_step(
     step: int = 0,
     mlm_reduction: str = "sum",
 ) -> LossReport:
-    """One multi-task update: forward, route gradients per policy, Adam.
+    """One multi-task update: routed forward, one backward sweep, Adam.
 
-    Gradient flow per source s with coefficient c_s (1 for the conservation
-    loss, lambda*alpha_t for task t): each parameter accumulates
-    c_s * dL_s/dtheta only for the sources its route allows.
+    Each source s runs its forward with policy.frozen(s) held constant, so
+    no prompt outside s's route is on s's part of the tape. One backward
+    sweep of the weighted total then gives every parameter the sum of
+    c_s * dL_s/dtheta over the sources that reach it (c_s = 1 for the
+    conservation loss, lambda*alpha_t for task t), and those gradients go
+    to Adam as they are.
     """
     if mlm_batch is None and not task_batches:
         raise ContractError("train_step needs at least one task batch")
@@ -296,12 +297,14 @@ def train_step(
     with tape:
         losses: dict[str, Tensor] = {}
         if mlm_batch is not None:
-            losses[CONSERVE] = _forward_mlm(model, mlm_batch, mlm_reduction)
+            losses[CONSERVE] = _forward_mlm(
+                model, mlm_batch, mlm_reduction, policy.frozen(CONSERVE)
+            )
         task_tensors: dict[str, Tensor] = {}
         for batch in task_batches:
             if batch.name in task_tensors:
                 raise ContractError(f"duplicate task batch {batch.name!r}")
-            task_tensors[batch.name] = _forward_pairs(model, batch)
+            task_tensors[batch.name] = _forward_pairs(model, batch, policy.frozen(batch.name))
         losses.update(task_tensors)
         l_inject_t = injection_loss(task_tensors, alpha)
         l_conserve_t = losses.get(CONSERVE)
@@ -311,22 +314,13 @@ def train_step(
             lambda_weight,
         )
 
-    coeffs = {name: 1.0 if name == CONSERVE else lambda_weight * alpha.get(name, 1.0)
-              for name in losses}
-    routed: dict[str, np.ndarray] = {}
     for source, loss_t in losses.items():
         if not np.isfinite(loss_t.data).all():
             raise NumericsError(f"non-finite {source} loss at step {step}; aborting")
-        for p in optimizer.params.values():
-            p.grad = None
-        nm.backward(tape, loss_t)
-        c = coeffs[source]
-        for name, p in optimizer.params.items():
-            if p.grad is None or not policy.allowed(name, source):
-                continue
-            contrib = c * p.grad
-            routed[name] = contrib if name not in routed else routed[name] + contrib
-    optimizer.step(routed)
+    for p in optimizer.params.values():
+        p.grad = None
+    nm.backward(tape, total_t)
+    optimizer.step({name: p.grad for name, p in optimizer.params.items()})
 
     l_conserve = float(l_conserve_t.data) if l_conserve_t is not None else 0.0
     task_vals = {name: float(t.data) for name, t in task_tensors.items()}

@@ -5,7 +5,88 @@ import math
 import numpy as np
 from scipy.special import erf
 
+from protprompt import numerics as nm
+from protprompt import objectives as O
 from protprompt import tokenizer as T
+from protprompt.errors import ContractError
+from protprompt.numerics import Tape
+
+
+class OracleError(Exception):
+    """A test oracle detected an inconsistency (e.g. non-deterministic f)."""
+
+
+def finite_diff_check(f, x, eps=1e-5):
+    """Compare the tape gradient of scalar f(x) against central differences.
+
+    f is evaluated twice up front; any bitwise mismatch means f is not
+    deterministic and raises OracleError. x.data is perturbed in place one
+    element at a time (and restored), so f may either use its argument or
+    close over x. Returns the worst relative error, with the denominator
+    floored at 1e-8.
+    """
+    if eps <= 0:
+        raise ContractError("finite_diff_check needs eps > 0")
+    x.requires_grad = True
+    tape = Tape()
+    with tape:
+        y = f(x)
+    if y.data.size != 1:
+        raise ContractError(f"f must return a scalar, got shape {y.shape}")
+    y2 = f(x)
+    if not np.array_equal(y.data, y2.data):
+        raise OracleError("f is not deterministic: double evaluation mismatch")
+    x.grad = None
+    nm.backward(tape, y)
+    g = x.grad if x.grad is not None else np.zeros_like(x.data)
+
+    flat = x.data.reshape(-1)
+    fd = np.zeros(flat.size)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        fa = float(f(x).data.reshape(()))
+        flat[i] = orig - eps
+        fb = float(f(x).data.reshape(()))
+        flat[i] = orig
+        fd[i] = (fa - fb) / (2.0 * eps)
+    fd = fd.reshape(x.shape)
+
+    denom = np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-8)
+    return float((np.abs(g - fd) / denom).max())
+
+
+def reference_routed_step(model, optimizer, mlm_batch, task_batches, policy,
+                          lambda_weight, alpha, mlm_reduction="sum"):
+    """The per-source router train_step ran before it swept backward once.
+
+    Records every source's forward with all prompts live, runs one backward
+    sweep per loss source, scales each by its coefficient (1 for the
+    conservation loss, lambda * alpha_t for task t), drops a prompt's share
+    when its route excludes the source, and hands the sums to Adam. Returns
+    those gradients and each source's loss value.
+    """
+    tape = Tape()
+    with tape:
+        losses = {}
+        if mlm_batch is not None:
+            losses[O.CONSERVE] = O._forward_mlm(model, mlm_batch, mlm_reduction)
+        for batch in task_batches:
+            losses[batch.name] = O._forward_pairs(model, batch)
+    routed = {}
+    for source, loss_t in losses.items():
+        for p in optimizer.params.values():
+            p.grad = None
+        nm.backward(tape, loss_t)
+        c = 1.0 if source == O.CONSERVE else lambda_weight * alpha.get(source, 1.0)
+        for name, p in optimizer.params.items():
+            prompt = name.removeprefix("prompt.")
+            if p.grad is None or (prompt != name and source not in policy.prompt_routes[prompt]):
+                continue
+            contrib = c * p.grad
+            routed[name] = contrib if name not in routed else routed[name] + contrib
+    optimizer.step(routed)
+    return routed, {source: float(t.data) for source, t in losses.items()}
 
 
 def reference_forward(model, ids):

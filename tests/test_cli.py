@@ -7,6 +7,7 @@ import pytest
 
 from protprompt import checkpoint as ckpt
 from protprompt import data as D
+from protprompt import numerics as nm
 from protprompt import tokenizer as T
 from protprompt.cli import main
 
@@ -173,6 +174,59 @@ def _metric_rows(out_dir):
     return [ln.split(",") for ln in lines[start:]]
 
 
+def _blob_pdb_dir(root, n=30, seed=5):
+    """A directory with one PDB file: n residues inside a 3A cube."""
+    pdb_dir = root / "pdbs"
+    pdb_dir.mkdir(exist_ok=True)
+    rng = np.random.default_rng(seed)
+    with open(pdb_dir / "blob.pdb", "w") as fh:
+        for i in range(n):
+            x, y, z = rng.uniform(-1.5, 1.5, size=3)
+            fh.write(_atom(i + 1, "CB", "ALA", "A", i + 1, x, y, z))
+    return pdb_dir
+
+
+def _eval_out(ws, root, variant):
+    out = root / "records.csv"
+    argv = ["eval", "--checkpoint", str(ws["final"]), "--task", "ppi",
+            "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"]), "--out", str(out),
+            "--prompts", ("Seq", "IC")[variant]]
+    return argv, out
+
+
+def _probe_csv(ws, root, variant):
+    argv = ["probe", "--checkpoint", str(ws["final"]), "--fasta", str(ws["fasta"]),
+            "--prompt", ("Seq", "IC")[variant], "--out-dir", str(root / "probes")]
+    return argv, root / "probes" / "p00.csv"
+
+
+def _contacts(target):
+    def case(ws, root, variant):
+        argv = ["build-contacts", "--pdb-dir", str(_blob_pdb_dir(root)),
+                "--out-dir", str(root / "maps"), "--threshold", ("8.0", "9.5")[variant]]
+        return argv, root / "maps" / target
+    return case
+
+
+@pytest.mark.parametrize("case", [_eval_out, _probe_csv, _contacts("blob_A.cmap"),
+                                  _contacts("report.txt")],
+                         ids=["eval-out", "probe-csv", "contact-map", "contacts-report"])
+def test_interrupted_output_write_keeps_the_previous_file(ws, tmp_path, monkeypatch, case):
+    argv, target = case(ws, tmp_path, 0)
+    assert main(argv) == 0
+    before = target.read_bytes()
+
+    def open_failing_target(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return _FullDisk(fh, room=10) if target.name in str(path) else fh
+
+    monkeypatch.setattr(ckpt, "open", open_failing_target, raising=False)
+    argv, target = case(ws, tmp_path, 1)  # the same file, other content
+    assert main(argv) == 1
+    assert target.read_bytes() == before
+    assert not list(target.parent.glob("*.tmp"))
+
+
 def test_structural_override_on_resume_is_refused(ws, tmp_path, capsys):
     out = tmp_path / "r2"
     rc = main([
@@ -243,6 +297,19 @@ def test_inject_frozen_parameters_collect_no_gradient(ws, tmp_path, monkeypatch)
     seq = T.encode("ACDWKE", base_cfg.max_len, "q")
     assert np.array_equal(saved["model"].encode(seq, ("Seq", "IC")).h.data,
                           base_model.encode(seq, ("Seq", "IC")).h.data)
+
+
+def test_inject_step_sweeps_backward_once(ws, tmp_path, monkeypatch):
+    calls = []
+    backward = nm.backward
+    monkeypatch.setattr(nm, "backward", lambda *a: calls.append(1) or backward(*a))
+    rc = main([
+        "inject", "--checkpoint", str(ws["final"]), "--prompt", "PPI",
+        "--task", "ppi", "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"]),
+        "--out", str(tmp_path / "inj"), "--steps", "3",
+    ])
+    assert rc == 0
+    assert len(calls) == 3
 
 
 def test_inject_metrics_log(ws, tmp_path):

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from protprompt import numerics as nm
 from protprompt import objectives as O
 from protprompt import tokenizer as T
 from protprompt.errors import ConfigError, ContractError
 from protprompt.model import ModelConfig, ProteinEncoder
 from protprompt.numerics import Tensor
+
+from conftest import reference_routed_step
 
 
 def test_uniform_logits_give_log_vocab_loss():
@@ -70,8 +73,8 @@ def test_total_loss_combination():
 # train_step helpers
 
 
-def _fixture(seed=0, prompts=("Seq", "IC")):
-    cfg = ModelConfig(d=16, layers=1, heads=2, max_len=10, prompt_names=tuple(prompts))
+def _fixture(seed=0, prompts=("Seq", "IC"), d=16, layers=1, heads=2):
+    cfg = ModelConfig(d=d, layers=layers, heads=heads, max_len=10, prompt_names=tuple(prompts))
     model = ProteinEncoder(cfg, seed=seed)
     seqs = [T.encode(s, 10, f"s{i}") for i, s in enumerate(("ACDEF", "WYKRH", "MNPQS"))]
     masked = [T.apply_mlm_mask(s, 0.3, (5, i)) for i, s in enumerate(seqs)]
@@ -166,15 +169,91 @@ def test_open_policy_lets_everything_through():
 
 
 def test_policy_validation():
-    policy = O.RoutingPolicy(prompt_routes={"Seq": frozenset({"mlm"})},
-                             encoder_losses=frozenset({"mlm"}))
+    policy = O.RoutingPolicy(prompt_routes={"Seq": frozenset({"mlm"})})
     with pytest.raises(ConfigError, match="misses"):
         policy.validate(("Seq", "IC"))
     with pytest.raises(ConfigError, match="unknown"):
         policy.validate(())
-    assert policy.allowed("prompt.Seq", "mlm")
-    assert not policy.allowed("prompt.Seq", "ppi")
-    assert policy.allowed("embed.tok", "mlm")
+    assert policy.frozen("mlm") == frozenset()
+    assert policy.frozen("ppi") == {"Seq"}
+    routed = O.default_policy(("Seq", "IC"), ("ppi",))
+    assert routed.frozen("mlm") == {"IC"} and routed.frozen("ppi") == {"Seq"}
+    assert O.open_policy(("Seq", "IC"), ("ppi",)).frozen("ppi") == frozenset()
+
+
+def test_train_step_sweeps_backward_once(monkeypatch):
+    model, mlm, ppi = _fixture(seed=8)
+    opt = O.Adam(model.parameters(), lr=1e-3)
+    policy = O.default_policy(("Seq", "IC"), ("ppi",))
+    calls = []
+    backward = nm.backward
+    monkeypatch.setattr(nm, "backward", lambda *a: calls.append(1) or backward(*a))
+    for step in range(3):
+        O.train_step(model, opt, mlm, [ppi], policy, 0.7, {"ppi": 1.3}, step=step)
+        assert len(calls) == step + 1
+
+
+def _adam_inputs(opt):
+    """Wrap opt.step so every gradient dict it receives is kept."""
+    seen = []
+    step = opt.step
+
+    def keep(grads):
+        seen.append({k: g for k, g in grads.items() if g is not None})
+        step(grads)
+
+    opt.step = keep
+    return seen
+
+
+@pytest.mark.parametrize("weights", [(1.0, 1.0), (0.7, 1.3)], ids=["unit", "weighted"])
+@pytest.mark.parametrize("make_policy", [O.default_policy, O.open_policy],
+                         ids=["default", "open"])
+def test_single_sweep_matches_per_source_router(make_policy, weights):
+    # a pretrain-shaped step: mean MLM plus BCE, every prompt on every source
+    lam, a = weights
+    alpha = {"ppi": a}
+    policy = make_policy(("Seq", "IC"), ("ppi",))
+    model, mlm, ppi = _fixture(seed=9, d=32, layers=2, heads=4)
+    opt = O.Adam(model.parameters(), lr=1e-3)
+    seen = _adam_inputs(opt)
+    rep = O.train_step(model, opt, mlm, [ppi], policy, lam, alpha, mlm_reduction="mean")
+    ref_model, ref_mlm, ref_ppi = _fixture(seed=9, d=32, layers=2, heads=4)
+    ref_opt = O.Adam(ref_model.parameters(), lr=1e-3)
+    want, ref_losses = reference_routed_step(ref_model, ref_opt, ref_mlm, [ref_ppi], policy,
+                                             lam, alpha, mlm_reduction="mean")
+    # holding a prompt constant changes no forward value
+    assert rep.l_conserve == ref_losses["mlm"] and rep.task_losses == {"ppi": ref_losses["ppi"]}
+    (got,) = seen
+    assert got.keys() == want.keys()
+    for name, g in want.items():
+        assert np.abs(got[name] - g).max() <= 1e-12, name
+        single_source = name.startswith("head.") or (
+            name.startswith("prompt.") and make_policy is O.default_policy)
+        if lam * a == 1.0 and single_source:
+            assert np.array_equal(got[name], g), name
+
+
+def test_loss_columns_match_per_source_router_over_50_steps():
+    policy = O.default_policy(("Seq", "IC"), ("ppi",))
+    runs = []
+    for single_sweep in (True, False):
+        model, mlm, ppi = _fixture(seed=10)
+        opt = O.Adam(model.parameters(), lr=1e-3)
+        rows = []
+        for step in range(50):
+            if single_sweep:
+                rep = O.train_step(model, opt, mlm, [ppi], policy, 0.7, {"ppi": 1.3},
+                                   step=step)
+                rows.append((rep.l_conserve, rep.task_losses["ppi"]))
+            else:
+                _, losses = reference_routed_step(model, opt, mlm, [ppi], policy,
+                                                  0.7, {"ppi": 1.3})
+                rows.append((losses["mlm"], losses["ppi"]))
+        runs.append(np.array(rows))
+    single, per_source = runs
+    assert np.all(np.abs(single - per_source) <= 1e-9 * np.abs(per_source))
+    assert not np.array_equal(single[0], single[-1])  # training moved the losses
 
 
 def test_train_step_rejects_empty_and_duplicates():
