@@ -19,7 +19,8 @@ then optional training-state entries under the reserved "opt." prefix
 (step counter and Adam moments), which loaders ignore for inference.
 
 Checkpoints go through atomic_write, as do the CLI's eval records, probe
-CSVs and contact maps, so an interrupted write leaves no partial file.
+CSVs, contact maps, split TSVs and vocab.txt, so an interrupted write
+leaves no partial file.
 """
 
 from __future__ import annotations

@@ -558,7 +558,7 @@ def cmd_split(args) -> int:
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     for part, edges in (("train", spec.train_edges), ("test", spec.test_edges)):
-        with open(f"{prefix}_{part}.tsv", "w") as fh:
+        with ckpt.atomic_write(f"{prefix}_{part}.tsv") as fh:
             for a, b in edges:
                 bits = "\t".join(str(int(v)) for v in graph.edges[(a, b)])
                 fh.write(f"{a}\t{b}\t{bits}\n")

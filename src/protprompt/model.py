@@ -12,8 +12,10 @@ penalty to disallowed logits before the row softmax, so every attention row
 still sums to 1. "literal" multiplies the already-normalised attention
 matrix elementwise by M, which deliberately destroys row normalisation and
 is kept for ablation. Inputs are never padded, so M is the whole mask.
-encode builds the array its mode applies once. All heads of a layer run as
-one tape node, numerics.multihead_attention, with a closed-form backward.
+encode builds the array its mode applies once. An encode records L+1 tape
+nodes: numerics.encoder_input for the prompt and embedding rows, then one
+numerics.encoder_layer per layer (all heads, residuals, layernorms and the
+feed-forward block), each with a closed-form backward.
 
 Prompt rows receive no position and no segment embedding, and they pass
 through the same per-layer residual/layernorm/feed-forward block as every
@@ -152,6 +154,12 @@ class EncoderOutput:
 class EncoderLayer:
     """Multi-head masked attention followed by the residual/LN/FF block."""
 
+    # checkpoint names of `weights`, in the order numerics.encoder_layer takes them
+    WEIGHT_NAMES = (
+        "attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv", "attn.bv", "attn.wo", "attn.bo",
+        "ln1.gain", "ln1.bias", "ff.w1", "ff.b1", "ff.w2", "ff.b2", "ln2.gain", "ln2.bias",
+    )
+
     def __init__(self, d: int, heads: int, rng: np.random.Generator):
         self.heads = heads
 
@@ -161,34 +169,17 @@ class EncoderLayer:
         def zeros(shape):
             return Tensor(np.zeros(shape), requires_grad=True)
 
-        self.wq, self.bq = w((d, d)), zeros(d)
-        self.wk, self.bk = w((d, d)), zeros(d)
-        self.wv, self.bv = w((d, d)), zeros(d)
-        self.wo, self.bo = w((d, d)), zeros(d)
-        self.ln1_gain, self.ln1_bias = Tensor(np.ones(d), requires_grad=True), zeros(d)
-        self.ff_w1, self.ff_b1 = w((d, 4 * d)), zeros(4 * d)
-        self.ff_w2, self.ff_b2 = w((4 * d, d)), zeros(d)
-        self.ln2_gain, self.ln2_bias = Tensor(np.ones(d), requires_grad=True), zeros(d)
+        def ones(shape):
+            return Tensor(np.ones(shape), requires_grad=True)
+
+        self.weights = (
+            w((d, d)), zeros(d), w((d, d)), zeros(d), w((d, d)), zeros(d), w((d, d)), zeros(d),
+            ones(d), zeros(d), w((d, 4 * d)), zeros(4 * d), w((4 * d, d)), zeros(d),
+            ones(d), zeros(d),
+        )
 
     def params(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}.attn.wq": self.wq,
-            f"{prefix}.attn.bq": self.bq,
-            f"{prefix}.attn.wk": self.wk,
-            f"{prefix}.attn.bk": self.bk,
-            f"{prefix}.attn.wv": self.wv,
-            f"{prefix}.attn.bv": self.bv,
-            f"{prefix}.attn.wo": self.wo,
-            f"{prefix}.attn.bo": self.bo,
-            f"{prefix}.ln1.gain": self.ln1_gain,
-            f"{prefix}.ln1.bias": self.ln1_bias,
-            f"{prefix}.ff.w1": self.ff_w1,
-            f"{prefix}.ff.b1": self.ff_b1,
-            f"{prefix}.ff.w2": self.ff_w2,
-            f"{prefix}.ff.b2": self.ff_b2,
-            f"{prefix}.ln2.gain": self.ln2_gain,
-            f"{prefix}.ln2.bias": self.ln2_bias,
-        }
+        return {f"{prefix}.{name}": t for name, t in zip(self.WEIGHT_NAMES, self.weights)}
 
     def forward(
         self,
@@ -197,34 +188,15 @@ class EncoderLayer:
         mask_mode: str,
         collect: list | None = None,
     ) -> Tensor:
-        attn_out = masked_attention(x, mask, self, mask_mode, collect)
-        x = nm.layernorm(nm.add(x, attn_out), self.ln1_gain, self.ln1_bias)
-        ff = nm.affine(nm.gelu(nm.affine(x, self.ff_w1, self.ff_b1)), self.ff_w2, self.ff_b2)
-        return nm.layernorm(nm.add(x, ff), self.ln2_gain, self.ln2_bias)
-
-
-def masked_attention(
-    x: Tensor,
-    mask: np.ndarray,
-    layer: EncoderLayer,
-    mask_mode: str,
-    collect: list | None = None,
-) -> Tensor:
-    """Multi-head attention over x under the one-way mask.
-
-    mask is the array mask_mode applies, built once per encode:
-    additive: MASK_NEG at disallowed logits before softmax (rows sum to 1).
-    literal: the binary mask times the softmax output (row mass <= 1).
-    """
-    q = nm.affine(x, layer.wq, layer.bq)
-    k = nm.affine(x, layer.wk, layer.bk)
-    v = nm.affine(x, layer.wv, layer.bv)
-    heads_out = nm.multihead_attention(q, k, v, layer.heads, mask, mask_mode, collect)
-    return nm.affine(heads_out, layer.wo, layer.bo)
+        """mask is the array mask_mode applies, built once per encode:
+        additive: MASK_NEG at disallowed logits before softmax (rows sum to 1).
+        literal: the binary mask times the softmax output (row mass <= 1).
+        """
+        return nm.encoder_layer(x, self.weights, self.heads, mask, mask_mode, collect)
 
 
 class ProteinEncoder:
-    """The full embed -> attach prompts -> masked layers stack, plus heads."""
+    """The full embed (prompt rows first) -> masked layers stack, plus heads."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
@@ -299,35 +271,27 @@ class ProteinEncoder:
 
     # -- forward pieces --
 
-    def embed(self, seq: TokenSequence) -> Tensor:
-        """Token + segment + position embedding sum over the sequence."""
+    def embed(
+        self, seq: TokenSequence, prompt_names: tuple[str, ...] = (),
+        frozen: frozenset[str] = frozenset(),
+    ) -> Tensor:
+        """Prompt rows (no position/segment embedding), then the token +
+        segment + position embedding of seq, as one tape node.
+
+        A prompt named in frozen enters as a constant copy of its vector,
+        so no gradient from this encode reaches the prompt itself.
+        """
         n = seq.ids.size
         if n > self.config.max_len:
             raise ShapeError(
                 f"sequence of {n} tokens exceeds position table of {self.config.max_len}"
             )
-        tok = nm.embedding_lookup(self.tok_table, seq.ids)
-        seg = nm.embedding_lookup(self.seg_table, np.zeros(n, dtype=np.intp))
-        pos = nm.embedding_lookup(self.pos_table, np.arange(n, dtype=np.intp))
-        return nm.add(nm.add(tok, seg), pos)
-
-    def attach_prompts(
-        self, x_in: Tensor, prompt_names: tuple[str, ...], frozen: frozenset[str] = frozenset()
-    ) -> Tensor:
-        """Prepend prompt rows (no position/segment embedding) to x_in.
-
-        A prompt named in frozen enters as a constant copy of its vector,
-        so no gradient from this encode reaches the prompt itself.
-        """
-        if not prompt_names:
-            return x_in
-        rows = []
+        prompts = []
         for name in prompt_names:
             vec = self.prompts.get(name)
-            if name in frozen:
-                vec = Tensor(vec.data)
-            rows.append(nm.reshape(vec, (1, self.config.d)))
-        return nm.concat_rows(rows + [x_in])
+            prompts.append(Tensor(vec.data) if name in frozen else vec)
+        return nm.encoder_input(self.tok_table, self.seg_table, self.pos_table, seq.ids,
+                                prompts)
 
     def encode(
         self,
@@ -337,7 +301,7 @@ class ProteinEncoder:
         frozen: frozenset[str] = frozenset(),
     ) -> EncoderOutput:
         m = len(prompt_names)
-        x = self.attach_prompts(self.embed(seq), prompt_names, frozen)
+        x = self.embed(seq, prompt_names, frozen)
         mode = self.config.mask_mode
         allowed = build_mask(m, seq.length).matrix
         mask = allowed if mode == "literal" else np.where(allowed > 0, 0.0, MASK_NEG)

@@ -18,6 +18,15 @@ same order as the expression it replaces, so results stay bit for bit the
 same, and it writes only into arrays the kernel itself has just allocated:
 never into an input's .data, an upstream gradient, or an array already
 captured by a backward closure or handed to a caller.
+
+Each kernel formula (affine, layernorm, GELU, attention) is written once,
+as an array-level forward and backward pair. The single-op primitives and
+two fused nodes call them: encoder_input (prompt rows plus the three
+embedding lookups) and encoder_layer (attention, residuals, layernorms
+and the feed-forward block). An encoder with L layers therefore records
+L+1 tape nodes per sequence. The fused nodes perform the same float
+operations in the same order as the per-op chain, so their outputs and
+gradients are bit for bit those of the chain.
 """
 
 from __future__ import annotations
@@ -118,7 +127,7 @@ class Tensor:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NumericsError(f"non-finite values produced by {op}")
     return arr
 
@@ -324,13 +333,161 @@ def mean_over_rows(x: Tensor) -> Tensor:
     return _node((x,), out_data, backprop, "mean_over_rows")
 
 
+# ---------------------------------------------------------------------------
+# array-level kernels: one forward and one backward per formula, shared by
+# the single-op primitives below and by the fused encoder nodes. Reductions
+# call the ufuncs directly (np.add.reduce, np.maximum.reduce): the same
+# operations in the same order as .sum/.mean/.max, without their wrappers.
+# A backward helper takes the parameters as tensors, accumulates their
+# gradients when they require one, and returns the input's gradient.
+
+
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """Mean over the last axis as a kept column: a sum, then one division."""
+    m = np.add.reduce(a, axis=-1, keepdims=True)
+    m /= a.shape[-1]
+    return m
+
+
+def _affine_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = x @ w
+    out += b
+    return out
+
+
+def _affine_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor,
+                     need_dx: bool = True) -> np.ndarray | None:
+    """Gradients of x @ w + b for 2-d g and x; dx only when need_dx."""
+    if w.requires_grad:
+        _accum(w, x.T @ g)
+    if b.requires_grad:
+        _accum(b, np.add.reduce(g, axis=0))
+    return g @ w.data.T if need_dx else None
+
+
+def _layernorm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                       eps: float = LAYERNORM_EPS):
+    """Row layernorm of 2-d x: (out, xhat, invstd), the last two for the backward."""
+    xhat = x - _row_mean(x)  # centred, scaled below
+    var = _row_mean(np.square(xhat))
+    invstd = 1.0 / np.sqrt(var + eps)
+    xhat *= invstd
+    out = xhat * gain
+    out += bias
+    return out, xhat, invstd
+
+
+def _layernorm_backward(g: np.ndarray, gain: Tensor, bias: Tensor, xhat: np.ndarray,
+                        invstd: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
+    if gain.requires_grad:
+        _accum(gain, np.add.reduce(g * xhat, axis=0))
+    if bias.requires_grad:
+        _accum(bias, np.add.reduce(g, axis=0))
+    if not need_dx:
+        return None
+    dxhat = g * gain.data
+    m1 = _row_mean(dxhat)
+    m2 = _row_mean(dxhat * xhat)
+    return invstd * (dxhat - m1 - xhat * m2)
+
+
+def _gelu_forward(x: np.ndarray):
+    """Exact GELU: (out, cdf), cdf for the backward."""
+    # out= arrays rather than `x / _SQRT2`, which is a numpy scalar (and no
+    # valid out=) for a 0-d x
+    cdf = np.divide(x, _SQRT2, out=np.empty_like(x))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return x * cdf, cdf
+
+
+def _gelu_backward(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    # g * (cdf + x * pdf), pdf = _INV_SQRT_2PI * exp(-0.5 * x * x)
+    dx = np.multiply(-0.5, x, out=np.empty_like(x))
+    dx *= x
+    np.exp(dx, out=dx)
+    dx *= _INV_SQRT_2PI
+    dx *= x
+    dx += cdf
+    dx *= g
+    return dx
+
+
 def _softmax_last_inplace(s: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, stabilised by max subtraction, written
     into s (which the caller owns) and returned."""
-    s -= s.max(axis=-1, keepdims=True)
+    s -= np.maximum.reduce(s, axis=-1, keepdims=True)
     np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
+    s /= np.add.reduce(s, axis=-1, keepdims=True)
     return s
+
+
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """(n, d) -> contiguous (heads, n, d / heads)."""
+    n, d = a.shape
+    return np.ascontiguousarray(a.reshape(n, heads, d // heads).transpose(1, 0, 2))
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """(heads, n, dh) -> C-ordered (n, heads * dh), as a copy."""
+    heads, n, dh = a.shape
+    return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(n, heads * dh)
+
+
+def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
+                       mask: np.ndarray, mask_mode: str, collect: list | None):
+    """Masked multi-head attention of (n, d) arrays: (out, saved), where
+    saved = (qh, kt, vh, y, w) holds what the backward needs."""
+    n, d = q.shape
+    if d % heads or mask.shape != (n, n):
+        raise ShapeError(f"attention over {q.shape} got {heads} heads and mask {mask.shape}")
+    if mask_mode not in ("additive", "literal"):
+        raise ContractError(f"unknown mask_mode {mask_mode!r}")
+    dh = d // heads
+    qh, vh = _split_heads(q, heads), _split_heads(v, heads)
+    kt = np.ascontiguousarray(_split_heads(k, heads).transpose(0, 2, 1))
+    del q, k, v  # arrays the caller passed without keeping go before the score block
+    s = qh @ kt
+    s *= 1.0 / float(np.sqrt(dh))
+    if mask_mode == "additive":
+        s += mask
+        y = w = _softmax_last_inplace(s)
+    else:
+        y = _softmax_last_inplace(s)
+        w = y * mask
+    if collect is not None:
+        collect.append(list(w.copy()))
+    return _merge_heads(w @ vh), (qh, kt, vh, y, w)
+
+
+def _attention_backward(g: np.ndarray, mask: np.ndarray, mask_mode: str, saved):
+    """(dq, dk, dv) of attention for upstream g, from _attention_forward's saved."""
+    qh, kt, vh, y, w = saved
+    heads, n, dh = qh.shape
+    gh = g.reshape(n, heads, dh).transpose(1, 0, 2)
+    dv = _merge_heads(w.transpose(0, 2, 1) @ gh)
+    ds = gh @ vh.transpose(0, 2, 1)  # dW, turned into dS in place
+    if mask_mode == "literal":
+        ds *= mask
+    ds -= np.add.reduce(ds * y, axis=-1, keepdims=True)
+    np.multiply(y, ds, out=ds)
+    ds *= 1.0 / float(np.sqrt(dh))
+    dq = _merge_heads(ds @ kt.transpose(0, 2, 1))
+    dk = _merge_heads((qh.transpose(0, 2, 1) @ ds).transpose(0, 2, 1))
+    return dq, dk, dv
+
+
+def _gather_backward(table: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
+    """Scatter-add g's rows into a zero gradient of table at idx."""
+    if table.requires_grad:
+        full = np.zeros_like(table.data)
+        np.add.at(full, idx, g)
+        _accum(table, full)
+
+
+# ---------------------------------------------------------------------------
+# single-op primitives built on those kernels
 
 
 def multihead_attention(
@@ -352,47 +509,18 @@ def multihead_attention(
     dV = W^T G, dW = G V^T (times mask if literal),
     dS = Y * (dW - rowsum(dW * Y)) * c, dQ = dS K, dK = (Q^T dS)^T.
     """
-    n, d = q.shape
-    if k.shape != (n, d) or v.shape != (n, d) or d % heads or mask.shape != (n, n):
-        raise ShapeError(f"attention got q/k/v {q.shape}/{k.shape}/{v.shape}, "
-                         f"{heads} heads and mask {mask.shape}")
-    if mask_mode not in ("additive", "literal"):
-        raise ContractError(f"unknown mask_mode {mask_mode!r}")
-    dh = d // heads
-    c = 1.0 / float(np.sqrt(dh))
-
-    def split(a):  # (n, d) -> contiguous (heads, n, dh)
-        return np.ascontiguousarray(a.reshape(n, heads, dh).transpose(1, 0, 2))
-
-    def merge(a):  # (heads, n, dh) -> C-ordered (n, d), as a copy
-        return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(n, d)
-
-    qh, vh = split(q.data), split(v.data)
-    kt = np.ascontiguousarray(split(k.data).transpose(0, 2, 1))
-    s = qh @ kt
-    s *= c
-    if mask_mode == "additive":
-        s += mask
-        y = w = _softmax_last_inplace(s)
-    else:
-        y = _softmax_last_inplace(s)
-        w = y * mask
-    if collect is not None:
-        collect.append(list(w.copy()))
+    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"attention got q/k/v {q.shape}/{k.shape}/{v.shape}")
+    out_data, saved = _attention_forward(q.data, k.data, v.data, heads, mask, mask_mode,
+                                         collect)
 
     def backprop(g):
-        gh = g.reshape(n, heads, dh).transpose(1, 0, 2)
-        _accum(v, merge(w.transpose(0, 2, 1) @ gh))
-        ds = gh @ vh.transpose(0, 2, 1)  # dW, turned into dS in place
-        if mask_mode == "literal":
-            ds *= mask
-        ds -= (ds * y).sum(axis=-1, keepdims=True)
-        np.multiply(y, ds, out=ds)
-        ds *= c
-        _accum(q, merge(ds @ kt.transpose(0, 2, 1)))
-        _accum(k, merge((qh.transpose(0, 2, 1) @ ds).transpose(0, 2, 1)))
+        dq, dk, dv = _attention_backward(g, mask, mask_mode, saved)
+        _accum(v, dv)
+        _accum(q, dq)
+        _accum(k, dk)
 
-    return _node((q, k, v), merge(w @ vh), backprop, "multihead_attention")
+    return _node((q, k, v), out_data, backprop, "multihead_attention")
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:
@@ -422,47 +550,22 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYERNORM_EPS)
         raise ShapeError(
             f"layernorm gain/bias shapes {gain.shape}/{bias.shape} do not match width {d}"
         )
-    xhat = x.data - x.data.mean(axis=1, keepdims=True)  # centred, scaled below
-    var = np.square(xhat).mean(axis=1, keepdims=True)
-    invstd = 1.0 / np.sqrt(var + eps)
-    xhat *= invstd
-    out_data = xhat * gain.data
-    out_data += bias.data
+    out_data, xhat, invstd = _layernorm_forward(x.data, gain.data, bias.data, eps)
 
     def backprop(g):
-        if x.requires_grad:
-            dxhat = g * gain.data
-            m1 = dxhat.mean(axis=1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-            _accum(x, invstd * (dxhat - m1 - xhat * m2))
-        if gain.requires_grad:
-            _accum(gain, (g * xhat).sum(axis=0))
-        if bias.requires_grad:
-            _accum(bias, g.sum(axis=0))
+        dx = _layernorm_backward(g, gain, bias, xhat, invstd, x.requires_grad)
+        if dx is not None:
+            _accum(x, dx)
 
     return _node((x, gain, bias), out_data, backprop, "layernorm")
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU, applied elementwise."""
-    # out= arrays rather than `x.data / _SQRT2`, which is a numpy scalar
-    # (and no valid out=) for a 0-d x
-    cdf = np.divide(x.data, _SQRT2, out=np.empty_like(x.data))
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    out_data = x.data * cdf
+    out_data, cdf = _gelu_forward(x.data)
 
     def backprop(g):
-        # g * (cdf + x * pdf), pdf = _INV_SQRT_2PI * exp(-0.5 * x * x)
-        dx = np.multiply(-0.5, x.data, out=np.empty_like(x.data))
-        dx *= x.data
-        np.exp(dx, out=dx)
-        dx *= _INV_SQRT_2PI
-        dx *= x.data
-        dx += cdf
-        dx *= g
-        _accum(x, dx)
+        _accum(x, _gelu_backward(g, x.data, cdf))
 
     return _node((x,), out_data, backprop, "gelu")
 
@@ -475,20 +578,14 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"affine shapes {x.shape} and {w.shape} do not align")
     if b.shape != (w.shape[1],):
         raise ShapeError(f"affine bias shape {b.shape} does not match {w.shape}")
-    out_data = xd @ w.data
-    out_data += b.data
+    out_data = _affine_forward(xd, w.data, b.data)
     if vector_in:
         out_data = out_data[0]
 
     def backprop(g):
-        g2 = g[None, :] if vector_in else g
-        if x.requires_grad:
-            gx = g2 @ w.data.T
+        gx = _affine_backward(g[None, :] if vector_in else g, xd, w, b, x.requires_grad)
+        if gx is not None:
             _accum(x, gx[0] if vector_in else gx)
-        if w.requires_grad:
-            _accum(w, xd.T @ g2)
-        if b.requires_grad:
-            _accum(b, g2.sum(axis=0))
 
     return _node((x, w, b), out_data, backprop, "affine")
 
@@ -497,22 +594,145 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Gather table rows by integer id; duplicate ids accumulate gradient."""
     if table.data.ndim != 2:
         raise ShapeError(f"embedding table must be 2-d, got {table.shape}")
-    idx = np.asarray(ids, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError("embedding ids must be a 1-d integer sequence")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise ShapeError(
-            f"embedding id out of range: table has {table.shape[0]} rows, "
-            f"ids span [{idx.min()}, {idx.max()}]"
-        )
+    idx = _checked_ids(ids, table.shape[0])
     out_data = table.data[idx]
 
     def backprop(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx, g)
-        _accum(table, full)
+        _gather_backward(table, idx, g)
 
     return _node((table,), out_data, backprop, "embedding_lookup")
+
+
+def _checked_ids(ids, rows: int) -> np.ndarray:
+    idx = np.asarray(ids, dtype=np.intp)
+    if idx.ndim != 1:
+        raise ShapeError("embedding ids must be a 1-d integer sequence")
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise ShapeError(
+            f"embedding id out of range: table has {rows} rows, "
+            f"ids span [{idx.min()}, {idx.max()}]"
+        )
+    return idx
+
+
+# ---------------------------------------------------------------------------
+# fused encoder nodes: the same float operations in the same order as the
+# chains of single-op primitives they replace, recorded as one tape node.
+# Without a tape they build no closure, and encoder_layer lets q, k and v go
+# once they are split into heads and the (heads, n, n) blocks go once the
+# attention output exists, so a tape-free encode holds one score block.
+
+
+def encoder_input(tok_table: Tensor, seg_table: Tensor, pos_table: Tensor, ids,
+                  prompts: Sequence[Tensor] = ()) -> Tensor:
+    """Prompt rows, then token + segment + position embedding rows, one node.
+
+    Row i < m = len(prompts) is prompts[i], with no position or segment
+    embedding; row m + t is (tok_table[ids[t]] + seg_table[0]) + pos_table[t].
+    A prompt that does not require gradients enters as a constant. The
+    output is finite only if every gathered row is, so one check covers them.
+    """
+    d = tok_table.shape[-1]
+    if any(t.data.ndim != 2 or t.shape[1] != d for t in (tok_table, seg_table, pos_table)):
+        raise ShapeError(f"embedding tables {tok_table.shape}/{seg_table.shape}/"
+                         f"{pos_table.shape} differ in width")
+    if any(p.shape != (d,) for p in prompts):
+        raise ShapeError(f"prompt shapes {[p.shape for p in prompts]} do not fit width {d}")
+    idx = _checked_ids(ids, tok_table.shape[0])
+    m, n = len(prompts), idx.size
+    seg_idx = np.zeros(n, dtype=np.intp)
+    pos_idx = _checked_ids(np.arange(n), pos_table.shape[0])
+    out_data = np.empty((m + n, d))
+    for i, p in enumerate(prompts):
+        out_data[i] = p.data
+    rows = out_data[m:]
+    np.add(tok_table.data[idx], seg_table.data[seg_idx], out=rows)
+    rows += pos_table.data[pos_idx]
+
+    def backprop(g):
+        for i in reversed(range(m)):
+            _accum(prompts[i], g[i])
+        rows_g = g[m:]
+        _gather_backward(pos_table, pos_idx, rows_g)
+        _gather_backward(seg_table, seg_idx, rows_g)
+        _gather_backward(tok_table, idx, rows_g)
+
+    return _node((tok_table, seg_table, pos_table, *prompts), out_data, backprop,
+                 "encoder_input")
+
+
+def encoder_layer(
+    x: Tensor,
+    weights: Sequence[Tensor],
+    heads: int,
+    mask: np.ndarray,
+    mask_mode: str,
+    collect: list | None = None,
+) -> Tensor:
+    """One post-norm transformer encoder layer as one tape node.
+
+    weights = (wq, bq, wk, bk, wv, bv, wo, bo, ln1_gain, ln1_bias,
+    w1, b1, w2, b2, ln2_gain, ln2_bias), x (n, d):
+        a = multihead_attention(x wq + bq, x wk + bk, x wv + bv) wo + bo
+        h = layernorm(x + a; ln1),  out = layernorm(h + gelu(h w1 + b1) w2 + b2; ln2)
+    with heads, mask, mask_mode and collect as in multihead_attention. The
+    closed-form backward runs the single-op backwards in reverse order; the
+    gradient reaches h as d_res2 + dh_ff and x as ((d_res1 + dx_v) + dx_k)
+    + dx_q, the order in which the per-op tape summed them. Every
+    intermediate the per-op chain checked is checked for finiteness.
+    """
+    if len(weights) != 16 or x.data.ndim != 2:
+        raise ShapeError(f"encoder_layer needs a 2-d x and 16 weights, got {x.shape} "
+                         f"and {len(weights)}")
+    (wq, bq, wk, bk, wv, bv, wo, bo,
+     ln1_gain, ln1_bias, w1, b1, w2, b2, ln2_gain, ln2_bias) = weights
+    d, f = x.shape[1], w1.shape[-1]
+    expected = [(d, d), (d,)] * 4 + [(d,), (d,), (d, f), (f,), (f, d), (d,), (d,), (d,)]
+    if [t.shape for t in weights] != expected:
+        raise ShapeError(f"encoder_layer weights {[t.shape for t in weights]} do not fit "
+                         f"width {d}")
+    parents = (x, *weights)
+    taped = _active_tape() is not None and any(t.requires_grad for t in parents)
+    xd = x.data
+    att, saved = _attention_forward(
+        _check_finite(_affine_forward(xd, wq.data, bq.data), "affine"),
+        _check_finite(_affine_forward(xd, wk.data, bk.data), "affine"),
+        _check_finite(_affine_forward(xd, wv.data, bv.data), "affine"),
+        heads, mask, mask_mode, collect,
+    )
+    if not taped:
+        saved = None  # the (heads, n, n) blocks go now, not at return
+    _check_finite(att, "multihead_attention")
+    r1 = xd + _check_finite(_affine_forward(att, wo.data, bo.data), "affine")
+    h, xhat1, invstd1 = _layernorm_forward(_check_finite(r1, "add"), ln1_gain.data,
+                                           ln1_bias.data)
+    f1 = _check_finite(_affine_forward(_check_finite(h, "layernorm"), w1.data, b1.data),
+                       "affine")
+    act, cdf = _gelu_forward(f1)
+    r2 = h + _check_finite(_affine_forward(_check_finite(act, "gelu"), w2.data, b2.data),
+                           "affine")
+    out_data, xhat2, invstd2 = _layernorm_forward(_check_finite(r2, "add"), ln2_gain.data,
+                                                  ln2_bias.data)
+    backprop = None
+    if taped:
+        def backprop(g):
+            d_res2 = _layernorm_backward(g, ln2_gain, ln2_bias, xhat2, invstd2)
+            d_f1 = _gelu_backward(_affine_backward(d_res2, act, w2, b2), f1, cdf)
+            d_res1 = _layernorm_backward(d_res2 + _affine_backward(d_f1, h, w1, b1),
+                                         ln1_gain, ln1_bias, xhat1, invstd1)
+            dq, dk, dv = _attention_backward(_affine_backward(d_res1, att, wo, bo), mask,
+                                             mask_mode, saved)
+            need_dx = x.requires_grad
+            dx = _affine_backward(dv, xd, wv, bv, need_dx)
+            dx_k = _affine_backward(dk, xd, wk, bk, need_dx)
+            dx_q = _affine_backward(dq, xd, wq, bq, need_dx)
+            if need_dx:
+                dx = d_res1 + dx
+                dx += dx_k
+                dx += dx_q
+                _accum(x, dx)
+
+    return _node(parents, out_data, backprop, "layernorm")
 
 
 def contact_scores(h: Tensor, w_prod: Tensor, w_diff: Tensor, b: Tensor) -> Tensor:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .errors import ConfigError, EncodingError, TruncationError
 
 RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
@@ -43,8 +44,9 @@ def is_special(token_id: int) -> bool:
 
 
 def write_vocab(path) -> None:
-    """Write vocab.txt: one symbol per line, line number (0-based) = id."""
-    with open(path, "w") as fh:
+    """Write vocab.txt through atomic_write: one symbol per line, line
+    number (0-based) = id."""
+    with atomic_write(path) as fh:
         for sym in SYMBOLS:
             fh.write(sym + "\n")
 

@@ -9,7 +9,8 @@ from protprompt import numerics as nm
 from protprompt import objectives as O
 from protprompt import tokenizer as T
 from protprompt.errors import ContractError
-from protprompt.numerics import Tape
+from protprompt.model import build_mask
+from protprompt.numerics import MASK_NEG, Tape, Tensor
 
 
 class OracleError(Exception):
@@ -87,6 +88,54 @@ def reference_routed_step(model, optimizer, mlm_batch, task_batches, policy,
             routed[name] = contrib if name not in routed else routed[name] + contrib
     optimizer.step(routed)
     return routed, {source: float(t.data) for source, t in losses.items()}
+
+
+def reference_encoder_layer(layer, x, mask, mask_mode, collect=None):
+    """The per-op chain EncoderLayer.forward ran before the layer had a node
+    of its own: twelve single-op tape nodes (q/k/v affines, attention, the
+    output affine, two residual adds, two layernorms, affine-gelu-affine)."""
+    (wq, bq, wk, bk, wv, bv, wo, bo,
+     ln1_gain, ln1_bias, ff_w1, ff_b1, ff_w2, ff_b2, ln2_gain, ln2_bias) = layer.weights
+    q = nm.affine(x, wq, bq)
+    k = nm.affine(x, wk, bk)
+    v = nm.affine(x, wv, bv)
+    heads_out = nm.multihead_attention(q, k, v, layer.heads, mask, mask_mode, collect)
+    attn_out = nm.affine(heads_out, wo, bo)
+    x = nm.layernorm(nm.add(x, attn_out), ln1_gain, ln1_bias)
+    ff = nm.affine(nm.gelu(nm.affine(x, ff_w1, ff_b1)), ff_w2, ff_b2)
+    return nm.layernorm(nm.add(x, ff), ln2_gain, ln2_bias)
+
+
+def reference_embed(model, seq, prompt_names=(), frozen=frozenset()):
+    """The per-op embed-then-attach_prompts chain: three lookups, two adds,
+    then one reshape per prompt and a concat; frozen prompts enter as
+    constant copies."""
+    n = seq.ids.size
+    tok = nm.embedding_lookup(model.tok_table, seq.ids)
+    seg = nm.embedding_lookup(model.seg_table, np.zeros(n, dtype=np.intp))
+    pos = nm.embedding_lookup(model.pos_table, np.arange(n, dtype=np.intp))
+    x_in = nm.add(nm.add(tok, seg), pos)
+    if not prompt_names:
+        return x_in
+    rows = []
+    for name in prompt_names:
+        vec = model.prompts.get(name)
+        if name in frozen:
+            vec = Tensor(vec.data)
+        rows.append(nm.reshape(vec, (1, model.config.d)))
+    return nm.concat_rows(rows + [x_in])
+
+
+def reference_encode(model, seq, prompt_names=(), frozen=frozenset()):
+    """ProteinEncoder.encode on the per-op chain: (h, collected maps)."""
+    mode = model.config.mask_mode
+    allowed = build_mask(len(prompt_names), seq.length).matrix
+    mask = allowed if mode == "literal" else np.where(allowed > 0, 0.0, MASK_NEG)
+    collect = []
+    x = reference_embed(model, seq, prompt_names, frozen)
+    for layer in model.layers:
+        x = reference_encoder_layer(layer, x, mask, mode, collect)
+    return x, collect
 
 
 def reference_forward(model, ids):

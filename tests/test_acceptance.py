@@ -205,28 +205,39 @@ def test_1_gradient_suite_primitives_and_full_encoder():
         err = _rel_err(_tape_grad(f, p), _richardson_fd(f, p))
         assert err < 1e-4, f"{name}: rel err {err:.3e}"
 
-    # full 2-layer prompt-masked encoder; parameters are re-drawn at a
-    # larger scale so every gradient is well measurable
-    cfg = ModelConfig(d=8, layers=2, heads=2, max_len=10, prompt_names=("Seq", "IC"))
-    model = ProteinEncoder(cfg, seed=9)
-    rng = np.random.default_rng(31)
-    for _, p in model.parameters().items():
-        p.data[:] = rng.normal(0.0, 0.2, p.data.shape)
-    seq = T.encode("ACDWK", 10, "g")
-    c = Tensor(rng.normal(size=(2 + 7, 8)))  # 2 prompts + CLS, 5 residues, EOS
+    # full 2-layer prompt-masked encoder in both mask modes, then with the
+    # encoder frozen as inject runs it, where only the prompts take gradients;
+    # parameters are re-drawn at a larger scale so every gradient is well
+    # measurable
+    for mode, frozen_encoder in (("additive", False), ("literal", False), ("additive", True)):
+        cfg = ModelConfig(d=8, layers=2, heads=2, max_len=10, mask_mode=mode,
+                          prompt_names=("Seq", "IC"))
+        model = ProteinEncoder(cfg, seed=9)
+        rng = np.random.default_rng(31)
+        for _, p in model.parameters().items():
+            p.data[:] = rng.normal(0.0, 0.2, p.data.shape)
+        seq = T.encode("ACDWK", 10, "g")
+        c = Tensor(rng.normal(size=(2 + 7, 8)))  # 2 prompts + CLS, 5 residues, EOS
 
-    def loss():
-        return nm.sum_all(nm.mul(model.encode(seq, ("Seq", "IC")).h, c))
+        def loss():
+            return nm.sum_all(nm.mul(model.encode(seq, ("Seq", "IC")).h, c))
 
-    for name, p in model.parameters().items():
-        g = _tape_grad(loss, p)
-        if name.endswith("attn.bk"):
-            # a key bias shifts every score in a row equally, which the
-            # row softmax cancels, so its true gradient is exactly zero
-            assert np.abs(g).max() < 1e-12, name
-            continue
-        err = _rel_err(g, _richardson_fd(loss, p))
-        assert err < 1e-4, f"{name}: rel err {err:.3e}"
+        checked = model.parameters()
+        if frozen_encoder:
+            for p in model.encoder_parameters().values():
+                p.requires_grad = False
+            checked = {f"prompt.{n}": model.prompts.get(n) for n in ("Seq", "IC")}
+        for name, p in checked.items():
+            g = _tape_grad(loss, p)
+            if name.endswith("attn.bk"):
+                # a key bias shifts every score in a row equally, which the
+                # row softmax cancels, so its true gradient is exactly zero
+                assert np.abs(g).max() < 1e-12, (mode, name)
+                continue
+            err = _rel_err(g, _richardson_fd(loss, p))
+            assert err < 1e-4, f"{mode} {name}: rel err {err:.3e}"
+        if frozen_encoder:
+            assert all(p.grad is None for p in model.encoder_parameters().values())
     assert time.monotonic() - t0 < 60.0
 
 

@@ -1,5 +1,7 @@
 """Binary checkpoint format: round trips, validation, corruption handling."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,19 @@ def test_config_text_round_trips_exactly(tmp_path):
     C.save_model(path, model, rc)
     text, _ = C.load_checkpoint(path)
     assert text == rc.to_text()
+
+
+def test_readme_load_snippet_runs(tmp_path, monkeypatch):
+    # the README's "Load a checkpoint" block, run as written against a fresh
+    # small checkpoint, so the documented API cannot drift from the code
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Load a checkpoint with:\n\n```python\n", 1)[1].split("```", 1)[0]
+    cfg = RunConfig(d=16, layers=1, heads=2, max_len=24)
+    (tmp_path / "run").mkdir()
+    C.save_model(tmp_path / "run" / "final.bin",
+                 ProteinEncoder(ModelConfig.from_run_config(cfg), seed=0), cfg)
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(block, scope)
+    assert scope["pooled"].shape == (16,)
+    assert scope["per_residue"].shape == (9, 16)  # the snippet's nine residues

@@ -208,9 +208,22 @@ def _contacts(target):
     return case
 
 
+def _split_tsv(ws, root, variant):
+    argv = ["split", "--ppi", str(ws["pairs"]), "--mode", "bfs", "--fraction", "0.3",
+            "--seed", str(variant), "--out-prefix", str(root / "sp")]
+    return argv, root / "sp_train.tsv"
+
+
+def _vocab(ws, root, variant):
+    argv = ["pretrain", "--fasta", str(ws["fasta"]), "--out-dir", str(root / "run"),
+            "--steps", "1", "--seed", str(variant), *BASE_SETS]
+    return argv, root / "run" / "vocab.txt"
+
+
 @pytest.mark.parametrize("case", [_eval_out, _probe_csv, _contacts("blob_A.cmap"),
-                                  _contacts("report.txt")],
-                         ids=["eval-out", "probe-csv", "contact-map", "contacts-report"])
+                                  _contacts("report.txt"), _split_tsv, _vocab],
+                         ids=["eval-out", "probe-csv", "contact-map", "contacts-report",
+                              "split-tsv", "vocab"])
 def test_interrupted_output_write_keeps_the_previous_file(ws, tmp_path, monkeypatch, case):
     argv, target = case(ws, tmp_path, 0)
     assert main(argv) == 0

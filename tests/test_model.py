@@ -16,7 +16,7 @@ from protprompt.model import (
 )
 from protprompt.numerics import Tape, Tensor
 
-from conftest import reference_forward
+from conftest import reference_encode, reference_forward
 
 
 def small_model(prompts=("Seq", "IC"), mask_mode="additive", seed=0, max_len=12):
@@ -91,7 +91,7 @@ def test_prompt_set_registration_rules():
 def test_prompt_rows_carry_no_position_or_segment():
     model = small_model()
     seq = T.encode("ACD", 8)
-    x = model.attach_prompts(model.embed(seq), ("Seq", "IC"))
+    x = model.embed(seq, ("Seq", "IC"))
     assert np.array_equal(x.data[0], model.prompts.get("Seq").data)
     assert np.array_equal(x.data[1], model.prompts.get("IC").data)
 
@@ -187,9 +187,8 @@ def test_output_does_not_depend_on_max_len(mask_mode):
 
 @pytest.mark.parametrize("mask_mode", ["additive", "literal"])
 def test_encode_tape_size_does_not_depend_on_heads(mask_mode):
-    # attention is one tape node per layer whatever the head count: 5 embed
-    # and 3 prompt nodes, then 12 per layer (q/k/v/o affines, attention,
-    # two residual adds, two layernorms, the feed-forward affine-gelu-affine)
+    # an encode records L+1 tape nodes whatever the head count: one for the
+    # prompt and embedding rows, then one per encoder layer
     seq = T.encode("MKTAYIAKQR", 16)
     sizes = []
     for heads in (1, 2, 4, 8):
@@ -199,7 +198,56 @@ def test_encode_tape_size_does_not_depend_on_heads(mask_mode):
         with tape:
             ProteinEncoder(cfg, seed=0).encode(seq, ("Seq", "IC"))
         sizes.append(len(tape.nodes))
-    assert sizes == [32] * 4
+    assert sizes == [3] * 4
+
+
+@pytest.mark.parametrize("frozen_encoder", [False, True], ids=["trainable", "encoder-frozen"])
+@pytest.mark.parametrize("prompts, frozen", [
+    ((), frozenset()), (("Seq", "IC"), frozenset()), (("Seq", "IC"), frozenset({"IC"})),
+], ids=["no-prompts", "two-prompts", "one-frozen"])
+@pytest.mark.parametrize("heads", [1, 2, 4, 8])
+@pytest.mark.parametrize("mask_mode", ["additive", "literal"])
+def test_fused_encode_matches_the_per_op_chain(mask_mode, heads, prompts, frozen,
+                                               frozen_encoder):
+    # encoder_input and encoder_layer against the per-op chain kept in
+    # conftest: output, attention maps and every gradient, bit for bit
+    cfg = ModelConfig(d=16, layers=2, heads=heads, max_len=16, mask_mode=mask_mode,
+                      prompt_names=("Seq", "IC"))
+    model = ProteinEncoder(cfg, seed=5)
+    rng = np.random.default_rng(3)
+    for p in model.parameters().values():
+        p.data[:] = rng.normal(0.0, 0.3, p.shape)  # larger than init: every path carries signal
+    if frozen_encoder:
+        for p in model.encoder_parameters().values():
+            p.requires_grad = False
+    seq = T.encode("MKTAYIAKQR", 16)
+    probe = Tensor(rng.normal(size=(len(prompts) + seq.length, cfg.d)), requires_grad=True)
+
+    def run(encode):
+        for p in model.parameters().values():
+            p.grad = None
+        tape = Tape()
+        with tape:
+            h, maps = encode()
+            loss = nm.sum_all(nm.mul(h, probe))
+        nm.backward(tape, loss)
+        return h.data, maps, {name: p.grad for name, p in model.parameters().items()}
+
+    def fused():
+        out = model.encode(seq, prompts, collect_attn=True, frozen=frozen)
+        return out.h, out.attn
+
+    h, maps, grads = run(fused)
+    ref_h, ref_maps, ref_grads = run(lambda: reference_encode(model, seq, prompts, frozen))
+    assert h.tobytes() == ref_h.tobytes()
+    assert [[w.tobytes() for w in layer] for layer in maps] == \
+        [[w.tobytes() for w in layer] for layer in ref_maps]
+    for name, g in grads.items():
+        assert (g is None) == (ref_grads[name] is None), name
+        assert g is None or g.tobytes() == ref_grads[name].tobytes(), name
+    assert sum(g is not None for g in grads.values()) == (
+        len(prompts) - len(frozen) + (0 if frozen_encoder else 3 + 16 * cfg.layers))
+    assert model.encode(seq, prompts, frozen=frozen).h.data.tobytes() == h.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +379,11 @@ def test_contact_logits_builds_no_pair_feature_rows():
     assert peak < n * n * d * 8 / 4, peak
 
 
-def test_encode_peak_memory_stays_near_one_attention_block():
-    # a tape-free encode keeps a few (heads, n, n) arrays alive at a time;
-    # chains of fresh attention temporaries would need many more
-    residues, heads = 254, 4
+def _tape_free_encode_peak(residues=254, heads=4):
+    """tracemalloc peak of a tape-free encode at d=64, and the row count n."""
     model = ProteinEncoder(ModelConfig(d=64, layers=1, heads=heads, max_len=256), seed=3)
     seq = T.encode("".join(np.random.default_rng(13).choice(list("ACDEFGHIKLMNPQRSTVWY"),
                                                           size=residues)), 256)
-    n = seq.length
     model.encode(seq, ())
     tracemalloc.start()
     try:
@@ -346,7 +391,24 @@ def test_encode_peak_memory_stays_near_one_attention_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, seq.length
+
+
+def test_encode_peak_memory_stays_near_one_attention_block():
+    # a tape-free encode keeps a few (heads, n, n) arrays alive at a time;
+    # chains of fresh attention temporaries would need many more
+    heads = 4
+    peak, n = _tape_free_encode_peak(heads=heads)
     assert peak < 3 * heads * n * n * 8, peak
+
+
+def test_tape_free_layer_holds_one_score_block():
+    # without a tape the fused layer drops q, k and v once split into heads
+    # and its (heads, n, n) blocks once the attention output exists: the
+    # peak is one score block plus (n, d)-sized arrays and the masks
+    heads = 4
+    peak, n = _tape_free_encode_peak(heads=heads)
+    assert peak < 2 * heads * n * n * 8, peak
 
 
 def test_mlm_logits_selects_input_positions():

@@ -118,6 +118,44 @@ def test_multihead_attention_rejects_bad_arguments():
         nm.multihead_attention(q, k, v, 2, mask, "soft")
 
 
+def test_fused_encoder_nodes_reject_bad_arguments():
+    x, *_, mask, _ = _attention_inputs("additive")
+    weights = [_rand(shape, i) for i, shape in enumerate(
+        [(8, 8), (8,)] * 4 + [(8,), (8,), (8, 32), (32,), (32, 8), (8,), (8,), (8,)])]
+    with pytest.raises(ShapeError, match="16 weights"):
+        nm.encoder_layer(x, weights[:-1], 2, mask, "additive")
+    with pytest.raises(ShapeError, match="do not fit width 8"):
+        nm.encoder_layer(x, weights[:12] + [_rand((8, 8), 0)] + weights[13:], 2, mask,
+                         "additive")
+    with pytest.raises(ShapeError, match="3 heads"):
+        nm.encoder_layer(x, weights, 3, mask, "additive")
+    with pytest.raises(ContractError, match="mask_mode"):
+        nm.encoder_layer(x, weights, 2, mask, "soft")
+    tok, seg, pos = _rand((9, 5), 1), _rand((1, 5), 2), _rand((4, 5), 3)
+    with pytest.raises(ShapeError, match="differ in width"):
+        nm.encoder_input(tok, _rand((1, 4), 2), pos, [1, 2])
+    with pytest.raises(ShapeError, match="prompt shapes"):
+        nm.encoder_input(tok, seg, pos, [1, 2], [_rand(4, 4)])
+    with pytest.raises(ShapeError, match="9 rows"):
+        nm.encoder_input(tok, seg, pos, [1, 9])
+    with pytest.raises(ShapeError, match="4 rows"):
+        nm.encoder_input(tok, seg, pos, [1, 2, 3, 4, 5])
+
+
+@pytest.mark.parametrize("position, op", [(4, "affine"), (12, "affine")],
+                         ids=["value-affine", "ff-out-affine"])
+def test_fused_layer_checks_its_intermediates(position, op):
+    # an overflowing weight must stop the layer at the op that overflowed,
+    # as the per-op chain did, not at a later NaN
+    x, *_, mask, _ = _attention_inputs("additive")
+    weights = [_rand(shape, i) for i, shape in enumerate(
+        [(8, 8), (8,)] * 4 + [(8,), (8,), (8, 32), (32,), (32, 8), (8,), (8,), (8,)])]
+    weights[position].data[:] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericsError, match=f"produced by {op}$"):
+            nm.encoder_layer(x, weights, 2, mask, "additive")
+
+
 @pytest.mark.parametrize("n", [1, 2, 17, 73])
 def test_contact_scores_match_the_gather_reference(n):
     # model-shaped inputs: layer-normed rows, head weights at init scale
@@ -192,9 +230,22 @@ def _kernel_cases():
         return (lambda *qkv: nm.multihead_attention(*qkv, 2, mask, mask_mode, collect),
                 (q, k, v), g, collect)
 
+    def encoder_layer(mask_mode):
+        x, *_, mask, g = _attention_inputs(mask_mode, m=2, n=9, d=8)
+        weights = [rand(*shape) for shape in [(8, 8), (8,)] * 4 + [(8,), (8,), (8, 32), (32,),
+                                                                   (32, 8), (8,), (8,), (8,)]]
+        collect = []
+        return (lambda x, *w: nm.encoder_layer(x, w, 2, mask, mask_mode, collect),
+                (x, *weights), g, collect)
+
     cases = {
         "attention-additive": attention("additive"),
         "attention-literal": attention("literal"),
+        "encoder-layer-additive": encoder_layer("additive"),
+        "encoder-layer-literal": encoder_layer("literal"),
+        "encoder-input": (lambda *t: nm.encoder_input(*t[:3], [3, 7, 3, 0], t[3:]),
+                          (rand(9, 5), rand(1, 5), rand(6, 5), rand(5), rand(5)),
+                          rng.normal(size=(6, 5)), []),
         "gelu": (nm.gelu, (rand(6, 5),), rng.normal(size=(6, 5)), []),
         "gelu-0d": (nm.gelu, (rand(),), rng.normal(size=()), []),
         "layernorm": (nm.layernorm, (rand(6, 5), rand(5), rand(5)), rng.normal(size=(6, 5)), []),
