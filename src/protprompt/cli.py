@@ -3,6 +3,11 @@
 Subcommands: pretrain, inject, eval, build-contacts, split, probe.
 Exit codes: 0 success, 1 data error, 2 config error.
 
+Every command that reads a checkpoint (pretrain --resume, inject, eval,
+probe) builds its config in one order: the checkpoint's stored config,
+then --config, then --set, then flags. A supplied value that contradicts
+a structural key of the checkpoint is a config error.
+
 Runs are deterministic: all randomness is derived per step from
 (seed, step, purpose), so a resumed run reproduces the uninterrupted one
 bitwise and two runs with the same config produce identical checkpoints.
@@ -22,9 +27,9 @@ from . import metrics as MX
 from . import objectives as O
 from . import tokenizer as T
 from .config import (
-    STRUCTURAL_KEYS,
     RunConfig,
     build_config,
+    check_structural,
     parse_overrides,
     read_config_file,
 )
@@ -47,9 +52,24 @@ def _step_rng(seed: int, step: int, purpose: int) -> np.random.Generator:
 # corpus / batch assembly
 
 
-def _load_corpus(fasta_path, max_len: int) -> list[T.TokenSequence]:
-    table = D.parse_fasta(fasta_path)
-    return [T.encode(seq, max_len, name) for name, seq in sorted(table.items())]
+def _encode_table(table: dict[str, str], max_len: int) -> dict[str, T.TokenSequence]:
+    return {name: T.encode(seq, max_len, name) for name, seq in sorted(table.items())}
+
+
+def _load_ppi(tsv, table: dict[str, str]) -> D.PPIGraph:
+    """Parse an interaction TSV, report its skipped lines, attach residues."""
+    graph, skips = D.parse_ppi_tsv(tsv)
+    for line in skips:
+        print(line, file=sys.stderr)
+    graph.attach_sequences(table)
+    return graph
+
+
+def _pick_rows(rows: list, cfg: RunConfig, step: int) -> list:
+    """The step's draw of up to batch_pairs distinct rows."""
+    rng = _step_rng(cfg.seed, step, _RNG_PAIR_PICK)
+    idx = rng.choice(len(rows), size=min(cfg.batch_pairs, len(rows)), replace=False)
+    return [rows[int(i)] for i in idx]
 
 
 def _mlm_batch(corpus, cfg: RunConfig, step: int, prompts) -> O.MlmTaskBatch:
@@ -65,12 +85,6 @@ def _mlm_batch(corpus, cfg: RunConfig, step: int, prompts) -> O.MlmTaskBatch:
     return O.MlmTaskBatch(sequences=seqs, masked=masked, prompt_names=prompts)
 
 
-def _encode_nodes(graph: D.PPIGraph, max_len: int) -> dict[str, T.TokenSequence]:
-    return {
-        name: T.encode(seq, max_len, name) for name, seq in sorted(graph.nodes.items())
-    }
-
-
 def _pair_pretrain_batch(
     graph: D.PPIGraph, encoded, cfg: RunConfig, step: int, prompts
 ) -> O.PairTaskBatch:
@@ -79,16 +93,10 @@ def _pair_pretrain_batch(
     Files that carry explicit 0 labels supply their own negatives and are
     sampled as given.
     """
-    rows = sorted(graph.edges.items())
-    rng = _step_rng(cfg.seed, step, _RNG_PAIR_PICK)
-    size = min(cfg.batch_pairs, len(rows))
-    idx = rng.choice(len(rows), size=size, replace=False)
-    pairs = []
-    labels = []
-    for i in idx:
-        (a, b), bits = rows[int(i)]
-        pairs.append((encoded[a], encoded[b]))
-        labels.append(1.0 if bits.any() else 0.0)
+    picked = _pick_rows(sorted(graph.edges.items()), cfg, step)
+    size = len(picked)
+    pairs = [(encoded[a], encoded[b]) for (a, b), _ in picked]
+    labels = [1.0 if bits.any() else 0.0 for _, bits in picked]
     has_explicit_negatives = graph.label_width == 1 and any(
         not bits.any() for bits in graph.edges.values()
     )
@@ -160,53 +168,37 @@ def _print_warnings(cfg: RunConfig) -> None:
         print(note, file=sys.stderr)
 
 
+def _adam(params: dict[str, Tensor], cfg: RunConfig) -> O.Adam:
+    return O.Adam(params, lr=cfg.lr, betas=(cfg.beta1, cfg.beta2), eps=cfg.adam_eps,
+                  warmup_updates=cfg.warmup_updates)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_pretrain(args) -> int:
-    overrides = _flag_overrides(args, ("fasta", "ppi", "out_dir", "steps", "seed"))
-    base_text = None
-    start_step = 0
-    state: dict[str, np.ndarray] = {}
-    model = None
-    stored_cfg = None
-    if args.resume:
-        model, stored_cfg, state = ckpt.load_model(args.resume)
-        base_text = stored_cfg.to_text()
-    cfg = build_config(args.config, overrides, base_text=base_text)
-    if stored_cfg is not None:
-        _check_structural(cfg, stored_cfg, _supplied_keys(args, overrides))
+    cfg, model, state = _load_config(
+        args, ("fasta", "ppi", "out_dir", "steps", "seed"), args.resume
+    )
     _print_warnings(cfg)
     if not cfg.fasta:
         raise ConfigError("pretrain needs a FASTA corpus (--fasta or config key fasta)")
 
-    corpus = _load_corpus(cfg.fasta, cfg.max_len)
-    if not corpus:
+    table = D.parse_fasta(cfg.fasta)
+    encoded = _encode_table(table, cfg.max_len)
+    if not encoded:
         raise DataError(f"{cfg.fasta}: empty corpus")
-    graph = None
-    encoded: dict[str, T.TokenSequence] = {}
-    tasks: tuple[str, ...] = ()
-    if cfg.ppi:
-        graph, skips = D.parse_ppi_tsv(cfg.ppi)
-        for line in skips:
-            print(line, file=sys.stderr)
-        graph.attach_sequences(D.parse_fasta(cfg.fasta))
-        encoded = _encode_nodes(graph, cfg.max_len)
-        tasks = ("ppi",)
+    corpus = list(encoded.values())
+    # the graph's endpoints reuse the corpus's encodings
+    graph = _load_ppi(cfg.ppi, table) if cfg.ppi else None
+    tasks = ("ppi",) if graph is not None else ()
 
     prompts = cfg.prompt_names()
-    if model is not None:
-        start_step = int(state.get("opt.step", np.asarray(0.0)))
-    else:
+    start_step = int(state.get("opt.step", np.asarray(0.0)))
+    if model is None:
         model = ProteinEncoder(ModelConfig.from_run_config(cfg), seed=cfg.seed)
-    optimizer = O.Adam(
-        model.parameters(),
-        lr=cfg.lr,
-        betas=(cfg.beta1, cfg.beta2),
-        eps=cfg.adam_eps,
-        warmup_updates=cfg.warmup_updates,
-    )
+    optimizer = _adam(model.parameters(), cfg)
     if state:
         optimizer.load_state_entries(state)
     policy = (
@@ -249,39 +241,6 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _supplied_keys(args, overrides: dict) -> set[str]:
-    """Config keys the user explicitly set via --set, flags or the file."""
-    keys = set(overrides)
-    if getattr(args, "config", None):
-        keys |= set(read_config_file(args.config))
-    return keys
-
-
-def _check_structural(cfg: RunConfig, stored: RunConfig, supplied: set[str]) -> None:
-    """Refuse user-supplied values that contradict the checkpoint topology."""
-    from .config import _KEY_TO_FIELD
-
-    for key in supplied:
-        fname = _KEY_TO_FIELD.get(key, key)
-        if key in STRUCTURAL_KEYS and getattr(cfg, fname) != getattr(stored, fname):
-            raise ConfigError(
-                f"{key}={getattr(cfg, fname)!r} contradicts checkpoint "
-                f"value {getattr(stored, fname)!r} (config hash {stored.hash()[:12]})"
-            )
-
-
-def _load_for_task(args, extra_keys: tuple[str, ...] = ()):
-    """Common checkpoint + config assembly for inject/eval/probe."""
-    model, stored_cfg, state = ckpt.load_model(args.checkpoint)
-    overrides = _flag_overrides(args, extra_keys)
-    cfg = build_config(args.config, overrides, base_text=stored_cfg.to_text())
-    _check_structural(cfg, stored_cfg, _supplied_keys(args, overrides))
-    return model, cfg, stored_cfg
-
-
-_TASKS = ("ppi", "contact", "ss", "regress")
-
-
 def _read_labeled_tsv(path):
     """Rows of id, sequence, value... used by ss/regress tasks."""
     rows = []
@@ -306,7 +265,7 @@ def cmd_inject(args) -> int:
     parameters are absent from the optimizer and need no gradient, so they
     stay bitwise identical to the base checkpoint.
     """
-    model, cfg, stored_cfg = _load_for_task(args, ("steps", "lr", "seed"))
+    cfg, model, _ = _load_config(args, ("steps", "lr", "seed"), args.checkpoint)
     _print_warnings(cfg)
     prompt_name = args.prompt
     init_rng = np.random.default_rng((cfg.seed, len(model.prompts)))
@@ -327,16 +286,10 @@ def cmd_inject(args) -> int:
     for name, p in all_params.items():
         p.requires_grad = name in trainable
 
-    optimizer = O.Adam(
-        trainable, lr=cfg.lr, betas=(cfg.beta1, cfg.beta2), eps=cfg.adam_eps,
-        warmup_updates=cfg.warmup_updates,
-    )
+    optimizer = _adam(trainable, cfg)
     # the new prompt learns from the task; pre-existing prompts keep their
     # original sources (not trained here, but the policy stays truthful)
-    routes = {name: frozenset({"ppi"}) for name in model.prompts.names()}
-    if "Seq" in routes:
-        routes["Seq"] = frozenset({O.CONSERVE})
-    policy = O.RoutingPolicy(prompt_routes=routes)
+    policy = O.default_policy(model.prompts.names(), ("ppi",))
 
     batches_fn = _inject_ppi_batches(args, cfg)
     prompt_sel = cfg.prompt_names()
@@ -359,20 +312,15 @@ def cmd_inject(args) -> int:
 def _inject_ppi_batches(args, cfg: RunConfig):
     if not args.data or not args.fasta:
         raise ConfigError("inject --task ppi needs --data (TSV) and --fasta")
-    graph, skips = D.parse_ppi_tsv(args.data)
-    for line in skips:
-        print(line, file=sys.stderr)
-    graph.attach_sequences(D.parse_fasta(args.fasta))
-    encoded = _encode_nodes(graph, cfg.max_len)
+    graph = _load_ppi(args.data, D.parse_fasta(args.fasta))
+    encoded = _encode_table(graph.nodes, cfg.max_len)
     rows = sorted(graph.edges.items())
     kind = "binary" if graph.label_width == 1 else "types"
 
     def build(step: int, prompts) -> O.PairTaskBatch:
-        rng = _step_rng(cfg.seed, step, _RNG_PAIR_PICK)
-        size = min(cfg.batch_pairs, len(rows))
-        idx = rng.choice(len(rows), size=size, replace=False)
-        pairs = [(encoded[rows[int(i)][0][0]], encoded[rows[int(i)][0][1]]) for i in idx]
-        labels = np.stack([rows[int(i)][1].astype(np.float64) for i in idx])
+        picked = _pick_rows(rows, cfg, step)
+        pairs = [(encoded[a], encoded[b]) for (a, b), _ in picked]
+        labels = np.stack([bits.astype(np.float64) for _, bits in picked])
         return O.PairTaskBatch(
             name="ppi", pairs=pairs, labels=labels, kind=kind, prompt_names=prompts
         )
@@ -381,9 +329,7 @@ def _inject_ppi_batches(args, cfg: RunConfig):
 
 
 def cmd_eval(args) -> int:
-    model, cfg, stored_cfg = _load_for_task(args)
-    if args.task not in _TASKS:
-        raise ConfigError(f"task must be one of {_TASKS}, got {args.task!r}")
+    cfg, model, _ = _load_config(args, (), args.checkpoint)
     if args.prompts is None:
         prompt_sel = model.prompts.names()
     elif args.prompts == "":
@@ -393,16 +339,7 @@ def cmd_eval(args) -> int:
         for p in prompt_sel:
             model.prompts.get(p)  # raises ConfigError on unknown names
 
-    records: list[tuple[str, str, float]] = []
-    if args.task == "ppi":
-        records = _eval_ppi(model, cfg, args, prompt_sel)
-    elif args.task == "contact":
-        records = _eval_contact(model, cfg, args, prompt_sel)
-    elif args.task == "ss":
-        records = _eval_ss(model, cfg, args, prompt_sel)
-    else:
-        records = _eval_regress(model, cfg, args, prompt_sel)
-
+    records = _EVAL_TASKS[args.task](model, cfg, args, prompt_sel)
     lines = [f"# config_hash={cfg.hash()}", "task,metric,value,prompts"]
     sel = "|".join(prompt_sel)
     for task, metric, value in records:
@@ -418,11 +355,8 @@ def cmd_eval(args) -> int:
 def _eval_ppi(model, cfg, args, prompt_sel):
     if not args.data or not args.fasta:
         raise ConfigError("eval --task ppi needs --data (TSV) and --fasta")
-    graph, skips = D.parse_ppi_tsv(args.data)
-    for line in skips:
-        print(line, file=sys.stderr)
-    graph.attach_sequences(D.parse_fasta(args.fasta))
-    encoded = _encode_nodes(graph, cfg.max_len)
+    graph = _load_ppi(args.data, D.parse_fasta(args.fasta))
+    encoded = _encode_table(graph.nodes, cfg.max_len)
     kind = "binary" if graph.label_width == 1 else "types"
     pooled: dict[str, Tensor] = {}
 
@@ -522,8 +456,12 @@ def _eval_regress(model, cfg, args, prompt_sel):
     return [("regress", "spearman", rho)]
 
 
+_EVAL_TASKS = {"ppi": _eval_ppi, "contact": _eval_contact, "ss": _eval_ss,
+               "regress": _eval_regress}
+
+
 def cmd_build_contacts(args) -> int:
-    cfg = build_config(args.config, _flag_overrides(args, ("contact_threshold",)))
+    cfg, _, _ = _load_config(args, ("contact_threshold",))
     pdb_dir = Path(args.pdb_dir)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -571,7 +509,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    model, cfg, _ = _load_for_task(args, ("probe_cutoff",))
+    cfg, model, _ = _load_config(args, ("probe_cutoff",), args.checkpoint)
     model.prompts.get(args.prompt)
     table = D.parse_fasta(args.fasta)
     out_dir = Path(args.out_dir)
@@ -599,6 +537,20 @@ def _flag_overrides(args, keys: tuple[str, ...]) -> dict[str, str]:
         if val is not None:
             overrides[key] = str(val)
     return overrides
+
+
+def _load_config(args, keys: tuple[str, ...], checkpoint=None):
+    """(cfg, model, state) from the checkpoint's stored config, if one is
+    given, then --config, --set and the flags named in keys. Without a
+    checkpoint, model is None and state is empty."""
+    model, stored, state = ckpt.load_model(checkpoint) if checkpoint else (None, None, {})
+    overrides = _flag_overrides(args, keys)
+    base_text = stored.to_text() if stored is not None else None
+    cfg = build_config(args.config, overrides, base_text=base_text)
+    if stored is not None:
+        supplied = set(overrides) | set(read_config_file(args.config) if args.config else ())
+        check_structural(cfg, stored, supplied)
+    return cfg, model, state
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -646,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a task")
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--task", required=True, choices=_TASKS)
+    p.add_argument("--task", required=True, choices=tuple(_EVAL_TASKS))
     p.add_argument("--data", default=None, help="task data file (ppi/ss/regress)")
     p.add_argument("--fasta", default=None)
     p.add_argument("--maps-dir", dest="maps_dir", default=None, help="truth contact maps")
@@ -704,10 +656,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 1
     except Error as exc:

@@ -14,9 +14,20 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
-# keys that define the network topology; eval refuses a checkpoint whose
-# stored values contradict explicit user overrides for these
+# keys that define the network topology; a command that reads a checkpoint
+# refuses explicit user values that contradict its stored ones
 STRUCTURAL_KEYS = ("d", "layers", "heads", "max_len", "prompts", "mask_mode")
+
+
+def check_structural(cfg: RunConfig, stored: RunConfig, supplied: set[str]) -> None:
+    """Refuse supplied structural keys whose values contradict stored's."""
+    for key in STRUCTURAL_KEYS:
+        if key in supplied and getattr(cfg, key) != getattr(stored, key):
+            raise ConfigError(
+                f"{key}={getattr(cfg, key)!r} contradicts checkpoint "
+                f"value {getattr(stored, key)!r} (config hash {stored.hash()[:12]})"
+            )
+
 
 # soft bounds; values outside produce a warning line, not an error
 SOFT_BOUNDS = {
@@ -194,14 +205,18 @@ def parse_kv_line(line: str) -> tuple[str, str] | None:
     return key.strip(), val.strip()
 
 
-def read_config_file(path) -> dict[str, str]:
+def _kv_pairs(lines) -> dict[str, str]:
     pairs: dict[str, str] = {}
-    with open(path) as fh:
-        for line in fh:
-            kv = parse_kv_line(line)
-            if kv is not None:
-                pairs[kv[0]] = kv[1]
+    for line in lines:
+        kv = parse_kv_line(line)
+        if kv is not None:
+            pairs[kv[0]] = kv[1]
     return pairs
+
+
+def read_config_file(path) -> dict[str, str]:
+    with open(path) as fh:
+        return _kv_pairs(fh)
 
 
 def build_config(
@@ -224,12 +239,7 @@ def build_config(
             values[fname] = _coerce(fname, raw)
 
     if base_text is not None:
-        pairs = {}
-        for line in base_text.splitlines():
-            kv = parse_kv_line(line)
-            if kv is not None:
-                pairs[kv[0]] = kv[1]
-        absorb(pairs)
+        absorb(_kv_pairs(base_text.splitlines()))
     if file_path:
         absorb(read_config_file(file_path))
     if overrides:

@@ -24,7 +24,7 @@ other row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,8 +51,6 @@ class ModelConfig:
     max_len: int = 256
     mask_mode: str = "additive"
     prompt_names: tuple[str, ...] = ("Seq", "IC")
-    lambda_weight: float = 1.0
-    alpha: dict = field(default_factory=lambda: {"ppi": 1.0})
 
     def __post_init__(self):
         if self.d <= 0 or self.layers <= 0 or self.heads <= 0:
@@ -61,8 +59,6 @@ class ModelConfig:
             raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
         if self.mask_mode not in ("additive", "literal"):
             raise ConfigError(f"unknown mask_mode {self.mask_mode!r}")
-        if self.lambda_weight < 0 or any(a < 0 for a in self.alpha.values()):
-            raise ConfigError("lambda and alpha weights must be >= 0")
 
     @classmethod
     def from_run_config(cls, cfg) -> "ModelConfig":
@@ -73,22 +69,12 @@ class ModelConfig:
             max_len=cfg.max_len,
             mask_mode=cfg.mask_mode,
             prompt_names=cfg.prompt_names(),
-            lambda_weight=cfg.lambda_weight,
-            alpha=cfg.alpha(),
         )
 
 
-@dataclass
-class AttentionMask:
-    """Binary (m+n) x (m+n) mask, prompt rows first."""
-
-    m: int
-    n: int
-    matrix: np.ndarray
-
-
-def build_mask(m: int, n: int) -> AttentionMask:
-    """Build the one-way information-flow mask for m prompts and n inputs."""
+def build_mask(m: int, n: int) -> np.ndarray:
+    """The binary (m+n) x (m+n) one-way mask for m prompts and n inputs,
+    prompt rows first."""
     if m < 0:
         raise ConfigError(f"prompt count must be >= 0, got {m}")
     if n <= 0:
@@ -98,7 +84,7 @@ def build_mask(m: int, n: int) -> AttentionMask:
     if m:
         mat[:m, :] = 0.0
         mat[np.arange(m), np.arange(m)] = 1.0
-    return AttentionMask(m=m, n=n, matrix=mat)
+    return mat
 
 
 class PromptSet:
@@ -303,8 +289,9 @@ class ProteinEncoder:
         m = len(prompt_names)
         x = self.embed(seq, prompt_names, frozen)
         mode = self.config.mask_mode
-        allowed = build_mask(m, seq.length).matrix
-        mask = allowed if mode == "literal" else np.where(allowed > 0, 0.0, MASK_NEG)
+        mask = build_mask(m, seq.length)
+        if mode == "additive":
+            mask = np.where(mask > 0, 0.0, MASK_NEG)
         collect: list | None = [] if collect_attn else None
         for layer in self.layers:
             x = layer.forward(x, mask, mode, collect)

@@ -94,7 +94,7 @@ class Tape:
 class Tensor:
     """A float64 array plus gradient bookkeeping."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backprop")
+    __slots__ = ("data", "requires_grad", "grad", "_backprop")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64, order="C")
@@ -103,7 +103,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._parents: tuple = ()
         self._backprop: Callable[[np.ndarray], None] | None = None
 
     @property
@@ -140,11 +139,9 @@ def _node(parents: tuple, out_data: np.ndarray, backprop, op: str) -> Tensor:
     out.data = np.asarray(out_data, dtype=np.float64, order="C")
     out.requires_grad = any(p.requires_grad for p in parents)
     out.grad = None
-    out._parents = ()
     out._backprop = None
     tape = _active_tape()
     if tape is not None and out.requires_grad:
-        out._parents = parents
         out._backprop = backprop
         tape.nodes.append(out)
     return out
@@ -653,8 +650,18 @@ def encoder_input(tok_table: Tensor, seg_table: Tensor, pos_table: Tensor, ids,
         for i in reversed(range(m)):
             _accum(prompts[i], g[i])
         rows_g = g[m:]
-        _gather_backward(pos_table, pos_idx, rows_g)
-        _gather_backward(seg_table, seg_idx, rows_g)
+        # positions are arange(n) and segments all 0, so a slice add and a
+        # column sum give np.add.at's bits without its scatter; cumsum sums
+        # in row order in every memory layout, where add.reduce may not
+        if pos_table.requires_grad:
+            full = np.zeros_like(pos_table.data)
+            full[:n] += rows_g
+            _accum(pos_table, full)
+        if seg_table.requires_grad:
+            full = np.zeros_like(seg_table.data)
+            if n:
+                full[0] += np.cumsum(rows_g, axis=0)[-1]
+            _accum(seg_table, full)
         _gather_backward(tok_table, idx, rows_g)
 
     return _node((tok_table, seg_table, pos_table, *prompts), out_data, backprop,

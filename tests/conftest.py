@@ -129,7 +129,7 @@ def reference_embed(model, seq, prompt_names=(), frozen=frozenset()):
 def reference_encode(model, seq, prompt_names=(), frozen=frozenset()):
     """ProteinEncoder.encode on the per-op chain: (h, collected maps)."""
     mode = model.config.mask_mode
-    allowed = build_mask(len(prompt_names), seq.length).matrix
+    allowed = build_mask(len(prompt_names), seq.length)
     mask = allowed if mode == "literal" else np.where(allowed > 0, 0.0, MASK_NEG)
     collect = []
     x = reference_embed(model, seq, prompt_names, frozen)

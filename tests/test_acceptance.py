@@ -130,7 +130,7 @@ def _primitive_cases():
 
 def _attention_cases():
     # one prompt + 4 inputs, d=4; every head count splits the width
-    allowed = build_mask(1, 4).matrix
+    allowed = build_mask(1, 4)
     masks = {"additive": np.where(allowed > 0, 0.0, nm.MASK_NEG), "literal": allowed}
     for mode, mask in masks.items():
         for heads in (1, 2, 4):

@@ -89,6 +89,18 @@ def test_pretrain_checkpoint_pruning(ws, tmp_path):
     assert kept == ["ckpt_step6.bin", "ckpt_step8.bin"]
 
 
+def test_pretrain_with_ppi_parses_its_fasta_once(ws, tmp_path, monkeypatch):
+    calls = []
+    parse_fasta = D.parse_fasta
+    monkeypatch.setattr(D, "parse_fasta", lambda path: calls.append(path) or parse_fasta(path))
+    rc = main([
+        "pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
+        "--out-dir", str(tmp_path / "once"), "--steps", "1", *BASE_SETS,
+    ])
+    assert rc == 0
+    assert calls == [str(ws["fasta"])]
+
+
 def test_resume_reproduces_single_run_bitwise(ws, tmp_path):
     fasta, pairs = ws["fasta"], ws["pairs"]
     out = tmp_path / "resume"

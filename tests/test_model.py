@@ -30,8 +30,7 @@ def small_model(prompts=("Seq", "IC"), mask_mode="additive", seed=0, max_len=12)
 
 
 def test_mask_one_prompt_two_inputs():
-    m = build_mask(1, 2)
-    assert m.matrix.tolist() == [
+    assert build_mask(1, 2).tolist() == [
         [1.0, 0.0, 0.0],
         [1.0, 1.0, 1.0],
         [1.0, 1.0, 1.0],
@@ -39,8 +38,7 @@ def test_mask_one_prompt_two_inputs():
 
 
 def test_mask_two_prompts_two_inputs():
-    m = build_mask(2, 2)
-    assert m.matrix.tolist() == [
+    assert build_mask(2, 2).tolist() == [
         [1.0, 0.0, 0.0, 0.0],
         [0.0, 1.0, 0.0, 0.0],
         [1.0, 1.0, 1.0, 1.0],
@@ -52,7 +50,7 @@ def test_mask_rule_enumeration():
     # 1-based rule: M[i][j] = 0 iff (i<=m and j>m) or (i,j<=m and i!=j)
     for m_count in range(4):
         for n in range(1, 5):
-            mat = build_mask(m_count, n).matrix
+            mat = build_mask(m_count, n)
             for i in range(1, m_count + n + 1):
                 for j in range(1, m_count + n + 1):
                     blocked = (i <= m_count and j > m_count) or (
@@ -62,7 +60,7 @@ def test_mask_rule_enumeration():
 
 
 def test_mask_no_prompts_is_all_ones():
-    assert np.array_equal(build_mask(0, 3).matrix, np.ones((3, 3)))
+    assert np.array_equal(build_mask(0, 3), np.ones((3, 3)))
 
 
 def test_mask_argument_validation():
@@ -404,11 +402,12 @@ def test_encode_peak_memory_stays_near_one_attention_block():
 
 def test_tape_free_layer_holds_one_score_block():
     # without a tape the fused layer drops q, k and v once split into heads
-    # and its (heads, n, n) blocks once the attention output exists: the
-    # peak is one score block plus (n, d)-sized arrays and the masks
-    heads = 4
+    # and its (heads, n, n) blocks once the attention output exists, and an
+    # additive-mode encode keeps only the additive mask: the peak is one
+    # score block, one (n, n) mask and a few (n, d) arrays
+    heads, d = 4, 64
     peak, n = _tape_free_encode_peak(heads=heads)
-    assert peak < 2 * heads * n * n * 8, peak
+    assert peak < (heads + 1) * n * n * 8 + 8 * n * d * 8, peak
 
 
 def test_mlm_logits_selects_input_positions():

@@ -80,7 +80,7 @@ def _attention_inputs(mask_mode, m=2, n=5, d=8, seed=50):
     """q, k, v, the mode's mask over m prompts + n inputs, and a probe g."""
     rng = np.random.default_rng(seed)
     q, k, v = (_rand((m + n, d), seed + i) for i in range(3))
-    allowed = build_mask(m, n).matrix
+    allowed = build_mask(m, n)
     mask = allowed if mask_mode == "literal" else np.where(allowed > 0, 0.0, nm.MASK_NEG)
     return q, k, v, mask, rng.normal(0.0, 1.0, (m + n, d))
 
@@ -271,6 +271,29 @@ def test_kernels_write_only_into_their_own_arrays(f, inputs, g, collect):
     assert out.data.tobytes() == out_before
     assert [w.tobytes() for maps in collect for w in maps] == maps_before
     assert all(t.grad is not None and not np.shares_memory(t.grad, g) for t in inputs)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("d", [1, 5])
+def test_encoder_input_table_gradients_match_a_scatter_add(d, layout):
+    # position and segment gradients skip np.add.at but keep its bits for
+    # any width and memory layout of the incoming gradient, signed zeros too
+    rng = np.random.default_rng(11)
+    tok, seg, pos = (Tensor(rng.normal(size=(rows, d)), requires_grad=True)
+                     for rows in (9, 2, 40))
+    ids = rng.integers(9, size=37)
+    g = rng.normal(size=(37, d)) * 10.0 ** rng.integers(-6, 6, size=(37, d))
+    g[rng.random(g.shape) < 0.3] = -0.0
+    g[:, 0] = -0.0
+    g = np.asarray(g, order=layout)
+    with Tape():
+        out = nm.encoder_input(tok, seg, pos, ids)
+    out._backprop(g)
+    want_pos, want_seg = np.zeros_like(pos.data), np.zeros_like(seg.data)
+    np.add.at(want_pos, np.arange(ids.size), g)
+    np.add.at(want_seg, np.zeros(ids.size, dtype=np.intp), g)
+    assert pos.grad.tobytes() == want_pos.tobytes()
+    assert seg.grad.tobytes() == want_seg.tobytes()
 
 
 @pytest.mark.parametrize("kernel, reference, shapes", [
