@@ -373,9 +373,16 @@ def build_contact_map(
     if not residues:
         raise DataError("cannot build a contact map from zero residues")
     coords = np.stack([r.xyz for r in residues])
-    delta = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt((delta * delta).sum(axis=2))
-    bits = dist < threshold
+    # one (n, n) plane per axis, summed (dx² + dy²) + dz² in the order
+    # (delta * delta).sum(axis=2) over an (n, n, 3) delta sums them, so
+    # every distance keeps its bits
+    dx, dy, dz = (np.subtract.outer(c, c) for c in coords.T)
+    dx *= dx
+    dy *= dy
+    dz *= dz
+    dx += dy
+    dx += dz
+    bits = np.sqrt(dx, out=dx) < threshold
     np.fill_diagonal(bits, False)
     return ContactMap(n=len(residues), bits=bits, threshold=threshold, tag=tag)
 

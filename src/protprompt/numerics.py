@@ -27,15 +27,19 @@ and the feed-forward block). An encoder with L layers therefore records
 L+1 tape nodes per sequence. The fused nodes perform the same float
 operations in the same order as the per-op chain, so their outputs and
 gradients are bit for bit those of the chain.
+
+GELU takes erf from scipy.special, the module's one scipy dependency. It is
+imported the first time a GELU runs, so commands that never run the encoder
+(build-contacts, split, --help) never load scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ContractError, NumericsError, ShapeError
 
@@ -54,6 +58,15 @@ _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 _STATE = threading.local()
+
+
+@functools.cache
+def _erf():
+    """scipy.special.erf, imported by the first GELU (see the module
+    docstring). The cache holds it, so no module global is ever rebound."""
+    from scipy.special import erf
+
+    return erf
 
 
 def _tape_stack() -> list:
@@ -393,7 +406,7 @@ def _gelu_forward(x: np.ndarray):
     # out= arrays rather than `x / _SQRT2`, which is a numpy scalar (and no
     # valid out=) for a 0-d x
     cdf = np.divide(x, _SQRT2, out=np.empty_like(x))
-    erf(cdf, out=cdf)
+    _erf()(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
     return x * cdf, cdf
@@ -816,7 +829,10 @@ def bce_with_logits_mean(logits: Tensor, labels) -> Tensor:
     n = y.size
 
     def backprop(g):
-        sig = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+        # sigmoid(z) from e = exp(-|z|) <= 1: both branches are evaluated,
+        # so neither may overflow
+        e = np.exp(-np.abs(z))
+        sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         _accum(logits, float(g) * (sig - y) / n)
 
     return _node((logits,), out_data, backprop, "bce_with_logits_mean")

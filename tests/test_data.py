@@ -334,6 +334,36 @@ def test_contact_map_matches_brute_force():
                 assert cmap.bits[i, j] == want, (trial, i, j)
 
 
+def test_contact_map_distances_are_bitwise_the_delta_formula():
+    # the (n, n, 3) delta formula build_contact_map used to evaluate is the
+    # oracle: the plane-by-plane sum must reproduce every distance's bits,
+    # so thresholds exactly at a computed distance classify the same way
+    rng = np.random.default_rng(1800)
+    cases = [
+        # the first two points are exactly 8.0 apart: no contact at 8.0
+        np.array([(10.5, -3.25, 7.0), (18.5, -3.25, 7.0), (10.5, 4.749, 7.0)]),
+        np.array([(3.0, -1.0, 2.0)]),  # one residue
+    ]
+    for trial in range(200):
+        n = int(rng.integers(1, 120))
+        coords = rng.normal(size=(n, 3)) * rng.choice([0.01, 1.0, 30.0, 1e4])
+        if trial % 2:
+            coords = np.round(coords, 3)  # PDB precision, many exact ties
+        cases.append(coords)
+    for trial, coords in enumerate(cases):
+        n = len(coords)
+        delta = coords[:, None, :] - coords[None, :, :]
+        dist = np.sqrt((delta * delta).sum(axis=2))
+        off = dist[~np.eye(n, dtype=bool)]
+        for thr in (8.0, *(off[rng.integers(off.size, size=3)] if off.size else ())):
+            if thr <= 0:
+                continue
+            want = dist < thr
+            np.fill_diagonal(want, False)
+            cmap = D.build_contact_map(_records(coords), threshold=float(thr))
+            assert np.array_equal(cmap.bits, want), (trial, thr)
+
+
 def test_contact_threshold_is_strict():
     cmap = D.build_contact_map(_records([(0, 0, 0), (8, 0, 0), (0, 7.999, 0)]))
     assert not cmap.bits[0, 1]  # exactly 8.0 is not a contact

@@ -321,6 +321,21 @@ def test_bce_gradient():
     _check(lambda t: nm.bce_with_logits_mean(t, y), _rand((4, 2), 41))
 
 
+def test_bce_gradient_does_not_overflow_on_large_logits():
+    rng = np.random.default_rng(42)
+    z = np.concatenate([[800.0, -800.0, 710.0, -710.0, 0.0, -0.0, 1e308, -1e308],
+                        rng.normal(0.0, 30.0, 40)])
+    y = (rng.random(z.shape) > 0.5).astype(np.float64)
+    x = Tensor(z, requires_grad=True)
+    with np.errstate(over="raise", invalid="raise"), Tape() as tape:
+        nm.backward(tape, nm.bce_with_logits_mean(x, y))
+    # the two-branch formula it replaces, keeping only the branch it selected
+    with np.errstate(over="ignore", invalid="ignore"):
+        sig = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+    want = 1.0 * (sig - y) / z.size
+    assert np.array_equal(x.grad.view(np.int64), want.view(np.int64))
+
+
 def test_finite_diff_exact_on_linear_sum():
     # sum is linear, so central differences are exact in floating point here
     x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
