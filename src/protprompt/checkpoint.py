@@ -25,6 +25,7 @@ leaves no partial file.
 
 from __future__ import annotations
 
+import os
 import struct
 from contextlib import contextmanager
 from pathlib import Path
@@ -78,6 +79,9 @@ def save_checkpoint(path, config_text: str, entries: dict[str, np.ndarray]) -> N
 
 
 def _read_exact(fh, count: int, path, what: str) -> bytes:
+    # sizes come from the header: check them against the file before reading
+    if count > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise FormatError(f"{path}: truncated checkpoint while reading {what}")
     buf = fh.read(count)
     if len(buf) != count:
         raise FormatError(f"{path}: truncated checkpoint while reading {what}")

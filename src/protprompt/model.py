@@ -7,15 +7,16 @@ information flows from prompts into inputs and never back:
 
     M[i][j] = 0  iff  (i <= m and j > m) or (i, j <= m and i != j)   (1-based)
 
-Two application modes exist. "additive" (default) adds a large negative
-penalty to disallowed logits before the row softmax, so every attention row
-still sums to 1. "literal" multiplies the already-normalised attention
+M = [[I_m, 0], [1, 1]] holds nothing but m, so attention takes m and applies
+M by its structure; no mask array is built. "additive" (default) takes each
+row's softmax over its allowed logits only: rows sum to 1 and a prompt row
+weighs itself exactly 1.0. "literal" multiplies the normalised attention
 matrix elementwise by M, which deliberately destroys row normalisation and
-is kept for ablation. Inputs are never padded, so M is the whole mask.
-encode builds the array its mode applies once. An encode records L+1 tape
-nodes: numerics.encoder_input for the prompt and embedding rows, then one
-numerics.encoder_layer per layer (all heads, residuals, layernorms and the
-feed-forward block), each with a closed-form backward.
+is kept for ablation. Inputs are never padded, so M is the whole mask. An
+encode records L+1 tape nodes: numerics.encoder_input for the prompt and
+embedding rows, then one numerics.encoder_layer per layer (all heads,
+residuals, layernorms and the feed-forward block), each with a closed-form
+backward.
 
 Prompt rows receive no position and no segment embedding, and they pass
 through the same per-layer residual/layernorm/feed-forward block as every
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import ConfigError, ContractError, ShapeError
-from .numerics import MASK_NEG, Tensor
+from .numerics import Tensor
 from .tokenizer import VOCAB_SIZE, TokenSequence
 
 PROMPT_INIT_STD = 0.02
@@ -39,6 +40,13 @@ INIT_STD = 0.02
 PAIR_TYPES = 7  # downstream interaction-type classification width
 SS3_CLASSES = 3
 SS8_CLASSES = 8
+
+# checkpoint names of an encoder layer's weights, in the order
+# numerics.encoder_layer takes them
+LAYER_WEIGHT_NAMES = (
+    "attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv", "attn.bv", "attn.wo", "attn.bo",
+    "ln1.gain", "ln1.bias", "ff.w1", "ff.b1", "ff.w2", "ff.b2", "ln2.gain", "ln2.bias",
+)
 
 
 @dataclass
@@ -70,21 +78,6 @@ class ModelConfig:
             mask_mode=cfg.mask_mode,
             prompt_names=cfg.prompt_names(),
         )
-
-
-def build_mask(m: int, n: int) -> np.ndarray:
-    """The binary (m+n) x (m+n) one-way mask for m prompts and n inputs,
-    prompt rows first."""
-    if m < 0:
-        raise ConfigError(f"prompt count must be >= 0, got {m}")
-    if n <= 0:
-        raise ConfigError(f"input length must be >= 1, got {n}")
-    size = m + n
-    mat = np.ones((size, size), dtype=np.float64)
-    if m:
-        mat[:m, :] = 0.0
-        mat[np.arange(m), np.arange(m)] = 1.0
-    return mat
 
 
 class PromptSet:
@@ -137,50 +130,6 @@ class EncoderOutput:
         return nm.select_rows(self.h, self.m + self.seq.residue_positions())
 
 
-class EncoderLayer:
-    """Multi-head masked attention followed by the residual/LN/FF block."""
-
-    # checkpoint names of `weights`, in the order numerics.encoder_layer takes them
-    WEIGHT_NAMES = (
-        "attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv", "attn.bv", "attn.wo", "attn.bo",
-        "ln1.gain", "ln1.bias", "ff.w1", "ff.b1", "ff.w2", "ff.b2", "ln2.gain", "ln2.bias",
-    )
-
-    def __init__(self, d: int, heads: int, rng: np.random.Generator):
-        self.heads = heads
-
-        def w(shape):
-            return Tensor(rng.normal(0.0, INIT_STD, shape), requires_grad=True)
-
-        def zeros(shape):
-            return Tensor(np.zeros(shape), requires_grad=True)
-
-        def ones(shape):
-            return Tensor(np.ones(shape), requires_grad=True)
-
-        self.weights = (
-            w((d, d)), zeros(d), w((d, d)), zeros(d), w((d, d)), zeros(d), w((d, d)), zeros(d),
-            ones(d), zeros(d), w((d, 4 * d)), zeros(4 * d), w((4 * d, d)), zeros(d),
-            ones(d), zeros(d),
-        )
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.{name}": t for name, t in zip(self.WEIGHT_NAMES, self.weights)}
-
-    def forward(
-        self,
-        x: Tensor,
-        mask: np.ndarray,
-        mask_mode: str,
-        collect: list | None = None,
-    ) -> Tensor:
-        """mask is the array mask_mode applies, built once per encode:
-        additive: MASK_NEG at disallowed logits before softmax (rows sum to 1).
-        literal: the binary mask times the softmax output (row mass <= 1).
-        """
-        return nm.encoder_layer(x, self.weights, self.heads, mask, mask_mode, collect)
-
-
 class ProteinEncoder:
     """The full embed (prompt rows first) -> masked layers stack, plus heads."""
 
@@ -195,10 +144,19 @@ class ProteinEncoder:
         def zeros(shape):
             return Tensor(np.zeros(shape), requires_grad=True)
 
+        def ones(shape):
+            return Tensor(np.ones(shape), requires_grad=True)
+
         self.tok_table = w((VOCAB_SIZE, d))
         self.pos_table = w((config.max_len, d))
         self.seg_table = w((1, d))
-        self.layers = [EncoderLayer(d, config.heads, rng) for _ in range(config.layers)]
+        # per layer, the 16 weights named by LAYER_WEIGHT_NAMES
+        self.layers = [
+            (w((d, d)), zeros(d), w((d, d)), zeros(d), w((d, d)), zeros(d), w((d, d)), zeros(d),
+             ones(d), zeros(d), w((d, 4 * d)), zeros(4 * d), w((4 * d, d)), zeros(d),
+             ones(d), zeros(d))
+            for _ in range(config.layers)
+        ]
         self.prompts = PromptSet()
         for name in config.prompt_names:
             self.prompts.register(name, Tensor(rng.normal(0.0, PROMPT_INIT_STD, d)))
@@ -222,8 +180,9 @@ class ProteinEncoder:
             "embed.pos": self.pos_table,
             "embed.seg": self.seg_table,
         }
-        for i, layer in enumerate(self.layers):
-            params.update(layer.params(f"layer{i}"))
+        for i, weights in enumerate(self.layers):
+            params.update({f"layer{i}.{name}": t
+                           for name, t in zip(LAYER_WEIGHT_NAMES, weights)})
         for name in self.prompts.names():
             params[f"prompt.{name}"] = self.prompts.get(name)
         params.update(
@@ -288,13 +247,10 @@ class ProteinEncoder:
     ) -> EncoderOutput:
         m = len(prompt_names)
         x = self.embed(seq, prompt_names, frozen)
-        mode = self.config.mask_mode
-        mask = build_mask(m, seq.length)
-        if mode == "additive":
-            mask = np.where(mask > 0, 0.0, MASK_NEG)
         collect: list | None = [] if collect_attn else None
-        for layer in self.layers:
-            x = layer.forward(x, mask, mode, collect)
+        for weights in self.layers:
+            x = nm.encoder_layer(x, weights, self.config.heads, m, self.config.mask_mode,
+                                 collect)
         return EncoderOutput(h=x, m=m, seq=seq, attn=collect)
 
     def pool(self, out: EncoderOutput) -> Tensor:

@@ -45,11 +45,6 @@ from .errors import ContractError, NumericsError, ShapeError
 
 LAYERNORM_EPS = 1e-5
 
-# Additive attention-mask penalty. Finite so the no-NaN invariant holds,
-# yet large enough that exp() underflows to exactly 0.0 after the row-max
-# subtraction inside the attention softmax.
-MASK_NEG = -1.0e9
-
 # Rows per block of contact_scores' (rows, n, d) difference tensor: 2 MB
 # at n=256, d=64, so peak memory stays far below one (n*n, d) array.
 CONTACT_BLOCK_ROWS = 16
@@ -445,13 +440,13 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(n, heads * dh)
 
 
-def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
-                       mask: np.ndarray, mask_mode: str, collect: list | None):
-    """Masked multi-head attention of (n, d) arrays: (out, saved), where
-    saved = (qh, kt, vh, y, w) holds what the backward needs."""
+def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, m: int,
+                       mask_mode: str, collect: list | None):
+    """One-way multi-head attention of (n, d) arrays, the first m rows prompts:
+    (out, saved), where saved = (qh, kt, vh, y, w) holds what the backward needs."""
     n, d = q.shape
-    if d % heads or mask.shape != (n, n):
-        raise ShapeError(f"attention over {q.shape} got {heads} heads and mask {mask.shape}")
+    if d % heads or not 0 <= m <= n:
+        raise ShapeError(f"attention over {q.shape} got {heads} heads and {m} prompts")
     if mask_mode not in ("additive", "literal"):
         raise ContractError(f"unknown mask_mode {mask_mode!r}")
     dh = d // heads
@@ -460,18 +455,19 @@ def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
     del q, k, v  # arrays the caller passed without keeping go before the score block
     s = qh @ kt
     s *= 1.0 / float(np.sqrt(dh))
+    y = w = _softmax_last_inplace(s)
+    # a prompt row's only allowed key is itself
     if mask_mode == "additive":
-        s += mask
-        y = w = _softmax_last_inplace(s)
+        y[:, :m] = np.eye(m, n)
     else:
-        y = _softmax_last_inplace(s)
-        w = y * mask
+        w = y.copy()
+        w[:, :m] *= np.eye(m, n)
     if collect is not None:
         collect.append(list(w.copy()))
     return _merge_heads(w @ vh), (qh, kt, vh, y, w)
 
 
-def _attention_backward(g: np.ndarray, mask: np.ndarray, mask_mode: str, saved):
+def _attention_backward(g: np.ndarray, m: int, mask_mode: str, saved):
     """(dq, dk, dv) of attention for upstream g, from _attention_forward's saved."""
     qh, kt, vh, y, w = saved
     heads, n, dh = qh.shape
@@ -479,7 +475,7 @@ def _attention_backward(g: np.ndarray, mask: np.ndarray, mask_mode: str, saved):
     dv = _merge_heads(w.transpose(0, 2, 1) @ gh)
     ds = gh @ vh.transpose(0, 2, 1)  # dW, turned into dS in place
     if mask_mode == "literal":
-        ds *= mask
+        ds[:, :m] *= np.eye(m, n)
     ds -= np.add.reduce(ds * y, axis=-1, keepdims=True)
     np.multiply(y, ds, out=ds)
     ds *= 1.0 / float(np.sqrt(dh))
@@ -505,27 +501,29 @@ def multihead_attention(
     k: Tensor,
     v: Tensor,
     heads: int,
-    mask: np.ndarray,
+    m: int,
     mask_mode: str,
     collect: list | None = None,
 ) -> Tensor:
-    """Masked scaled dot-product attention over `heads` column blocks.
+    """One-way scaled dot-product attention over `heads` column blocks.
 
-    q, k, v are (n, d); head h owns columns [h*dh, (h+1)*dh), dh = d/heads.
-    S = (Q_h K_h^T) * c, c = 1/sqrt(dh); W = softmax(S + mask) if additive
-    (mask of 0/MASK_NEG), softmax(S) * mask if literal (mask of 0/1); the
-    heads' W V_h fill the (n, d) result, and collect (a list) gets the W.
-    One tape node; with Y the softmax output and G a head's upstream block:
-    dV = W^T G, dW = G V^T (times mask if literal),
-    dS = Y * (dW - rowsum(dW * Y)) * c, dQ = dS K, dK = (Q^T dS)^T.
+    q, k, v are (n, d), the first m rows prompts (0 <= m <= n); head h owns
+    columns [h*dh, (h+1)*dh), dh = d/heads. S = (Q_h K_h^T) * c, c =
+    1/sqrt(dh), Y = softmax(S). A prompt row attends only to itself, so the
+    mask applies by structure: additive sets Y's prompt rows to identity
+    rows and W = Y; literal sets W = Y with prompt rows zeroed off the
+    diagonal. The heads' W V_h fill the (n, d) result, and collect (a list)
+    gets the W. One tape node; with G a head's upstream block: dV = W^T G,
+    dW = G V^T (masked like W if literal), dS = Y * (dW - rowsum(dW * Y)) * c,
+    dQ = dS K, dK = (Q^T dS)^T.
     """
     if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"attention got q/k/v {q.shape}/{k.shape}/{v.shape}")
-    out_data, saved = _attention_forward(q.data, k.data, v.data, heads, mask, mask_mode,
+    out_data, saved = _attention_forward(q.data, k.data, v.data, heads, m, mask_mode,
                                          collect)
 
     def backprop(g):
-        dq, dk, dv = _attention_backward(g, mask, mask_mode, saved)
+        dq, dk, dv = _attention_backward(g, m, mask_mode, saved)
         _accum(v, dv)
         _accum(q, dq)
         _accum(k, dk)
@@ -685,7 +683,7 @@ def encoder_layer(
     x: Tensor,
     weights: Sequence[Tensor],
     heads: int,
-    mask: np.ndarray,
+    m: int,
     mask_mode: str,
     collect: list | None = None,
 ) -> Tensor:
@@ -695,11 +693,12 @@ def encoder_layer(
     w1, b1, w2, b2, ln2_gain, ln2_bias), x (n, d):
         a = multihead_attention(x wq + bq, x wk + bk, x wv + bv) wo + bo
         h = layernorm(x + a; ln1),  out = layernorm(h + gelu(h w1 + b1) w2 + b2; ln2)
-    with heads, mask, mask_mode and collect as in multihead_attention. The
-    closed-form backward runs the single-op backwards in reverse order; the
-    gradient reaches h as d_res2 + dh_ff and x as ((d_res1 + dx_v) + dx_k)
-    + dx_q, the order in which the per-op tape summed them. Every
-    intermediate the per-op chain checked is checked for finiteness.
+    with heads, m (x's prompt rows come first), mask_mode and collect as in
+    multihead_attention. The closed-form backward runs the single-op
+    backwards in reverse order; the gradient reaches h as d_res2 + dh_ff
+    and x as ((d_res1 + dx_v) + dx_k) + dx_q, the order in which the per-op
+    tape summed them. Every intermediate the per-op chain checked is
+    checked for finiteness.
     """
     if len(weights) != 16 or x.data.ndim != 2:
         raise ShapeError(f"encoder_layer needs a 2-d x and 16 weights, got {x.shape} "
@@ -718,7 +717,7 @@ def encoder_layer(
         _check_finite(_affine_forward(xd, wq.data, bq.data), "affine"),
         _check_finite(_affine_forward(xd, wk.data, bk.data), "affine"),
         _check_finite(_affine_forward(xd, wv.data, bv.data), "affine"),
-        heads, mask, mask_mode, collect,
+        heads, m, mask_mode, collect,
     )
     if not taped:
         saved = None  # the (heads, n, n) blocks go now, not at return
@@ -740,7 +739,7 @@ def encoder_layer(
             d_f1 = _gelu_backward(_affine_backward(d_res2, act, w2, b2), f1, cdf)
             d_res1 = _layernorm_backward(d_res2 + _affine_backward(d_f1, h, w1, b1),
                                          ln1_gain, ln1_bias, xhat1, invstd1)
-            dq, dk, dv = _attention_backward(_affine_backward(d_res1, att, wo, bo), mask,
+            dq, dk, dv = _attention_backward(_affine_backward(d_res1, att, wo, bo), m,
                                              mask_mode, saved)
             need_dx = x.requires_grad
             dx = _affine_backward(dv, xd, wv, bv, need_dx)

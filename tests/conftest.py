@@ -9,8 +9,31 @@ from protprompt import numerics as nm
 from protprompt import objectives as O
 from protprompt import tokenizer as T
 from protprompt.errors import ContractError
-from protprompt.model import build_mask
-from protprompt.numerics import MASK_NEG, Tape, Tensor
+from protprompt.numerics import Tape, Tensor
+
+# The oracle's additive penalty at disallowed logits: finite, yet large
+# enough that exp() underflows to exactly 0.0 after the row-max subtraction
+# for scores of ordinary size (not for any finite score).
+MASK_NEG = -1.0e9
+
+
+def build_mask(m, n):
+    """The explicit binary (m+n) x (m+n) one-way mask for m prompts and n
+    inputs, prompt rows first: the oracle the structural kernel is checked
+    against."""
+    size = m + n
+    mat = np.ones((size, size), dtype=np.float64)
+    if m:
+        mat[:m, :] = 0.0
+        mat[np.arange(m), np.arange(m)] = 1.0
+    return mat
+
+
+def mode_mask(m, n, mask_mode):
+    """The oracle's mask array for mask_mode: 0/MASK_NEG penalties if
+    additive, the binary mask if literal."""
+    allowed = build_mask(m, n)
+    return allowed if mask_mode == "literal" else np.where(allowed > 0, 0.0, MASK_NEG)
 
 
 class OracleError(Exception):
@@ -90,16 +113,16 @@ def reference_routed_step(model, optimizer, mlm_batch, task_batches, policy,
     return routed, {source: float(t.data) for source, t in losses.items()}
 
 
-def reference_encoder_layer(layer, x, mask, mask_mode, collect=None):
-    """The per-op chain EncoderLayer.forward ran before the layer had a node
-    of its own: twelve single-op tape nodes (q/k/v affines, attention, the
-    output affine, two residual adds, two layernorms, affine-gelu-affine)."""
+def reference_encoder_layer(weights, heads, x, m, mask_mode, collect=None):
+    """The per-op chain an encoder layer ran before it had a node of its
+    own: twelve single-op tape nodes (q/k/v affines, attention, the output
+    affine, two residual adds, two layernorms, affine-gelu-affine)."""
     (wq, bq, wk, bk, wv, bv, wo, bo,
-     ln1_gain, ln1_bias, ff_w1, ff_b1, ff_w2, ff_b2, ln2_gain, ln2_bias) = layer.weights
+     ln1_gain, ln1_bias, ff_w1, ff_b1, ff_w2, ff_b2, ln2_gain, ln2_bias) = weights
     q = nm.affine(x, wq, bq)
     k = nm.affine(x, wk, bk)
     v = nm.affine(x, wv, bv)
-    heads_out = nm.multihead_attention(q, k, v, layer.heads, mask, mask_mode, collect)
+    heads_out = nm.multihead_attention(q, k, v, heads, m, mask_mode, collect)
     attn_out = nm.affine(heads_out, wo, bo)
     x = nm.layernorm(nm.add(x, attn_out), ln1_gain, ln1_bias)
     ff = nm.affine(nm.gelu(nm.affine(x, ff_w1, ff_b1)), ff_w2, ff_b2)
@@ -128,13 +151,11 @@ def reference_embed(model, seq, prompt_names=(), frozen=frozenset()):
 
 def reference_encode(model, seq, prompt_names=(), frozen=frozenset()):
     """ProteinEncoder.encode on the per-op chain: (h, collected maps)."""
-    mode = model.config.mask_mode
-    allowed = build_mask(len(prompt_names), seq.length)
-    mask = allowed if mode == "literal" else np.where(allowed > 0, 0.0, MASK_NEG)
     collect = []
     x = reference_embed(model, seq, prompt_names, frozen)
-    for layer in model.layers:
-        x = reference_encoder_layer(layer, x, mask, mode, collect)
+    for weights in model.layers:
+        x = reference_encoder_layer(weights, model.config.heads, x, len(prompt_names),
+                                    model.config.mask_mode, collect)
     return x, collect
 
 
@@ -179,7 +200,8 @@ def reference_forward(model, ids):
 
 
 def reference_attention(q, k, v, heads, mask, mask_mode, g):
-    """Plain numpy, one-head-at-a-time multi-head masked attention.
+    """Plain numpy, one-head-at-a-time multi-head masked attention, with the
+    explicit mask array of mode_mask.
 
     Returns the (n, d) output and the gradients of sum(out * g) with
     respect to q, k and v, each head computed and differentiated as its

@@ -20,7 +20,7 @@ from protprompt import numerics as nm
 from protprompt import objectives as O
 from protprompt import tokenizer as T
 from protprompt.cli import main
-from protprompt.model import ModelConfig, ProteinEncoder, build_mask
+from protprompt.model import ModelConfig, ProteinEncoder
 from protprompt.numerics import Tape, Tensor
 
 RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
@@ -130,14 +130,12 @@ def _primitive_cases():
 
 def _attention_cases():
     # one prompt + 4 inputs, d=4; every head count splits the width
-    allowed = build_mask(1, 4)
-    masks = {"additive": np.where(allowed > 0, 0.0, nm.MASK_NEG), "literal": allowed}
-    for mode, mask in masks.items():
+    for mode in ("additive", "literal"):
         for heads in (1, 2, 4):
             qkv = [_probe((5, 4), 40 + i) for i in range(3)]
 
-            def loss(qkv=qkv, heads=heads, mask=mask, mode=mode):
-                return _contract(nm.multihead_attention(*qkv, heads, mask, mode))
+            def loss(qkv=qkv, heads=heads, mode=mode):
+                return _contract(nm.multihead_attention(*qkv, heads, 1, mode))
 
             for name, p in zip("qkv", qkv):
                 yield f"attention_{mode}_h{heads}_{name}", p, loss

@@ -1,6 +1,8 @@
 """End-to-end command-line workflows on a tiny corpus."""
 
 import shutil
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -412,6 +414,32 @@ def test_eval_structural_contradiction_exit_2(ws, capsys):
     ])
     assert rc == 2
     assert "contradicts checkpoint value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("declared", ["dims", "config-length"])
+def test_eval_rejects_sizes_past_the_end_of_the_checkpoint(ws, tmp_path, capsys, declared):
+    # a header may declare far more bytes than the file holds: the loader
+    # must refuse it as truncated without allocating the declared size
+    bad = tmp_path / "huge.bin"
+    if declared == "dims":
+        body = (struct.pack("<Q", 0) + struct.pack("<Q", 1) + struct.pack("<I", 1) + b"a"
+                + struct.pack("<IQQ", 2, 2**40, 2**20))
+    else:
+        body = struct.pack("<Q", 2**62) + b"d=16\n"
+    bad.write_bytes(ckpt.MAGIC + struct.pack("<I", ckpt.VERSION) + body)
+    tracemalloc.start()
+    try:
+        rc = main([
+            "eval", "--checkpoint", str(bad), "--task", "ppi",
+            "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"]),
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "truncated checkpoint" in err, err
+    assert peak < 2**24, peak
 
 
 def test_eval_contact_with_truth_scores(ws, tmp_path, capsys):

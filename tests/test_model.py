@@ -8,12 +8,7 @@ import pytest
 from protprompt import numerics as nm
 from protprompt import tokenizer as T
 from protprompt.errors import ConfigError, ContractError, ShapeError
-from protprompt.model import (
-    ModelConfig,
-    ProteinEncoder,
-    PromptSet,
-    build_mask,
-)
+from protprompt.model import ModelConfig, ProteinEncoder, PromptSet
 from protprompt.numerics import Tape, Tensor
 
 from conftest import reference_encode, reference_forward
@@ -26,48 +21,73 @@ def small_model(prompts=("Seq", "IC"), mask_mode="additive", seed=0, max_len=12)
 
 
 # ---------------------------------------------------------------------------
-# mask construction
+# mask semantics: encode applies M by structure, so its attention maps show it
+
+
+def _attention_support(m, n, mask_mode):
+    """Where an encode's attention maps are nonzero, for m prompts and n
+    input rows: one boolean (m+n, m+n) grid, the same in every layer and head."""
+    cfg = ModelConfig(d=16, layers=2, heads=4, max_len=8, mask_mode=mask_mode,
+                      prompt_names=("Seq", "IC", "PPI"))
+    model = ProteinEncoder(cfg, seed=6)
+    seq = T.TokenSequence(ids=np.random.default_rng(n).integers(0, T.VOCAB_SIZE, n))
+    maps = model.encode(seq, cfg.prompt_names[:m], collect_attn=True).attn
+    support = {(w != 0.0).tobytes() for layer in maps for w in layer}
+    assert len(support) == 1, (m, n, mask_mode)
+    return np.frombuffer(support.pop(), dtype=bool).reshape(m + n, m + n)
+
+
+MASK_MODES = ("additive", "literal")
 
 
 def test_mask_one_prompt_two_inputs():
-    assert build_mask(1, 2).tolist() == [
-        [1.0, 0.0, 0.0],
-        [1.0, 1.0, 1.0],
-        [1.0, 1.0, 1.0],
-    ]
+    for mask_mode in MASK_MODES:
+        assert _attention_support(1, 2, mask_mode).tolist() == [
+            [True, False, False],
+            [True, True, True],
+            [True, True, True],
+        ]
 
 
 def test_mask_two_prompts_two_inputs():
-    assert build_mask(2, 2).tolist() == [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [1.0, 1.0, 1.0, 1.0],
-        [1.0, 1.0, 1.0, 1.0],
-    ]
+    for mask_mode in MASK_MODES:
+        assert _attention_support(2, 2, mask_mode).tolist() == [
+            [True, False, False, False],
+            [False, True, False, False],
+            [True, True, True, True],
+            [True, True, True, True],
+        ]
 
 
 def test_mask_rule_enumeration():
     # 1-based rule: M[i][j] = 0 iff (i<=m and j>m) or (i,j<=m and i!=j)
-    for m_count in range(4):
-        for n in range(1, 5):
-            mat = build_mask(m_count, n)
-            for i in range(1, m_count + n + 1):
-                for j in range(1, m_count + n + 1):
-                    blocked = (i <= m_count and j > m_count) or (
-                        i <= m_count and j <= m_count and i != j
-                    )
-                    assert mat[i - 1, j - 1] == (0.0 if blocked else 1.0)
+    for mask_mode in MASK_MODES:
+        for m_count in range(4):
+            for n in range(1, 5):
+                support = _attention_support(m_count, n, mask_mode)
+                for i in range(1, m_count + n + 1):
+                    for j in range(1, m_count + n + 1):
+                        blocked = (i <= m_count and j > m_count) or (
+                            i <= m_count and j <= m_count and i != j
+                        )
+                        assert support[i - 1, j - 1] == (not blocked)
 
 
 def test_mask_no_prompts_is_all_ones():
-    assert np.array_equal(build_mask(0, 3), np.ones((3, 3)))
+    for mask_mode in MASK_MODES:
+        assert _attention_support(0, 3, mask_mode).all()
 
 
 def test_mask_argument_validation():
-    with pytest.raises(ConfigError):
-        build_mask(-1, 2)
-    with pytest.raises(ConfigError):
-        build_mask(1, 0)
+    # the prompt count is the whole mask: it must lie in [0, rows]
+    x = Tensor(np.random.default_rng(8).normal(size=(3, 4)))
+    weights = [Tensor(np.ones(shape)) for shape in
+               [(4, 4), (4,)] * 4 + [(4,), (4,), (4, 16), (16,), (16, 4), (4,), (4,), (4,)]]
+    for m in (-1, 4):
+        with pytest.raises(ShapeError, match=f"{m} prompts"):
+            nm.multihead_attention(x, x, x, 2, m, "additive")
+        with pytest.raises(ShapeError, match=f"{m} prompts"):
+            nm.encoder_layer(x, weights, 2, m, "literal")
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +422,12 @@ def test_encode_peak_memory_stays_near_one_attention_block():
 
 def test_tape_free_layer_holds_one_score_block():
     # without a tape the fused layer drops q, k and v once split into heads
-    # and its (heads, n, n) blocks once the attention output exists, and an
-    # additive-mode encode keeps only the additive mask: the peak is one
-    # score block, one (n, n) mask and a few (n, d) arrays
+    # and its (heads, n, n) blocks once the attention output exists, and
+    # the mask is applied by structure, with no (n, n) array: the peak is
+    # one score block and a few (n, d) arrays
     heads, d = 4, 64
     peak, n = _tape_free_encode_peak(heads=heads)
-    assert peak < (heads + 1) * n * n * 8 + 8 * n * d * 8, peak
+    assert peak < heads * n * n * 8 + 8 * n * d * 8, peak
 
 
 def test_mlm_logits_selects_input_positions():

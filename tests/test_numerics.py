@@ -11,11 +11,12 @@ import pytest
 from protprompt import numerics as nm
 from protprompt import tokenizer as T
 from protprompt.errors import ContractError, NumericsError, ShapeError
-from protprompt.model import INIT_STD, ModelConfig, ProteinEncoder, build_mask
+from protprompt.model import INIT_STD, ModelConfig, ProteinEncoder
 from protprompt.numerics import Tape, Tensor
 
-from conftest import (OracleError, finite_diff_check, reference_affine, reference_attention,
-                      reference_contact, reference_gelu, reference_layernorm)
+from conftest import (OracleError, finite_diff_check, mode_mask, reference_affine,
+                      reference_attention, reference_contact, reference_gelu,
+                      reference_layernorm)
 
 FD_TOL = 1e-6
 
@@ -76,61 +77,80 @@ def test_softmax_family_gradients():
     _check(lambda t: nm.log_softmax_rows(t), _rand((3, 5), 25))
 
 
-def _attention_inputs(mask_mode, m=2, n=5, d=8, seed=50):
-    """q, k, v, the mode's mask over m prompts + n inputs, and a probe g."""
+def _attention_inputs(m=2, n=5, d=8, seed=50):
+    """q, k, v over m prompts + n inputs, and a probe g."""
     rng = np.random.default_rng(seed)
     q, k, v = (_rand((m + n, d), seed + i) for i in range(3))
-    allowed = build_mask(m, n)
-    mask = allowed if mask_mode == "literal" else np.where(allowed > 0, 0.0, nm.MASK_NEG)
-    return q, k, v, mask, rng.normal(0.0, 1.0, (m + n, d))
+    return q, k, v, rng.normal(0.0, 1.0, (m + n, d))
 
 
 @pytest.mark.parametrize("mask_mode", ["additive", "literal"])
 @pytest.mark.parametrize("heads", [1, 2, 4, 8])
 def test_multihead_attention_matches_per_head_reference(mask_mode, heads):
-    q, k, v, mask, g = _attention_inputs(mask_mode)
-    collect = []
-    tape = Tape()
-    with tape:
-        out = nm.multihead_attention(q, k, v, heads, mask, mask_mode, collect)
-        loss = nm.sum_all(nm.mul(out, Tensor(g)))
-    assert len(tape.nodes) == 3  # attention, mul, sum_all: one node for all heads
-    nm.backward(tape, loss)
-    ref_out, dq, dk, dv = reference_attention(q.data, k.data, v.data, heads, mask, mask_mode, g)
-    assert np.array_equal(out.data, ref_out)
-    for t, ref in ((q, dq), (k, dk), (v, dv)):
-        assert np.abs(t.grad - ref).max() <= 1e-12
-    (maps,) = collect  # one list of per-head maps per call
-    assert len(maps) == heads and all(w.shape == mask.shape for w in maps)
-    for w in maps:
-        assert np.all(w[0, 1:] == 0.0) and np.all(w[1, 2:] == 0.0)  # one-way flow
+    # the structural kernel against the explicit-mask oracle over a grid of
+    # prompt counts m and input lengths n (a loop, so the test ids stay put)
+    for m in (0, 1, 3):
+        for n in (1, 5):
+            q, k, v, g = _attention_inputs(m, n)
+            collect = []
+            tape = Tape()
+            with tape:
+                out = nm.multihead_attention(q, k, v, heads, m, mask_mode, collect)
+                loss = nm.sum_all(nm.mul(out, Tensor(g)))
+            assert len(tape.nodes) == 3  # attention, mul, sum_all: one node for all heads
+            nm.backward(tape, loss)
+            ref_out, dq, dk, dv = reference_attention(q.data, k.data, v.data, heads,
+                                                      mode_mask(m, n, mask_mode), mask_mode, g)
+            assert np.array_equal(out.data, ref_out), (m, n)
+            for t, ref in ((q, dq), (k, dk), (v, dv)):
+                assert np.abs(t.grad - ref).max() <= 1e-12, (m, n)
+            (maps,) = collect  # one list of per-head maps per call
+            assert len(maps) == heads and all(w.shape == (m + n, m + n) for w in maps)
+            for w in maps:  # one-way flow: a prompt row is zero off its diagonal
+                assert np.array_equal(w[:m] != 0.0, np.eye(m, m + n, dtype=bool)), (m, n)
 
 
 def test_multihead_attention_rejects_bad_arguments():
-    q, k, v, mask, _ = _attention_inputs("additive")
+    q, k, v, _ = _attention_inputs()
     with pytest.raises(ShapeError, match="3 heads"):
-        nm.multihead_attention(q, k, v, 3, mask, "additive")
-    with pytest.raises(ShapeError, match=r"mask \(6, 6\)"):
-        nm.multihead_attention(q, k, v, 2, mask[1:, 1:], "additive")
+        nm.multihead_attention(q, k, v, 3, 2, "additive")
     with pytest.raises(ShapeError, match=r"\(6, 8\)"):
-        nm.multihead_attention(q, k, nm.slice_rows(v, 1, 7), 2, mask, "additive")
+        nm.multihead_attention(q, k, nm.slice_rows(v, 1, 7), 2, 2, "additive")
     with pytest.raises(ContractError, match="mask_mode"):
-        nm.multihead_attention(q, k, v, 2, mask, "soft")
+        nm.multihead_attention(q, k, v, 2, 2, "soft")
+
+
+def test_one_way_flow_is_exact_for_any_finite_score():
+    # prompt row 0 scores -5e9 against itself and +5e9 against input row 2:
+    # a finite -1e9 penalty would leave row 2 the winner, applying the mask
+    # by structure leaves the prompt its own value row, bit for bit
+    q, k, v = (Tensor(np.random.default_rng(seed).normal(size=(4, 4))) for seed in (70, 71, 72))
+    q.data[0], k.data[0], k.data[2] = [1e5, 0, 0, 0], [-1e5, 0, 0, 0], [1e5, 0, 0, 0]
+    rows = {}
+    for mask_mode in ("additive", "literal"):
+        collect = []
+        out = nm.multihead_attention(q, k, v, 1, 1, mask_mode, collect)
+        rows[mask_mode] = collect[0][0][0]
+        if mask_mode == "additive":
+            assert out.data[0].tobytes() == v.data[0].tobytes()
+    assert rows["additive"].tolist() == [1.0, 0.0, 0.0, 0.0]
+    # literal keeps only the prompt's own softmax weight, which row 2 took
+    assert rows["literal"].tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
 def test_fused_encoder_nodes_reject_bad_arguments():
-    x, *_, mask, _ = _attention_inputs("additive")
+    x, *_ = _attention_inputs()
     weights = [_rand(shape, i) for i, shape in enumerate(
         [(8, 8), (8,)] * 4 + [(8,), (8,), (8, 32), (32,), (32, 8), (8,), (8,), (8,)])]
     with pytest.raises(ShapeError, match="16 weights"):
-        nm.encoder_layer(x, weights[:-1], 2, mask, "additive")
+        nm.encoder_layer(x, weights[:-1], 2, 2, "additive")
     with pytest.raises(ShapeError, match="do not fit width 8"):
-        nm.encoder_layer(x, weights[:12] + [_rand((8, 8), 0)] + weights[13:], 2, mask,
+        nm.encoder_layer(x, weights[:12] + [_rand((8, 8), 0)] + weights[13:], 2, 2,
                          "additive")
     with pytest.raises(ShapeError, match="3 heads"):
-        nm.encoder_layer(x, weights, 3, mask, "additive")
+        nm.encoder_layer(x, weights, 3, 2, "additive")
     with pytest.raises(ContractError, match="mask_mode"):
-        nm.encoder_layer(x, weights, 2, mask, "soft")
+        nm.encoder_layer(x, weights, 2, 2, "soft")
     tok, seg, pos = _rand((9, 5), 1), _rand((1, 5), 2), _rand((4, 5), 3)
     with pytest.raises(ShapeError, match="differ in width"):
         nm.encoder_input(tok, _rand((1, 4), 2), pos, [1, 2])
@@ -147,13 +167,13 @@ def test_fused_encoder_nodes_reject_bad_arguments():
 def test_fused_layer_checks_its_intermediates(position, op):
     # an overflowing weight must stop the layer at the op that overflowed,
     # as the per-op chain did, not at a later NaN
-    x, *_, mask, _ = _attention_inputs("additive")
+    x, *_ = _attention_inputs()
     weights = [_rand(shape, i) for i, shape in enumerate(
         [(8, 8), (8,)] * 4 + [(8,), (8,), (8, 32), (32,), (32, 8), (8,), (8,), (8,)])]
     weights[position].data[:] = 1e308
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericsError, match=f"produced by {op}$"):
-            nm.encoder_layer(x, weights, 2, mask, "additive")
+            nm.encoder_layer(x, weights, 2, 2, "additive")
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 73])
@@ -225,17 +245,17 @@ def _kernel_cases():
         return Tensor(rng.normal(0.0, 1.0, shape), requires_grad=True)
 
     def attention(mask_mode):
-        q, k, v, mask, g = _attention_inputs(mask_mode, m=2, n=9, d=8)
+        q, k, v, g = _attention_inputs(m=2, n=9, d=8)
         collect = []
-        return (lambda *qkv: nm.multihead_attention(*qkv, 2, mask, mask_mode, collect),
+        return (lambda *qkv: nm.multihead_attention(*qkv, 2, 2, mask_mode, collect),
                 (q, k, v), g, collect)
 
     def encoder_layer(mask_mode):
-        x, *_, mask, g = _attention_inputs(mask_mode, m=2, n=9, d=8)
+        x, *_, g = _attention_inputs(m=2, n=9, d=8)
         weights = [rand(*shape) for shape in [(8, 8), (8,)] * 4 + [(8,), (8,), (8, 32), (32,),
                                                                    (32, 8), (8,), (8,), (8,)]]
         collect = []
-        return (lambda x, *w: nm.encoder_layer(x, w, 2, mask, mask_mode, collect),
+        return (lambda x, *w: nm.encoder_layer(x, w, 2, 2, mask_mode, collect),
                 (x, *weights), g, collect)
 
     cases = {
@@ -353,17 +373,19 @@ def test_softmax_rows_sum_to_one():
 
 def test_mask_penalty_underflows_to_zero():
     # row 0 may attend only to itself: every head puts weight exactly 1.0
-    # there, so its output is exactly its own value row
+    # there, so its output is exactly its own value row; at scores of
+    # ordinary size these are the bits the oracle's finite penalty gives
     rng = np.random.default_rng(43)
     q, k, v = (Tensor(rng.normal(0, 1, (3, 4))) for _ in range(3))
-    mask = np.zeros((3, 3))
-    mask[0, 1:] = nm.MASK_NEG
     collect = []
-    out = nm.multihead_attention(q, k, v, 2, mask, "additive", collect)
+    out = nm.multihead_attention(q, k, v, 2, 1, "additive", collect)
     for w in collect[0]:
         assert w[0, 0] == 1.0
         assert w[0, 1] == 0.0 and w[0, 2] == 0.0
     assert np.array_equal(out.data[0], v.data[0])
+    ref, *_ = reference_attention(q.data, k.data, v.data, 2, mode_mask(1, 2, "additive"),
+                                  "additive", np.zeros((3, 4)))
+    assert out.data.tobytes() == ref.tobytes()
 
 
 def test_backward_determinism():
