@@ -88,6 +88,13 @@ def _read_exact(fh, count: int, path, what: str) -> bytes:
     return buf
 
 
+def _read_text(fh, count: int, path, what: str) -> str:
+    try:
+        return _read_exact(fh, count, path, what).decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: {what} is not UTF-8")
+
+
 def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
     """Read a checkpoint; returns (config text, ordered name -> array map)."""
     with open(path, "rb") as fh:
@@ -98,12 +105,12 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
         if version != VERSION:
             raise FormatError(f"{path}: unsupported format version {version}")
         (cfg_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, "config length"))
-        config_text = _read_exact(fh, cfg_len, path, "config text").decode("utf-8")
+        config_text = _read_text(fh, cfg_len, path, "config text")
         (count,) = struct.unpack("<Q", _read_exact(fh, 8, path, "entry count"))
         entries: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "name length"))
-            name = _read_exact(fh, name_len, path, "entry name").decode("utf-8")
+            name = _read_text(fh, name_len, path, "entry name")
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4, path, "ndim"))
             dims = tuple(
                 struct.unpack("<Q", _read_exact(fh, 8, path, "dim"))[0] for _ in range(ndim)
@@ -112,7 +119,10 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
             for dim in dims:
                 n_elem *= dim
             payload = _read_exact(fh, n_elem * 8, path, f"payload of {name}")
-            entries[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+            try:
+                entries[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+            except ValueError:  # dims numpy cannot represent, whose product is 0
+                raise FormatError(f"{path}: entry {name} has impossible dims {dims}")
         trailing = fh.read(1)
         if trailing:
             raise FormatError(f"{path}: trailing bytes after last entry")

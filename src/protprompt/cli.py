@@ -72,7 +72,7 @@ def _pick_rows(rows: list, cfg: RunConfig, step: int) -> list:
     return [rows[int(i)] for i in idx]
 
 
-def _mlm_batch(corpus, cfg: RunConfig, step: int, prompts) -> O.MlmTaskBatch:
+def _mlm_batch(corpus, cfg: RunConfig, step: int) -> O.MlmTaskBatch:
     rng = _step_rng(cfg.seed, step, _RNG_MLM_PICK)
     size = min(cfg.batch_seqs, len(corpus))
     idx = rng.choice(len(corpus), size=size, replace=False)
@@ -82,11 +82,11 @@ def _mlm_batch(corpus, cfg: RunConfig, step: int, prompts) -> O.MlmTaskBatch:
         T.apply_mlm_mask(s, cfg.mask_rate, (cfg.seed, step, _RNG_MLM_MASK, int(i)), probs)
         for i, s in zip(idx, seqs)
     ]
-    return O.MlmTaskBatch(sequences=seqs, masked=masked, prompt_names=prompts)
+    return O.MlmTaskBatch(sequences=seqs, masked=masked)
 
 
 def _pair_pretrain_batch(
-    graph: D.PPIGraph, encoded, cfg: RunConfig, step: int, prompts
+    graph: D.PPIGraph, encoded, cfg: RunConfig, step: int
 ) -> O.PairTaskBatch:
     """Sample positive rows plus an equal count of non-adjacent negatives.
 
@@ -117,13 +117,7 @@ def _pair_pretrain_batch(
             got += 1
         if got < size:
             raise DataError("graph too dense to sample non-interacting pairs")
-    return O.PairTaskBatch(
-        name="ppi",
-        pairs=pairs,
-        labels=np.array(labels).reshape(-1, 1),
-        kind="binary",
-        prompt_names=prompts,
-    )
+    return O.PairTaskBatch(name="ppi", pairs=pairs, labels=np.array(labels).reshape(-1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +188,13 @@ def cmd_pretrain(args) -> int:
     graph = _load_ppi(cfg.ppi, table) if cfg.ppi else None
     tasks = ("ppi",) if graph is not None else ()
 
-    prompts = cfg.prompt_names()
     start_step = int(state.get("opt.step", np.asarray(0.0)))
     if model is None:
         model = ProteinEncoder(ModelConfig.from_run_config(cfg), seed=cfg.seed)
     optimizer = _adam(model.parameters(), cfg)
     if state:
         optimizer.load_state_entries(state)
+    prompts = model.prompts.names()
     policy = (
         O.default_policy(prompts, tasks) if cfg.routing else O.open_policy(prompts, tasks)
     )
@@ -216,10 +210,10 @@ def cmd_pretrain(args) -> int:
         if log_mode == "w":
             log.write("\n".join(_metrics_log_header(cfg, tasks)) + "\n")
         for step in range(start_step, cfg.steps):
-            mlm = _mlm_batch(corpus, cfg, step, prompts)
+            mlm = _mlm_batch(corpus, cfg, step)
             pair_batches = []
             if graph is not None:
-                pair_batches.append(_pair_pretrain_batch(graph, encoded, cfg, step, prompts))
+                pair_batches.append(_pair_pretrain_batch(graph, encoded, cfg, step))
             report = O.train_step(
                 model,
                 optimizer,
@@ -292,13 +286,12 @@ def cmd_inject(args) -> int:
     policy = O.default_policy(model.prompts.names(), ("ppi",))
 
     batches_fn = _inject_ppi_batches(args, cfg)
-    prompt_sel = cfg.prompt_names()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "metrics.csv", "w") as log:
         log.write("\n".join(_metrics_log_header(cfg, ("ppi",))) + "\n")
         for step in range(cfg.steps):
-            batch = batches_fn(step, prompt_sel)
+            batch = batches_fn(step)
             report = O.train_step(
                 model, optimizer, None, [batch], policy, cfg.lambda_weight,
                 cfg.alpha(), step=step, mlm_reduction=cfg.mlm_reduction,
@@ -315,15 +308,12 @@ def _inject_ppi_batches(args, cfg: RunConfig):
     graph = _load_ppi(args.data, D.parse_fasta(args.fasta))
     encoded = _encode_table(graph.nodes, cfg.max_len)
     rows = sorted(graph.edges.items())
-    kind = "binary" if graph.label_width == 1 else "types"
 
-    def build(step: int, prompts) -> O.PairTaskBatch:
+    def build(step: int) -> O.PairTaskBatch:
         picked = _pick_rows(rows, cfg, step)
         pairs = [(encoded[a], encoded[b]) for (a, b), _ in picked]
         labels = np.stack([bits.astype(np.float64) for _, bits in picked])
-        return O.PairTaskBatch(
-            name="ppi", pairs=pairs, labels=labels, kind=kind, prompt_names=prompts
-        )
+        return O.PairTaskBatch(name="ppi", pairs=pairs, labels=labels)
 
     return build
 
@@ -357,7 +347,6 @@ def _eval_ppi(model, cfg, args, prompt_sel):
         raise ConfigError("eval --task ppi needs --data (TSV) and --fasta")
     graph = _load_ppi(args.data, D.parse_fasta(args.fasta))
     encoded = _encode_table(graph.nodes, cfg.max_len)
-    kind = "binary" if graph.label_width == 1 else "types"
     pooled: dict[str, Tensor] = {}
 
     def pool_of(name: str) -> Tensor:
@@ -367,7 +356,7 @@ def _eval_ppi(model, cfg, args, prompt_sel):
 
     preds, truths = [], []
     for (a, b), bits in sorted(graph.edges.items()):
-        logits = model.pair_logits(pool_of(a), pool_of(b), kind).data
+        logits = model.pair_logits(pool_of(a), pool_of(b), graph.label_width).data
         preds.append((logits > 0).astype(np.int64))
         truths.append(bits)
     f1 = MX.micro_f1(np.stack(preds), np.stack(truths))
@@ -430,7 +419,10 @@ def _eval_ss(model, cfg, args, prompt_sel):
                 f"{args.data}: row {name!r} has {len(label_str)} labels "
                 f"for {len(residues)} residues"
             )
-        truth = np.array([int(c) for c in label_str], dtype=np.int64)
+        try:
+            truth = np.array([int(c) for c in label_str], dtype=np.int64)
+        except ValueError:
+            raise FormatError(f"{args.data}: row {name!r} has non-digit labels {label_str!r}")
         seq = T.encode(residues, cfg.max_len, name)
         logits = model.token_logits(model.encode(seq, prompt_sel), classes)
         preds.append(np.argmax(logits.data, axis=1))
@@ -471,7 +463,7 @@ def cmd_build_contacts(args) -> int:
     for pdb_file in pdb_files:
         try:
             chains, skips = D.parse_pdb(pdb_file)
-        except (FormatError, DataError) as exc:
+        except (DataError, UnicodeDecodeError) as exc:
             report_lines.append(f"error: {exc}")
             print(f"error: {exc}", file=sys.stderr)
             hard_errors += 1
@@ -656,7 +648,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 1
     except Error as exc:

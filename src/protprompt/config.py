@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -50,9 +50,6 @@ class RunConfig:
     # objective weights
     lambda_weight: float = 1.0
     alpha_ppi: float = 1.0
-    alpha_contact: float = 1.0
-    alpha_ss: float = 1.0
-    alpha_regress: float = 1.0
     mlm_reduction: str = "sum"  # or "mean"
     # masking policy
     mask_rate: float = 0.15
@@ -64,7 +61,6 @@ class RunConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
-    weight_decay: float = 0.0
     warmup_updates: int = 0
     # training loop
     steps: int = 200
@@ -97,9 +93,8 @@ class RunConfig:
             raise ConfigError(f"mlm_reduction must be sum or mean, got {self.mlm_reduction!r}")
         if self.lambda_weight < 0:
             raise ConfigError("lambda must be >= 0")
-        for name in ("alpha_ppi", "alpha_contact", "alpha_ss", "alpha_regress"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+        if self.alpha_ppi < 0:
+            raise ConfigError("alpha_ppi must be >= 0")
         if not (0.0 < self.mask_rate < 1.0):
             raise ConfigError(f"mask_rate must be in (0, 1), got {self.mask_rate}")
         psum = self.mask_prob_mask + self.mask_prob_random + self.mask_prob_keep
@@ -107,8 +102,6 @@ class RunConfig:
             raise ConfigError(f"mask policy probabilities sum to {psum}, expected 1")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
-        if self.weight_decay != 0.0:
-            raise ConfigError("weight decay is fixed at 0 for this model family")
         if self.warmup_updates < 0:
             raise ConfigError("warmup_updates must be >= 0")
         if self.steps < 0 or self.checkpoint_every <= 0 or self.keep_last <= 0:
@@ -128,12 +121,7 @@ class RunConfig:
         return tuple(p.strip() for p in self.prompts.split(","))
 
     def alpha(self) -> dict[str, float]:
-        return {
-            "ppi": self.alpha_ppi,
-            "contact": self.alpha_contact,
-            "ss": self.alpha_ss,
-            "regress": self.alpha_regress,
-        }
+        return {"ppi": self.alpha_ppi}
 
     def warnings(self) -> list[str]:
         """Out-of-range notes for values beyond the vetted search bounds."""
@@ -170,6 +158,9 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 # the config surface accepts canonical keys only (so "lambda", never the
 # internal attribute spelling)
 _VALID_KEYS = {_FIELD_TO_KEY.get(name, name) for name in _FIELD_TYPES}
+# keys that older checkpoints store but that never had an effect: skipped
+# in a stored config, unknown everywhere else
+_RETIRED_KEYS = ("alpha_contact", "alpha_regress", "alpha_ss", "weight_decay")
 
 
 def _coerce(field_name: str, raw: str):
@@ -227,7 +218,8 @@ def build_config(
     """Assemble a RunConfig from (optional) base text, file and overrides.
 
     base_text is a stored canonical config (e.g. from a checkpoint); the
-    file, then the overrides, are layered on top of it.
+    file, then the overrides, are layered on top of it. Retired keys in
+    base_text are dropped, so checkpoints that name them still load.
     """
     values: dict[str, object] = {}
 
@@ -239,7 +231,8 @@ def build_config(
             values[fname] = _coerce(fname, raw)
 
     if base_text is not None:
-        absorb(_kv_pairs(base_text.splitlines()))
+        stored = _kv_pairs(base_text.splitlines())
+        absorb({k: v for k, v in stored.items() if k not in _RETIRED_KEYS})
     if file_path:
         absorb(read_config_file(file_path))
     if overrides:

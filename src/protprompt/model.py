@@ -119,12 +119,6 @@ class EncoderOutput:
     seq: TokenSequence
     attn: list | None = None  # per layer, per head attention rows (numpy)
 
-    def prompt_rows(self) -> Tensor:
-        return nm.slice_rows(self.h, 0, self.m)
-
-    def input_rows(self) -> Tensor:
-        return nm.slice_rows(self.h, self.m, self.h.shape[0])
-
     def residue_rows(self) -> Tensor:
         """Rows of real residues only (CLS, EOS and prompts excluded)."""
         return nm.select_rows(self.h, self.m + self.seq.residue_positions())
@@ -269,19 +263,21 @@ class ProteinEncoder:
         rows = nm.select_rows(out.h, out.m + pos)
         return nm.affine(rows, self.mlm_w, self.mlm_b)
 
-    def pair_logits(self, pooled_p: Tensor, pooled_q: Tensor, kind: str = "types") -> Tensor:
+    def pair_logits(self, pooled_p: Tensor, pooled_q: Tensor, width: int) -> Tensor:
         """Symmetric pair scores from two pooled vectors.
 
-        kind "types" gives 7 interaction-type logits, "binary" one logit.
-        Symmetry holds by construction: the feature is the elementwise
-        product, which is commutative.
+        width is the label width: 1 selects the binary head (one logit),
+        PAIR_TYPES the interaction-type head. Symmetry holds by
+        construction: the feature is the elementwise product, which is
+        commutative.
         """
-        feat = nm.mul(pooled_p, pooled_q)
-        if kind == "types":
-            return nm.affine(feat, self.pair_w, self.pair_b)
-        if kind == "binary":
-            return nm.affine(feat, self.pair_bin_w, self.pair_bin_b)
-        raise ConfigError(f"unknown pair head kind {kind!r}")
+        if width == 1:
+            w, b = self.pair_bin_w, self.pair_bin_b
+        elif width == PAIR_TYPES:
+            w, b = self.pair_w, self.pair_b
+        else:
+            raise ConfigError(f"no pair head has {width} logits (1 or {PAIR_TYPES})")
+        return nm.affine(nm.mul(pooled_p, pooled_q), w, b)
 
     def contact_logits(self, out: EncoderOutput) -> Tensor:
         """Residue-residue contact logits, (n_res, n_res).

@@ -20,13 +20,15 @@ never into an input's .data, an upstream gradient, or an array already
 captured by a backward closure or handed to a caller.
 
 Each kernel formula (affine, layernorm, GELU, attention) is written once,
-as an array-level forward and backward pair. The single-op primitives and
-two fused nodes call them: encoder_input (prompt rows plus the three
-embedding lookups) and encoder_layer (attention, residuals, layernorms
-and the feed-forward block). An encoder with L layers therefore records
-L+1 tape nodes per sequence. The fused nodes perform the same float
-operations in the same order as the per-op chain, so their outputs and
-gradients are bit for bit those of the chain.
+as an array-level forward and backward pair. affine and two fused nodes
+call them: encoder_input (prompt rows plus the three embedding lookups)
+and encoder_layer (attention, residuals, layernorms and the feed-forward
+block). An encoder with L layers therefore records L+1 tape nodes per
+sequence. The fused nodes perform the same float operations in the same
+order as a chain of single-op nodes, so their outputs and gradients are
+bit for bit those of the chain. That chain (single-op attention,
+layernorm, GELU and embedding lookup over the same kernels) lives in
+tests/conftest.py as the oracle the fused nodes are checked against.
 
 GELU takes erf from scipy.special, the module's one scipy dependency. It is
 imported the first time a GELU runs, so commands that never run the encoder
@@ -256,22 +258,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     return _node(tuple(parts), out_data, backprop, "concat_rows")
 
 
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous row slice x[start:stop] of a 2-d tensor."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"slice_rows needs a 2-d tensor, got {x.shape}")
-    if not (0 <= start <= stop <= x.shape[0]):
-        raise ShapeError(f"slice_rows [{start}:{stop}] out of range for {x.shape}")
-    out_data = x.data[start:stop].copy()
-
-    def backprop(g):
-        full = np.zeros_like(x.data)
-        full[start:stop] = g
-        _accum(x, full)
-
-    return _node((x,), out_data, backprop, "slice_rows")
-
-
 def select_rows(x: Tensor, indices) -> Tensor:
     """Gather rows x[indices]; duplicate indices accumulate gradient."""
     if x.data.ndim != 2:
@@ -340,9 +326,9 @@ def mean_over_rows(x: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # array-level kernels: one forward and one backward per formula, shared by
-# the single-op primitives below and by the fused encoder nodes. Reductions
-# call the ufuncs directly (np.add.reduce, np.maximum.reduce): the same
-# operations in the same order as .sum/.mean/.max, without their wrappers.
+# affine and the fused encoder nodes. Reductions call the ufuncs directly
+# (np.add.reduce, np.maximum.reduce): the same operations in the same order
+# as .sum/.mean/.max, without their wrappers.
 # A backward helper takes the parameters as tensors, accumulates their
 # gradients when they require one, and returns the input's gradient.
 
@@ -443,7 +429,15 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
 def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, m: int,
                        mask_mode: str, collect: list | None):
     """One-way multi-head attention of (n, d) arrays, the first m rows prompts:
-    (out, saved), where saved = (qh, kt, vh, y, w) holds what the backward needs."""
+    (out, saved), where saved = (qh, kt, vh, y, w) holds what the backward needs.
+
+    Head h owns columns [h*dh, (h+1)*dh), dh = d/heads. S = (Q_h K_h^T) * c,
+    c = 1/sqrt(dh), Y = softmax(S). A prompt row attends only to itself, so
+    the mask applies by structure: additive sets Y's prompt rows to identity
+    rows and W = Y; literal sets W = Y with prompt rows zeroed off the
+    diagonal. The heads' W V_h fill the (n, d) result, and collect (a list)
+    gets the W.
+    """
     n, d = q.shape
     if d % heads or not 0 <= m <= n:
         raise ShapeError(f"attention over {q.shape} got {heads} heads and {m} prompts")
@@ -468,7 +462,11 @@ def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, 
 
 
 def _attention_backward(g: np.ndarray, m: int, mask_mode: str, saved):
-    """(dq, dk, dv) of attention for upstream g, from _attention_forward's saved."""
+    """(dq, dk, dv) of attention for upstream g, from _attention_forward's saved.
+
+    With G a head's upstream block: dV = W^T G, dW = G V^T (masked like W if
+    literal), dS = Y * (dW - rowsum(dW * Y)) * c, dQ = dS K, dK = (Q^T dS)^T.
+    """
     qh, kt, vh, y, w = saved
     heads, n, dh = qh.shape
     gh = g.reshape(n, heads, dh).transpose(1, 0, 2)
@@ -493,42 +491,7 @@ def _gather_backward(table: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# single-op primitives built on those kernels
-
-
-def multihead_attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    heads: int,
-    m: int,
-    mask_mode: str,
-    collect: list | None = None,
-) -> Tensor:
-    """One-way scaled dot-product attention over `heads` column blocks.
-
-    q, k, v are (n, d), the first m rows prompts (0 <= m <= n); head h owns
-    columns [h*dh, (h+1)*dh), dh = d/heads. S = (Q_h K_h^T) * c, c =
-    1/sqrt(dh), Y = softmax(S). A prompt row attends only to itself, so the
-    mask applies by structure: additive sets Y's prompt rows to identity
-    rows and W = Y; literal sets W = Y with prompt rows zeroed off the
-    diagonal. The heads' W V_h fill the (n, d) result, and collect (a list)
-    gets the W. One tape node; with G a head's upstream block: dV = W^T G,
-    dW = G V^T (masked like W if literal), dS = Y * (dW - rowsum(dW * Y)) * c,
-    dQ = dS K, dK = (Q^T dS)^T.
-    """
-    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
-        raise ShapeError(f"attention got q/k/v {q.shape}/{k.shape}/{v.shape}")
-    out_data, saved = _attention_forward(q.data, k.data, v.data, heads, m, mask_mode,
-                                         collect)
-
-    def backprop(g):
-        dq, dk, dv = _attention_backward(g, m, mask_mode, saved)
-        _accum(v, dv)
-        _accum(q, dq)
-        _accum(k, dk)
-
-    return _node((q, k, v), out_data, backprop, "multihead_attention")
+# single-op primitives
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:
@@ -544,38 +507,6 @@ def log_softmax_rows(x: Tensor) -> Tensor:
         _accum(x, g - p * g.sum(axis=1, keepdims=True))
 
     return _node((x,), y, backprop, "log_softmax_rows")
-
-
-def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYERNORM_EPS) -> Tensor:
-    """Row-wise layer normalisation with learnable gain/bias, eps=1e-5.
-
-    x (n,d), gain (d,), bias (d,) -> (n,d).
-    """
-    if x.data.ndim != 2:
-        raise ShapeError(f"layernorm needs a 2-d tensor, got {x.shape}")
-    d = x.shape[1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(
-            f"layernorm gain/bias shapes {gain.shape}/{bias.shape} do not match width {d}"
-        )
-    out_data, xhat, invstd = _layernorm_forward(x.data, gain.data, bias.data, eps)
-
-    def backprop(g):
-        dx = _layernorm_backward(g, gain, bias, xhat, invstd, x.requires_grad)
-        if dx is not None:
-            _accum(x, dx)
-
-    return _node((x, gain, bias), out_data, backprop, "layernorm")
-
-
-def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) GELU, applied elementwise."""
-    out_data, cdf = _gelu_forward(x.data)
-
-    def backprop(g):
-        _accum(x, _gelu_backward(g, x.data, cdf))
-
-    return _node((x,), out_data, backprop, "gelu")
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -598,19 +529,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node((x, w, b), out_data, backprop, "affine")
 
 
-def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather table rows by integer id; duplicate ids accumulate gradient."""
-    if table.data.ndim != 2:
-        raise ShapeError(f"embedding table must be 2-d, got {table.shape}")
-    idx = _checked_ids(ids, table.shape[0])
-    out_data = table.data[idx]
-
-    def backprop(g):
-        _gather_backward(table, idx, g)
-
-    return _node((table,), out_data, backprop, "embedding_lookup")
-
-
 def _checked_ids(ids, rows: int) -> np.ndarray:
     idx = np.asarray(ids, dtype=np.intp)
     if idx.ndim != 1:
@@ -625,7 +543,7 @@ def _checked_ids(ids, rows: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # fused encoder nodes: the same float operations in the same order as the
-# chains of single-op primitives they replace, recorded as one tape node.
+# chains of single-op nodes they replace, recorded as one tape node.
 # Without a tape they build no closure, and encoder_layer lets q, k and v go
 # once they are split into heads and the (heads, n, n) blocks go once the
 # attention output exists, so a tape-free encode holds one score block.
@@ -691,10 +609,10 @@ def encoder_layer(
 
     weights = (wq, bq, wk, bk, wv, bv, wo, bo, ln1_gain, ln1_bias,
     w1, b1, w2, b2, ln2_gain, ln2_bias), x (n, d):
-        a = multihead_attention(x wq + bq, x wk + bk, x wv + bv) wo + bo
+        a = attention(x wq + bq, x wk + bk, x wv + bv) wo + bo
         h = layernorm(x + a; ln1),  out = layernorm(h + gelu(h w1 + b1) w2 + b2; ln2)
     with heads, m (x's prompt rows come first), mask_mode and collect as in
-    multihead_attention. The closed-form backward runs the single-op
+    _attention_forward. The closed-form backward runs the kernels'
     backwards in reverse order; the gradient reaches h as d_res2 + dh_ff
     and x as ((d_res1 + dx_v) + dx_k) + dx_q, the order in which the per-op
     tape summed them. Every intermediate the per-op chain checked is

@@ -19,7 +19,7 @@ weighted total gives every parameter exactly its routed gradient.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -218,18 +218,19 @@ class Adam:
 
 @dataclass
 class MlmTaskBatch:
+    """Masked sequences, encoded with every prompt the model holds."""
+
     sequences: list[TokenSequence]
     masked: list[MlmBatch]
-    prompt_names: tuple[str, ...] = ()
 
 
 @dataclass
 class PairTaskBatch:
+    """Labeled pairs, encoded with every prompt the model holds."""
+
     name: str  # task name, e.g. "ppi"
     pairs: list[tuple[TokenSequence, TokenSequence]]
-    labels: np.ndarray  # (k, 1) or (k, 7) 0/1 floats
-    kind: str = "binary"  # pair head variant
-    prompt_names: tuple[str, ...] = ()
+    labels: np.ndarray  # (k, 1) or (k, 7) 0/1 floats; the width picks the pair head
 
 
 def _forward_mlm(
@@ -237,10 +238,11 @@ def _forward_mlm(
 ) -> Tensor:
     if not batch.sequences:
         raise ContractError("empty masked-token batch")
+    prompts = model.prompts.names()
     loss: Tensor | None = None
     for seq, masked in zip(batch.sequences, batch.masked):
         corrupted = TokenSequence(ids=masked.corrupted, source_id=seq.source_id)
-        out = model.encode(corrupted, batch.prompt_names, frozen=frozen)
+        out = model.encode(corrupted, prompts, frozen=frozen)
         logits = model.mlm_logits(out, masked.positions)
         term = mlm_loss(logits, masked.targets, reduction)
         loss = term if loss is None else nm.add(loss, term)
@@ -250,22 +252,23 @@ def _forward_mlm(
 def _forward_pairs(model, batch: PairTaskBatch, frozen: frozenset[str] = frozenset()) -> Tensor:
     if not batch.pairs:
         raise ContractError("empty pair batch")
+    # labels must be (pairs, width); ppi_loss rejects any other shape
+    labels = np.asarray(batch.labels, dtype=np.float64)
+    prompts = model.prompts.names()
     pooled: dict[str, Tensor] = {}
 
     def pool_of(seq: TokenSequence) -> Tensor:
         # each distinct protein is encoded once per step
         key = seq.source_id or seq.ids.tobytes().hex()
         if key not in pooled:
-            pooled[key] = model.pool(model.encode(seq, batch.prompt_names, frozen=frozen))
+            pooled[key] = model.pool(model.encode(seq, prompts, frozen=frozen))
         return pooled[key]
 
     logit_rows = [
-        nm.reshape(model.pair_logits(pool_of(p), pool_of(q), batch.kind), (1, -1))
+        nm.reshape(model.pair_logits(pool_of(p), pool_of(q), labels.shape[-1]), (1, -1))
         for p, q in batch.pairs
     ]
-    logits = nm.concat_rows(logit_rows)
-    labels = np.asarray(batch.labels, dtype=np.float64).reshape(logits.shape)
-    return ppi_loss(logits, labels)
+    return ppi_loss(nm.concat_rows(logit_rows), labels)
 
 
 def train_step(

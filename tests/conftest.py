@@ -8,7 +8,7 @@ from scipy.special import erf
 from protprompt import numerics as nm
 from protprompt import objectives as O
 from protprompt import tokenizer as T
-from protprompt.errors import ContractError
+from protprompt.errors import ContractError, ShapeError
 from protprompt.numerics import Tape, Tensor
 
 # The oracle's additive penalty at disallowed logits: finite, yet large
@@ -113,6 +113,69 @@ def reference_routed_step(model, optimizer, mlm_batch, task_batches, policy,
     return routed, {source: float(t.data) for source, t in losses.items()}
 
 
+# ---------------------------------------------------------------------------
+# single-op nodes over numerics' kernels: the per-op chain that the fused
+# encoder_input and encoder_layer nodes are checked against
+
+
+def multihead_attention(q, k, v, heads, m, mask_mode, collect=None):
+    """One-way attention of (n, d) q, k, v, the first m rows prompts, as one
+    tape node; the kernels' docstrings give the forward and backward."""
+    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"attention got q/k/v {q.shape}/{k.shape}/{v.shape}")
+    out_data, saved = nm._attention_forward(q.data, k.data, v.data, heads, m, mask_mode,
+                                            collect)
+
+    def backprop(g):
+        dq, dk, dv = nm._attention_backward(g, m, mask_mode, saved)
+        nm._accum(v, dv)
+        nm._accum(q, dq)
+        nm._accum(k, dk)
+
+    return nm._node((q, k, v), out_data, backprop, "multihead_attention")
+
+
+def layernorm(x, gain, bias, eps=nm.LAYERNORM_EPS):
+    """Row-wise layer normalisation: x (n, d), gain (d,), bias (d,) -> (n, d)."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"layernorm needs a 2-d tensor, got {x.shape}")
+    d = x.shape[1]
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(
+            f"layernorm gain/bias shapes {gain.shape}/{bias.shape} do not match width {d}"
+        )
+    out_data, xhat, invstd = nm._layernorm_forward(x.data, gain.data, bias.data, eps)
+
+    def backprop(g):
+        dx = nm._layernorm_backward(g, gain, bias, xhat, invstd, x.requires_grad)
+        if dx is not None:
+            nm._accum(x, dx)
+
+    return nm._node((x, gain, bias), out_data, backprop, "layernorm")
+
+
+def gelu(x):
+    """Exact (erf-based) GELU, applied elementwise."""
+    out_data, cdf = nm._gelu_forward(x.data)
+
+    def backprop(g):
+        nm._accum(x, nm._gelu_backward(g, x.data, cdf))
+
+    return nm._node((x,), out_data, backprop, "gelu")
+
+
+def embedding_lookup(table, ids):
+    """Gather table rows by integer id; duplicate ids accumulate gradient."""
+    if table.data.ndim != 2:
+        raise ShapeError(f"embedding table must be 2-d, got {table.shape}")
+    idx = nm._checked_ids(ids, table.shape[0])
+
+    def backprop(g):
+        nm._gather_backward(table, idx, g)
+
+    return nm._node((table,), table.data[idx], backprop, "embedding_lookup")
+
+
 def reference_encoder_layer(weights, heads, x, m, mask_mode, collect=None):
     """The per-op chain an encoder layer ran before it had a node of its
     own: twelve single-op tape nodes (q/k/v affines, attention, the output
@@ -122,11 +185,11 @@ def reference_encoder_layer(weights, heads, x, m, mask_mode, collect=None):
     q = nm.affine(x, wq, bq)
     k = nm.affine(x, wk, bk)
     v = nm.affine(x, wv, bv)
-    heads_out = nm.multihead_attention(q, k, v, heads, m, mask_mode, collect)
+    heads_out = multihead_attention(q, k, v, heads, m, mask_mode, collect)
     attn_out = nm.affine(heads_out, wo, bo)
-    x = nm.layernorm(nm.add(x, attn_out), ln1_gain, ln1_bias)
-    ff = nm.affine(nm.gelu(nm.affine(x, ff_w1, ff_b1)), ff_w2, ff_b2)
-    return nm.layernorm(nm.add(x, ff), ln2_gain, ln2_bias)
+    x = layernorm(nm.add(x, attn_out), ln1_gain, ln1_bias)
+    ff = nm.affine(gelu(nm.affine(x, ff_w1, ff_b1)), ff_w2, ff_b2)
+    return layernorm(nm.add(x, ff), ln2_gain, ln2_bias)
 
 
 def reference_embed(model, seq, prompt_names=(), frozen=frozenset()):
@@ -134,9 +197,9 @@ def reference_embed(model, seq, prompt_names=(), frozen=frozenset()):
     then one reshape per prompt and a concat; frozen prompts enter as
     constant copies."""
     n = seq.ids.size
-    tok = nm.embedding_lookup(model.tok_table, seq.ids)
-    seg = nm.embedding_lookup(model.seg_table, np.zeros(n, dtype=np.intp))
-    pos = nm.embedding_lookup(model.pos_table, np.arange(n, dtype=np.intp))
+    tok = embedding_lookup(model.tok_table, seq.ids)
+    seg = embedding_lookup(model.seg_table, np.zeros(n, dtype=np.intp))
+    pos = embedding_lookup(model.pos_table, np.arange(n, dtype=np.intp))
     x_in = nm.add(nm.add(tok, seg), pos)
     if not prompt_names:
         return x_in

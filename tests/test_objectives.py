@@ -78,11 +78,10 @@ def _fixture(seed=0, prompts=("Seq", "IC"), d=16, layers=1, heads=2):
     model = ProteinEncoder(cfg, seed=seed)
     seqs = [T.encode(s, 10, f"s{i}") for i, s in enumerate(("ACDEF", "WYKRH", "MNPQS"))]
     masked = [T.apply_mlm_mask(s, 0.3, (5, i)) for i, s in enumerate(seqs)]
-    mlm = O.MlmTaskBatch(sequences=seqs, masked=masked, prompt_names=tuple(prompts))
+    mlm = O.MlmTaskBatch(sequences=seqs, masked=masked)
     pairs = [(seqs[0], seqs[1]), (seqs[1], seqs[2]), (seqs[0], seqs[2])]
     labels = np.array([[1.0], [0.0], [1.0]])
-    ppi = O.PairTaskBatch(name="ppi", pairs=pairs, labels=labels,
-                          kind="binary", prompt_names=tuple(prompts))
+    ppi = O.PairTaskBatch(name="ppi", pairs=pairs, labels=labels)
     return model, mlm, ppi
 
 
