@@ -85,39 +85,43 @@ def _mlm_batch(corpus, cfg: RunConfig, step: int) -> O.MlmTaskBatch:
     return O.MlmTaskBatch(sequences=seqs, masked=masked)
 
 
-def _pair_pretrain_batch(
-    graph: D.PPIGraph, encoded, cfg: RunConfig, step: int
-) -> O.PairTaskBatch:
-    """Sample positive rows plus an equal count of non-adjacent negatives.
+def _pretrain_ppi_batches(graph: D.PPIGraph, encoded, cfg: RunConfig):
+    """Per-step batches of positive rows plus an equal count of non-adjacent
+    negatives.
 
     Files that carry explicit 0 labels supply their own negatives and are
     sampled as given.
     """
-    picked = _pick_rows(sorted(graph.edges.items()), cfg, step)
-    size = len(picked)
-    pairs = [(encoded[a], encoded[b]) for (a, b), _ in picked]
-    labels = [1.0 if bits.any() else 0.0 for _, bits in picked]
+    rows = sorted(graph.edges.items())
+    names = sorted(graph.nodes)
     has_explicit_negatives = graph.label_width == 1 and any(
         not bits.any() for bits in graph.edges.values()
     )
-    if not has_explicit_negatives:
-        neg_rng = _step_rng(cfg.seed, step, _RNG_NEGATIVES)
-        names = sorted(graph.nodes)
-        got, tries = 0, 0
-        while got < size and tries < 1000 * size:
-            tries += 1
-            a, b = (names[int(k)] for k in neg_rng.integers(len(names), size=2))
-            if a == b:
-                continue
-            key = (a, b) if a < b else (b, a)
-            if key in graph.edges:
-                continue
-            pairs.append((encoded[a], encoded[b]))
-            labels.append(0.0)
-            got += 1
-        if got < size:
-            raise DataError("graph too dense to sample non-interacting pairs")
-    return O.PairTaskBatch(name="ppi", pairs=pairs, labels=np.array(labels).reshape(-1, 1))
+
+    def build(step: int) -> O.PairTaskBatch:
+        picked = _pick_rows(rows, cfg, step)
+        size = len(picked)
+        pairs = [(encoded[a], encoded[b]) for (a, b), _ in picked]
+        labels = [1.0 if bits.any() else 0.0 for _, bits in picked]
+        if not has_explicit_negatives:
+            neg_rng = _step_rng(cfg.seed, step, _RNG_NEGATIVES)
+            got, tries = 0, 0
+            while got < size and tries < 1000 * size:
+                tries += 1
+                a, b = (names[int(k)] for k in neg_rng.integers(len(names), size=2))
+                if a == b:
+                    continue
+                key = (a, b) if a < b else (b, a)
+                if key in graph.edges:
+                    continue
+                pairs.append((encoded[a], encoded[b]))
+                labels.append(0.0)
+                got += 1
+            if got < size:
+                raise DataError("graph too dense to sample non-interacting pairs")
+        return O.PairTaskBatch(name="ppi", pairs=pairs, labels=np.array(labels).reshape(-1, 1))
+
+    return build
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +191,7 @@ def cmd_pretrain(args) -> int:
     # the graph's endpoints reuse the corpus's encodings
     graph = _load_ppi(cfg.ppi, table) if cfg.ppi else None
     tasks = ("ppi",) if graph is not None else ()
+    pair_batch = _pretrain_ppi_batches(graph, encoded, cfg) if graph is not None else None
 
     start_step = int(state.get("opt.step", np.asarray(0.0)))
     if model is None:
@@ -211,14 +216,11 @@ def cmd_pretrain(args) -> int:
             log.write("\n".join(_metrics_log_header(cfg, tasks)) + "\n")
         for step in range(start_step, cfg.steps):
             mlm = _mlm_batch(corpus, cfg, step)
-            pair_batches = []
-            if graph is not None:
-                pair_batches.append(_pair_pretrain_batch(graph, encoded, cfg, step))
             report = O.train_step(
                 model,
                 optimizer,
                 mlm,
-                pair_batches,
+                [pair_batch(step)] if pair_batch is not None else [],
                 policy,
                 cfg.lambda_weight,
                 cfg.alpha(),
@@ -238,15 +240,14 @@ def cmd_pretrain(args) -> int:
 def _read_labeled_tsv(path):
     """Rows of id, sequence, value... used by ss/regress tasks."""
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.rstrip("\n")
-            if not stripped.strip() or stripped.startswith("#"):
-                continue
-            cells = stripped.split("\t")
-            if len(cells) < 3:
-                raise FormatError(f"{path}:{lineno}: expected id, sequence, value columns")
-            rows.append((cells[0].strip(), cells[1].strip(), cells[2:]))
+    for lineno, line in D.read_lines(path):
+        stripped = line.rstrip("\n")
+        if not stripped.strip() or stripped.startswith("#"):
+            continue
+        cells = stripped.split("\t")
+        if len(cells) < 3:
+            raise FormatError(f"{path}:{lineno}: expected id, sequence, value columns")
+        rows.append((cells[0].strip(), cells[1].strip(), cells[2:]))
     if not rows:
         raise DataError(f"{path}: no data rows")
     return rows
@@ -441,6 +442,8 @@ def _eval_regress(model, cfg, args, prompt_sel):
             truths.append(float(values[0]))
         except ValueError:
             raise FormatError(f"{args.data}: row {name!r} has non-numeric value {values[0]!r}")
+        if not np.isfinite(truths[-1]):
+            raise FormatError(f"{args.data}: row {name!r} has non-finite value {values[0]!r}")
         seq = T.encode(residues, cfg.max_len, name)
         pooled = model.pool(model.encode(seq, prompt_sel))
         preds.append(float(model.regress(pooled).data))
@@ -463,7 +466,7 @@ def cmd_build_contacts(args) -> int:
     for pdb_file in pdb_files:
         try:
             chains, skips = D.parse_pdb(pdb_file)
-        except (DataError, UnicodeDecodeError) as exc:
+        except DataError as exc:
             report_lines.append(f"error: {exc}")
             print(f"error: {exc}", file=sys.stderr)
             hard_errors += 1

@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass
 
+from .data import read_lines
 from .errors import ConfigError
 
 # keys that define the network topology; a command that reads a checkpoint
@@ -206,8 +207,7 @@ def _kv_pairs(lines) -> dict[str, str]:
 
 
 def read_config_file(path) -> dict[str, str]:
-    with open(path) as fh:
-        return _kv_pairs(fh)
+    return _kv_pairs(line for _, line in read_lines(path))
 
 
 def build_config(

@@ -7,6 +7,7 @@ returned in skip reports so callers can surface them.
 
 from __future__ import annotations
 
+import io
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -21,6 +22,18 @@ CONTACT_TAGS = ("native", "interaction")
 
 # residues resolved to CB, glycine to CA; other atoms are ignored
 _COORD_ATOMS = ("CB", "CA")
+
+
+def read_lines(path):
+    """(line number, line) pairs of a UTF-8 text file, newlines translated as
+    in text mode; bytes that are not UTF-8 are a FormatError naming the line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return enumerate(io.StringIO(raw.decode("utf-8"), newline=None), start=1)
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}:{lineno}: not utf-8 (byte {raw[exc.start]:#04x})") from None
 
 
 def parse_fasta(path) -> dict[str, str]:
@@ -41,27 +54,26 @@ def parse_fasta(path) -> dict[str, str]:
                 raise FormatError(f"{path}: record {current!r} has an empty sequence")
             table[current] = seq
 
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith(">"):
-                flush()
-                header = stripped[1:].strip()
-                if not header:
-                    raise FormatError(f"{path}:{lineno}: empty FASTA header")
-                name = header.split()[0]
-                if name in table:
-                    raise FormatError(f"{path}:{lineno}: duplicate sequence id {name!r}")
-                current = name
-                chunks = []
-            else:
-                if current is None:
-                    raise FormatError(
-                        f"{path}:{lineno}: sequence data before the first '>' header"
-                    )
-                chunks.append(stripped)
+    for lineno, line in read_lines(path):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith(">"):
+            flush()
+            header = stripped[1:].strip()
+            if not header:
+                raise FormatError(f"{path}:{lineno}: empty FASTA header")
+            name = header.split()[0]
+            if name in table:
+                raise FormatError(f"{path}:{lineno}: duplicate sequence id {name!r}")
+            current = name
+            chunks = []
+        else:
+            if current is None:
+                raise FormatError(
+                    f"{path}:{lineno}: sequence data before the first '>' header"
+                )
+            chunks.append(stripped)
     flush()
     return table
 
@@ -115,38 +127,37 @@ def parse_ppi_tsv(path) -> tuple[PPIGraph, list[str]]:
     """
     graph = PPIGraph()
     skipped: list[str] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.rstrip("\n")
-            if not stripped.strip() or stripped.startswith("#"):
-                continue
-            cells = stripped.split("\t")
-            if len(cells) not in (3, 9):
-                raise FormatError(
-                    f"{path}:{lineno}: expected 3 or 9 tab-separated columns, got {len(cells)}"
-                )
-            a, b = cells[0].strip(), cells[1].strip()
-            if not a or not b:
-                raise FormatError(f"{path}:{lineno}: empty protein id")
-            raw = cells[2:]
-            width = len(raw)
-            if graph.label_width == 0:
-                graph.label_width = width
-            elif graph.label_width != width:
-                raise FormatError(
-                    f"{path}:{lineno}: {width} label columns, "
-                    f"earlier rows had {graph.label_width}"
-                )
-            try:
-                labels = np.array([int(c) for c in raw], dtype=np.int64)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: labels must be integers, got {raw}")
-            if not np.all((labels == 0) | (labels == 1)):
-                raise FormatError(f"{path}:{lineno}: labels must be 0 or 1, got {raw}")
-            if a == b:
-                skipped.append(f"{path}:{lineno}: self-loop {a!r} skipped")
-                continue
-            graph.add_edge(a, b, labels)
+    for lineno, line in read_lines(path):
+        stripped = line.rstrip("\n")
+        if not stripped.strip() or stripped.startswith("#"):
+            continue
+        cells = stripped.split("\t")
+        if len(cells) not in (3, 9):
+            raise FormatError(
+                f"{path}:{lineno}: expected 3 or 9 tab-separated columns, got {len(cells)}"
+            )
+        a, b = cells[0].strip(), cells[1].strip()
+        if not a or not b:
+            raise FormatError(f"{path}:{lineno}: empty protein id")
+        raw = cells[2:]
+        width = len(raw)
+        if graph.label_width == 0:
+            graph.label_width = width
+        elif graph.label_width != width:
+            raise FormatError(
+                f"{path}:{lineno}: {width} label columns, "
+                f"earlier rows had {graph.label_width}"
+            )
+        try:
+            labels = np.array([int(c) for c in raw], dtype=np.int64)
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: labels must be integers, got {raw}")
+        if not np.all((labels == 0) | (labels == 1)):
+            raise FormatError(f"{path}:{lineno}: labels must be 0 or 1, got {raw}")
+        if a == b:
+            skipped.append(f"{path}:{lineno}: self-loop {a!r} skipped")
+            continue
+        graph.add_edge(a, b, labels)
     return graph, skipped
 
 
@@ -300,48 +311,47 @@ def parse_pdb(path) -> tuple[dict[str, list[ResidueRecord]], list[str]]:
         chain.append(rec)
         pending = None
 
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.startswith("ENDMDL"):
-                break
-            if not line.startswith("ATOM"):
-                continue
-            if len(line.rstrip("\n")) < 54:
-                raise FormatError(f"{path}:{lineno}: ATOM line shorter than coordinate fields")
-            atom_name = line[12:16].strip()
-            alt_loc = line[16]
-            res_name = line[17:20].strip()
-            chain_id = line[21]
-            icode = line[26]
-            try:
-                res_index = int(line[22:26])
-                x = float(line[30:38])
-                y = float(line[38:46])
-                z = float(line[46:54])
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: malformed fixed-width ATOM fields")
-            if icode != " ":
-                raise FormatError(
-                    f"{path}:{lineno}: insertion code {icode!r} not supported"
-                )
-            if alt_loc not in (" ", "A"):
-                continue
-            # every residue opens a record so ones lacking CB/CA still
-            # reach flush() and land in the skip report
-            key = (chain_id, res_index)
-            if pending is not None and (pending["chain"], pending["index"]) != key:
-                flush()
-            if pending is None:
-                pending = {
-                    "chain": chain_id,
-                    "index": res_index,
-                    "name": res_name,
-                    "atoms": {},
-                }
-            if atom_name in _COORD_ATOMS:
-                pending["atoms"].setdefault(
-                    atom_name, np.array([x, y, z], dtype=np.float64)
-                )
+    for lineno, line in read_lines(path):
+        if line.startswith("ENDMDL"):
+            break
+        if not line.startswith("ATOM"):
+            continue
+        if len(line.rstrip("\n")) < 54:
+            raise FormatError(f"{path}:{lineno}: ATOM line shorter than coordinate fields")
+        atom_name = line[12:16].strip()
+        alt_loc = line[16]
+        res_name = line[17:20].strip()
+        chain_id = line[21]
+        icode = line[26]
+        try:
+            res_index = int(line[22:26])
+            x = float(line[30:38])
+            y = float(line[38:46])
+            z = float(line[46:54])
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: malformed fixed-width ATOM fields")
+        if icode != " ":
+            raise FormatError(
+                f"{path}:{lineno}: insertion code {icode!r} not supported"
+            )
+        if alt_loc not in (" ", "A"):
+            continue
+        # every residue opens a record so ones lacking CB/CA still
+        # reach flush() and land in the skip report
+        key = (chain_id, res_index)
+        if pending is not None and (pending["chain"], pending["index"]) != key:
+            flush()
+        if pending is None:
+            pending = {
+                "chain": chain_id,
+                "index": res_index,
+                "name": res_name,
+                "atoms": {},
+            }
+        if atom_name in _COORD_ATOMS:
+            pending["atoms"].setdefault(
+                atom_name, np.array([x, y, z], dtype=np.float64)
+            )
     flush()
     if not chains:
         raise FormatError(f"{path}: no usable ATOM records found")
@@ -397,31 +407,31 @@ def write_contact_map(cmap: ContactMap, path) -> None:
 
 
 def read_contact_map(path) -> ContactMap:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        fields = dict(
-            part.split("=", 1) for part in header.split() if "=" in part
-        )
-        if set(fields) != {"n", "threshold", "tag"}:
-            raise FormatError(f"{path}:1: bad contact map header {header!r}")
-        try:
-            n = int(fields["n"])
-            threshold = float(fields["threshold"])
-        except ValueError:
-            raise FormatError(f"{path}:1: non-numeric header fields in {header!r}")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            # strip("01") leaves nothing exactly when every character is 0 or 1
-            if len(stripped) != n or stripped.strip("01"):
-                raise FormatError(
-                    f"{path}:{lineno}: expected {n} characters of 0/1, got {stripped!r}"
-                )
-            rows.append(stripped)
-        if len(rows) != n:
-            raise FormatError(f"{path}: expected {n} rows, found {len(rows)}")
+    lines = read_lines(path)
+    header = next(lines, (1, ""))[1].strip()
+    fields = dict(
+        part.split("=", 1) for part in header.split() if "=" in part
+    )
+    if set(fields) != {"n", "threshold", "tag"}:
+        raise FormatError(f"{path}:1: bad contact map header {header!r}")
+    try:
+        n = int(fields["n"])
+        threshold = float(fields["threshold"])
+    except ValueError:
+        raise FormatError(f"{path}:1: non-numeric header fields in {header!r}")
+    rows = []
+    for lineno, line in lines:
+        stripped = line.strip()
+        if not stripped:
+            continue
+        # strip("01") leaves nothing exactly when every character is 0 or 1
+        if len(stripped) != n or stripped.strip("01"):
+            raise FormatError(
+                f"{path}:{lineno}: expected {n} characters of 0/1, got {stripped!r}"
+            )
+        rows.append(stripped)
+    if len(rows) != n:
+        raise FormatError(f"{path}: expected {n} rows, found {len(rows)}")
     text = "".join(rows).encode("ascii")
     bits = (np.frombuffer(text, dtype=np.uint8) == ord("1")).reshape(n, n)
     if not np.array_equal(bits, bits.T):

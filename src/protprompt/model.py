@@ -255,29 +255,19 @@ class ProteinEncoder:
 
     # -- heads --
 
-    def mlm_logits(self, out: EncoderOutput, positions) -> Tensor:
-        """Vocabulary logits at the given input positions, (|Y|, 25)."""
-        pos = np.asarray(positions, dtype=np.intp)
-        if pos.size == 0:
-            raise ContractError("mlm_logits needs at least one target position")
-        rows = nm.select_rows(out.h, out.m + pos)
-        return nm.affine(rows, self.mlm_w, self.mlm_b)
+    def pair_head(self, width: int) -> tuple[Tensor, Tensor]:
+        """(w, b) of the binary (width 1) or interaction-type (PAIR_TYPES) head."""
+        if width == 1:
+            return self.pair_bin_w, self.pair_bin_b
+        if width == PAIR_TYPES:
+            return self.pair_w, self.pair_b
+        raise ConfigError(f"no pair head has {width} logits (1 or {PAIR_TYPES})")
 
     def pair_logits(self, pooled_p: Tensor, pooled_q: Tensor, width: int) -> Tensor:
-        """Symmetric pair scores from two pooled vectors.
-
-        width is the label width: 1 selects the binary head (one logit),
-        PAIR_TYPES the interaction-type head. Symmetry holds by
-        construction: the feature is the elementwise product, which is
-        commutative.
-        """
-        if width == 1:
-            w, b = self.pair_bin_w, self.pair_bin_b
-        elif width == PAIR_TYPES:
-            w, b = self.pair_w, self.pair_b
-        else:
-            raise ConfigError(f"no pair head has {width} logits (1 or {PAIR_TYPES})")
-        return nm.affine(nm.mul(pooled_p, pooled_q), w, b)
+        """Symmetric pair scores from two pooled vectors, from the head that
+        width picks. Symmetry holds by construction: the feature is the
+        elementwise product, which is commutative."""
+        return nm.affine(nm.mul(pooled_p, pooled_q), *self.pair_head(width))
 
     def contact_logits(self, out: EncoderOutput) -> Tensor:
         """Residue-residue contact logits, (n_res, n_res).

@@ -241,23 +241,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _node((x,), out_data, backprop, "reshape")
 
 
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack 2-d tensors along axis 0; column counts must agree."""
-    if not parts:
-        raise ContractError("concat_rows needs at least one tensor")
-    cols = {p.shape[1] for p in parts if p.data.ndim == 2}
-    if any(p.data.ndim != 2 for p in parts) or len(cols) != 1:
-        raise ShapeError(f"concat_rows got shapes {[p.shape for p in parts]}")
-    out_data = np.concatenate([p.data for p in parts], axis=0)
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
-
-    def backprop(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[lo:hi])
-
-    return _node(tuple(parts), out_data, backprop, "concat_rows")
-
-
 def select_rows(x: Tensor, indices) -> Tensor:
     """Gather rows x[indices]; duplicate indices accumulate gradient."""
     if x.data.ndim != 2:
@@ -275,28 +258,6 @@ def select_rows(x: Tensor, indices) -> Tensor:
         _accum(x, full)
 
     return _node((x,), out_data, backprop, "select_rows")
-
-
-def pick(x: Tensor, rows, cols) -> Tensor:
-    """Gather scalar entries x[rows[k], cols[k]] into a vector."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"pick needs a 2-d tensor, got {x.shape}")
-    r = np.asarray(rows, dtype=np.intp)
-    c = np.asarray(cols, dtype=np.intp)
-    if r.shape != c.shape or r.ndim != 1:
-        raise ShapeError("pick needs matching 1-d row/col index vectors")
-    if r.size and not (
-        0 <= r.min() and r.max() < x.shape[0] and 0 <= c.min() and c.max() < x.shape[1]
-    ):
-        raise ShapeError(f"pick index out of range for shape {x.shape}")
-    out_data = x.data[r, c]
-
-    def backprop(g):
-        full = np.zeros_like(x.data)
-        np.add.at(full, (r, c), g)
-        _accum(x, full)
-
-    return _node((x,), out_data, backprop, "pick")
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -494,21 +455,6 @@ def _gather_backward(table: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
 # single-op primitives
 
 
-def log_softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise log softmax, stabilised by row-max subtraction."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"log_softmax_rows needs a 2-d tensor, got {x.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    y = shifted - lse
-    p = np.exp(y)
-
-    def backprop(g):
-        _accum(x, g - p * g.sum(axis=1, keepdims=True))
-
-    return _node((x,), y, backprop, "log_softmax_rows")
-
-
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b. x (n,k) or (k,), w (k,m), b (m,)."""
     vector_in = x.data.ndim == 1
@@ -529,14 +475,13 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node((x, w, b), out_data, backprop, "affine")
 
 
-def _checked_ids(ids, rows: int) -> np.ndarray:
+def _checked_ids(ids, rows: int, what: str = "embedding id") -> np.ndarray:
     idx = np.asarray(ids, dtype=np.intp)
     if idx.ndim != 1:
-        raise ShapeError("embedding ids must be a 1-d integer sequence")
+        raise ShapeError(f"{what}s must be a 1-d integer sequence")
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
         raise ShapeError(
-            f"embedding id out of range: table has {rows} rows, "
-            f"ids span [{idx.min()}, {idx.max()}]"
+            f"{what} out of range: {rows} rows, ids span [{idx.min()}, {idx.max()}]"
         )
     return idx
 
@@ -727,29 +672,102 @@ def contact_scores(h: Tensor, w_prod: Tensor, w_diff: Tensor, b: Tensor) -> Tens
     return _node((h, w_prod, w_diff, b), out_data, backprop, "contact_scores")
 
 
-def bce_with_logits_mean(logits: Tensor, labels) -> Tensor:
-    """Mean binary cross-entropy on raw logits, log-sum-exp stabilised.
+# ---------------------------------------------------------------------------
+# fused loss nodes: one source's head and loss over a step's encodes as one
+# tape node. Row-wise work keeps the float order of the per-sequence chain in
+# tests/conftest.py; the one head matmul over the stacked rows and the
+# gradient sums over rows reorder additions, within 1e-12 of the chain.
 
-    labels is a constant array of 0/1 floats with the same shape as logits.
+
+def _checked_rows(hs: Sequence[Tensor], rows: Sequence, w: Tensor, b: Tensor) -> list:
+    if not hs:
+        raise ContractError("a loss node needs at least one sequence")
+    d = hs[0].shape[-1]
+    if len(hs) != len(rows) or any(h.data.ndim != 2 or h.shape[1] != d for h in hs):
+        raise ShapeError(f"{len(rows)} row sets for encoder outputs {[h.shape for h in hs]}")
+    if w.data.ndim != 2 or w.shape[0] != d or b.shape != (w.shape[1],):
+        raise ShapeError(f"head {w.shape}/{b.shape} does not fit width {d}")
+    idx = [_checked_ids(r, h.shape[0], "row") for h, r in zip(hs, rows)]
+    if not all(r.size for r in idx):
+        raise ContractError("every sequence needs at least one chosen row")
+    return idx
+
+
+def cross_entropy_rows(hs: Sequence[Tensor], rows: Sequence, targets: Sequence,
+                       w: Tensor, b: Tensor, mean: bool = False) -> Tensor:
+    """Summed cross-entropy of the affine head (w, b) over chosen rows, one node.
+
+    Sequence i gives rows[i] of hs[i] and their classes targets[i]. Over the
+    stacked rows X, Z = X w + b and log P = Z - logsumexp(Z), max-shifted per
+    row; sequence i's term is -sum log P[r, targets[r]] over its k_i rows,
+    times 1/k_i if mean, and the node adds the terms in sequence order.
+    Backward, with c = -g (or -g/k_i) per row: dZ = c (onehot - P), dw =
+    X^T dZ, db = column sums of dZ, and dZ w^T goes back to rows[i].
     """
-    y = np.asarray(labels, dtype=np.float64)
-    if y.shape != logits.shape:
-        raise ShapeError(f"labels shape {y.shape} does not match logits {logits.shape}")
-    if y.size == 0:
-        raise ContractError("bce_with_logits_mean on empty logits")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ContractError("bce labels must be 0 or 1")
-    z = logits.data
-    # max(z,0) - z*y + log(1+exp(-|z|)) is exact and never overflows
-    per = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    out_data = np.asarray(per.mean())
-    n = y.size
+    idx = _checked_rows(hs, rows, w, b)
+    counts = [r.size for r in idx]
+    if [len(t) for t in targets] != counts:
+        raise ContractError(f"{[len(t) for t in targets]} targets for {counts} rows")
+    tgt = _checked_ids(np.concatenate(targets), w.shape[1], "target")
+    starts = np.cumsum(counts)[:-1]
+    inv = 1.0 / np.array(counts, dtype=np.float64) if mean else np.ones(len(counts))
+    x = np.concatenate([h.data[r] for h, r in zip(hs, idx)])
+    z = _check_finite(_affine_forward(x, w.data, b.data), "affine")
+    shifted = z - z.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    chosen = _check_finite(logp, "log_softmax_rows")[np.arange(tgt.size), tgt]
+    sums = np.array([part.sum() for part in np.split(chosen, starts)])
+    # terms added one after another, as the chain's add nodes did
+    total = np.add.accumulate(_check_finite(sums, "sum_all") * -1.0 * inv)[-1]
+    p = np.exp(logp)
 
     def backprop(g):
-        # sigmoid(z) from e = exp(-|z|) <= 1: both branches are evaluated,
-        # so neither may overflow
+        per_row = np.repeat(float(g) * inv * -1.0, counts)
+        dz = np.zeros_like(p)
+        dz[np.arange(tgt.size), tgt] = per_row
+        dz -= p * per_row[:, None]
+        dx = _affine_backward(dz, x, w, b, any(h.requires_grad for h in hs))
+        if dx is not None:
+            for h, r, part in zip(hs, idx, np.split(dx, starts)):
+                _gather_backward(h, r, part)
+
+    return _node((*hs, w, b), np.asarray(total), backprop, "cross_entropy_rows")
+
+
+def pair_bce(hs: Sequence[Tensor], rows: Sequence, left, right, w: Tensor, b: Tensor,
+             labels) -> Tensor:
+    """Mean binary cross-entropy of the affine head (w, b) over pooled pairs, one node.
+
+    v_j is the mean of rows[j] of hs[j]. Pair r has the feature F_r =
+    v_left[r] * v_right[r], logits z_r = F_r w + b and 0/1 targets labels[r].
+    The loss, mean(max(z, 0) - z y + log(1 + exp(-|z|))), never overflows.
+    Backward: dz = g (sigmoid(z) - y) / z.size, sigmoid taken from exp(-|z|)
+    <= 1 on both branches; dw = F^T dz, db = column sums of dz; v_j gathers
+    (dz w^T) * partner over every pair side it fills, spread evenly over rows[j].
+    """
+    idx = _checked_rows(hs, rows, w, b)
+    lhs, rhs = (_checked_ids(side, len(hs), "pair index") for side in (left, right))
+    y = np.asarray(labels, dtype=np.float64)
+    if not y.size or y.shape != (lhs.size, w.shape[1]) or rhs.shape != lhs.shape:
+        raise ShapeError(f"labels shape {y.shape} does not match {lhs.size} pairs of "
+                         f"{w.shape[1]} logits")
+    pooled = _check_finite(np.array([h.data[r].mean(axis=0) for h, r in zip(hs, idx)]),
+                           "mean_over_rows")
+    feats = _check_finite(pooled[lhs] * pooled[rhs], "mul")
+    z = _check_finite(_affine_forward(feats, w.data, b.data), "affine")
+    per = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+
+    def backprop(g):
         e = np.exp(-np.abs(z))
         sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        _accum(logits, float(g) * (sig - y) / n)
+        dfeats = _affine_backward(float(g) * (sig - y) / y.size, feats, w, b,
+                                  any(h.requires_grad for h in hs))
+        if dfeats is not None:
+            dpooled = np.zeros_like(pooled)
+            np.add.at(dpooled, lhs, dfeats * pooled[rhs])
+            np.add.at(dpooled, rhs, dfeats * pooled[lhs])
+            for h, r, dv in zip(hs, idx, dpooled):
+                if h.requires_grad:  # each row of r gets dv / len(r), once per listing
+                    _accum(h, np.bincount(r, minlength=h.shape[0])[:, None] * (dv / r.size))
 
-    return _node((logits,), out_data, backprop, "bce_with_logits_mean")
+    return _node((*hs, w, b), np.asarray(per.mean()), backprop, "pair_bce")

@@ -14,6 +14,12 @@ source present and each head from its own loss, by construction. Routing
 happens in the forward pass: while a source's forward runs, each prompt
 outside its route enters as a constant, so one backward sweep of the
 weighted total gives every parameter exactly its routed gradient.
+
+Each source records one loss node (numerics.cross_entropy_rows or
+numerics.pair_bce) after the L+1 nodes of each encode, L the layer count,
+and a few scale and add nodes weight the total. A pretrain benchmark step
+records about 117 nodes, against 287 for the per-sequence head and loss
+chain that tests/conftest.py keeps as the nodes' oracle.
 """
 
 from __future__ import annotations
@@ -29,35 +35,6 @@ from .numerics import Tape, Tensor
 from .tokenizer import MlmBatch, TokenSequence
 
 CONSERVE = "mlm"
-
-
-def mlm_loss(logits: Tensor, targets, reduction: str = "sum") -> Tensor:
-    """Masked-token cross-entropy: -sum(log q(y)) over target positions.
-
-    reduction "sum" (default) matches the pretraining definition; "mean"
-    divides by the number of targets.
-    """
-    t = np.asarray(targets, dtype=np.intp)
-    if t.size == 0:
-        raise ContractError("mlm_loss needs at least one target")
-    if logits.data.ndim != 2 or logits.shape[0] != t.size:
-        raise ContractError(f"logits shape {logits.shape} does not match {t.size} targets")
-    logp = nm.log_softmax_rows(logits)
-    chosen = nm.pick(logp, np.arange(t.size, dtype=np.intp), t)
-    loss = nm.scale(nm.sum_all(chosen), -1.0)
-    if reduction == "sum":
-        return loss
-    if reduction == "mean":
-        return nm.scale(loss, 1.0 / t.size)
-    raise ConfigError(f"unknown reduction {reduction!r}")
-
-
-def ppi_loss(logits: Tensor, labels) -> Tensor:
-    """Mean binary cross-entropy on interaction logits (1 or 7 slots)."""
-    y = np.asarray(labels, dtype=np.float64)
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ContractError("interaction labels must be 0 or 1")
-    return nm.bce_with_logits_mean(logits, y)
 
 
 def injection_loss(task_losses: dict[str, Tensor], alpha: dict[str, float]) -> Tensor:
@@ -236,39 +213,41 @@ class PairTaskBatch:
 def _forward_mlm(
     model, batch: MlmTaskBatch, reduction: str, frozen: frozenset[str] = frozenset()
 ) -> Tensor:
-    if not batch.sequences:
-        raise ContractError("empty masked-token batch")
+    if reduction not in ("sum", "mean"):
+        raise ConfigError(f"unknown reduction {reduction!r}")
     prompts = model.prompts.names()
-    loss: Tensor | None = None
-    for seq, masked in zip(batch.sequences, batch.masked):
-        corrupted = TokenSequence(ids=masked.corrupted, source_id=seq.source_id)
-        out = model.encode(corrupted, prompts, frozen=frozen)
-        logits = model.mlm_logits(out, masked.positions)
-        term = mlm_loss(logits, masked.targets, reduction)
-        loss = term if loss is None else nm.add(loss, term)
-    return loss
+    hs = [
+        model.encode(TokenSequence(ids=masked.corrupted, source_id=seq.source_id), prompts,
+                     frozen=frozen).h
+        for seq, masked in zip(batch.sequences, batch.masked)
+    ]
+    rows = [len(prompts) + masked.positions for masked in batch.masked]
+    targets = [masked.targets for masked in batch.masked]
+    return nm.cross_entropy_rows(hs, rows, targets, model.mlm_w, model.mlm_b,
+                                 mean=reduction == "mean")
 
 
 def _forward_pairs(model, batch: PairTaskBatch, frozen: frozenset[str] = frozenset()) -> Tensor:
     if not batch.pairs:
         raise ContractError("empty pair batch")
-    # labels must be (pairs, width); ppi_loss rejects any other shape
+    # labels must be (pairs, width); the width picks the head
     labels = np.asarray(batch.labels, dtype=np.float64)
+    if not np.all((labels == 0.0) | (labels == 1.0)):
+        raise ContractError("interaction labels must be 0 or 1")
+    w, b = model.pair_head(labels.shape[-1])
+    # each distinct protein is encoded once per step, in order of first use
+    proteins: dict[str, TokenSequence] = {}
+    pair_keys = []
+    for pair in batch.pairs:
+        pair_keys.append([seq.source_id or seq.ids.tobytes().hex() for seq in pair])
+        for key, seq in zip(pair_keys[-1], pair):
+            proteins.setdefault(key, seq)
+    slot = {key: j for j, key in enumerate(proteins)}
+    left, right = np.array([[slot[key] for key in keys] for keys in pair_keys]).T
     prompts = model.prompts.names()
-    pooled: dict[str, Tensor] = {}
-
-    def pool_of(seq: TokenSequence) -> Tensor:
-        # each distinct protein is encoded once per step
-        key = seq.source_id or seq.ids.tobytes().hex()
-        if key not in pooled:
-            pooled[key] = model.pool(model.encode(seq, prompts, frozen=frozen))
-        return pooled[key]
-
-    logit_rows = [
-        nm.reshape(model.pair_logits(pool_of(p), pool_of(q), labels.shape[-1]), (1, -1))
-        for p, q in batch.pairs
-    ]
-    return ppi_loss(nm.concat_rows(logit_rows), labels)
+    hs = [model.encode(seq, prompts, frozen=frozen).h for seq in proteins.values()]
+    rows = [len(prompts) + seq.residue_positions() for seq in proteins.values()]
+    return nm.pair_bce(hs, rows, left, right, w, b, labels)
 
 
 def train_step(

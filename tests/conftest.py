@@ -8,7 +8,7 @@ from scipy.special import erf
 from protprompt import numerics as nm
 from protprompt import objectives as O
 from protprompt import tokenizer as T
-from protprompt.errors import ContractError, ShapeError
+from protprompt.errors import ConfigError, ContractError, ShapeError
 from protprompt.numerics import Tape, Tensor
 
 # The oracle's additive penalty at disallowed logits: finite, yet large
@@ -209,7 +209,7 @@ def reference_embed(model, seq, prompt_names=(), frozen=frozenset()):
         if name in frozen:
             vec = Tensor(vec.data)
         rows.append(nm.reshape(vec, (1, model.config.d)))
-    return nm.concat_rows(rows + [x_in])
+    return concat_rows(rows + [x_in])
 
 
 def reference_encode(model, seq, prompt_names=(), frozen=frozenset()):
@@ -220,6 +220,160 @@ def reference_encode(model, seq, prompt_names=(), frozen=frozenset()):
         x = reference_encoder_layer(weights, model.config.heads, x, len(prompt_names),
                                     model.config.mask_mode, collect)
     return x, collect
+
+
+# ---------------------------------------------------------------------------
+# the single-op loss chain that the fused cross_entropy_rows and pair_bce
+# nodes are checked against
+
+
+def concat_rows(parts):
+    """Stack 2-d tensors along axis 0; column counts must agree."""
+    if not parts:
+        raise ContractError("concat_rows needs at least one tensor")
+    cols = {p.shape[1] for p in parts if p.data.ndim == 2}
+    if any(p.data.ndim != 2 for p in parts) or len(cols) != 1:
+        raise ShapeError(f"concat_rows got shapes {[p.shape for p in parts]}")
+    out_data = np.concatenate([p.data for p in parts], axis=0)
+    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+
+    def backprop(g):
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            nm._accum(p, g[lo:hi])
+
+    return nm._node(tuple(parts), out_data, backprop, "concat_rows")
+
+
+def pick(x, rows, cols):
+    """Gather scalar entries x[rows[k], cols[k]] into a vector."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"pick needs a 2-d tensor, got {x.shape}")
+    r = np.asarray(rows, dtype=np.intp)
+    c = np.asarray(cols, dtype=np.intp)
+    if r.shape != c.shape or r.ndim != 1:
+        raise ShapeError("pick needs matching 1-d row/col index vectors")
+    if r.size and not (
+        0 <= r.min() and r.max() < x.shape[0] and 0 <= c.min() and c.max() < x.shape[1]
+    ):
+        raise ShapeError(f"pick index out of range for shape {x.shape}")
+
+    def backprop(g):
+        full = np.zeros_like(x.data)
+        np.add.at(full, (r, c), g)
+        nm._accum(x, full)
+
+    return nm._node((x,), x.data[r, c], backprop, "pick")
+
+
+def log_softmax_rows(x):
+    """Row-wise log softmax, stabilised by row-max subtraction."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"log_softmax_rows needs a 2-d tensor, got {x.shape}")
+    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    y = shifted - lse
+    p = np.exp(y)
+
+    def backprop(g):
+        nm._accum(x, g - p * g.sum(axis=1, keepdims=True))
+
+    return nm._node((x,), y, backprop, "log_softmax_rows")
+
+
+def bce_with_logits_mean(logits, labels):
+    """Mean binary cross-entropy on raw logits, log-sum-exp stabilised.
+
+    labels is a constant array of 0/1 floats with the same shape as logits.
+    """
+    y = np.asarray(labels, dtype=np.float64)
+    if y.shape != logits.shape:
+        raise ShapeError(f"labels shape {y.shape} does not match logits {logits.shape}")
+    if y.size == 0:
+        raise ContractError("bce_with_logits_mean on empty logits")
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise ContractError("bce labels must be 0 or 1")
+    z = logits.data
+    # max(z,0) - z*y + log(1+exp(-|z|)) is exact and never overflows
+    per = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+    n = y.size
+
+    def backprop(g):
+        # sigmoid(z) from e = exp(-|z|) <= 1: both branches are evaluated,
+        # so neither may overflow
+        e = np.exp(-np.abs(z))
+        sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        nm._accum(logits, float(g) * (sig - y) / n)
+
+    return nm._node((logits,), np.asarray(per.mean()), backprop, "bce_with_logits_mean")
+
+
+def mlm_loss(logits, targets, reduction="sum"):
+    """Masked-token cross-entropy: -sum(log q(y)) over target positions;
+    "mean" divides by the number of targets."""
+    t = np.asarray(targets, dtype=np.intp)
+    if t.size == 0:
+        raise ContractError("mlm_loss needs at least one target")
+    if logits.data.ndim != 2 or logits.shape[0] != t.size:
+        raise ContractError(f"logits shape {logits.shape} does not match {t.size} targets")
+    logp = log_softmax_rows(logits)
+    chosen = pick(logp, np.arange(t.size, dtype=np.intp), t)
+    loss = nm.scale(nm.sum_all(chosen), -1.0)
+    if reduction == "sum":
+        return loss
+    if reduction == "mean":
+        return nm.scale(loss, 1.0 / t.size)
+    raise ConfigError(f"unknown reduction {reduction!r}")
+
+
+def ppi_loss(logits, labels):
+    """Mean binary cross-entropy on interaction logits (1 or 7 slots)."""
+    y = np.asarray(labels, dtype=np.float64)
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise ContractError("interaction labels must be 0 or 1")
+    return bce_with_logits_mean(logits, y)
+
+
+def mlm_logits(model, out, positions):
+    """Vocabulary logits at the given input positions of an encode, (|Y|, 25)."""
+    pos = np.asarray(positions, dtype=np.intp)
+    if pos.size == 0:
+        raise ContractError("mlm_logits needs at least one target position")
+    return nm.affine(nm.select_rows(out.h, out.m + pos), model.mlm_w, model.mlm_b)
+
+
+def reference_forward_mlm(model, batch, reduction="sum", frozen=frozenset()):
+    """The per-sequence masked-LM chain the cross_entropy_rows node replaced:
+    per sequence an encode, select_rows, affine, log_softmax_rows, pick,
+    sum_all and scale nodes, the terms folded by add in sequence order."""
+    prompts = model.prompts.names()
+    loss = None
+    for seq, masked in zip(batch.sequences, batch.masked):
+        corrupted = T.TokenSequence(ids=masked.corrupted, source_id=seq.source_id)
+        out = model.encode(corrupted, prompts, frozen=frozen)
+        term = mlm_loss(mlm_logits(model, out, masked.positions), masked.targets, reduction)
+        loss = term if loss is None else nm.add(loss, term)
+    return loss
+
+
+def reference_forward_pairs(model, batch, frozen=frozenset()):
+    """The per-pair chain the pair_bce node replaced: one encode and pool
+    per distinct protein, then per pair a product, affine and reshape node,
+    one concat_rows and the mean BCE."""
+    labels = np.asarray(batch.labels, dtype=np.float64)
+    prompts = model.prompts.names()
+    pooled = {}
+
+    def pool_of(seq):
+        key = seq.source_id or seq.ids.tobytes().hex()
+        if key not in pooled:
+            pooled[key] = model.pool(model.encode(seq, prompts, frozen=frozen))
+        return pooled[key]
+
+    logit_rows = [
+        nm.reshape(model.pair_logits(pool_of(p), pool_of(q), labels.shape[-1]), (1, -1))
+        for p, q in batch.pairs
+    ]
+    return ppi_loss(concat_rows(logit_rows), labels)
 
 
 def reference_forward(model, ids):

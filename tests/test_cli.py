@@ -1,8 +1,13 @@
 """End-to-end command-line workflows on a tiny corpus."""
 
+import os
 import shutil
 import struct
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from protprompt import data as D
 from protprompt import numerics as nm
 from protprompt import tokenizer as T
 from protprompt.cli import main
+from protprompt.model import ProteinEncoder
 
 RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
 
@@ -339,6 +345,81 @@ def test_inject_step_sweeps_backward_once(ws, tmp_path, monkeypatch):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("command", ["pretrain", "inject"])
+def test_each_step_records_one_loss_node_per_source(ws, tmp_path, monkeypatch, command):
+    # a step records layers + 1 nodes per encode, one loss node per source
+    # and the weighting of the total: alpha's scale, lambda's scale and the
+    # add of the conservation loss
+    encodes, steps = [0], []
+    encode, backward = ProteinEncoder.encode, nm.backward
+
+    def counting_encode(*args, **kwargs):
+        encodes[0] += 1
+        return encode(*args, **kwargs)
+
+    def counting_backward(tape, loss):
+        steps.append((len(tape.nodes), encodes[0]))
+        encodes[0] = 0
+        return backward(tape, loss)
+
+    monkeypatch.setattr(ProteinEncoder, "encode", counting_encode)
+    monkeypatch.setattr(nm, "backward", counting_backward)
+    data = ["--fasta", str(ws["fasta"]), "--steps", "3"]
+    if command == "pretrain":
+        argv = ["pretrain", *data, "--ppi", str(ws["pairs"]), "--out-dir", str(tmp_path),
+                *BASE_SETS, "--set", "layers=2", "--set", "batch_seqs=6"]
+        layers, loss_nodes = 2, 2 + 3
+    else:
+        argv = ["inject", *data, "--checkpoint", str(ws["final"]), "--prompt", "PPI",
+                "--task", "ppi", "--data", str(ws["pairs"]), "--out", str(tmp_path)]
+        layers, loss_nodes = 1, 1 + 3
+    assert main(argv) == 0
+    assert len(steps) == 3
+    for nodes, encoded in steps:
+        assert encoded > 0 and nodes == (layers + 1) * encoded + loss_nodes
+
+
+def test_blas_thread_count_leaves_checkpoints_bitwise(tmp_path):
+    # the head matmuls stack every sequence's rows; at this shape they and
+    # the feed-forward matmuls are large enough for OpenBLAS to split them
+    # across threads, and the bits must not depend on how it splits them
+    rng = np.random.default_rng(31)
+    fasta, pairs = tmp_path / "long.fasta", tmp_path / "long.tsv"
+    fasta.write_text("".join(
+        f">q{i}\n" + "".join(RESIDUES[int(k)] for k in rng.integers(20, size=50 + i)) + "\n"
+        for i in range(12)))
+    pairs.write_text("".join(f"q{i}\tq{(i + 1) % 12}\t{i % 2}\n" for i in range(12)))
+    script = textwrap.dedent("""
+        import sys
+        from protprompt.cli import main
+
+        fasta, pairs, out = sys.argv[1:]
+        shape = ["--set", "d=64", "--set", "layers=1", "--set", "heads=4",
+                 "--set", "max_len=64", "--set", "batch_seqs=12", "--set", "batch_pairs=12",
+                 "--set", "mask_rate=0.5"]
+        assert main(["pretrain", "--fasta", fasta, "--ppi", pairs, "--out-dir", out,
+                     "--steps", "3", "--seed", "3", *shape]) == 0
+        assert main(["inject", "--checkpoint", out + "/final.bin", "--prompt", "PPI",
+                     "--task", "ppi", "--data", pairs, "--fasta", fasta,
+                     "--out", out + "/inj", "--steps", "3"]) == 0
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        # checkpoints store the output directory, so both runs name it "run"
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(fasta), str(pairs), "run"],
+            capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        outputs.append([(cwd / "run" / name).read_bytes()
+                        for name in ("final.bin", "inj/injected.bin")])
+    assert outputs[0] == outputs[1]
+
+
 def test_inject_metrics_log(ws, tmp_path):
     inj = tmp_path / "inj2"
     rc = main([
@@ -534,6 +615,18 @@ def test_eval_ss_rejects_non_digit_labels(ws, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_eval_regress_rejects_non_finite_truths(ws, tmp_path, capsys, value):
+    reg = tmp_path / "reg.tsv"
+    reg.write_text(f"r1\tACDEF\t0.5\nr2\tWYKRH\t{value}\nr3\tMNPQS\t2.0\n")
+    rc = main(["eval", "--checkpoint", str(ws["final"]), "--task", "regress",
+               "--data", str(reg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(reg) in err and "'r2'" in err, err
+    assert "non-finite" in err and "Traceback" not in err
+
+
 def _non_utf8_input(ws, path):
     """(argv, file) for a command whose named input holds a byte that is not UTF-8."""
     common = ["--checkpoint", str(ws["final"])]
@@ -562,7 +655,8 @@ def test_non_utf8_input_is_a_data_error(ws, tmp_path, capsys, kind):
     rc = main([str(bad) if a == "{}" else a for a in argv])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "utf-8" in err and "Traceback" not in err, err
+    line = 2 if kind == "fasta" else 1
+    assert f"{bad}:{line}: " in err and "utf-8" in err and "Traceback" not in err, err
 
 
 def test_checkpoint_naming_retired_keys_still_loads(ws, tmp_path, capsys):

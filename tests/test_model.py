@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from protprompt import numerics as nm
+from protprompt import objectives as O
 from protprompt import tokenizer as T
 from protprompt.errors import ConfigError, ContractError, ShapeError
 from protprompt.model import ModelConfig, ProteinEncoder, PromptSet
 from protprompt.numerics import Tape, Tensor
 
-from conftest import multihead_attention, reference_encode, reference_forward
+from conftest import (mlm_logits, mlm_loss, multihead_attention, reference_encode,
+                      reference_forward)
 
 
 def small_model(prompts=("Seq", "IC"), mask_mode="additive", seed=0, max_len=12):
@@ -433,15 +435,21 @@ def test_tape_free_layer_holds_one_score_block():
 
 
 def test_mlm_logits_selects_input_positions():
+    # the masked-LM loss reads the logits of input positions, which sit
+    # after the prompt rows
     model = small_model()
-    seq = T.encode("ACDEF", 10)
+    seq = T.encode("ACDEF", 10, "s")
+    masked = T.MlmBatch(corrupted=seq.ids, positions=np.array([1, 3]), targets=np.array([4, 7]))
+    batch = O.MlmTaskBatch(sequences=[seq], masked=[masked])
     out = model.encode(seq, ("Seq", "IC"))
-    logits = model.mlm_logits(out, [1, 3])
-    assert logits.shape == (2, 25)
     direct = nm.affine(nm.select_rows(out.h, np.array([3, 5])), model.mlm_w, model.mlm_b)
-    assert np.array_equal(logits.data, direct.data)
+    assert mlm_logits(model, out, [1, 3]).data.tobytes() == direct.data.tobytes()
+    want = mlm_loss(direct, [4, 7]).item()
+    assert abs(O._forward_mlm(model, batch, "sum").item() - want) <= 1e-12
+    empty = T.MlmBatch(corrupted=seq.ids, positions=np.array([], dtype=np.intp),
+                       targets=np.array([], dtype=np.intp))
     with pytest.raises(ContractError):
-        model.mlm_logits(out, [])
+        O._forward_mlm(model, O.MlmTaskBatch(sequences=[seq], masked=[empty]), "sum")
 
 
 def test_token_logits_classes():

@@ -14,8 +14,9 @@ from protprompt.errors import ContractError, NumericsError, ShapeError
 from protprompt.model import INIT_STD, ModelConfig, ProteinEncoder
 from protprompt.numerics import Tape, Tensor
 
-from conftest import (OracleError, embedding_lookup, finite_diff_check, gelu, layernorm,
-                      mode_mask, multihead_attention, reference_affine, reference_attention,
+from conftest import (OracleError, bce_with_logits_mean, concat_rows, embedding_lookup,
+                      finite_diff_check, gelu, layernorm, log_softmax_rows, mode_mask,
+                      multihead_attention, pick, reference_affine, reference_attention,
                       reference_contact, reference_gelu, reference_layernorm)
 
 FD_TOL = 1e-6
@@ -57,14 +58,14 @@ def test_reshape_concat_slice_gradients():
     _check(lambda t: nm.reshape(t, (4, 3)), _rand((3, 4), 11))
     _check(lambda t: nm.reshape(t, (12,)), _rand((3, 4), 12))
     b = Tensor(np.random.default_rng(13).normal(0, 1, (2, 4)))
-    _check(lambda t: nm.concat_rows([t, b]), _rand((3, 4), 14))
+    _check(lambda t: concat_rows([t, b]), _rand((3, 4), 14))
     _check(lambda t: nm.select_rows(t, np.arange(1, 3)), _rand((4, 3), 17))
 
 
 def test_gather_gradients():
     # duplicate indices must accumulate
     _check(lambda t: nm.select_rows(t, [0, 2, 2, 1]), _rand((3, 4), 19))
-    _check(lambda t: nm.pick(t, [0, 1, 1], [2, 0, 0]), _rand((3, 4), 20))
+    _check(lambda t: pick(t, [0, 1, 1], [2, 0, 0]), _rand((3, 4), 20))
     _check(lambda t: embedding_lookup(t, [1, 1, 0, 2]), _rand((3, 4), 21))
 
 
@@ -74,7 +75,7 @@ def test_reduction_gradients():
 
 
 def test_softmax_family_gradients():
-    _check(lambda t: nm.log_softmax_rows(t), _rand((3, 5), 25))
+    _check(lambda t: log_softmax_rows(t), _rand((3, 5), 25))
 
 
 def _attention_inputs(m=2, n=5, d=8, seed=50):
@@ -338,7 +339,7 @@ def test_kernel_is_bitwise_the_plain_formula(kernel, reference, shapes):
 
 def test_bce_gradient():
     y = (np.random.default_rng(40).random((4, 2)) > 0.5).astype(np.float64)
-    _check(lambda t: nm.bce_with_logits_mean(t, y), _rand((4, 2), 41))
+    _check(lambda t: bce_with_logits_mean(t, y), _rand((4, 2), 41))
 
 
 def test_bce_gradient_does_not_overflow_on_large_logits():
@@ -348,7 +349,7 @@ def test_bce_gradient_does_not_overflow_on_large_logits():
     y = (rng.random(z.shape) > 0.5).astype(np.float64)
     x = Tensor(z, requires_grad=True)
     with np.errstate(over="raise", invalid="raise"), Tape() as tape:
-        nm.backward(tape, nm.bce_with_logits_mean(x, y))
+        nm.backward(tape, bce_with_logits_mean(x, y))
     # the two-branch formula it replaces, keeping only the branch it selected
     with np.errstate(over="ignore", invalid="ignore"):
         sig = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
@@ -367,7 +368,7 @@ def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(42)
     for _ in range(20):
         x = Tensor(rng.normal(0, 5, (4, 7)))
-        lp = nm.log_softmax_rows(x)
+        lp = log_softmax_rows(x)
         assert np.allclose(np.exp(lp.data).sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -394,7 +395,7 @@ def test_backward_determinism():
         w = Tensor(np.ones((4, 2)), requires_grad=True)
         tape = Tape()
         with tape:
-            y = nm.sum_all(gelu(nm.affine(nm.log_softmax_rows(x), w, Tensor(np.zeros(2)))))
+            y = nm.sum_all(gelu(nm.affine(log_softmax_rows(x), w, Tensor(np.zeros(2)))))
         nm.backward(tape, y)
         return x.grad.copy(), w.grad.copy()
 

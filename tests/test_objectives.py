@@ -8,49 +8,50 @@ import pytest
 from protprompt import numerics as nm
 from protprompt import objectives as O
 from protprompt import tokenizer as T
-from protprompt.errors import ConfigError, ContractError
+from protprompt.errors import ConfigError, ContractError, NumericsError, ShapeError
 from protprompt.model import ModelConfig, ProteinEncoder
-from protprompt.numerics import Tensor
+from protprompt.numerics import Tape, Tensor
 
-from conftest import reference_routed_step
+from conftest import (bce_with_logits_mean, concat_rows, mlm_loss, ppi_loss,
+                      reference_forward_mlm, reference_forward_pairs, reference_routed_step)
 
 
 def test_uniform_logits_give_log_vocab_loss():
     logits = Tensor(np.zeros((4, 25)))
-    loss = O.mlm_loss(logits, [3, 7, 11, 24])
+    loss = mlm_loss(logits, [3, 7, 11, 24])
     assert abs(loss.item() - 4 * math.log(25)) < 1e-9
-    mean = O.mlm_loss(logits, [3, 7, 11, 24], reduction="mean")
+    mean = mlm_loss(logits, [3, 7, 11, 24], reduction="mean")
     assert abs(mean.item() - math.log(25)) < 1e-9
     shifted = Tensor(np.full((2, 25), -3.5))  # softmax is shift-invariant
-    assert abs(O.mlm_loss(shifted, [0, 1]).item() - 2 * math.log(25)) < 1e-9
+    assert abs(mlm_loss(shifted, [0, 1]).item() - 2 * math.log(25)) < 1e-9
 
 
 def test_mlm_loss_validation():
     with pytest.raises(ContractError):
-        O.mlm_loss(Tensor(np.zeros((2, 25))), [])
+        mlm_loss(Tensor(np.zeros((2, 25))), [])
     with pytest.raises(ContractError):
-        O.mlm_loss(Tensor(np.zeros((2, 25))), [0, 1, 2])
+        mlm_loss(Tensor(np.zeros((2, 25))), [0, 1, 2])
     with pytest.raises(ConfigError):
-        O.mlm_loss(Tensor(np.zeros((2, 25))), [0, 1], reduction="median")
+        mlm_loss(Tensor(np.zeros((2, 25))), [0, 1], reduction="median")
 
 
 def test_bce_closed_forms():
     zero = Tensor(np.zeros((3, 1)))
-    assert abs(O.ppi_loss(zero, np.ones((3, 1))).item() - math.log(2)) < 1e-9
-    assert abs(O.ppi_loss(zero, np.zeros((3, 1))).item() - math.log(2)) < 1e-9
+    assert abs(ppi_loss(zero, np.ones((3, 1))).item() - math.log(2)) < 1e-9
+    assert abs(ppi_loss(zero, np.zeros((3, 1))).item() - math.log(2)) < 1e-9
     z = Tensor(np.array([[2.0], [-2.0]]))
     want = math.log(1 + math.exp(-2.0))  # both rows are confidently correct
-    got = O.ppi_loss(z, np.array([[1.0], [0.0]]))
+    got = ppi_loss(z, np.array([[1.0], [0.0]]))
     assert abs(got.item() - want) < 1e-9
-    wrong = O.ppi_loss(z, np.array([[0.0], [1.0]]))
+    wrong = ppi_loss(z, np.array([[0.0], [1.0]]))
     assert abs(wrong.item() - (2.0 + math.log(1 + math.exp(-2.0)))) < 1e-9
     with pytest.raises(ContractError):
-        O.ppi_loss(zero, np.full((3, 1), 0.5))
+        ppi_loss(zero, np.full((3, 1), 0.5))
 
 
 def test_bce_saturates_toward_zero():
     big = Tensor(np.full((2, 1), 40.0))
-    assert O.ppi_loss(big, np.ones((2, 1))).item() < 1e-12
+    assert ppi_loss(big, np.ones((2, 1))).item() < 1e-12
 
 
 def test_injection_loss_weighted_fold():
@@ -268,15 +269,158 @@ def test_train_step_rejects_empty_and_duplicates():
 def test_pair_forward_pools_each_protein_once():
     model, _, ppi = _fixture(seed=7)
     calls = []
-    original = model.pool
+    original = model.encode
 
-    def counting_pool(out):
-        calls.append(out.seq.source_id)
-        return original(out)
+    def counting_encode(seq, *args, **kwargs):
+        calls.append(seq.source_id)
+        return original(seq, *args, **kwargs)
 
-    model.pool = counting_pool
+    model.encode = counting_encode
     O._forward_pairs(model, ppi)
-    assert sorted(calls) == ["s0", "s1", "s2"]
+    assert calls == ["s0", "s1", "s2"]
+
+
+# ---------------------------------------------------------------------------
+# the fused loss nodes against the per-sequence chain in conftest
+
+
+def _step_fixture(width=1, seed=12):
+    """A pretrain-shaped model (d=32, 2 layers, 4 heads) with six proteins of
+    6 to 30 residues; s0 sits in three pairs, once paired with itself."""
+    cfg = ModelConfig(d=32, layers=2, heads=4, max_len=40, prompt_names=("Seq", "IC"))
+    model = ProteinEncoder(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    residues = "ACDEFGHIKLMNPQRSTVWY"
+    seqs = [T.encode("".join(residues[int(k)] for k in rng.integers(20, size=n)), 40, f"s{i}")
+            for i, n in enumerate((6, 30, 17, 9, 24, 12))]
+    masked = [T.apply_mlm_mask(s, 0.3, (seed, i)) for i, s in enumerate(seqs)]
+    mlm = O.MlmTaskBatch(sequences=seqs, masked=masked)
+    pairs = [(seqs[0], seqs[1]), (seqs[2], seqs[0]), (seqs[0], seqs[0]), (seqs[3], seqs[4]),
+             (seqs[5], seqs[2])]
+    labels = rng.integers(0, 2, size=(len(pairs), width)).astype(np.float64)
+    return model, mlm, O.PairTaskBatch(name="ppi", pairs=pairs, labels=labels)
+
+
+def _loss_and_grads(model, forward):
+    params = model.parameters()
+    for p in params.values():
+        p.grad = None
+    with Tape() as tape:
+        loss = forward()
+    nm.backward(tape, loss)
+    return loss.item(), {n: p.grad for n, p in params.items() if p.grad is not None}
+
+
+def _assert_close(got, want):
+    (got_loss, got_grads), (want_loss, want_grads) = got, want
+    assert abs(got_loss - want_loss) <= 1e-12
+    assert got_grads.keys() == want_grads.keys()
+    for name, g in want_grads.items():
+        assert np.abs(got_grads[name] - g).max() <= 1e-12, name
+
+
+FROZEN = [frozenset(), frozenset({"IC"}), frozenset({"Seq", "IC"})]
+
+
+@pytest.mark.parametrize("frozen", FROZEN, ids=["live", "ic-frozen", "all-frozen"])
+@pytest.mark.parametrize("reduction", ["sum", "mean"])
+def test_mlm_node_matches_the_per_sequence_chain(reduction, frozen):
+    model, mlm, _ = _step_fixture()
+    got = _loss_and_grads(model, lambda: O._forward_mlm(model, mlm, reduction, frozen))
+    want = _loss_and_grads(model, lambda: reference_forward_mlm(model, mlm, reduction, frozen))
+    _assert_close(got, want)
+    assert {f"prompt.{n}" for n in frozen}.isdisjoint(got[1])
+
+
+@pytest.mark.parametrize("frozen", FROZEN, ids=["live", "ic-frozen", "all-frozen"])
+@pytest.mark.parametrize("width", [1, 7])
+def test_pair_node_matches_the_per_pair_chain(width, frozen):
+    model, _, ppi = _step_fixture(width)
+    got = _loss_and_grads(model, lambda: O._forward_pairs(model, ppi, frozen))
+    want = _loss_and_grads(model, lambda: reference_forward_pairs(model, ppi, frozen))
+    _assert_close(got, want)
+    head = "head.pair_bin" if width == 1 else "head.pair"
+    assert {n for n in got[1] if n.startswith("head.")} == {f"{head}.w", f"{head}.b"}
+
+
+def test_pair_node_counts_a_repeated_row_each_time():
+    # a row listed twice weighs twice in its protein's mean and gradient
+    rng = np.random.default_rng(15)
+    hs = [Tensor(rng.normal(size=(6, 4)), requires_grad=True) for _ in range(2)]
+    w, b = Tensor(rng.normal(size=(4, 1)), requires_grad=True), Tensor(np.zeros(1), True)
+    rows, y = [np.array([1, 2, 2, 4]), np.array([0, 5])], np.array([[1.0], [0.0]])
+
+    def chain():
+        v = [nm.mean_over_rows(nm.select_rows(h, r)) for h, r in zip(hs, rows)]
+        z = [nm.reshape(nm.affine(nm.mul(v[0], v[1]), w, b), (1, 1)),
+             nm.reshape(nm.affine(nm.mul(v[1], v[1]), w, b), (1, 1))]
+        return bce_with_logits_mean(concat_rows(z), y)
+
+    grads = []
+    for forward in (lambda: nm.pair_bce(hs, rows, [0, 1], [1, 1], w, b, y), chain):
+        for t in (*hs, w, b):
+            t.grad = None
+        with Tape() as tape:
+            loss = forward()
+        nm.backward(tape, loss)
+        grads.append([loss.data] + [t.grad for t in (*hs, w, b)])
+    for got, want in zip(*grads):
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_pair_node_checks_labels():
+    model, _, ppi = _step_fixture()
+    with pytest.raises(ContractError, match="0 or 1"):
+        O._forward_pairs(model, O.PairTaskBatch("ppi", ppi.pairs, ppi.labels * 0.5))
+    with pytest.raises(ConfigError, match="no pair head"):
+        O._forward_pairs(model, O.PairTaskBatch("ppi", ppi.pairs, np.zeros((5, 3))))
+    with pytest.raises(ShapeError, match="labels shape"):
+        O._forward_pairs(model, O.PairTaskBatch("ppi", ppi.pairs, np.zeros((4, 1))))
+    with pytest.raises(ConfigError, match="reduction"):
+        O._forward_mlm(model, _step_fixture()[1], "median")
+
+
+def test_mlm_node_checks_rows_and_targets():
+    model, mlm, _ = _step_fixture()
+    hs = [model.encode(s, ()).h for s in mlm.sequences[:2]]
+    rows, targets = [np.array([1, 2]), np.array([3])], [np.array([4, 5]), np.array([6])]
+    w, b = model.mlm_w, model.mlm_b
+    with pytest.raises(ContractError, match="targets for"):
+        nm.cross_entropy_rows(hs, rows, [np.array([4]), np.array([6])], w, b)
+    with pytest.raises(ShapeError, match="target out of range"):
+        nm.cross_entropy_rows(hs, rows, [np.array([4, 25]), np.array([6])], w, b)
+    with pytest.raises(ShapeError, match="row out of range"):
+        nm.cross_entropy_rows(hs, [np.array([1, 99]), np.array([3])], targets, w, b)
+    with pytest.raises(ShapeError, match="does not fit"):
+        nm.cross_entropy_rows(hs, rows, targets, w, model.pair_b)
+    with pytest.raises(ContractError, match="chosen row"):
+        nm.cross_entropy_rows(hs, [rows[0], np.array([], dtype=np.intp)], targets, w, b)
+    with pytest.raises(ContractError, match="one sequence"):
+        nm.cross_entropy_rows([], [], [], w, b)
+
+
+def test_non_finite_head_logits_name_the_affine():
+    model, mlm, ppi = _step_fixture(seed=13)
+    model.mlm_b.data[3] = np.inf
+    model.pair_bin_b.data[0] = np.inf
+    with Tape():
+        with pytest.raises(NumericsError, match="affine"):
+            O._forward_mlm(model, mlm, "sum")
+        with pytest.raises(NumericsError, match="affine"):
+            O._forward_pairs(model, ppi)
+
+
+@pytest.mark.parametrize("bias", [800.0, -800.0])
+def test_pair_backward_past_exp_overflow_stays_finite(bias):
+    # every logit sits beyond |z| = 709, where exp(|z|) overflows
+    model, _, ppi = _step_fixture(seed=14)
+    model.pair_bin_b.data[:] = bias
+    with np.errstate(over="raise", invalid="raise"):
+        loss, grads = _loss_and_grads(model, lambda: O._forward_pairs(model, ppi))
+    assert np.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())
+    sig = 1.0 if bias > 0 else 0.0
+    want = ((sig - ppi.labels) / ppi.labels.size).sum(axis=0)
+    assert np.array_equal(grads["head.pair_bin.b"], want)
 
 
 # ---------------------------------------------------------------------------
