@@ -176,9 +176,7 @@ def _adam(params: dict[str, Tensor], cfg: RunConfig) -> O.Adam:
 
 
 def cmd_pretrain(args) -> int:
-    cfg, model, state = _load_config(
-        args, ("fasta", "ppi", "out_dir", "steps", "seed"), args.resume
-    )
+    cfg, model, state = _load_config(args, ("fasta", "ppi", "steps", "seed"), args.resume)
     _print_warnings(cfg)
     if not cfg.fasta:
         raise ConfigError("pretrain needs a FASTA corpus (--fasta or config key fasta)")
@@ -199,12 +197,10 @@ def cmd_pretrain(args) -> int:
     optimizer = _adam(model.parameters(), cfg)
     if state:
         optimizer.load_state_entries(state)
-    prompts = model.prompts.names()
-    policy = (
-        O.default_policy(prompts, tasks) if cfg.routing else O.open_policy(prompts, tasks)
-    )
 
-    out_dir = Path(cfg.out_dir)
+    # the output directory stays out of the config, so it leaves no trace in
+    # the checkpoints
+    out_dir = Path(args.out_dir or (Path(args.resume).parent if args.resume else "run"))
     out_dir.mkdir(parents=True, exist_ok=True)
     T.write_vocab(out_dir / "vocab.txt")
     log_path = out_dir / "metrics.csv"
@@ -221,7 +217,7 @@ def cmd_pretrain(args) -> int:
                 optimizer,
                 mlm,
                 [pair_batch(step)] if pair_batch is not None else [],
-                policy,
+                cfg.routing,
                 cfg.lambda_weight,
                 cfg.alpha(),
                 step=step,
@@ -282,10 +278,6 @@ def cmd_inject(args) -> int:
         p.requires_grad = name in trainable
 
     optimizer = _adam(trainable, cfg)
-    # the new prompt learns from the task; pre-existing prompts keep their
-    # original sources (not trained here, but the policy stays truthful)
-    policy = O.default_policy(model.prompts.names(), ("ppi",))
-
     batches_fn = _inject_ppi_batches(args, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -294,7 +286,7 @@ def cmd_inject(args) -> int:
         for step in range(cfg.steps):
             batch = batches_fn(step)
             report = O.train_step(
-                model, optimizer, None, [batch], policy, cfg.lambda_weight,
+                model, optimizer, None, [batch], True, cfg.lambda_weight,
                 cfg.alpha(), step=step, mlm_reduction=cfg.mlm_reduction,
             )
             log.write(report.log_line(("ppi",)) + "\n")
@@ -567,7 +559,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--fasta", default=None, help="training corpus")
     p.add_argument("--ppi", default=None, help="interaction TSV for the injection task")
-    p.add_argument("--out-dir", dest="out_dir", default=None)
+    p.add_argument(
+        "--out-dir", dest="out_dir", default=None,
+        help="output directory (default: the --resume checkpoint's directory, else run)",
+    )
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--resume", default=None, help="checkpoint to continue from")

@@ -71,10 +71,9 @@ class RunConfig:
     checkpoint_every: int = 100
     keep_last: int = 3
     seed: int = 42
-    # data and outputs
+    # data
     fasta: str = ""
     ppi: str = ""
-    out_dir: str = "run"
     contact_threshold: float = 8.0
     probe_cutoff: float = 1.0
 
@@ -159,9 +158,10 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 # the config surface accepts canonical keys only (so "lambda", never the
 # internal attribute spelling)
 _VALID_KEYS = {_FIELD_TO_KEY.get(name, name) for name in _FIELD_TYPES}
-# keys that older checkpoints store but that never had an effect: skipped
-# in a stored config, unknown everywhere else
-_RETIRED_KEYS = ("alpha_contact", "alpha_regress", "alpha_ss", "weight_decay")
+# keys that older checkpoints store but that never shaped a run's outputs
+# (out_dir only named where they went): skipped in a stored config, unknown
+# everywhere else
+_RETIRED_KEYS = ("alpha_contact", "alpha_regress", "alpha_ss", "out_dir", "weight_decay")
 
 
 def _coerce(field_name: str, raw: str):

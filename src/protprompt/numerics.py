@@ -245,19 +245,12 @@ def select_rows(x: Tensor, indices) -> Tensor:
     """Gather rows x[indices]; duplicate indices accumulate gradient."""
     if x.data.ndim != 2:
         raise ShapeError(f"select_rows needs a 2-d tensor, got {x.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError("select_rows indices must be 1-d")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise ShapeError(f"select_rows index out of range for {x.shape[0]} rows")
-    out_data = x.data[idx]
+    idx = _checked_ids(indices, x.shape[0], "row")
 
     def backprop(g):
-        full = np.zeros_like(x.data)
-        np.add.at(full, idx, g)
-        _accum(x, full)
+        _gather_backward(x, idx, g)
 
-    return _node((x,), out_data, backprop, "select_rows")
+    return _node((x,), x.data[idx], backprop, "select_rows")
 
 
 def sum_all(x: Tensor) -> Tensor:

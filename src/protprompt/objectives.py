@@ -6,14 +6,15 @@ The total loss is
 
 where L_conserve is the masked-token cross-entropy (sum reduction by
 default) and each injection task contributes a weighted loss. Routing
-decides which loss sources may update which prompts: by default the
-sequence prompt learns from the conservation loss only and every other
-prompt from the injection tasks only; with routing off every prompt learns
-from every source. The encoder (embeddings and layers) learns from every
-source present and each head from its own loss, by construction. Routing
-happens in the forward pass: while a source's forward runs, each prompt
-outside its route enters as a constant, so one backward sweep of the
-weighted total gives every parameter exactly its routed gradient.
+(frozen_prompts) follows the paper's one rule: the sequence prompt Seq
+learns from the conservation loss only and every other prompt, an
+injected one included, from the injection tasks only; with routing off
+every prompt learns from every source. The encoder (embeddings and
+layers) learns from every source present and each head from its own
+loss, by construction. Routing happens in the forward pass: while a
+source's forward runs, each prompt outside its route enters as a
+constant, so one backward sweep of the weighted total gives every
+parameter exactly its routed gradient.
 
 Each source records one loss node (numerics.cross_entropy_rows or
 numerics.pair_bce) after the L+1 nodes of each encode, L the layer count,
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .errors import ConfigError, ContractError, NumericsError
+from .errors import ConfigError, ContractError
 from .numerics import Tape, Tensor
 from .tokenizer import MlmBatch, TokenSequence
 
@@ -87,46 +88,17 @@ class LossReport:
         return ",".join(cells)
 
 
-@dataclass
-class RoutingPolicy:
-    """Which loss sources may update which prompts.
+def frozen_prompts(prompts: tuple[str, ...], source: str, routing: bool) -> frozenset[str]:
+    """The prompts held constant in source's forward pass.
 
-    prompt_routes maps prompt name -> set of loss names ("mlm" or a task
-    name). An empty route freezes that prompt. The encoder and heads are
-    not routed: they learn from every source whose loss reaches them.
+    With routing on, Seq learns from the conservation loss only and every
+    other prompt from the injection tasks only: Seq is held for every task,
+    and every other prompt for the conservation loss. With routing off,
+    no prompt is held.
     """
-
-    prompt_routes: dict[str, frozenset[str]]
-
-    def validate(self, prompt_names: tuple[str, ...]) -> None:
-        missing = [n for n in prompt_names if n not in self.prompt_routes]
-        if missing:
-            raise ConfigError(f"routing policy misses prompts {missing}")
-        extra = [n for n in self.prompt_routes if n not in prompt_names]
-        if extra:
-            raise ConfigError(f"routing policy names unknown prompts {extra}")
-
-    def frozen(self, source: str) -> frozenset[str]:
-        """Prompts whose route excludes source: constants in its forward pass."""
-        return frozenset(n for n, route in self.prompt_routes.items() if source not in route)
-
-
-def default_policy(prompt_names: tuple[str, ...], task_names: tuple[str, ...]) -> RoutingPolicy:
-    """Seq learns from conservation, every other prompt from all injection
-    tasks."""
-    routes: dict[str, frozenset[str]] = {}
-    for name in prompt_names:
-        if name == "Seq":
-            routes[name] = frozenset({CONSERVE})
-        else:
-            routes[name] = frozenset(task_names)
-    return RoutingPolicy(prompt_routes=routes)
-
-
-def open_policy(prompt_names: tuple[str, ...], task_names: tuple[str, ...]) -> RoutingPolicy:
-    """Routing disabled: every source updates every prompt."""
-    everything = frozenset({CONSERVE, *task_names})
-    return RoutingPolicy(prompt_routes={n: everything for n in prompt_names})
+    if not routing:
+        return frozenset()
+    return frozenset(n for n in prompts if (n == "Seq") != (source == CONSERVE))
 
 
 class Adam:
@@ -255,7 +227,7 @@ def train_step(
     optimizer: Adam,
     mlm_batch: MlmTaskBatch | None,
     task_batches: list[PairTaskBatch],
-    policy: RoutingPolicy,
+    routing: bool,
     lambda_weight: float,
     alpha: dict[str, float],
     step: int = 0,
@@ -263,57 +235,46 @@ def train_step(
 ) -> LossReport:
     """One multi-task update: routed forward, one backward sweep, Adam.
 
-    Each source s runs its forward with policy.frozen(s) held constant, so
-    no prompt outside s's route is on s's part of the tape. One backward
-    sweep of the weighted total then gives every parameter the sum of
-    c_s * dL_s/dtheta over the sources that reach it (c_s = 1 for the
-    conservation loss, lambda*alpha_t for task t), and those gradients go
-    to Adam as they are.
+    Each source s runs its forward with frozen_prompts(prompts, s, routing)
+    held constant, so no prompt outside s's route is on s's part of the
+    tape. One backward sweep of the weighted total then gives every
+    parameter the sum of c_s * dL_s/dtheta over the sources that reach it
+    (c_s = 1 for the conservation loss, lambda*alpha_t for task t), and
+    those gradients go to Adam as they are.
     """
     if mlm_batch is None and not task_batches:
         raise ContractError("train_step needs at least one task batch")
-    policy.validate(model.prompts.names())
+    prompts = model.prompts.names()
     t0 = time.monotonic()
 
     tape = Tape()
     with tape:
-        losses: dict[str, Tensor] = {}
+        l_conserve_t = Tensor(0.0)
         if mlm_batch is not None:
-            losses[CONSERVE] = _forward_mlm(
-                model, mlm_batch, mlm_reduction, policy.frozen(CONSERVE)
+            l_conserve_t = _forward_mlm(
+                model, mlm_batch, mlm_reduction, frozen_prompts(prompts, CONSERVE, routing)
             )
         task_tensors: dict[str, Tensor] = {}
         for batch in task_batches:
             if batch.name in task_tensors:
                 raise ContractError(f"duplicate task batch {batch.name!r}")
-            task_tensors[batch.name] = _forward_pairs(model, batch, policy.frozen(batch.name))
-        losses.update(task_tensors)
+            task_tensors[batch.name] = _forward_pairs(
+                model, batch, frozen_prompts(prompts, batch.name, routing)
+            )
         l_inject_t = injection_loss(task_tensors, alpha)
-        l_conserve_t = losses.get(CONSERVE)
-        total_t = total_loss(
-            l_conserve_t if l_conserve_t is not None else Tensor(0.0),
-            l_inject_t,
-            lambda_weight,
-        )
+        total_t = total_loss(l_conserve_t, l_inject_t, lambda_weight)
 
-    for source, loss_t in losses.items():
-        if not np.isfinite(loss_t.data).all():
-            raise NumericsError(f"non-finite {source} loss at step {step}; aborting")
     for p in optimizer.params.values():
         p.grad = None
     nm.backward(tape, total_t)
     optimizer.step({name: p.grad for name, p in optimizer.params.items()})
 
-    l_conserve = float(l_conserve_t.data) if l_conserve_t is not None else 0.0
-    task_vals = {name: float(t.data) for name, t in task_tensors.items()}
-    l_inject = float(l_inject_t.data)
-    total = float(total_t.data)
     return LossReport(
         step=step,
-        l_conserve=l_conserve,
-        task_losses=task_vals,
-        l_inject=l_inject,
-        total=total,
+        l_conserve=float(l_conserve_t.data),
+        task_losses={name: float(t.data) for name, t in task_tensors.items()},
+        l_inject=float(l_inject_t.data),
+        total=float(total_t.data),
         lambda_weight=lambda_weight,
         alpha=dict(alpha),
         wall_ms=(time.monotonic() - t0) * 1000.0,

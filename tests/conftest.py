@@ -80,10 +80,11 @@ def finite_diff_check(f, x, eps=1e-5):
     return float((np.abs(g - fd) / denom).max())
 
 
-def reference_routed_step(model, optimizer, mlm_batch, task_batches, policy,
+def reference_routed_step(model, optimizer, mlm_batch, task_batches, routes,
                           lambda_weight, alpha, mlm_reduction="sum"):
     """The per-source router train_step ran before it swept backward once.
 
+    routes maps each prompt name to the loss sources that may update it.
     Records every source's forward with all prompts live, runs one backward
     sweep per loss source, scales each by its coefficient (1 for the
     conservation loss, lambda * alpha_t for task t), drops a prompt's share
@@ -105,7 +106,7 @@ def reference_routed_step(model, optimizer, mlm_batch, task_batches, policy,
         c = 1.0 if source == O.CONSERVE else lambda_weight * alpha.get(source, 1.0)
         for name, p in optimizer.params.items():
             prompt = name.removeprefix("prompt.")
-            if p.grad is None or (prompt != name and source not in policy.prompt_routes[prompt]):
+            if p.grad is None or (prompt != name and source not in routes[prompt]):
                 continue
             contrib = c * p.grad
             routed[name] = contrib if name not in routed else routed[name] + contrib

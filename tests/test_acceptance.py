@@ -335,8 +335,7 @@ def test_3_objective_fidelity():
     for _ in range(2):
         model, mlm, ppi = _objective_fixture(seed=11)
         opt = O.Adam(model.parameters(), lr=1e-4)
-        policy = O.default_policy(("Seq", "IC"), ("ppi",))
-        rep = O.train_step(model, opt, mlm, [ppi], policy, 0.7, {"ppi": 1.3}, step=0)
+        rep = O.train_step(model, opt, mlm, [ppi], True, 0.7, {"ppi": 1.3}, step=0)
         reports.append(rep)
     assert reports[0].l_conserve == reports[1].l_conserve
     assert reports[0].task_losses == reports[1].task_losses
@@ -348,15 +347,14 @@ def test_3_objective_fidelity():
     model, mlm, ppi = _objective_fixture(seed=12)
     before = {n: p.data.copy() for n, p in model.parameters().items()}
     opt = O.Adam(model.parameters(), lr=1e-3)
-    policy = O.default_policy(("Seq", "IC"), ("ppi",))
-    O.train_step(model, opt, mlm, [], policy, 1.0, {"ppi": 1.0}, step=0)
+    O.train_step(model, opt, mlm, [], True, 1.0, {"ppi": 1.0}, step=0)
     assert np.array_equal(model.prompts.get("IC").data, before["prompt.IC"])
     assert not np.array_equal(model.prompts.get("Seq").data, before["prompt.Seq"])
 
     model, mlm, ppi = _objective_fixture(seed=13)
     before = {n: p.data.copy() for n, p in model.parameters().items()}
     opt = O.Adam(model.parameters(), lr=1e-3)
-    O.train_step(model, opt, None, [ppi], policy, 1.0, {"ppi": 1.0}, step=0)
+    O.train_step(model, opt, None, [ppi], True, 1.0, {"ppi": 1.0}, step=0)
     assert np.array_equal(model.prompts.get("Seq").data, before["prompt.Seq"])
     assert not np.array_equal(model.prompts.get("IC").data, before["prompt.IC"])
 

@@ -131,6 +131,33 @@ def test_resume_reproduces_single_run_bitwise(ws, tmp_path):
     assert [r[:-1] for r in resumed_rows] == [r[:-1] for r in straight_rows]
 
 
+def test_output_directory_leaves_no_trace_in_outputs(ws, tmp_path):
+    # the same seeded run in two directories writes the same bytes
+    for name in ("a", "b"):
+        assert main(["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
+                     "--out-dir", str(tmp_path / name), "--steps", "2", "--seed", "5",
+                     *BASE_SETS]) == 0
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert (a / "final.bin").read_bytes() == (b / "final.bin").read_bytes()
+    hash_line = [(d / "metrics.csv").read_text().splitlines()[0] for d in (a, b)]
+    assert hash_line[0].startswith("# config_hash=") and hash_line[0] == hash_line[1]
+
+
+def test_pretrain_output_directory_defaults(ws, tmp_path, monkeypatch):
+    # without --out-dir, a fresh run writes into ./run and a resumed run
+    # into its checkpoint's directory
+    monkeypatch.chdir(tmp_path)
+    common = ["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]), "--seed", "5",
+              *BASE_SETS]
+    assert main([*common, "--steps", "2"]) == 0
+    assert (tmp_path / "run" / "final.bin").exists()
+    moved = tmp_path / "moved"
+    (tmp_path / "run").rename(moved)
+    assert main([*common, "--steps", "4", "--resume", str(moved / "ckpt_step2.bin")]) == 0
+    assert [r[0] for r in _metric_rows(moved)] == ["0", "1", "2", "3"]
+    assert (moved / "ckpt_step4.bin").exists() and not (tmp_path / "run").exists()
+
+
 def test_resume_mid_interval_logs_each_step_once(ws, tmp_path):
     out = tmp_path / "mid"
     common = ["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
@@ -406,17 +433,14 @@ def test_blas_thread_count_leaves_checkpoints_bitwise(tmp_path):
     src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = []
     for threads in ("1", "2"):
-        # checkpoints store the output directory, so both runs name it "run"
-        cwd = tmp_path / f"threads{threads}"
-        cwd.mkdir()
+        out = tmp_path / f"threads{threads}"
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         proc = subprocess.run(
-            [sys.executable, "-c", script, str(fasta), str(pairs), "run"],
-            capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
+            [sys.executable, "-c", script, str(fasta), str(pairs), str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        outputs.append([(cwd / "run" / name).read_bytes()
-                        for name in ("final.bin", "inj/injected.bin")])
+        outputs.append([(out / name).read_bytes() for name in ("final.bin", "inj/injected.bin")])
     assert outputs[0] == outputs[1]
 
 

@@ -1,8 +1,13 @@
 """Config parsing, precedence, canonical text and validation."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from protprompt.config import (
+    _RETIRED_KEYS,
+    _VALID_KEYS,
     RunConfig,
     build_config,
     parse_kv_line,
@@ -105,11 +110,11 @@ def test_validation_rejections():
 
 
 RETIRED = {"alpha_contact": "0.25", "alpha_regress": "3.0", "alpha_ss": "0.5",
-           "weight_decay": "0.0"}
+           "out_dir": "run", "weight_decay": "0.0"}
 
 
 def test_retired_keys_are_skipped_in_stored_text_only(tmp_path):
-    # older checkpoints store four keys that never had an effect: their
+    # older checkpoints store keys that never shaped a run's outputs: their
     # stored config still loads, and drops them, but no user may set them
     stored = RunConfig(d=32).to_text() + "".join(f"{k}={v}\n" for k, v in RETIRED.items())
     cfg = build_config(base_text=stored)
@@ -153,3 +158,16 @@ def test_read_config_file_last_wins(tmp_path):
 def test_empty_prompts_allowed():
     cfg = RunConfig(prompts="")
     assert cfg.prompt_names() == ()
+
+
+def test_readme_config_table_lists_exactly_the_keys():
+    # the backticked names in the first column of README's key table
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    listed = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        listed += re.findall(r"`([^`]+)`", line.split("|")[1])
+    assert sorted(listed) == sorted(_VALID_KEYS)
+    assert not set(listed) & set(_RETIRED_KEYS)

@@ -93,8 +93,7 @@ def _snapshot(model):
 def test_report_decomposition_recomputes_bitwise():
     model, mlm, ppi = _fixture()
     opt = O.Adam(model.parameters(), lr=1e-4)
-    policy = O.default_policy(("Seq", "IC"), ("ppi",))
-    rep = O.train_step(model, opt, mlm, [ppi], policy, 0.7, {"ppi": 1.3}, step=0)
+    rep = O.train_step(model, opt, mlm, [ppi], True, 0.7, {"ppi": 1.3}, step=0)
     assert rep.recompute_total() == rep.total
     assert rep.l_conserve > 0 and rep.task_losses["ppi"] > 0
     line = rep.log_line(("ppi",))
@@ -110,8 +109,7 @@ def test_routing_blocks_conserve_gradient_from_ic():
     model, mlm, _ = _fixture(seed=1)
     before = _snapshot(model)
     opt = O.Adam(model.parameters(), lr=1e-3)
-    policy = O.default_policy(("Seq", "IC"), ("ppi",))
-    O.train_step(model, opt, mlm, [], policy, 1.0, {"ppi": 1.0}, step=0)
+    O.train_step(model, opt, mlm, [], True, 1.0, {"ppi": 1.0}, step=0)
     assert np.array_equal(model.prompts.get("IC").data, before["prompt.IC"])
     assert not np.array_equal(model.prompts.get("Seq").data, before["prompt.Seq"])
     assert not np.array_equal(model.parameters()["embed.tok"].data, before["embed.tok"])
@@ -123,8 +121,7 @@ def test_routing_blocks_task_gradient_from_seq():
     model, _, ppi = _fixture(seed=2)
     before = _snapshot(model)
     opt = O.Adam(model.parameters(), lr=1e-3)
-    policy = O.default_policy(("Seq", "IC"), ("ppi",))
-    O.train_step(model, opt, None, [ppi], policy, 1.0, {"ppi": 1.0}, step=0)
+    O.train_step(model, opt, None, [ppi], True, 1.0, {"ppi": 1.0}, step=0)
     assert np.array_equal(model.prompts.get("Seq").data, before["prompt.Seq"])
     assert not np.array_equal(model.prompts.get("IC").data, before["prompt.IC"])
     assert np.all(opt.m["prompt.Seq"] == 0.0)
@@ -135,10 +132,9 @@ def test_lambda_zero_equals_mlm_only_run():
     for include_task in (True, False):
         model, mlm, ppi = _fixture(seed=3)
         opt = O.Adam(model.parameters(), lr=1e-3)
-        policy = O.default_policy(("Seq", "IC"), ("ppi",))
         tasks = [ppi] if include_task else []
         for step in range(3):
-            O.train_step(model, opt, mlm, tasks, policy, 0.0, {"ppi": 1.0}, step=step)
+            O.train_step(model, opt, mlm, tasks, True, 0.0, {"ppi": 1.0}, step=step)
         runs.append(_snapshot(model))
     with_task, without = runs
     for name in with_task:
@@ -150,47 +146,57 @@ def test_alpha_zero_equals_mlm_only_run():
     for alpha in (0.0, None):
         model, mlm, ppi = _fixture(seed=4)
         opt = O.Adam(model.parameters(), lr=1e-3)
-        policy = O.default_policy(("Seq", "IC"), ("ppi",))
         tasks = [ppi] if alpha is not None else []
         a = {"ppi": alpha} if alpha is not None else {}
         for step in range(3):
-            O.train_step(model, opt, mlm, tasks, policy, 1.0, a, step=step)
+            O.train_step(model, opt, mlm, tasks, True, 1.0, a, step=step)
         runs.append(_snapshot(model))
     assert all(np.array_equal(runs[0][n], runs[1][n]) for n in runs[0])
 
 
-def test_open_policy_lets_everything_through():
+def test_routing_off_lets_everything_through():
     model, mlm, _ = _fixture(seed=5)
     before = _snapshot(model)
     opt = O.Adam(model.parameters(), lr=1e-3)
-    O.train_step(model, opt, mlm, [], O.open_policy(("Seq", "IC"), ("ppi",)),
-                 1.0, {"ppi": 1.0}, step=0)
+    O.train_step(model, opt, mlm, [], False, 1.0, {"ppi": 1.0}, step=0)
     assert not np.array_equal(model.prompts.get("IC").data, before["prompt.IC"])
 
 
-def test_policy_validation():
-    policy = O.RoutingPolicy(prompt_routes={"Seq": frozenset({"mlm"})})
-    with pytest.raises(ConfigError, match="misses"):
-        policy.validate(("Seq", "IC"))
-    with pytest.raises(ConfigError, match="unknown"):
-        policy.validate(())
-    assert policy.frozen("mlm") == frozenset()
-    assert policy.frozen("ppi") == {"Seq"}
-    routed = O.default_policy(("Seq", "IC"), ("ppi",))
-    assert routed.frozen("mlm") == {"IC"} and routed.frozen("ppi") == {"Seq"}
-    assert O.open_policy(("Seq", "IC"), ("ppi",)).frozen("ppi") == frozenset()
+def test_frozen_prompts_table():
+    # (prompts, source, routing) -> prompts held constant in that forward
+    table = [
+        (("Seq", "IC"), "mlm", True, {"IC"}),
+        (("Seq", "IC"), "ppi", True, {"Seq"}),
+        (("Seq", "IC", "PPI"), "mlm", True, {"IC", "PPI"}),
+        (("Seq", "IC", "PPI"), "ppi", True, {"Seq"}),
+        (("IC", "Seq"), "mlm", True, {"IC"}),
+        (("Seq",), "mlm", True, set()),
+        (("Seq",), "ppi", True, {"Seq"}),
+        (("IC",), "ppi", True, set()),
+        ((), "mlm", True, set()),
+        (("Seq", "IC", "PPI"), "mlm", False, set()),
+        (("Seq", "IC", "PPI"), "ppi", False, set()),
+    ]
+    for prompts, source, routing, want in table:
+        got = O.frozen_prompts(prompts, source, routing)
+        assert isinstance(got, frozenset) and got == want, (prompts, source, routing)
 
 
 def test_train_step_sweeps_backward_once(monkeypatch):
     model, mlm, ppi = _fixture(seed=8)
     opt = O.Adam(model.parameters(), lr=1e-3)
-    policy = O.default_policy(("Seq", "IC"), ("ppi",))
     calls = []
     backward = nm.backward
     monkeypatch.setattr(nm, "backward", lambda *a: calls.append(1) or backward(*a))
     for step in range(3):
-        O.train_step(model, opt, mlm, [ppi], policy, 0.7, {"ppi": 1.3}, step=step)
+        O.train_step(model, opt, mlm, [ppi], True, 0.7, {"ppi": 1.3}, step=step)
         assert len(calls) == step + 1
+
+
+# the paper's routes, prompt -> the loss sources that may update it, and
+# the routes with routing off
+ROUTED = {"Seq": {"mlm"}, "IC": {"ppi"}}
+OPEN = {"Seq": {"mlm", "ppi"}, "IC": {"mlm", "ppi"}}
 
 
 def _adam_inputs(opt):
@@ -207,20 +213,19 @@ def _adam_inputs(opt):
 
 
 @pytest.mark.parametrize("weights", [(1.0, 1.0), (0.7, 1.3)], ids=["unit", "weighted"])
-@pytest.mark.parametrize("make_policy", [O.default_policy, O.open_policy],
-                         ids=["default", "open"])
-def test_single_sweep_matches_per_source_router(make_policy, weights):
+@pytest.mark.parametrize("routing", [True, False], ids=["default", "open"])
+def test_single_sweep_matches_per_source_router(routing, weights):
     # a pretrain-shaped step: mean MLM plus BCE, every prompt on every source
     lam, a = weights
     alpha = {"ppi": a}
-    policy = make_policy(("Seq", "IC"), ("ppi",))
+    routes = ROUTED if routing else OPEN
     model, mlm, ppi = _fixture(seed=9, d=32, layers=2, heads=4)
     opt = O.Adam(model.parameters(), lr=1e-3)
     seen = _adam_inputs(opt)
-    rep = O.train_step(model, opt, mlm, [ppi], policy, lam, alpha, mlm_reduction="mean")
+    rep = O.train_step(model, opt, mlm, [ppi], routing, lam, alpha, mlm_reduction="mean")
     ref_model, ref_mlm, ref_ppi = _fixture(seed=9, d=32, layers=2, heads=4)
     ref_opt = O.Adam(ref_model.parameters(), lr=1e-3)
-    want, ref_losses = reference_routed_step(ref_model, ref_opt, ref_mlm, [ref_ppi], policy,
+    want, ref_losses = reference_routed_step(ref_model, ref_opt, ref_mlm, [ref_ppi], routes,
                                              lam, alpha, mlm_reduction="mean")
     # holding a prompt constant changes no forward value
     assert rep.l_conserve == ref_losses["mlm"] and rep.task_losses == {"ppi": ref_losses["ppi"]}
@@ -229,13 +234,12 @@ def test_single_sweep_matches_per_source_router(make_policy, weights):
     for name, g in want.items():
         assert np.abs(got[name] - g).max() <= 1e-12, name
         single_source = name.startswith("head.") or (
-            name.startswith("prompt.") and make_policy is O.default_policy)
+            name.startswith("prompt.") and routing)
         if lam * a == 1.0 and single_source:
             assert np.array_equal(got[name], g), name
 
 
 def test_loss_columns_match_per_source_router_over_50_steps():
-    policy = O.default_policy(("Seq", "IC"), ("ppi",))
     runs = []
     for single_sweep in (True, False):
         model, mlm, ppi = _fixture(seed=10)
@@ -243,11 +247,11 @@ def test_loss_columns_match_per_source_router_over_50_steps():
         rows = []
         for step in range(50):
             if single_sweep:
-                rep = O.train_step(model, opt, mlm, [ppi], policy, 0.7, {"ppi": 1.3},
+                rep = O.train_step(model, opt, mlm, [ppi], True, 0.7, {"ppi": 1.3},
                                    step=step)
                 rows.append((rep.l_conserve, rep.task_losses["ppi"]))
             else:
-                _, losses = reference_routed_step(model, opt, mlm, [ppi], policy,
+                _, losses = reference_routed_step(model, opt, mlm, [ppi], ROUTED,
                                                   0.7, {"ppi": 1.3})
                 rows.append((losses["mlm"], losses["ppi"]))
         runs.append(np.array(rows))
@@ -259,11 +263,10 @@ def test_loss_columns_match_per_source_router_over_50_steps():
 def test_train_step_rejects_empty_and_duplicates():
     model, mlm, ppi = _fixture(seed=6)
     opt = O.Adam(model.parameters(), lr=1e-3)
-    policy = O.default_policy(("Seq", "IC"), ("ppi",))
     with pytest.raises(ContractError):
-        O.train_step(model, opt, None, [], policy, 1.0, {}, step=0)
+        O.train_step(model, opt, None, [], True, 1.0, {}, step=0)
     with pytest.raises(ContractError, match="duplicate"):
-        O.train_step(model, opt, None, [ppi, ppi], policy, 1.0, {}, step=0)
+        O.train_step(model, opt, None, [ppi, ppi], True, 1.0, {}, step=0)
 
 
 def test_pair_forward_pools_each_protein_once():
