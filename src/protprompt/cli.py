@@ -31,7 +31,6 @@ from .config import (
     build_config,
     check_structural,
     parse_overrides,
-    read_config_file,
 )
 from .errors import ConfigError, DataError, Error, FormatError
 from .model import PROMPT_INIT_STD, ModelConfig, ProteinEncoder
@@ -85,12 +84,13 @@ def _mlm_batch(corpus, cfg: RunConfig, step: int) -> O.MlmTaskBatch:
     return O.MlmTaskBatch(sequences=seqs, masked=masked)
 
 
-def _pretrain_ppi_batches(graph: D.PPIGraph, encoded, cfg: RunConfig):
-    """Per-step batches of positive rows plus an equal count of non-adjacent
-    negatives.
+def _ppi_batches(graph: D.PPIGraph, encoded, cfg: RunConfig, width: int):
+    """Per-step batches of rows for a pair head of the given width.
 
-    Files that carry explicit 0 labels supply their own negatives and are
-    sampled as given.
+    Width 1 labels a row 1 when any of its bits is set and adds an equal
+    count of non-adjacent negatives; binary files that carry explicit 0
+    labels supply their own negatives and are sampled as given. A wider head
+    takes the file's rows and bits as given.
     """
     rows = sorted(graph.edges.items())
     names = sorted(graph.nodes)
@@ -102,8 +102,9 @@ def _pretrain_ppi_batches(graph: D.PPIGraph, encoded, cfg: RunConfig):
         picked = _pick_rows(rows, cfg, step)
         size = len(picked)
         pairs = [(encoded[a], encoded[b]) for (a, b), _ in picked]
-        labels = [1.0 if bits.any() else 0.0 for _, bits in picked]
-        if not has_explicit_negatives:
+        labels = [bits.astype(np.float64) if width > 1 else [float(bits.any())]
+                  for _, bits in picked]
+        if width == 1 and not has_explicit_negatives:
             neg_rng = _step_rng(cfg.seed, step, _RNG_NEGATIVES)
             got, tries = 0, 0
             while got < size and tries < 1000 * size:
@@ -115,11 +116,11 @@ def _pretrain_ppi_batches(graph: D.PPIGraph, encoded, cfg: RunConfig):
                 if key in graph.edges:
                     continue
                 pairs.append((encoded[a], encoded[b]))
-                labels.append(0.0)
+                labels.append([0.0])
                 got += 1
             if got < size:
                 raise DataError("graph too dense to sample non-interacting pairs")
-        return O.PairTaskBatch(name="ppi", pairs=pairs, labels=np.array(labels).reshape(-1, 1))
+        return O.PairTaskBatch(name="ppi", pairs=pairs, labels=np.array(labels))
 
     return build
 
@@ -189,7 +190,7 @@ def cmd_pretrain(args) -> int:
     # the graph's endpoints reuse the corpus's encodings
     graph = _load_ppi(cfg.ppi, table) if cfg.ppi else None
     tasks = ("ppi",) if graph is not None else ()
-    pair_batch = _pretrain_ppi_batches(graph, encoded, cfg) if graph is not None else None
+    pair_batch = _ppi_batches(graph, encoded, cfg, 1) if graph is not None else None
 
     start_step = int(state.get("opt.step", np.asarray(0.0)))
     if model is None:
@@ -204,6 +205,12 @@ def cmd_pretrain(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     T.write_vocab(out_dir / "vocab.txt")
     log_path = out_dir / "metrics.csv"
+    resumed_log = Path(args.resume).parent / "metrics.csv" if args.resume else None
+    if resumed_log and resumed_log.exists() and not log_path.exists():
+        # a run resumed into a new directory carries the steps before its
+        # checkpoint over from the checkpoint's own log
+        with ckpt.atomic_write(log_path, "wb") as fh:
+            fh.write(resumed_log.read_bytes())
     log_mode = "a" if args.resume and log_path.exists() else "w"
     if log_mode == "a":
         _drop_log_rows_from(log_path, start_step)
@@ -259,6 +266,17 @@ def cmd_inject(args) -> int:
     cfg, model, _ = _load_config(args, ("steps", "lr", "seed"), args.checkpoint)
     _print_warnings(cfg)
     prompt_name = args.prompt
+    # a name the prompts key cannot list back (empty, or holding a comma)
+    if not prompt_name.replace("_", "").isalnum():
+        raise ConfigError(f"prompt name {prompt_name!r} must be alphanumeric")
+    if prompt_name in O.frozen_prompts((prompt_name,), "ppi", True):
+        raise ConfigError(f"prompt {prompt_name!r} learns from the conservation loss only, "
+                          "so inject could never train it")
+    if not args.data or not args.fasta:
+        raise ConfigError("inject --task ppi needs --data (TSV) and --fasta")
+    graph = _load_ppi(args.data, D.parse_fasta(args.fasta))
+    pair_batch = _ppi_batches(graph, _encode_table(graph.nodes, cfg.max_len), cfg,
+                              graph.label_width)
     init_rng = np.random.default_rng((cfg.seed, len(model.prompts)))
     model.prompts.register(
         prompt_name, Tensor(init_rng.normal(0.0, PROMPT_INIT_STD, cfg.d))
@@ -278,37 +296,19 @@ def cmd_inject(args) -> int:
         p.requires_grad = name in trainable
 
     optimizer = _adam(trainable, cfg)
-    batches_fn = _inject_ppi_batches(args, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "metrics.csv", "w") as log:
         log.write("\n".join(_metrics_log_header(cfg, ("ppi",))) + "\n")
         for step in range(cfg.steps):
-            batch = batches_fn(step)
             report = O.train_step(
-                model, optimizer, None, [batch], True, cfg.lambda_weight,
+                model, optimizer, None, [pair_batch(step)], True, cfg.lambda_weight,
                 cfg.alpha(), step=step, mlm_reduction=cfg.mlm_reduction,
             )
             log.write(report.log_line(("ppi",)) + "\n")
     ckpt.save_model(out_dir / "injected.bin", model, cfg, optimizer)
     print(f"inject complete: prompt {prompt_name!r}, checkpoint {out_dir / 'injected.bin'}")
     return 0
-
-
-def _inject_ppi_batches(args, cfg: RunConfig):
-    if not args.data or not args.fasta:
-        raise ConfigError("inject --task ppi needs --data (TSV) and --fasta")
-    graph = _load_ppi(args.data, D.parse_fasta(args.fasta))
-    encoded = _encode_table(graph.nodes, cfg.max_len)
-    rows = sorted(graph.edges.items())
-
-    def build(step: int) -> O.PairTaskBatch:
-        picked = _pick_rows(rows, cfg, step)
-        pairs = [(encoded[a], encoded[b]) for (a, b), _ in picked]
-        labels = np.stack([bits.astype(np.float64) for _, bits in picked])
-        return O.PairTaskBatch(name="ppi", pairs=pairs, labels=labels)
-
-    return build
 
 
 def cmd_eval(args) -> int:
@@ -535,8 +535,7 @@ def _load_config(args, keys: tuple[str, ...], checkpoint=None):
     base_text = stored.to_text() if stored is not None else None
     cfg = build_config(args.config, overrides, base_text=base_text)
     if stored is not None:
-        supplied = set(overrides) | set(read_config_file(args.config) if args.config else ())
-        check_structural(cfg, stored, supplied)
+        check_structural(cfg, stored)
     return cfg, model, state
 
 

@@ -20,10 +20,11 @@ from .errors import ConfigError
 STRUCTURAL_KEYS = ("d", "layers", "heads", "max_len", "prompts", "mask_mode")
 
 
-def check_structural(cfg: RunConfig, stored: RunConfig, supplied: set[str]) -> None:
-    """Refuse supplied structural keys whose values contradict stored's."""
+def check_structural(cfg: RunConfig, stored: RunConfig) -> None:
+    """Refuse structural values of cfg that contradict stored's (cfg is
+    built on stored's text, so only a value the user supplied can differ)."""
     for key in STRUCTURAL_KEYS:
-        if key in supplied and getattr(cfg, key) != getattr(stored, key):
+        if getattr(cfg, key) != getattr(stored, key):
             raise ConfigError(
                 f"{key}={getattr(cfg, key)!r} contradicts checkpoint "
                 f"value {getattr(stored, key)!r} (config hash {stored.hash()[:12]})"

@@ -166,23 +166,27 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad = t.grad + g
 
 
-def backward(tape: Tape, loss: Tensor) -> None:
-    """Reverse sweep from a scalar loss recorded on the tape.
+def backward(tape: Tape, loss: Tensor | Sequence[tuple[Tensor, float]]) -> None:
+    """Reverse sweep from scalar roots recorded on the tape.
 
-    Gradients accumulate into .grad of every leaf reachable from loss, and
-    leaves keep them across calls (callers zero them). An intermediate
-    node's gradient is dropped as soon as its closure has run, so the sweep
-    holds only the gradients of nodes it has not reached yet; after it,
-    every node on the tape has .grad None.
+    loss is one root, seeded with 1, or a sequence of (root, weight) pairs,
+    each seeded with its weight, so one sweep gives every leaf the weighted
+    sum of the roots' gradients. Gradients accumulate into .grad of every
+    leaf reachable from a root, and leaves keep them across calls (callers
+    zero them). An intermediate node's gradient is dropped as soon as its
+    closure has run, so the sweep holds only the gradients of nodes it has
+    not reached yet; after it, every node on the tape has .grad None.
     """
-    if loss.data.size != 1:
-        raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    on_tape = any(loss is node for node in tape.nodes)
-    if not on_tape:
-        raise ContractError("loss was not recorded on this tape")
+    roots = [(loss, 1.0)] if isinstance(loss, Tensor) else list(loss)
+    for root, _ in roots:
+        if root.data.size != 1:
+            raise ContractError(f"backward needs a scalar loss, got shape {root.shape}")
+        if not any(root is node for node in tape.nodes):
+            raise ContractError("loss was not recorded on this tape")
     for node in tape.nodes:
         node.grad = None
-    loss.grad = np.ones_like(loss.data)
+    for root, weight in roots:
+        _accum(root, np.full_like(root.data, weight))
     for node in reversed(tape.nodes):
         if node.grad is None or node._backprop is None:
             continue
@@ -218,17 +222,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, g * a.data)
 
     return _node((a, b), out_data, backprop, "mul")
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    """x * c for a python scalar c."""
-    c = float(c)
-    out_data = x.data * c
-
-    def backprop(g):
-        _accum(x, g * c)
-
-    return _node((x,), out_data, backprop, "scale")
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -13,14 +13,16 @@ every prompt learns from every source. The encoder (embeddings and
 layers) learns from every source present and each head from its own
 loss, by construction. Routing happens in the forward pass: while a
 source's forward runs, each prompt outside its route enters as a
-constant, so one backward sweep of the weighted total gives every
-parameter exactly its routed gradient.
+constant, so one backward sweep gives every parameter exactly its routed
+gradient.
 
 Each source records one loss node (numerics.cross_entropy_rows or
-numerics.pair_bce) after the L+1 nodes of each encode, L the layer count,
-and a few scale and add nodes weight the total. A pretrain benchmark step
-records about 117 nodes, against 287 for the per-sequence head and loss
-chain that tests/conftest.py keeps as the nodes' oracle.
+numerics.pair_bce) after the L+1 nodes of each encode, L the layer count.
+The weights are no nodes: each loss node is a root of the sweep, seeded
+with its source's coefficient, and the logged total is folded from the
+losses as floats. A pretrain benchmark step records about 114 nodes,
+against 287 for the per-sequence head and loss chain that
+tests/conftest.py keeps as the nodes' oracle.
 """
 
 from __future__ import annotations
@@ -38,48 +40,15 @@ from .tokenizer import MlmBatch, TokenSequence
 CONSERVE = "mlm"
 
 
-def injection_loss(task_losses: dict[str, Tensor], alpha: dict[str, float]) -> Tensor:
-    """Weighted sum of task losses in insertion order."""
-    total: Tensor | None = None
-    for name, loss in task_losses.items():
-        a = alpha.get(name, 1.0)
-        if a < 0:
-            raise ConfigError(f"alpha for task {name!r} must be >= 0")
-        term = nm.scale(loss, a)
-        total = term if total is None else nm.add(total, term)
-    if total is None:
-        return Tensor(0.0)
-    return total
-
-
-def total_loss(l_conserve: Tensor, l_inject: Tensor, lambda_weight: float) -> Tensor:
-    if lambda_weight < 0:
-        raise ConfigError("lambda must be >= 0")
-    return nm.add(l_conserve, nm.scale(l_inject, lambda_weight))
-
-
 @dataclass
 class LossReport:
-    """Per-step scalar record; total is recomputable from the parts."""
+    """Per-step scalar record."""
 
     step: int
     l_conserve: float
     task_losses: dict[str, float]
-    l_inject: float
     total: float
-    lambda_weight: float
-    alpha: dict[str, float]
     wall_ms: float = 0.0
-
-    def recompute_total(self) -> float:
-        """Re-fold the decomposition in the same float order as training."""
-        inject = None
-        for name, val in self.task_losses.items():
-            term = val * self.alpha.get(name, 1.0)
-            inject = term if inject is None else inject + term
-        if inject is None:
-            inject = 0.0
-        return self.l_conserve + inject * self.lambda_weight
 
     def log_line(self, task_order: tuple[str, ...]) -> str:
         cells = [str(self.step), repr(self.l_conserve)]
@@ -237,45 +206,48 @@ def train_step(
 
     Each source s runs its forward with frozen_prompts(prompts, s, routing)
     held constant, so no prompt outside s's route is on s's part of the
-    tape. One backward sweep of the weighted total then gives every
-    parameter the sum of c_s * dL_s/dtheta over the sources that reach it
-    (c_s = 1 for the conservation loss, lambda*alpha_t for task t), and
-    those gradients go to Adam as they are.
+    tape. Each source's loss node is a root of one backward sweep, seeded
+    with its coefficient c_s (1 for the conservation loss, lambda*alpha_t
+    for task t), so every parameter gets the sum of c_s * dL_s/dtheta over
+    the sources that reach it, and those gradients go to Adam as they are.
+    The logged total is L_conserve + (sum_t alpha_t * L_t) * lambda.
     """
     if mlm_batch is None and not task_batches:
         raise ContractError("train_step needs at least one task batch")
+    if lambda_weight < 0:
+        raise ConfigError("lambda must be >= 0")
     prompts = model.prompts.names()
     t0 = time.monotonic()
 
     tape = Tape()
+    roots: list[tuple[Tensor, float]] = []
+    l_conserve, inject, task_losses = 0.0, 0.0, {}
     with tape:
-        l_conserve_t = Tensor(0.0)
         if mlm_batch is not None:
-            l_conserve_t = _forward_mlm(
-                model, mlm_batch, mlm_reduction, frozen_prompts(prompts, CONSERVE, routing)
-            )
-        task_tensors: dict[str, Tensor] = {}
+            loss = _forward_mlm(model, mlm_batch, mlm_reduction,
+                                frozen_prompts(prompts, CONSERVE, routing))
+            l_conserve = float(loss.data)
+            roots.append((loss, 1.0))
         for batch in task_batches:
-            if batch.name in task_tensors:
+            a = alpha.get(batch.name, 1.0)
+            if a < 0:
+                raise ConfigError(f"alpha for task {batch.name!r} must be >= 0")
+            if batch.name in task_losses:
                 raise ContractError(f"duplicate task batch {batch.name!r}")
-            task_tensors[batch.name] = _forward_pairs(
-                model, batch, frozen_prompts(prompts, batch.name, routing)
-            )
-        l_inject_t = injection_loss(task_tensors, alpha)
-        total_t = total_loss(l_conserve_t, l_inject_t, lambda_weight)
+            loss = _forward_pairs(model, batch, frozen_prompts(prompts, batch.name, routing))
+            task_losses[batch.name] = float(loss.data)
+            inject += task_losses[batch.name] * a
+            roots.append((loss, lambda_weight * a))
 
     for p in optimizer.params.values():
         p.grad = None
-    nm.backward(tape, total_t)
+    nm.backward(tape, roots)
     optimizer.step({name: p.grad for name, p in optimizer.params.items()})
 
     return LossReport(
         step=step,
-        l_conserve=float(l_conserve_t.data),
-        task_losses={name: float(t.data) for name, t in task_tensors.items()},
-        l_inject=float(l_inject_t.data),
-        total=float(total_t.data),
-        lambda_weight=lambda_weight,
-        alpha=dict(alpha),
+        l_conserve=l_conserve,
+        task_losses=task_losses,
+        total=l_conserve + inject * lambda_weight,
         wall_ms=(time.monotonic() - t0) * 1000.0,
     )

@@ -228,6 +228,17 @@ def reference_encode(model, seq, prompt_names=(), frozen=frozenset()):
 # nodes are checked against
 
 
+def scale(x, c):
+    """x * c for a python scalar c."""
+    c = float(c)
+    out_data = x.data * c
+
+    def backprop(g):
+        nm._accum(x, g * c)
+
+    return nm._node((x,), out_data, backprop, "scale")
+
+
 def concat_rows(parts):
     """Stack 2-d tensors along axis 0; column counts must agree."""
     if not parts:
@@ -318,11 +329,11 @@ def mlm_loss(logits, targets, reduction="sum"):
         raise ContractError(f"logits shape {logits.shape} does not match {t.size} targets")
     logp = log_softmax_rows(logits)
     chosen = pick(logp, np.arange(t.size, dtype=np.intp), t)
-    loss = nm.scale(nm.sum_all(chosen), -1.0)
+    loss = scale(nm.sum_all(chosen), -1.0)
     if reduction == "sum":
         return loss
     if reduction == "mean":
-        return nm.scale(loss, 1.0 / t.size)
+        return scale(loss, 1.0 / t.size)
     raise ConfigError(f"unknown reduction {reduction!r}")
 
 

@@ -15,6 +15,7 @@ import pytest
 from protprompt import checkpoint as ckpt
 from protprompt import data as D
 from protprompt import numerics as nm
+from protprompt import objectives as O
 from protprompt import tokenizer as T
 from protprompt.cli import main
 from protprompt.model import ProteinEncoder
@@ -79,7 +80,7 @@ def test_pretrain_writes_artifacts(ws):
     rows = [ln.split(",") for ln in lines[header_at + 1:]]
     assert [r[0] for r in rows] == ["0", "1", "2", "3"]
     for r in rows:
-        total = float(r[1]) + float(r[2])  # l_ppi column is already weighted
+        total = float(r[1]) + float(r[2])  # lambda = alpha_ppi = 1 here
         assert 0 < float(r[3]) and abs(float(r[3]) - total) < 1e-9 * (1 + total)
     vocab = (out / "vocab.txt").read_text().splitlines()
     assert len(vocab) == 25 and vocab[0].endswith("<cls>")
@@ -156,6 +157,20 @@ def test_pretrain_output_directory_defaults(ws, tmp_path, monkeypatch):
     assert main([*common, "--steps", "4", "--resume", str(moved / "ckpt_step2.bin")]) == 0
     assert [r[0] for r in _metric_rows(moved)] == ["0", "1", "2", "3"]
     assert (moved / "ckpt_step4.bin").exists() and not (tmp_path / "run").exists()
+
+
+def test_resume_into_a_new_directory_keeps_the_whole_log(ws, tmp_path):
+    common = ["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
+              "--seed", "7", "--steps", "6", *BASE_SETS, "--set", "checkpoint_every=3"]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([*common, "--out-dir", str(first)]) == 0
+    assert main([*common, "--out-dir", str(second),
+                 "--resume", str(first / "ckpt_step3.bin")]) == 0
+    assert (second / "final.bin").read_bytes() == (first / "final.bin").read_bytes()
+    logs = [(d / "metrics.csv").read_text().splitlines() for d in (first, second)]
+    masked = [[ln.rsplit(",", 1)[0] if ln[:1].isdigit() else ln for ln in log] for log in logs]
+    assert masked[0] == masked[1]
+    assert [r[0] for r in _metric_rows(second)] == ["0", "1", "2", "3", "4", "5"]
 
 
 def test_resume_mid_interval_logs_each_step_once(ws, tmp_path):
@@ -374,9 +389,8 @@ def test_inject_step_sweeps_backward_once(ws, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["pretrain", "inject"])
 def test_each_step_records_one_loss_node_per_source(ws, tmp_path, monkeypatch, command):
-    # a step records layers + 1 nodes per encode, one loss node per source
-    # and the weighting of the total: alpha's scale, lambda's scale and the
-    # add of the conservation loss
+    # a step records layers + 1 nodes per encode and one loss node per
+    # source; the weights seed the backward sweep and record no node
     encodes, steps = [0], []
     encode, backward = ProteinEncoder.encode, nm.backward
 
@@ -395,11 +409,11 @@ def test_each_step_records_one_loss_node_per_source(ws, tmp_path, monkeypatch, c
     if command == "pretrain":
         argv = ["pretrain", *data, "--ppi", str(ws["pairs"]), "--out-dir", str(tmp_path),
                 *BASE_SETS, "--set", "layers=2", "--set", "batch_seqs=6"]
-        layers, loss_nodes = 2, 2 + 3
+        layers, loss_nodes = 2, 2
     else:
         argv = ["inject", *data, "--checkpoint", str(ws["final"]), "--prompt", "PPI",
                 "--task", "ppi", "--data", str(ws["pairs"]), "--out", str(tmp_path)]
-        layers, loss_nodes = 1, 1 + 3
+        layers, loss_nodes = 1, 1
     assert main(argv) == 0
     assert len(steps) == 3
     for nodes, encoded in steps:
@@ -442,6 +456,41 @@ def test_blas_thread_count_leaves_checkpoints_bitwise(tmp_path):
         assert proc.returncode == 0, proc.stdout + proc.stderr
         outputs.append([(out / name).read_bytes() for name in ("final.bin", "inj/injected.bin")])
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("name", ["A,B", "", "Seq"], ids=["comma", "empty", "seq"])
+def test_inject_rejects_prompt_names_it_cannot_train(ws, tmp_path, capsys, name):
+    # the base holds IC only, so Seq would register, then never learn from ppi
+    base = tmp_path / "ic"
+    assert main(["pretrain", "--fasta", str(ws["fasta"]), "--out-dir", str(base),
+                 "--steps", "1", *BASE_SETS, "--set", "prompts=IC"]) == 0
+    capsys.readouterr()
+    rc = main(["inject", "--checkpoint", str(base / "final.bin"), "--prompt", name,
+               "--task", "ppi", "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"]),
+               "--out", str(tmp_path / "inj"), "--steps", "2"])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "inj").exists()
+
+
+def test_inject_draws_negatives_for_a_positives_only_file(ws, tmp_path, monkeypatch):
+    positives = tmp_path / "positives.tsv"
+    positives.write_text("".join(f"p{i:02d}\tp{i + 1:02d}\t1\n" for i in range(8)))
+    labels = []
+    train_step = O.train_step
+
+    def keep_labels(model, optimizer, mlm_batch, task_batches, *args, **kwargs):
+        labels.append(np.concatenate([b.labels for b in task_batches]))
+        return train_step(model, optimizer, mlm_batch, task_batches, *args, **kwargs)
+
+    monkeypatch.setattr(O, "train_step", keep_labels)
+    assert main(["inject", "--checkpoint", str(ws["final"]), "--prompt", "PPI",
+                 "--task", "ppi", "--data", str(positives), "--fasta", str(ws["fasta"]),
+                 "--out", str(tmp_path / "inj"), "--steps", "3"]) == 0
+    assert len(labels) == 3
+    for step_labels in labels:
+        assert step_labels.shape[1] == 1
+        assert (step_labels == 0.0).sum() == (step_labels == 1.0).sum() > 0
 
 
 def test_inject_metrics_log(ws, tmp_path):
@@ -511,14 +560,16 @@ def test_eval_unknown_prompt_exit_2(ws, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_eval_structural_contradiction_exit_2(ws, capsys):
-    rc = main([
-        "eval", "--checkpoint", str(ws["final"]), "--task", "ppi",
-        "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"]),
-        "--set", "heads=8",
-    ])
-    assert rc == 2
-    assert "contradicts checkpoint value" in capsys.readouterr().err
+def test_eval_structural_contradiction_exit_2(ws, tmp_path, capsys):
+    conf = tmp_path / "heads.conf"
+    conf.write_text("heads=8\n")
+    for supplied in (["--set", "heads=8"], ["--config", str(conf)]):
+        rc = main([
+            "eval", "--checkpoint", str(ws["final"]), "--task", "ppi",
+            "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"]), *supplied,
+        ])
+        assert rc == 2
+        assert "contradicts checkpoint value" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("declared", ["dims", "config-length"])

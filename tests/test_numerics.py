@@ -17,7 +17,7 @@ from protprompt.numerics import Tape, Tensor
 from conftest import (OracleError, bce_with_logits_mean, concat_rows, embedding_lookup,
                       finite_diff_check, gelu, layernorm, log_softmax_rows, mode_mask,
                       multihead_attention, pick, reference_affine, reference_attention,
-                      reference_contact, reference_gelu, reference_layernorm)
+                      reference_contact, reference_gelu, reference_layernorm, scale)
 
 FD_TOL = 1e-6
 
@@ -51,7 +51,7 @@ def test_add_mul_gradients():
 
 
 def test_scale_gradients():
-    _check(lambda t: nm.scale(t, -2.5), _rand((3, 4), 7))
+    _check(lambda t: scale(t, -2.5), _rand((3, 4), 7))
 
 
 def test_reshape_concat_slice_gradients():
@@ -479,7 +479,7 @@ def test_finite_diff_rejects_nondeterministic_function():
 
     def f(t):
         calls.append(1)
-        return nm.scale(nm.sum_all(t), float(len(calls)))
+        return scale(nm.sum_all(t), float(len(calls)))
 
     with pytest.raises(OracleError):
         finite_diff_check(f, Tensor(np.ones(3), requires_grad=True))
@@ -505,7 +505,7 @@ def test_grad_accumulates_across_backward_calls_on_leaves():
     tape = Tape()
     with tape:
         y = nm.sum_all(x)
-        z = nm.scale(nm.sum_all(x), 2.0)
+        z = scale(nm.sum_all(x), 2.0)
     nm.backward(tape, y)
     first = x.grad.copy()
     nm.backward(tape, z)

@@ -13,7 +13,8 @@ from protprompt.model import ModelConfig, ProteinEncoder
 from protprompt.numerics import Tape, Tensor
 
 from conftest import (bce_with_logits_mean, concat_rows, mlm_loss, ppi_loss,
-                      reference_forward_mlm, reference_forward_pairs, reference_routed_step)
+                      reference_forward_mlm, reference_forward_pairs, reference_routed_step,
+                      scale)
 
 
 def test_uniform_logits_give_log_vocab_loss():
@@ -54,22 +55,6 @@ def test_bce_saturates_toward_zero():
     assert ppi_loss(big, np.ones((2, 1))).item() < 1e-12
 
 
-def test_injection_loss_weighted_fold():
-    losses = {"ppi": Tensor(2.0), "contact": Tensor(3.0)}
-    total = O.injection_loss(losses, {"ppi": 0.5, "contact": 2.0})
-    assert total.item() == 2.0 * 0.5 + 3.0 * 2.0
-    assert O.injection_loss({}, {}).item() == 0.0
-    with pytest.raises(ConfigError):
-        O.injection_loss({"ppi": Tensor(1.0)}, {"ppi": -1.0})
-
-
-def test_total_loss_combination():
-    assert O.total_loss(Tensor(1.0), Tensor(2.0), 1.0).item() == 3.0
-    assert O.total_loss(Tensor(1.0), Tensor(2.0), 0.0).item() == 1.0
-    with pytest.raises(ConfigError):
-        O.total_loss(Tensor(1.0), Tensor(2.0), -0.5)
-
-
 # ---------------------------------------------------------------------------
 # train_step helpers
 
@@ -90,18 +75,61 @@ def _snapshot(model):
     return {n: p.data.copy() for n, p in model.parameters().items()}
 
 
-def test_report_decomposition_recomputes_bitwise():
+def _two_tasks(ppi):
+    """ppi plus a 7-type task over the same pairs, which takes the other head."""
+    labels = np.random.default_rng(3).integers(0, 2, size=(len(ppi.pairs), 7)).astype(float)
+    return [ppi, O.PairTaskBatch(name="types", pairs=ppi.pairs, labels=labels)]
+
+
+def test_report_total_folds_the_losses_in_paper_order():
     model, mlm, ppi = _fixture()
     opt = O.Adam(model.parameters(), lr=1e-4)
-    rep = O.train_step(model, opt, mlm, [ppi], True, 0.7, {"ppi": 1.3}, step=0)
-    assert rep.recompute_total() == rep.total
-    assert rep.l_conserve > 0 and rep.task_losses["ppi"] > 0
+    alpha = {"ppi": 0.5, "types": 2.0}
+    rep = O.train_step(model, opt, mlm, _two_tasks(ppi), True, 0.7, alpha, step=0)
+    l_ppi, l_types = rep.task_losses["ppi"], rep.task_losses["types"]
+    assert rep.l_conserve > 0 and l_ppi > 0 and l_types > 0
+    assert rep.total == rep.l_conserve + (l_ppi * 0.5 + l_types * 2.0) * 0.7
+    mlm_only = O.train_step(model, opt, mlm, [], True, 0.7, alpha, step=1)
+    assert mlm_only.total == mlm_only.l_conserve and mlm_only.task_losses == {}
+    task_only = O.train_step(model, opt, None, [ppi], True, 0.7, {}, step=2)
+    assert task_only.l_conserve == 0.0
+    assert task_only.total == task_only.task_losses["ppi"] * 0.7
     line = rep.log_line(("ppi",))
     cells = line.split(",")
     assert cells[0] == "0"
     assert float(cells[1]) == rep.l_conserve
     assert float(cells[2]) == rep.task_losses["ppi"]
     assert float(cells[3]) == rep.total
+
+
+def test_weighted_roots_sweep_like_the_weighted_total():
+    # seeding each loss node with its coefficient hands every parameter the
+    # bits a sweep of add(l_mlm, scale(sum_t scale(l_t, alpha_t), lambda)) gives
+    model, mlm, ppi = _fixture(seed=14)
+    params = model.parameters()
+    with Tape() as tape:
+        l_mlm = O._forward_mlm(model, mlm, "sum")
+        l_ppi, l_types = (O._forward_pairs(model, b) for b in _two_tasks(ppi))
+        total = nm.add(l_mlm, scale(nm.add(scale(l_ppi, 0.5), scale(l_types, 2.0)), 0.7))
+    grads = []
+    for roots in (total, [(l_mlm, 1.0), (l_ppi, 0.7 * 0.5), (l_types, 0.7 * 2.0)]):
+        for p in params.values():
+            p.grad = None
+        nm.backward(tape, roots)
+        grads.append({n: p.grad for n, p in params.items()})
+    assert all(np.array_equal(grads[0][n], grads[1][n]) for n in params)
+
+
+def test_train_step_rejects_negative_weights():
+    model, mlm, ppi = _fixture(seed=6)
+    before = _snapshot(model)
+    opt = O.Adam(model.parameters(), lr=1e-3)
+    with pytest.raises(ConfigError, match="lambda"):
+        O.train_step(model, opt, mlm, [ppi], True, -0.5, {"ppi": 1.0}, step=0)
+    with pytest.raises(ConfigError, match="alpha"):
+        O.train_step(model, opt, mlm, [ppi], True, 1.0, {"ppi": -1.0}, step=0)
+    assert opt.t == 0
+    assert all(np.array_equal(p.data, before[n]) for n, p in model.parameters().items())
 
 
 def test_routing_blocks_conserve_gradient_from_ic():
