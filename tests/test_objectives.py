@@ -81,7 +81,27 @@ def _two_tasks(ppi):
     return [ppi, O.PairTaskBatch(name="types", pairs=ppi.pairs, labels=labels)]
 
 
-def test_report_total_folds_the_losses_in_paper_order():
+def test_injection_loss_weighted_fold():
+    # L_inject = sum_t alpha_t * L_t in task order (a task alpha leaves out
+    # weighs 1); no tasks fold to 0; a negative alpha is a config error
+    model, mlm, ppi = _fixture()
+    opt = O.Adam(model.parameters(), lr=1e-4)
+    rep = O.train_step(model, opt, None, _two_tasks(ppi), True, 1.0,
+                       {"ppi": 0.5, "types": 2.0}, step=0)
+    l_ppi, l_types = rep.task_losses["ppi"], rep.task_losses["types"]
+    assert rep.l_conserve == 0.0 and l_ppi > 0 and l_types > 0
+    assert rep.total == l_ppi * 0.5 + l_types * 2.0
+    unit = O.train_step(model, opt, None, [ppi], True, 1.0, {}, step=1)
+    assert unit.total == unit.task_losses["ppi"]
+    mlm_only = O.train_step(model, opt, mlm, [], True, 0.7, {"ppi": 0.5}, step=2)
+    assert mlm_only.task_losses == {} and mlm_only.total == mlm_only.l_conserve
+    with pytest.raises(ConfigError, match="alpha"):
+        O.train_step(model, opt, None, [ppi], True, 1.0, {"ppi": -1.0}, step=3)
+
+
+def test_report_decomposition_recomputes_bitwise():
+    # the logged total is L_conserve + L_inject * lambda, folded in that order,
+    # and the log line carries each cell at full precision
     model, mlm, ppi = _fixture()
     opt = O.Adam(model.parameters(), lr=1e-4)
     alpha = {"ppi": 0.5, "types": 2.0}
@@ -89,9 +109,7 @@ def test_report_total_folds_the_losses_in_paper_order():
     l_ppi, l_types = rep.task_losses["ppi"], rep.task_losses["types"]
     assert rep.l_conserve > 0 and l_ppi > 0 and l_types > 0
     assert rep.total == rep.l_conserve + (l_ppi * 0.5 + l_types * 2.0) * 0.7
-    mlm_only = O.train_step(model, opt, mlm, [], True, 0.7, alpha, step=1)
-    assert mlm_only.total == mlm_only.l_conserve and mlm_only.task_losses == {}
-    task_only = O.train_step(model, opt, None, [ppi], True, 0.7, {}, step=2)
+    task_only = O.train_step(model, opt, None, [ppi], True, 0.7, {}, step=1)
     assert task_only.l_conserve == 0.0
     assert task_only.total == task_only.task_losses["ppi"] * 0.7
     line = rep.log_line(("ppi",))
