@@ -3,9 +3,13 @@ write exactly the recorded bytes.
 
 The runs: a `pretrain` with an interaction file (negatives drawn), lambda and
 alpha_ppi away from 1, stopped after a checkpoint and resumed in the same
-directory; an `inject` on a file with explicit 0 rows; and `eval --task ppi
---out` on the injected checkpoint. Each output file is hashed with SHA-256,
-`metrics.csv` with its `ms` column blanked.
+directory; an `inject` on a file with explicit 0 rows; `eval --task ppi --out`
+on the injected checkpoint; `build-contacts` on three small PDB chains (one
+residue without CB or CA, so the report holds a skip line) and `eval --task
+contact --out` on their maps with the injected checkpoint. Each output file is
+hashed with SHA-256, `metrics.csv` with its `ms` column blanked. Beside the
+files, the raw bytes of `contact_logits` from a seeded d=64 encoder are hashed
+at residue counts that end inside, on and across the contact head's row blocks.
 
 Float results depend on numpy, its BLAS and the CPU, so golden/digests.json
 holds one entry per environment fingerprint. On an environment it does not
@@ -28,7 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
+from protprompt import tokenizer as T
 from protprompt.cli import main
+from protprompt.model import ModelConfig, ProteinEncoder
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 
@@ -50,6 +56,14 @@ MVLSEGEWQLVLH
 POSITIVES = "a\tb\t1\nb\tc\t1\nc\td\t1\nd\te\t1\ne\tf\t1\n"
 # explicit 0 rows: sampled as given
 LABELED = "a\tc\t1\na\td\t0\nb\te\t1\nb\tf\t0\nc\te\t0\nd\tf\t1\n"
+
+# residues per chain of the PDB files, by file and chain; at most 14, so each
+# chain fits the pretrain's max_len of 16 tokens
+CHAINS = {"one": {"A": 14, "B": 9}, "two": {"A": 12}}
+RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
+THREE = ["ALA", "CYS", "ASP", "GLU", "PHE", "GLY", "HIS", "ILE", "LYS", "LEU",
+         "MET", "ASN", "PRO", "GLN", "ARG", "SER", "THR", "VAL", "TRP", "TYR"]
+LOGIT_LENGTHS = (1, 8, 9, 17, 73, 254)
 
 SHAPE = ["--set", "d=8", "--set", "layers=1", "--set", "heads=2", "--set", "max_len=16",
          "--set", "batch_seqs=2", "--set", "batch_pairs=2", "--set", "checkpoint_every=2"]
@@ -74,9 +88,45 @@ def _run(argv: list[str]) -> None:
         raise RuntimeError(f"{' '.join(argv)} failed")
 
 
+def _write_structures(rng) -> str:
+    """PDB files for CHAINS, each chain a seeded random walk of CB atoms;
+    returns the FASTA text of their chains, one record per map stem."""
+    Path("pdbs").mkdir()
+    records = []
+    for stem, chains in CHAINS.items():
+        lines = []
+        for chain, n in chains.items():
+            xyz = np.cumsum(rng.normal(scale=1.7, size=(n, 3)), axis=0)
+            kinds = rng.integers(0, len(THREE), size=n)
+            for i in range(n):
+                atom = "CA" if THREE[kinds[i]] == "GLY" else "CB"
+                x, y, z = xyz[i]
+                lines.append(f"ATOM  {len(lines) + 1:>5} {atom:<4} {THREE[kinds[i]]:<3} "
+                             f"{chain}{i + 1:>4}    {x:8.3f}{y:8.3f}{z:8.3f}  1.00  0.00\n")
+            records.append(f">{stem}_{chain}\n{''.join(RESIDUES[k] for k in kinds)}\n")
+        if stem == "two":  # no CB or CA: skipped and reported
+            lines.append(f"ATOM  {len(lines) + 1:>5} N    SER B   1       0.000   0.000"
+                         "   0.000  1.00  0.00\n")
+        Path("pdbs", f"{stem}.pdb").write_text("".join(lines))
+    return "".join(records)
+
+
+def _logit_digests() -> dict[str, str]:
+    """SHA-256 of contact_logits(...).data of a seeded d=64 encoder for one
+    random sequence of each length in LOGIT_LENGTHS."""
+    model = ProteinEncoder(ModelConfig(d=64, layers=1, heads=4, max_len=256), seed=11)
+    rng = np.random.default_rng(12)
+    digests = {}
+    for n in LOGIT_LENGTHS:
+        seq = T.encode("".join(RESIDUES[k] for k in rng.integers(0, 20, size=n)), 256)
+        data = model.contact_logits(model.encode(seq, ("Seq", "IC"))).data
+        digests[f"contact_logits/n={n}"] = hashlib.sha256(data.tobytes()).hexdigest()
+    return digests
+
+
 def compute_digests(work: Path) -> dict[str, str]:
-    """Run the three commands in work (relative paths, so no temporary
-    directory name reaches a stored config) and hash every output file."""
+    """Run the commands in work (relative paths, so no temporary directory
+    name reaches a stored config or report) and hash every output file."""
     cwd = os.getcwd()
     os.chdir(work)
     try:
@@ -93,9 +143,14 @@ def compute_digests(work: Path) -> dict[str, str]:
               "--out", "inject", "--steps", "3", "--seed", "4"])
         _run(["eval", "--checkpoint", "inject/injected.bin", "--task", "ppi",
               "--data", "labeled.tsv", "--fasta", "seqs.fasta", "--out", "eval.csv"])
-        digests = {}
+        Path("chains.fasta").write_text(_write_structures(np.random.default_rng(5)))
+        _run(["build-contacts", "--pdb-dir", "pdbs", "--out-dir", "contacts"])
+        _run(["eval", "--checkpoint", "inject/injected.bin", "--task", "contact",
+              "--maps-dir", "contacts", "--fasta", "chains.fasta", "--out", "contact.csv"])
+        digests = _logit_digests()
         for path in sorted([*Path("pretrain").iterdir(), *Path("inject").iterdir(),
-                            Path("eval.csv")]):
+                            *Path("contacts").iterdir(), Path("eval.csv"),
+                            Path("contact.csv")]):
             data = path.read_bytes()
             if path.name == "metrics.csv":
                 data = _masked_log(data)
