@@ -406,6 +406,15 @@ def write_contact_map(cmap: ContactMap, path) -> None:
         fh.write(body.tobytes().decode("ascii"))
 
 
+def _raise_first_bad_row(path, n: int, rows: list[tuple[int, str]]) -> None:
+    """FormatError naming the first of rows (line number, row) that is not
+    n characters of 0/1."""
+    for lineno, row in rows:
+        # strip("01") leaves nothing exactly when every character is 0 or 1
+        if len(row) != n or row.strip("01"):
+            raise FormatError(f"{path}:{lineno}: expected {n} characters of 0/1, got {row!r}")
+
+
 def read_contact_map(path) -> ContactMap:
     lines = read_lines(path)
     header = next(lines, (1, ""))[1].strip()
@@ -419,21 +428,23 @@ def read_contact_map(path) -> ContactMap:
         threshold = float(fields["threshold"])
     except ValueError:
         raise FormatError(f"{path}:1: non-numeric header fields in {header!r}")
-    rows = []
+    rows = []  # (line number, row)
     for lineno, line in lines:
         stripped = line.strip()
-        if not stripped:
-            continue
-        # strip("01") leaves nothing exactly when every character is 0 or 1
-        if len(stripped) != n or stripped.strip("01"):
-            raise FormatError(
-                f"{path}:{lineno}: expected {n} characters of 0/1, got {stripped!r}"
-            )
-        rows.append(stripped)
+        if stripped:
+            rows.append((lineno, stripped))
+            if len(stripped) != n:
+                _raise_first_bad_row(path, n, rows)
+    # the 0/1 check runs once over all rows; a non-ASCII character makes the
+    # UTF-8 bytes outnumber the characters
+    text = "".join([row for _, row in rows])
+    codes = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    ones = codes == ord("1")
+    if codes.size != len(text) or not (ones | (codes == ord("0"))).all():
+        _raise_first_bad_row(path, n, rows)
     if len(rows) != n:
         raise FormatError(f"{path}: expected {n} rows, found {len(rows)}")
-    text = "".join(rows).encode("ascii")
-    bits = (np.frombuffer(text, dtype=np.uint8) == ord("1")).reshape(n, n)
+    bits = ones.reshape(n, n)
     if not np.array_equal(bits, bits.T):
         raise FormatError(f"{path}: contact map is not symmetric")
     if n and bits.diagonal().any():

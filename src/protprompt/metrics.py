@@ -49,21 +49,26 @@ def precision_at_l_half(
 ) -> ContactPrecision:
     """Fraction of true contacts among the floor(L/2) top-scoring pairs.
 
-    scores is an (n, n) real matrix; only the upper triangle is read.
-    Ties break lexicographically by (i, j). If fewer eligible pairs exist
-    than floor(L/2), all of them are scored and the result is flagged.
+    scores is an (n, n) real matrix; only the class's band of the upper
+    triangle is read. The eligible pairs are built from that band, row i
+    holding j = i+min_sep ... min(i+max_sep, n-1), in (i, j) order, so time
+    and memory grow with the pair count, not with n^2. Ties break
+    lexicographically by (i, j). If fewer eligible pairs exist than
+    floor(L/2), all of them are scored and the result is flagged.
     """
     scores = np.asarray(scores, dtype=np.float64)
     n = truth.n
     if scores.shape != (n, n):
         raise ContractError(f"scores shape {scores.shape} does not match map n={n}")
     k = n // 2
-    ii, jj = np.triu_indices(n, k=1)
-    sep = jj - ii
-    keep = sep >= range_class.min_sep
-    if range_class.max_sep is not None:
-        keep &= sep <= range_class.max_sep
-    ii, jj = ii[keep], jj[keep]
+    lo, hi = range_class.min_sep, range_class.max_sep
+    rows = np.arange(n)
+    last = n - 1 if hi is None else np.minimum(rows + hi, n - 1)
+    counts = np.maximum(last - rows - lo + 1, 0)
+    ii = np.repeat(rows, counts)
+    # pair p lies in row i, whose pairs start at p = start_i with j = i + lo
+    jj = np.repeat(rows + lo - (np.cumsum(counts) - counts), counts)
+    jj += np.arange(jj.size)
     if ii.size == 0 or k == 0:
         return ContactPrecision(precision=0.0, scored_pairs=0, truncated=True)
     # rank by score descending, then (i, j) ascending: the pairs are already

@@ -1,6 +1,7 @@
 """Parsers, graph splits and contact-map construction."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -403,6 +404,63 @@ def test_contact_map_writer_bytes(tmp_path, n):
     D.write_contact_map(cmap, path)
     assert path.read_bytes() == want.encode("ascii")
     assert np.array_equal(D.read_contact_map(path).bits, cmap.bits)
+
+
+def _row_by_row_error(path) -> str | None:
+    # the reader's row check before it validated all rows in one pass: the
+    # first row, in file order, that is not n characters of 0/1, else the row
+    # count; None when neither fails
+    lines = path.read_text(encoding="utf-8").splitlines()
+    n = int(lines[0].split()[0].split("=")[1])
+    rows = 0
+    for lineno, line in enumerate(lines[1:], start=2):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if len(stripped) != n or stripped.strip("01"):
+            return f"{path}:{lineno}: expected {n} characters of 0/1, got {stripped!r}"
+        rows += 1
+    return None if rows == n else f"{path}: expected {n} rows, found {rows}"
+
+
+GOOD_ROWS = ["0100", "1010", "0101", "0010"]
+
+
+@pytest.mark.parametrize("rows, where", [
+    (["0100", "10x0", "0101", "0010"], ":3: .*'10x0'"),
+    (["0100", "1010", "0101", "001?"], ":5: .*'001\\?'"),
+    (["2100", "1010", "0101", "0010"], ":2: .*'2100'"),
+    (["0100", "1010", "01\u00e91", "0010"], ":4: .*'01\u00e91'"),
+    (["0100", "1\u00e9", "0101", "0010"], ":3: .*'1\u00e9'"),
+    (["0100", "1 10", "0101", "0010"], ":3: .*'1 10'"),
+    (["0100", "10\x000", "0101", "0010"], ":3: "),
+    (["0100", "10a0", "0101", "00100"], ":3: .*'10a0'"),
+    (["0100", "10a0", "", "01", "0010"], ":3: .*'10a0'"),
+    (["0100", "1010", "0101", "00100", "10b0"], ":5: .*'00100'"),
+    (["0100", "10a0", "0101"], ":3: .*'10a0'"),
+    (["0100", "1010", "0101"], ": expected 4 rows, found 3"),
+    (["0100", "1010", "0101", "0010", "0000"], ": expected 4 rows, found 5"),
+], ids=["char-line-3", "char-last-line", "char-first-line", "non-ascii", "non-ascii-short",
+        "inner-space", "nul", "char-then-long-row", "char-then-short-row",
+        "long-row-then-char", "char-then-too-few-rows", "too-few-rows", "too-many-rows"])
+def test_contact_map_reports_the_first_bad_line(tmp_path, rows, where):
+    path = tmp_path / "m.cmap"
+    path.write_text("n=4 threshold=8.0 tag=native\n" + "".join(r + "\n" for r in rows),
+                    encoding="utf-8")
+    with pytest.raises(FormatError) as exc:
+        D.read_contact_map(path)
+    assert str(exc.value) == _row_by_row_error(path)
+    assert re.match(re.escape(str(path)) + where, str(exc.value))
+
+
+def test_contact_map_reads_crlf_and_padded_rows(tmp_path):
+    path = tmp_path / "m.cmap"
+    body = "\r\n".join(["n=4 threshold=8.0 tag=native", " 0100\t", "", *GOOD_ROWS[1:], ""])
+    path.write_bytes(body.encode("ascii"))
+    got = D.read_contact_map(path)
+    assert _row_by_row_error(path) is None
+    assert np.array_equal(got.bits, np.array([[c == "1" for c in r] for r in GOOD_ROWS]))
+    assert got.bits.dtype == bool and got.bits.flags.c_contiguous and got.bits.flags.writeable
 
 
 def test_contact_map_tamper_detection(tmp_path):

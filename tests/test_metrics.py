@@ -1,6 +1,7 @@
 """Evaluation metrics checked against independent brute-force oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,59 @@ def test_precision_matches_the_full_sort_on_tie_heavy_scores(n):
         for rc in M.RANGE_CLASSES.values():
             assert M.precision_at_l_half(scores, truth, rc) == _lexsort_precision(
                 scores, truth, rc), (n, rc.name)
+
+
+def _triu_precision(scores, truth, range_class):
+    # precision_at_l_half as it was before it built pairs from the class's
+    # band: every upper-triangle pair from np.triu_indices, then masked
+    n = truth.n
+    k = n // 2
+    ii, jj = np.triu_indices(n, k=1)
+    sep = jj - ii
+    keep = sep >= range_class.min_sep
+    if range_class.max_sep is not None:
+        keep &= sep <= range_class.max_sep
+    ii, jj = ii[keep], jj[keep]
+    if ii.size == 0 or k == 0:
+        return M.ContactPrecision(precision=0.0, scored_pairs=0, truncated=True)
+    neg = -scores[ii, jj]
+    take = min(k, ii.size)
+    cut = np.partition(neg, take - 1)[take - 1]
+    cand = np.flatnonzero(~(neg > cut))
+    top = cand[np.argsort(neg[cand], kind="stable")[:take]]
+    hits = int(truth.bits[ii[top], jj[top]].sum())
+    return M.ContactPrecision(precision=hits / take, scored_pairs=take, truncated=take < k)
+
+
+@pytest.mark.parametrize("n", [*range(65), 150, 254])
+def test_band_pairs_match_the_masked_triangle(n):
+    rng = np.random.default_rng(500 + n)
+    bits = np.triu(rng.random((n, n)) < 0.3, 1)
+    truth = D.ContactMap(n=n, bits=bits | bits.T)
+    gauss = rng.normal(size=(n, n))
+    with_nan = np.round(gauss, 1)
+    with_nan[rng.random((n, n)) < 0.1] = np.nan
+    for scores in (gauss, np.round(gauss, 1), np.zeros((n, n)),
+                   rng.integers(0, 2, (n, n)).astype(float), with_nan):
+        for rc in M.RANGE_CLASSES.values():
+            assert M.precision_at_l_half(scores, truth, rc) == _triu_precision(
+                scores, truth, rc), (n, rc.name)
+
+
+def test_short_class_precision_memory_grows_with_its_pairs():
+    # the short band holds ~6n pairs; the whole upper triangle, n^2/2 of them,
+    # would need far more than n^2 bytes for its index arrays alone
+    n = 3000
+    truth = D.ContactMap(n=n, bits=np.zeros((n, n), dtype=bool))
+    scores = np.zeros((n, n))
+    tracemalloc.start()
+    try:
+        got = M.precision_at_l_half(scores, truth, M.SHORT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (0.0, n // 2, False)
+    assert peak < n * n // 4
 
 
 def test_precision_tie_break_is_lexicographic():
