@@ -374,9 +374,11 @@ def _eval_contact(model, cfg, args, prompt_sel):
         truth = D.read_contact_map(map_file)
         stem = map_file.stem
         if args.scores_dir:
-            scores = D.read_contact_map(Path(args.scores_dir) / map_file.name).bits.astype(
-                np.float64
-            )
+            scores_file = Path(args.scores_dir) / map_file.name
+            scores_map = D.read_contact_map(scores_file)
+            if scores_map.n != truth.n:
+                raise DataError(f"{scores_file}: n={scores_map.n} but {map_file} has n={truth.n}")
+            scores = scores_map.bits.astype(np.float64)
         else:
             if stem not in table:
                 raise DataError(f"no sequence with id {stem!r} for map {map_file}")

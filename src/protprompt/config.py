@@ -108,11 +108,12 @@ class RunConfig:
         if self.steps < 0 or self.checkpoint_every <= 0 or self.keep_last <= 0:
             raise ConfigError("steps, checkpoint_every and keep_last must be positive")
         names = self.prompt_names()
+        for n in names:
+            if not n.replace("_", "").isalnum():  # an empty name too
+                raise ConfigError(f"prompts={self.prompts!r}: prompt name {n!r} "
+                                  "must be alphanumeric")
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate prompt names in {self.prompts!r}")
-        for n in names:
-            if n and not n.replace("_", "").isalnum():
-                raise ConfigError(f"prompt name {n!r} must be alphanumeric")
         if self.contact_threshold <= 0:
             raise ConfigError("contact_threshold must be positive")
 

@@ -473,6 +473,25 @@ def test_inject_rejects_prompt_names_it_cannot_train(ws, tmp_path, capsys, name)
     assert not (tmp_path / "inj").exists()
 
 
+@pytest.mark.parametrize("prompts", ["Seq,", "Seq, ,IC", ",IC", "Seq,,IC", " , "],
+                         ids=["trailing", "blank", "leading", "double", "blanks"])
+def test_pretrain_rejects_empty_prompt_names(ws, tmp_path, capsys, prompts):
+    out = tmp_path / "run"
+    rc = main(["pretrain", "--fasta", str(ws["fasta"]), "--out-dir", str(out),
+               "--steps", "1", *BASE_SETS, "--set", f"prompts={prompts}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: prompts=") and "prompt name ''" in err
+    assert not out.exists()
+
+
+def test_pretrain_with_a_blank_prompts_key_has_no_prompts(ws, tmp_path):
+    out = tmp_path / "run"
+    assert main(["pretrain", "--fasta", str(ws["fasta"]), "--out-dir", str(out),
+                 "--steps", "1", *BASE_SETS, "--set", "prompts="]) == 0
+    assert ckpt.load_model(out / "final.bin")[0].prompts.names() == ()
+
+
 def test_inject_draws_negatives_for_a_positives_only_file(ws, tmp_path, monkeypatch):
     positives = tmp_path / "positives.tsv"
     positives.write_text("".join(f"p{i:02d}\tp{i + 1:02d}\t1\n" for i in range(8)))
@@ -630,6 +649,19 @@ def test_eval_contact_with_truth_scores(ws, tmp_path, capsys):
     assert values["p_at_l2_medium"] == 1.0
     assert values["p_at_l2_long"] == 1.0
     assert values["truncated_evals"] == 0.0
+
+
+def test_eval_contact_names_both_files_when_the_score_map_size_differs(ws, tmp_path, capsys):
+    maps, scores = tmp_path / "maps", tmp_path / "scores"
+    for root, n in ((maps, 20), (scores, 12)):
+        root.mkdir()
+        D.write_contact_map(D.ContactMap(n=n, bits=np.zeros((n, n), dtype=bool)),
+                            root / "x_A.cmap")
+    rc = main(["eval", "--checkpoint", str(ws["final"]), "--task", "contact",
+               "--maps-dir", str(maps), "--scores-dir", str(scores)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"data error: {scores / 'x_A.cmap'}: n=12 but {maps / 'x_A.cmap'} has n=20\n")
 
 
 def test_eval_contact_with_model_scores(ws, tmp_path):
