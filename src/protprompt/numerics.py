@@ -47,13 +47,12 @@ from .errors import ContractError, NumericsError, ShapeError
 
 LAYERNORM_EPS = 1e-5
 
-# Rows per block of contact_scores' (rows, n, d) difference tensor: 1 MB
-# at n=256, d=64, so peak memory stays far below one (n*n, d) array. 8 rows
-# rather than 16 (2 MB) keep a block nearer the cache and cut the contact
-# head of a 60-map eval at n ~ 200 from ~3.9 to ~3.35 ms per map with the
-# same bits; smaller blocks can move bits through the BLAS matrix-vector
-# product (2 rows did), so a new size must keep tests/test_golden.py's
-# contact_logits digests.
+# Rows per block of contact_scores' (rows, n, d) difference tensor: 1 MB at
+# n=256, d=64, far below one (n*n, d) array. 8 rows beat 16 (2 MB): forward
+# 2.36 -> 2.12 ms at n=204 and 5.27 -> 3.95 ms at n=254 (d=64, one BLAS
+# thread, 2-vCPU x86-64), same bits. A block size can move bits through the
+# BLAS product (2 rows did), so a new one must keep the contact_logits
+# digests of tests/test_golden.py.
 CONTACT_BLOCK_ROWS = 8
 
 _SQRT2 = float(np.sqrt(2.0))

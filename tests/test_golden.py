@@ -89,8 +89,8 @@ def _run(argv: list[str]) -> None:
 
 
 def _write_structures(rng) -> str:
-    """PDB files for CHAINS, each chain a seeded random walk of CB atoms;
-    returns the FASTA text of their chains, one record per map stem."""
+    """PDB files for CHAINS, each chain a seeded random walk of CB atoms (CA
+    for glycine); returns the FASTA text of the chains, one record per map stem."""
     Path("pdbs").mkdir()
     records = []
     for stem, chains in CHAINS.items():
