@@ -9,7 +9,10 @@ residue without CB or CA, so the report holds a skip line) and `eval --task
 contact --out` on their maps with the injected checkpoint. Each output file is
 hashed with SHA-256, `metrics.csv` with its `ms` column blanked. Beside the
 files, the raw bytes of `contact_logits` from a seeded d=64 encoder are hashed
-at residue counts that end inside, on and across the contact head's row blocks.
+at residue counts that end inside, on and across the contact head's row blocks,
+and so are a seeded encoder's output rows, collected attention maps and
+parameter gradients at 0, 1 and 3 prompts, with the encoder trainable and
+frozen as `inject` runs it.
 
 Float results depend on numpy, its BLAS and the CPU, so golden/digests.json
 holds one entry per environment fingerprint. On an environment it does not
@@ -18,7 +21,8 @@ meant to move bits, or on a new environment, regenerate the entry with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and list each changed digest in CHANGES.md.
+and list each changed digest in CHANGES.md; the command prints every key it
+added, removed or changed.
 """
 
 import hashlib
@@ -32,9 +36,11 @@ from pathlib import Path
 
 import numpy as np
 
+from protprompt import numerics as nm
 from protprompt import tokenizer as T
 from protprompt.cli import main
 from protprompt.model import ModelConfig, ProteinEncoder
+from protprompt.numerics import Tape, Tensor
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 
@@ -64,6 +70,7 @@ RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
 THREE = ["ALA", "CYS", "ASP", "GLU", "PHE", "GLY", "HIS", "ILE", "LYS", "LEU",
          "MET", "ASN", "PRO", "GLN", "ARG", "SER", "THR", "VAL", "TRP", "TYR"]
 LOGIT_LENGTHS = (1, 8, 9, 17, 73, 254)
+ENCODER_PROMPTS = ("Seq", "IC", "PPI")
 
 SHAPE = ["--set", "d=8", "--set", "layers=1", "--set", "heads=2", "--set", "max_len=16",
          "--set", "batch_seqs=2", "--set", "batch_pairs=2", "--set", "checkpoint_every=2"]
@@ -120,7 +127,46 @@ def _logit_digests() -> dict[str, str]:
     for n in LOGIT_LENGTHS:
         seq = T.encode("".join(RESIDUES[k] for k in rng.integers(0, 20, size=n)), 256)
         data = model.contact_logits(model.encode(seq, ("Seq", "IC"))).data
-        digests[f"contact_logits/n={n}"] = hashlib.sha256(data.tobytes()).hexdigest()
+        digests[f"contact_logits/n={n}"] = _sha(data.tobytes())
+    return digests
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _encoder_digests() -> dict[str, str]:
+    """SHA-256 of a seeded 2-layer encoder's output rows, collected attention
+    maps and parameter gradients of sum(h * c), c seeded, for the first m of
+    ENCODER_PROMPTS, m in (0, 1, 3). The gradients are taken twice: with every
+    parameter trainable, then with the encoder frozen as inject runs it, so
+    only the prompts take them. Each gradient is hashed with its name."""
+    cfg = ModelConfig(d=16, layers=2, heads=4, max_len=32, prompt_names=ENCODER_PROMPTS)
+    seq = T.encode("MKTAYIAKQRQISFVKSH", 32)
+    digests = {}
+    for mode in ("trainable", "frozen"):
+        model = ProteinEncoder(cfg, seed=13)
+        params = model.parameters()
+        if mode == "frozen":
+            for p in model.encoder_parameters().values():
+                p.requires_grad = False
+        for m in (0, 1, 3):
+            for p in params.values():
+                p.grad = None
+            tape = Tape()
+            with tape:
+                out = model.encode(seq, ENCODER_PROMPTS[:m], collect_attn=True)
+                c = np.random.default_rng(20 + m).normal(size=out.h.shape)
+                loss = nm.sum_all(nm.mul(out.h, Tensor(c)))
+            if loss.requires_grad:  # not so with a frozen encoder and no prompts
+                nm.backward(tape, loss)
+            if mode == "trainable":
+                digests[f"encode/m={m}"] = _sha(out.h.data.tobytes())
+                digests[f"attention/m={m}"] = _sha(
+                    b"".join(w.tobytes() for layer in out.attn for w in layer))
+            digests[f"grads/{mode}/m={m}"] = _sha(b"".join(
+                name.encode() + p.grad.tobytes()
+                for name, p in params.items() if p.grad is not None))
     return digests
 
 
@@ -147,17 +193,24 @@ def compute_digests(work: Path) -> dict[str, str]:
         _run(["build-contacts", "--pdb-dir", "pdbs", "--out-dir", "contacts"])
         _run(["eval", "--checkpoint", "inject/injected.bin", "--task", "contact",
               "--maps-dir", "contacts", "--fasta", "chains.fasta", "--out", "contact.csv"])
-        digests = _logit_digests()
+        digests = {**_logit_digests(), **_encoder_digests()}
         for path in sorted([*Path("pretrain").iterdir(), *Path("inject").iterdir(),
                             *Path("contacts").iterdir(), Path("eval.csv"),
                             Path("contact.csv")]):
             data = path.read_bytes()
             if path.name == "metrics.csv":
                 data = _masked_log(data)
-            digests[path.as_posix()] = hashlib.sha256(data).hexdigest()
+            digests[path.as_posix()] = _sha(data)
         return digests
     finally:
         os.chdir(cwd)
+
+
+def digest_changes(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """One "added KEY", "removed KEY" or "changed KEY" line per key on which
+    old and new differ, in key order."""
+    return [f"{'added' if key not in old else 'removed' if key not in new else 'changed'} {key}"
+            for key in sorted(old.keys() | new.keys()) if old.get(key) != new.get(key)]
 
 
 def test_outputs_match_the_recorded_digests(tmp_path):
@@ -167,14 +220,25 @@ def test_outputs_match_the_recorded_digests(tmp_path):
     recorded = json.loads(GOLDEN.read_text())
     env = fingerprint()
     assert env in recorded, f"no digests recorded for environment {env!r}"
-    assert got == recorded[env]
+    changes = digest_changes(recorded[env], got)
+    assert not changes, "digests differ from the recorded entry:\n" + "\n".join(changes)
+
+
+def test_digest_changes_name_each_differing_key():
+    old = {"a": "1", "b": "2", "c": "3"}
+    assert digest_changes(old, {"a": "1", "b": "9", "d": "4"}) == [
+        "changed b", "removed c", "added d"]
+    assert digest_changes(old, dict(old)) == []
 
 
 if __name__ == "__main__":
     recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    env = fingerprint()
     with tempfile.TemporaryDirectory() as work:
-        recorded[fingerprint()] = compute_digests(Path(work))
+        digests = compute_digests(Path(work))
+    for line in digest_changes(recorded.get(env, {}), digests):
+        print(line)
+    recorded[env] = digests
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(recorded[fingerprint()])} digests for {fingerprint()!r} to {GOLDEN}",
-          file=sys.stderr)
+    print(f"wrote {len(digests)} digests for {env!r} to {GOLDEN}", file=sys.stderr)
