@@ -297,6 +297,17 @@ def test_inputs_never_reach_prompts_additive():
     assert np.any(model.prompts.get("IC").grad != 0.0)
 
 
+def test_prompt_rows_do_not_depend_on_the_input():
+    # a prompt row attends only to itself in every layer, so its final state
+    # is the same bits whatever residues follow it and however many
+    model = small_model(seed=4, max_len=16)
+    for prompts in (("Seq",), ("Seq", "IC")):
+        m = len(prompts)
+        a, b = (model.encode(T.encode(s, 16), prompts).h.data[:m]
+                for s in ("ACDEFGHIKLMN", "WYK"))
+        assert a.tobytes() == b.tobytes(), prompts
+
+
 def test_prompts_do_reach_inputs_additive():
     model = small_model(seed=2)
     seq = T.encode("ACDEFGH", 12)
