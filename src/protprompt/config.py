@@ -17,7 +17,7 @@ from .errors import ConfigError
 
 # keys that define the network topology; a command that reads a checkpoint
 # refuses explicit user values that contradict its stored ones
-STRUCTURAL_KEYS = ("d", "layers", "heads", "max_len", "prompts", "mask_mode")
+STRUCTURAL_KEYS = ("d", "layers", "heads", "max_len", "prompts")
 
 
 def check_structural(cfg: RunConfig, stored: RunConfig) -> None:
@@ -47,7 +47,6 @@ class RunConfig:
     layers: int = 2
     heads: int = 4
     max_len: int = 256
-    mask_mode: str = "additive"  # or "literal"
     prompts: str = "Seq,IC"
     # objective weights
     lambda_weight: float = 1.0
@@ -88,8 +87,6 @@ class RunConfig:
             raise ConfigError(f"d={self.d} is not divisible by heads={self.heads}")
         if self.max_len < 2:
             raise ConfigError(f"max_len must be >= 2, got {self.max_len}")
-        if self.mask_mode not in ("additive", "literal"):
-            raise ConfigError(f"mask_mode must be additive or literal, got {self.mask_mode!r}")
         if self.mlm_reduction not in ("sum", "mean"):
             raise ConfigError(f"mlm_reduction must be sum or mean, got {self.mlm_reduction!r}")
         if self.lambda_weight < 0:
@@ -160,10 +157,12 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 # the config surface accepts canonical keys only (so "lambda", never the
 # internal attribute spelling)
 _VALID_KEYS = {_FIELD_TO_KEY.get(name, name) for name in _FIELD_TYPES}
-# keys that older checkpoints store but that never shaped a run's outputs
-# (out_dir only named where they went): skipped in a stored config, unknown
-# everywhere else
-_RETIRED_KEYS = ("alpha_contact", "alpha_regress", "alpha_ss", "out_dir", "weight_decay")
+# keys that older checkpoints store: skipped in a stored config, unknown
+# everywhere else. Each maps to the one stored value the code still runs, so
+# a checkpoint holding another is refused, or to None for a key that never
+# shaped a run's outputs (out_dir only named where they went)
+_RETIRED_KEYS = {"alpha_contact": None, "alpha_regress": None, "alpha_ss": None,
+                 "out_dir": None, "weight_decay": None, "mask_mode": "additive"}
 
 
 def _coerce(field_name: str, raw: str):
@@ -221,7 +220,8 @@ def build_config(
 
     base_text is a stored canonical config (e.g. from a checkpoint); the
     file, then the overrides, are layered on top of it. Retired keys in
-    base_text are dropped, so checkpoints that name them still load.
+    base_text are dropped, so checkpoints that name them still load, unless
+    one holds a value the code no longer runs.
     """
     values: dict[str, object] = {}
 
@@ -234,6 +234,10 @@ def build_config(
 
     if base_text is not None:
         stored = _kv_pairs(base_text.splitlines())
+        for key, kept in _RETIRED_KEYS.items():
+            if kept is not None and stored.get(key, kept) != kept:
+                raise ConfigError(f"stored {key}={stored[key]} is no longer supported; "
+                                  f"only {key}={kept} loads")
         absorb({k: v for k, v in stored.items() if k not in _RETIRED_KEYS})
     if file_path:
         absorb(read_config_file(file_path))

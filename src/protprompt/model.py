@@ -8,15 +8,13 @@ information flows from prompts into inputs and never back:
     M[i][j] = 0  iff  (i <= m and j > m) or (i, j <= m and i != j)   (1-based)
 
 M = [[I_m, 0], [1, 1]] holds nothing but m, so attention takes m and applies
-M by its structure; no mask array is built. "additive" (default) takes each
-row's softmax over its allowed logits only: rows sum to 1 and a prompt row
-weighs itself exactly 1.0. "literal" multiplies the normalised attention
-matrix elementwise by M, which deliberately destroys row normalisation and
-is kept for ablation. Inputs are never padded, so M is the whole mask. An
-encode records L+1 tape nodes: numerics.encoder_input for the prompt and
-embedding rows, then one numerics.encoder_layer per layer (all heads,
-residuals, layernorms and the feed-forward block), each with a closed-form
-backward.
+M by its structure; no mask array is built. Each row's softmax runs over its
+allowed logits only: rows sum to 1 and a prompt row weighs itself exactly
+1.0, so its state never depends on the input. Inputs are never padded, so M
+is the whole mask. An encode records L+1 tape nodes: numerics.encoder_input
+for the prompt and embedding rows, then one numerics.encoder_layer per layer
+(all heads, residuals, layernorms and the feed-forward block), each with a
+closed-form backward.
 
 Prompt rows receive no position and no segment embedding, and they pass
 through the same per-layer residual/layernorm/feed-forward block as every
@@ -57,7 +55,6 @@ class ModelConfig:
     layers: int = 2
     heads: int = 4
     max_len: int = 256
-    mask_mode: str = "additive"
     prompt_names: tuple[str, ...] = ("Seq", "IC")
 
     def __post_init__(self):
@@ -65,8 +62,6 @@ class ModelConfig:
             raise ConfigError("d, layers and heads must be positive")
         if self.d % self.heads != 0:
             raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
-        if self.mask_mode not in ("additive", "literal"):
-            raise ConfigError(f"unknown mask_mode {self.mask_mode!r}")
 
     @classmethod
     def from_run_config(cls, cfg) -> "ModelConfig":
@@ -75,7 +70,6 @@ class ModelConfig:
             layers=cfg.layers,
             heads=cfg.heads,
             max_len=cfg.max_len,
-            mask_mode=cfg.mask_mode,
             prompt_names=cfg.prompt_names(),
         )
 
@@ -243,8 +237,7 @@ class ProteinEncoder:
         x = self.embed(seq, prompt_names, frozen)
         collect: list | None = [] if collect_attn else None
         for weights in self.layers:
-            x = nm.encoder_layer(x, weights, self.config.heads, m, self.config.mask_mode,
-                                 collect)
+            x = nm.encoder_layer(x, weights, self.config.heads, m, collect)
         return EncoderOutput(h=x, m=m, seq=seq, attn=collect)
 
     def pool(self, out: EncoderOutput) -> Tensor:

@@ -378,53 +378,42 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
 
 
 def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, m: int,
-                       mask_mode: str, collect: list | None):
+                       collect: list | None):
     """One-way multi-head attention of (n, d) arrays, the first m rows prompts:
-    (out, saved), where saved = (qh, kt, vh, y, w) holds what the backward needs.
+    (out, saved), where saved = (qh, kt, vh, y) holds what the backward needs.
 
     Head h owns columns [h*dh, (h+1)*dh), dh = d/heads. S = (Q_h K_h^T) * c,
     c = 1/sqrt(dh), Y = softmax(S). A prompt row attends only to itself, so
-    the mask applies by structure: additive sets Y's prompt rows to identity
-    rows and W = Y; literal sets W = Y with prompt rows zeroed off the
-    diagonal. The heads' W V_h fill the (n, d) result, and collect (a list)
-    gets the W.
+    the mask applies by structure: Y's prompt rows are set to identity rows.
+    The heads' Y V_h fill the (n, d) result, and collect (a list) gets the Y.
     """
     n, d = q.shape
     if d % heads or not 0 <= m <= n:
         raise ShapeError(f"attention over {q.shape} got {heads} heads and {m} prompts")
-    if mask_mode not in ("additive", "literal"):
-        raise ContractError(f"unknown mask_mode {mask_mode!r}")
     dh = d // heads
     qh, vh = _split_heads(q, heads), _split_heads(v, heads)
     kt = np.ascontiguousarray(_split_heads(k, heads).transpose(0, 2, 1))
     del q, k, v  # arrays the caller passed without keeping go before the score block
     s = qh @ kt
     s *= 1.0 / float(np.sqrt(dh))
-    y = w = _softmax_last_inplace(s)
-    # a prompt row's only allowed key is itself
-    if mask_mode == "additive":
-        y[:, :m] = np.eye(m, n)
-    else:
-        w = y.copy()
-        w[:, :m] *= np.eye(m, n)
+    y = _softmax_last_inplace(s)
+    y[:, :m] = np.eye(m, n)  # a prompt row's only allowed key is itself
     if collect is not None:
-        collect.append(list(w.copy()))
-    return _merge_heads(w @ vh), (qh, kt, vh, y, w)
+        collect.append(list(y.copy()))
+    return _merge_heads(y @ vh), (qh, kt, vh, y)
 
 
-def _attention_backward(g: np.ndarray, m: int, mask_mode: str, saved):
+def _attention_backward(g: np.ndarray, saved):
     """(dq, dk, dv) of attention for upstream g, from _attention_forward's saved.
 
-    With G a head's upstream block: dV = W^T G, dW = G V^T (masked like W if
-    literal), dS = Y * (dW - rowsum(dW * Y)) * c, dQ = dS K, dK = (Q^T dS)^T.
+    With G a head's upstream block: dV = Y^T G, dY = G V^T,
+    dS = Y * (dY - rowsum(dY * Y)) * c, dQ = dS K, dK = (Q^T dS)^T.
     """
-    qh, kt, vh, y, w = saved
+    qh, kt, vh, y = saved
     heads, n, dh = qh.shape
     gh = g.reshape(n, heads, dh).transpose(1, 0, 2)
-    dv = _merge_heads(w.transpose(0, 2, 1) @ gh)
-    ds = gh @ vh.transpose(0, 2, 1)  # dW, turned into dS in place
-    if mask_mode == "literal":
-        ds[:, :m] *= np.eye(m, n)
+    dv = _merge_heads(y.transpose(0, 2, 1) @ gh)
+    ds = gh @ vh.transpose(0, 2, 1)  # dY, turned into dS in place
     ds -= np.add.reduce(ds * y, axis=-1, keepdims=True)
     np.multiply(y, ds, out=ds)
     ds *= 1.0 / float(np.sqrt(dh))
@@ -537,7 +526,6 @@ def encoder_layer(
     weights: Sequence[Tensor],
     heads: int,
     m: int,
-    mask_mode: str,
     collect: list | None = None,
 ) -> Tensor:
     """One post-norm transformer encoder layer as one tape node.
@@ -546,7 +534,7 @@ def encoder_layer(
     w1, b1, w2, b2, ln2_gain, ln2_bias), x (n, d):
         a = attention(x wq + bq, x wk + bk, x wv + bv) wo + bo
         h = layernorm(x + a; ln1),  out = layernorm(h + gelu(h w1 + b1) w2 + b2; ln2)
-    with heads, m (x's prompt rows come first), mask_mode and collect as in
+    with heads, m (x's prompt rows come first) and collect as in
     _attention_forward. The closed-form backward runs the kernels'
     backwards in reverse order; the gradient reaches h as d_res2 + dh_ff
     and x as ((d_res1 + dx_v) + dx_k) + dx_q, the order in which the per-op
@@ -570,7 +558,7 @@ def encoder_layer(
         _check_finite(_affine_forward(xd, wq.data, bq.data), "affine"),
         _check_finite(_affine_forward(xd, wk.data, bk.data), "affine"),
         _check_finite(_affine_forward(xd, wv.data, bv.data), "affine"),
-        heads, m, mask_mode, collect,
+        heads, m, collect,
     )
     if not taped:
         saved = None  # the (heads, n, n) blocks go now, not at return
@@ -592,8 +580,7 @@ def encoder_layer(
             d_f1 = _gelu_backward(_affine_backward(d_res2, act, w2, b2), f1, cdf)
             d_res1 = _layernorm_backward(d_res2 + _affine_backward(d_f1, h, w1, b1),
                                          ln1_gain, ln1_bias, xhat1, invstd1)
-            dq, dk, dv = _attention_backward(_affine_backward(d_res1, att, wo, bo), m,
-                                             mask_mode, saved)
+            dq, dk, dv = _attention_backward(_affine_backward(d_res1, att, wo, bo), saved)
             need_dx = x.requires_grad
             dx = _affine_backward(dv, xd, wv, bv, need_dx)
             dx_k = _affine_backward(dk, xd, wk, bk, need_dx)

@@ -29,11 +29,9 @@ def build_mask(m, n):
     return mat
 
 
-def mode_mask(m, n, mask_mode):
-    """The oracle's mask array for mask_mode: 0/MASK_NEG penalties if
-    additive, the binary mask if literal."""
-    allowed = build_mask(m, n)
-    return allowed if mask_mode == "literal" else np.where(allowed > 0, 0.0, MASK_NEG)
+def penalty_mask(m, n):
+    """The oracle's additive mask: 0 at allowed logits, MASK_NEG elsewhere."""
+    return np.where(build_mask(m, n) > 0, 0.0, MASK_NEG)
 
 
 class OracleError(Exception):
@@ -119,16 +117,15 @@ def reference_routed_step(model, optimizer, mlm_batch, task_batches, routes,
 # encoder_input and encoder_layer nodes are checked against
 
 
-def multihead_attention(q, k, v, heads, m, mask_mode, collect=None):
+def multihead_attention(q, k, v, heads, m, collect=None):
     """One-way attention of (n, d) q, k, v, the first m rows prompts, as one
     tape node; the kernels' docstrings give the forward and backward."""
     if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"attention got q/k/v {q.shape}/{k.shape}/{v.shape}")
-    out_data, saved = nm._attention_forward(q.data, k.data, v.data, heads, m, mask_mode,
-                                            collect)
+    out_data, saved = nm._attention_forward(q.data, k.data, v.data, heads, m, collect)
 
     def backprop(g):
-        dq, dk, dv = nm._attention_backward(g, m, mask_mode, saved)
+        dq, dk, dv = nm._attention_backward(g, saved)
         nm._accum(v, dv)
         nm._accum(q, dq)
         nm._accum(k, dk)
@@ -177,7 +174,7 @@ def embedding_lookup(table, ids):
     return nm._node((table,), table.data[idx], backprop, "embedding_lookup")
 
 
-def reference_encoder_layer(weights, heads, x, m, mask_mode, collect=None):
+def reference_encoder_layer(weights, heads, x, m, collect=None):
     """The per-op chain an encoder layer ran before it had a node of its
     own: twelve single-op tape nodes (q/k/v affines, attention, the output
     affine, two residual adds, two layernorms, affine-gelu-affine)."""
@@ -186,7 +183,7 @@ def reference_encoder_layer(weights, heads, x, m, mask_mode, collect=None):
     q = nm.affine(x, wq, bq)
     k = nm.affine(x, wk, bk)
     v = nm.affine(x, wv, bv)
-    heads_out = multihead_attention(q, k, v, heads, m, mask_mode, collect)
+    heads_out = multihead_attention(q, k, v, heads, m, collect)
     attn_out = nm.affine(heads_out, wo, bo)
     x = layernorm(nm.add(x, attn_out), ln1_gain, ln1_bias)
     ff = nm.affine(gelu(nm.affine(x, ff_w1, ff_b1)), ff_w2, ff_b2)
@@ -219,7 +216,7 @@ def reference_encode(model, seq, prompt_names=(), frozen=frozenset()):
     x = reference_embed(model, seq, prompt_names, frozen)
     for weights in model.layers:
         x = reference_encoder_layer(weights, model.config.heads, x, len(prompt_names),
-                                    model.config.mask_mode, collect)
+                                    collect)
     return x, collect
 
 
@@ -428,9 +425,9 @@ def reference_forward(model, ids):
     return x
 
 
-def reference_attention(q, k, v, heads, mask, mask_mode, g):
+def reference_attention(q, k, v, heads, mask, g):
     """Plain numpy, one-head-at-a-time multi-head masked attention, with the
-    explicit mask array of mode_mask.
+    explicit additive mask array of penalty_mask.
 
     Returns the (n, d) output and the gradients of sum(out * g) with
     respect to q, k and v, each head computed and differentiated as its
@@ -443,19 +440,14 @@ def reference_attention(q, k, v, heads, mask, mask_mode, g):
     for h in range(heads):
         sl = slice(h * dh, (h + 1) * dh)
         qh, kh, vh = q[:, sl].copy(), k[:, sl].copy(), v[:, sl].copy()
-        s = (qh @ kh.T.copy()) * c
-        if mask_mode == "additive":
-            s = s + mask
+        s = (qh @ kh.T.copy()) * c + mask
         e = np.exp(s - s.max(axis=1, keepdims=True))
         y = e / e.sum(axis=1, keepdims=True)
-        w = y * mask if mask_mode == "literal" else y
-        out[:, sl] = w @ vh
+        out[:, sl] = y @ vh
         gh = g[:, sl].copy()
-        dv[:, sl] = w.T @ gh
-        dw = gh @ vh.T
-        if mask_mode == "literal":
-            dw = dw * mask
-        ds = (y * (dw - (dw * y).sum(axis=1, keepdims=True))) * c
+        dv[:, sl] = y.T @ gh
+        dy = gh @ vh.T
+        ds = (y * (dy - (dy * y).sum(axis=1, keepdims=True))) * c
         dq[:, sl] = ds @ kh
         dk[:, sl] = (qh.T @ ds).T
     return out, dq, dk, dv

@@ -768,9 +768,11 @@ def test_non_utf8_input_is_a_data_error(ws, tmp_path, capsys, kind):
 
 def test_checkpoint_naming_retired_keys_still_loads(ws, tmp_path, capsys):
     # an older release stored alpha_contact, alpha_ss, alpha_regress and
-    # weight_decay in every checkpoint; none of them weighted any loss
+    # weight_decay in every checkpoint, and none of them weighted any loss;
+    # mask_mode=additive named the attention the code still runs
     text, entries = ckpt.load_checkpoint(ws["final"])
-    retired = ["alpha_contact=0.25", "alpha_regress=3.0", "alpha_ss=0.5", "weight_decay=0.0"]
+    retired = ["alpha_contact=0.25", "alpha_regress=3.0", "alpha_ss=0.5", "weight_decay=0.0",
+               "mask_mode=additive"]
     old = tmp_path / "old.bin"
     ckpt.save_checkpoint(old, "\n".join(sorted(text.splitlines() + retired)) + "\n", entries)
     _, cfg, _ = ckpt.load_model(old)
@@ -795,6 +797,29 @@ def test_checkpoint_naming_retired_keys_still_loads(ws, tmp_path, capsys):
                "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"])])
     assert rc == 2
     assert "unknown config key 'alpha_ss'" in capsys.readouterr().err
+
+
+def test_checkpoint_storing_literal_mask_mode_is_refused(ws, tmp_path, capsys):
+    # its weights were trained with prompt rows normalised over the input
+    # keys, which the one attention path no longer computes
+    text, entries = ckpt.load_checkpoint(ws["final"])
+    old = tmp_path / "old" / "literal.bin"
+    old.parent.mkdir()
+    ckpt.save_checkpoint(old, "\n".join(sorted(text.splitlines() + ["mask_mode=literal"]))
+                         + "\n", entries)
+    data = ["--data", str(ws["pairs"]), "--fasta", str(ws["fasta"])]
+    out = tmp_path / "out"
+    for argv in (["eval", "--checkpoint", str(old), "--task", "ppi", *data,
+                  "--out", str(out / "eval.csv")],
+                 ["inject", "--checkpoint", str(old), "--prompt", "PPI", "--task", "ppi",
+                  *data, "--out", str(out), "--steps", "1"],
+                 ["pretrain", "--resume", str(old), "--fasta", str(ws["fasta"]),
+                  "--out-dir", str(out), "--steps", "1"]):
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "mask_mode" in err, err
+        assert "Traceback" not in err
+        assert not out.exists() and os.listdir(old.parent) == ["literal.bin"], argv[0]
 
 
 def test_split_cli_matches_library(tmp_path, capsys):

@@ -89,8 +89,6 @@ def test_bool_spellings():
 def test_validation_rejections():
     with pytest.raises(ConfigError, match="divisible"):
         RunConfig(d=30, heads=4)
-    with pytest.raises(ConfigError, match="mask_mode"):
-        RunConfig(mask_mode="soft")
     with pytest.raises(ConfigError, match="sum to"):
         RunConfig(mask_prob_mask=0.5, mask_prob_random=0.1, mask_prob_keep=0.1)
     with pytest.raises(ConfigError, match="duplicate prompt"):
@@ -110,12 +108,13 @@ def test_validation_rejections():
 
 
 RETIRED = {"alpha_contact": "0.25", "alpha_regress": "3.0", "alpha_ss": "0.5",
-           "out_dir": "run", "weight_decay": "0.0"}
+           "out_dir": "run", "weight_decay": "0.0", "mask_mode": "additive"}
 
 
 def test_retired_keys_are_skipped_in_stored_text_only(tmp_path):
-    # older checkpoints store keys that never shaped a run's outputs: their
-    # stored config still loads, and drops them, but no user may set them
+    # older checkpoints store keys that never shaped a run's outputs, or did
+    # so only as the code still runs: their stored config still loads, and
+    # drops them, but no user may set them
     stored = RunConfig(d=32).to_text() + "".join(f"{k}={v}\n" for k, v in RETIRED.items())
     cfg = build_config(base_text=stored)
     assert cfg == RunConfig(d=32) and cfg.to_text() == RunConfig(d=32).to_text()
@@ -126,6 +125,14 @@ def test_retired_keys_are_skipped_in_stored_text_only(tmp_path):
         f.write_text(f"{key}={value}\n")
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             build_config(str(f), base_text=stored)
+
+
+def test_stored_literal_mask_mode_is_refused():
+    # weights trained with prompt rows normalised over the input keys would
+    # run under other attention semantics, so they do not load
+    stored = RunConfig(d=32).to_text() + "mask_mode=literal\n"
+    with pytest.raises(ConfigError, match="mask_mode=literal"):
+        build_config(base_text=stored)
 
 
 def test_soft_bounds_warn_but_do_not_fail():

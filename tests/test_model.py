@@ -16,9 +16,8 @@ from conftest import (mlm_logits, mlm_loss, multihead_attention, reference_encod
                       reference_forward)
 
 
-def small_model(prompts=("Seq", "IC"), mask_mode="additive", seed=0, max_len=12):
-    cfg = ModelConfig(d=16, layers=2, heads=4, max_len=max_len,
-                      mask_mode=mask_mode, prompt_names=tuple(prompts))
+def small_model(prompts=("Seq", "IC"), seed=0, max_len=12):
+    cfg = ModelConfig(d=16, layers=2, heads=4, max_len=max_len, prompt_names=tuple(prompts))
     return ProteinEncoder(cfg, seed=seed)
 
 
@@ -26,58 +25,50 @@ def small_model(prompts=("Seq", "IC"), mask_mode="additive", seed=0, max_len=12)
 # mask semantics: encode applies M by structure, so its attention maps show it
 
 
-def _attention_support(m, n, mask_mode):
+def _attention_support(m, n):
     """Where an encode's attention maps are nonzero, for m prompts and n
     input rows: one boolean (m+n, m+n) grid, the same in every layer and head."""
-    cfg = ModelConfig(d=16, layers=2, heads=4, max_len=8, mask_mode=mask_mode,
-                      prompt_names=("Seq", "IC", "PPI"))
+    cfg = ModelConfig(d=16, layers=2, heads=4, max_len=8, prompt_names=("Seq", "IC", "PPI"))
     model = ProteinEncoder(cfg, seed=6)
     seq = T.TokenSequence(ids=np.random.default_rng(n).integers(0, T.VOCAB_SIZE, n))
     maps = model.encode(seq, cfg.prompt_names[:m], collect_attn=True).attn
     support = {(w != 0.0).tobytes() for layer in maps for w in layer}
-    assert len(support) == 1, (m, n, mask_mode)
+    assert len(support) == 1, (m, n)
     return np.frombuffer(support.pop(), dtype=bool).reshape(m + n, m + n)
 
 
-MASK_MODES = ("additive", "literal")
-
-
 def test_mask_one_prompt_two_inputs():
-    for mask_mode in MASK_MODES:
-        assert _attention_support(1, 2, mask_mode).tolist() == [
-            [True, False, False],
-            [True, True, True],
-            [True, True, True],
-        ]
+    assert _attention_support(1, 2).tolist() == [
+        [True, False, False],
+        [True, True, True],
+        [True, True, True],
+    ]
 
 
 def test_mask_two_prompts_two_inputs():
-    for mask_mode in MASK_MODES:
-        assert _attention_support(2, 2, mask_mode).tolist() == [
-            [True, False, False, False],
-            [False, True, False, False],
-            [True, True, True, True],
-            [True, True, True, True],
-        ]
+    assert _attention_support(2, 2).tolist() == [
+        [True, False, False, False],
+        [False, True, False, False],
+        [True, True, True, True],
+        [True, True, True, True],
+    ]
 
 
 def test_mask_rule_enumeration():
     # 1-based rule: M[i][j] = 0 iff (i<=m and j>m) or (i,j<=m and i!=j)
-    for mask_mode in MASK_MODES:
-        for m_count in range(4):
-            for n in range(1, 5):
-                support = _attention_support(m_count, n, mask_mode)
-                for i in range(1, m_count + n + 1):
-                    for j in range(1, m_count + n + 1):
-                        blocked = (i <= m_count and j > m_count) or (
-                            i <= m_count and j <= m_count and i != j
-                        )
-                        assert support[i - 1, j - 1] == (not blocked)
+    for m_count in range(4):
+        for n in range(1, 5):
+            support = _attention_support(m_count, n)
+            for i in range(1, m_count + n + 1):
+                for j in range(1, m_count + n + 1):
+                    blocked = (i <= m_count and j > m_count) or (
+                        i <= m_count and j <= m_count and i != j
+                    )
+                    assert support[i - 1, j - 1] == (not blocked)
 
 
 def test_mask_no_prompts_is_all_ones():
-    for mask_mode in MASK_MODES:
-        assert _attention_support(0, 3, mask_mode).all()
+    assert _attention_support(0, 3).all()
 
 
 def test_mask_argument_validation():
@@ -87,9 +78,9 @@ def test_mask_argument_validation():
                [(4, 4), (4,)] * 4 + [(4,), (4,), (4, 16), (16,), (16, 4), (4,), (4,), (4,)]]
     for m in (-1, 4):
         with pytest.raises(ShapeError, match=f"{m} prompts"):
-            multihead_attention(x, x, x, 2, m, "additive")
+            multihead_attention(x, x, x, 2, m)
         with pytest.raises(ShapeError, match=f"{m} prompts"):
-            nm.encoder_layer(x, weights, 2, m, "literal")
+            nm.encoder_layer(x, weights, 2, m)
 
 
 # ---------------------------------------------------------------------------
@@ -146,26 +137,6 @@ def test_additive_rows_sum_to_one_everywhere():
             assert np.allclose(head.sum(axis=1), 1.0, atol=1e-12)
 
 
-def test_literal_mode_masks_after_normalisation():
-    model = small_model(mask_mode="literal", seed=3)
-    seq = T.encode("ACDEF", 10)
-    _, attn = _attn_maps(model, seq, ("Seq",))
-    for layer_maps in attn:
-        for head in layer_maps:
-            assert np.all(head[0, 1:] == 0.0)  # forward masking still holds
-            assert 0.0 < head[0, 0] < 1.0  # but the row mass is not 1
-            assert head[1:, :].sum(axis=1).max() <= 1.0 + 1e-12
-
-
-def test_literal_and_additive_modes_diverge():
-    a = small_model(mask_mode="additive", seed=5)
-    b = small_model(mask_mode="literal", seed=5)
-    seq = T.encode("ACDEFGH", 12)
-    ha = a.encode(seq, ("Seq", "IC")).h.data
-    hb = b.encode(seq, ("Seq", "IC")).h.data
-    assert np.abs(ha - hb).max() > 1e-3
-
-
 # ---------------------------------------------------------------------------
 # reference forward: an independent plain-numpy encoder without any prompt
 # or masking machinery, used to pin the m=0 reduction bitwise
@@ -193,9 +164,12 @@ def test_trimmed_encode_matches_padded_reference_additive():
         assert np.abs(got - want).max() <= 1e-12
 
 
-@pytest.mark.parametrize("mask_mode", ["additive", "literal"])
-def test_output_does_not_depend_on_max_len(mask_mode):
-    model = small_model(mask_mode=mask_mode, seed=6, max_len=64)
+# the "additive" ids below stay from when a second mask mode existed
+
+
+@pytest.mark.parametrize("seed", [6], ids=["additive"])
+def test_output_does_not_depend_on_max_len(seed):
+    model = small_model(seed=seed, max_len=64)
     s = "MKTAYIAKQRQISFVKSHFSRQ"  # 22 residues
     outs = [model.encode(T.encode(s, max_len), ("Seq", "IC")) for max_len in (24, 64)]
     for out in outs:
@@ -205,18 +179,17 @@ def test_output_does_not_depend_on_max_len(mask_mode):
     assert np.array_equal(model.pool(a).data, model.pool(b).data)
 
 
-@pytest.mark.parametrize("mask_mode", ["additive", "literal"])
-def test_encode_tape_size_does_not_depend_on_heads(mask_mode):
+@pytest.mark.parametrize("seed", [0], ids=["additive"])
+def test_encode_tape_size_does_not_depend_on_heads(seed):
     # an encode records L+1 tape nodes whatever the head count: one for the
     # prompt and embedding rows, then one per encoder layer
     seq = T.encode("MKTAYIAKQR", 16)
     sizes = []
     for heads in (1, 2, 4, 8):
-        cfg = ModelConfig(d=32, layers=2, heads=heads, max_len=16,
-                          mask_mode=mask_mode, prompt_names=("Seq", "IC"))
+        cfg = ModelConfig(d=32, layers=2, heads=heads, max_len=16, prompt_names=("Seq", "IC"))
         tape = Tape()
         with tape:
-            ProteinEncoder(cfg, seed=0).encode(seq, ("Seq", "IC"))
+            ProteinEncoder(cfg, seed=seed).encode(seq, ("Seq", "IC"))
         sizes.append(len(tape.nodes))
     assert sizes == [3] * 4
 
@@ -225,14 +198,11 @@ def test_encode_tape_size_does_not_depend_on_heads(mask_mode):
 @pytest.mark.parametrize("prompts, frozen", [
     ((), frozenset()), (("Seq", "IC"), frozenset()), (("Seq", "IC"), frozenset({"IC"})),
 ], ids=["no-prompts", "two-prompts", "one-frozen"])
-@pytest.mark.parametrize("heads", [1, 2, 4, 8])
-@pytest.mark.parametrize("mask_mode", ["additive", "literal"])
-def test_fused_encode_matches_the_per_op_chain(mask_mode, heads, prompts, frozen,
-                                               frozen_encoder):
+@pytest.mark.parametrize("heads", [1, 2, 4, 8], ids=lambda h: f"additive-{h}")
+def test_fused_encode_matches_the_per_op_chain(heads, prompts, frozen, frozen_encoder):
     # encoder_input and encoder_layer against the per-op chain kept in
     # conftest: output, attention maps and every gradient, bit for bit
-    cfg = ModelConfig(d=16, layers=2, heads=heads, max_len=16, mask_mode=mask_mode,
-                      prompt_names=("Seq", "IC"))
+    cfg = ModelConfig(d=16, layers=2, heads=heads, max_len=16, prompt_names=("Seq", "IC"))
     model = ProteinEncoder(cfg, seed=5)
     rng = np.random.default_rng(3)
     for p in model.parameters().values():

@@ -15,8 +15,8 @@ from protprompt.model import INIT_STD, ModelConfig, ProteinEncoder
 from protprompt.numerics import Tape, Tensor
 
 from conftest import (OracleError, bce_with_logits_mean, concat_rows, embedding_lookup,
-                      finite_diff_check, gelu, layernorm, log_softmax_rows, mode_mask,
-                      multihead_attention, pick, reference_affine, reference_attention,
+                      finite_diff_check, gelu, layernorm, log_softmax_rows,
+                      multihead_attention, penalty_mask, pick, reference_affine, reference_attention,
                       reference_contact, reference_gelu, reference_layernorm, scale)
 
 FD_TOL = 1e-6
@@ -85,23 +85,23 @@ def _attention_inputs(m=2, n=5, d=8, seed=50):
     return q, k, v, rng.normal(0.0, 1.0, (m + n, d))
 
 
-@pytest.mark.parametrize("mask_mode", ["additive", "literal"])
-@pytest.mark.parametrize("heads", [1, 2, 4, 8])
-def test_multihead_attention_matches_per_head_reference(mask_mode, heads):
+@pytest.mark.parametrize("heads", [1, 2, 4, 8], ids=lambda h: f"{h}-additive")
+def test_multihead_attention_matches_per_head_reference(heads):
     # the structural kernel against the explicit-mask oracle over a grid of
-    # prompt counts m and input lengths n (a loop, so the test ids stay put)
+    # prompt counts m and input lengths n (a loop, so the test ids stay put;
+    # so do the ids' "additive", from when a second mask mode existed)
     for m in (0, 1, 3):
         for n in (1, 5):
             q, k, v, g = _attention_inputs(m, n)
             collect = []
             tape = Tape()
             with tape:
-                out = multihead_attention(q, k, v, heads, m, mask_mode, collect)
+                out = multihead_attention(q, k, v, heads, m, collect)
                 loss = nm.sum_all(nm.mul(out, Tensor(g)))
             assert len(tape.nodes) == 3  # attention, mul, sum_all: one node for all heads
             nm.backward(tape, loss)
             ref_out, dq, dk, dv = reference_attention(q.data, k.data, v.data, heads,
-                                                      mode_mask(m, n, mask_mode), mask_mode, g)
+                                                      penalty_mask(m, n), g)
             assert np.array_equal(out.data, ref_out), (m, n)
             for t, ref in ((q, dq), (k, dk), (v, dv)):
                 assert np.abs(t.grad - ref).max() <= 1e-12, (m, n)
@@ -114,11 +114,9 @@ def test_multihead_attention_matches_per_head_reference(mask_mode, heads):
 def test_multihead_attention_rejects_bad_arguments():
     q, k, v, _ = _attention_inputs()
     with pytest.raises(ShapeError, match="3 heads"):
-        multihead_attention(q, k, v, 3, 2, "additive")
+        multihead_attention(q, k, v, 3, 2)
     with pytest.raises(ShapeError, match=r"\(6, 8\)"):
-        multihead_attention(q, k, Tensor(v.data[1:]), 2, 2, "additive")
-    with pytest.raises(ContractError, match="mask_mode"):
-        multihead_attention(q, k, v, 2, 2, "soft")
+        multihead_attention(q, k, Tensor(v.data[1:]), 2, 2)
 
 
 def test_one_way_flow_is_exact_for_any_finite_score():
@@ -127,16 +125,10 @@ def test_one_way_flow_is_exact_for_any_finite_score():
     # by structure leaves the prompt its own value row, bit for bit
     q, k, v = (Tensor(np.random.default_rng(seed).normal(size=(4, 4))) for seed in (70, 71, 72))
     q.data[0], k.data[0], k.data[2] = [1e5, 0, 0, 0], [-1e5, 0, 0, 0], [1e5, 0, 0, 0]
-    rows = {}
-    for mask_mode in ("additive", "literal"):
-        collect = []
-        out = multihead_attention(q, k, v, 1, 1, mask_mode, collect)
-        rows[mask_mode] = collect[0][0][0]
-        if mask_mode == "additive":
-            assert out.data[0].tobytes() == v.data[0].tobytes()
-    assert rows["additive"].tolist() == [1.0, 0.0, 0.0, 0.0]
-    # literal keeps only the prompt's own softmax weight, which row 2 took
-    assert rows["literal"].tolist() == [0.0, 0.0, 0.0, 0.0]
+    collect = []
+    out = multihead_attention(q, k, v, 1, 1, collect)
+    assert out.data[0].tobytes() == v.data[0].tobytes()
+    assert collect[0][0][0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_fused_encoder_nodes_reject_bad_arguments():
@@ -144,14 +136,11 @@ def test_fused_encoder_nodes_reject_bad_arguments():
     weights = [_rand(shape, i) for i, shape in enumerate(
         [(8, 8), (8,)] * 4 + [(8,), (8,), (8, 32), (32,), (32, 8), (8,), (8,), (8,)])]
     with pytest.raises(ShapeError, match="16 weights"):
-        nm.encoder_layer(x, weights[:-1], 2, 2, "additive")
+        nm.encoder_layer(x, weights[:-1], 2, 2)
     with pytest.raises(ShapeError, match="do not fit width 8"):
-        nm.encoder_layer(x, weights[:12] + [_rand((8, 8), 0)] + weights[13:], 2, 2,
-                         "additive")
+        nm.encoder_layer(x, weights[:12] + [_rand((8, 8), 0)] + weights[13:], 2, 2)
     with pytest.raises(ShapeError, match="3 heads"):
-        nm.encoder_layer(x, weights, 3, 2, "additive")
-    with pytest.raises(ContractError, match="mask_mode"):
-        nm.encoder_layer(x, weights, 2, 2, "soft")
+        nm.encoder_layer(x, weights, 3, 2)
     tok, seg, pos = _rand((9, 5), 1), _rand((1, 5), 2), _rand((4, 5), 3)
     with pytest.raises(ShapeError, match="differ in width"):
         nm.encoder_input(tok, _rand((1, 4), 2), pos, [1, 2])
@@ -174,7 +163,7 @@ def test_fused_layer_checks_its_intermediates(position, op):
     weights[position].data[:] = 1e308
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericsError, match=f"produced by {op}$"):
-            nm.encoder_layer(x, weights, 2, 2, "additive")
+            nm.encoder_layer(x, weights, 2, 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 73])
@@ -245,25 +234,17 @@ def _kernel_cases():
     def rand(*shape):
         return Tensor(rng.normal(0.0, 1.0, shape), requires_grad=True)
 
-    def attention(mask_mode):
-        q, k, v, g = _attention_inputs(m=2, n=9, d=8)
-        collect = []
-        return (lambda *qkv: multihead_attention(*qkv, 2, 2, mask_mode, collect),
-                (q, k, v), g, collect)
-
-    def encoder_layer(mask_mode):
-        x, *_, g = _attention_inputs(m=2, n=9, d=8)
-        weights = [rand(*shape) for shape in [(8, 8), (8,)] * 4 + [(8,), (8,), (8, 32), (32,),
-                                                                   (32, 8), (8,), (8,), (8,)]]
-        collect = []
-        return (lambda x, *w: nm.encoder_layer(x, w, 2, 2, mask_mode, collect),
-                (x, *weights), g, collect)
-
+    q, k, v, g_att = _attention_inputs(m=2, n=9, d=8)
+    x, *_, g_layer = _attention_inputs(m=2, n=9, d=8)
+    weights = [rand(*shape) for shape in [(8, 8), (8,)] * 4 + [(8,), (8,), (8, 32), (32,),
+                                                               (32, 8), (8,), (8,), (8,)]]
+    att_maps, layer_maps = [], []
+    # the ids keep their "additive" from when a second mask mode existed
     cases = {
-        "attention-additive": attention("additive"),
-        "attention-literal": attention("literal"),
-        "encoder-layer-additive": encoder_layer("additive"),
-        "encoder-layer-literal": encoder_layer("literal"),
+        "attention-additive": (lambda *qkv: multihead_attention(*qkv, 2, 2, att_maps),
+                               (q, k, v), g_att, att_maps),
+        "encoder-layer-additive": (lambda x, *w: nm.encoder_layer(x, w, 2, 2, layer_maps),
+                                   (x, *weights), g_layer, layer_maps),
         "encoder-input": (lambda *t: nm.encoder_input(*t[:3], [3, 7, 3, 0], t[3:]),
                           (rand(9, 5), rand(1, 5), rand(6, 5), rand(5), rand(5)),
                           rng.normal(size=(6, 5)), []),
@@ -379,13 +360,13 @@ def test_mask_penalty_underflows_to_zero():
     rng = np.random.default_rng(43)
     q, k, v = (Tensor(rng.normal(0, 1, (3, 4))) for _ in range(3))
     collect = []
-    out = multihead_attention(q, k, v, 2, 1, "additive", collect)
+    out = multihead_attention(q, k, v, 2, 1, collect)
     for w in collect[0]:
         assert w[0, 0] == 1.0
         assert w[0, 1] == 0.0 and w[0, 2] == 0.0
     assert np.array_equal(out.data[0], v.data[0])
-    ref, *_ = reference_attention(q.data, k.data, v.data, 2, mode_mask(1, 2, "additive"),
-                                  "additive", np.zeros((3, 4)))
+    ref, *_ = reference_attention(q.data, k.data, v.data, 2, penalty_mask(1, 2),
+                                  np.zeros((3, 4)))
     assert out.data.tobytes() == ref.tobytes()
 
 
