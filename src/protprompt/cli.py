@@ -319,8 +319,10 @@ def cmd_eval(args) -> int:
         prompt_sel = ()
     else:
         prompt_sel = tuple(p.strip() for p in args.prompts.split(","))
-        for p in prompt_sel:
+        for i, p in enumerate(prompt_sel):
             model.prompts.get(p)  # raises ConfigError on unknown names
+            if p in prompt_sel[:i]:
+                raise ConfigError(f"--prompts names {p!r} twice")
 
     records = _EVAL_TASKS[args.task](model, cfg, args, prompt_sel)
     lines = [f"# config_hash={cfg.hash()}", "task,metric,value,prompts"]
@@ -595,7 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maps-dir", dest="maps_dir", default=None, help="truth contact maps")
     p.add_argument(
         "--scores-dir", dest="scores_dir", default=None,
-        help="read contact scores from files instead of the model",
+        help="read contact scores from 0/1 .cmap files named like the maps instead "
+             "of the model; equal scores rank by (i, j)",
     )
     p.add_argument("--classes", type=int, default=3, choices=(3, 8))
     p.add_argument(

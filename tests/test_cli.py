@@ -569,6 +569,19 @@ def test_eval_prompt_selection(ws, tmp_path):
     assert not np.array_equal(a, b)
 
 
+def test_eval_repeated_prompt_exit_2(ws, tmp_path, capsys):
+    rec = tmp_path / "r.csv"
+    rc = main([
+        "eval", "--checkpoint", str(ws["final"]), "--task", "ppi",
+        "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"]),
+        "--out", str(rec), "--prompts", "Seq,IC,Seq",
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "'Seq'" in err, err
+    assert not rec.exists()
+
+
 def test_eval_unknown_prompt_exit_2(ws, capsys):
     rc = main([
         "eval", "--checkpoint", str(ws["final"]), "--task", "ppi",
