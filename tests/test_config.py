@@ -127,14 +127,6 @@ def test_retired_keys_are_skipped_in_stored_text_only(tmp_path):
             build_config(str(f), base_text=stored)
 
 
-def test_stored_literal_mask_mode_is_refused():
-    # weights trained with prompt rows normalised over the input keys would
-    # run under other attention semantics, so they do not load
-    stored = RunConfig(d=32).to_text() + "mask_mode=literal\n"
-    with pytest.raises(ConfigError, match="mask_mode=literal"):
-        build_config(base_text=stored)
-
-
 def test_soft_bounds_warn_but_do_not_fail():
     cfg = RunConfig(lr=0.01)
     notes = cfg.warnings()

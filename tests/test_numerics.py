@@ -16,8 +16,9 @@ from protprompt.numerics import Tape, Tensor
 
 from conftest import (OracleError, bce_with_logits_mean, concat_rows, embedding_lookup,
                       finite_diff_check, gelu, layernorm, log_softmax_rows,
-                      multihead_attention, penalty_mask, pick, reference_affine, reference_attention,
-                      reference_contact, reference_gelu, reference_layernorm, scale)
+                      multihead_attention, penalty_mask, pick, reference_affine,
+                      reference_attention, reference_contact, reference_gelu,
+                      reference_layernorm, scale)
 
 FD_TOL = 1e-6
 
