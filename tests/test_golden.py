@@ -3,16 +3,19 @@ write exactly the recorded bytes.
 
 The runs: a `pretrain` with an interaction file (negatives drawn), lambda and
 alpha_ppi away from 1, stopped after a checkpoint and resumed in the same
-directory; an `inject` on a file with explicit 0 rows; `eval --task ppi --out`
-on the injected checkpoint; `build-contacts` on three small PDB chains (one
-residue without CB or CA, so the report holds a skip line) and `eval --task
-contact --out` on their maps with the injected checkpoint. Each output file is
-hashed with SHA-256, `metrics.csv` with its `ms` column blanked. Beside the
-files, the raw bytes of `contact_logits` from a seeded d=64 encoder are hashed
-at residue counts that end inside, on and across the contact head's row blocks,
-and so are a seeded encoder's output rows, collected attention maps and
-parameter gradients at 0, 1 and 3 prompts, with the encoder trainable and
-frozen as `inject` runs it.
+directory; an `inject` on a file with explicit 0 rows, and a shorter one on
+the same file with `--no-freeze-encoder`; `eval --task ppi --out` on the
+injected checkpoint; `build-contacts` on three small PDB chains (one residue
+without CB or CA, so the report holds a skip line) and `eval --task contact
+--out` on their maps with the injected checkpoint. Each output file is hashed
+with SHA-256, `metrics.csv` with its `ms` column blanked. Beside the files
+these are hashed: the `checkpoint.save_model` bytes of two freshly seeded
+models (2 layers and no prompts; 3 layers, three prompts, another d and
+max_len); the raw bytes of `contact_logits` from a seeded d=64 encoder at
+residue counts that end inside, on and across the contact head's row blocks;
+and a seeded encoder's output rows, collected attention maps and parameter
+gradients at 0, 1 and 3 prompts, with the encoder trainable and frozen as
+`inject` runs it.
 
 Float results depend on numpy, its BLAS and the CPU, so golden/digests.json
 holds one entry per environment fingerprint. On an environment it does not
@@ -38,7 +41,9 @@ import numpy as np
 
 from protprompt import numerics as nm
 from protprompt import tokenizer as T
+from protprompt.checkpoint import save_model
 from protprompt.cli import main
+from protprompt.config import build_config
 from protprompt.model import ModelConfig, ProteinEncoder
 from protprompt.numerics import Tape, Tensor
 
@@ -71,6 +76,13 @@ THREE = ["ALA", "CYS", "ASP", "GLU", "PHE", "GLY", "HIS", "ILE", "LYS", "LEU",
          "MET", "ASN", "PRO", "GLN", "ARG", "SER", "THR", "VAL", "TRP", "TYR"]
 LOGIT_LENGTHS = (1, 8, 9, 17, 73, 254)
 ENCODER_PROMPTS = ("Seq", "IC", "PPI")
+
+FRESH_SHAPES = {
+    "save_model/layers=2": {"d": "8", "layers": "2", "heads": "2", "max_len": "16",
+                            "prompts": "", "seed": "6"},
+    "save_model/layers=3": {"d": "12", "layers": "3", "heads": "2", "max_len": "20",
+                            "prompts": "Seq,IC,PPI", "seed": "7"},
+}
 
 SHAPE = ["--set", "d=8", "--set", "layers=1", "--set", "heads=2", "--set", "max_len=16",
          "--set", "batch_seqs=2", "--set", "batch_pairs=2", "--set", "checkpoint_every=2"]
@@ -131,6 +143,18 @@ def _logit_digests() -> dict[str, str]:
     return digests
 
 
+def _fresh_model_digests() -> dict[str, str]:
+    """SHA-256 of the save_model bytes of a freshly seeded model at each of
+    FRESH_SHAPES, written beside the other outputs."""
+    digests = {}
+    for key, shape in FRESH_SHAPES.items():
+        cfg = build_config(overrides=shape)
+        path = Path(f"{key.replace('/', '-')}.bin")
+        save_model(path, ProteinEncoder(ModelConfig.from_run_config(cfg), seed=cfg.seed), cfg)
+        digests[key] = _sha(path.read_bytes())
+    return digests
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -187,14 +211,19 @@ def compute_digests(work: Path) -> dict[str, str]:
         _run(["inject", "--checkpoint", "pretrain/final.bin", "--prompt", "PPI",
               "--task", "ppi", "--data", "labeled.tsv", "--fasta", "seqs.fasta",
               "--out", "inject", "--steps", "3", "--seed", "4"])
+        _run(["inject", "--checkpoint", "pretrain/final.bin", "--prompt", "PPI",
+              "--task", "ppi", "--data", "labeled.tsv", "--fasta", "seqs.fasta",
+              "--out", "inject-unfrozen", "--steps", "2", "--seed", "4",
+              "--no-freeze-encoder"])
         _run(["eval", "--checkpoint", "inject/injected.bin", "--task", "ppi",
               "--data", "labeled.tsv", "--fasta", "seqs.fasta", "--out", "eval.csv"])
         Path("chains.fasta").write_text(_write_structures(np.random.default_rng(5)))
         _run(["build-contacts", "--pdb-dir", "pdbs", "--out-dir", "contacts"])
         _run(["eval", "--checkpoint", "inject/injected.bin", "--task", "contact",
               "--maps-dir", "contacts", "--fasta", "chains.fasta", "--out", "contact.csv"])
-        digests = {**_logit_digests(), **_encoder_digests()}
+        digests = {**_fresh_model_digests(), **_logit_digests(), **_encoder_digests()}
         for path in sorted([*Path("pretrain").iterdir(), *Path("inject").iterdir(),
+                            *Path("inject-unfrozen").iterdir(),
                             *Path("contacts").iterdir(), Path("eval.csv"),
                             Path("contact.csv")]):
             data = path.read_bytes()
