@@ -33,7 +33,7 @@ from .config import (
     parse_overrides,
 )
 from .errors import ConfigError, DataError, Error, FormatError
-from .model import PROMPT_INIT_STD, ModelConfig, ProteinEncoder
+from .model import PAIR_TYPES, PROMPT_INIT_STD, ModelConfig, ProteinEncoder
 from .numerics import Tensor
 
 # rng stream purposes, mixed into the per-step seed tuple
@@ -287,12 +287,11 @@ def cmd_inject(args) -> int:
     )
 
     trainable: dict[str, Tensor] = {f"prompt.{prompt_name}": model.prompts.get(prompt_name)}
-    all_params = model.parameters()
-    for name in ("head.pair.w", "head.pair.b", "head.pair_bin.w", "head.pair_bin.b"):
-        trainable[name] = all_params[name]
+    heads = model.pair_head(1) + model.pair_head(PAIR_TYPES)
+    trainable.update((name, p) for name, p in model.heads.items() if p in heads)
     if args.no_freeze_encoder:
-        trainable.update(model.encoder_parameters())
-    for name, p in all_params.items():
+        trainable.update(model.encoder)
+    for name, p in model.parameters().items():
         p.requires_grad = name in trainable
 
     optimizer = _adam(trainable, cfg)

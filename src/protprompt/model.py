@@ -119,12 +119,17 @@ class EncoderOutput:
 
 
 class ProteinEncoder:
-    """The full embed (prompt rows first) -> masked layers stack, plus heads."""
+    """The full embed (prompt rows first) -> masked layers stack, plus heads.
+
+    Each weight is held once, under its checkpoint name: encoder (embed.*,
+    layer{i}.*) and heads (head.*) are ordered name -> Tensor maps, and the
+    prompts live in their PromptSet.
+    """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
         rng = np.random.default_rng(seed)
-        d = config.d
+        d, f = config.d, 4 * config.d
 
         def w(shape):
             return Tensor(rng.normal(0.0, INIT_STD, shape), requires_grad=True)
@@ -135,72 +140,48 @@ class ProteinEncoder:
         def ones(shape):
             return Tensor(np.ones(shape), requires_grad=True)
 
-        self.tok_table = w((VOCAB_SIZE, d))
-        self.pos_table = w((config.max_len, d))
-        self.seg_table = w((1, d))
-        # per layer, the 16 weights named by LAYER_WEIGHT_NAMES
-        self.layers = [
-            (w((d, d)), zeros(d), w((d, d)), zeros(d), w((d, d)), zeros(d), w((d, d)), zeros(d),
-             ones(d), zeros(d), w((d, 4 * d)), zeros(4 * d), w((4 * d, d)), zeros(d),
-             ones(d), zeros(d))
-            for _ in range(config.layers)
-        ]
+        # tensors are created in table order, so the draws follow it
+        self.encoder: dict[str, Tensor] = {
+            "embed.tok": w((VOCAB_SIZE, d)),
+            "embed.pos": w((config.max_len, d)),
+            "embed.seg": w((1, d)),
+        }
+        for i in range(config.layers):
+            self.encoder.update(zip(
+                (f"layer{i}.{name}" for name in LAYER_WEIGHT_NAMES),
+                (w((d, d)), zeros(d), w((d, d)), zeros(d), w((d, d)), zeros(d), w((d, d)),
+                 zeros(d), ones(d), zeros(d), w((d, f)), zeros(f), w((f, d)), zeros(d),
+                 ones(d), zeros(d)),
+            ))
+        # per layer, its weights in the order numerics.encoder_layer takes them
+        self.layers = [tuple(self.encoder[f"layer{i}.{name}"] for name in LAYER_WEIGHT_NAMES)
+                       for i in range(config.layers)]
         self.prompts = PromptSet()
         for name in config.prompt_names:
             self.prompts.register(name, Tensor(rng.normal(0.0, PROMPT_INIT_STD, d)))
         # task heads; all are plain affine maps on encoder representations
-        self.mlm_w, self.mlm_b = w((d, VOCAB_SIZE)), zeros(VOCAB_SIZE)
-        self.pair_w, self.pair_b = w((d, PAIR_TYPES)), zeros(PAIR_TYPES)
-        self.pair_bin_w, self.pair_bin_b = w((d, 1)), zeros(1)
-        self.contact_w_prod, self.contact_w_diff = w((d, 1)), w((d, 1))
-        self.contact_b = zeros(1)
-        self.ss3_w, self.ss3_b = w((d, SS3_CLASSES)), zeros(SS3_CLASSES)
-        self.ss8_w, self.ss8_b = w((d, SS8_CLASSES)), zeros(SS8_CLASSES)
-        self.regress_w, self.regress_b = w((d, 1)), zeros(1)
-
-    # -- parameter registry (fixed, documented order) --
+        self.heads: dict[str, Tensor] = {
+            "head.mlm.w": w((d, VOCAB_SIZE)), "head.mlm.b": zeros(VOCAB_SIZE),
+            "head.pair.w": w((d, PAIR_TYPES)), "head.pair.b": zeros(PAIR_TYPES),
+            "head.pair_bin.w": w((d, 1)), "head.pair_bin.b": zeros(1),
+            "head.contact.w_prod": w((d, 1)), "head.contact.w_diff": w((d, 1)),
+            "head.contact.b": zeros(1),
+            "head.ss3.w": w((d, SS3_CLASSES)), "head.ss3.b": zeros(SS3_CLASSES),
+            "head.ss8.w": w((d, SS8_CLASSES)), "head.ss8.b": zeros(SS8_CLASSES),
+            "head.regress.w": w((d, 1)), "head.regress.b": zeros(1),
+        }
 
     def parameters(self) -> dict[str, Tensor]:
-        """Insertion-ordered name -> tensor map; this order is the
-        checkpoint serialisation order."""
-        params: dict[str, Tensor] = {
-            "embed.tok": self.tok_table,
-            "embed.pos": self.pos_table,
-            "embed.seg": self.seg_table,
-        }
-        for i, weights in enumerate(self.layers):
-            params.update({f"layer{i}.{name}": t
-                           for name, t in zip(LAYER_WEIGHT_NAMES, weights)})
-        for name in self.prompts.names():
-            params[f"prompt.{name}"] = self.prompts.get(name)
-        params.update(
-            {
-                "head.mlm.w": self.mlm_w,
-                "head.mlm.b": self.mlm_b,
-                "head.pair.w": self.pair_w,
-                "head.pair.b": self.pair_b,
-                "head.pair_bin.w": self.pair_bin_w,
-                "head.pair_bin.b": self.pair_bin_b,
-                "head.contact.w_prod": self.contact_w_prod,
-                "head.contact.w_diff": self.contact_w_diff,
-                "head.contact.b": self.contact_b,
-                "head.ss3.w": self.ss3_w,
-                "head.ss3.b": self.ss3_b,
-                "head.ss8.w": self.ss8_w,
-                "head.ss8.b": self.ss8_b,
-                "head.regress.w": self.regress_w,
-                "head.regress.b": self.regress_b,
-            }
-        )
-        return params
+        """Insertion-ordered name -> tensor map: encoder, prompts, heads. This
+        order is the checkpoint serialisation order."""
+        prompts = {f"prompt.{name}": self.prompts.get(name) for name in self.prompts.names()}
+        return {**self.encoder, **prompts, **self.heads}
 
-    def encoder_parameters(self) -> dict[str, Tensor]:
-        """Parameters counted as 'the encoder' for freezing purposes."""
-        return {
-            name: t
-            for name, t in self.parameters().items()
-            if not name.startswith("prompt.") and not name.startswith("head.")
-        }
+    def head(self, name: str) -> tuple[Tensor, ...]:
+        """The weights of head.{name}.*, in table order: (w, b), or
+        (w_prod, w_diff, b) for the contact head."""
+        prefix = f"head.{name}."
+        return tuple(t for key, t in self.heads.items() if key.startswith(prefix))
 
     # -- forward pieces --
 
@@ -223,8 +204,8 @@ class ProteinEncoder:
         for name in prompt_names:
             vec = self.prompts.get(name)
             prompts.append(Tensor(vec.data) if name in frozen else vec)
-        return nm.encoder_input(self.tok_table, self.seg_table, self.pos_table, seq.ids,
-                                prompts)
+        return nm.encoder_input(self.encoder["embed.tok"], self.encoder["embed.seg"],
+                                self.encoder["embed.pos"], seq.ids, prompts)
 
     def encode(
         self,
@@ -251,9 +232,9 @@ class ProteinEncoder:
     def pair_head(self, width: int) -> tuple[Tensor, Tensor]:
         """(w, b) of the binary (width 1) or interaction-type (PAIR_TYPES) head."""
         if width == 1:
-            return self.pair_bin_w, self.pair_bin_b
+            return self.head("pair_bin")
         if width == PAIR_TYPES:
-            return self.pair_w, self.pair_b
+            return self.head("pair")
         raise ConfigError(f"no pair head has {width} logits (1 or {PAIR_TYPES})")
 
     def pair_logits(self, pooled_p: Tensor, pooled_q: Tensor, width: int) -> Tensor:
@@ -273,18 +254,14 @@ class ProteinEncoder:
         """
         if out.seq.n_residues < 1:
             raise ContractError("contact_logits needs at least one residue")
-        return nm.contact_scores(
-            out.residue_rows(), self.contact_w_prod, self.contact_w_diff, self.contact_b
-        )
+        return nm.contact_scores(out.residue_rows(), *self.head("contact"))
 
     def token_logits(self, out: EncoderOutput, classes: int) -> Tensor:
         """Per-residue class logits for 3- or 8-state structure labels."""
-        if classes == SS3_CLASSES:
-            return nm.affine(out.residue_rows(), self.ss3_w, self.ss3_b)
-        if classes == SS8_CLASSES:
-            return nm.affine(out.residue_rows(), self.ss8_w, self.ss8_b)
-        raise ConfigError(f"token classification supports 3 or 8 classes, got {classes}")
+        if classes not in (SS3_CLASSES, SS8_CLASSES):
+            raise ConfigError(f"token classification supports 3 or 8 classes, got {classes}")
+        return nm.affine(out.residue_rows(), *self.head(f"ss{classes}"))
 
     def regress(self, pooled: Tensor) -> Tensor:
         """Scalar regression on a pooled sequence vector."""
-        return nm.reshape(nm.affine(pooled, self.regress_w, self.regress_b), ())
+        return nm.reshape(nm.affine(pooled, *self.head("regress")), ())

@@ -164,7 +164,7 @@ def _forward_mlm(
     ]
     rows = [len(prompts) + masked.positions for masked in batch.masked]
     targets = [masked.targets for masked in batch.masked]
-    return nm.cross_entropy_rows(hs, rows, targets, model.mlm_w, model.mlm_b,
+    return nm.cross_entropy_rows(hs, rows, targets, *model.head("mlm"),
                                  mean=reduction == "mean")
 
 

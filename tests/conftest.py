@@ -195,9 +195,9 @@ def reference_embed(model, seq, prompt_names=(), frozen=frozenset()):
     then one reshape per prompt and a concat; frozen prompts enter as
     constant copies."""
     n = seq.ids.size
-    tok = embedding_lookup(model.tok_table, seq.ids)
-    seg = embedding_lookup(model.seg_table, np.zeros(n, dtype=np.intp))
-    pos = embedding_lookup(model.pos_table, np.arange(n, dtype=np.intp))
+    tok = embedding_lookup(model.encoder["embed.tok"], seq.ids)
+    seg = embedding_lookup(model.encoder["embed.seg"], np.zeros(n, dtype=np.intp))
+    pos = embedding_lookup(model.encoder["embed.pos"], np.arange(n, dtype=np.intp))
     x_in = nm.add(nm.add(tok, seg), pos)
     if not prompt_names:
         return x_in
@@ -347,7 +347,7 @@ def mlm_logits(model, out, positions):
     pos = np.asarray(positions, dtype=np.intp)
     if pos.size == 0:
         raise ContractError("mlm_logits needs at least one target position")
-    return nm.affine(nm.select_rows(out.h, out.m + pos), model.mlm_w, model.mlm_b)
+    return nm.affine(nm.select_rows(out.h, out.m + pos), *model.head("mlm"))
 
 
 def reference_forward_mlm(model, batch, reduction="sum", frozen=frozenset()):

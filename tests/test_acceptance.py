@@ -220,7 +220,7 @@ def test_1_gradient_suite_primitives_and_full_encoder():
 
         checked = model.parameters()
         if frozen_encoder:
-            for p in model.encoder_parameters().values():
+            for p in model.encoder.values():
                 p.requires_grad = False
             checked = {f"prompt.{n}": model.prompts.get(n) for n in ("Seq", "IC")}
         for name, p in checked.items():
@@ -233,7 +233,7 @@ def test_1_gradient_suite_primitives_and_full_encoder():
             err = _rel_err(g, _richardson_fd(loss, p))
             assert err < 1e-4, f"frozen_encoder={frozen_encoder} {name}: rel err {err:.3e}"
         if frozen_encoder:
-            assert all(p.grad is None for p in model.encoder_parameters().values())
+            assert all(p.grad is None for p in model.encoder.values())
     assert time.monotonic() - t0 < 60.0
 
 

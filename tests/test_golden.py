@@ -172,7 +172,7 @@ def _encoder_digests() -> dict[str, str]:
         model = ProteinEncoder(cfg, seed=13)
         params = model.parameters()
         if mode == "frozen":
-            for p in model.encoder_parameters().values():
+            for p in model.encoder.values():
                 p.requires_grad = False
         for m in (0, 1, 3):
             for p in params.values():

@@ -208,7 +208,7 @@ def test_fused_encode_matches_the_per_op_chain(heads, prompts, frozen, frozen_en
     for p in model.parameters().values():
         p.data[:] = rng.normal(0.0, 0.3, p.shape)  # larger than init: every path carries signal
     if frozen_encoder:
-        for p in model.encoder_parameters().values():
+        for p in model.encoder.values():
             p.requires_grad = False
     seq = T.encode("MKTAYIAKQR", 16)
     probe = Tensor(rng.normal(size=(len(prompts) + seq.length, cfg.d)), requires_grad=True)
@@ -423,7 +423,7 @@ def test_mlm_logits_selects_input_positions():
     masked = T.MlmBatch(corrupted=seq.ids, positions=np.array([1, 3]), targets=np.array([4, 7]))
     batch = O.MlmTaskBatch(sequences=[seq], masked=[masked])
     out = model.encode(seq, ("Seq", "IC"))
-    direct = nm.affine(nm.select_rows(out.h, np.array([3, 5])), model.mlm_w, model.mlm_b)
+    direct = nm.affine(nm.select_rows(out.h, np.array([3, 5])), *model.head("mlm"))
     assert mlm_logits(model, out, [1, 3]).data.tobytes() == direct.data.tobytes()
     want = mlm_loss(direct, [4, 7]).item()
     assert abs(O._forward_mlm(model, batch, "sum").item() - want) <= 1e-12
@@ -456,9 +456,32 @@ def test_parameter_registry_order_and_freeze_view():
     assert names[3] == "layer0.attn.wq"
     assert "prompt.Seq" in names and "prompt.IC" in names
     assert names[-1] == "head.regress.b"
-    enc = model.encoder_parameters()
+    enc = model.encoder
     assert all(not n.startswith(("prompt.", "head.")) for n in enc)
     assert len(enc) == 3 + 16 * 2
+
+
+def test_every_tensor_the_model_holds_is_one_parameter():
+    # walk the model's attributes, through containers and held objects: each
+    # Tensor met is a value of parameters(), which lists no Tensor twice
+    model = small_model()
+    params = list(model.parameters().values())
+    held, seen, stack = set(), set(), [model]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            held.add(id(obj))
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    assert len({id(p) for p in params}) == len(params)
+    assert held == {id(p) for p in params}
 
 
 def test_model_config_from_run_config():

@@ -433,7 +433,7 @@ def test_mlm_node_checks_rows_and_targets():
     model, mlm, _ = _step_fixture()
     hs = [model.encode(s, ()).h for s in mlm.sequences[:2]]
     rows, targets = [np.array([1, 2]), np.array([3])], [np.array([4, 5]), np.array([6])]
-    w, b = model.mlm_w, model.mlm_b
+    w, b = model.head("mlm")
     with pytest.raises(ContractError, match="targets for"):
         nm.cross_entropy_rows(hs, rows, [np.array([4]), np.array([6])], w, b)
     with pytest.raises(ShapeError, match="target out of range"):
@@ -441,7 +441,7 @@ def test_mlm_node_checks_rows_and_targets():
     with pytest.raises(ShapeError, match="row out of range"):
         nm.cross_entropy_rows(hs, [np.array([1, 99]), np.array([3])], targets, w, b)
     with pytest.raises(ShapeError, match="does not fit"):
-        nm.cross_entropy_rows(hs, rows, targets, w, model.pair_b)
+        nm.cross_entropy_rows(hs, rows, targets, w, model.heads["head.pair.b"])
     with pytest.raises(ContractError, match="chosen row"):
         nm.cross_entropy_rows(hs, [rows[0], np.array([], dtype=np.intp)], targets, w, b)
     with pytest.raises(ContractError, match="one sequence"):
@@ -450,8 +450,8 @@ def test_mlm_node_checks_rows_and_targets():
 
 def test_non_finite_head_logits_name_the_affine():
     model, mlm, ppi = _step_fixture(seed=13)
-    model.mlm_b.data[3] = np.inf
-    model.pair_bin_b.data[0] = np.inf
+    model.heads["head.mlm.b"].data[3] = np.inf
+    model.heads["head.pair_bin.b"].data[0] = np.inf
     with Tape():
         with pytest.raises(NumericsError, match="affine"):
             O._forward_mlm(model, mlm, "sum")
@@ -463,7 +463,7 @@ def test_non_finite_head_logits_name_the_affine():
 def test_pair_backward_past_exp_overflow_stays_finite(bias):
     # every logit sits beyond |z| = 709, where exp(|z|) overflows
     model, _, ppi = _step_fixture(seed=14)
-    model.pair_bin_b.data[:] = bias
+    model.heads["head.pair_bin.b"].data[:] = bias
     with np.errstate(over="raise", invalid="raise"):
         loss, grads = _loss_and_grads(model, lambda: O._forward_pairs(model, ppi))
     assert np.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())
