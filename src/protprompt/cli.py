@@ -33,7 +33,7 @@ from .config import (
     parse_overrides,
 )
 from .errors import ConfigError, DataError, Error, FormatError
-from .model import PAIR_TYPES, PROMPT_INIT_STD, ModelConfig, ProteinEncoder
+from .model import PROMPT_INIT_STD, ModelConfig, ProteinEncoder
 from .numerics import Tensor
 
 # rng stream purposes, mixed into the per-step seed tuple
@@ -257,7 +257,8 @@ def _read_labeled_tsv(path):
 
 
 def cmd_inject(args) -> int:
-    """Register a new prompt and train it (plus the task head) on a task.
+    """Register a new prompt and train it (plus the pair head its labels
+    pick) on a task.
 
     The encoder is frozen unless --no-freeze-encoder is given; frozen
     parameters are absent from the optimizer and need no gradient, so they
@@ -287,8 +288,9 @@ def cmd_inject(args) -> int:
     )
 
     trainable: dict[str, Tensor] = {f"prompt.{prompt_name}": model.prompts.get(prompt_name)}
-    heads = model.pair_head(1) + model.pair_head(PAIR_TYPES)
-    trainable.update((name, p) for name, p in model.heads.items() if p in heads)
+    # the one pair head the labels reach; the other would only gain zero moments
+    head = model.pair_head(graph.label_width)
+    trainable.update((name, p) for name, p in model.heads.items() if p in head)
     if args.no_freeze_encoder:
         trainable.update(model.encoder)
     for name, p in model.parameters().items():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from protprompt import checkpoint as ckpt
+from protprompt import cli
 from protprompt import data as D
 from protprompt import numerics as nm
 from protprompt import objectives as O
@@ -372,6 +373,41 @@ def test_inject_frozen_parameters_collect_no_gradient(ws, tmp_path, monkeypatch)
     seq = T.encode("ACDWKE", base_cfg.max_len, "q")
     assert np.array_equal(saved["model"].encode(seq, ("Seq", "IC")).h.data,
                           base_model.encode(seq, ("Seq", "IC")).h.data)
+
+
+@pytest.mark.parametrize("unfrozen", [False, True], ids=["frozen", "unfrozen"])
+def test_inject_optimizes_only_the_pair_head_its_labels_pick(ws, tmp_path, monkeypatch,
+                                                             unfrozen):
+    argv = ["inject", "--checkpoint", str(ws["final"]), "--prompt", "PPI", "--task", "ppi",
+            "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"]), "--steps", "3",
+            "--lr", "0.01", *(["--no-freeze-encoder"] if unfrozen else [])]
+
+    def run(out):
+        assert main([*argv, "--out", str(out)]) == 0
+        _, entries = ckpt.load_checkpoint(out / "injected.bin")
+        params = [(n, v.tobytes()) for n, v in entries.items() if not n.startswith("opt.")]
+        opt_heads = [n for n in entries if n.startswith("opt.") and ".head." in n]
+        return params, opt_heads, [row[:-1] for row in _metric_rows(out)]
+
+    params, opt_heads, rows = run(tmp_path / "picked")
+    assert sorted(opt_heads) == ["opt.m.head.pair_bin.b", "opt.m.head.pair_bin.w",
+                                 "opt.v.head.pair_bin.b", "opt.v.head.pair_bin.w"]
+
+    # inject as it ran before: Adam also held the head the binary labels never reach
+    models, load_model, adam = [], ckpt.load_model, cli._adam
+    monkeypatch.setattr(ckpt, "load_model",
+                        lambda path: models.append(load_model(path)) or models[-1])
+
+    def both_pair_heads(trainable, cfg):
+        other = {n: p for n, p in models[-1][0].heads.items() if n.startswith("head.pair.")}
+        for p in other.values():
+            p.requires_grad = True
+        return adam({**trainable, **other}, cfg)
+
+    monkeypatch.setattr(cli, "_adam", both_pair_heads)
+    old_params, old_opt_heads, old_rows = run(tmp_path / "both")
+    assert len(old_opt_heads) == 8
+    assert params == old_params and rows == old_rows
 
 
 def test_inject_step_sweeps_backward_once(ws, tmp_path, monkeypatch):
