@@ -60,6 +60,8 @@ def _load_ppi(tsv, table: dict[str, str]) -> D.PPIGraph:
     graph, skips = D.parse_ppi_tsv(tsv)
     for line in skips:
         print(line, file=sys.stderr)
+    if not graph.edges:
+        raise DataError(f"{tsv}: no interaction rows (self-loops are skipped)")
     graph.attach_sequences(table)
     return graph
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .data import read_lines
@@ -113,6 +114,8 @@ class RunConfig:
             raise ConfigError(f"duplicate prompt names in {self.prompts!r}")
         if self.contact_threshold <= 0:
             raise ConfigError("contact_threshold must be positive")
+        if self.probe_cutoff < 0:
+            raise ConfigError(f"probe_cutoff must be >= 0, got {self.probe_cutoff}")
 
     def prompt_names(self) -> tuple[str, ...]:
         if not self.prompts.strip():
@@ -165,26 +168,30 @@ _RETIRED_KEYS = {"alpha_contact": None, "alpha_regress": None, "alpha_ss": None,
                  "out_dir": None, "weight_decay": None, "mask_mode": "additive"}
 
 
-def _coerce(field_name: str, raw: str):
-    ftype = _FIELD_TYPES[field_name]
+def _coerce(key: str, raw: str):
+    """raw as the type of config key's field; errors name the key."""
+    ftype = _FIELD_TYPES[_KEY_TO_FIELD.get(key, key)]
     raw = raw.strip()
     if ftype in ("int",):
         try:
             return int(raw)
         except ValueError:
-            raise ConfigError(f"key {field_name!r} needs an integer, got {raw!r}")
+            raise ConfigError(f"key {key!r} needs an integer, got {raw!r}")
     if ftype in ("float",):
         try:
-            return float(raw)
+            val = float(raw)
         except ValueError:
-            raise ConfigError(f"key {field_name!r} needs a number, got {raw!r}")
+            raise ConfigError(f"key {key!r} needs a number, got {raw!r}")
+        if not math.isfinite(val):
+            raise ConfigError(f"key {key!r} needs a finite number, got {raw!r}")
+        return val
     if ftype in ("bool",):
         low = raw.lower()
         if low in ("true", "1", "yes", "on"):
             return True
         if low in ("false", "0", "no", "off"):
             return False
-        raise ConfigError(f"key {field_name!r} needs true/false, got {raw!r}")
+        raise ConfigError(f"key {key!r} needs true/false, got {raw!r}")
     return raw
 
 
@@ -229,8 +236,7 @@ def build_config(
         for key, raw in pairs.items():
             if key not in _VALID_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
-            fname = _KEY_TO_FIELD.get(key, key)
-            values[fname] = _coerce(fname, raw)
+            values[_KEY_TO_FIELD.get(key, key)] = _coerce(key, raw)
 
     if base_text is not None:
         stored = _kv_pairs(base_text.splitlines())

@@ -783,6 +783,43 @@ def test_eval_regress_rejects_non_finite_truths(ws, tmp_path, capsys, value):
     assert "non-finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("rows", ["# a comment\n\n", "p00\tp00\t1\np01\tp01\t0\n"],
+                         ids=["comments", "self-loops"])
+@pytest.mark.parametrize("command", ["eval", "inject", "pretrain"])
+def test_interaction_file_without_rows_is_a_data_error(ws, tmp_path, capsys, command, rows):
+    tsv, out = tmp_path / "empty.tsv", tmp_path / "out"
+    tsv.write_text(rows)
+    task = ["--task", "ppi", "--data", str(tsv), "--fasta", str(ws["fasta"]), "--out", str(out)]
+    argv = {
+        "eval": ["eval", "--checkpoint", str(ws["final"]), *task],
+        "inject": ["inject", "--checkpoint", str(ws["final"]), "--prompt", "PPI", *task],
+        "pretrain": ["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(tsv),
+                     "--out-dir", str(out), "--steps", "1", *BASE_SETS],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"data error: {tsv}: no interaction rows" in err and "Traceback" not in err, err
+    assert list(tmp_path.iterdir()) == [tsv]
+
+
+@pytest.mark.parametrize("case", ["threshold-nan", "lambda-inf", "negative-cutoff"])
+def test_non_finite_or_negative_config_values_exit_2(ws, tmp_path, capsys, case):
+    out = tmp_path / "out"
+    argv, key = {
+        "threshold-nan": (["build-contacts", "--pdb-dir", str(_blob_pdb_dir(tmp_path)),
+                           "--threshold", "nan"], "'contact_threshold'"),
+        "lambda-inf": (["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
+                        "--steps", "2", *BASE_SETS, "--set", "lambda=inf"], "'lambda'"),
+        "negative-cutoff": (["probe", "--checkpoint", str(ws["final"]), "--fasta",
+                             str(ws["fasta"]), "--prompt", "IC", "--cutoff", "-1"],
+                            "probe_cutoff"),
+    }[case]
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err and "Traceback" not in err, err
+    assert not out.exists()
+
+
 def _non_utf8_input(ws, path):
     """(argv, file) for a command whose named input holds a byte that is not UTF-8."""
     common = ["--checkpoint", str(ws["final"])]

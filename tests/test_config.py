@@ -78,6 +78,9 @@ def test_unknown_key_and_bad_values():
         build_config(overrides={"lr": "fast"})
     with pytest.raises(ConfigError, match="true/false"):
         build_config(overrides={"routing": "maybe"})
+    for raw in ("nan", "inf", "-Infinity"):
+        with pytest.raises(ConfigError, match="'lambda' needs a finite number"):
+            build_config(overrides={"lambda": raw})
 
 
 def test_bool_spellings():
@@ -103,6 +106,8 @@ def test_validation_rejections():
         RunConfig(max_len=1)
     with pytest.raises(ConfigError):
         RunConfig(lr=0.0)
+    with pytest.raises(ConfigError, match="probe_cutoff"):
+        RunConfig(probe_cutoff=-0.5)
     with pytest.raises(ConfigError, match="unknown config key 'weight_decay'"):
         build_config(overrides=parse_overrides(["weight_decay=0.01"]))
 
