@@ -14,9 +14,10 @@ Layout (all integers little-endian):
         dims         ndim x u64
         payload      float64 little-endian, C order
 
-Entries appear in a fixed order: model parameters in registration order,
-then optional training-state entries under the reserved "opt." prefix
-(step counter and Adam moments), which loaders ignore for inference.
+Entries appear in a fixed order: the embedding tables (embed.*), the
+layers (layer{i}.*, layer by layer), the prompts (prompt.*), the heads
+(head.*), then optional training-state entries under the reserved "opt."
+prefix (step counter and Adam moments), which loaders ignore for inference.
 
 Checkpoints go through atomic_write, as do the CLI's eval records, probe
 CSVs, contact maps, split TSVs and vocab.txt, so an interrupted write
