@@ -248,9 +248,9 @@ class ProteinEncoder:
 
         Feature for pair (i, j) is [h_i * h_j, |h_i - h_j|], an affine map
         to one logit. numerics.contact_scores computes the product block as
-        one matmul and the difference block over row blocks, never building
-        per-pair feature rows, and symmetrises the result, so the matrix is
-        symmetric bit for bit.
+        one matmul and the difference block, as 2 max(h_i, h_j) - h_i - h_j,
+        over blocks of diagonals, never building per-pair feature rows, and
+        symmetrises the result, so the matrix is symmetric bit for bit.
         """
         if out.seq.n_residues < 1:
             raise ContractError("contact_logits needs at least one residue")

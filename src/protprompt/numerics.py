@@ -32,7 +32,13 @@ tests/conftest.py as the oracle the fused nodes are checked against.
 
 GELU takes erf from scipy.special, the module's one scipy dependency. It is
 imported the first time a GELU runs, so commands that never run the encoder
-(build-contacts, split, --help) never load scipy.
+(build-contacts, split, --help) never load scipy. scipy's erf branches on
+the sign, which costs it ~2.5x on mixed-sign input, so the kernel evaluates
+erf(|x / sqrt 2|) and restores the sign with copysign. erf is odd bit for
+bit (tests/test_numerics.py checks it on both of erf's branches, signed
+zeros, subnormals and saturated values), so GELU keeps the bits of
+x * (0.5 * (1 + erf(x / sqrt 2))); the scipy version is part of the golden
+digests' environment fingerprint for that reason.
 """
 
 from __future__ import annotations
@@ -42,17 +48,20 @@ import threading
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, NumericsError, ShapeError
 
 LAYERNORM_EPS = 1e-5
 
-# Rows per block of contact_scores' (rows, n, d) difference tensor: 1 MB at
-# n=256, d=64, far below one (n*n, d) array. 8 rows beat 16 (2 MB): forward
-# 2.36 -> 2.12 ms at n=204 and 5.27 -> 3.95 ms at n=254 (d=64, one BLAS
-# thread, 2-vCPU x86-64), same bits. A block size can move bits through the
-# BLAS product (2 rows did), so a new one must keep the contact_logits
-# digests of tests/test_golden.py.
+# Block size of contact_scores: diagonals per block of the forward's max
+# tensor, rows per block of the backward's difference tensor. Either block
+# holds at most CONTACT_BLOCK_ROWS * n * d floats, 1 MB at n=256, d=64, far
+# below one (n*n, d) array. Forward ms for 4/8/16/32 at d=64, one BLAS
+# thread, 2-vCPU x86-64, interleaved: 1.65/1.39/1.44/1.95 at n=205 and
+# 2.48/2.15/2.17/2.85 at n=254; 8 and 16 tie and 8 needs half the memory.
+# A block size can move bits through the BLAS product (4 did at n=254), so
+# a new one must keep the contact_logits digests of tests/test_golden.py.
 CONTACT_BLOCK_ROWS = 8
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -336,9 +345,13 @@ def _layernorm_backward(g: np.ndarray, gain: Tensor, bias: Tensor, xhat: np.ndar
 def _gelu_forward(x: np.ndarray):
     """Exact GELU: (out, cdf), cdf for the backward."""
     # out= arrays rather than `x / _SQRT2`, which is a numpy scalar (and no
-    # valid out=) for a 0-d x
+    # valid out=) for a 0-d x. erf runs on |x / sqrt 2| and x gives the sign
+    # back: x / sqrt 2 has x's sign, and erf is odd bit for bit (see the
+    # module docstring)
     cdf = np.divide(x, _SQRT2, out=np.empty_like(x))
+    np.abs(cdf, out=cdf)
     _erf()(cdf, out=cdf)
+    np.copysign(cdf, x, out=cdf)
     cdf += 1.0
     cdf *= 0.5
     return x * cdf, cdf
@@ -598,10 +611,15 @@ def contact_scores(h: Tensor, w_prod: Tensor, w_diff: Tensor, b: Tensor) -> Tens
     """Symmetric pair scores L_ij = (h_i*h_j) @ w_prod + b + |h_i - h_j| @ w_diff.
 
     h (n,d), w_prod and w_diff (d,1), b (1,) -> (n,n). The product term is
-    one matmul; the difference term runs over blocks of CONTACT_BLOCK_ROWS
-    rows, only from each block's first row on (it is symmetric, so the upper
-    triangle is mirrored), and no (n*n, d) array is built. The result,
-    (L + L^T) * 0.5 finished in place, is symmetric bit for bit. The block
+    one matmul, S = (h * wp) h^T + b. The difference term uses |u - v| =
+    2 max(u, v) - u - v: D_ij = 2 (max(h_i, h_j) @ wd) - r_i - r_j with
+    r = h @ wd, within a few ulps of the direct sum, and D_ii = 0. It runs
+    over the upper diagonals j = i + s, s >= 1, in blocks of
+    CONTACT_BLOCK_ROWS: on a diagonal, h_i and h_j are two contiguous runs
+    of h's rows, so one np.maximum pass over long runs, one matmul and two
+    subtractions give the block, and no (n*n, d) array is built. 2 D_ij is
+    added to S_ij (i < j) only, so the result (S + S^T) * 0.5, finished in
+    place, holds each pair's D once and is symmetric bit for bit. The block
     size fixes the bits of the difference term's matmuls and of dwd's
     per-block sums. One tape node; with Gs = 0.5 * (G + G^T):
     dh = 2 (Gs h) * wp + 2 wd * sum_j Gs_aj sign(h_a - h_j) (sign(0) = 0),
@@ -614,33 +632,52 @@ def contact_scores(h: Tensor, w_prod: Tensor, w_diff: Tensor, b: Tensor) -> Tens
         raise ShapeError(f"contact_scores weights {w_prod.shape}/{w_diff.shape}/{b.shape} "
                          f"do not fit width {d}")
     hd, wp, wd = h.data, w_prod.data[:, 0], w_diff.data[:, 0]
+    rows = min(CONTACT_BLOCK_ROWS, n)
 
-    def blocks(upper: bool):
-        # h_i - h_j for a block of rows i against every column j, or only
-        # against j >= the block's first row; one buffer serves all blocks
-        buf = np.empty(min(CONTACT_BLOCK_ROWS, n) * n * d)
-        for lo in range(0, n, CONTACT_BLOCK_ROWS):
-            hi, c = min(lo + CONTACT_BLOCK_ROWS, n), lo if upper else 0
-            out = buf[: (hi - lo) * (n - c) * d].reshape(hi - lo, n - c, d)
-            yield lo, hi, np.subtract(hd[lo:hi, None, :], hd[None, c:, :], out=out)
-
-    # |h_i - h_j| @ wd is symmetric in (i, j): compute the upper triangle
-    # (with the diagonal blocks) and mirror it
-    dist = np.zeros((n, n))
-    for lo, hi, diff in blocks(upper=True):
-        np.abs(diff, out=diff)
-        dist[lo:hi, lo:] = (diff.reshape(-1, d) @ wd).reshape(hi - lo, n - lo)
-    scores = (hd * wp) @ hd.T + b.data
-    scores += np.triu(dist) + np.triu(dist, 1).T
+    # S sits in the first n columns of an (n, n + rows) buffer. Flat, its
+    # entry (i, i + s0 + t) is at i * (n + rows + 1) + s0 + t, so a block of
+    # diagonals s0.. is one (n - s0, rows) view, whose entries for pairs past
+    # the last residue land in the zeroed padding columns
+    full = np.zeros((n, n + rows))
+    scores = full[:, :n]
+    scores[...] = (hd * wp) @ hd.T
+    scores += b.data
+    # runs[s] is h's rows from s on, flattened, zeros past row n - 1;
+    # r2_runs[s] is 2 r from s on
+    padded = np.zeros((2 * n, d))
+    padded[:n] = hd
+    runs = sliding_window_view(padded.reshape(-1), n * d)[::d]
+    r2 = np.zeros(2 * n)
+    r2[:n] = hd @ wd
+    r2 *= 2.0
+    r2_runs = sliding_window_view(r2, n)
+    buf = np.empty(rows * n * d)  # one buffer serves every block
+    for s0 in range(1, n, CONTACT_BLOCK_ROWS):
+        k, m = min(CONTACT_BLOCK_ROWS, n - s0), n - s0  # diagonals s0.., pairs on s0
+        top = np.maximum(runs[0, : m * d], runs[s0 : s0 + k, : m * d],
+                         out=buf[: k * m * d].reshape(k, m * d))
+        twice = (top.reshape(-1, d) @ wd).reshape(k, m)  # 2 D, pair (i, i + s0 + t) at [t, i]
+        twice *= 4.0
+        twice -= r2[:m]
+        twice -= r2_runs[s0 : s0 + k, :m]
+        upper = full.reshape(-1)[s0 : s0 + m * (n + rows + 1)].reshape(m, n + rows + 1)
+        upper[:, :k] += twice.T
     out_data = scores + scores.T
     out_data *= 0.5
+
+    def diffs():
+        # h_i - h_j for a block of rows i against every column j
+        diff = np.empty((rows, n, d))
+        for lo in range(0, n, CONTACT_BLOCK_ROWS):
+            hi = min(lo + CONTACT_BLOCK_ROWS, n)
+            yield lo, hi, np.subtract(hd[lo:hi, None, :], hd, out=diff[: hi - lo])
 
     def backprop(g):
         gs = 0.5 * (g + g.T)
         gh = gs @ hd
         sign_sum = np.empty((n, d))
         dwd = np.zeros(d)
-        for lo, hi, diff in blocks(upper=False):
+        for lo, hi, diff in diffs():
             gblk = gs[lo:hi]
             sign_sum[lo:hi] = (gblk[:, None, :] @ np.sign(diff))[:, 0, :]
             np.abs(diff, out=diff)
