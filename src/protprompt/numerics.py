@@ -665,19 +665,16 @@ def contact_scores(h: Tensor, w_prod: Tensor, w_diff: Tensor, b: Tensor) -> Tens
     out_data = scores + scores.T
     out_data *= 0.5
 
-    def diffs():
-        # h_i - h_j for a block of rows i against every column j
-        diff = np.empty((rows, n, d))
-        for lo in range(0, n, CONTACT_BLOCK_ROWS):
-            hi = min(lo + CONTACT_BLOCK_ROWS, n)
-            yield lo, hi, np.subtract(hd[lo:hi, None, :], hd, out=diff[: hi - lo])
-
     def backprop(g):
         gs = 0.5 * (g + g.T)
         gh = gs @ hd
         sign_sum = np.empty((n, d))
         dwd = np.zeros(d)
-        for lo, hi, diff in diffs():
+        block = np.empty((rows, n, d))
+        for lo in range(0, n, CONTACT_BLOCK_ROWS):
+            hi = min(lo + CONTACT_BLOCK_ROWS, n)
+            # h_i - h_j for the block's rows i against every column j
+            diff = np.subtract(hd[lo:hi, None, :], hd, out=block[: hi - lo])
             gblk = gs[lo:hi]
             sign_sum[lo:hi] = (gblk[:, None, :] @ np.sign(diff))[:, 0, :]
             np.abs(diff, out=diff)
