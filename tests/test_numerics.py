@@ -167,8 +167,9 @@ def test_fused_layer_checks_its_intermediates(position, op):
             nm.encoder_layer(x, weights, 2, 2)
 
 
-# 8, 9 and 16 end on and just past the row blocks of the backward and the
-# diagonal blocks of the forward; 254 is the longest sequence max_len=256 holds
+# 8, 9, 16 and 17 sit on both sides of block edges (8 rows per backward
+# block, diagonals 1-8, 9-16, ... per forward block); 254 is the longest
+# sequence max_len=256 holds
 @pytest.mark.parametrize("n", [1, 2, 8, 9, 16, 17, 73, 254])
 def test_contact_scores_match_the_gather_reference(n):
     # model-shaped inputs: layer-normed rows, head weights at init scale
