@@ -99,12 +99,20 @@ class RunConfig:
         psum = self.mask_prob_mask + self.mask_prob_random + self.mask_prob_keep
         if abs(psum - 1.0) > 1e-12:
             raise ConfigError(f"mask policy probabilities sum to {psum}, expected 1")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        if self.lr <= 0 or self.adam_eps <= 0:
+            raise ConfigError(f"lr and adam_eps must be positive, got {self.lr}, {self.adam_eps}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError(f"beta1 and beta2 must lie in [0, 1), got {self.beta1}, "
+                              f"{self.beta2}")
         if self.warmup_updates < 0:
             raise ConfigError("warmup_updates must be >= 0")
         if self.steps < 0 or self.checkpoint_every <= 0 or self.keep_last <= 0:
             raise ConfigError("steps, checkpoint_every and keep_last must be positive")
+        if self.batch_seqs < 1 or self.batch_pairs < 1:
+            raise ConfigError(f"batch_seqs and batch_pairs must be >= 1, got "
+                              f"{self.batch_seqs}, {self.batch_pairs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         names = self.prompt_names()
         for n in names:
             if not n.replace("_", "").isalnum():  # an empty name too

@@ -207,6 +207,8 @@ def split_graph(graph: PPIGraph, mode: str, fraction: float, seed: int) -> Split
         raise ConfigError(f"split mode must be bfs or dfs, got {mode!r}")
     if not (0.0 < fraction < 1.0):
         raise ConfigError(f"test fraction must be in (0, 1), got {fraction}")
+    if seed < 0:
+        raise ConfigError(f"split seed must be >= 0, got {seed}")
     if not graph.edges:
         raise DataError("cannot split a graph with no edges")
     adj = {n: sorted(nbs) for n, nbs in graph.neighbors().items()}

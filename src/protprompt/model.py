@@ -222,12 +222,18 @@ class ProteinEncoder:
         return EncoderOutput(h=x, m=m, seq=seq, attn=collect)
 
     def pool(self, out: EncoderOutput) -> Tensor:
-        """Mean of real-residue rows; prompts, CLS and EOS excluded."""
+        """Mean of real-residue rows; prompts, CLS and EOS excluded, by
+        pair_bce's pooling kernel."""
         if out.seq.n_residues < 1:
             raise ContractError("pool needs at least one real residue")
-        return nm.mean_over_rows(out.residue_rows())
+        return Tensor(nm._pool_forward(out.h.data, out.m + out.seq.residue_positions()))
 
     # -- heads --
+    # Each head has one forward, shared by training and eval. contact_logits
+    # is the contact_scores node itself; pool and the other heads score on
+    # arrays through the kernels the loss nodes run (pair_bce's _pool_forward
+    # and _pair_forward, cross_entropy_rows' _affine_forward) and return
+    # constant Tensors.
 
     def pair_head(self, width: int) -> tuple[Tensor, Tensor]:
         """(w, b) of the binary (width 1) or interaction-type (PAIR_TYPES) head."""
@@ -240,8 +246,11 @@ class ProteinEncoder:
     def pair_logits(self, pooled_p: Tensor, pooled_q: Tensor, width: int) -> Tensor:
         """Symmetric pair scores from two pooled vectors, from the head that
         width picks. Symmetry holds by construction: the feature is the
-        elementwise product, which is commutative."""
-        return nm.affine(nm.mul(pooled_p, pooled_q), *self.pair_head(width))
+        elementwise product, which is commutative. The logits are bit for bit
+        those pair_bce computes for the pair in any batch."""
+        w, b = self.pair_head(width)
+        z, _ = nm._pair_forward(pooled_p.data[None], pooled_q.data[None], w.data, b.data)
+        return Tensor(z[0])
 
     def contact_logits(self, out: EncoderOutput) -> Tensor:
         """Residue-residue contact logits, (n_res, n_res).
@@ -260,8 +269,11 @@ class ProteinEncoder:
         """Per-residue class logits for 3- or 8-state structure labels."""
         if classes not in (SS3_CLASSES, SS8_CLASSES):
             raise ConfigError(f"token classification supports 3 or 8 classes, got {classes}")
-        return nm.affine(out.residue_rows(), *self.head(f"ss{classes}"))
+        w, b = self.head(f"ss{classes}")
+        rows = out.h.data[out.m + out.seq.residue_positions()]
+        return Tensor(nm._affine_forward(rows, w.data, b.data))
 
     def regress(self, pooled: Tensor) -> Tensor:
         """Scalar regression on a pooled sequence vector."""
-        return nm.reshape(nm.affine(pooled, *self.head("regress")), ())
+        w, b = self.head("regress")
+        return Tensor(nm._affine_forward(pooled.data[None], w.data, b.data).reshape(()))

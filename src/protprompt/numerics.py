@@ -19,16 +19,24 @@ same, and it writes only into arrays the kernel itself has just allocated:
 never into an input's .data, an upstream gradient, or an array already
 captured by a backward closure or handed to a caller.
 
-Each kernel formula (affine, layernorm, GELU, attention) is written once,
-as an array-level forward and backward pair. affine and two fused nodes
-call them: encoder_input (prompt rows plus the three embedding lookups)
-and encoder_layer (attention, residuals, layernorms and the feed-forward
-block). An encoder with L layers therefore records L+1 tape nodes per
-sequence. The fused nodes perform the same float operations in the same
-order as a chain of single-op nodes, so their outputs and gradients are
-bit for bit those of the chain. That chain (single-op attention,
+Each kernel formula (affine, layernorm, GELU, attention, pooling and the
+pair head) is written once, as an array-level forward and backward pair.
+Two fused nodes call them: encoder_input (prompt rows plus the three
+embedding lookups) and encoder_layer (attention, residuals, layernorms and
+the feed-forward block). An encoder with L layers therefore records L+1 tape
+nodes per sequence. The fused nodes perform the same float operations in the
+same order as a chain of single-op nodes, so their outputs and gradients are
+bit for bit those of the chain. That chain (single-op affine, attention,
 layernorm, GELU and embedding lookup over the same kernels) lives in
 tests/conftest.py as the oracle the fused nodes are checked against.
+
+Each head has one forward, shared by training and eval: the loss nodes
+cross_entropy_rows and pair_bce run it on a step's stacked rows, and the
+tape-free heads of model.ProteinEncoder run it on one sequence or pair.
+The pair kernel sums each pair's products over d in one fixed order rather
+than through a BLAS matmul, so a pair's logits do not depend on how many
+pairs share the call: eval's one-pair calls give pair_bce's logits bit for
+bit.
 
 GELU takes erf from scipy.special, the module's one scipy dependency. It is
 imported the first time a GELU runs, so commands that never run the encoder
@@ -211,6 +219,7 @@ def backward(tape: Tape, loss: Tensor | Sequence[tuple[Tensor, float]]) -> None:
 # primitives
 
 
+# kept for perfbench/test_perfbench.py, which asserts that the tracer wraps it
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise a + b; shapes must match exactly."""
     if a.shape != b.shape:
@@ -222,29 +231,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, g)
 
     return _node((a, b), out_data, backprop, "add")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise (Hadamard) product; shapes must match exactly."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mul shapes {a.shape} and {b.shape} differ")
-    out_data = a.data * b.data
-
-    def backprop(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-
-    return _node((a, b), out_data, backprop, "mul")
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """Row-major reshape; element count must be preserved."""
-    out_data = x.data.reshape(shape).copy()
-
-    def backprop(g):
-        _accum(x, g.reshape(x.shape))
-
-    return _node((x,), out_data, backprop, "reshape")
 
 
 def select_rows(x: Tensor, indices) -> Tensor:
@@ -259,36 +245,23 @@ def select_rows(x: Tensor, indices) -> Tensor:
     return _node((x,), x.data[idx], backprop, "select_rows")
 
 
-def sum_all(x: Tensor) -> Tensor:
-    """Sum of all elements as a 0-d scalar."""
-    out_data = np.asarray(x.data.sum())
-
-    def backprop(g):
-        _accum(x, np.full(x.shape, float(g)))
-
-    return _node((x,), out_data, backprop, "sum_all")
-
-
-def mean_over_rows(x: Tensor) -> Tensor:
-    """Column means of a 2-d tensor, (n,d) -> (d,). n must be >= 1."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"mean_over_rows needs a 2-d tensor, got {x.shape}")
-    n = x.shape[0]
-    if n == 0:
-        raise ContractError("mean_over_rows over zero rows")
-    out_data = x.data.mean(axis=0)
-
-    def backprop(g):
-        _accum(x, np.broadcast_to(g / n, x.shape).copy())
-
-    return _node((x,), out_data, backprop, "mean_over_rows")
+def _checked_ids(ids, rows: int, what: str = "embedding id") -> np.ndarray:
+    idx = np.asarray(ids, dtype=np.intp)
+    if idx.ndim != 1:
+        raise ShapeError(f"{what}s must be a 1-d integer sequence")
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise ShapeError(
+            f"{what} out of range: {rows} rows, ids span [{idx.min()}, {idx.max()}]"
+        )
+    return idx
 
 
 # ---------------------------------------------------------------------------
 # array-level kernels: one forward and one backward per formula, shared by
-# affine and the fused encoder nodes. Reductions call the ufuncs directly
-# (np.add.reduce, np.maximum.reduce): the same operations in the same order
-# as .sum/.mean/.max, without their wrappers.
+# the fused nodes and the tape-free heads of model.ProteinEncoder.
+# Reductions call the ufuncs directly (np.add.reduce, np.maximum.reduce): the
+# same operations in the same order as .sum/.mean/.max, without their
+# wrappers.
 # A backward helper takes the parameters as tensors, accumulates their
 # gradients when they require one, and returns the input's gradient.
 
@@ -314,6 +287,21 @@ def _affine_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor,
     if b.requires_grad:
         _accum(b, np.add.reduce(g, axis=0))
     return g @ w.data.T if need_dx else None
+
+
+def _pool_forward(h: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Mean of h's chosen rows: a sequence's pooled (d,) vector."""
+    return h[rows].mean(axis=0)
+
+
+def _pair_forward(left: np.ndarray, right: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """Logits of pairs of (p, d) pooled vectors: (z, feats), feats = left *
+    right for the backward and z = feats @ w + b, each pair's sum over d
+    taken in one order whatever p is (a matmul may order it by p)."""
+    feats = left * right
+    z = np.add.reduce(feats[:, :, None] * w, axis=1)
+    z += b
+    return z, feats
 
 
 def _layernorm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
@@ -441,41 +429,6 @@ def _gather_backward(table: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
         full = np.zeros_like(table.data)
         np.add.at(full, idx, g)
         _accum(table, full)
-
-
-# ---------------------------------------------------------------------------
-# single-op primitives
-
-
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b. x (n,k) or (k,), w (k,m), b (m,)."""
-    vector_in = x.data.ndim == 1
-    xd = x.data[None, :] if vector_in else x.data
-    if xd.ndim != 2 or w.data.ndim != 2 or xd.shape[1] != w.shape[0]:
-        raise ShapeError(f"affine shapes {x.shape} and {w.shape} do not align")
-    if b.shape != (w.shape[1],):
-        raise ShapeError(f"affine bias shape {b.shape} does not match {w.shape}")
-    out_data = _affine_forward(xd, w.data, b.data)
-    if vector_in:
-        out_data = out_data[0]
-
-    def backprop(g):
-        gx = _affine_backward(g[None, :] if vector_in else g, xd, w, b, x.requires_grad)
-        if gx is not None:
-            _accum(x, gx[0] if vector_in else gx)
-
-    return _node((x, w, b), out_data, backprop, "affine")
-
-
-def _checked_ids(ids, rows: int, what: str = "embedding id") -> np.ndarray:
-    idx = np.asarray(ids, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError(f"{what}s must be a 1-d integer sequence")
-    if idx.size and (idx.min() < 0 or idx.max() >= rows):
-        raise ShapeError(
-            f"{what} out of range: {rows} rows, ids span [{idx.min()}, {idx.max()}]"
-        )
-    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -690,8 +643,9 @@ def contact_scores(h: Tensor, w_prod: Tensor, w_diff: Tensor, b: Tensor) -> Tens
 # ---------------------------------------------------------------------------
 # fused loss nodes: one source's head and loss over a step's encodes as one
 # tape node. Row-wise work keeps the float order of the per-sequence chain in
-# tests/conftest.py; the one head matmul over the stacked rows and the
-# gradient sums over rows reorder additions, within 1e-12 of the chain.
+# tests/conftest.py; the head's sums over the stacked rows (cross_entropy_rows'
+# matmul, pair_bce's fixed-order product-sum) and the gradient sums over rows
+# reorder additions, within 1e-12 of the chain.
 
 
 def _checked_rows(hs: Sequence[Tensor], rows: Sequence, w: Tensor, b: Tensor) -> list:
@@ -754,7 +708,8 @@ def pair_bce(hs: Sequence[Tensor], rows: Sequence, left, right, w: Tensor, b: Te
     """Mean binary cross-entropy of the affine head (w, b) over pooled pairs, one node.
 
     v_j is the mean of rows[j] of hs[j]. Pair r has the feature F_r =
-    v_left[r] * v_right[r], logits z_r = F_r w + b and 0/1 targets labels[r].
+    v_left[r] * v_right[r], logits z_r = F_r w + b (_pair_forward, so z_r does
+    not depend on the other pairs) and 0/1 targets labels[r].
     The loss, mean(max(z, 0) - z y + log(1 + exp(-|z|))), never overflows.
     Backward: dz = g (sigmoid(z) - y) / z.size, sigmoid taken from exp(-|z|)
     <= 1 on both branches; dw = F^T dz, db = column sums of dz; v_j gathers
@@ -766,10 +721,10 @@ def pair_bce(hs: Sequence[Tensor], rows: Sequence, left, right, w: Tensor, b: Te
     if not y.size or y.shape != (lhs.size, w.shape[1]) or rhs.shape != lhs.shape:
         raise ShapeError(f"labels shape {y.shape} does not match {lhs.size} pairs of "
                          f"{w.shape[1]} logits")
-    pooled = _check_finite(np.array([h.data[r].mean(axis=0) for h, r in zip(hs, idx)]),
-                           "mean_over_rows")
-    feats = _check_finite(pooled[lhs] * pooled[rhs], "mul")
-    z = _check_finite(_affine_forward(feats, w.data, b.data), "affine")
+    pooled = _check_finite(np.array([_pool_forward(h.data, r) for h, r in zip(hs, idx)]),
+                           "pool")
+    z, feats = _pair_forward(pooled[lhs], pooled[rhs], w.data, b.data)
+    _check_finite(z, "affine")
     per = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
 
     def backprop(g):

@@ -114,7 +114,70 @@ def reference_routed_step(model, optimizer, mlm_batch, task_batches, routes,
 
 # ---------------------------------------------------------------------------
 # single-op nodes over numerics' kernels: the per-op chain that the fused
-# encoder_input and encoder_layer nodes are checked against
+# encoder_input and encoder_layer nodes are checked against, and the
+# primitives the gradient tests contract outputs with
+
+
+def mul(a, b):
+    """Elementwise (Hadamard) product; shapes must match exactly."""
+    if a.shape != b.shape:
+        raise ShapeError(f"mul shapes {a.shape} and {b.shape} differ")
+
+    def backprop(g):
+        nm._accum(a, g * b.data)
+        nm._accum(b, g * a.data)
+
+    return nm._node((a, b), a.data * b.data, backprop, "mul")
+
+
+def reshape(x, shape):
+    """Row-major reshape; element count must be preserved."""
+
+    def backprop(g):
+        nm._accum(x, g.reshape(x.shape))
+
+    return nm._node((x,), x.data.reshape(shape).copy(), backprop, "reshape")
+
+
+def sum_all(x):
+    """Sum of all elements as a 0-d scalar."""
+
+    def backprop(g):
+        nm._accum(x, np.full(x.shape, float(g)))
+
+    return nm._node((x,), np.asarray(x.data.sum()), backprop, "sum_all")
+
+
+def mean_over_rows(x):
+    """Column means of a 2-d tensor, (n,d) -> (d,). n must be >= 1."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"mean_over_rows needs a 2-d tensor, got {x.shape}")
+    n = x.shape[0]
+    if n == 0:
+        raise ContractError("mean_over_rows over zero rows")
+
+    def backprop(g):
+        nm._accum(x, np.broadcast_to(g / n, x.shape).copy())
+
+    return nm._node((x,), x.data.mean(axis=0), backprop, "mean_over_rows")
+
+
+def affine(x, w, b):
+    """x @ w + b. x (n,k) or (k,), w (k,m), b (m,)."""
+    vector_in = x.data.ndim == 1
+    xd = x.data[None, :] if vector_in else x.data
+    if xd.ndim != 2 or w.data.ndim != 2 or xd.shape[1] != w.shape[0]:
+        raise ShapeError(f"affine shapes {x.shape} and {w.shape} do not align")
+    if b.shape != (w.shape[1],):
+        raise ShapeError(f"affine bias shape {b.shape} does not match {w.shape}")
+    out_data = nm._affine_forward(xd, w.data, b.data)
+
+    def backprop(g):
+        gx = nm._affine_backward(g[None, :] if vector_in else g, xd, w, b, x.requires_grad)
+        if gx is not None:
+            nm._accum(x, gx[0] if vector_in else gx)
+
+    return nm._node((x, w, b), out_data[0] if vector_in else out_data, backprop, "affine")
 
 
 def multihead_attention(q, k, v, heads, m, collect=None):
@@ -180,13 +243,13 @@ def reference_encoder_layer(weights, heads, x, m, collect=None):
     affine, two residual adds, two layernorms, affine-gelu-affine)."""
     (wq, bq, wk, bk, wv, bv, wo, bo,
      ln1_gain, ln1_bias, ff_w1, ff_b1, ff_w2, ff_b2, ln2_gain, ln2_bias) = weights
-    q = nm.affine(x, wq, bq)
-    k = nm.affine(x, wk, bk)
-    v = nm.affine(x, wv, bv)
+    q = affine(x, wq, bq)
+    k = affine(x, wk, bk)
+    v = affine(x, wv, bv)
     heads_out = multihead_attention(q, k, v, heads, m, collect)
-    attn_out = nm.affine(heads_out, wo, bo)
+    attn_out = affine(heads_out, wo, bo)
     x = layernorm(nm.add(x, attn_out), ln1_gain, ln1_bias)
-    ff = nm.affine(gelu(nm.affine(x, ff_w1, ff_b1)), ff_w2, ff_b2)
+    ff = affine(gelu(affine(x, ff_w1, ff_b1)), ff_w2, ff_b2)
     return layernorm(nm.add(x, ff), ln2_gain, ln2_bias)
 
 
@@ -206,7 +269,7 @@ def reference_embed(model, seq, prompt_names=(), frozen=frozenset()):
         vec = model.prompts.get(name)
         if name in frozen:
             vec = Tensor(vec.data)
-        rows.append(nm.reshape(vec, (1, model.config.d)))
+        rows.append(reshape(vec, (1, model.config.d)))
     return concat_rows(rows + [x_in])
 
 
@@ -326,7 +389,7 @@ def mlm_loss(logits, targets, reduction="sum"):
         raise ContractError(f"logits shape {logits.shape} does not match {t.size} targets")
     logp = log_softmax_rows(logits)
     chosen = pick(logp, np.arange(t.size, dtype=np.intp), t)
-    loss = scale(nm.sum_all(chosen), -1.0)
+    loss = scale(sum_all(chosen), -1.0)
     if reduction == "sum":
         return loss
     if reduction == "mean":
@@ -347,7 +410,7 @@ def mlm_logits(model, out, positions):
     pos = np.asarray(positions, dtype=np.intp)
     if pos.size == 0:
         raise ContractError("mlm_logits needs at least one target position")
-    return nm.affine(nm.select_rows(out.h, out.m + pos), *model.head("mlm"))
+    return affine(nm.select_rows(out.h, out.m + pos), *model.head("mlm"))
 
 
 def reference_forward_mlm(model, batch, reduction="sum", frozen=frozenset()):
@@ -365,23 +428,24 @@ def reference_forward_mlm(model, batch, reduction="sum", frozen=frozenset()):
 
 
 def reference_forward_pairs(model, batch, frozen=frozenset()):
-    """The per-pair chain the pair_bce node replaced: one encode and pool
-    per distinct protein, then per pair a product, affine and reshape node,
-    one concat_rows and the mean BCE."""
+    """The per-pair chain the pair_bce node replaced: one encode, select_rows
+    and mean_over_rows per distinct protein, then per pair a product, affine
+    and reshape node, one concat_rows and the mean BCE."""
     labels = np.asarray(batch.labels, dtype=np.float64)
     prompts = model.prompts.names()
+    w, b = model.pair_head(labels.shape[-1])
     pooled = {}
 
     def pool_of(seq):
         key = seq.source_id or seq.ids.tobytes().hex()
         if key not in pooled:
-            pooled[key] = model.pool(model.encode(seq, prompts, frozen=frozen))
+            h = model.encode(seq, prompts, frozen=frozen).h
+            rows = len(prompts) + seq.residue_positions()
+            pooled[key] = mean_over_rows(nm.select_rows(h, rows))
         return pooled[key]
 
-    logit_rows = [
-        nm.reshape(model.pair_logits(pool_of(p), pool_of(q), labels.shape[-1]), (1, -1))
-        for p, q in batch.pairs
-    ]
+    logit_rows = [reshape(affine(mul(pool_of(p), pool_of(q)), w, b), (1, -1))
+                  for p, q in batch.pairs]
     return ppi_loss(concat_rows(logit_rows), labels)
 
 

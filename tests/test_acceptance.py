@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import (bce_with_logits_mean, concat_rows, embedding_lookup, finite_diff_check,
-                      gelu, layernorm, log_softmax_rows, mlm_loss, multihead_attention, pick,
-                      ppi_loss, reference_forward, scale)
+from conftest import (affine, bce_with_logits_mean, concat_rows, embedding_lookup,
+                      finite_diff_check, gelu, layernorm, log_softmax_rows, mean_over_rows,
+                      mlm_loss, mul, multihead_attention, pick, ppi_loss, reference_forward,
+                      reshape, scale, sum_all)
 from protprompt import checkpoint as ckpt
 from protprompt import data as D
 from protprompt import metrics as MX
@@ -88,7 +89,7 @@ def _metric_columns(out_dir, tasks=("ppi",)):
 
 def _contract(t, seed=0):
     c = Tensor(np.random.default_rng(seed).normal(size=t.shape))
-    return nm.sum_all(nm.mul(t, c))
+    return sum_all(mul(t, c))
 
 
 def _probe(shape, seed):
@@ -99,14 +100,14 @@ def _primitive_cases():
     a = lambda: _probe((3, 4), 1)
     sq = lambda: _probe((4, 4), 3)
     yield "add", a(), lambda x: _contract(nm.add(x, _probe((3, 4), 9)))
-    yield "mul", a(), lambda x: _contract(nm.mul(x, _probe((3, 4), 9)))
+    yield "mul", a(), lambda x: _contract(mul(x, _probe((3, 4), 9)))
     yield "scale", a(), lambda x: _contract(scale(x, -1.7))
-    yield "reshape", a(), lambda x: _contract(nm.reshape(x, (2, 6)))
+    yield "reshape", a(), lambda x: _contract(reshape(x, (2, 6)))
     yield "concat_rows", a(), lambda x: _contract(concat_rows([x, _probe((2, 4), 9)]))
     yield "select_rows", a(), lambda x: _contract(nm.select_rows(x, [2, 0, 2]))
     yield "pick", a(), lambda x: _contract(pick(x, [0, 2, 2], [1, 3, 3]))
-    yield "sum_all", a(), lambda x: nm.sum_all(x)
-    yield "mean_over_rows", a(), lambda x: _contract(nm.mean_over_rows(x))
+    yield "sum_all", a(), lambda x: sum_all(x)
+    yield "mean_over_rows", a(), lambda x: _contract(mean_over_rows(x))
     yield "log_softmax_rows", sq(), lambda x: _contract(log_softmax_rows(x))
     yield "layernorm", a(), lambda x: _contract(
         layernorm(x, _probe((4,), 9), _probe((4,), 10))
@@ -116,10 +117,10 @@ def _primitive_cases():
     )
     yield "gelu", a(), lambda x: _contract(gelu(x))
     yield "affine", a(), lambda x: _contract(
-        nm.affine(x, _probe((4, 2), 9), _probe((2,), 10))
+        affine(x, _probe((4, 2), 9), _probe((2,), 10))
     )
     yield "affine_w", _probe((4, 2), 9), lambda w: _contract(
-        nm.affine(_probe((3, 4), 1), w, _probe((2,), 10))
+        affine(_probe((3, 4), 1), w, _probe((2,), 10))
     )
     yield "embedding_lookup", a(), lambda t: _contract(
         embedding_lookup(t, [1, 1, 0, 2])
@@ -216,7 +217,7 @@ def test_1_gradient_suite_primitives_and_full_encoder():
         c = Tensor(rng.normal(size=(2 + 7, 8)))  # 2 prompts + CLS, 5 residues, EOS
 
         def loss():
-            return nm.sum_all(nm.mul(model.encode(seq, ("Seq", "IC")).h, c))
+            return sum_all(mul(model.encode(seq, ("Seq", "IC")).h, c))
 
         checked = model.parameters()
         if frozen_encoder:
@@ -248,7 +249,7 @@ def test_2_mask_semantics_suite():
     seq = T.encode("ACDEFGH", 12)
 
     def scalar_of(t, seed=123):
-        return nm.sum_all(nm.mul(t, Tensor(np.random.default_rng(seed).normal(size=t.shape))))
+        return sum_all(mul(t, Tensor(np.random.default_rng(seed).normal(size=t.shape))))
 
     # one-way flow: prompt-row outputs carry zero gradient to any input
     tape = Tape()

@@ -2,6 +2,7 @@
 
 import os
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -818,6 +819,88 @@ def test_non_finite_or_negative_config_values_exit_2(ws, tmp_path, capsys, case)
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err and "Traceback" not in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["pretrain-seed", "batch-seqs", "split-seed", "beta1"])
+def test_bad_seed_batch_size_or_beta_exits_2_before_any_output(ws, tmp_path, capsys, case):
+    tsv = tmp_path / "pairs.tsv"
+    tsv.write_text("a\tb\t1\nb\tc\t1\nc\td\t1\n")
+    pretrain = ["pretrain", "--fasta", str(ws["fasta"]), "--out-dir", str(tmp_path / "out"),
+                "--steps", "2", *BASE_SETS]
+    argv, key = {
+        "pretrain-seed": ([*pretrain, "--seed", "-1"], "seed"),
+        "batch-seqs": ([*pretrain, "--set", "batch_seqs=0"], "batch_seqs"),
+        "split-seed": (["split", "--ppi", str(tsv), "--mode", "bfs", "--fraction", "0.5",
+                        "--seed", "-1", "--out-prefix", str(tmp_path / "out" / "s")], "seed"),
+        "beta1": (["eval", "--checkpoint", str(ws["final"]), "--task", "ppi", "--data",
+                   str(ws["pairs"]), "--fasta", str(ws["fasta"]), "--set", "beta1=1.0",
+                   "--out", str(tmp_path / "eval.csv")], "beta1"),
+    }[case]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and key in captured.err, captured.err
+    assert "Traceback" not in captured.err and not captured.out
+    assert list(tmp_path.iterdir()) == [tsv]
+
+
+# run by test_sigkilled_pretrain_resumes_to_the_uninterrupted_bytes: a CLI that
+# SIGKILLs its own process on the count-th call of objectives.train_step
+# ("step") or of Path.replace, the rename that ends every atomic write
+# ("rename": vocab.txt first, then each checkpoint, then final.bin)
+KILLING_CLI = textwrap.dedent("""
+    import os, pathlib, signal, sys
+    from protprompt import objectives
+    from protprompt.cli import main
+
+    hook, count = sys.argv[1], int(sys.argv[2])
+    owner, name = {"step": (objectives, "train_step"), "rename": (pathlib.Path, "replace")}[hook]
+    original, calls = getattr(owner, name), []
+
+    def killing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == count:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return original(*args, **kwargs)
+
+    setattr(owner, name, killing)
+    sys.exit(main(sys.argv[3:]))
+""")
+
+
+def test_sigkilled_pretrain_resumes_to_the_uninterrupted_bytes(ws, tmp_path):
+    # a real process killed with no chance to clean up: at a seeded step,
+    # with the log rows since the last checkpoint still buffered, and at a
+    # seeded rename, with a whole .tmp file written but not in place. Resumed
+    # from its newest checkpoint (restarted if it has none), it must write
+    # the uninterrupted run's final.bin and metrics.csv (ms blanked)
+    steps, every = 8, 2
+    argv = ["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]), "--steps",
+            str(steps), "--seed", "5", *BASE_SETS, "--set", f"checkpoint_every={every}"]
+
+    def outputs(out):
+        log = (out / "metrics.csv").read_text().splitlines(keepends=True)
+        return (out / "final.bin").read_bytes(), [
+            line.rsplit(",", 1)[0] if line[0].isdigit() else line for line in log]
+
+    assert main([*argv, "--out-dir", str(tmp_path / "straight")]) == 0
+    want = outputs(tmp_path / "straight")
+    rng = np.random.default_rng(19)
+    points = [("step", int(rng.integers(1, steps + 1))),
+              ("rename", int(rng.integers(1, steps // every + 3)))]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    for hook, count in points:
+        out = tmp_path / f"{hook}{count}"
+        proc = subprocess.run(
+            [sys.executable, "-c", KILLING_CLI, hook, str(count), *argv, "--out-dir", str(out)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == -signal.SIGKILL, proc.stdout + proc.stderr
+        assert not (out / "final.bin").exists()
+        ckpts = sorted(out.glob("ckpt_step*.bin"), key=lambda p: int(p.stem[9:]))
+        resume = ["--resume", str(ckpts[-1])] if ckpts else []
+        assert main([*argv, "--out-dir", str(out), *resume]) == 0
+        assert outputs(out) == want, (hook, count)
 
 
 def _non_utf8_input(ws, path):

@@ -106,6 +106,12 @@ def test_validation_rejections():
         RunConfig(max_len=1)
     with pytest.raises(ConfigError):
         RunConfig(lr=0.0)
+    for key, value in (("adam_eps", 0.0), ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0),
+                       ("seed", -1), ("batch_seqs", 0), ("batch_pairs", -2)):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(**{key: value})
+    # the edges of each range are valid
+    RunConfig(beta1=0.0, beta2=0.0, adam_eps=1e-300, seed=0, batch_seqs=1, batch_pairs=1)
     with pytest.raises(ConfigError, match="probe_cutoff"):
         RunConfig(probe_cutoff=-0.5)
     with pytest.raises(ConfigError, match="unknown config key 'weight_decay'"):

@@ -50,6 +50,8 @@ from protprompt.config import build_config
 from protprompt.model import ModelConfig, ProteinEncoder
 from protprompt.numerics import Tape, Tensor
 
+from conftest import mul, sum_all
+
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 
 FASTA = """\
@@ -185,7 +187,7 @@ def _encoder_digests() -> dict[str, str]:
             with tape:
                 out = model.encode(seq, ENCODER_PROMPTS[:m], collect_attn=True)
                 c = np.random.default_rng(20 + m).normal(size=out.h.shape)
-                loss = nm.sum_all(nm.mul(out.h, Tensor(c)))
+                loss = sum_all(mul(out.h, Tensor(c)))
             if loss.requires_grad:  # not so with a frozen encoder and no prompts
                 nm.backward(tape, loss)
             if mode == "trainable":

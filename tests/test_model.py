@@ -12,8 +12,8 @@ from protprompt.errors import ConfigError, ContractError, ShapeError
 from protprompt.model import ModelConfig, ProteinEncoder, PromptSet
 from protprompt.numerics import Tape, Tensor
 
-from conftest import (mlm_logits, mlm_loss, multihead_attention, reference_encode,
-                      reference_forward)
+from conftest import (affine, mlm_logits, mlm_loss, mul, multihead_attention,
+                      reference_encode, reference_forward, sum_all)
 
 
 def small_model(prompts=("Seq", "IC"), seed=0, max_len=12):
@@ -219,7 +219,7 @@ def test_fused_encode_matches_the_per_op_chain(heads, prompts, frozen, frozen_en
         tape = Tape()
         with tape:
             h, maps = encode()
-            loss = nm.sum_all(nm.mul(h, probe))
+            loss = sum_all(mul(h, probe))
         nm.backward(tape, loss)
         return h.data, maps, {name: p.grad for name, p in model.parameters().items()}
 
@@ -246,7 +246,7 @@ def test_fused_encode_matches_the_per_op_chain(heads, prompts, frozen, frozen_en
 
 def _generic_scalar(t, seed=123):
     probe = Tensor(np.random.default_rng(seed).normal(0, 1, t.shape))
-    return nm.sum_all(nm.mul(t, probe))
+    return sum_all(mul(t, probe))
 
 
 def test_inputs_never_reach_prompts_additive():
@@ -425,7 +425,7 @@ def test_mlm_logits_selects_input_positions():
     masked = T.MlmBatch(corrupted=seq.ids, positions=np.array([1, 3]), targets=np.array([4, 7]))
     batch = O.MlmTaskBatch(sequences=[seq], masked=[masked])
     out = model.encode(seq, ("Seq", "IC"))
-    direct = nm.affine(nm.select_rows(out.h, np.array([3, 5])), *model.head("mlm"))
+    direct = affine(nm.select_rows(out.h, np.array([3, 5])), *model.head("mlm"))
     assert mlm_logits(model, out, [1, 3]).data.tobytes() == direct.data.tobytes()
     want = mlm_loss(direct, [4, 7]).item()
     assert abs(O._forward_mlm(model, batch, "sum").item() - want) <= 1e-12
@@ -449,6 +449,23 @@ def test_regress_returns_scalar():
     pooled = model.pool(model.encode(T.encode("ACDEF", 10), ()))
     val = model.regress(pooled)
     assert val.shape == ()
+
+
+def test_heads_score_on_arrays_and_record_no_tape_node():
+    # each head runs its training node's forward kernel on arrays, so even an
+    # encode under a tape gives constant scores and no head node
+    model = small_model()
+    with Tape() as tape:
+        out = model.encode(T.encode("ACDEF", 10), ("IC",))
+        nodes = len(tape.nodes)
+        pooled = model.pool(out)
+        scores = [pooled, model.pair_logits(pooled, pooled, 1),
+                  model.pair_logits(pooled, pooled, 7), model.token_logits(out, 3),
+                  model.regress(pooled)]
+    assert len(tape.nodes) == nodes and not any(t.requires_grad for t in scores)
+    w, b = model.head("ss3")
+    rows = out.h.data[1 + out.seq.residue_positions()]
+    assert scores[3].data.tobytes() == nm._affine_forward(rows, w.data, b.data).tobytes()
 
 
 def test_parameter_registry_order_and_freeze_view():

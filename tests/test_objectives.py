@@ -12,9 +12,9 @@ from protprompt.errors import ConfigError, ContractError, NumericsError, ShapeEr
 from protprompt.model import ModelConfig, ProteinEncoder
 from protprompt.numerics import Tape, Tensor
 
-from conftest import (bce_with_logits_mean, concat_rows, mlm_loss, ppi_loss,
-                      reference_forward_mlm, reference_forward_pairs, reference_routed_step,
-                      scale)
+from conftest import (affine, bce_with_logits_mean, concat_rows, mean_over_rows, mlm_loss,
+                      mul, ppi_loss, reference_forward_mlm, reference_forward_pairs,
+                      reference_routed_step, reshape, scale)
 
 
 def test_uniform_logits_give_log_vocab_loss():
@@ -392,6 +392,36 @@ def test_pair_node_matches_the_per_pair_chain(width, frozen):
     assert {n for n in got[1] if n.startswith("head.")} == {f"{head}.w", f"{head}.b"}
 
 
+@pytest.mark.parametrize("width", [1, 7])
+@pytest.mark.parametrize("d", [8, 32, 64])
+def test_eval_pair_logits_are_the_training_logits(d, width):
+    # eval --task ppi calls pair_logits once per edge, while pair_bce scores a
+    # step's pairs in one call. Both run the pair kernel, whose sums over d do
+    # not depend on the pairs sharing a call, so the logits agree bit for bit
+    # at every batch size, and so does the loss computed from them
+    model = ProteinEncoder(ModelConfig(d=d, layers=1, heads=2, max_len=24), seed=d + width)
+    rng = np.random.default_rng(d * width)
+    residues = "ACDEFGHIKLMNPQRSTVWY"
+    seqs = [T.encode("".join(residues[int(k)] for k in rng.integers(20, size=n)), 24, f"s{i}")
+            for i, n in enumerate(rng.integers(1, 23, size=10))]
+    outs = [model.encode(s, model.prompts.names()) for s in seqs]
+    pooled = np.array([model.pool(out).data for out in outs])
+    w, b = model.pair_head(width)
+    for size in (1, 16, *rng.integers(2, 16, size=6)):
+        left, right = rng.integers(len(seqs), size=(2, size))
+        batch_z, _ = nm._pair_forward(pooled[left], pooled[right], w.data, b.data)
+        edge_z = np.array([model.pair_logits(model.pool(outs[i]), model.pool(outs[j]), width).data
+                           for i, j in zip(left, right)])
+        assert edge_z.tobytes() == batch_z.tobytes()
+        labels = rng.integers(0, 2, size=(size, width)).astype(np.float64)
+        batch = O.PairTaskBatch("ppi", [(seqs[i], seqs[j]) for i, j in zip(left, right)], labels)
+        bce = np.maximum(edge_z, 0.0) - edge_z * labels + np.log1p(np.exp(-np.abs(edge_z)))
+        assert O._forward_pairs(model, batch).data.tobytes() == np.asarray(bce.mean()).tobytes()
+        # the fixed-order sums reorder the matmul's additions (aim 3's bound)
+        oracle = affine(mul(Tensor(pooled[left]), Tensor(pooled[right])), w, b).data
+        assert np.abs(batch_z - oracle).max() <= 1e-12
+
+
 def test_pair_node_counts_a_repeated_row_each_time():
     # a row listed twice weighs twice in its protein's mean and gradient
     rng = np.random.default_rng(15)
@@ -400,9 +430,9 @@ def test_pair_node_counts_a_repeated_row_each_time():
     rows, y = [np.array([1, 2, 2, 4]), np.array([0, 5])], np.array([[1.0], [0.0]])
 
     def chain():
-        v = [nm.mean_over_rows(nm.select_rows(h, r)) for h, r in zip(hs, rows)]
-        z = [nm.reshape(nm.affine(nm.mul(v[0], v[1]), w, b), (1, 1)),
-             nm.reshape(nm.affine(nm.mul(v[1], v[1]), w, b), (1, 1))]
+        v = [mean_over_rows(nm.select_rows(h, r)) for h, r in zip(hs, rows)]
+        z = [reshape(affine(mul(v[0], v[1]), w, b), (1, 1)),
+             reshape(affine(mul(v[1], v[1]), w, b), (1, 1))]
         return bce_with_logits_mean(concat_rows(z), y)
 
     grads = []
