@@ -55,6 +55,13 @@ def _encode_table(table: dict[str, str], max_len: int) -> dict[str, T.TokenSeque
     return {name: T.encode(seq, max_len, name) for name, seq in sorted(table.items())}
 
 
+def _task_ppi(args) -> D.PPIGraph:
+    """The --data interaction TSV of inject or eval, with its --fasta residues."""
+    if not args.data or not args.fasta:
+        raise ConfigError(f"{args.command} --task ppi needs --data (TSV) and --fasta")
+    return _load_ppi(args.data, D.parse_fasta(args.fasta))
+
+
 def _load_ppi(tsv, table: dict[str, str]) -> D.PPIGraph:
     """Parse an interaction TSV, report its skipped lines, attach residues."""
     graph, skips = D.parse_ppi_tsv(tsv)
@@ -73,17 +80,13 @@ def _pick_rows(rows: list, cfg: RunConfig, step: int) -> list:
     return [rows[int(i)] for i in idx]
 
 
-def _mlm_batch(corpus, cfg: RunConfig, step: int) -> O.MlmTaskBatch:
+def _mlm_batch(corpus, cfg: RunConfig, step: int) -> list[T.MlmBatch]:
     rng = _step_rng(cfg.seed, step, _RNG_MLM_PICK)
     size = min(cfg.batch_seqs, len(corpus))
     idx = rng.choice(len(corpus), size=size, replace=False)
-    seqs = [corpus[int(i)] for i in idx]
     probs = (cfg.mask_prob_mask, cfg.mask_prob_random, cfg.mask_prob_keep)
-    masked = [
-        T.apply_mlm_mask(s, cfg.mask_rate, (cfg.seed, step, _RNG_MLM_MASK, int(i)), probs)
-        for i, s in zip(idx, seqs)
-    ]
-    return O.MlmTaskBatch(sequences=seqs, masked=masked)
+    return [T.apply_mlm_mask(corpus[int(i)], cfg.mask_rate,
+                             (cfg.seed, step, _RNG_MLM_MASK, int(i)), probs) for i in idx]
 
 
 def _ppi_batches(graph: D.PPIGraph, encoded, cfg: RunConfig, width: int):
@@ -144,24 +147,24 @@ def _checkpoint_path(out_dir: Path, step: int) -> Path:
 
 
 def _prune_checkpoints(out_dir: Path, keep_last: int) -> None:
-    ckpts = sorted(
-        out_dir.glob("ckpt_step*.bin"),
-        key=lambda p: int(p.stem.replace("ckpt_step", "")),
-    )
-    for old in ckpts[:-keep_last]:
+    """Delete all but the newest keep_last ckpt_step<digits>.bin files; other
+    names are left alone."""
+    steps = {p: p.stem.removeprefix("ckpt_step") for p in out_dir.glob("ckpt_step*.bin")}
+    ckpts = sorted((int(step), p) for p, step in steps.items() if step.isdecimal())
+    for _, old in ckpts[:-keep_last]:
         old.unlink()
 
 
-def _drop_log_rows_from(log_path: Path, start_step: int) -> None:
-    """Cut the log before its first row of step >= start_step; resume replays those."""
+def _log_before(log_path: Path, start_step: int) -> bytes:
+    """The log's bytes before its first row of step >= start_step; resume replays those."""
+    data = log_path.read_bytes()
     offset = 0
-    with open(log_path, "r+b") as fh:
-        for line in fh:
-            cell = line.split(b",", 1)[0]
-            if cell.isdigit() and int(cell) >= start_step:
-                break
-            offset += len(line)
-        fh.truncate(offset)
+    for line in data.split(b"\n"):
+        cell = line.split(b",", 1)[0]
+        if cell.isdigit() and int(cell) >= start_step:
+            break
+        offset += len(line) + 1
+    return data[:offset]
 
 
 def _print_warnings(cfg: RunConfig) -> None:
@@ -207,18 +210,16 @@ def cmd_pretrain(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     T.write_vocab(out_dir / "vocab.txt")
     log_path = out_dir / "metrics.csv"
-    resumed_log = Path(args.resume).parent / "metrics.csv" if args.resume else None
-    if resumed_log and resumed_log.exists() and not log_path.exists():
-        # a run resumed into a new directory carries the steps before its
-        # checkpoint over from the checkpoint's own log
-        with ckpt.atomic_write(log_path, "wb") as fh:
-            fh.write(resumed_log.read_bytes())
-    log_mode = "a" if args.resume and log_path.exists() else "w"
-    if log_mode == "a":
-        _drop_log_rows_from(log_path, start_step)
-    with open(log_path, log_mode) as log:
-        if log_mode == "w":
-            log.write("\n".join(_metrics_log_header(cfg, tasks)) + "\n")
+    # a resumed run keeps the steps before its checkpoint from its own log,
+    # else from the checkpoint directory's (a run resumed into a new one)
+    sources = (log_path, Path(args.resume).parent / "metrics.csv") if args.resume else ()
+    source = next((p for p in sources if p.exists()), None)
+    with ckpt.atomic_write(log_path, "wb") as fh:
+        if source is None:
+            fh.write(("\n".join(_metrics_log_header(cfg, tasks)) + "\n").encode())
+        else:
+            fh.write(_log_before(source, start_step))
+    with open(log_path, "a") as log:
         for step in range(start_step, cfg.steps):
             mlm = _mlm_batch(corpus, cfg, step)
             report = O.train_step(
@@ -275,9 +276,7 @@ def cmd_inject(args) -> int:
     if prompt_name in O.frozen_prompts((prompt_name,), "ppi", True):
         raise ConfigError(f"prompt {prompt_name!r} learns from the conservation loss only, "
                           "so inject could never train it")
-    if not args.data or not args.fasta:
-        raise ConfigError("inject --task ppi needs --data (TSV) and --fasta")
-    graph = _load_ppi(args.data, D.parse_fasta(args.fasta))
+    graph = _task_ppi(args)
     pair_batch = _ppi_batches(graph, _encode_table(graph.nodes, cfg.max_len), cfg,
                               graph.label_width)
     init_rng = np.random.default_rng((cfg.seed, len(model.prompts)))
@@ -341,9 +340,7 @@ def cmd_eval(args) -> int:
 
 
 def _eval_ppi(model, cfg, args, prompt_sel):
-    if not args.data or not args.fasta:
-        raise ConfigError("eval --task ppi needs --data (TSV) and --fasta")
-    graph = _load_ppi(args.data, D.parse_fasta(args.fasta))
+    graph = _task_ppi(args)
     encoded = _encode_table(graph.nodes, cfg.max_len)
     pooled: dict[str, Tensor] = {}
 
@@ -457,6 +454,8 @@ _EVAL_TASKS = {"ppi": _eval_ppi, "contact": _eval_contact, "ss": _eval_ss,
 def cmd_build_contacts(args) -> int:
     cfg, _, _ = _load_config(args, ("contact_threshold",))
     pdb_dir = Path(args.pdb_dir)
+    if not pdb_dir.is_dir():
+        raise DataError(f"{pdb_dir}: no such directory")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_lines = [f"# config_hash={cfg.hash()}"]

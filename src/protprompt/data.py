@@ -430,6 +430,8 @@ def read_contact_map(path) -> ContactMap:
         threshold = float(fields["threshold"])
     except ValueError:
         raise FormatError(f"{path}:1: non-numeric header fields in {header!r}")
+    if not 0 < threshold < np.inf or fields["tag"] not in CONTACT_TAGS:
+        raise FormatError(f"{path}:1: bad contact map header {header!r}")
     rows = []  # (line number, row)
     for lineno, line in lines:
         stripped = line.strip()

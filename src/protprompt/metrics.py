@@ -26,11 +26,6 @@ class RangeClass:
     min_sep: int
     max_sep: int | None
 
-    def contains(self, sep: int) -> bool:
-        if sep < self.min_sep:
-            return False
-        return self.max_sep is None or sep <= self.max_sep
-
 
 SHORT = RangeClass("short", 6, 11)
 MEDIUM = RangeClass("medium", 12, 23)

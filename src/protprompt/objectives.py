@@ -135,14 +135,6 @@ class Adam:
 
 
 @dataclass
-class MlmTaskBatch:
-    """Masked sequences, encoded with every prompt the model holds."""
-
-    sequences: list[TokenSequence]
-    masked: list[MlmBatch]
-
-
-@dataclass
 class PairTaskBatch:
     """Labeled pairs, encoded with every prompt the model holds."""
 
@@ -152,18 +144,15 @@ class PairTaskBatch:
 
 
 def _forward_mlm(
-    model, batch: MlmTaskBatch, reduction: str, frozen: frozenset[str] = frozenset()
+    model, batch: list[MlmBatch], reduction: str, frozen: frozenset[str] = frozenset()
 ) -> Tensor:
     if reduction not in ("sum", "mean"):
         raise ConfigError(f"unknown reduction {reduction!r}")
     prompts = model.prompts.names()
-    hs = [
-        model.encode(TokenSequence(ids=masked.corrupted, source_id=seq.source_id), prompts,
-                     frozen=frozen).h
-        for seq, masked in zip(batch.sequences, batch.masked)
-    ]
-    rows = [len(prompts) + masked.positions for masked in batch.masked]
-    targets = [masked.targets for masked in batch.masked]
+    hs = [model.encode(TokenSequence(ids=masked.corrupted), prompts, frozen=frozen).h
+          for masked in batch]
+    rows = [len(prompts) + masked.positions for masked in batch]
+    targets = [masked.targets for masked in batch]
     return nm.cross_entropy_rows(hs, rows, targets, *model.head("mlm"),
                                  mean=reduction == "mean")
 
@@ -194,7 +183,7 @@ def _forward_pairs(model, batch: PairTaskBatch, frozen: frozenset[str] = frozens
 def train_step(
     model,
     optimizer: Adam,
-    mlm_batch: MlmTaskBatch | None,
+    mlm_batch: list[MlmBatch] | None,
     task_batches: list[PairTaskBatch],
     routing: bool,
     lambda_weight: float,

@@ -39,10 +39,6 @@ _CHAR_TO_ID = {ch: FIRST_RESIDUE_ID + i for i, ch in enumerate(RESIDUES)}
 _CHAR_TO_ID[UNKNOWN] = UNKNOWN_ID
 
 
-def is_special(token_id: int) -> bool:
-    return token_id < FIRST_RESIDUE_ID
-
-
 def write_vocab(path) -> None:
     """Write vocab.txt through atomic_write: one symbol per line, line
     number (0-based) = id."""
@@ -78,7 +74,6 @@ class MlmBatch:
     corrupted: np.ndarray
     positions: np.ndarray  # positions whose original token must be predicted
     targets: np.ndarray  # original ids at those positions
-    seed: object = None
 
 
 def encode(residues: str, max_len: int, source_id: str = "") -> TokenSequence:
@@ -105,20 +100,6 @@ def encode(residues: str, max_len: int, source_id: str = "") -> TokenSequence:
         ids[1 + i] = tok
     ids[1 + len(seq)] = EOS_ID
     return TokenSequence(ids=ids, source_id=source_id)
-
-
-def decode(ids) -> str:
-    """Inverse of encode for the residue span: decode(encode(s).ids) == s.upper()."""
-    out = []
-    for tok in np.asarray(ids).tolist():
-        if tok == CLS_ID:
-            continue
-        if tok in (EOS_ID, PAD_ID):
-            break
-        if tok == MASK_ID:
-            raise EncodingError("cannot decode a corrupted sequence containing <mask>")
-        out.append(SYMBOLS[tok])
-    return "".join(out)
 
 
 def apply_mlm_mask(
@@ -160,4 +141,4 @@ def apply_mlm_mask(
         elif need_random[k]:
             corrupted[p] = FIRST_RESIDUE_ID + int(next(r_iter))
         # else: keep the original token, still a prediction target
-    return MlmBatch(corrupted=corrupted, positions=selected, targets=targets, seed=seed)
+    return MlmBatch(corrupted=corrupted, positions=selected, targets=targets)

@@ -419,9 +419,8 @@ def reference_forward_mlm(model, batch, reduction="sum", frozen=frozenset()):
     sum_all and scale nodes, the terms folded by add in sequence order."""
     prompts = model.prompts.names()
     loss = None
-    for seq, masked in zip(batch.sequences, batch.masked):
-        corrupted = T.TokenSequence(ids=masked.corrupted, source_id=seq.source_id)
-        out = model.encode(corrupted, prompts, frozen=frozen)
+    for masked in batch:
+        out = model.encode(T.TokenSequence(ids=masked.corrupted), prompts, frozen=frozen)
         term = mlm_loss(mlm_logits(model, out, masked.positions), masked.targets, reduction)
         loss = term if loss is None else nm.add(loss, term)
     return loss

@@ -100,6 +100,20 @@ def test_pretrain_checkpoint_pruning(ws, tmp_path):
     assert kept == ["ckpt_step6.bin", "ckpt_step8.bin"]
 
 
+def test_pretrain_pruning_leaves_other_checkpoint_names_alone(ws, tmp_path):
+    out = tmp_path / "stray"
+    out.mkdir()
+    (out / "ckpt_step_old.bin").write_bytes(b"not a checkpoint")
+    rc = main([
+        "pretrain", "--fasta", str(ws["fasta"]), "--out-dir", str(out), "--steps", "4",
+        "--seed", "7", *BASE_SETS, "--set", "checkpoint_every=1", "--set", "keep_last=2",
+    ])
+    assert rc == 0
+    assert (out / "ckpt_step_old.bin").read_bytes() == b"not a checkpoint"
+    kept = sorted(p.name for p in out.glob("ckpt_step*.bin"))
+    assert kept == ["ckpt_step3.bin", "ckpt_step4.bin", "ckpt_step_old.bin"]
+
+
 def test_pretrain_with_ppi_parses_its_fasta_once(ws, tmp_path, monkeypatch):
     calls = []
     parse_fasta = D.parse_fasta
@@ -230,6 +244,31 @@ def test_failed_checkpoint_save_keeps_the_previous_one(ws, tmp_path, monkeypatch
         "ckpt_step2.bin", "metrics.csv", "vocab.txt"]
     _, _, state = ckpt.load_model(out / "ckpt_step2.bin")
     assert int(state["opt.step"]) == 2
+
+
+def test_failed_resume_log_start_keeps_the_previous_log(ws, tmp_path, monkeypatch):
+    out = tmp_path / "cut"
+    argv = ["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
+            "--out-dir", str(out), "--seed", "7", *BASE_SETS, "--set", "checkpoint_every=3"]
+    resume = ["--steps", "6", "--resume", str(out / "ckpt_step3.bin")]
+    assert main([*argv, "--steps", "6"]) == 0
+    straight_rows = _metric_rows(out)
+    shutil.rmtree(out)
+    # rows 3 and 4 follow the last checkpoint, so the resume must cut them
+    assert main([*argv, "--steps", "5"]) == 0
+    before = (out / "metrics.csv").read_bytes()
+
+    def open_failing_log(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return _FullDisk(fh, room=10) if "metrics.csv" in str(path) else fh
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ckpt, "open", open_failing_log, raising=False)
+        assert main([*argv, *resume]) == 1
+    assert (out / "metrics.csv").read_bytes() == before
+    assert not list(out.glob("*.tmp"))
+    assert main([*argv, *resume]) == 0
+    assert [r[:-1] for r in _metric_rows(out)] == [r[:-1] for r in straight_rows]
 
 
 def _metric_rows(out_dir):
@@ -1069,3 +1108,9 @@ def test_missing_files_exit_1(ws, tmp_path, capsys):
     rc = main(["eval", "--checkpoint", str(ws["final"]), "--task", "ppi",
                "--data", str(tmp_path / "absent.tsv"), "--fasta", str(ws["fasta"])])
     assert rc == 1
+    capsys.readouterr()
+    rc = main(["build-contacts", "--pdb-dir", str(tmp_path / "absent"),
+               "--out-dir", str(tmp_path / "maps")])
+    assert rc == 1
+    assert str(tmp_path / "absent") in capsys.readouterr().err
+    assert not (tmp_path / "maps").exists()

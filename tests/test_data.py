@@ -484,6 +484,9 @@ def test_contact_map_tamper_detection(tmp_path):
     expect([lines[0], "01x", "100", "x00"], r"bad\.cmap:2: .*0/1")
     expect(["n=3 tag=native", *lines[1:]], "bad contact map header")
     expect(["n=three threshold=8.0 tag=native", *lines[1:]], "non-numeric")
+    for header in ("n=3 threshold=8.0 tag=bogus", "n=3 threshold=-1 tag=native",
+                   "n=3 threshold=nan tag=native"):
+        expect([header, *lines[1:]], r"bad\.cmap:1: bad contact map header")
 
 
 def test_contact_map_validation():

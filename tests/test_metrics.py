@@ -188,10 +188,10 @@ def test_precision_no_eligible_pairs():
 
 
 def test_range_class_boundaries():
-    assert not any(rc.contains(5) for rc in M.RANGE_CLASSES.values())
-    assert M.SHORT.contains(6) and M.SHORT.contains(11) and not M.SHORT.contains(12)
-    assert M.MEDIUM.contains(12) and M.MEDIUM.contains(23) and not M.MEDIUM.contains(24)
-    assert M.LONG.contains(24) and M.LONG.contains(9999) and not M.LONG.contains(23)
+    # separations [6, 12), [12, 24) and [24, inf); max_sep is inclusive
+    assert [(rc.min_sep, rc.max_sep) for rc in (M.SHORT, M.MEDIUM, M.LONG)] == [
+        (6, 11), (12, 23), (24, None)]
+    assert M.RANGE_CLASSES == {"short": M.SHORT, "medium": M.MEDIUM, "long": M.LONG}
 
 
 # ---------------------------------------------------------------------------

@@ -257,7 +257,7 @@ def test_inputs_never_reach_prompts_additive():
         out = model.encode(seq, ("Seq", "IC"))
         loss = _generic_scalar(nm.select_rows(out.h, np.arange(out.m)))
     for p in model.parameters().values():
-        p.zero_grad()
+        p.grad = None
     nm.backward(tape, loss)
     # prompt-row outputs must not depend on any input content
     for name in ("embed.tok", "embed.pos", "embed.seg"):
@@ -286,7 +286,7 @@ def test_prompts_do_reach_inputs_additive():
         out = model.encode(seq, ("Seq", "IC"))
         loss = _generic_scalar(nm.select_rows(out.h, np.arange(out.m, out.h.shape[0])))
     for p in model.parameters().values():
-        p.zero_grad()
+        p.grad = None
     nm.backward(tape, loss)
     assert np.any(model.prompts.get("Seq").grad != 0.0)
     assert np.any(model.parameters()["embed.tok"].grad != 0.0)
@@ -300,7 +300,7 @@ def test_prompts_are_isolated_from_each_other():
         out = model.encode(seq, ("Seq", "IC"))
         loss = _generic_scalar(nm.select_rows(out.h, [0]))  # Seq row only
     for p in model.parameters().values():
-        p.zero_grad()
+        p.grad = None
     nm.backward(tape, loss)
     ic = model.prompts.get("IC").grad
     assert ic is None or np.all(ic == 0.0)
@@ -423,16 +423,16 @@ def test_mlm_logits_selects_input_positions():
     model = small_model()
     seq = T.encode("ACDEF", 10, "s")
     masked = T.MlmBatch(corrupted=seq.ids, positions=np.array([1, 3]), targets=np.array([4, 7]))
-    batch = O.MlmTaskBatch(sequences=[seq], masked=[masked])
+    batch = [masked]
     out = model.encode(seq, ("Seq", "IC"))
     direct = affine(nm.select_rows(out.h, np.array([3, 5])), *model.head("mlm"))
     assert mlm_logits(model, out, [1, 3]).data.tobytes() == direct.data.tobytes()
-    want = mlm_loss(direct, [4, 7]).item()
-    assert abs(O._forward_mlm(model, batch, "sum").item() - want) <= 1e-12
+    want = mlm_loss(direct, [4, 7]).data.item()
+    assert abs(O._forward_mlm(model, batch, "sum").data.item() - want) <= 1e-12
     empty = T.MlmBatch(corrupted=seq.ids, positions=np.array([], dtype=np.intp),
                        targets=np.array([], dtype=np.intp))
     with pytest.raises(ContractError):
-        O._forward_mlm(model, O.MlmTaskBatch(sequences=[seq], masked=[empty]), "sum")
+        O._forward_mlm(model, [empty], "sum")
 
 
 def test_token_logits_classes():

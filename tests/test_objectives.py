@@ -20,11 +20,11 @@ from conftest import (affine, bce_with_logits_mean, concat_rows, mean_over_rows,
 def test_uniform_logits_give_log_vocab_loss():
     logits = Tensor(np.zeros((4, 25)))
     loss = mlm_loss(logits, [3, 7, 11, 24])
-    assert abs(loss.item() - 4 * math.log(25)) < 1e-9
+    assert abs(loss.data.item() - 4 * math.log(25)) < 1e-9
     mean = mlm_loss(logits, [3, 7, 11, 24], reduction="mean")
-    assert abs(mean.item() - math.log(25)) < 1e-9
+    assert abs(mean.data.item() - math.log(25)) < 1e-9
     shifted = Tensor(np.full((2, 25), -3.5))  # softmax is shift-invariant
-    assert abs(mlm_loss(shifted, [0, 1]).item() - 2 * math.log(25)) < 1e-9
+    assert abs(mlm_loss(shifted, [0, 1]).data.item() - 2 * math.log(25)) < 1e-9
 
 
 def test_mlm_loss_validation():
@@ -38,21 +38,21 @@ def test_mlm_loss_validation():
 
 def test_bce_closed_forms():
     zero = Tensor(np.zeros((3, 1)))
-    assert abs(ppi_loss(zero, np.ones((3, 1))).item() - math.log(2)) < 1e-9
-    assert abs(ppi_loss(zero, np.zeros((3, 1))).item() - math.log(2)) < 1e-9
+    assert abs(ppi_loss(zero, np.ones((3, 1))).data.item() - math.log(2)) < 1e-9
+    assert abs(ppi_loss(zero, np.zeros((3, 1))).data.item() - math.log(2)) < 1e-9
     z = Tensor(np.array([[2.0], [-2.0]]))
     want = math.log(1 + math.exp(-2.0))  # both rows are confidently correct
     got = ppi_loss(z, np.array([[1.0], [0.0]]))
-    assert abs(got.item() - want) < 1e-9
+    assert abs(got.data.item() - want) < 1e-9
     wrong = ppi_loss(z, np.array([[0.0], [1.0]]))
-    assert abs(wrong.item() - (2.0 + math.log(1 + math.exp(-2.0)))) < 1e-9
+    assert abs(wrong.data.item() - (2.0 + math.log(1 + math.exp(-2.0)))) < 1e-9
     with pytest.raises(ContractError):
         ppi_loss(zero, np.full((3, 1), 0.5))
 
 
 def test_bce_saturates_toward_zero():
     big = Tensor(np.full((2, 1), 40.0))
-    assert ppi_loss(big, np.ones((2, 1))).item() < 1e-12
+    assert ppi_loss(big, np.ones((2, 1))).data.item() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +63,7 @@ def _fixture(seed=0, prompts=("Seq", "IC"), d=16, layers=1, heads=2):
     cfg = ModelConfig(d=d, layers=layers, heads=heads, max_len=10, prompt_names=tuple(prompts))
     model = ProteinEncoder(cfg, seed=seed)
     seqs = [T.encode(s, 10, f"s{i}") for i, s in enumerate(("ACDEF", "WYKRH", "MNPQS"))]
-    masked = [T.apply_mlm_mask(s, 0.3, (5, i)) for i, s in enumerate(seqs)]
-    mlm = O.MlmTaskBatch(sequences=seqs, masked=masked)
+    mlm = [T.apply_mlm_mask(s, 0.3, (5, i)) for i, s in enumerate(seqs)]
     pairs = [(seqs[0], seqs[1]), (seqs[1], seqs[2]), (seqs[0], seqs[2])]
     labels = np.array([[1.0], [0.0], [1.0]])
     ppi = O.PairTaskBatch(name="ppi", pairs=pairs, labels=labels)
@@ -342,8 +341,7 @@ def _step_fixture(width=1, seed=12):
     residues = "ACDEFGHIKLMNPQRSTVWY"
     seqs = [T.encode("".join(residues[int(k)] for k in rng.integers(20, size=n)), 40, f"s{i}")
             for i, n in enumerate((6, 30, 17, 9, 24, 12))]
-    masked = [T.apply_mlm_mask(s, 0.3, (seed, i)) for i, s in enumerate(seqs)]
-    mlm = O.MlmTaskBatch(sequences=seqs, masked=masked)
+    mlm = [T.apply_mlm_mask(s, 0.3, (seed, i)) for i, s in enumerate(seqs)]
     pairs = [(seqs[0], seqs[1]), (seqs[2], seqs[0]), (seqs[0], seqs[0]), (seqs[3], seqs[4]),
              (seqs[5], seqs[2])]
     labels = rng.integers(0, 2, size=(len(pairs), width)).astype(np.float64)
@@ -357,7 +355,7 @@ def _loss_and_grads(model, forward):
     with Tape() as tape:
         loss = forward()
     nm.backward(tape, loss)
-    return loss.item(), {n: p.grad for n, p in params.items() if p.grad is not None}
+    return loss.data.item(), {n: p.grad for n, p in params.items() if p.grad is not None}
 
 
 def _assert_close(got, want):
@@ -461,7 +459,7 @@ def test_pair_node_checks_labels():
 
 def test_mlm_node_checks_rows_and_targets():
     model, mlm, _ = _step_fixture()
-    hs = [model.encode(s, ()).h for s in mlm.sequences[:2]]
+    hs = [model.encode(T.TokenSequence(ids=m.corrupted), ()).h for m in mlm[:2]]
     rows, targets = [np.array([1, 2]), np.array([3])], [np.array([4, 5]), np.array([6])]
     w, b = model.head("mlm")
     with pytest.raises(ContractError, match="targets for"):

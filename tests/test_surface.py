@@ -1,0 +1,70 @@
+"""Every public name of the package has a caller inside the package.
+
+A function, class or method that only tests reach is dead surface: its
+last src/ caller went, and the tests that still call it keep it alive.
+This check fails the suite when one is left behind.
+"""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+
+import protprompt
+
+# public names with no src/ caller, each with why it stays
+UNCALLED = {
+    "numerics.add": "perfbench/test_perfbench.py:57 asserts that the tracer wraps it",
+}
+
+
+def _references(short: str, tree: ast.Module) -> set[str]:
+    """'module.name' for every read of a package module's name in tree.
+
+    A bare name counts in its own module, outside its own top-level
+    definition, and in a module that imports it by `from .module import`;
+    an attribute counts on a name bound by `from . import module`.
+    """
+    imported, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module is None:
+                    modules[local] = alias.name
+                else:
+                    imported[local] = f"{node.module}.{alias.name}"
+    refs = set()
+    for top in tree.body:
+        own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id != own:
+                refs.add(imported.get(node.id, f"{short}.{node.id}"))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                refs.add(f"{modules[node.value.id]}.{node.attr}")
+    return refs
+
+
+def test_every_public_src_name_has_a_src_caller():
+    # a module-level function or class needs a reference outside its own
+    # definition; a method of a public class needs an attribute read of its
+    # name anywhere in src/, since the type behind an attribute is unknown
+    public, methods, refs, attrs = set(), {}, set(), set()
+    for info in pkgutil.iter_modules(protprompt.__path__):
+        mod = importlib.import_module(f"protprompt.{info.name}")
+        tree = ast.parse(inspect.getsource(mod))
+        refs |= _references(info.name, tree)
+        attrs.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                public.add(f"{info.name}.{name}")
+            if inspect.isclass(obj):
+                methods.update(
+                    (f"{info.name}.{name}.{attr}", attr) for attr, raw in vars(obj).items()
+                    if not attr.startswith("_") and (inspect.isfunction(raw) or isinstance(
+                        raw, (classmethod, staticmethod, property))))
+    dead = (public - refs) | {full for full, attr in methods.items() if attr not in attrs}
+    assert sorted(dead) == sorted(UNCALLED)
