@@ -432,6 +432,9 @@ def _eval_regress(model, cfg, args, prompt_sel):
     if not args.data:
         raise ConfigError("eval --task regress needs --data (id, sequence, value TSV)")
     rows = _read_labeled_tsv(args.data)
+    if len(rows) < 2:
+        raise DataError(f"{args.data}: eval --task regress needs at least two rows for a "
+                        f"rank correlation, got {len(rows)}")
     preds, truths = [], []
     for name, residues, values in rows:
         try:

@@ -8,13 +8,13 @@ information flows from prompts into inputs and never back:
     M[i][j] = 0  iff  (i <= m and j > m) or (i, j <= m and i != j)   (1-based)
 
 M = [[I_m, 0], [1, 1]] holds nothing but m, so attention takes m and applies
-M by its structure; no mask array is built. Each row's softmax runs over its
-allowed logits only: rows sum to 1 and a prompt row weighs itself exactly
-1.0, so its state never depends on the input. Inputs are never padded, so M
-is the whole mask. An encode records L+1 tape nodes: numerics.encoder_input
-for the prompt and embedding rows, then one numerics.encoder_layer per layer
-(all heads, residuals, layernorms and the feed-forward block), each with a
-closed-form backward.
+M by its structure; no mask array is built. A prompt row's only allowed key
+is itself, so attention gives it its own value row, unscored, and its state
+never depends on the input; an input row's softmax runs over every key.
+Inputs are never padded, so M is the whole mask. An encode records L+1 tape
+nodes: numerics.encoder_input for the prompt and embedding rows, then one
+numerics.encoder_layer per layer (all heads, residuals, layernorms and the
+feed-forward block), each with a closed-form backward.
 
 Prompt rows receive no position and no segment embedding, and they pass
 through the same per-layer residual/layernorm/feed-forward block as every

@@ -30,6 +30,16 @@ bit for bit those of the chain. That chain (single-op affine, attention,
 layernorm, GELU and embedding lookup over the same kernels) lives in
 tests/conftest.py as the oracle the fused nodes are checked against.
 
+Attention applies the one-way mask by its structure. A prompt row's only
+allowed key is itself, so its output is its own value row and only the
+input rows are scored. 1/sqrt(dh) is folded into Q before the score
+product, and the softmax is normalised after the value product, out =
+(E V) / rowsum E, the deferred normalisation of FlashAttention (Dao et al.
+2022). So no pass over the (heads, n - m, n) score block scales or divides
+it, and only a taped or map-collecting encode forms the normalised block,
+in place, for the backward or the maps. Taped and tape-free encodes run
+this one formula and give the same bits.
+
 Each head has one forward, shared by training and eval: the loss nodes
 cross_entropy_rows and pair_bce run it on a step's stacked rows, and the
 tape-free heads of model.ProteinEncoder run it on one sequence or pair.
@@ -349,19 +359,11 @@ def _gelu_backward(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return dx
 
 
-def _softmax_last_inplace(s: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, stabilised by max subtraction, written
-    into s (which the caller owns) and returned."""
-    s -= np.maximum.reduce(s, axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= np.add.reduce(s, axis=-1, keepdims=True)
-    return s
-
-
-def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
-    """(n, d) -> contiguous (heads, n, d / heads)."""
+def _heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """The (heads, n, d / heads) view of an (n, d) array: head h is columns
+    [h*dh, (h+1)*dh). At heads=1 it is a itself, reshaped."""
     n, d = a.shape
-    return np.ascontiguousarray(a.reshape(n, heads, d // heads).transpose(1, 0, 2))
+    return a.reshape(n, heads, d // heads).transpose(1, 0, 2)
 
 
 def _merge_heads(a: np.ndarray) -> np.ndarray:
@@ -371,47 +373,67 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
 
 
 def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, m: int,
-                       collect: list | None):
+                       collect: list | None, taped: bool):
     """One-way multi-head attention of (n, d) arrays, the first m rows prompts:
-    (out, saved), where saved = (qh, kt, vh, y) holds what the backward needs.
+    (out, saved), where saved = (qh, kt, vh, y, m) holds what the backward
+    needs when taped, else None.
 
-    Head h owns columns [h*dh, (h+1)*dh), dh = d/heads. S = (Q_h K_h^T) * c,
-    c = 1/sqrt(dh), Y = softmax(S). A prompt row attends only to itself, so
-    the mask applies by structure: Y's prompt rows are set to identity rows.
-    The heads' Y V_h fill the (n, d) result, and collect (a list) gets the Y.
+    Head h owns columns [h*dh, (h+1)*dh), dh = d/heads. c = 1/sqrt(dh) is
+    folded into Q, an (n, dh) pass: S = (c Q_h) K_h^T, which is c (Q_h K_h^T)
+    bit for bit when dh is a power of 4. A prompt row attends only to
+    itself, so the mask applies by structure: a prompt row's output is its
+    own V row and only the n - m input rows are scored. For them E =
+    exp(S - rowmax S) and r = rowsum E, and the output is (E V_h) / r,
+    normalised after the value product. Y = E / r is formed, in place in E,
+    only when taped or when collect (a list) is given; collect gets each
+    head's full (n, n) map, its prompt rows identity rows.
     """
     n, d = q.shape
     if d % heads or not 0 <= m <= n:
         raise ShapeError(f"attention over {q.shape} got {heads} heads and {m} prompts")
     dh = d // heads
-    qh, vh = _split_heads(q, heads), _split_heads(v, heads)
-    kt = np.ascontiguousarray(_split_heads(k, heads).transpose(0, 2, 1))
+    # an array of its own: at heads=1 the head view is q itself
+    qh = np.multiply(_heads(q, heads), 1.0 / float(np.sqrt(dh)), out=np.empty((heads, n, dh)))
+    kt = np.ascontiguousarray(_heads(k, heads).transpose(0, 2, 1))
+    vh = np.ascontiguousarray(_heads(v, heads))
+    out = np.empty((n, d))
+    out[:m] = v[:m]  # a prompt row's only allowed key is itself
     del q, k, v  # arrays the caller passed without keeping go before the score block
-    s = qh @ kt
-    s *= 1.0 / float(np.sqrt(dh))
-    y = _softmax_last_inplace(s)
-    y[:, :m] = np.eye(m, n)  # a prompt row's only allowed key is itself
+    e = qh[:, m:] @ kt
+    e -= np.maximum.reduce(e, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    r = np.add.reduce(e, axis=-1, keepdims=True)
+    rows = out[m:].reshape(n - m, heads, dh)  # the input rows, by head
+    np.matmul(e, vh, out=rows.transpose(1, 0, 2))
+    rows /= r.transpose(1, 0, 2)  # in the rows' own order: faster than on the head view
+    if taped or collect is not None:
+        e /= r  # Y
     if collect is not None:
-        collect.append(list(y.copy()))
-    return _merge_heads(y @ vh), (qh, kt, vh, y)
+        collect.append([np.vstack([np.eye(m, n), y]) for y in e])
+    return out, (qh, kt, vh, e, m) if taped else None
 
 
 def _attention_backward(g: np.ndarray, saved):
     """(dq, dk, dv) of attention for upstream g, from _attention_forward's saved.
 
-    With G a head's upstream block: dV = Y^T G, dY = G V^T,
-    dS = Y * (dY - rowsum(dY * Y)) * c, dQ = dS K, dK = (Q^T dS)^T.
+    With G a head's upstream block over the input rows: dV = Y^T G, plus
+    each prompt row's own upstream row; dY = G V^T, dS = Y * (dY - rowsum(dY
+    * Y)); dQ = c (dS K) on the input rows and 0 on the prompt rows, whose
+    scores are fixed; dK = ((c Q)^T dS)^T. The saved Q is already scaled, so
+    c scales dQ, an (n, d) pass, and never dS.
     """
-    qh, kt, vh, y = saved
+    qh, kt, vh, y, m = saved
     heads, n, dh = qh.shape
-    gh = g.reshape(n, heads, dh).transpose(1, 0, 2)
+    gh = _heads(g, heads)[:, m:]
     dv = _merge_heads(y.transpose(0, 2, 1) @ gh)
+    dv[:m] += g[:m]
     ds = gh @ vh.transpose(0, 2, 1)  # dY, turned into dS in place
     ds -= np.add.reduce(ds * y, axis=-1, keepdims=True)
     np.multiply(y, ds, out=ds)
-    ds *= 1.0 / float(np.sqrt(dh))
-    dq = _merge_heads(ds @ kt.transpose(0, 2, 1))
-    dk = _merge_heads((qh.transpose(0, 2, 1) @ ds).transpose(0, 2, 1))
+    dq = np.zeros((n, heads * dh))
+    np.matmul(ds, kt.transpose(0, 2, 1), out=_heads(dq, heads)[:, m:])
+    dq *= 1.0 / float(np.sqrt(dh))
+    dk = _merge_heads((qh[:, m:].transpose(0, 2, 1) @ ds).transpose(0, 2, 1))
     return dq, dk, dv
 
 
@@ -427,8 +449,9 @@ def _gather_backward(table: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
 # fused encoder nodes: the same float operations in the same order as the
 # chains of single-op nodes they replace, recorded as one tape node.
 # Without a tape they build no closure, and encoder_layer lets q, k and v go
-# once they are split into heads and the (heads, n, n) blocks go once the
-# attention output exists, so a tape-free encode holds one score block.
+# once they are split into heads and the (heads, n - m, n) score block go
+# once the attention output exists, never normalising it, so a tape-free
+# encode holds one score block.
 
 
 def encoder_input(tok_table: Tensor, seg_table: Tensor, pos_table: Tensor, ids,
@@ -516,10 +539,8 @@ def encoder_layer(
         _check_finite(_affine_forward(xd, wq.data, bq.data), "affine"),
         _check_finite(_affine_forward(xd, wk.data, bk.data), "affine"),
         _check_finite(_affine_forward(xd, wv.data, bv.data), "affine"),
-        heads, m, collect,
+        heads, m, collect, taped,
     )
-    if not taped:
-        saved = None  # the (heads, n, n) blocks go now, not at return
     _check_finite(att, "multihead_attention")
     r1 = xd + _check_finite(_affine_forward(att, wo.data, bo.data), "affine")
     h, xhat1, invstd1 = _layernorm_forward(_check_finite(r1, "add"), ln1_gain.data,

@@ -185,7 +185,8 @@ def multihead_attention(q, k, v, heads, m, collect=None):
     tape node; the kernels' docstrings give the forward and backward."""
     if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"attention got q/k/v {q.shape}/{k.shape}/{v.shape}")
-    out_data, saved = nm._attention_forward(q.data, k.data, v.data, heads, m, collect)
+    taped = nm._active_tape() is not None and any(t.requires_grad for t in (q, k, v))
+    out_data, saved = nm._attention_forward(q.data, k.data, v.data, heads, m, collect, taped)
 
     def backprop(g):
         dq, dk, dv = nm._attention_backward(g, saved)
@@ -470,9 +471,9 @@ def reference_forward(model, ids):
         outs = []
         for h in range(model.config.heads):
             sl = slice(h * dh, (h + 1) * dh)
-            s = (q[:, sl] @ k[:, sl].T.copy()) * (1.0 / math.sqrt(dh)) + penalty
+            s = (q[:, sl] * (1.0 / math.sqrt(dh))) @ k[:, sl].T.copy() + penalty
             e = np.exp(s - s.max(axis=1, keepdims=True))
-            outs.append((e / e.sum(axis=1, keepdims=True)) @ v[:, sl])
+            outs.append((e @ v[:, sl]) / e.sum(axis=1, keepdims=True))
         attn = np.concatenate(outs, axis=1) @ p[f"{pre}.attn.wo"] + p[f"{pre}.attn.bo"]
 
         def ln(z, gain, bias):
@@ -488,15 +489,51 @@ def reference_forward(model, ids):
     return x
 
 
-def reference_attention(q, k, v, heads, mask, g):
-    """Plain numpy, one-head-at-a-time multi-head masked attention, with the
-    explicit additive mask array of penalty_mask.
+def reference_attention(q, k, v, heads, m, g):
+    """Plain numpy, one-head-at-a-time multi-head masked attention over m
+    prompt rows, with the explicit additive mask array of penalty_mask, in
+    the kernel's float order.
 
-    Returns the (n, d) output and the gradients of sum(out * g) with
-    respect to q, k and v, each head computed and differentiated as its
-    own chain of 2-d operations in the model's operation order.
+    Each head scales Q by c = 1/sqrt(dh) before the score product and
+    divides the value product by the row sums of E = exp(S - rowmax S). The
+    prompt rows and the input rows are two row blocks, each scored against
+    its own rows of the mask, as the kernel scores only the input rows (a
+    BLAS product's row can depend on how many rows it is given). Returns
+    the (n, d) output and the gradients of sum(out * g) with respect to q,
+    k and v, each head computed and differentiated as its own chain of 2-d
+    operations.
     """
     n, d = q.shape
+    mask = penalty_mask(m, n - m)
+    dh = d // heads
+    c = 1.0 / math.sqrt(dh)
+    out, dq, dk, dv = (np.zeros((n, d)) for _ in range(4))
+    for h in range(heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        qc, kh, vh = q[:, sl] * c, k[:, sl].copy(), v[:, sl].copy()
+        y = np.zeros((n, n))
+        for rows in (slice(0, m), slice(m, n)):
+            s = qc[rows] @ kh.T.copy() + mask[rows]
+            e = np.exp(s - s.max(axis=1, keepdims=True))
+            r = e.sum(axis=1, keepdims=True)
+            out[rows, sl] = (e @ vh) / r
+            y[rows] = e / r
+        gh = g[:, sl].copy()
+        dv[:, sl] = y.T @ gh
+        dy = gh @ vh.T
+        ds = y * (dy - (dy * y).sum(axis=1, keepdims=True))
+        dq[:, sl] = (ds @ kh) * c
+        dk[:, sl] = (qc.T @ ds).T
+    return out, dq, dk, dv
+
+
+def normalised_first_attention(q, k, v, heads, m, g):
+    """reference_attention in the order the kernel used before it deferred
+    the softmax: scores scaled by c after the product, every row scored,
+    rows normalised before the value product. The kernel must stay within
+    1e-12 of it."""
+    n, d = q.shape
+    mask = penalty_mask(m, n - m)
     dh = d // heads
     c = 1.0 / math.sqrt(dh)
     out, dq, dk, dv = (np.zeros((n, d)) for _ in range(4))

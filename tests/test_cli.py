@@ -823,6 +823,21 @@ def test_eval_regress_rejects_non_finite_truths(ws, tmp_path, capsys, value):
     assert "non-finite" in err and "Traceback" not in err
 
 
+def test_eval_regress_on_one_row_names_the_file(ws, tmp_path, capsys):
+    # a rank correlation needs two rows; the error names the TSV, not the
+    # metric function
+    reg = tmp_path / "reg.tsv"
+    reg.write_text("# one row\nr1\tACDEF\t0.5\n")
+    rec = tmp_path / "reg.csv"
+    rc = main(["eval", "--checkpoint", str(ws["final"]), "--task", "regress",
+               "--data", str(reg), "--out", str(rec)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(reg) in err and "two rows" in err, err
+    assert "spearman" not in err and "Traceback" not in err
+    assert not rec.exists()
+
+
 @pytest.mark.parametrize("rows", ["# a comment\n\n", "p00\tp00\t1\np01\tp01\t0\n"],
                          ids=["comments", "self-loops"])
 @pytest.mark.parametrize("command", ["eval", "inject", "pretrain"])

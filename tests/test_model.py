@@ -384,19 +384,42 @@ def test_contact_logits_builds_no_pair_feature_rows():
     assert peak < 4e6, peak
 
 
-def _tape_free_encode_peak(residues=254, heads=4):
-    """tracemalloc peak of a tape-free encode at d=64, and the row count n."""
+@pytest.mark.parametrize("heads", [1, 4])
+@pytest.mark.parametrize("m", [0, 2])
+def test_taped_and_tape_free_encodes_agree_bitwise(m, heads):
+    # one attention formula serves both: a tape only adds the normalised
+    # maps the backward reads, so the rows and the collected maps keep
+    # their bits, at every length up to 254 rows of input
+    model = ProteinEncoder(ModelConfig(d=64, layers=2, heads=heads, max_len=256), seed=5)
+    names = model.config.prompt_names[:m]
+    rng = np.random.default_rng(17)
+    for residues in (1, 9, 73, 252):
+        seq = T.encode("".join(rng.choice(list("ACDEFGHIKLMNPQRSTVWY"), size=residues)), 256)
+        plain = model.encode(seq, names)
+        mapped = model.encode(seq, names, collect_attn=True)
+        with Tape() as tape:
+            taped = model.encode(seq, names, collect_attn=True)
+        assert len(tape.nodes) == 1 + model.config.layers
+        assert plain.h.data.tobytes() == taped.h.data.tobytes() == mapped.h.data.tobytes()
+        assert [[w.tobytes() for w in layer] for layer in taped.attn] == \
+            [[w.tobytes() for w in layer] for layer in mapped.attn]
+
+
+def _tape_free_encode_peak(residues=254, heads=4, m=0):
+    """tracemalloc peak of a tape-free encode at d=64 with m prompts, and the
+    row count n, prompt rows included."""
     model = ProteinEncoder(ModelConfig(d=64, layers=1, heads=heads, max_len=256), seed=3)
     seq = T.encode("".join(np.random.default_rng(13).choice(list("ACDEFGHIKLMNPQRSTVWY"),
                                                           size=residues)), 256)
-    model.encode(seq, ())
+    names = model.config.prompt_names[:m]
+    model.encode(seq, names)
     tracemalloc.start()
     try:
-        model.encode(seq, ())
+        model.encode(seq, names)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak, seq.length
+    return peak, m + seq.length
 
 
 def test_encode_peak_memory_stays_near_one_attention_block():
@@ -409,12 +432,15 @@ def test_encode_peak_memory_stays_near_one_attention_block():
 
 def test_tape_free_layer_holds_one_score_block():
     # without a tape the fused layer drops q, k and v once split into heads
-    # and its (heads, n, n) blocks once the attention output exists, and
-    # the mask is applied by structure, with no (n, n) array: the peak is
-    # one score block and a few (n, d) arrays
+    # and its score block once the attention output exists; the mask is
+    # applied by structure, so only the n - m input rows are scored, and
+    # the rows are normalised after the value product, so no normalised
+    # block is kept: the peak is one (heads, n - m, n) block and a few
+    # (n, d) arrays, with and without prompts
     heads, d = 4, 64
-    peak, n = _tape_free_encode_peak(heads=heads)
-    assert peak < heads * n * n * 8 + 8 * n * d * 8, peak
+    for m in (0, 2):
+        peak, n = _tape_free_encode_peak(heads=heads, m=m)
+        assert peak < heads * (n - m) * n * 8 + 8 * n * d * 8, (m, peak)
 
 
 def test_mlm_logits_selects_input_positions():

@@ -16,8 +16,8 @@ from protprompt.numerics import Tape, Tensor
 
 from conftest import (OracleError, affine, bce_with_logits_mean, concat_rows,
                       embedding_lookup, finite_diff_check, gelu, layernorm, log_softmax_rows,
-                      mean_over_rows, mul, multihead_attention, penalty_mask, pick,
-                      reference_affine, reference_attention, reference_contact,
+                      mean_over_rows, mul, multihead_attention, normalised_first_attention,
+                      pick, reference_affine, reference_attention, reference_contact,
                       reference_gelu, reference_layernorm, reshape, scale, sum_all)
 
 FD_TOL = 1e-6
@@ -101,8 +101,7 @@ def test_multihead_attention_matches_per_head_reference(heads):
                 loss = sum_all(mul(out, Tensor(g)))
             assert len(tape.nodes) == 3  # attention, mul, sum_all: one node for all heads
             nm.backward(tape, loss)
-            ref_out, dq, dk, dv = reference_attention(q.data, k.data, v.data, heads,
-                                                      penalty_mask(m, n), g)
+            ref_out, dq, dk, dv = reference_attention(q.data, k.data, v.data, heads, m, g)
             assert np.array_equal(out.data, ref_out), (m, n)
             for t, ref in ((q, dq), (k, dk), (v, dv)):
                 assert np.abs(t.grad - ref).max() <= 1e-12, (m, n)
@@ -110,6 +109,25 @@ def test_multihead_attention_matches_per_head_reference(heads):
             assert len(maps) == heads and all(w.shape == (m + n, m + n) for w in maps)
             for w in maps:  # one-way flow: a prompt row is zero off its diagonal
                 assert np.array_equal(w[:m] != 0.0, np.eye(m, m + n, dtype=bool)), (m, n)
+
+
+@pytest.mark.parametrize("dh", [4, 8, 16])
+def test_deferred_normalisation_stays_within_1e_12_of_the_old_order(dh):
+    # the kernel folds c into Q, scores input rows only and normalises after
+    # the value product; before that it scaled the scores, scored every row
+    # and normalised first. Outputs and gradients stay within 1e-12 of that
+    # order over m prompts and n rows in all
+    for n in (8, 73, 254):
+        for m in (0, 1, 3):
+            q, k, v, g = _attention_inputs(m, n - m, d=2 * dh, seed=n + m)
+            tape = Tape()
+            with tape:
+                loss = sum_all(mul(multihead_attention(q, k, v, 2, m), Tensor(g)))
+            nm.backward(tape, loss)
+            got = (tape.nodes[0].data, q.grad, k.grad, v.grad)
+            want = normalised_first_attention(q.data, k.data, v.data, 2, m, g)
+            for a, b in zip(got, want):
+                assert np.abs(a - b).max() <= 1e-12, (n, m)
 
 
 def test_multihead_attention_rejects_bad_arguments():
@@ -243,17 +261,22 @@ def _kernel_cases():
     def rand(*shape):
         return Tensor(rng.normal(0.0, 1.0, shape), requires_grad=True)
 
-    q, k, v, g_att = _attention_inputs(m=2, n=9, d=8)
-    x, *_, g_layer = _attention_inputs(m=2, n=9, d=8)
     weights = [rand(*shape) for shape in [(8, 8), (8,)] * 4 + [(8,), (8,), (8, 32), (32,),
                                                                (32, 8), (8,), (8,), (8,)]]
-    att_maps, layer_maps = [], []
-    # the ids keep their "additive" from when a second mask mode existed
-    cases = {
-        "attention-additive": (lambda *qkv: multihead_attention(*qkv, 2, 2, att_maps),
-                               (q, k, v), g_att, att_maps),
-        "encoder-layer-additive": (lambda x, *w: nm.encoder_layer(x, w, 2, 2, layer_maps),
-                                   (x, *weights), g_layer, layer_maps),
+    cases = {}
+    # heads=1 makes a head split a view of its array and heads=8 gives dh=1;
+    # the heads=2 ids keep their "additive" from when a second mask mode existed
+    for heads, suffix in ((2, "additive"), (1, "h1"), (8, "h8")):
+        q, k, v, g_att = _attention_inputs(m=2, n=9, d=8)
+        x, *_, g_layer = _attention_inputs(m=2, n=9, d=8)
+        att_maps, layer_maps = [], []
+        cases[f"attention-{suffix}"] = (
+            lambda *qkv, heads=heads, maps=att_maps: multihead_attention(*qkv, heads, 2, maps),
+            (q, k, v), g_att, att_maps)
+        cases[f"encoder-layer-{suffix}"] = (
+            lambda x, *w, heads=heads, maps=layer_maps: nm.encoder_layer(x, w, heads, 2, maps),
+            (x, *weights), g_layer, layer_maps)
+    cases |= {
         "encoder-input": (lambda *t: nm.encoder_input(*t[:3], [3, 7, 3, 0], t[3:]),
                           (rand(9, 5), rand(1, 5), rand(6, 5), rand(5), rand(5)),
                           rng.normal(size=(6, 5)), []),
@@ -374,8 +397,7 @@ def test_mask_penalty_underflows_to_zero():
         assert w[0, 0] == 1.0
         assert w[0, 1] == 0.0 and w[0, 2] == 0.0
     assert np.array_equal(out.data[0], v.data[0])
-    ref, *_ = reference_attention(q.data, k.data, v.data, 2, penalty_mask(1, 2),
-                                  np.zeros((3, 4)))
+    ref, *_ = reference_attention(q.data, k.data, v.data, 2, 1, np.zeros((3, 4)))
     assert out.data.tobytes() == ref.tobytes()
 
 
