@@ -131,40 +131,7 @@ def _ppi_batches(graph: D.PPIGraph, encoded, cfg: RunConfig, width: int):
 
 
 # ---------------------------------------------------------------------------
-# run output helpers
-
-
-def _metrics_log_header(cfg: RunConfig, task_order) -> list[str]:
-    lines = [f"# config_hash={cfg.hash()}"]
-    lines += [f"# {line}" for line in cfg.to_text().strip().splitlines()]
-    cells = ["step", "l_conserve"] + [f"l_{t}" for t in task_order] + ["total", "ms"]
-    lines.append(",".join(cells))
-    return lines
-
-
-def _checkpoint_path(out_dir: Path, step: int) -> Path:
-    return out_dir / f"ckpt_step{step}.bin"
-
-
-def _prune_checkpoints(out_dir: Path, keep_last: int) -> None:
-    """Delete all but the newest keep_last ckpt_step<digits>.bin files; other
-    names are left alone."""
-    steps = {p: p.stem.removeprefix("ckpt_step") for p in out_dir.glob("ckpt_step*.bin")}
-    ckpts = sorted((int(step), p) for p, step in steps.items() if step.isdecimal())
-    for _, old in ckpts[:-keep_last]:
-        old.unlink()
-
-
-def _log_before(log_path: Path, start_step: int) -> bytes:
-    """The log's bytes before its first row of step >= start_step; resume replays those."""
-    data = log_path.read_bytes()
-    offset = 0
-    for line in data.split(b"\n"):
-        cell = line.split(b",", 1)[0]
-        if cell.isdigit() and int(cell) >= start_step:
-            break
-        offset += len(line) + 1
-    return data[:offset]
+# the training loop and its run outputs
 
 
 def _print_warnings(cfg: RunConfig) -> None:
@@ -177,6 +144,71 @@ def _adam(params: dict[str, Tensor], cfg: RunConfig) -> O.Adam:
                   warmup_updates=cfg.warmup_updates)
 
 
+def _log_header(cfg: RunConfig, tasks: tuple[str, ...]) -> str:
+    lines = [f"# config_hash={cfg.hash()}"]
+    lines += [f"# {line}" for line in cfg.to_text().strip().splitlines()]
+    lines.append(",".join(["step", "l_conserve", *(f"l_{t}" for t in tasks), "total", "ms"]))
+    return "\n".join(lines) + "\n"
+
+
+def _log_row(report: O.LossReport, tasks: tuple[str, ...]) -> str:
+    """One metrics.csv row; every loss at full precision."""
+    cells = [str(report.step), repr(report.l_conserve)]
+    cells += [repr(report.task_losses.get(t, 0.0)) for t in tasks]
+    cells += [repr(report.total), f"{report.wall_ms:.3f}"]
+    return ",".join(cells) + "\n"
+
+
+def _rows_before(log_path: Path, start_step: int) -> bytes:
+    """The log's step rows before start_step, whole rows only (a kill can cut
+    the last); a resume replays those."""
+    rows = []
+    for line in log_path.read_bytes().splitlines(keepends=True):
+        cell = line.split(b",", 1)[0]
+        if line.endswith(b"\n") and cell.isdigit() and int(cell) < start_step:
+            rows.append(line)
+    return b"".join(rows)
+
+
+def _prune_checkpoints(out_dir: Path, keep_last: int) -> None:
+    """Delete all but the newest keep_last ckpt_step<digits>.bin files; other
+    names are left alone."""
+    steps = {p: p.stem.removeprefix("ckpt_step") for p in out_dir.glob("ckpt_step*.bin")}
+    ckpts = sorted((int(step), p) for p, step in steps.items() if step.isdecimal())
+    for _, old in ckpts[:-keep_last]:
+        old.unlink()
+
+
+def _train(model, optimizer: O.Adam, cfg: RunConfig, out_dir: Path, final_name: str,
+           tasks: tuple[str, ...], batches, start_step: int = 0,
+           log_source: Path | None = None) -> Path:
+    """Run steps start_step..cfg.steps-1, each O.train_step on batches(step) =
+    (masked-LM batch or None, task batches), and return out_dir/final_name.
+    metrics.csv starts atomically with cfg's header and log_source's rows
+    before start_step; every checkpoint_every steps a rolling checkpoint is
+    saved and all but the newest keep_last are pruned."""
+    log_path = out_dir / "metrics.csv"
+    start = _log_header(cfg, tasks).encode()
+    if log_source is not None:
+        start += _rows_before(log_source, start_step)
+    with ckpt.atomic_write(log_path, "wb") as fh:
+        fh.write(start)
+    with open(log_path, "a") as log:
+        for step in range(start_step, cfg.steps):
+            mlm, task_batches = batches(step)
+            report = O.train_step(model, optimizer, mlm, task_batches, cfg.routing,
+                                  cfg.lambda_weight, cfg.alpha(), step=step,
+                                  mlm_reduction=cfg.mlm_reduction)
+            log.write(_log_row(report, tasks))
+            if (step + 1) % cfg.checkpoint_every == 0:
+                log.flush()  # a checkpoint never runs ahead of its log rows
+                ckpt.save_model(out_dir / f"ckpt_step{step + 1}.bin", model, cfg, optimizer)
+                _prune_checkpoints(out_dir, cfg.keep_last)
+    final = out_dir / final_name
+    ckpt.save_model(final, model, cfg, optimizer)
+    return final
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -184,6 +216,10 @@ def _adam(params: dict[str, Tensor], cfg: RunConfig) -> O.Adam:
 def cmd_pretrain(args) -> int:
     cfg, model, state = _load_config(args, ("fasta", "ppi", "steps", "seed"), args.resume)
     _print_warnings(cfg)
+    start_step = int(state.get("opt.step", np.asarray(0.0)))
+    if start_step > cfg.steps:
+        raise ConfigError(f"--resume {args.resume} is at step {start_step}, "
+                          f"past steps={cfg.steps}")
     if not cfg.fasta:
         raise ConfigError("pretrain needs a FASTA corpus (--fasta or config key fasta)")
 
@@ -195,51 +231,26 @@ def cmd_pretrain(args) -> int:
     # the graph's endpoints reuse the corpus's encodings
     graph = _load_ppi(cfg.ppi, table) if cfg.ppi else None
     tasks = ("ppi",) if graph is not None else ()
-    pair_batch = _ppi_batches(graph, encoded, cfg, 1) if graph is not None else None
+    pair_batches = [_ppi_batches(graph, encoded, cfg, 1)] if graph is not None else []
 
-    start_step = int(state.get("opt.step", np.asarray(0.0)))
     if model is None:
         model = ProteinEncoder(ModelConfig.from_run_config(cfg), seed=cfg.seed)
     optimizer = _adam(model.parameters(), cfg)
-    if state:
-        optimizer.load_state_entries(state)
+    optimizer.load_state_entries(state)
 
     # the output directory stays out of the config, so it leaves no trace in
     # the checkpoints
     out_dir = Path(args.out_dir or (Path(args.resume).parent if args.resume else "run"))
     out_dir.mkdir(parents=True, exist_ok=True)
     T.write_vocab(out_dir / "vocab.txt")
-    log_path = out_dir / "metrics.csv"
     # a resumed run keeps the steps before its checkpoint from its own log,
     # else from the checkpoint directory's (a run resumed into a new one)
-    sources = (log_path, Path(args.resume).parent / "metrics.csv") if args.resume else ()
-    source = next((p for p in sources if p.exists()), None)
-    with ckpt.atomic_write(log_path, "wb") as fh:
-        if source is None:
-            fh.write(("\n".join(_metrics_log_header(cfg, tasks)) + "\n").encode())
-        else:
-            fh.write(_log_before(source, start_step))
-    with open(log_path, "a") as log:
-        for step in range(start_step, cfg.steps):
-            mlm = _mlm_batch(corpus, cfg, step)
-            report = O.train_step(
-                model,
-                optimizer,
-                mlm,
-                [pair_batch(step)] if pair_batch is not None else [],
-                cfg.routing,
-                cfg.lambda_weight,
-                cfg.alpha(),
-                step=step,
-                mlm_reduction=cfg.mlm_reduction,
-            )
-            log.write(report.log_line(tasks) + "\n")
-            if (step + 1) % cfg.checkpoint_every == 0:
-                log.flush()  # a checkpoint never runs ahead of its log rows
-                ckpt.save_model(_checkpoint_path(out_dir, step + 1), model, cfg, optimizer)
-                _prune_checkpoints(out_dir, cfg.keep_last)
-    ckpt.save_model(out_dir / "final.bin", model, cfg, optimizer)
-    print(f"pretrain complete: {cfg.steps} steps, checkpoint {out_dir / 'final.bin'}")
+    resumed = (out_dir, Path(args.resume).parent) if args.resume else ()
+    sources = [d / "metrics.csv" for d in resumed]
+    final = _train(model, optimizer, cfg, out_dir, "final.bin", tasks,
+                   lambda step: (_mlm_batch(corpus, cfg, step), [b(step) for b in pair_batches]),
+                   start_step, next((p for p in sources if p.exists()), None))
+    print(f"pretrain complete: {cfg.steps} steps, checkpoint {final}")
     return 0
 
 
@@ -297,19 +308,11 @@ def cmd_inject(args) -> int:
     for name, p in model.parameters().items():
         p.requires_grad = name in trainable
 
-    optimizer = _adam(trainable, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "metrics.csv", "w") as log:
-        log.write("\n".join(_metrics_log_header(cfg, ("ppi",))) + "\n")
-        for step in range(cfg.steps):
-            report = O.train_step(
-                model, optimizer, None, [pair_batch(step)], True, cfg.lambda_weight,
-                cfg.alpha(), step=step, mlm_reduction=cfg.mlm_reduction,
-            )
-            log.write(report.log_line(("ppi",)) + "\n")
-    ckpt.save_model(out_dir / "injected.bin", model, cfg, optimizer)
-    print(f"inject complete: prompt {prompt_name!r}, checkpoint {out_dir / 'injected.bin'}")
+    final = _train(model, _adam(trainable, cfg), cfg, out_dir, "injected.bin", ("ppi",),
+                   lambda step: (None, [pair_batch(step)]))
+    print(f"inject complete: prompt {prompt_name!r}, checkpoint {final}")
     return 0
 
 

@@ -107,7 +107,7 @@ class RunConfig:
         if self.warmup_updates < 0:
             raise ConfigError("warmup_updates must be >= 0")
         if self.steps < 0 or self.checkpoint_every <= 0 or self.keep_last <= 0:
-            raise ConfigError("steps, checkpoint_every and keep_last must be positive")
+            raise ConfigError("steps must be >= 0, checkpoint_every and keep_last positive")
         if self.batch_seqs < 1 or self.batch_pairs < 1:
             raise ConfigError(f"batch_seqs and batch_pairs must be >= 1, got "
                               f"{self.batch_seqs}, {self.batch_pairs}")

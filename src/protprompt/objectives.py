@@ -42,19 +42,14 @@ CONSERVE = "mlm"
 
 @dataclass
 class LossReport:
-    """Per-step scalar record."""
+    """Per-step scalar record; the CLI's training loop writes it as a
+    metrics.csv row."""
 
     step: int
     l_conserve: float
     task_losses: dict[str, float]
     total: float
     wall_ms: float = 0.0
-
-    def log_line(self, task_order: tuple[str, ...]) -> str:
-        cells = [str(self.step), repr(self.l_conserve)]
-        cells += [repr(self.task_losses.get(t, 0.0)) for t in task_order]
-        cells += [repr(self.total), f"{self.wall_ms:.3f}"]
-        return ",".join(cells)
 
 
 def frozen_prompts(prompts: tuple[str, ...], source: str, routing: bool) -> frozenset[str]:

@@ -88,30 +88,44 @@ def test_pretrain_writes_artifacts(ws):
     assert len(vocab) == 25 and vocab[0].endswith("<cls>")
 
 
-def test_pretrain_checkpoint_pruning(ws, tmp_path):
-    fasta, pairs = ws["fasta"], ws["pairs"]
+def _training_argv(ws, command, out):
+    """A pretrain on ws's corpus, or an inject into ws's base, writing into out."""
+    if command == "pretrain":
+        return ["pretrain", "--fasta", str(ws["fasta"]), "--out-dir", str(out), "--seed", "7",
+                *BASE_SETS]
+    return ["inject", "--checkpoint", str(ws["final"]), "--prompt", "PPI", "--task", "ppi",
+            "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"]), "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["pretrain", "inject"])
+def test_checkpoint_pruning(ws, tmp_path, command):
+    # inject takes checkpoint_every=2 from its base's stored config
     out = tmp_path / "many"
-    rc = main([
-        "pretrain", "--fasta", str(fasta), "--out-dir", str(out),
-        "--steps", "8", "--seed", "7", *BASE_SETS, "--set", "keep_last=2",
-    ])
-    assert rc == 0
+    assert main([*_training_argv(ws, command, out), "--steps", "8", "--set", "keep_last=2"]) == 0
     kept = sorted(p.name for p in out.glob("ckpt_step*.bin"))
     assert kept == ["ckpt_step6.bin", "ckpt_step8.bin"]
 
 
-def test_pretrain_pruning_leaves_other_checkpoint_names_alone(ws, tmp_path):
+@pytest.mark.parametrize("command", ["pretrain", "inject"])
+def test_pruning_leaves_other_checkpoint_names_alone(ws, tmp_path, command):
     out = tmp_path / "stray"
     out.mkdir()
     (out / "ckpt_step_old.bin").write_bytes(b"not a checkpoint")
-    rc = main([
-        "pretrain", "--fasta", str(ws["fasta"]), "--out-dir", str(out), "--steps", "4",
-        "--seed", "7", *BASE_SETS, "--set", "checkpoint_every=1", "--set", "keep_last=2",
-    ])
-    assert rc == 0
+    assert main([*_training_argv(ws, command, out), "--steps", "4",
+                 "--set", "checkpoint_every=1", "--set", "keep_last=2"]) == 0
     assert (out / "ckpt_step_old.bin").read_bytes() == b"not a checkpoint"
     kept = sorted(p.name for p in out.glob("ckpt_step*.bin"))
     assert kept == ["ckpt_step3.bin", "ckpt_step4.bin", "ckpt_step_old.bin"]
+
+
+def test_inject_rolling_checkpoints_are_injected_models(ws, tmp_path, capsys):
+    out = tmp_path / "inj"
+    assert main([*_training_argv(ws, "inject", out), "--steps", "4"]) == 0
+    assert (out / "ckpt_step4.bin").read_bytes() == (out / "injected.bin").read_bytes()
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(out / "ckpt_step2.bin"), "--task", "ppi",
+                 "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"])]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(",Seq|IC|PPI")
 
 
 def test_pretrain_with_ppi_parses_its_fasta_once(ws, tmp_path, monkeypatch):
@@ -206,6 +220,42 @@ def test_resume_mid_interval_logs_each_step_once(ws, tmp_path):
     resumed_rows = _metric_rows(out)
     assert [r[0] for r in resumed_rows] == ["0", "1", "2", "3", "4", "5"]
     assert [r[:-1] for r in resumed_rows] == [r[:-1] for r in straight_rows]
+
+
+def _log_lines(out_dir):
+    """metrics.csv's lines with the ms cell of every step row cut off."""
+    lines = (out_dir / "metrics.csv").read_text().splitlines()
+    return [ln.rsplit(",", 1)[0] if ln[:1].isdigit() else ln for ln in lines]
+
+
+def test_resumed_log_states_the_resumed_config(ws, tmp_path):
+    # a resume with more steps is another config: its log carries that
+    # config's hash, the one final.bin stores, and equals a straight run's
+    common = ["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
+              "--seed", "7", *BASE_SETS]
+    out, straight = tmp_path / "resumed", tmp_path / "straight"
+    assert main([*common, "--out-dir", str(out), "--steps", "3"]) == 0
+    assert main([*common, "--out-dir", str(out), "--steps", "4",
+                 "--resume", str(out / "ckpt_step2.bin")]) == 0
+    assert main([*common, "--out-dir", str(straight), "--steps", "4"]) == 0
+    _, cfg, _ = ckpt.load_model(out / "final.bin")
+    assert _log_lines(out)[0] == f"# config_hash={cfg.hash()}"
+    assert _log_lines(out) == _log_lines(straight)
+
+
+def test_resume_drops_a_cut_row_after_the_checkpoint(ws, tmp_path):
+    # a kill mid-row can leave "1" of row 10 at the log's end; 1 < 10, but
+    # the cut row is not a step row and must not survive the resume
+    common = ["pretrain", "--fasta", str(ws["fasta"]), "--seed", "7", *BASE_SETS,
+              "--set", "checkpoint_every=10"]
+    out, straight = tmp_path / "cut", tmp_path / "straight"
+    assert main([*common, "--out-dir", str(out), "--steps", "10"]) == 0
+    with open(out / "metrics.csv", "ab") as fh:
+        fh.write(b"1")
+    assert main([*common, "--out-dir", str(out), "--steps", "11",
+                 "--resume", str(out / "ckpt_step10.bin")]) == 0
+    assert main([*common, "--out-dir", str(straight), "--steps", "11"]) == 0
+    assert _log_lines(out) == _log_lines(straight)
 
 
 class _FullDisk:
@@ -875,7 +925,8 @@ def test_non_finite_or_negative_config_values_exit_2(ws, tmp_path, capsys, case)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("case", ["pretrain-seed", "batch-seqs", "split-seed", "beta1"])
+@pytest.mark.parametrize("case", ["pretrain-seed", "batch-seqs", "split-seed", "beta1",
+                                  "resume-past-steps"])
 def test_bad_seed_batch_size_or_beta_exits_2_before_any_output(ws, tmp_path, capsys, case):
     tsv = tmp_path / "pairs.tsv"
     tsv.write_text("a\tb\t1\nb\tc\t1\nc\td\t1\n")
@@ -889,6 +940,9 @@ def test_bad_seed_batch_size_or_beta_exits_2_before_any_output(ws, tmp_path, cap
         "beta1": (["eval", "--checkpoint", str(ws["final"]), "--task", "ppi", "--data",
                    str(ws["pairs"]), "--fasta", str(ws["fasta"]), "--set", "beta1=1.0",
                    "--out", str(tmp_path / "eval.csv")], "beta1"),
+        # ckpt_step4.bin holds step 4, two past --steps
+        "resume-past-steps": ([*pretrain, "--resume", str(ws["out"] / "ckpt_step4.bin")],
+                              "at step 4, past steps=2"),
     }[case]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -897,10 +951,10 @@ def test_bad_seed_batch_size_or_beta_exits_2_before_any_output(ws, tmp_path, cap
     assert list(tmp_path.iterdir()) == [tsv]
 
 
-# run by test_sigkilled_pretrain_resumes_to_the_uninterrupted_bytes: a CLI that
-# SIGKILLs its own process on the count-th call of objectives.train_step
-# ("step") or of Path.replace, the rename that ends every atomic write
-# ("rename": vocab.txt first, then each checkpoint, then final.bin)
+# run by the SIGKILL tests: a CLI that SIGKILLs its own process on the
+# count-th call of objectives.train_step ("step") or of Path.replace, the
+# rename that ends every atomic write ("rename": pretrain's vocab.txt, then
+# metrics.csv, each checkpoint and the final one)
 KILLING_CLI = textwrap.dedent("""
     import os, pathlib, signal, sys
     from protprompt import objectives
@@ -954,6 +1008,42 @@ def test_sigkilled_pretrain_resumes_to_the_uninterrupted_bytes(ws, tmp_path):
         ckpts = sorted(out.glob("ckpt_step*.bin"), key=lambda p: int(p.stem[9:]))
         resume = ["--resume", str(ckpts[-1])] if ckpts else []
         assert main([*argv, "--out-dir", str(out), *resume]) == 0
+        assert outputs(out) == want, (hook, count)
+
+
+def test_sigkilled_inject_reruns_to_the_uninterrupted_bytes(ws, tmp_path):
+    # inject cannot resume, so the same command is run again into the killed
+    # run's directory. It must leave the uninterrupted run's files: the same
+    # injected.bin, metrics.csv (ms blanked) and rolling checkpoints, and no
+    # .tmp file or older checkpoint beside them
+    steps, every = 8, 2
+
+    def run_argv(out):
+        return [*_training_argv(ws, "inject", out), "--steps", str(steps), "--seed", "5",
+                "--set", f"checkpoint_every={every}", "--set", "keep_last=2"]
+
+    def outputs(out):
+        return {p.name: _log_lines(out) if p.name == "metrics.csv" else p.read_bytes()
+                for p in out.iterdir()}
+
+    assert main(run_argv(tmp_path / "straight")) == 0
+    want = outputs(tmp_path / "straight")
+    assert sorted(want) == ["ckpt_step6.bin", "ckpt_step8.bin", "injected.bin", "metrics.csv"]
+    rng = np.random.default_rng(22)
+    # renames: metrics.csv, the steps // every checkpoints, then injected.bin
+    points = [("step", int(rng.integers(1, steps + 1))),
+              ("rename", int(rng.integers(1, steps // every + 3)))]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    for hook, count in points:
+        out = tmp_path / f"{hook}{count}"
+        proc = subprocess.run([sys.executable, "-c", KILLING_CLI, hook, str(count),
+                               *run_argv(out)], capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == -signal.SIGKILL, proc.stdout + proc.stderr
+        assert not (out / "injected.bin").exists()
+        assert main(run_argv(out)) == 0
         assert outputs(out) == want, (hook, count)
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from protprompt import cli
 from protprompt import numerics as nm
 from protprompt import objectives as O
 from protprompt import tokenizer as T
@@ -111,8 +112,8 @@ def test_report_decomposition_recomputes_bitwise():
     task_only = O.train_step(model, opt, None, [ppi], True, 0.7, {}, step=1)
     assert task_only.l_conserve == 0.0
     assert task_only.total == task_only.task_losses["ppi"] * 0.7
-    line = rep.log_line(("ppi",))
-    cells = line.split(",")
+    line = cli._log_row(rep, ("ppi",))
+    cells = line.rstrip("\n").split(",")
     assert cells[0] == "0"
     assert float(cells[1]) == rep.l_conserve
     assert float(cells[2]) == rep.task_losses["ppi"]
