@@ -284,7 +284,7 @@ def cmd_inject(args) -> int:
     # a name the prompts key cannot list back (empty, or holding a comma)
     if not prompt_name.replace("_", "").isalnum():
         raise ConfigError(f"prompt name {prompt_name!r} must be alphanumeric")
-    if prompt_name in O.frozen_prompts((prompt_name,), "ppi", True):
+    if prompt_name in O.frozen_prompts((prompt_name,), "ppi", cfg.routing):
         raise ConfigError(f"prompt {prompt_name!r} learns from the conservation loss only, "
                           "so inject could never train it")
     graph = _task_ppi(args)

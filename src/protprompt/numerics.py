@@ -36,9 +36,21 @@ input rows are scored. 1/sqrt(dh) is folded into Q before the score
 product, and the softmax is normalised after the value product, out =
 (E V) / rowsum E, the deferred normalisation of FlashAttention (Dao et al.
 2022). So no pass over the (heads, n - m, n) score block scales or divides
-it, and only a taped or map-collecting encode forms the normalised block,
-in place, for the backward or the maps. Taped and tape-free encodes run
-this one formula and give the same bits.
+it, and only a map-collecting encode forms the normalised block, in place,
+for the maps. Taped and tape-free encodes run this one formula and give the
+same bits.
+
+A taped encoder_layer keeps only what its backward cannot rebuild bit for
+bit from a few cheap passes: Q, K, V by head, the attention's row maxima
+and row sums, the attention output, the layernorms' normalised rows and
+inverse deviations, and the feed-forward pre-activation and its GELU cdf,
+O(d + f) floats per row. The backward recomputes the rest by the forward's
+own operations in the forward's order, so every gradient keeps its bits:
+the normalised maps Y from one score product (FlashAttention's backward),
+the GELU output and the first layernorm's output from one pass each
+(activation recomputation, Chen et al. 2016). At n=256, d=64, f=4d, 4
+heads a taped layer keeps 1.99 MB (tracemalloc); the normalised maps alone
+would add 2.1 MB and grow as n^2.
 
 Each head has one forward, shared by training and eval: the loss nodes
 cross_entropy_rows and pair_bce run it on a step's stacked rows, and the
@@ -313,9 +325,14 @@ def _layernorm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     var = _row_mean(np.square(xhat))
     invstd = 1.0 / np.sqrt(var + eps)
     xhat *= invstd
+    return _gain_bias(xhat, gain, bias), xhat, invstd
+
+
+def _gain_bias(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Layernorm's output from its normalised rows: xhat * gain + bias."""
     out = xhat * gain
     out += bias
-    return out, xhat, invstd
+    return out
 
 
 def _layernorm_backward(g: np.ndarray, gain: Tensor, bias: Tensor, xhat: np.ndarray,
@@ -372,11 +389,25 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(n, heads * dh)
 
 
+def _exp_scores(qh: np.ndarray, kt: np.ndarray, m: int, rowmax: np.ndarray | None = None):
+    """(E, rowmax): E = exp(S - rowmax) of the input rows' scores S = qh[:, m:] kt,
+    in one fresh (heads, n - m, n) buffer, rowmax = rowmax S unless given.
+    The backward passes the forward's rowmax and gets the forward's E bit
+    for bit: the same operands through the same operations in the same order.
+    """
+    e = qh[:, m:] @ kt
+    if rowmax is None:
+        rowmax = np.maximum.reduce(e, axis=-1, keepdims=True)
+    e -= rowmax
+    np.exp(e, out=e)
+    return e, rowmax
+
+
 def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, m: int,
                        collect: list | None, taped: bool):
     """One-way multi-head attention of (n, d) arrays, the first m rows prompts:
-    (out, saved), where saved = (qh, kt, vh, y, m) holds what the backward
-    needs when taped, else None.
+    (out, saved), where saved = (qh, kt, vh, rowmax, rowsum, m) holds what
+    the backward needs when taped, else None.
 
     Head h owns columns [h*dh, (h+1)*dh), dh = d/heads. c = 1/sqrt(dh) is
     folded into Q, an (n, dh) pass: S = (c Q_h) K_h^T, which is c (Q_h K_h^T)
@@ -384,9 +415,11 @@ def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, 
     itself, so the mask applies by structure: a prompt row's output is its
     own V row and only the n - m input rows are scored. For them E =
     exp(S - rowmax S) and r = rowsum E, and the output is (E V_h) / r,
-    normalised after the value product. Y = E / r is formed, in place in E,
-    only when taped or when collect (a list) is given; collect gets each
-    head's full (n, n) map, its prompt rows identity rows.
+    normalised after the value product. A taped forward keeps no score
+    block, only its (heads, n - m) row maxima and sums: the backward
+    rebuilds Y = E / r from them. Y is formed here, in place in E, only when
+    collect (a list) is given; collect gets each head's full (n, n) map,
+    its prompt rows identity rows.
     """
     n, d = q.shape
     if d % heads or not 0 <= m <= n:
@@ -399,31 +432,32 @@ def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, 
     out = np.empty((n, d))
     out[:m] = v[:m]  # a prompt row's only allowed key is itself
     del q, k, v  # arrays the caller passed without keeping go before the score block
-    e = qh[:, m:] @ kt
-    e -= np.maximum.reduce(e, axis=-1, keepdims=True)
-    np.exp(e, out=e)
+    e, rowmax = _exp_scores(qh, kt, m)
     r = np.add.reduce(e, axis=-1, keepdims=True)
     rows = out[m:].reshape(n - m, heads, dh)  # the input rows, by head
     np.matmul(e, vh, out=rows.transpose(1, 0, 2))
     rows /= r.transpose(1, 0, 2)  # in the rows' own order: faster than on the head view
-    if taped or collect is not None:
-        e /= r  # Y
     if collect is not None:
+        e /= r  # Y
         collect.append([np.vstack([np.eye(m, n), y]) for y in e])
-    return out, (qh, kt, vh, e, m) if taped else None
+    return out, (qh, kt, vh, rowmax, r, m) if taped else None
 
 
 def _attention_backward(g: np.ndarray, saved):
     """(dq, dk, dv) of attention for upstream g, from _attention_forward's saved.
 
-    With G a head's upstream block over the input rows: dV = Y^T G, plus
-    each prompt row's own upstream row; dY = G V^T, dS = Y * (dY - rowsum(dY
-    * Y)); dQ = c (dS K) on the input rows and 0 on the prompt rows, whose
+    Y is recomputed first, by the forward's own operations in its order (E =
+    exp(S - rowmax), then E / r), so it is the forward's Y bit for bit. With
+    G a head's upstream block over the input rows: dV = Y^T G, plus each
+    prompt row's own upstream row; dY = G V^T, dS = Y * (dY - rowsum(dY *
+    Y)); dQ = c (dS K) on the input rows and 0 on the prompt rows, whose
     scores are fixed; dK = ((c Q)^T dS)^T. The saved Q is already scaled, so
     c scales dQ, an (n, d) pass, and never dS.
     """
-    qh, kt, vh, y, m = saved
+    qh, kt, vh, rowmax, r, m = saved
     heads, n, dh = qh.shape
+    y, _ = _exp_scores(qh, kt, m, rowmax)
+    y /= r
     gh = _heads(g, heads)[:, m:]
     dv = _merge_heads(y.transpose(0, 2, 1) @ gh)
     dv[:m] += g[:m]
@@ -448,10 +482,10 @@ def _gather_backward(table: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # fused encoder nodes: the same float operations in the same order as the
 # chains of single-op nodes they replace, recorded as one tape node.
-# Without a tape they build no closure, and encoder_layer lets q, k and v go
+# Without a tape they build no closure. encoder_layer lets q, k and v go
 # once they are split into heads and the (heads, n - m, n) score block go
-# once the attention output exists, never normalising it, so a tape-free
-# encode holds one score block.
+# once the attention output exists, taped or not (its backward rebuilds the
+# block), so an encode holds one score block at a time.
 
 
 def encoder_input(tok_table: Tensor, seg_table: Tensor, pos_table: Tensor, ids,
@@ -519,7 +553,10 @@ def encoder_layer(
     _attention_forward. The closed-form backward runs the kernels'
     backwards in reverse order; the gradient reaches h as d_res2 + dh_ff
     and x as ((d_res1 + dx_v) + dx_k) + dx_q, the order in which the per-op
-    tape summed them. Every intermediate the per-op chain checked is
+    tape summed them. The closure keeps neither the GELU output act, nor h,
+    nor the attention maps Y: the backward rebuilds act = f1 * cdf, h =
+    xhat1 * gain + bias and Y where it reads them, by the forward's own
+    operations, bit for bit. Every intermediate the per-op chain checked is
     checked for finiteness.
     """
     if len(weights) != 16 or x.data.ndim != 2:
@@ -556,7 +593,8 @@ def encoder_layer(
     if taped:
         def backprop(g):
             d_res2 = _layernorm_backward(g, ln2_gain, ln2_bias, xhat2, invstd2)
-            d_f1 = _gelu_backward(_affine_backward(d_res2, act, w2, b2), f1, cdf)
+            d_f1 = _gelu_backward(_affine_backward(d_res2, f1 * cdf, w2, b2), f1, cdf)
+            h = _gain_bias(xhat1, ln1_gain.data, ln1_bias.data)
             d_res1 = _layernorm_backward(d_res2 + _affine_backward(d_f1, h, w1, b1),
                                          ln1_gain, ln1_bias, xhat1, invstd1)
             dq, dk, dv = _attention_backward(_affine_backward(d_res1, att, wo, bo), saved)

@@ -586,7 +586,8 @@ def test_blas_thread_count_leaves_checkpoints_bitwise(tmp_path):
 
 @pytest.mark.parametrize("name", ["A,B", "", "Seq"], ids=["comma", "empty", "seq"])
 def test_inject_rejects_prompt_names_it_cannot_train(ws, tmp_path, capsys, name):
-    # the base holds IC only, so Seq would register, then never learn from ppi
+    # the base holds IC only, so Seq would register, then, routed (the
+    # default), never learn from ppi
     base = tmp_path / "ic"
     assert main(["pretrain", "--fasta", str(ws["fasta"]), "--out-dir", str(base),
                  "--steps", "1", *BASE_SETS, "--set", "prompts=IC"]) == 0
@@ -597,6 +598,25 @@ def test_inject_rejects_prompt_names_it_cannot_train(ws, tmp_path, capsys, name)
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "inj").exists()
+
+
+def test_inject_trains_seq_with_routing_off(ws, tmp_path):
+    # routed, Seq learns from the conservation loss only, which inject never
+    # runs (test_inject_rejects_prompt_names_it_cannot_train); unrouted, it
+    # learns from ppi like any other prompt
+    base = tmp_path / "ic"
+    assert main(["pretrain", "--fasta", str(ws["fasta"]), "--out-dir", str(base),
+                 "--steps", "1", *BASE_SETS, "--set", "prompts=IC"]) == 0
+    for steps in (2, 0):
+        assert main(["inject", "--checkpoint", str(base / "final.bin"), "--prompt", "Seq",
+                     "--task", "ppi", "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"]),
+                     "--out", str(tmp_path / f"inj{steps}"), "--steps", str(steps),
+                     "--set", "routing=false"]) == 0
+    trained, untrained = (ckpt.load_model(tmp_path / f"inj{steps}" / "injected.bin")[0]
+                          for steps in (2, 0))
+    assert trained.prompts.names() == ("IC", "Seq")
+    assert not np.array_equal(trained.prompts.get("Seq").data,
+                              untrained.prompts.get("Seq").data)
 
 
 @pytest.mark.parametrize("prompts", ["Seq,", "Seq, ,IC", ",IC", "Seq,,IC", " , "],

@@ -387,12 +387,23 @@ def test_contact_logits_builds_no_pair_feature_rows():
 @pytest.mark.parametrize("heads", [1, 4])
 @pytest.mark.parametrize("m", [0, 2])
 def test_taped_and_tape_free_encodes_agree_bitwise(m, heads):
-    # one attention formula serves both: a tape only adds the normalised
-    # maps the backward reads, so the rows and the collected maps keep
-    # their bits, at every length up to 254 rows of input
+    # one attention formula serves both: a tape adds only the row maxima and
+    # sums from which the backward rebuilds the normalised maps, so the rows
+    # and the collected maps keep their bits, at every length up to 254 rows
+    # of input; and the backward is one, so collecting the maps leaves every
+    # gradient's bits alone
     model = ProteinEncoder(ModelConfig(d=64, layers=2, heads=heads, max_len=256), seed=5)
     names = model.config.prompt_names[:m]
     rng = np.random.default_rng(17)
+
+    def grads(encode, probe):
+        for p in model.parameters().values():
+            p.grad = None
+        with Tape() as tape:
+            loss = sum_all(mul(encode().h, probe))
+        nm.backward(tape, loss)
+        return {name: p.grad for name, p in model.parameters().items()}
+
     for residues in (1, 9, 73, 252):
         seq = T.encode("".join(rng.choice(list("ACDEFGHIKLMNPQRSTVWY"), size=residues)), 256)
         plain = model.encode(seq, names)
@@ -403,6 +414,36 @@ def test_taped_and_tape_free_encodes_agree_bitwise(m, heads):
         assert plain.h.data.tobytes() == taped.h.data.tobytes() == mapped.h.data.tobytes()
         assert [[w.tobytes() for w in layer] for layer in taped.attn] == \
             [[w.tobytes() for w in layer] for layer in mapped.attn]
+        probe = Tensor(rng.normal(size=plain.h.shape))
+        with_maps = grads(lambda: model.encode(seq, names, collect_attn=True), probe)
+        without = grads(lambda: model.encode(seq, names), probe)
+        assert sum(g is not None for g in without.values()) == 3 + 16 * model.config.layers + m
+        assert {k: g is None or g.tobytes() for k, g in with_maps.items()} == \
+            {k: g is None or g.tobytes() for k, g in without.items()}
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_taped_encode_keeps_linear_floats_per_row(m):
+    # a taped layer keeps (n, d) and (n, f) arrays and its attention's row
+    # maxima and sums, never a (heads, n - m, n) block: its backward rebuilds
+    # the normalised maps, the GELU output and the first layernorm's output.
+    # 8d + 3f floats per row (5.2 MB here) bound what it keeps; keeping those
+    # three as well takes about 9.5 MB here, the maps alone 4n floats per row
+    d, layers = 64, 2
+    model = ProteinEncoder(ModelConfig(d=d, layers=layers, heads=4, max_len=256), seed=3)
+    seq = T.encode("".join(np.random.default_rng(13).choice(list("ACDEFGHIKLMNPQRSTVWY"),
+                                                          size=252)), 256)
+    names = model.config.prompt_names[:m]
+    model.encode(seq, names)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            out = model.encode(seq, names)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tape.nodes) == 1 + layers and out.h.requires_grad
+    assert kept < layers * (8 * d + 3 * 4 * d) * (m + seq.length) * 8, (m, kept)
 
 
 def _tape_free_encode_peak(residues=254, heads=4, m=0):
