@@ -32,7 +32,7 @@ from .config import (
     check_structural,
     parse_overrides,
 )
-from .errors import ConfigError, DataError, Error, FormatError
+from .errors import ConfigError, DataError, Error
 from .model import PROMPT_INIT_STD, ModelConfig, ProteinEncoder
 from .numerics import Tensor
 
@@ -180,26 +180,26 @@ def _prune_checkpoints(out_dir: Path, keep_last: int) -> None:
 
 
 def _train(model, optimizer: O.Adam, cfg: RunConfig, out_dir: Path, final_name: str,
-           tasks: tuple[str, ...], batches, start_step: int = 0,
-           log_source: Path | None = None) -> Path:
-    """Run steps start_step..cfg.steps-1, each O.train_step on batches(step) =
-    (masked-LM batch or None, task batches), and return out_dir/final_name.
-    metrics.csv starts atomically with cfg's header and log_source's rows
-    before start_step; every checkpoint_every steps a rolling checkpoint is
-    saved and all but the newest keep_last are pruned."""
+           mlm, tasks: dict, start_step: int = 0, log_source: Path | None = None) -> Path:
+    """Run steps start_step..cfg.steps-1, each O.train_step on mlm(step) (None
+    without mlm) and each task's build(step) of tasks = {name: build}, and
+    return out_dir/final_name. metrics.csv starts atomically with cfg's header
+    and log_source's rows before start_step; every checkpoint_every steps a
+    rolling checkpoint is saved and all but the newest keep_last are pruned."""
     log_path = out_dir / "metrics.csv"
-    start = _log_header(cfg, tasks).encode()
+    names = tuple(tasks)
+    start = _log_header(cfg, names).encode()
     if log_source is not None:
         start += _rows_before(log_source, start_step)
     with ckpt.atomic_write(log_path, "wb") as fh:
         fh.write(start)
     with open(log_path, "a") as log:
         for step in range(start_step, cfg.steps):
-            mlm, task_batches = batches(step)
-            report = O.train_step(model, optimizer, mlm, task_batches, cfg.routing,
+            report = O.train_step(model, optimizer, mlm(step) if mlm else None,
+                                  [build(step) for build in tasks.values()], cfg.routing,
                                   cfg.lambda_weight, cfg.alpha(), step=step,
                                   mlm_reduction=cfg.mlm_reduction)
-            log.write(_log_row(report, tasks))
+            log.write(_log_row(report, names))
             if (step + 1) % cfg.checkpoint_every == 0:
                 log.flush()  # a checkpoint never runs ahead of its log rows
                 ckpt.save_model(out_dir / f"ckpt_step{step + 1}.bin", model, cfg, optimizer)
@@ -229,9 +229,7 @@ def cmd_pretrain(args) -> int:
         raise DataError(f"{cfg.fasta}: empty corpus")
     corpus = list(encoded.values())
     # the graph's endpoints reuse the corpus's encodings
-    graph = _load_ppi(cfg.ppi, table) if cfg.ppi else None
-    tasks = ("ppi",) if graph is not None else ()
-    pair_batches = [_ppi_batches(graph, encoded, cfg, 1)] if graph is not None else []
+    tasks = {"ppi": _ppi_batches(_load_ppi(cfg.ppi, table), encoded, cfg, 1)} if cfg.ppi else {}
 
     if model is None:
         model = ProteinEncoder(ModelConfig.from_run_config(cfg), seed=cfg.seed)
@@ -247,27 +245,11 @@ def cmd_pretrain(args) -> int:
     # else from the checkpoint directory's (a run resumed into a new one)
     resumed = (out_dir, Path(args.resume).parent) if args.resume else ()
     sources = [d / "metrics.csv" for d in resumed]
-    final = _train(model, optimizer, cfg, out_dir, "final.bin", tasks,
-                   lambda step: (_mlm_batch(corpus, cfg, step), [b(step) for b in pair_batches]),
+    final = _train(model, optimizer, cfg, out_dir, "final.bin",
+                   lambda step: _mlm_batch(corpus, cfg, step), tasks,
                    start_step, next((p for p in sources if p.exists()), None))
     print(f"pretrain complete: {cfg.steps} steps, checkpoint {final}")
     return 0
-
-
-def _read_labeled_tsv(path):
-    """Rows of id, sequence, value... used by ss/regress tasks."""
-    rows = []
-    for lineno, line in D.read_lines(path):
-        stripped = line.rstrip("\n")
-        if not stripped.strip() or stripped.startswith("#"):
-            continue
-        cells = stripped.split("\t")
-        if len(cells) < 3:
-            raise FormatError(f"{path}:{lineno}: expected id, sequence, value columns")
-        rows.append((cells[0].strip(), cells[1].strip(), cells[2:]))
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return rows
 
 
 def cmd_inject(args) -> int:
@@ -284,12 +266,12 @@ def cmd_inject(args) -> int:
     # a name the prompts key cannot list back (empty, or holding a comma)
     if not prompt_name.replace("_", "").isalnum():
         raise ConfigError(f"prompt name {prompt_name!r} must be alphanumeric")
-    if prompt_name in O.frozen_prompts((prompt_name,), "ppi", cfg.routing):
+    if prompt_name in O.frozen_prompts((prompt_name,), args.task, cfg.routing):
         raise ConfigError(f"prompt {prompt_name!r} learns from the conservation loss only, "
                           "so inject could never train it")
     graph = _task_ppi(args)
-    pair_batch = _ppi_batches(graph, _encode_table(graph.nodes, cfg.max_len), cfg,
-                              graph.label_width)
+    tasks = {args.task: _ppi_batches(graph, _encode_table(graph.nodes, cfg.max_len), cfg,
+                                     graph.label_width)}
     init_rng = np.random.default_rng((cfg.seed, len(model.prompts)))
     model.prompts.register(
         prompt_name, Tensor(init_rng.normal(0.0, PROMPT_INIT_STD, cfg.d))
@@ -310,8 +292,7 @@ def cmd_inject(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    final = _train(model, _adam(trainable, cfg), cfg, out_dir, "injected.bin", ("ppi",),
-                   lambda step: (None, [pair_batch(step)]))
+    final = _train(model, _adam(trainable, cfg), cfg, out_dir, "injected.bin", None, tasks)
     print(f"inject complete: prompt {prompt_name!r}, checkpoint {final}")
     return 0
 
@@ -332,8 +313,8 @@ def cmd_eval(args) -> int:
     records = _EVAL_TASKS[args.task](model, cfg, args, prompt_sel)
     lines = [f"# config_hash={cfg.hash()}", "task,metric,value,prompts"]
     sel = "|".join(prompt_sel)
-    for task, metric, value in records:
-        lines.append(f"{task},{metric},{value!r},{sel}")
+    for metric, value in records:
+        lines.append(f"{args.task},{metric},{value!r},{sel}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with ckpt.atomic_write(args.out) as fh:
@@ -359,7 +340,7 @@ def _eval_ppi(model, cfg, args, prompt_sel):
         truths.append(bits)
     f1 = MX.micro_f1(np.stack(preds), np.stack(truths))
     acc = float(np.mean(np.stack(preds) == np.stack(truths)))
-    return [("ppi", "micro_f1", f1), ("ppi", "accuracy", acc)]
+    return [("micro_f1", f1), ("accuracy", acc)]
 
 
 def _eval_contact(model, cfg, args, prompt_sel):
@@ -398,61 +379,41 @@ def _eval_contact(model, cfg, args, prompt_sel):
             result = MX.precision_at_l_half(scores, truth, rc)
             per_class[name].append(result.precision)
             truncated += int(result.truncated)
-    records = [
-        ("contact", f"p_at_l2_{name}", float(np.mean(vals)))
-        for name, vals in per_class.items()
-    ]
-    records.append(("contact", "truncated_evals", float(truncated)))
-    return records
+    records = [(f"p_at_l2_{name}", float(np.mean(vals))) for name, vals in per_class.items()]
+    return records + [("truncated_evals", float(truncated))]
 
 
 def _eval_ss(model, cfg, args, prompt_sel):
     if not args.data:
         raise ConfigError("eval --task ss needs --data (id, sequence, labels TSV)")
     classes = args.classes
-    rows = _read_labeled_tsv(args.data)
     preds, truths = [], []
-    for name, residues, values in rows:
-        label_str = values[0]
-        if len(label_str) != len(residues):
-            raise FormatError(
-                f"{args.data}: row {name!r} has {len(label_str)} labels "
-                f"for {len(residues)} residues"
-            )
-        try:
-            truth = np.array([int(c) for c in label_str], dtype=np.int64)
-        except ValueError:
-            raise FormatError(f"{args.data}: row {name!r} has non-digit labels {label_str!r}")
+    for name, residues, truth in D.parse_labeled_tsv(args.data, classes):
         seq = T.encode(residues, cfg.max_len, name)
         logits = model.token_logits(model.encode(seq, prompt_sel), classes)
         preds.append(np.argmax(logits.data, axis=1))
         truths.append(truth)
     acc = MX.q_accuracy(np.concatenate(preds), np.concatenate(truths), classes)
-    return [("ss", f"q{classes}", acc)]
+    return [(f"q{classes}", acc)]
 
 
 def _eval_regress(model, cfg, args, prompt_sel):
     if not args.data:
         raise ConfigError("eval --task regress needs --data (id, sequence, value TSV)")
-    rows = _read_labeled_tsv(args.data)
+    rows = D.parse_labeled_tsv(args.data)
     if len(rows) < 2:
         raise DataError(f"{args.data}: eval --task regress needs at least two rows for a "
                         f"rank correlation, got {len(rows)}")
-    preds, truths = [], []
-    for name, residues, values in rows:
-        try:
-            truths.append(float(values[0]))
-        except ValueError:
-            raise FormatError(f"{args.data}: row {name!r} has non-numeric value {values[0]!r}")
-        if not np.isfinite(truths[-1]):
-            raise FormatError(f"{args.data}: row {name!r} has non-finite value {values[0]!r}")
+    preds = []
+    for name, residues, _ in rows:
         seq = T.encode(residues, cfg.max_len, name)
         pooled = model.pool(model.encode(seq, prompt_sel))
         preds.append(float(model.regress(pooled).data))
-    rho = MX.spearman_rho(np.array(preds), np.array(truths))
-    return [("regress", "spearman", rho)]
+    rho = MX.spearman_rho(np.array(preds), np.array([truth for _, _, truth in rows]))
+    return [("spearman", rho)]
 
 
+# each scorer returns (metric, value) records; cmd_eval names the task
 _EVAL_TASKS = {"ppi": _eval_ppi, "contact": _eval_contact, "ss": _eval_ss,
                "regress": _eval_regress}
 
@@ -510,11 +471,11 @@ def cmd_split(args) -> int:
 def cmd_probe(args) -> int:
     cfg, model, _ = _load_config(args, ("probe_cutoff",), args.checkpoint)
     model.prompts.get(args.prompt)
-    table = D.parse_fasta(args.fasta)
+    # every record encodes before the first CSV, so a bad one leaves none
+    encoded = _encode_table(D.parse_fasta(args.fasta), cfg.max_len)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, residues in sorted(table.items()):
-        seq = T.encode(residues, cfg.max_len, name)
+    for name, seq in encoded.items():
         report = MX.embedding_shift_probe(model, seq, args.prompt, cfg.probe_cutoff)
         lines = [f"# config_hash={cfg.hash()}"] + report.csv_lines()
         with ckpt.atomic_write(out_dir / f"{name}.csv") as fh:

@@ -1,4 +1,4 @@
-"""Data pipelines: FASTA, interaction tables, graph splits, PDB, contacts.
+"""Data pipelines: FASTA, TSV tables, graph splits, PDB, contacts.
 
 All parsers fail loudly with file/line context. Nothing is ever silently
 dropped: rejected records (self-loops, residues without usable atoms) are
@@ -118,6 +118,14 @@ class PPIGraph:
             self.nodes[n] = table[n]
 
 
+def _tsv_rows(path):
+    """(line number, cells) of each row of path that is not blank or a # comment."""
+    for lineno, line in read_lines(path):
+        row = line.rstrip("\n")
+        if row.strip() and not row.startswith("#"):
+            yield lineno, row.split("\t")
+
+
 def parse_ppi_tsv(path) -> tuple[PPIGraph, list[str]]:
     """Read a tab-separated interaction table.
 
@@ -127,11 +135,7 @@ def parse_ppi_tsv(path) -> tuple[PPIGraph, list[str]]:
     """
     graph = PPIGraph()
     skipped: list[str] = []
-    for lineno, line in read_lines(path):
-        stripped = line.rstrip("\n")
-        if not stripped.strip() or stripped.startswith("#"):
-            continue
-        cells = stripped.split("\t")
+    for lineno, cells in _tsv_rows(path):
         if len(cells) not in (3, 9):
             raise FormatError(
                 f"{path}:{lineno}: expected 3 or 9 tab-separated columns, got {len(cells)}"
@@ -159,6 +163,36 @@ def parse_ppi_tsv(path) -> tuple[PPIGraph, list[str]]:
             continue
         graph.add_edge(a, b, labels)
     return graph, skipped
+
+
+def parse_labeled_tsv(path, classes: int | None = None) -> list[tuple[str, str, object]]:
+    """Rows (id, residues, truth) of an id, sequence, value TSV; later columns
+    are ignored. With classes, truth is the value's one digit per residue,
+    each below classes, as an int64 array; without, the value as a finite
+    float. A bad row is a FormatError naming its line and id."""
+    rows = []
+    for lineno, cells in _tsv_rows(path):
+        if len(cells) < 3:
+            raise FormatError(f"{path}:{lineno}: expected id, sequence, value columns")
+        name, residues, value = cells[0].strip(), cells[1].strip(), cells[2]
+        where = f"{path}:{lineno}: row {name!r}"
+        if classes is None:
+            try:
+                truth = float(value)
+            except ValueError:
+                truth = math.nan
+            if not math.isfinite(truth):
+                raise FormatError(f"{where} has value {value!r}, not a finite number")
+        # strip leaves nothing exactly when every label is a digit below classes
+        elif len(value) != len(residues) or value.strip("0123456789"[:classes]):
+            raise FormatError(f"{where} needs one digit below {classes} per residue, "
+                              f"got {value!r}")
+        else:
+            truth = np.array([int(c) for c in value], dtype=np.int64)
+        rows.append((name, residues, truth))
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return rows
 
 
 @dataclass

@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
-ConfigError maps to CLI exit code 2, DataError and its subclasses to exit
-code 1. Everything else is a programming/contract bug and propagates.
+ConfigError maps to CLI exit code 2; every other Error (DataError and its
+subclasses, ShapeError, ContractError, NumericsError) maps to exit code 1,
+as does an OSError. Anything else is a programming bug and propagates.
 """
 
 

@@ -79,9 +79,10 @@ class MlmBatch:
 def encode(residues: str, max_len: int, source_id: str = "") -> TokenSequence:
     """Encode a residue string as CLS + ids + EOS, len(residues) + 2 ids.
 
-    Case-insensitive. Unknown characters raise EncodingError naming the
-    1-based position. max_len is a limit, not a padded size: sequences
-    longer than max_len - 2 raise TruncationError rather than being cut.
+    Case-insensitive. Unknown characters raise EncodingError naming
+    source_id and the 1-based position. max_len is a limit, not a padded
+    size: sequences longer than max_len - 2 raise TruncationError rather
+    than being cut.
     """
     if max_len < 2:
         raise ConfigError(f"max_len must be >= 2, got {max_len}")
@@ -96,7 +97,8 @@ def encode(residues: str, max_len: int, source_id: str = "") -> TokenSequence:
     for i, ch in enumerate(seq):
         tok = _CHAR_TO_ID.get(ch)
         if tok is None:
-            raise EncodingError(f"illegal residue {ch!r} at position {i + 1}")
+            raise EncodingError(f"sequence {source_id or '<anonymous>'}: illegal residue "
+                                f"{ch!r} at position {i + 1}")
         ids[1 + i] = tok
     ids[1 + len(seq)] = EOS_ID
     return TokenSequence(ids=ids, source_id=source_id)
@@ -134,11 +136,7 @@ def apply_mlm_mask(
     need_random = policy >= probs[0]
     need_random &= policy < probs[0] + probs[1]
     replacements = rng.integers(0, len(RESIDUES), size=int(need_random.sum()))
-    r_iter = iter(replacements)
-    for k, p in enumerate(selected):
-        if policy[k] < probs[0]:
-            corrupted[p] = MASK_ID
-        elif need_random[k]:
-            corrupted[p] = FIRST_RESIDUE_ID + int(next(r_iter))
-        # else: keep the original token, still a prediction target
+    corrupted[selected[policy < probs[0]]] = MASK_ID
+    corrupted[selected[need_random]] = FIRST_RESIDUE_ID + replacements
+    # the other selected positions keep their token, still prediction targets
     return MlmBatch(corrupted=corrupted, positions=selected, targets=targets)

@@ -871,26 +871,40 @@ def test_eval_ss_and_regress(ws, tmp_path):
     assert -1.0 <= rho <= 1.0
 
 
-def test_eval_ss_rejects_non_digit_labels(ws, tmp_path, capsys):
+def _counting_encodes(monkeypatch) -> list:
+    """Patch ProteinEncoder.encode to count its calls into the returned list."""
+    calls, encode = [], ProteinEncoder.encode
+    monkeypatch.setattr(ProteinEncoder, "encode",
+                        lambda *a, **k: calls.append(1) or encode(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("labels", ["0x1", "01", "019"])
+def test_eval_ss_rejects_a_bad_label_row(ws, tmp_path, capsys, monkeypatch, labels):
+    # a bad row stops the run before any encode, naming its line and id;
+    # 019 holds a 9 past --classes 3
     ss = tmp_path / "ss.tsv"
-    ss.write_text("s1\tACDEF\t01210\ns2\tWYK\t0x1\n")
-    rc = main(["eval", "--checkpoint", str(ws["final"]), "--task", "ss", "--data", str(ss)])
+    ss.write_text(f"s1\tACDEF\t01210\ns2\tWYK\t{labels}\n")
+    encodes = _counting_encodes(monkeypatch)
+    rc = main(["eval", "--checkpoint", str(ws["final"]), "--task", "ss", "--data", str(ss),
+               "--classes", "3"])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("data error:") and str(ss) in err and "'s2'" in err, err
-    assert "Traceback" not in err
+    assert err.startswith(f"data error: {ss}:2: row 's2'"), err
+    assert "Traceback" not in err and encodes == []
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
-def test_eval_regress_rejects_non_finite_truths(ws, tmp_path, capsys, value):
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "one"])
+def test_eval_regress_rejects_non_finite_truths(ws, tmp_path, capsys, monkeypatch, value):
     reg = tmp_path / "reg.tsv"
     reg.write_text(f"r1\tACDEF\t0.5\nr2\tWYKRH\t{value}\nr3\tMNPQS\t2.0\n")
+    encodes = _counting_encodes(monkeypatch)
     rc = main(["eval", "--checkpoint", str(ws["final"]), "--task", "regress",
                "--data", str(reg)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("data error:") and str(reg) in err and "'r2'" in err, err
-    assert "non-finite" in err and "Traceback" not in err
+    assert err.startswith(f"data error: {reg}:2: row 'r2'"), err
+    assert "not a finite number" in err and "Traceback" not in err and encodes == []
 
 
 def test_eval_regress_on_one_row_names_the_file(ws, tmp_path, capsys):
@@ -1198,6 +1212,23 @@ def test_build_contacts_empty_dir_is_ok(tmp_path):
     rc = main(["build-contacts", "--pdb-dir", str(pdb_dir),
                "--out-dir", str(tmp_path / "maps")])
     assert rc == 0
+
+
+@pytest.mark.parametrize("command", ["pretrain", "probe"])
+def test_illegal_residue_names_its_sequence_and_leaves_no_output(ws, tmp_path, capsys,
+                                                                 command):
+    fasta, out = tmp_path / "bad.fasta", tmp_path / "out"
+    fasta.write_text(">p1\nACDEFG\n>p2\nACDBXK\n")
+    argv = {
+        "pretrain": ["pretrain", "--fasta", str(fasta), "--out-dir", str(out), "--steps", "1",
+                     *BASE_SETS],
+        "probe": ["probe", "--checkpoint", str(ws["final"]), "--fasta", str(fasta),
+                  "--prompt", "IC", "--out-dir", str(out)],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "sequence p2: illegal residue 'B' at position 4" in err, err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_probe_cli_writes_per_sequence_csv(ws, tmp_path):

@@ -1,7 +1,8 @@
-"""Every public name of the package has a caller inside the package.
+"""Every name the package defines has a caller inside the package.
 
 A function, class or method that only tests reach is dead surface: its
 last src/ caller went, and the tests that still call it keep it alive.
+Private module-level helpers count too; only dunder names are exempt.
 This check fails the suite when one is left behind.
 """
 
@@ -47,24 +48,25 @@ def _references(short: str, tree: ast.Module) -> set[str]:
 
 
 def test_every_public_src_name_has_a_src_caller():
-    # a module-level function or class needs a reference outside its own
-    # definition; a method of a public class needs an attribute read of its
-    # name anywhere in src/, since the type behind an attribute is unknown
-    public, methods, refs, attrs = set(), {}, set(), set()
+    # a module-level function or class, private ones included, needs a
+    # reference outside its own definition; a public method needs an
+    # attribute read of its name anywhere in src/, since the type behind an
+    # attribute is unknown
+    defined, methods, refs, attrs = set(), {}, set(), set()
     for info in pkgutil.iter_modules(protprompt.__path__):
         mod = importlib.import_module(f"protprompt.{info.name}")
         tree = ast.parse(inspect.getsource(mod))
         refs |= _references(info.name, tree)
         attrs.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
         for name, obj in vars(mod).items():
-            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+            if name.startswith("__") or getattr(obj, "__module__", None) != mod.__name__:
                 continue
             if inspect.isfunction(obj) or inspect.isclass(obj):
-                public.add(f"{info.name}.{name}")
+                defined.add(f"{info.name}.{name}")
             if inspect.isclass(obj):
                 methods.update(
                     (f"{info.name}.{name}.{attr}", attr) for attr, raw in vars(obj).items()
                     if not attr.startswith("_") and (inspect.isfunction(raw) or isinstance(
                         raw, (classmethod, staticmethod, property))))
-    dead = (public - refs) | {full for full, attr in methods.items() if attr not in attrs}
+    dead = (defined - refs) | {full for full, attr in methods.items() if attr not in attrs}
     assert sorted(dead) == sorted(UNCALLED)
