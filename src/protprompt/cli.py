@@ -139,11 +139,6 @@ def _print_warnings(cfg: RunConfig) -> None:
         print(note, file=sys.stderr)
 
 
-def _adam(params: dict[str, Tensor], cfg: RunConfig) -> O.Adam:
-    return O.Adam(params, lr=cfg.lr, betas=(cfg.beta1, cfg.beta2), eps=cfg.adam_eps,
-                  warmup_updates=cfg.warmup_updates)
-
-
 def _log_header(cfg: RunConfig, tasks: tuple[str, ...]) -> str:
     lines = [f"# config_hash={cfg.hash()}"]
     lines += [f"# {line}" for line in cfg.to_text().strip().splitlines()]
@@ -179,22 +174,27 @@ def _prune_checkpoints(out_dir: Path, keep_last: int) -> None:
         old.unlink()
 
 
-def _train(model, optimizer: O.Adam, cfg: RunConfig, out_dir: Path, final_name: str,
-           mlm, tasks: dict, start_step: int = 0, log_source: Path | None = None) -> Path:
-    """Run steps start_step..cfg.steps-1, each O.train_step on mlm(step) (None
+def _train(model, cfg: RunConfig, out_dir: Path, final_name: str, mlm, tasks: dict,
+           state: dict, log_source: Path | None = None) -> Path:
+    """Train the parameters that require a gradient, Adam resumed from state:
+    run steps opt.step..cfg.steps-1, each O.train_step on mlm(step) (None
     without mlm) and each task's build(step) of tasks = {name: build}, and
     return out_dir/final_name. metrics.csv starts atomically with cfg's header
-    and log_source's rows before start_step; every checkpoint_every steps a
+    and log_source's rows before opt.step; every checkpoint_every steps a
     rolling checkpoint is saved and all but the newest keep_last are pruned."""
+    optimizer = O.Adam({n: p for n, p in model.parameters().items() if p.requires_grad},
+                       lr=cfg.lr, betas=(cfg.beta1, cfg.beta2), eps=cfg.adam_eps,
+                       warmup_updates=cfg.warmup_updates)
+    optimizer.load_state_entries(state)
     log_path = out_dir / "metrics.csv"
     names = tuple(tasks)
     start = _log_header(cfg, names).encode()
     if log_source is not None:
-        start += _rows_before(log_source, start_step)
+        start += _rows_before(log_source, optimizer.t)
     with ckpt.atomic_write(log_path, "wb") as fh:
         fh.write(start)
     with open(log_path, "a") as log:
-        for step in range(start_step, cfg.steps):
+        for step in range(optimizer.t, cfg.steps):
             report = O.train_step(model, optimizer, mlm(step) if mlm else None,
                                   [build(step) for build in tasks.values()], cfg.routing,
                                   cfg.lambda_weight, cfg.alpha(), step=step,
@@ -233,8 +233,14 @@ def cmd_pretrain(args) -> int:
 
     if model is None:
         model = ProteinEncoder(ModelConfig.from_run_config(cfg), seed=cfg.seed)
-    optimizer = _adam(model.parameters(), cfg)
-    optimizer.load_state_entries(state)
+    # train what some source reaches: encoder, MLM head, --ppi's head, free prompts
+    names = model.prompts.names()
+    held = frozenset.intersection(*(O.frozen_prompts(names, s, cfg.routing)
+                                    for s in (O.CONSERVE, *tasks)))
+    trained = {*model.encoder.values(), *model.head("mlm"), *(model.pair_head(1) if tasks else ()),
+               *(model.prompts.get(n) for n in names if n not in held)}
+    for p in model.parameters().values():
+        p.requires_grad = p in trained
 
     # the output directory stays out of the config, so it leaves no trace in
     # the checkpoints
@@ -245,9 +251,8 @@ def cmd_pretrain(args) -> int:
     # else from the checkpoint directory's (a run resumed into a new one)
     resumed = (out_dir, Path(args.resume).parent) if args.resume else ()
     sources = [d / "metrics.csv" for d in resumed]
-    final = _train(model, optimizer, cfg, out_dir, "final.bin",
-                   lambda step: _mlm_batch(corpus, cfg, step), tasks,
-                   start_step, next((p for p in sources if p.exists()), None))
+    final = _train(model, cfg, out_dir, "final.bin", lambda step: _mlm_batch(corpus, cfg, step),
+                   tasks, state, next((p for p in sources if p.exists()), None))
     print(f"pretrain complete: {cfg.steps} steps, checkpoint {final}")
     return 0
 
@@ -256,9 +261,9 @@ def cmd_inject(args) -> int:
     """Register a new prompt and train it (plus the pair head its labels
     pick) on a task.
 
-    The encoder is frozen unless --no-freeze-encoder is given; frozen
-    parameters are absent from the optimizer and need no gradient, so they
-    stay bitwise identical to the base checkpoint.
+    The encoder is frozen unless --no-freeze-encoder is given; parameters
+    outside the trained set require no gradient and get no opt.* entries,
+    so they stay bitwise identical to the base checkpoint.
     """
     cfg, model, _ = _load_config(args, ("steps", "lr", "seed"), args.checkpoint)
     _print_warnings(cfg)
@@ -281,18 +286,15 @@ def cmd_inject(args) -> int:
         base_text=cfg.to_text(), overrides={"prompts": ",".join(new_prompts)}
     )
 
-    trainable: dict[str, Tensor] = {f"prompt.{prompt_name}": model.prompts.get(prompt_name)}
     # the one pair head the labels reach; the other would only gain zero moments
-    head = model.pair_head(graph.label_width)
-    trainable.update((name, p) for name, p in model.heads.items() if p in head)
-    if args.no_freeze_encoder:
-        trainable.update(model.encoder)
-    for name, p in model.parameters().items():
-        p.requires_grad = name in trainable
+    trained = {model.prompts.get(prompt_name), *model.pair_head(graph.label_width),
+               *(model.encoder.values() if args.no_freeze_encoder else ())}
+    for p in model.parameters().values():
+        p.requires_grad = p in trained
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    final = _train(model, _adam(trainable, cfg), cfg, out_dir, "injected.bin", None, tasks)
+    final = _train(model, cfg, out_dir, "injected.bin", None, tasks, {})
     print(f"inject complete: prompt {prompt_name!r}, checkpoint {final}")
     return 0
 

@@ -170,12 +170,15 @@ def parse_labeled_tsv(path, classes: int | None = None) -> list[tuple[str, str, 
     are ignored. With classes, truth is the value's one digit per residue,
     each below classes, as an int64 array; without, the value as a finite
     float. A bad row is a FormatError naming its line and id."""
-    rows = []
+    rows, seen = [], set()
     for lineno, cells in _tsv_rows(path):
         if len(cells) < 3:
             raise FormatError(f"{path}:{lineno}: expected id, sequence, value columns")
         name, residues, value = cells[0].strip(), cells[1].strip(), cells[2]
         where = f"{path}:{lineno}: row {name!r}"
+        if name in seen:
+            raise FormatError(f"{where} repeats an earlier row's id")
+        seen.add(name)
         if classes is None:
             try:
                 truth = float(value)

@@ -115,18 +115,13 @@ def q_accuracy(pred, truth, classes: int) -> float:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties replaced by their group average."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        # positions i..j share the same value; average of ranks i+1..j+1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    # each NaN is a group of its own, as NaN != NaN; return_index makes the
+    # sort stable, so NaNs take their ranks in input order
+    _, _, group, counts = np.unique(values, return_index=True, return_inverse=True,
+                                    return_counts=True, equal_nan=False)
+    end = np.cumsum(counts)
+    # a group holds sorted positions start = end - counts .. end-1: average ranks start+1..end
+    return ((end - counts + end - 1) / 2 + 1)[group]
 
 
 def spearman_rho(pred, truth) -> float:

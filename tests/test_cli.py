@@ -162,6 +162,33 @@ def test_resume_reproduces_single_run_bitwise(ws, tmp_path):
     assert [r[:-1] for r in resumed_rows] == [r[:-1] for r in straight_rows]
 
 
+def test_resume_from_a_checkpoint_with_moments_for_every_parameter(ws, tmp_path):
+    # checkpoints written before Adam held only the trained set carry zero
+    # moments for every other parameter; they resume to the same bytes
+    out = tmp_path / "resume"
+    common = ["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
+              "--out-dir", str(out), "--seed", "7", *BASE_SETS]
+    assert main([*common, "--steps", "4"]) == 0
+    straight_final = (out / "final.bin").read_bytes()
+    straight_rows = [r[:-1] for r in _metric_rows(out)]
+    shutil.rmtree(out)
+
+    assert main([*common, "--steps", "2"]) == 0
+    rolled = out / "ckpt_step2.bin"
+    model, cfg, state = ckpt.load_model(rolled)
+    everything = O.Adam(model.parameters(), lr=cfg.lr)
+    everything.load_state_entries(state)
+    ckpt.save_model(rolled, model, cfg, everything)
+    _, entries = ckpt.load_checkpoint(rolled)
+    moments = {n: v for n, v in entries.items() if n.startswith("opt.m.")}
+    assert len(moments) == len(model.parameters()) == 36
+    assert not any(moments[f"opt.m.{n}"].any() for n in ("head.contact.b", "head.pair.w"))
+
+    assert main([*common, "--steps", "4", "--resume", str(rolled)]) == 0
+    assert (out / "final.bin").read_bytes() == straight_final
+    assert [r[:-1] for r in _metric_rows(out)] == straight_rows
+
+
 def test_output_directory_leaves_no_trace_in_outputs(ws, tmp_path):
     # the same seeded run in two directories writes the same bytes
     for name in ("a", "b"):
@@ -484,20 +511,57 @@ def test_inject_optimizes_only_the_pair_head_its_labels_pick(ws, tmp_path, monke
                                  "opt.v.head.pair_bin.b", "opt.v.head.pair_bin.w"]
 
     # inject as it ran before: Adam also held the head the binary labels never reach
-    models, load_model, adam = [], ckpt.load_model, cli._adam
-    monkeypatch.setattr(ckpt, "load_model",
-                        lambda path: models.append(load_model(path)) or models[-1])
+    train = cli._train
 
-    def both_pair_heads(trainable, cfg):
-        other = {n: p for n, p in models[-1][0].heads.items() if n.startswith("head.pair.")}
-        for p in other.values():
+    def both_pair_heads(model, *args):
+        for p in model.head("pair"):
             p.requires_grad = True
-        return adam({**trainable, **other}, cfg)
+        return train(model, *args)
 
-    monkeypatch.setattr(cli, "_adam", both_pair_heads)
+    monkeypatch.setattr(cli, "_train", both_pair_heads)
     old_params, old_opt_heads, old_rows = run(tmp_path / "both")
     assert len(old_opt_heads) == 8
     assert params == old_params and rows == old_rows
+
+
+ENCODER = {"embed.tok", "embed.pos", "embed.seg", "layer0.attn.wq", "layer0.attn.bq",
+           "layer0.attn.wk", "layer0.attn.bk", "layer0.attn.wv", "layer0.attn.bv",
+           "layer0.attn.wo", "layer0.attn.bo", "layer0.ln1.gain", "layer0.ln1.bias",
+           "layer0.ff.w1", "layer0.ff.b1", "layer0.ff.w2", "layer0.ff.b2", "layer0.ln2.gain",
+           "layer0.ln2.bias"}
+MLM_HEAD = {"head.mlm.w", "head.mlm.b"}
+BIN_HEAD = {"head.pair_bin.w", "head.pair_bin.b"}
+
+
+@pytest.mark.parametrize("case, extra, trained", [
+    ("pretrain", ["--ppi"], ENCODER | MLM_HEAD | BIN_HEAD | {"prompt.Seq", "prompt.IC"}),
+    ("pretrain", [], ENCODER | MLM_HEAD | {"prompt.Seq"}),
+    ("pretrain", ["--set", "routing=false"], ENCODER | MLM_HEAD | {"prompt.Seq", "prompt.IC"}),
+    ("inject", [], BIN_HEAD | {"prompt.PPI"}),
+    ("inject", ["--no-freeze-encoder"], ENCODER | BIN_HEAD | {"prompt.PPI"}),
+], ids=["pretrain-ppi", "pretrain", "pretrain-unrouted", "inject-frozen", "inject-unfrozen"])
+def test_optimizer_moments_name_the_trained_set(ws, tmp_path, monkeypatch, case, extra, trained):
+    # Adam holds exactly what some source reaches: each held parameter gets a
+    # gradient on every step, and the checkpoints keep moments for it alone
+    out = tmp_path / "run"
+    if extra[:1] == ["--ppi"]:
+        extra = ["--ppi", str(ws["pairs"])]
+    steps, step = [], O.Adam.step
+
+    def checked(self, grads):
+        assert [n for n, g in grads.items() if g is None] == []
+        steps.append(sorted(self.params))
+        step(self, grads)
+
+    monkeypatch.setattr(O.Adam, "step", checked)
+    assert main([*_training_argv(ws, case, out), *extra, "--steps", "2"]) == 0
+    assert steps == [sorted(trained)] * 2
+    for path in sorted(out.glob("*.bin")):
+        _, entries = ckpt.load_checkpoint(path)
+        for moment in ("m", "v"):
+            held = {n.removeprefix(f"opt.{moment}.") for n in entries
+                    if n.startswith(f"opt.{moment}.")}
+            assert held == trained, (path.name, moment)
 
 
 def test_inject_step_sweeps_backward_once(ws, tmp_path, monkeypatch):
@@ -905,6 +969,23 @@ def test_eval_regress_rejects_non_finite_truths(ws, tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {reg}:2: row 'r2'"), err
     assert "not a finite number" in err and "Traceback" not in err and encodes == []
+
+
+@pytest.mark.parametrize("task, rows", [
+    ("ss", "s1\tACDEF\t01210\ns2\tWYK\t002\ns1\tWYK\t210\n"),
+    ("regress", "r1\tACDEF\t0.5\nr2\tWYKRH\t-1.25\nr1\tMNPQS\t2.0\n"),
+], ids=["ss", "regress"])
+def test_eval_rejects_a_repeated_row_id(ws, tmp_path, capsys, monkeypatch, task, rows):
+    # a row id names one row, as a FASTA id names one record; a repeat stops
+    # the run before any encode, naming its line and id
+    data = tmp_path / f"{task}.tsv"
+    data.write_text(rows)
+    encodes = _counting_encodes(monkeypatch)
+    rc = main(["eval", "--checkpoint", str(ws["final"]), "--task", task, "--data", str(data)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {data}:3: row '{rows[:2]}'"), err
+    assert "Traceback" not in err and encodes == []
 
 
 def test_eval_regress_on_one_row_names_the_file(ws, tmp_path, capsys):

@@ -256,6 +256,30 @@ def test_spearman_matches_scipy():
         assert abs(M.spearman_rho(x, y) - want) < 1e-10, trial
 
 
+def _loop_average_ranks(values):
+    # plain-python rendition: walk the stably sorted values, giving each run
+    # of equal values (a NaN equals nothing) the mean of its 1-based ranks
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_average_ranks_match_the_loop_bitwise():
+    rng = np.random.default_rng(11)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan])
+    for trial in range(400):
+        n = int(rng.integers(0, 40)) if trial % 20 else int(rng.integers(500, 2000))
+        values = rng.choice(pool, n) if trial % 2 else np.round(rng.normal(size=n), 1)
+        assert M._average_ranks(values).tobytes() == _loop_average_ranks(values).tobytes()
+
+
 def test_spearman_hand_cases():
     assert abs(M.spearman_rho([1, 2, 2, 3], [1, 2, 2, 3]) - 1.0) < 1e-12
     x = np.random.default_rng(1).normal(size=20)
