@@ -96,9 +96,9 @@ class RunConfig:
             raise ConfigError("alpha_ppi must be >= 0")
         if not (0.0 < self.mask_rate < 1.0):
             raise ConfigError(f"mask_rate must be in (0, 1), got {self.mask_rate}")
-        psum = self.mask_prob_mask + self.mask_prob_random + self.mask_prob_keep
-        if abs(psum - 1.0) > 1e-12:
-            raise ConfigError(f"mask policy probabilities sum to {psum}, expected 1")
+        probs = (self.mask_prob_mask, self.mask_prob_random, self.mask_prob_keep)
+        if min(probs) < 0 or abs(sum(probs) - 1.0) > 1e-12:
+            raise ConfigError(f"mask policy probabilities must be >= 0 and sum to 1, got {probs}")
         if self.lr <= 0 or self.adam_eps <= 0:
             raise ConfigError(f"lr and adam_eps must be positive, got {self.lr}, {self.adam_eps}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):

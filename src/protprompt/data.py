@@ -417,8 +417,6 @@ def build_contact_map(
     residues: list[ResidueRecord], threshold: float = CONTACT_THRESHOLD, tag: str = "native"
 ) -> ContactMap:
     """Pairwise Euclidean distance < threshold (strict); diagonal false."""
-    if threshold <= 0:
-        raise ConfigError(f"contact threshold must be positive, got {threshold}")
     if not residues:
         raise DataError("cannot build a contact map from zero residues")
     coords = np.stack([r.xyz for r in residues])

@@ -175,8 +175,6 @@ def embedding_shift_probe(model, seq, prompt_name: str, cutoff: float) -> ShiftR
     distance between final-layer representations, flag those above cutoff."""
     from .tokenizer import SYMBOLS
 
-    if cutoff < 0:
-        raise ContractError("cutoff must be >= 0")
     with_prompt = model.encode(seq, (prompt_name,))
     without = model.encode(seq, ())
     a = with_prompt.residue_rows().data

@@ -57,12 +57,6 @@ class ModelConfig:
     max_len: int = 256
     prompt_names: tuple[str, ...] = ("Seq", "IC")
 
-    def __post_init__(self):
-        if self.d <= 0 or self.layers <= 0 or self.heads <= 0:
-            raise ConfigError("d, layers and heads must be positive")
-        if self.d % self.heads != 0:
-            raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
-
     @classmethod
     def from_run_config(cls, cfg) -> "ModelConfig":
         return cls(
@@ -195,11 +189,6 @@ class ProteinEncoder:
         A prompt named in frozen enters as a constant copy of its vector,
         so no gradient from this encode reaches the prompt itself.
         """
-        n = seq.ids.size
-        if n > self.config.max_len:
-            raise ShapeError(
-                f"sequence of {n} tokens exceeds position table of {self.config.max_len}"
-            )
         prompts = []
         for name in prompt_names:
             vec = self.prompts.get(name)

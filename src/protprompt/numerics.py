@@ -505,14 +505,15 @@ def encoder_input(tok_table: Tensor, seg_table: Tensor, pos_table: Tensor, ids,
         raise ShapeError(f"prompt shapes {[p.shape for p in prompts]} do not fit width {d}")
     idx = _checked_ids(ids, tok_table.shape[0])
     m, n = len(prompts), idx.size
-    seg_idx = np.zeros(n, dtype=np.intp)
-    pos_idx = _checked_ids(np.arange(n), pos_table.shape[0])
+    if n > pos_table.shape[0]:
+        raise ShapeError(f"sequence of {n} tokens exceeds position table of "
+                         f"{pos_table.shape[0]} rows")
     out_data = np.empty((m + n, d))
     for i, p in enumerate(prompts):
         out_data[i] = p.data
     rows = out_data[m:]
-    np.add(tok_table.data[idx], seg_table.data[seg_idx], out=rows)
-    rows += pos_table.data[pos_idx]
+    np.add(tok_table.data[idx], seg_table.data[0], out=rows)
+    rows += pos_table.data[:n]
 
     def backprop(g):
         for i in reversed(range(m)):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import atomic_write
-from .errors import ConfigError, EncodingError, TruncationError
+from .errors import EncodingError, TruncationError
 
 RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
 UNKNOWN = "X"
@@ -84,8 +84,6 @@ def encode(residues: str, max_len: int, source_id: str = "") -> TokenSequence:
     size: sequences longer than max_len - 2 raise TruncationError rather
     than being cut.
     """
-    if max_len < 2:
-        raise ConfigError(f"max_len must be >= 2, got {max_len}")
     seq = residues.upper()
     if len(seq) > max_len - 2:
         raise TruncationError(
@@ -120,10 +118,6 @@ def apply_mlm_mask(
     draw is used, so every batch carries a prediction target.
     Deterministic given the seed.
     """
-    if not (0.0 < rate < 1.0):
-        raise ConfigError(f"mask rate must be in (0, 1), got {rate}")
-    if len(probs) != 3 or any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
-        raise ConfigError(f"mask policy probabilities must be >= 0 and sum to 1, got {probs}")
     rng = np.random.default_rng(seed)
     pos = seq.residue_positions()
     draws = rng.random(pos.size)

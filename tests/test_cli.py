@@ -1,5 +1,6 @@
 """End-to-end command-line workflows on a tiny corpus."""
 
+import dataclasses
 import os
 import shutil
 import signal
@@ -20,6 +21,7 @@ from protprompt import numerics as nm
 from protprompt import objectives as O
 from protprompt import tokenizer as T
 from protprompt.cli import main
+from protprompt.config import _FIELD_TO_KEY, RunConfig
 from protprompt.model import ProteinEncoder
 
 RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
@@ -1064,6 +1066,77 @@ def test_bad_seed_batch_size_or_beta_exits_2_before_any_output(ws, tmp_path, cap
     assert captured.err.startswith("config error:") and key in captured.err, captured.err
     assert "Traceback" not in captured.err and not captured.out
     assert list(tmp_path.iterdir()) == [tsv]
+
+
+# one row per RunConfig.validate rule, each breaking it through the config
+# keys it names; the negative-probability rows sum to 1
+NEGATIVE_PROBS = {
+    "mask-negative": {"mask_prob_mask": "-0.1", "mask_prob_random": "1.0",
+                      "mask_prob_keep": "0.1"},
+    "random-negative": {"mask_prob_mask": "1.0", "mask_prob_random": "-0.1",
+                        "mask_prob_keep": "0.1"},
+    "keep-negative": {"mask_prob_mask": "1.0", "mask_prob_random": "0.1",
+                      "mask_prob_keep": "-0.1"},
+}
+GATE_TABLE = {
+    "d": {"d": "0"}, "layers": {"layers": "0"}, "heads": {"heads": "0"},
+    "indivisible": {"heads": "3"}, "max_len": {"max_len": "1"},
+    "prompt-name": {"prompts": "Seq,I.C"}, "prompt-twice": {"prompts": "Seq,Seq"},
+    "lambda": {"lambda": "-1"}, "alpha_ppi": {"alpha_ppi": "-0.5"},
+    "mlm_reduction": {"mlm_reduction": "max"},
+    "mask_rate-0": {"mask_rate": "0"}, "mask_rate-1": {"mask_rate": "1"},
+    "probs-sum": {"mask_prob_mask": "0.5"}, **NEGATIVE_PROBS,
+    "lr": {"lr": "0"}, "adam_eps": {"adam_eps": "0"}, "beta1": {"beta1": "1.0"},
+    "beta1-negative": {"beta1": "-0.1"}, "beta2": {"beta2": "1.0"},
+    "warmup_updates": {"warmup_updates": "-1"}, "steps": {"steps": "-1"},
+    "checkpoint_every": {"checkpoint_every": "0"}, "keep_last": {"keep_last": "0"},
+    "batch_seqs": {"batch_seqs": "0"}, "batch_pairs": {"batch_pairs": "0"},
+    "seed": {"seed": "-1"}, "contact_threshold": {"contact_threshold": "0"},
+    "probe_cutoff": {"probe_cutoff": "-0.5"},
+}
+
+
+def _gate_argv(values: dict) -> list:
+    # --steps wins over --set steps=, so steps goes through the flag
+    argv = []
+    for key, value in values.items():
+        argv += ["--steps", value] if key == "steps" else ["--set", f"{key}={value}"]
+    return argv
+
+
+def test_gate_table_covers_every_config_key():
+    # a key with a rule has a row; routing, fasta and ppi have no rule
+    keys = {key for values in GATE_TABLE.values() for key in values}
+    fields = {_FIELD_TO_KEY.get(f.name, f.name) for f in dataclasses.fields(RunConfig)}
+    assert keys | {"routing", "fasta", "ppi"} == fields
+    assert not keys & {"routing", "fasta", "ppi"}
+
+
+@pytest.mark.parametrize("case", list(GATE_TABLE))
+def test_every_config_rule_exits_2_before_any_output(ws, tmp_path, capsys, case):
+    out = tmp_path / "out"
+    rc = main(["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
+               "--out-dir", str(out), "--steps", "2", *BASE_SETS,
+               *_gate_argv(GATE_TABLE[case])])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and "Traceback" not in captured.err
+    assert not captured.out and not out.exists()
+
+
+def test_resume_with_a_negative_probability_leaves_its_directory_alone(ws, tmp_path, capsys):
+    # a resume writes into its checkpoint's directory by default; the gate
+    # refuses the config before the log is restarted
+    run = tmp_path / "run"
+    shutil.copytree(ws["out"], run)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    rc = main(["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
+               "--steps", "4", "--resume", str(run / "ckpt_step2.bin"),
+               *_gate_argv(NEGATIVE_PROBS["random-negative"])])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: mask policy probabilities") and "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
 # run by the SIGKILL tests: a CLI that SIGKILLs its own process on the

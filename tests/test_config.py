@@ -94,6 +94,9 @@ def test_validation_rejections():
         RunConfig(d=30, heads=4)
     with pytest.raises(ConfigError, match="sum to"):
         RunConfig(mask_prob_mask=0.5, mask_prob_random=0.1, mask_prob_keep=0.1)
+    # a negative probability is refused even when the three sum to 1
+    with pytest.raises(ConfigError, match=">= 0"):
+        RunConfig(mask_prob_mask=1.0, mask_prob_random=-0.1, mask_prob_keep=0.1)
     with pytest.raises(ConfigError, match="duplicate prompt"):
         RunConfig(prompts="Seq,Seq")
     with pytest.raises(ConfigError):

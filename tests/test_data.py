@@ -492,8 +492,6 @@ def test_contact_map_tamper_detection(tmp_path):
 def test_contact_map_validation():
     with pytest.raises(DataError, match="zero residues"):
         D.build_contact_map([])
-    with pytest.raises(ConfigError, match="positive"):
-        D.build_contact_map(_records([(0, 0, 0)]), threshold=0.0)
     with pytest.raises(ConfigError, match="tag"):
         D.ContactMap(n=1, bits=np.zeros((1, 1), dtype=bool), tag="guess")
     with pytest.raises(DataError, match="shape"):

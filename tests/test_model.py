@@ -577,5 +577,3 @@ def test_model_config_from_run_config():
     mc = ModelConfig.from_run_config(rc)
     assert (mc.d, mc.layers, mc.heads) == (32, 1, 2)
     assert mc.prompt_names == ("Seq",)
-    with pytest.raises(ConfigError):
-        ModelConfig(d=10, heads=4)

@@ -83,7 +83,7 @@ def _two_tasks(ppi):
 
 def test_injection_loss_weighted_fold():
     # L_inject = sum_t alpha_t * L_t in task order (a task alpha leaves out
-    # weighs 1); no tasks fold to 0; a negative alpha is a config error
+    # weighs 1); no tasks fold to 0
     model, mlm, ppi = _fixture()
     opt = O.Adam(model.parameters(), lr=1e-4)
     rep = O.train_step(model, opt, None, _two_tasks(ppi), True, 1.0,
@@ -95,8 +95,6 @@ def test_injection_loss_weighted_fold():
     assert unit.total == unit.task_losses["ppi"]
     mlm_only = O.train_step(model, opt, mlm, [], True, 0.7, {"ppi": 0.5}, step=2)
     assert mlm_only.task_losses == {} and mlm_only.total == mlm_only.l_conserve
-    with pytest.raises(ConfigError, match="alpha"):
-        O.train_step(model, opt, None, [ppi], True, 1.0, {"ppi": -1.0}, step=3)
 
 
 def test_report_decomposition_recomputes_bitwise():
@@ -136,18 +134,6 @@ def test_weighted_roots_sweep_like_the_weighted_total():
         nm.backward(tape, roots)
         grads.append({n: p.grad for n, p in params.items()})
     assert all(np.array_equal(grads[0][n], grads[1][n]) for n in params)
-
-
-def test_train_step_rejects_negative_weights():
-    model, mlm, ppi = _fixture(seed=6)
-    before = _snapshot(model)
-    opt = O.Adam(model.parameters(), lr=1e-3)
-    with pytest.raises(ConfigError, match="lambda"):
-        O.train_step(model, opt, mlm, [ppi], True, -0.5, {"ppi": 1.0}, step=0)
-    with pytest.raises(ConfigError, match="alpha"):
-        O.train_step(model, opt, mlm, [ppi], True, 1.0, {"ppi": -1.0}, step=0)
-    assert opt.t == 0
-    assert all(np.array_equal(p.data, before[n]) for n, p in model.parameters().items())
 
 
 def test_routing_blocks_conserve_gradient_from_ic():
@@ -454,8 +440,6 @@ def test_pair_node_checks_labels():
         O._forward_pairs(model, O.PairTaskBatch("ppi", ppi.pairs, np.zeros((5, 3))))
     with pytest.raises(ShapeError, match="labels shape"):
         O._forward_pairs(model, O.PairTaskBatch("ppi", ppi.pairs, np.zeros((4, 1))))
-    with pytest.raises(ConfigError, match="reduction"):
-        O._forward_mlm(model, _step_fixture()[1], "median")
 
 
 def test_mlm_node_checks_rows_and_targets():
@@ -542,10 +526,3 @@ def test_adam_linear_warmup():
     assert deltas[0] < deltas[1] < deltas[2] < deltas[3]
     assert abs(deltas[3] - deltas[4]) < 1e-9  # flat after warmup
 
-
-def test_adam_validation():
-    p = Tensor(np.zeros(2), requires_grad=True)
-    with pytest.raises(ConfigError):
-        O.Adam({"p": p}, lr=0.0)
-    with pytest.raises(ConfigError):
-        O.Adam({"p": p}, lr=0.1, betas=(1.0, 0.999))

@@ -1,15 +1,18 @@
-"""Every name the package defines has a caller inside the package.
+"""Every name the package defines has a caller inside the package, and
+every name a module imports is read in it.
 
 A function, class or method that only tests reach is dead surface: its
 last src/ caller went, and the tests that still call it keep it alive.
 Private module-level helpers count too; only dunder names are exempt.
-This check fails the suite when one is left behind.
+An import that nothing reads is left over the same way, from a deleted
+caller. These checks fail the suite when one is left behind.
 """
 
 import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import protprompt
 
@@ -70,3 +73,21 @@ def test_every_public_src_name_has_a_src_caller():
                         raw, (classmethod, staticmethod, property))))
     dead = (defined - refs) | {full for full, attr in methods.items() if attr not in attrs}
     assert sorted(dead) == sorted(UNCALLED)
+
+
+def test_every_src_import_is_read():
+    # a module-level import binds names (`import a.b` binds a); each must be
+    # read as a name somewhere in its module. __future__ imports bind none.
+    unread = []
+    for path in sorted(Path(protprompt.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(a.asname or a.name for a in node.names)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}: {name}" for name in sorted(bound - read)]
+    assert unread == []
