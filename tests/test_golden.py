@@ -5,9 +5,11 @@ The runs: a `pretrain` with an interaction file (negatives drawn), lambda and
 alpha_ppi away from 1, stopped after a checkpoint and resumed in the same
 directory; an `inject` on a file with explicit 0 rows, and a shorter one on
 the same file with `--no-freeze-encoder`; `eval --task ppi --out` on the
-injected checkpoint; `build-contacts` on three small PDB chains (one residue
-without CB or CA, so the report holds a skip line) and `eval --task contact
---out` on their maps with the injected checkpoint. Each output file is hashed
+injected checkpoint; a `probe` of the injected prompt on that checkpoint,
+with a cutoff that flags some residues of each sequence but not all;
+`build-contacts` on three small PDB chains (one residue without CB or CA,
+so the report holds a skip line) and `eval --task contact --out` on their
+maps with the injected checkpoint. Each output file is hashed
 with SHA-256, `metrics.csv` with its `ms` column blanked. Beside the files
 these are hashed: the `checkpoint.save_model` bytes of two freshly seeded
 models (2 layers and no prompts; 3 layers, three prompts, another d and
@@ -223,13 +225,15 @@ def compute_digests(work: Path) -> dict[str, str]:
               "--no-freeze-encoder"])
         _run(["eval", "--checkpoint", "inject/injected.bin", "--task", "ppi",
               "--data", "labeled.tsv", "--fasta", "seqs.fasta", "--out", "eval.csv"])
+        _run(["probe", "--checkpoint", "inject/injected.bin", "--prompt", "PPI",
+              "--fasta", "seqs.fasta", "--out-dir", "probe", "--cutoff", "0.0003"])
         Path("chains.fasta").write_text(_write_structures(np.random.default_rng(5)))
         _run(["build-contacts", "--pdb-dir", "pdbs", "--out-dir", "contacts"])
         _run(["eval", "--checkpoint", "inject/injected.bin", "--task", "contact",
               "--maps-dir", "contacts", "--fasta", "chains.fasta", "--out", "contact.csv"])
         digests = {**_fresh_model_digests(), **_logit_digests(), **_encoder_digests()}
         for path in sorted([*Path("pretrain").iterdir(), *Path("inject").iterdir(),
-                            *Path("inject-unfrozen").iterdir(),
+                            *Path("inject-unfrozen").iterdir(), *Path("probe").iterdir(),
                             *Path("contacts").iterdir(), Path("eval.csv"),
                             Path("contact.csv")]):
             data = path.read_bytes()
