@@ -106,7 +106,7 @@ def _ppi_batches(graph: D.PPIGraph, encoded, cfg: RunConfig, width: int):
     def build(step: int) -> O.PairTaskBatch:
         picked = _pick_rows(rows, cfg, step)
         size = len(picked)
-        pairs = [(encoded[a], encoded[b]) for (a, b), _ in picked]
+        ends = [edge for edge, _ in picked]
         labels = [bits.astype(np.float64) if width > 1 else [float(bits.any())]
                   for _, bits in picked]
         if width == 1 and not has_explicit_negatives:
@@ -120,12 +120,16 @@ def _ppi_batches(graph: D.PPIGraph, encoded, cfg: RunConfig, width: int):
                 key = (a, b) if a < b else (b, a)
                 if key in graph.edges:
                     continue
-                pairs.append((encoded[a], encoded[b]))
+                ends.append((a, b))
                 labels.append([0.0])
                 got += 1
             if got < size:
                 raise DataError("graph too dense to sample non-interacting pairs")
-        return O.PairTaskBatch(name="ppi", pairs=pairs, labels=np.array(labels))
+        # each protein's index into the batch's proteins, in order of first use
+        slot: dict[str, int] = {}
+        pairs = np.array([[slot.setdefault(name, len(slot)) for name in edge] for edge in ends])
+        return O.PairTaskBatch(name="ppi", proteins=[encoded[name] for name in slot],
+                               pairs=pairs, labels=np.array(labels))
 
     return build
 
@@ -478,12 +482,14 @@ def cmd_probe(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, seq in encoded.items():
-        report = MX.embedding_shift_probe(model, seq, args.prompt, cfg.probe_cutoff)
-        lines = [f"# config_hash={cfg.hash()}"] + report.csv_lines()
+        distances = MX.embedding_shift_probe(model, seq, args.prompt)
+        flagged = distances > cfg.probe_cutoff
+        lines = [f"# config_hash={cfg.hash()}", "index,residue,distance,flagged"]
+        lines += [f"{i},{T.SYMBOLS[tok]},{float(x)!r},{int(f)}" for i, (tok, x, f) in
+                  enumerate(zip(seq.ids[seq.residue_positions()], distances, flagged))]
         with ckpt.atomic_write(out_dir / f"{name}.csv") as fh:
             fh.write("\n".join(lines) + "\n")
-        flagged = sum(e.flagged for e in report.entries)
-        print(f"{name}: {len(report.entries)} residues, {flagged} above cutoff")
+        print(f"{name}: {distances.size} residues, {int(flagged.sum())} above cutoff")
     return 0
 
 

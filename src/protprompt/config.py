@@ -98,7 +98,8 @@ class RunConfig:
             raise ConfigError(f"mask_rate must be in (0, 1), got {self.mask_rate}")
         probs = (self.mask_prob_mask, self.mask_prob_random, self.mask_prob_keep)
         if min(probs) < 0 or abs(sum(probs) - 1.0) > 1e-12:
-            raise ConfigError(f"mask policy probabilities must be >= 0 and sum to 1, got {probs}")
+            raise ConfigError(f"mask_prob_mask, mask_prob_random and mask_prob_keep must be "
+                              f">= 0 and sum to 1, got {probs}")
         if self.lr <= 0 or self.adam_eps <= 0:
             raise ConfigError(f"lr and adam_eps must be positive, got {self.lr}, {self.adam_eps}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
@@ -119,7 +120,7 @@ class RunConfig:
                 raise ConfigError(f"prompts={self.prompts!r}: prompt name {n!r} "
                                   "must be alphanumeric")
         if len(set(names)) != len(names):
-            raise ConfigError(f"duplicate prompt names in {self.prompts!r}")
+            raise ConfigError(f"prompts={self.prompts!r}: duplicate prompt names")
         if self.contact_threshold <= 0:
             raise ConfigError("contact_threshold must be positive")
         if self.probe_cutoff < 0:

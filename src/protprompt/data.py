@@ -169,7 +169,8 @@ def parse_labeled_tsv(path, classes: int | None = None) -> list[tuple[str, str, 
     """Rows (id, residues, truth) of an id, sequence, value TSV; later columns
     are ignored. With classes, truth is the value's one digit per residue,
     each below classes, as an int64 array; without, the value as a finite
-    float. A bad row is a FormatError naming its line and id."""
+    float. A bad row (a repeated id, an empty sequence, a bad value) is a
+    FormatError naming its line and id."""
     rows, seen = [], set()
     for lineno, cells in _tsv_rows(path):
         if len(cells) < 3:
@@ -179,6 +180,8 @@ def parse_labeled_tsv(path, classes: int | None = None) -> list[tuple[str, str, 
         if name in seen:
             raise FormatError(f"{where} repeats an earlier row's id")
         seen.add(name)
+        if not residues:
+            raise FormatError(f"{where} has an empty sequence")
         if classes is None:
             try:
                 truth = float(value)

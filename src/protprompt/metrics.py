@@ -145,51 +145,11 @@ def spearman_rho(pred, truth) -> float:
     return float((rp * rt).sum() / denom)
 
 
-@dataclass
-class ShiftEntry:
-    index: int  # 0-based residue position within the sequence
-    residue: str
-    distance: float
-    flagged: bool
-
-
-@dataclass
-class ShiftReport:
-    """Per-residue movement of final-layer representations when a prompt
-    is attached versus not."""
-
-    source_id: str
-    prompt: str
-    cutoff: float
-    entries: list[ShiftEntry]
-
-    def csv_lines(self) -> list[str]:
-        lines = ["index,residue,distance,flagged"]
-        for e in self.entries:
-            lines.append(f"{e.index},{e.residue},{e.distance!r},{int(e.flagged)}")
-        return lines
-
-
-def embedding_shift_probe(model, seq, prompt_name: str, cutoff: float) -> ShiftReport:
-    """Encode with and without the prompt, report per-residue Euclidean
-    distance between final-layer representations, flag those above cutoff."""
-    from .tokenizer import SYMBOLS
-
+def embedding_shift_probe(model, seq, prompt_name: str) -> np.ndarray:
+    """How far the prompt moves each real residue: the Euclidean distance
+    between seq's final-layer residue rows encoded with and without it, in
+    residue order."""
     with_prompt = model.encode(seq, (prompt_name,))
     without = model.encode(seq, ())
-    a = with_prompt.residue_rows().data
-    b = without.residue_rows().data
-    deltas = np.sqrt(((a - b) ** 2).sum(axis=1))
-    positions = seq.residue_positions()
-    entries = [
-        ShiftEntry(
-            index=int(i),
-            residue=SYMBOLS[int(seq.ids[p])],
-            distance=float(d),
-            flagged=bool(d > cutoff),
-        )
-        for i, (p, d) in enumerate(zip(positions, deltas))
-    ]
-    return ShiftReport(
-        source_id=seq.source_id, prompt=prompt_name, cutoff=cutoff, entries=entries
-    )
+    delta = with_prompt.h.data[with_prompt.rows()] - without.h.data[without.rows()]
+    return np.sqrt((delta ** 2).sum(axis=1))

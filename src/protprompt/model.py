@@ -107,9 +107,13 @@ class EncoderOutput:
     seq: TokenSequence
     attn: list | None = None  # per layer, per head attention rows (numpy)
 
-    def residue_rows(self) -> Tensor:
-        """Rows of real residues only (CLS, EOS and prompts excluded)."""
-        return nm.select_rows(self.h, self.m + self.seq.residue_positions())
+    def rows(self, positions=None) -> np.ndarray:
+        """Row indices into h of seq's token positions, by default its real
+        residues (CLS, EOS and prompts excluded). The one place that adds
+        the prompt offset m."""
+        if positions is None:
+            positions = self.seq.residue_positions()
+        return self.m + positions
 
 
 class ProteinEncoder:
@@ -215,7 +219,7 @@ class ProteinEncoder:
         pair_bce's pooling kernel."""
         if out.seq.n_residues < 1:
             raise ContractError("pool needs at least one real residue")
-        return Tensor(nm._pool_forward(out.h.data, out.m + out.seq.residue_positions()))
+        return Tensor(nm._pool_forward(out.h.data, out.rows()))
 
     # -- heads --
     # Each head has one forward, shared by training and eval. contact_logits
@@ -252,15 +256,14 @@ class ProteinEncoder:
         """
         if out.seq.n_residues < 1:
             raise ContractError("contact_logits needs at least one residue")
-        return nm.contact_scores(out.residue_rows(), *self.head("contact"))
+        return nm.contact_scores(out.h, out.rows(), *self.head("contact"))
 
     def token_logits(self, out: EncoderOutput, classes: int) -> Tensor:
         """Per-residue class logits for 3- or 8-state structure labels."""
         if classes not in (SS3_CLASSES, SS8_CLASSES):
             raise ConfigError(f"token classification supports 3 or 8 classes, got {classes}")
         w, b = self.head(f"ss{classes}")
-        rows = out.h.data[out.m + out.seq.residue_positions()]
-        return Tensor(nm._affine_forward(rows, w.data, b.data))
+        return Tensor(nm._affine_forward(out.h.data[out.rows()], w.data, b.data))
 
     def regress(self, pooled: Tensor) -> Tensor:
         """Scalar regression on a pooled sequence vector."""

@@ -247,18 +247,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node((a, b), out_data, backprop, "add")
 
 
-def select_rows(x: Tensor, indices) -> Tensor:
-    """Gather rows x[indices]; duplicate indices accumulate gradient."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"select_rows needs a 2-d tensor, got {x.shape}")
-    idx = _checked_ids(indices, x.shape[0], "row")
-
-    def backprop(g):
-        _gather_backward(x, idx, g)
-
-    return _node((x,), x.data[idx], backprop, "select_rows")
-
-
 def _checked_ids(ids, rows: int, what: str = "embedding id") -> np.ndarray:
     idx = np.asarray(ids, dtype=np.intp)
     if idx.ndim != 1:
@@ -612,11 +600,12 @@ def encoder_layer(
     return _node(parents, out_data, backprop, "layernorm")
 
 
-def contact_scores(h: Tensor, w_prod: Tensor, w_diff: Tensor, b: Tensor) -> Tensor:
+def contact_scores(h: Tensor, rows, w_prod: Tensor, w_diff: Tensor, b: Tensor) -> Tensor:
     """Symmetric pair scores L_ij = (h_i*h_j) @ w_prod + b + |h_i - h_j| @ w_diff.
 
-    h (n,d), w_prod and w_diff (d,1), b (1,) -> (n,n). The product term is
-    one matmul, S = (h * wp) h^T + b. The difference term uses |u - v| =
+    h_i is row rows[i] of the 2-d h, and below h stands for those n rows;
+    w_prod and w_diff (d,1), b (1,) -> (n,n). The product term is one
+    matmul, S = (h * wp) h^T + b. The difference term uses |u - v| =
     2 max(u, v) - u - v: D_ij = 2 (max(h_i, h_j) @ wd) - r_i - r_j with
     r = h @ wd, within a few ulps of the direct sum, and D_ii = 0. It runs
     over the upper diagonals j = i + s, s >= 1, in blocks of
@@ -628,22 +617,24 @@ def contact_scores(h: Tensor, w_prod: Tensor, w_diff: Tensor, b: Tensor) -> Tens
     size fixes the bits of the difference term's matmuls and of dwd's
     per-block sums. One tape node; with Gs = 0.5 * (G + G^T):
     dh = 2 (Gs h) * wp + 2 wd * sum_j Gs_aj sign(h_a - h_j) (sign(0) = 0),
-    dwp = sum_i h_i * (Gs h)_i, dwd = sum_ij Gs_ij |h_i - h_j|, db = sum G.
+    dwp = sum_i h_i * (Gs h)_i, dwd = sum_ij Gs_ij |h_i - h_j|, db = sum G;
+    dh_i goes back to row rows[i], once per listing.
     """
     if h.data.ndim != 2:
         raise ShapeError(f"contact_scores needs a 2-d h, got {h.shape}")
-    n, d = h.shape
+    idx = _checked_ids(rows, h.shape[0], "row")
+    n, d = idx.size, h.shape[1]
     if w_prod.shape != (d, 1) or w_diff.shape != (d, 1) or b.shape != (1,):
         raise ShapeError(f"contact_scores weights {w_prod.shape}/{w_diff.shape}/{b.shape} "
                          f"do not fit width {d}")
-    hd, wp, wd = h.data, w_prod.data[:, 0], w_diff.data[:, 0]
-    rows = min(CONTACT_BLOCK_ROWS, n)
+    hd, wp, wd = h.data[idx], w_prod.data[:, 0], w_diff.data[:, 0]
+    pad = min(CONTACT_BLOCK_ROWS, n)
 
-    # S sits in the first n columns of an (n, n + rows) buffer. Flat, its
-    # entry (i, i + s0 + t) is at i * (n + rows + 1) + s0 + t, so a block of
-    # diagonals s0.. is one (n - s0, rows) view, whose entries for pairs past
+    # S sits in the first n columns of an (n, n + pad) buffer. Flat, its
+    # entry (i, i + s0 + t) is at i * (n + pad + 1) + s0 + t, so a block of
+    # diagonals s0.. is one (n - s0, pad) view, whose entries for pairs past
     # the last residue land in the zeroed padding columns
-    full = np.zeros((n, n + rows))
+    full = np.zeros((n, n + pad))
     scores = full[:, :n]
     scores[...] = (hd * wp) @ hd.T
     scores += b.data
@@ -656,7 +647,7 @@ def contact_scores(h: Tensor, w_prod: Tensor, w_diff: Tensor, b: Tensor) -> Tens
     r2[:n] = hd @ wd
     r2 *= 2.0
     r2_runs = sliding_window_view(r2, n)
-    buf = np.empty(rows * n * d)  # one buffer serves every block
+    buf = np.empty(pad * n * d)  # one buffer serves every block
     for s0 in range(1, n, CONTACT_BLOCK_ROWS):
         k, m = min(CONTACT_BLOCK_ROWS, n - s0), n - s0  # diagonals s0.., pairs on s0
         top = np.maximum(runs[0, : m * d], runs[s0 : s0 + k, : m * d],
@@ -665,7 +656,7 @@ def contact_scores(h: Tensor, w_prod: Tensor, w_diff: Tensor, b: Tensor) -> Tens
         twice *= 4.0
         twice -= r2[:m]
         twice -= r2_runs[s0 : s0 + k, :m]
-        upper = full.reshape(-1)[s0 : s0 + m * (n + rows + 1)].reshape(m, n + rows + 1)
+        upper = full.reshape(-1)[s0 : s0 + m * (n + pad + 1)].reshape(m, n + pad + 1)
         upper[:, :k] += twice.T
     out_data = scores + scores.T
     out_data *= 0.5
@@ -675,7 +666,7 @@ def contact_scores(h: Tensor, w_prod: Tensor, w_diff: Tensor, b: Tensor) -> Tens
         gh = gs @ hd
         sign_sum = np.empty((n, d))
         dwd = np.zeros(d)
-        block = np.empty((rows, n, d))
+        block = np.empty((pad, n, d))
         for lo in range(0, n, CONTACT_BLOCK_ROWS):
             hi = min(lo + CONTACT_BLOCK_ROWS, n)
             # h_i - h_j for the block's rows i against every column j
@@ -684,7 +675,7 @@ def contact_scores(h: Tensor, w_prod: Tensor, w_diff: Tensor, b: Tensor) -> Tens
             sign_sum[lo:hi] = (gblk[:, None, :] @ np.sign(diff))[:, 0, :]
             np.abs(diff, out=diff)
             dwd += (gblk.reshape(1, -1) @ diff.reshape(-1, d))[0]
-        _accum(h, 2.0 * gh * wp + 2.0 * wd * sign_sum)
+        _gather_backward(h, idx, 2.0 * gh * wp + 2.0 * wd * sign_sum)
         _accum(w_prod, (hd * gh).sum(axis=0)[:, None])
         _accum(w_diff, dwd[:, None])
         _accum(b, np.array([g.sum()]))

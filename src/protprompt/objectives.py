@@ -127,10 +127,12 @@ class Adam:
 
 @dataclass
 class PairTaskBatch:
-    """Labeled pairs, encoded with every prompt the model holds."""
+    """Labeled pairs of a step's distinct proteins, each encoded once with
+    every prompt the model holds."""
 
     name: str  # task name, e.g. "ppi"
-    pairs: list[tuple[TokenSequence, TokenSequence]]
+    proteins: list[TokenSequence]  # each distinct protein once, in order of first use
+    pairs: np.ndarray  # (k, 2) indices into proteins
     labels: np.ndarray  # (k, 1) or (k, 7) 0/1 floats; the width picks the pair head
 
 
@@ -138,35 +140,20 @@ def _forward_mlm(
     model, batch: list[MlmBatch], reduction: str, frozen: frozenset[str] = frozenset()
 ) -> Tensor:
     prompts = model.prompts.names()
-    hs = [model.encode(TokenSequence(ids=masked.corrupted), prompts, frozen=frozen).h
-          for masked in batch]
-    rows = [len(prompts) + masked.positions for masked in batch]
-    targets = [masked.targets for masked in batch]
-    return nm.cross_entropy_rows(hs, rows, targets, *model.head("mlm"),
+    outs = [model.encode(TokenSequence(ids=masked.corrupted), prompts, frozen=frozen)
+            for masked in batch]
+    return nm.cross_entropy_rows([out.h for out in outs],
+                                 [out.rows(masked.positions) for out, masked in zip(outs, batch)],
+                                 [masked.targets for masked in batch], *model.head("mlm"),
                                  mean=reduction == "mean")
 
 
 def _forward_pairs(model, batch: PairTaskBatch, frozen: frozenset[str] = frozenset()) -> Tensor:
-    if not batch.pairs:
-        raise ContractError("empty pair batch")
-    # labels must be (pairs, width); the width picks the head
-    labels = np.asarray(batch.labels, dtype=np.float64)
-    if not np.all((labels == 0.0) | (labels == 1.0)):
-        raise ContractError("interaction labels must be 0 or 1")
-    w, b = model.pair_head(labels.shape[-1])
-    # each distinct protein is encoded once per step, in order of first use
-    proteins: dict[str, TokenSequence] = {}
-    pair_keys = []
-    for pair in batch.pairs:
-        pair_keys.append([seq.source_id or seq.ids.tobytes().hex() for seq in pair])
-        for key, seq in zip(pair_keys[-1], pair):
-            proteins.setdefault(key, seq)
-    slot = {key: j for j, key in enumerate(proteins)}
-    left, right = np.array([[slot[key] for key in keys] for keys in pair_keys]).T
+    w, b = model.pair_head(batch.labels.shape[-1])
     prompts = model.prompts.names()
-    hs = [model.encode(seq, prompts, frozen=frozen).h for seq in proteins.values()]
-    rows = [len(prompts) + seq.residue_positions() for seq in proteins.values()]
-    return nm.pair_bce(hs, rows, left, right, w, b, labels)
+    outs = [model.encode(seq, prompts, frozen=frozen) for seq in batch.proteins]
+    return nm.pair_bce([out.h for out in outs], [out.rows() for out in outs], *batch.pairs.T,
+                       w, b, batch.labels)
 
 
 def train_step(

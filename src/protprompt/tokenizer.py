@@ -52,7 +52,6 @@ class TokenSequence:
     """An encoded sequence: CLS + residues + EOS, never padded."""
 
     ids: np.ndarray
-    source_id: str = ""
 
     @property
     def length(self) -> int:  # CLS and EOS included
@@ -99,7 +98,7 @@ def encode(residues: str, max_len: int, source_id: str = "") -> TokenSequence:
                                 f"{ch!r} at position {i + 1}")
         ids[1 + i] = tok
     ids[1 + len(seq)] = EOS_ID
-    return TokenSequence(ids=ids, source_id=source_id)
+    return TokenSequence(ids=ids)
 
 
 def apply_mlm_mask(

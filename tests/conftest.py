@@ -130,6 +130,18 @@ def mul(a, b):
     return nm._node((a, b), a.data * b.data, backprop, "mul")
 
 
+def select_rows(x, indices):
+    """Gather rows x[indices]; duplicate indices accumulate gradient."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"select_rows needs a 2-d tensor, got {x.shape}")
+    idx = nm._checked_ids(indices, x.shape[0], "row")
+
+    def backprop(g):
+        nm._gather_backward(x, idx, g)
+
+    return nm._node((x,), x.data[idx], backprop, "select_rows")
+
+
 def reshape(x, shape):
     """Row-major reshape; element count must be preserved."""
 
@@ -411,7 +423,7 @@ def mlm_logits(model, out, positions):
     pos = np.asarray(positions, dtype=np.intp)
     if pos.size == 0:
         raise ContractError("mlm_logits needs at least one target position")
-    return affine(nm.select_rows(out.h, out.m + pos), *model.head("mlm"))
+    return affine(select_rows(out.h, out.rows(pos)), *model.head("mlm"))
 
 
 def reference_forward_mlm(model, batch, reduction="sum", frozen=frozenset()):
@@ -429,24 +441,27 @@ def reference_forward_mlm(model, batch, reduction="sum", frozen=frozenset()):
 
 def reference_forward_pairs(model, batch, frozen=frozenset()):
     """The per-pair chain the pair_bce node replaced: one encode, select_rows
-    and mean_over_rows per distinct protein, then per pair a product, affine
-    and reshape node, one concat_rows and the mean BCE."""
-    labels = np.asarray(batch.labels, dtype=np.float64)
+    and mean_over_rows per protein, then per pair a product, affine and
+    reshape node, one concat_rows and the mean BCE."""
     prompts = model.prompts.names()
-    w, b = model.pair_head(labels.shape[-1])
-    pooled = {}
+    w, b = model.pair_head(batch.labels.shape[-1])
+    outs = [model.encode(seq, prompts, frozen=frozen) for seq in batch.proteins]
+    pooled = [mean_over_rows(select_rows(out.h, out.rows())) for out in outs]
+    logit_rows = [reshape(affine(mul(pooled[i], pooled[j]), w, b), (1, -1))
+                  for i, j in batch.pairs]
+    return ppi_loss(concat_rows(logit_rows), batch.labels)
 
-    def pool_of(seq):
-        key = seq.source_id or seq.ids.tobytes().hex()
-        if key not in pooled:
-            h = model.encode(seq, prompts, frozen=frozen).h
-            rows = len(prompts) + seq.residue_positions()
-            pooled[key] = mean_over_rows(nm.select_rows(h, rows))
-        return pooled[key]
 
-    logit_rows = [reshape(affine(mul(pool_of(p), pool_of(q)), w, b), (1, -1))
-                  for p, q in batch.pairs]
-    return ppi_loss(concat_rows(logit_rows), labels)
+def pair_batch(name, seq_pairs, labels):
+    """A PairTaskBatch over (TokenSequence, TokenSequence) pairs: each
+    distinct sequence object once, in order of first use, as
+    cli._ppi_batches names each protein once."""
+    slot = {}
+    for seq in (seq for pair in seq_pairs for seq in pair):
+        slot.setdefault(id(seq), (len(slot), seq))
+    pairs = np.array([[slot[id(p)][0], slot[id(q)][0]] for p, q in seq_pairs]).reshape(-1, 2)
+    return O.PairTaskBatch(name, [seq for _, seq in slot.values()], pairs,
+                           np.asarray(labels, dtype=np.float64))
 
 
 def reference_forward(model, ids):

@@ -14,8 +14,8 @@ import scipy.stats
 
 from conftest import (affine, bce_with_logits_mean, concat_rows, embedding_lookup,
                       finite_diff_check, gelu, layernorm, log_softmax_rows, mean_over_rows,
-                      mlm_loss, mul, multihead_attention, pick, ppi_loss, reference_forward,
-                      reshape, scale, sum_all)
+                      mlm_loss, mul, multihead_attention, pair_batch, pick, ppi_loss,
+                      reference_forward, reshape, scale, select_rows, sum_all)
 from protprompt import checkpoint as ckpt
 from protprompt import data as D
 from protprompt import metrics as MX
@@ -104,7 +104,7 @@ def _primitive_cases():
     yield "scale", a(), lambda x: _contract(scale(x, -1.7))
     yield "reshape", a(), lambda x: _contract(reshape(x, (2, 6)))
     yield "concat_rows", a(), lambda x: _contract(concat_rows([x, _probe((2, 4), 9)]))
-    yield "select_rows", a(), lambda x: _contract(nm.select_rows(x, [2, 0, 2]))
+    yield "select_rows", a(), lambda x: _contract(select_rows(x, [2, 0, 2]))
     yield "pick", a(), lambda x: _contract(pick(x, [0, 2, 2], [1, 3, 3]))
     yield "sum_all", a(), lambda x: sum_all(x)
     yield "mean_over_rows", a(), lambda x: _contract(mean_over_rows(x))
@@ -143,18 +143,22 @@ def _attention_cases():
 
 
 def _contact_cases():
-    # every column holds distinct multiples of 0.3 (plus a shift), so no two
-    # rows come within 4 * eps of each other and |h_i - h_j| stays off its kink
+    # the scored rows 1..n sit between two unscored ones, as residues sit
+    # between CLS and EOS. Every column of them holds distinct multiples of
+    # 0.3 (plus a shift), so no two come within 4 * eps of each other and
+    # |h_i - h_j| stays off its kink
     rng = np.random.default_rng(50)
     n, d = 5, 4
     rank = np.argsort(rng.random((n, d)), axis=0)
-    h = Tensor((rank + rng.uniform(0.0, 0.5, (1, d))) * 0.3)
-    gaps = np.abs(h.data[:, None, :] - h.data[None, :, :])[~np.eye(n, dtype=bool)]
+    h = Tensor(np.vstack([rng.normal(size=(1, d)), (rank + rng.uniform(0.0, 0.5, (1, d))) * 0.3,
+                          rng.normal(size=(1, d))]))
+    rows = np.arange(1, n + 1)
+    gaps = np.abs(h.data[rows, None, :] - h.data[None, rows, :])[~np.eye(n, dtype=bool)]
     assert gaps.min() > 4 * 1e-3
     args = [h, _probe((d, 1), 51), _probe((d, 1), 52), _probe((1,), 53)]
 
     def loss():
-        return _contract(nm.contact_scores(*args))
+        return _contract(nm.contact_scores(args[0], rows, *args[1:]))
 
     for name, p in zip(("h", "w_prod", "w_diff", "b"), args):
         yield f"contact_scores_{name}", p, loss
@@ -254,7 +258,7 @@ def test_2_mask_semantics_suite():
     # one-way flow: prompt-row outputs carry zero gradient to any input
     tape = Tape()
     with tape:
-        loss = scalar_of(nm.select_rows(model.encode(seq, ("Seq", "IC")).h, [0, 1]))
+        loss = scalar_of(select_rows(model.encode(seq, ("Seq", "IC")).h, [0, 1]))
     for p in model.parameters().values():
         p.grad = None
     nm.backward(tape, loss)
@@ -269,7 +273,7 @@ def test_2_mask_semantics_suite():
     tape = Tape()
     with tape:
         out = model.encode(seq, ("Seq", "IC"))
-        loss = scalar_of(nm.select_rows(out.h, [0]))  # the Seq row
+        loss = scalar_of(select_rows(out.h, [0]))  # the Seq row
     for p in model.parameters().values():
         p.grad = None
     nm.backward(tape, loss)
@@ -299,11 +303,7 @@ def _objective_fixture(seed):
     model = ProteinEncoder(cfg, seed=seed)
     seqs = [T.encode(s, 10, f"s{i}") for i, s in enumerate(("ACDEF", "WYKRH", "MNPQS"))]
     mlm = [T.apply_mlm_mask(s, 0.3, (5, i)) for i, s in enumerate(seqs)]
-    ppi = O.PairTaskBatch(
-        name="ppi",
-        pairs=[(seqs[0], seqs[1]), (seqs[1], seqs[2])],
-        labels=np.array([[1.0], [0.0]]),
-    )
+    ppi = pair_batch("ppi", [(seqs[0], seqs[1]), (seqs[1], seqs[2])], [[1.0], [0.0]])
     return model, mlm, ppi
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import shutil
 import signal
 import struct
@@ -990,6 +991,23 @@ def test_eval_rejects_a_repeated_row_id(ws, tmp_path, capsys, monkeypatch, task,
     assert "Traceback" not in err and encodes == []
 
 
+@pytest.mark.parametrize("task, rows", [
+    ("ss", "s1\tACDEF\t01210\ns2\t\t\n"),
+    ("regress", "r1\tACDE\t0.5\nr2\t\t1.5\n"),
+], ids=["ss", "regress"])
+def test_eval_rejects_an_empty_sequence_row(ws, tmp_path, capsys, monkeypatch, task, rows):
+    # a row without residues stops the run before any encode, naming its
+    # line and id, as parse_fasta does for a FASTA record
+    data = tmp_path / f"{task}.tsv"
+    data.write_text(rows)
+    encodes = _counting_encodes(monkeypatch)
+    rc = main(["eval", "--checkpoint", str(ws["final"]), "--task", task, "--data", str(data)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {data}:2: row '{rows[0]}2' has an empty sequence"), err
+    assert "Traceback" not in err and encodes == []
+
+
 def test_eval_regress_on_one_row_names_the_file(ws, tmp_path, capsys):
     # a rank correlation needs two rows; the error names the TSV, not the
     # metric function
@@ -1042,8 +1060,7 @@ def test_non_finite_or_negative_config_values_exit_2(ws, tmp_path, capsys, case)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("case", ["pretrain-seed", "batch-seqs", "split-seed", "beta1",
-                                  "resume-past-steps"])
+@pytest.mark.parametrize("case", ["pretrain-seed", "split-seed", "beta1", "resume-past-steps"])
 def test_bad_seed_batch_size_or_beta_exits_2_before_any_output(ws, tmp_path, capsys, case):
     tsv = tmp_path / "pairs.tsv"
     tsv.write_text("a\tb\t1\nb\tc\t1\nc\td\t1\n")
@@ -1051,7 +1068,6 @@ def test_bad_seed_batch_size_or_beta_exits_2_before_any_output(ws, tmp_path, cap
                 "--steps", "2", *BASE_SETS]
     argv, key = {
         "pretrain-seed": ([*pretrain, "--seed", "-1"], "seed"),
-        "batch-seqs": ([*pretrain, "--set", "batch_seqs=0"], "batch_seqs"),
         "split-seed": (["split", "--ppi", str(tsv), "--mode", "bfs", "--fraction", "0.5",
                         "--seed", "-1", "--out-prefix", str(tmp_path / "out" / "s")], "seed"),
         "beta1": (["eval", "--checkpoint", str(ws["final"]), "--task", "ppi", "--data",
@@ -1121,6 +1137,8 @@ def test_every_config_rule_exits_2_before_any_output(ws, tmp_path, capsys, case)
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("config error:") and "Traceback" not in captured.err
+    # the error names a key to fix
+    assert any(re.search(rf"\b{key}\b", captured.err) for key in GATE_TABLE[case]), captured.err
     assert not captured.out and not out.exists()
 
 
@@ -1135,7 +1153,8 @@ def test_resume_with_a_negative_probability_leaves_its_directory_alone(ws, tmp_p
                *_gate_argv(NEGATIVE_PROBS["random-negative"])])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: mask policy probabilities") and "Traceback" not in err
+    assert err.startswith("config error: mask_prob_mask, mask_prob_random and mask_prob_keep")
+    assert "Traceback" not in err
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 

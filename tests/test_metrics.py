@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from protprompt import checkpoint as C
 from protprompt import data as D
 from protprompt import metrics as M
 from protprompt import tokenizer as T
+from protprompt.cli import main
+from protprompt.config import RunConfig
 from protprompt.errors import ContractError, DataError
 from protprompt.model import ModelConfig, ProteinEncoder
 
@@ -303,42 +306,53 @@ def test_average_ranks():
 # embedding shift probe
 
 
+PROBE_CONFIG = RunConfig(d=16, layers=1, heads=2, max_len=12, prompts="Seq,IC")
+
+
 def _probe_model():
-    cfg = ModelConfig(d=16, layers=1, heads=2, max_len=12, prompt_names=("Seq", "IC"))
-    return ProteinEncoder(cfg, seed=3)
+    return ProteinEncoder(ModelConfig.from_run_config(PROBE_CONFIG), seed=3)
+
+
+def _probe_rows(tmp_path, residues, prompt, cutoff):
+    """The cells of each residue row of the probe command's CSV for one
+    sequence, run on a checkpoint of _probe_model."""
+    model_path, fasta, out = tmp_path / "model.bin", tmp_path / "p.fasta", tmp_path / "probes"
+    C.save_model(model_path, _probe_model(), PROBE_CONFIG)
+    fasta.write_text(f">p\n{residues}\n")
+    assert main(["probe", "--checkpoint", str(model_path), "--fasta", str(fasta), "--prompt",
+                 prompt, "--cutoff", repr(cutoff), "--out-dir", str(out)]) == 0
+    lines = (out / "p.csv").read_text().splitlines()
+    assert lines[0].startswith("# config_hash=") and lines[1] == "index,residue,distance,flagged"
+    return [line.split(",") for line in lines[2:]]
 
 
 def test_probe_distances_match_direct_recomputation():
     model = _probe_model()
-    seq = T.encode("ACDWKE", 12, "p0")
-    report = M.embedding_shift_probe(model, seq, "IC", cutoff=1.0)
-    a = model.encode(seq, ("IC",)).residue_rows().data
-    b = model.encode(seq, ()).residue_rows().data
-    want = np.sqrt(((a - b) ** 2).sum(axis=1))
-    assert [e.distance for e in report.entries] == want.tolist()
-    assert [e.residue for e in report.entries] == list("ACDWKE")
-    assert [e.index for e in report.entries] == list(range(6))
-    assert report.source_id == "p0" and report.prompt == "IC"
+    seq = T.encode("ACDWKE", 12)
+    got = M.embedding_shift_probe(model, seq, "IC")
+    # residues sit at rows 1..6 past the prompt rows
+    a = model.encode(seq, ("IC",)).h.data[2:8]
+    b = model.encode(seq, ()).h.data[1:7]
+    assert got.tobytes() == np.sqrt(((a - b) ** 2).sum(axis=1)).tobytes()
 
 
-def test_probe_flags_follow_cutoff():
-    model = _probe_model()
-    seq = T.encode("MNPQRS", 12, "p1")
-    report = M.embedding_shift_probe(model, seq, "Seq", cutoff=0.0)
+def test_probe_flags_follow_cutoff(tmp_path):
+    distances = M.embedding_shift_probe(_probe_model(), T.encode("MNPQRS", 12), "Seq")
     # attaching a prompt must move every residue at least a little
-    assert all(e.flagged for e in report.entries)
-    high = M.embedding_shift_probe(model, seq, "Seq", cutoff=1e9)
-    assert not any(e.flagged for e in high.entries)
-    for lo, hi in zip(report.entries, high.entries):
-        assert lo.distance == hi.distance  # cutoff only changes the flag
+    assert (distances > 0.0).all()
+    # a residue is flagged when it moved further than the cutoff, not as far
+    mid = float(np.sort(distances)[2])
+    for cutoff, flags in ((0.0, "111111"), (1e9, "000000"),
+                          (mid, "".join(str(int(x > mid)) for x in distances))):
+        rows = _probe_rows(tmp_path, "MNPQRS", "Seq", cutoff)
+        assert "".join(cells[3] for cells in rows) == flags
+        assert [float(cells[2]) for cells in rows] == distances.tolist()
+    assert flags.count("1") == 3
 
 
-def test_probe_csv_shape():
-    model = _probe_model()
-    seq = T.encode("ACD", 12, "p2")
-    lines = M.embedding_shift_probe(model, seq, "IC", 0.5).csv_lines()
-    assert lines[0] == "index,residue,distance,flagged"
-    assert len(lines) == 4
-    cells = lines[1].split(",")
-    assert cells[0] == "0" and cells[1] == "A" and cells[3] in ("0", "1")
-    assert float(cells[2]) >= 0.0
+def test_probe_csv_shape(tmp_path):
+    rows = _probe_rows(tmp_path, "acd", "IC", 0.5)
+    distances = M.embedding_shift_probe(_probe_model(), T.encode("ACD", 12), "IC")
+    assert [cells[:2] for cells in rows] == [["0", "A"], ["1", "C"], ["2", "D"]]
+    assert [cells[2] for cells in rows] == [repr(float(x)) for x in distances]
+    assert all(cells[3] in ("0", "1") for cells in rows)

@@ -13,7 +13,7 @@ from protprompt.model import ModelConfig, ProteinEncoder, PromptSet
 from protprompt.numerics import Tape, Tensor
 
 from conftest import (affine, mlm_logits, mlm_loss, mul, multihead_attention,
-                      reference_encode, reference_forward, sum_all)
+                      reference_encode, reference_forward, select_rows, sum_all)
 
 
 def small_model(prompts=("Seq", "IC"), seed=0, max_len=12):
@@ -175,7 +175,7 @@ def test_output_does_not_depend_on_max_len(seed):
     for out in outs:
         assert out.h.shape == (2 + 24, 16)
     a, b = outs
-    assert np.array_equal(a.residue_rows().data, b.residue_rows().data)
+    assert np.array_equal(a.h.data[a.rows()], b.h.data[b.rows()])
     assert np.array_equal(model.pool(a).data, model.pool(b).data)
 
 
@@ -255,7 +255,7 @@ def test_inputs_never_reach_prompts_additive():
     tape = Tape()
     with tape:
         out = model.encode(seq, ("Seq", "IC"))
-        loss = _generic_scalar(nm.select_rows(out.h, np.arange(out.m)))
+        loss = _generic_scalar(select_rows(out.h, np.arange(out.m)))
     for p in model.parameters().values():
         p.grad = None
     nm.backward(tape, loss)
@@ -284,7 +284,7 @@ def test_prompts_do_reach_inputs_additive():
     tape = Tape()
     with tape:
         out = model.encode(seq, ("Seq", "IC"))
-        loss = _generic_scalar(nm.select_rows(out.h, np.arange(out.m, out.h.shape[0])))
+        loss = _generic_scalar(select_rows(out.h, np.arange(out.m, out.h.shape[0])))
     for p in model.parameters().values():
         p.grad = None
     nm.backward(tape, loss)
@@ -298,7 +298,7 @@ def test_prompts_are_isolated_from_each_other():
     tape = Tape()
     with tape:
         out = model.encode(seq, ("Seq", "IC"))
-        loss = _generic_scalar(nm.select_rows(out.h, [0]))  # Seq row only
+        loss = _generic_scalar(select_rows(out.h, [0]))  # Seq row only
     for p in model.parameters().values():
         p.grad = None
     nm.backward(tape, loss)
@@ -484,6 +484,18 @@ def test_tape_free_layer_holds_one_score_block():
         assert peak < heads * (n - m) * n * 8 + 8 * n * d * 8, (m, peak)
 
 
+def test_rows_sit_past_the_prompt_rows():
+    # rows() indexes h at token positions past the m prompt rows, by default
+    # the real residues
+    model = small_model()
+    seq = T.encode("ACDEF", 10)
+    for prompts in ((), ("Seq",), ("Seq", "IC")):
+        out = model.encode(seq, prompts)
+        m = len(prompts)
+        assert out.rows().tolist() == list(range(m + 1, m + 6))
+        assert out.rows(np.array([0, 6])).tolist() == [m, m + 6]
+
+
 def test_mlm_logits_selects_input_positions():
     # the masked-LM loss reads the logits of input positions, which sit
     # after the prompt rows
@@ -492,7 +504,7 @@ def test_mlm_logits_selects_input_positions():
     masked = T.MlmBatch(corrupted=seq.ids, positions=np.array([1, 3]), targets=np.array([4, 7]))
     batch = [masked]
     out = model.encode(seq, ("Seq", "IC"))
-    direct = affine(nm.select_rows(out.h, np.array([3, 5])), *model.head("mlm"))
+    direct = affine(select_rows(out.h, np.array([3, 5])), *model.head("mlm"))
     assert mlm_logits(model, out, [1, 3]).data.tobytes() == direct.data.tobytes()
     want = mlm_loss(direct, [4, 7]).data.item()
     assert abs(O._forward_mlm(model, batch, "sum").data.item() - want) <= 1e-12

@@ -18,7 +18,8 @@ from conftest import (OracleError, affine, bce_with_logits_mean, concat_rows,
                       embedding_lookup, finite_diff_check, gelu, layernorm, log_softmax_rows,
                       mean_over_rows, mul, multihead_attention, normalised_first_attention,
                       pick, reference_affine, reference_attention, reference_contact,
-                      reference_gelu, reference_layernorm, reshape, scale, sum_all)
+                      reference_gelu, reference_layernorm, reshape, scale, select_rows,
+                      sum_all)
 
 FD_TOL = 1e-6
 
@@ -60,12 +61,12 @@ def test_reshape_concat_slice_gradients():
     _check(lambda t: reshape(t, (12,)), _rand((3, 4), 12))
     b = Tensor(np.random.default_rng(13).normal(0, 1, (2, 4)))
     _check(lambda t: concat_rows([t, b]), _rand((3, 4), 14))
-    _check(lambda t: nm.select_rows(t, np.arange(1, 3)), _rand((4, 3), 17))
+    _check(lambda t: select_rows(t, np.arange(1, 3)), _rand((4, 3), 17))
 
 
 def test_gather_gradients():
     # duplicate indices must accumulate
-    _check(lambda t: nm.select_rows(t, [0, 2, 2, 1]), _rand((3, 4), 19))
+    _check(lambda t: select_rows(t, [0, 2, 2, 1]), _rand((3, 4), 19))
     _check(lambda t: pick(t, [0, 1, 1], [2, 0, 0]), _rand((3, 4), 20))
     _check(lambda t: embedding_lookup(t, [1, 1, 0, 2]), _rand((3, 4), 21))
 
@@ -202,7 +203,7 @@ def test_contact_scores_match_the_gather_reference(n):
     g = rng.normal(size=(n, n))
     tape = Tape()
     with tape:
-        out = nm.contact_scores(h, w_prod, w_diff, b)
+        out = nm.contact_scores(h, np.arange(n), w_prod, w_diff, b)
         loss = sum_all(mul(out, Tensor(g)))
     assert len(tape.nodes) == 3  # contact_scores, mul, sum_all
     nm.backward(tape, loss)
@@ -218,16 +219,44 @@ def test_contact_scores_match_the_gather_reference(n):
         assert np.abs(t.grad - ref).max() <= grad_tol
 
 
+def test_contact_scores_read_rows_by_index():
+    # scoring rows of h gives the bits of scoring h[rows] as a tensor of its
+    # own, and the gradient of each listing of a row reaches that row of h
+    rng = np.random.default_rng(31)
+    h = Tensor(rng.normal(size=(9, 6)), requires_grad=True)
+    w_prod, w_diff = (Tensor(rng.normal(size=(6, 1)), requires_grad=True) for _ in range(2))
+    b = Tensor(rng.normal(size=1), requires_grad=True)
+    g = Tensor(rng.normal(size=(6, 6)))
+    rows = np.array([2, 3, 5, 3, 7, 8])
+    grads = []
+    for forward in (lambda: nm.contact_scores(h, rows, w_prod, w_diff, b),
+                    lambda: nm.contact_scores(select_rows(h, rows), np.arange(6), w_prod,
+                                              w_diff, b)):
+        for t in (h, w_prod, w_diff, b):
+            t.grad = None
+        with Tape() as tape:
+            out = forward()
+            loss = sum_all(mul(out, g))
+        nm.backward(tape, loss)
+        grads.append([out.data] + [t.grad for t in (h, w_prod, w_diff, b)])
+    for got, want in zip(*grads):
+        assert got.tobytes() == want.tobytes()
+    assert not grads[0][1][[0, 1, 4, 6]].any()
+
+
 def test_contact_scores_rejects_bad_shapes():
     h, w, b = Tensor(np.zeros((5, 4))), Tensor(np.zeros((4, 1))), Tensor(np.zeros(1))
+    rows = np.arange(5)
     with pytest.raises(ShapeError, match="2-d h"):
-        nm.contact_scores(Tensor(np.zeros(4)), w, w, b)
+        nm.contact_scores(Tensor(np.zeros(4)), rows, w, w, b)
+    with pytest.raises(ShapeError, match="row out of range"):
+        nm.contact_scores(h, [1, 5], w, w, b)
     with pytest.raises(ShapeError, match="width 4"):
-        nm.contact_scores(h, Tensor(np.zeros((4,))), w, b)
+        nm.contact_scores(h, rows, Tensor(np.zeros((4,))), w, b)
     with pytest.raises(ShapeError, match="width 4"):
-        nm.contact_scores(h, w, Tensor(np.zeros((5, 1))), b)
+        nm.contact_scores(h, rows, w, Tensor(np.zeros((5, 1))), b)
     with pytest.raises(ShapeError, match="width 4"):
-        nm.contact_scores(h, w, w, Tensor(np.zeros(())))
+        nm.contact_scores(h, rows, w, w, Tensor(np.zeros(())))
 
 
 def test_normalisation_and_activation_gradients():
@@ -472,7 +501,7 @@ def test_shape_errors_carry_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
         affine(a, Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
     with pytest.raises(ShapeError):
-        nm.select_rows(a, [0, 2])
+        select_rows(a, [0, 2])
     with pytest.raises(ShapeError):
         layernorm(a, Tensor(np.ones(4)), Tensor(np.ones(3)))
 

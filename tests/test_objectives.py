@@ -1,21 +1,24 @@
 """Loss definitions, gradient routing and optimizer behaviour."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
 
 from protprompt import cli
+from protprompt import data as D
 from protprompt import numerics as nm
 from protprompt import objectives as O
 from protprompt import tokenizer as T
+from protprompt.config import build_config
 from protprompt.errors import ConfigError, ContractError, NumericsError, ShapeError
 from protprompt.model import ModelConfig, ProteinEncoder
 from protprompt.numerics import Tape, Tensor
 
 from conftest import (affine, bce_with_logits_mean, concat_rows, mean_over_rows, mlm_loss,
-                      mul, ppi_loss, reference_forward_mlm, reference_forward_pairs,
-                      reference_routed_step, reshape, scale)
+                      mul, pair_batch, ppi_loss, reference_forward_mlm, reference_forward_pairs,
+                      reference_routed_step, reshape, scale, select_rows)
 
 
 def test_uniform_logits_give_log_vocab_loss():
@@ -67,7 +70,7 @@ def _fixture(seed=0, prompts=("Seq", "IC"), d=16, layers=1, heads=2):
     mlm = [T.apply_mlm_mask(s, 0.3, (5, i)) for i, s in enumerate(seqs)]
     pairs = [(seqs[0], seqs[1]), (seqs[1], seqs[2]), (seqs[0], seqs[2])]
     labels = np.array([[1.0], [0.0], [1.0]])
-    ppi = O.PairTaskBatch(name="ppi", pairs=pairs, labels=labels)
+    ppi = pair_batch("ppi", pairs, labels)
     return model, mlm, ppi
 
 
@@ -78,7 +81,7 @@ def _snapshot(model):
 def _two_tasks(ppi):
     """ppi plus a 7-type task over the same pairs, which takes the other head."""
     labels = np.random.default_rng(3).integers(0, 2, size=(len(ppi.pairs), 7)).astype(float)
-    return [ppi, O.PairTaskBatch(name="types", pairs=ppi.pairs, labels=labels)]
+    return [ppi, O.PairTaskBatch("types", ppi.proteins, ppi.pairs, labels)]
 
 
 def test_injection_loss_weighted_fold():
@@ -301,18 +304,34 @@ def test_train_step_rejects_empty_and_duplicates():
         O.train_step(model, opt, None, [ppi, ppi], True, 1.0, {}, step=0)
 
 
-def test_pair_forward_pools_each_protein_once():
-    model, _, ppi = _fixture(seed=7)
+def test_pair_forward_pools_each_protein_once(tmp_path):
+    # cli._ppi_batches lists each distinct protein once, in order of first
+    # use over the positives and then the drawn negatives, and _forward_pairs
+    # encodes each of them once
+    model, _, _ = _fixture(seed=7)
+    tsv = tmp_path / "ppi.tsv"
+    tsv.write_text("a\tb\t1\nb\tc\t1\nc\td\t1\nd\te\t1\n")
+    graph, _ = D.parse_ppi_tsv(tsv)
+    encoded = {name: T.encode(res, 10, name)
+               for name, res in zip("abcde", ("ACDEF", "WYKRH", "MNPQS", "GHIKL", "TVWYA"))}
+    cfg = build_config(overrides={"batch_pairs": "3", "seed": "2"})
+    ppi = cli._ppi_batches(graph, encoded, cfg, 1)(0)
+    name_of = {id(seq): name for name, seq in encoded.items()}
+    ends = [[name_of[id(ppi.proteins[i])] for i in pair] for pair in ppi.pairs]
+    is_edge = [tuple(sorted(e)) in graph.edges for e in ends]
+    assert is_edge == [True] * 3 + [False] * 3
+    used = [name for pair in ends for name in pair]
+    assert [name_of[id(seq)] for seq in ppi.proteins] == list(dict.fromkeys(used))
     calls = []
     original = model.encode
 
     def counting_encode(seq, *args, **kwargs):
-        calls.append(seq.source_id)
+        calls.append(seq)
         return original(seq, *args, **kwargs)
 
     model.encode = counting_encode
     O._forward_pairs(model, ppi)
-    assert calls == ["s0", "s1", "s2"]
+    assert len(calls) == len(ppi.proteins) and all(map(operator.is_, calls, ppi.proteins))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +351,7 @@ def _step_fixture(width=1, seed=12):
     pairs = [(seqs[0], seqs[1]), (seqs[2], seqs[0]), (seqs[0], seqs[0]), (seqs[3], seqs[4]),
              (seqs[5], seqs[2])]
     labels = rng.integers(0, 2, size=(len(pairs), width)).astype(np.float64)
-    return model, mlm, O.PairTaskBatch(name="ppi", pairs=pairs, labels=labels)
+    return model, mlm, pair_batch("ppi", pairs, labels)
 
 
 def _loss_and_grads(model, forward):
@@ -399,7 +418,7 @@ def test_eval_pair_logits_are_the_training_logits(d, width):
                            for i, j in zip(left, right)])
         assert edge_z.tobytes() == batch_z.tobytes()
         labels = rng.integers(0, 2, size=(size, width)).astype(np.float64)
-        batch = O.PairTaskBatch("ppi", [(seqs[i], seqs[j]) for i, j in zip(left, right)], labels)
+        batch = pair_batch("ppi", [(seqs[i], seqs[j]) for i, j in zip(left, right)], labels)
         bce = np.maximum(edge_z, 0.0) - edge_z * labels + np.log1p(np.exp(-np.abs(edge_z)))
         assert O._forward_pairs(model, batch).data.tobytes() == np.asarray(bce.mean()).tobytes()
         # the fixed-order sums reorder the matmul's additions (aim 3's bound)
@@ -415,7 +434,7 @@ def test_pair_node_counts_a_repeated_row_each_time():
     rows, y = [np.array([1, 2, 2, 4]), np.array([0, 5])], np.array([[1.0], [0.0]])
 
     def chain():
-        v = [mean_over_rows(nm.select_rows(h, r)) for h, r in zip(hs, rows)]
+        v = [mean_over_rows(select_rows(h, r)) for h, r in zip(hs, rows)]
         z = [reshape(affine(mul(v[0], v[1]), w, b), (1, 1)),
              reshape(affine(mul(v[1], v[1]), w, b), (1, 1))]
         return bce_with_logits_mean(concat_rows(z), y)
@@ -434,12 +453,10 @@ def test_pair_node_counts_a_repeated_row_each_time():
 
 def test_pair_node_checks_labels():
     model, _, ppi = _step_fixture()
-    with pytest.raises(ContractError, match="0 or 1"):
-        O._forward_pairs(model, O.PairTaskBatch("ppi", ppi.pairs, ppi.labels * 0.5))
     with pytest.raises(ConfigError, match="no pair head"):
-        O._forward_pairs(model, O.PairTaskBatch("ppi", ppi.pairs, np.zeros((5, 3))))
+        O._forward_pairs(model, O.PairTaskBatch("ppi", ppi.proteins, ppi.pairs, np.zeros((5, 3))))
     with pytest.raises(ShapeError, match="labels shape"):
-        O._forward_pairs(model, O.PairTaskBatch("ppi", ppi.pairs, np.zeros((4, 1))))
+        O._forward_pairs(model, O.PairTaskBatch("ppi", ppi.proteins, ppi.pairs, np.zeros((4, 1))))
 
 
 def test_mlm_node_checks_rows_and_targets():

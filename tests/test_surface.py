@@ -1,14 +1,16 @@
-"""Every name the package defines has a caller inside the package, and
-every name a module imports is read in it.
+"""Every name the package defines has a caller inside the package, every
+record field is read in it, and every name a module imports is read in it.
 
 A function, class or method that only tests reach is dead surface: its
 last src/ caller went, and the tests that still call it keep it alive.
 Private module-level helpers count too; only dunder names are exempt.
-An import that nothing reads is left over the same way, from a deleted
-caller. These checks fail the suite when one is left behind.
+A dataclass or NamedTuple field that src/ never reads is carried for
+nothing the same way, and so is an import that nothing reads, left over
+from a deleted caller. These checks fail the suite when one is left behind.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -20,6 +22,25 @@ import protprompt
 UNCALLED = {
     "numerics.add": "perfbench/test_perfbench.py:57 asserts that the tracer wraps it",
 }
+
+# record fields with no attribute read in src/, each with why it stays
+UNREAD = {
+    "model.EncoderOutput.attn": "tests read the maps to assert the one-way mask's exact zeros",
+    "data.ResidueRecord.atom": "tests check the CB/CA policy through it",
+    "metrics.ContactPrecision.scored_pairs": "tests check the L/2 count through it",
+}
+
+
+def _modules():
+    """(short name, module, parsed source) of every package module."""
+    for info in pkgutil.iter_modules(protprompt.__path__):
+        mod = importlib.import_module(f"protprompt.{info.name}")
+        yield info.name, mod, ast.parse(inspect.getsource(mod))
+
+
+def _own_classes(mod):
+    return [(name, obj) for name, obj in vars(mod).items()
+            if inspect.isclass(obj) and obj.__module__ == mod.__name__]
 
 
 def _references(short: str, tree: ast.Module) -> set[str]:
@@ -56,23 +77,38 @@ def test_every_public_src_name_has_a_src_caller():
     # attribute read of its name anywhere in src/, since the type behind an
     # attribute is unknown
     defined, methods, refs, attrs = set(), {}, set(), set()
-    for info in pkgutil.iter_modules(protprompt.__path__):
-        mod = importlib.import_module(f"protprompt.{info.name}")
-        tree = ast.parse(inspect.getsource(mod))
-        refs |= _references(info.name, tree)
+    for short, mod, tree in _modules():
+        refs |= _references(short, tree)
         attrs.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
         for name, obj in vars(mod).items():
             if name.startswith("__") or getattr(obj, "__module__", None) != mod.__name__:
                 continue
             if inspect.isfunction(obj) or inspect.isclass(obj):
-                defined.add(f"{info.name}.{name}")
-            if inspect.isclass(obj):
-                methods.update(
-                    (f"{info.name}.{name}.{attr}", attr) for attr, raw in vars(obj).items()
-                    if not attr.startswith("_") and (inspect.isfunction(raw) or isinstance(
-                        raw, (classmethod, staticmethod, property))))
+                defined.add(f"{short}.{name}")
+        for name, cls in _own_classes(mod):
+            methods.update(
+                (f"{short}.{name}.{attr}", attr) for attr, raw in vars(cls).items()
+                if not attr.startswith("_") and (inspect.isfunction(raw) or isinstance(
+                    raw, (classmethod, staticmethod, property))))
     dead = (defined - refs) | {full for full, attr in methods.items() if attr not in attrs}
     assert sorted(dead) == sorted(UNCALLED)
+
+
+def test_every_record_field_is_read_in_src():
+    # a dataclass or NamedTuple field needs an attribute read (not a write)
+    # of its name anywhere in src/, the rule methods follow
+    fields, reads = {}, set()
+    for short, mod, tree in _modules():
+        reads.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+        for name, cls in _own_classes(mod):
+            if dataclasses.is_dataclass(cls):
+                names = [f.name for f in dataclasses.fields(cls)]
+            else:  # a NamedTuple's fields; () for any other class
+                names = getattr(cls, "_fields", ()) if issubclass(cls, tuple) else ()
+            fields.update((f"{short}.{name}.{field}", field) for field in names)
+    unread = {full for full, field in fields.items() if field not in reads}
+    assert sorted(unread) == sorted(UNREAD)
 
 
 def test_every_src_import_is_read():

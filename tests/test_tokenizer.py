@@ -30,7 +30,6 @@ def test_encode_basic():
     assert seq.length == 5
     assert seq.n_residues == 3
     assert seq.residue_positions().tolist() == [1, 2, 3]
-    assert seq.source_id == "p1"
 
 
 def test_encode_lowercase_and_unknown():
