@@ -154,6 +154,24 @@ def validate_shapes(expected: dict[str, tuple], got: dict[str, np.ndarray], path
             )
 
 
+def resume_step(path, state: dict[str, np.ndarray], model) -> int:
+    """The step at which a run resumes from path's training state, once Adam
+    can continue it: opt.step is a 0-d whole number >= 0, and each opt.m. or
+    opt.v. moment of a parameter has its partner, both of the parameter's shape."""
+    step = state.get("opt.step", np.asarray(0.0))
+    if step.shape != () or not (float(step).is_integer() and step >= 0):
+        raise FormatError(f"{path}: opt.step must be a whole number >= 0, got {step.tolist()}")
+    for name, p in model.parameters().items():
+        pair = (f"opt.m.{name}", f"opt.v.{name}")
+        for key, partner in (pair, pair[::-1]):
+            if key in state and partner not in state:
+                raise FormatError(f"{path}: {key} has no {partner} partner")
+            if key in state and state[key].shape != p.shape:
+                raise FormatError(f"{path}: {key} has shape {state[key].shape}, "
+                                  f"parameter {name} has {p.shape}")
+    return int(step)
+
+
 def save_model(path, model, run_config, optimizer=None) -> None:
     """Serialise model parameters (and optionally training state)."""
     entries: dict[str, np.ndarray] = {

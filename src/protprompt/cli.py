@@ -220,7 +220,7 @@ def _train(model, cfg: RunConfig, out_dir: Path, final_name: str, mlm, tasks: di
 def cmd_pretrain(args) -> int:
     cfg, model, state = _load_config(args, ("fasta", "ppi", "steps", "seed"), args.resume)
     _print_warnings(cfg)
-    start_step = int(state.get("opt.step", np.asarray(0.0)))
+    start_step = ckpt.resume_step(args.resume, state, model) if args.resume else 0
     if start_step > cfg.steps:
         raise ConfigError(f"--resume {args.resume} is at step {start_step}, "
                           f"past steps={cfg.steps}")
@@ -238,11 +238,10 @@ def cmd_pretrain(args) -> int:
     if model is None:
         model = ProteinEncoder(ModelConfig.from_run_config(cfg), seed=cfg.seed)
     # train what some source reaches: encoder, MLM head, --ppi's head, free prompts
-    names = model.prompts.names()
-    held = frozenset.intersection(*(O.frozen_prompts(names, s, cfg.routing)
+    held = frozenset.intersection(*(O.frozen_prompts(tuple(model.prompts), s, cfg.routing)
                                     for s in (O.CONSERVE, *tasks)))
     trained = {*model.encoder.values(), *model.head("mlm"), *(model.pair_head(1) if tasks else ()),
-               *(model.prompts.get(n) for n in names if n not in held)}
+               *(p for n, p in model.prompts.items() if n not in held)}
     for p in model.parameters().values():
         p.requires_grad = p in trained
 
@@ -278,20 +277,17 @@ def cmd_inject(args) -> int:
     if prompt_name in O.frozen_prompts((prompt_name,), args.task, cfg.routing):
         raise ConfigError(f"prompt {prompt_name!r} learns from the conservation loss only, "
                           "so inject could never train it")
+    # the config gate refuses a name the base already holds
+    cfg = build_config(base_text=cfg.to_text(),
+                       overrides={"prompts": ",".join((*cfg.prompt_names(), prompt_name))})
     graph = _task_ppi(args)
     tasks = {args.task: _ppi_batches(graph, _encode_table(graph.nodes, cfg.max_len), cfg,
                                      graph.label_width)}
     init_rng = np.random.default_rng((cfg.seed, len(model.prompts)))
-    model.prompts.register(
-        prompt_name, Tensor(init_rng.normal(0.0, PROMPT_INIT_STD, cfg.d))
-    )
-    new_prompts = cfg.prompt_names() + (prompt_name,)
-    cfg = build_config(
-        base_text=cfg.to_text(), overrides={"prompts": ",".join(new_prompts)}
-    )
+    model.prompts[prompt_name] = Tensor(init_rng.normal(0.0, PROMPT_INIT_STD, cfg.d))
 
     # the one pair head the labels reach; the other would only gain zero moments
-    trained = {model.prompts.get(prompt_name), *model.pair_head(graph.label_width),
+    trained = {model.prompts[prompt_name], *model.pair_head(graph.label_width),
                *(model.encoder.values() if args.no_freeze_encoder else ())}
     for p in model.parameters().values():
         p.requires_grad = p in trained
@@ -306,13 +302,15 @@ def cmd_inject(args) -> int:
 def cmd_eval(args) -> int:
     cfg, model, _ = _load_config(args, (), args.checkpoint)
     if args.prompts is None:
-        prompt_sel = model.prompts.names()
+        prompt_sel = tuple(model.prompts)
     elif args.prompts == "":
         prompt_sel = ()
     else:
         prompt_sel = tuple(p.strip() for p in args.prompts.split(","))
         for i, p in enumerate(prompt_sel):
-            model.prompts.get(p)  # raises ConfigError on unknown names
+            # checked here: --task contact --scores-dir encodes nothing
+            if p not in model.prompts:
+                raise ConfigError(f"unknown prompt {p!r}; registered: {list(model.prompts)}")
             if p in prompt_sel[:i]:
                 raise ConfigError(f"--prompts names {p!r} twice")
 
@@ -476,13 +474,14 @@ def cmd_split(args) -> int:
 
 def cmd_probe(args) -> int:
     cfg, model, _ = _load_config(args, ("probe_cutoff",), args.checkpoint)
-    model.prompts.get(args.prompt)
-    # every record encodes before the first CSV, so a bad one leaves none
+    # every record is probed before the first CSV, so a bad record or an
+    # unknown prompt leaves no output
     encoded = _encode_table(D.parse_fasta(args.fasta), cfg.max_len)
+    probed = [(name, seq, MX.embedding_shift_probe(model, seq, args.prompt))
+              for name, seq in encoded.items()]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, seq in encoded.items():
-        distances = MX.embedding_shift_probe(model, seq, args.prompt)
+    for name, seq, distances in probed:
         flagged = distances > cfg.probe_cutoff
         lines = [f"# config_hash={cfg.hash()}", "index,residue,distance,flagged"]
         lines += [f"{i},{T.SYMBOLS[tok]},{float(x)!r},{int(f)}" for i, (tok, x, f) in

@@ -207,7 +207,6 @@ class SplitSpec:
 
     mode: str  # "bfs" or "dfs"
     seed: int
-    fraction: float
     root: str
     selected: tuple[str, ...]
     train_edges: tuple[tuple[str, str], ...]
@@ -295,7 +294,6 @@ def split_graph(graph: PPIGraph, mode: str, fraction: float, seed: int) -> Split
     return SplitSpec(
         mode=mode,
         seed=seed,
-        fraction=fraction,
         root=root,
         selected=tuple(selected),
         train_edges=tuple(train),

@@ -22,14 +22,13 @@ from .errors import ContractError, DataError
 class RangeClass:
     """Sequence-separation bucket; max_sep=None means unbounded."""
 
-    name: str
     min_sep: int
     max_sep: int | None
 
 
-SHORT = RangeClass("short", 6, 11)
-MEDIUM = RangeClass("medium", 12, 23)
-LONG = RangeClass("long", 24, None)
+SHORT = RangeClass(6, 11)
+MEDIUM = RangeClass(12, 23)
+LONG = RangeClass(24, None)
 RANGE_CLASSES = {"short": SHORT, "medium": MEDIUM, "long": LONG}
 
 

@@ -16,9 +16,10 @@ nodes: numerics.encoder_input for the prompt and embedding rows, then one
 numerics.encoder_layer per layer (all heads, residuals, layernorms and the
 feed-forward block), each with a closed-form backward.
 
-Prompt rows receive no position and no segment embedding, and they pass
-through the same per-layer residual/layernorm/feed-forward block as every
-other row.
+Prompts are a name -> Tensor map outside the token vocabulary, so no
+prompt can collide with an input id. Prompt rows receive no position and
+no segment embedding, and they pass through the same per-layer
+residual/layernorm/feed-forward block as every other row.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError
 from .numerics import Tensor
 from .tokenizer import VOCAB_SIZE, TokenSequence
 
@@ -68,36 +69,6 @@ class ModelConfig:
         )
 
 
-class PromptSet:
-    """Named, ordered collection of learnable prompt vectors.
-
-    Prompts live outside the token vocabulary, so they can never collide
-    with an input id; collisions are only possible on names and are errors.
-    """
-
-    def __init__(self):
-        self._vectors: dict[str, Tensor] = {}
-
-    def register(self, name: str, vector: Tensor) -> None:
-        if name in self._vectors:
-            raise ConfigError(f"prompt name collision: {name!r} already registered")
-        if vector.data.ndim != 1:
-            raise ShapeError(f"prompt {name!r} must be a vector, got {vector.shape}")
-        vector.requires_grad = True
-        self._vectors[name] = vector
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._vectors)
-
-    def get(self, name: str) -> Tensor:
-        if name not in self._vectors:
-            raise ConfigError(f"unknown prompt {name!r}; registered: {list(self._vectors)}")
-        return self._vectors[name]
-
-    def __len__(self) -> int:
-        return len(self._vectors)
-
-
 @dataclass
 class EncoderOutput:
     """Final-layer representations plus the layout needed to slice them."""
@@ -119,9 +90,9 @@ class EncoderOutput:
 class ProteinEncoder:
     """The full embed (prompt rows first) -> masked layers stack, plus heads.
 
-    Each weight is held once, under its checkpoint name: encoder (embed.*,
-    layer{i}.*) and heads (head.*) are ordered name -> Tensor maps, and the
-    prompts live in their PromptSet.
+    Each weight is held once in an ordered name -> Tensor map: encoder
+    (embed.*, layer{i}.*) and heads (head.*) under their checkpoint names,
+    prompts under their own names (prompt.{name} in a checkpoint).
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
@@ -154,9 +125,10 @@ class ProteinEncoder:
         # per layer, its weights in the order numerics.encoder_layer takes them
         self.layers = [tuple(self.encoder[f"layer{i}.{name}"] for name in LAYER_WEIGHT_NAMES)
                        for i in range(config.layers)]
-        self.prompts = PromptSet()
-        for name in config.prompt_names:
-            self.prompts.register(name, Tensor(rng.normal(0.0, PROMPT_INIT_STD, d)))
+        self.prompts: dict[str, Tensor] = {
+            name: Tensor(rng.normal(0.0, PROMPT_INIT_STD, d), requires_grad=True)
+            for name in config.prompt_names
+        }
         # task heads; all are plain affine maps on encoder representations
         self.heads: dict[str, Tensor] = {
             "head.mlm.w": w((d, VOCAB_SIZE)), "head.mlm.b": zeros(VOCAB_SIZE),
@@ -172,7 +144,7 @@ class ProteinEncoder:
     def parameters(self) -> dict[str, Tensor]:
         """Insertion-ordered name -> tensor map: encoder, prompts, heads. This
         order is the checkpoint serialisation order."""
-        prompts = {f"prompt.{name}": self.prompts.get(name) for name in self.prompts.names()}
+        prompts = {f"prompt.{name}": p for name, p in self.prompts.items()}
         return {**self.encoder, **prompts, **self.heads}
 
     def head(self, name: str) -> tuple[Tensor, ...]:
@@ -195,7 +167,9 @@ class ProteinEncoder:
         """
         prompts = []
         for name in prompt_names:
-            vec = self.prompts.get(name)
+            if name not in self.prompts:
+                raise ConfigError(f"unknown prompt {name!r}; registered: {list(self.prompts)}")
+            vec = self.prompts[name]
             prompts.append(Tensor(vec.data) if name in frozen else vec)
         return nm.encoder_input(self.encoder["embed.tok"], self.encoder["embed.seg"],
                                 self.encoder["embed.pos"], seq.ids, prompts)

@@ -139,7 +139,7 @@ class PairTaskBatch:
 def _forward_mlm(
     model, batch: list[MlmBatch], reduction: str, frozen: frozenset[str] = frozenset()
 ) -> Tensor:
-    prompts = model.prompts.names()
+    prompts = tuple(model.prompts)
     outs = [model.encode(TokenSequence(ids=masked.corrupted), prompts, frozen=frozen)
             for masked in batch]
     return nm.cross_entropy_rows([out.h for out in outs],
@@ -150,7 +150,7 @@ def _forward_mlm(
 
 def _forward_pairs(model, batch: PairTaskBatch, frozen: frozenset[str] = frozenset()) -> Tensor:
     w, b = model.pair_head(batch.labels.shape[-1])
-    prompts = model.prompts.names()
+    prompts = tuple(model.prompts)
     outs = [model.encode(seq, prompts, frozen=frozen) for seq in batch.proteins]
     return nm.pair_bce([out.h for out in outs], [out.rows() for out in outs], *batch.pairs.T,
                        w, b, batch.labels)
@@ -179,7 +179,7 @@ def train_step(
     """
     if mlm_batch is None and not task_batches:
         raise ContractError("train_step needs at least one task batch")
-    prompts = model.prompts.names()
+    prompts = tuple(model.prompts)
     t0 = time.monotonic()
 
     tape = Tape()

@@ -279,7 +279,7 @@ def reference_embed(model, seq, prompt_names=(), frozen=frozenset()):
         return x_in
     rows = []
     for name in prompt_names:
-        vec = model.prompts.get(name)
+        vec = model.prompts[name]
         if name in frozen:
             vec = Tensor(vec.data)
         rows.append(reshape(vec, (1, model.config.d)))
@@ -430,7 +430,7 @@ def reference_forward_mlm(model, batch, reduction="sum", frozen=frozenset()):
     """The per-sequence masked-LM chain the cross_entropy_rows node replaced:
     per sequence an encode, select_rows, affine, log_softmax_rows, pick,
     sum_all and scale nodes, the terms folded by add in sequence order."""
-    prompts = model.prompts.names()
+    prompts = tuple(model.prompts)
     loss = None
     for masked in batch:
         out = model.encode(T.TokenSequence(ids=masked.corrupted), prompts, frozen=frozen)
@@ -443,7 +443,7 @@ def reference_forward_pairs(model, batch, frozen=frozenset()):
     """The per-pair chain the pair_bce node replaced: one encode, select_rows
     and mean_over_rows per protein, then per pair a product, affine and
     reshape node, one concat_rows and the mean BCE."""
-    prompts = model.prompts.names()
+    prompts = tuple(model.prompts)
     w, b = model.pair_head(batch.labels.shape[-1])
     outs = [model.encode(seq, prompts, frozen=frozen) for seq in batch.proteins]
     pooled = [mean_over_rows(select_rows(out.h, out.rows())) for out in outs]

@@ -227,7 +227,7 @@ def test_1_gradient_suite_primitives_and_full_encoder():
         if frozen_encoder:
             for p in model.encoder.values():
                 p.requires_grad = False
-            checked = {f"prompt.{n}": model.prompts.get(n) for n in ("Seq", "IC")}
+            checked = {f"prompt.{n}": model.prompts[n] for n in ("Seq", "IC")}
         for name, p in checked.items():
             g = _tape_grad(loss, p)
             if name.endswith("attn.bk"):
@@ -277,9 +277,9 @@ def test_2_mask_semantics_suite():
     for p in model.parameters().values():
         p.grad = None
     nm.backward(tape, loss)
-    ic = model.prompts.get("IC").grad
+    ic = model.prompts["IC"].grad
     assert ic is None or np.all(ic == 0.0)
-    assert np.any(model.prompts.get("Seq").grad != 0.0)
+    assert np.any(model.prompts["Seq"].grad != 0.0)
 
     # m=0 reduces bitwise to an independently coded plain encoder
     for s in ("ACDEFG", "WYW", "KK"):
@@ -337,15 +337,15 @@ def test_3_objective_fidelity():
     before = {n: p.data.copy() for n, p in model.parameters().items()}
     opt = O.Adam(model.parameters(), lr=1e-3)
     O.train_step(model, opt, mlm, [], True, 1.0, {"ppi": 1.0}, step=0)
-    assert np.array_equal(model.prompts.get("IC").data, before["prompt.IC"])
-    assert not np.array_equal(model.prompts.get("Seq").data, before["prompt.Seq"])
+    assert np.array_equal(model.prompts["IC"].data, before["prompt.IC"])
+    assert not np.array_equal(model.prompts["Seq"].data, before["prompt.Seq"])
 
     model, mlm, ppi = _objective_fixture(seed=13)
     before = {n: p.data.copy() for n, p in model.parameters().items()}
     opt = O.Adam(model.parameters(), lr=1e-3)
     O.train_step(model, opt, None, [ppi], True, 1.0, {"ppi": 1.0}, step=0)
-    assert np.array_equal(model.prompts.get("Seq").data, before["prompt.Seq"])
-    assert not np.array_equal(model.prompts.get("IC").data, before["prompt.IC"])
+    assert np.array_equal(model.prompts["Seq"].data, before["prompt.Seq"])
+    assert not np.array_equal(model.prompts["IC"].data, before["prompt.IC"])
 
 
 # ---------------------------------------------------------------------------

@@ -444,7 +444,7 @@ def test_inject_trains_prompt_with_frozen_encoder(ws, tmp_path):
     base_model, base_cfg, _ = ckpt.load_model(ws["final"])
     new_model, new_cfg, _ = ckpt.load_model(inj / "injected.bin")
     assert new_cfg.prompts == "Seq,IC,PPI"
-    assert new_model.prompts.names() == ("Seq", "IC", "PPI")
+    assert tuple(new_model.prompts) == ("Seq", "IC", "PPI")
 
     base_params = base_model.parameters()
     new_params = new_model.parameters()
@@ -651,10 +651,11 @@ def test_blas_thread_count_leaves_checkpoints_bitwise(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("name", ["A,B", "", "Seq"], ids=["comma", "empty", "seq"])
+@pytest.mark.parametrize("name", ["A,B", "", "Seq", "IC"], ids=["comma", "empty", "seq", "taken"])
 def test_inject_rejects_prompt_names_it_cannot_train(ws, tmp_path, capsys, name):
     # the base holds IC only, so Seq would register, then, routed (the
-    # default), never learn from ppi
+    # default), never learn from ppi; IC is taken, which the config gate
+    # refuses in the extended prompts key
     base = tmp_path / "ic"
     assert main(["pretrain", "--fasta", str(ws["fasta"]), "--out-dir", str(base),
                  "--steps", "1", *BASE_SETS, "--set", "prompts=IC"]) == 0
@@ -663,7 +664,10 @@ def test_inject_rejects_prompt_names_it_cannot_train(ws, tmp_path, capsys, name)
                "--task", "ppi", "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"]),
                "--out", str(tmp_path / "inj"), "--steps", "2"])
     assert rc == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if name == "IC":
+        assert "prompts='IC,IC': duplicate prompt names" in err
     assert not (tmp_path / "inj").exists()
 
 
@@ -681,9 +685,9 @@ def test_inject_trains_seq_with_routing_off(ws, tmp_path):
                      "--set", "routing=false"]) == 0
     trained, untrained = (ckpt.load_model(tmp_path / f"inj{steps}" / "injected.bin")[0]
                           for steps in (2, 0))
-    assert trained.prompts.names() == ("IC", "Seq")
-    assert not np.array_equal(trained.prompts.get("Seq").data,
-                              untrained.prompts.get("Seq").data)
+    assert tuple(trained.prompts) == ("IC", "Seq")
+    assert not np.array_equal(trained.prompts["Seq"].data,
+                              untrained.prompts["Seq"].data)
 
 
 @pytest.mark.parametrize("prompts", ["Seq,", "Seq, ,IC", ",IC", "Seq,,IC", " , "],
@@ -702,7 +706,7 @@ def test_pretrain_with_a_blank_prompts_key_has_no_prompts(ws, tmp_path):
     out = tmp_path / "run"
     assert main(["pretrain", "--fasta", str(ws["fasta"]), "--out-dir", str(out),
                  "--steps", "1", *BASE_SETS, "--set", "prompts="]) == 0
-    assert ckpt.load_model(out / "final.bin")[0].prompts.names() == ()
+    assert tuple(ckpt.load_model(out / "final.bin")[0].prompts) == ()
 
 
 def test_inject_draws_negatives_for_a_positives_only_file(ws, tmp_path, monkeypatch):
@@ -1158,6 +1162,39 @@ def test_resume_with_a_negative_probability_leaves_its_directory_alone(ws, tmp_p
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
+BAD_OPTIMIZER_STATES = {
+    # case: (entry of ckpt_step2.bin, its new value; None deletes it)
+    "negative-step": ("opt.step", np.asarray(-1.0)),
+    "nan-step": ("opt.step", np.asarray(np.nan)),
+    "fractional-step": ("opt.step", np.asarray(1.5)),
+    "moment-shape": ("opt.m.head.mlm.b", np.zeros(1)),
+    "unpaired-moment": ("opt.v.head.mlm.b", None),
+}
+
+
+@pytest.mark.parametrize("case", BAD_OPTIMIZER_STATES)
+def test_resume_rejects_a_bad_optimizer_state(ws, tmp_path, capsys, case):
+    # Adam could not continue the state: the resume refuses it before the
+    # vocabulary or the log of the checkpoint's own directory is rewritten
+    entry, value = BAD_OPTIMIZER_STATES[case]
+    run = tmp_path / "run"
+    shutil.copytree(ws["out"], run)
+    text, entries = ckpt.load_checkpoint(run / "ckpt_step2.bin")
+    if value is None:
+        del entries[entry]
+    else:
+        entries[entry] = value
+    ckpt.save_checkpoint(run / "ckpt_step2.bin", text, entries)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    rc = main(["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
+               "--steps", "4", "--resume", str(run / "ckpt_step2.bin")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {run / 'ckpt_step2.bin'}: ") and entry in err, err
+    assert "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
 # run by the SIGKILL tests: a CLI that SIGKILLs its own process on the
 # count-th call of objectives.train_step ("step") or of Path.replace, the
 # rename that ends every atomic write ("rename": pretrain's vocab.txt, then
@@ -1417,6 +1454,26 @@ def test_probe_cli_writes_per_sequence_csv(ws, tmp_path):
     assert lines[0].startswith("# config_hash=")
     assert lines[1] == "index,residue,distance,flagged"
     assert all(ln.endswith(",1") for ln in lines[2:])  # cutoff 0 flags all
+
+
+def test_probe_rejects_an_unknown_prompt_and_leaves_no_output(ws, tmp_path, capsys):
+    out = tmp_path / "probes"
+    rc = main(["probe", "--checkpoint", str(ws["final"]), "--fasta", str(ws["fasta"]),
+               "--prompt", "Nope", "--out-dir", str(out)])
+    assert rc == 2
+    assert "config error: unknown prompt 'Nope'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_scores_dir_rejects_an_unknown_prompt(ws, tmp_path, capsys):
+    # precomputed scores encode nothing, so eval checks --prompts itself
+    maps = tmp_path / "maps"
+    maps.mkdir()
+    D.write_contact_map(D.ContactMap(n=8, bits=np.zeros((8, 8), dtype=bool)), maps / "x_A.cmap")
+    rc = main(["eval", "--checkpoint", str(ws["final"]), "--task", "contact",
+               "--maps-dir", str(maps), "--scores-dir", str(maps), "--prompts", "Nope"])
+    assert rc == 2
+    assert "config error: unknown prompt 'Nope'" in capsys.readouterr().err
 
 
 def test_unknown_config_key_exit_2(ws, capsys):

@@ -99,9 +99,9 @@ def test_precision_matches_the_full_sort_on_tie_heavy_scores(n):
     for scores in (gauss, np.round(gauss, 1), np.round(gauss), np.zeros((n, n)),
                    rng.integers(0, 3, (n, n)).astype(float), -np.zeros((n, n)), with_nan,
                    np.full((n, n), np.nan)):
-        for rc in M.RANGE_CLASSES.values():
+        for name, rc in M.RANGE_CLASSES.items():
             assert M.precision_at_l_half(scores, truth, rc) == _lexsort_precision(
-                scores, truth, rc), (n, rc.name)
+                scores, truth, rc), (n, name)
 
 
 def _triu_precision(scores, truth, range_class):
@@ -136,9 +136,9 @@ def test_band_pairs_match_the_masked_triangle(n):
     with_nan[rng.random((n, n)) < 0.1] = np.nan
     for scores in (gauss, np.round(gauss, 1), np.zeros((n, n)),
                    rng.integers(0, 2, (n, n)).astype(float), with_nan):
-        for rc in M.RANGE_CLASSES.values():
+        for name, rc in M.RANGE_CLASSES.items():
             assert M.precision_at_l_half(scores, truth, rc) == _triu_precision(
-                scores, truth, rc), (n, rc.name)
+                scores, truth, rc), (n, name)
 
 
 def test_short_class_precision_memory_grows_with_its_pairs():

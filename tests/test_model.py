@@ -9,7 +9,7 @@ from protprompt import numerics as nm
 from protprompt import objectives as O
 from protprompt import tokenizer as T
 from protprompt.errors import ConfigError, ContractError, ShapeError
-from protprompt.model import ModelConfig, ProteinEncoder, PromptSet
+from protprompt.model import ModelConfig, ProteinEncoder
 from protprompt.numerics import Tape, Tensor
 
 from conftest import (affine, mlm_logits, mlm_loss, mul, multihead_attention,
@@ -84,27 +84,31 @@ def test_mask_argument_validation():
 
 
 # ---------------------------------------------------------------------------
-# prompt registry
+# prompts
 
 
-def test_prompt_set_registration_rules():
-    ps = PromptSet()
-    ps.register("A", Tensor(np.zeros(4)))
-    with pytest.raises(ConfigError, match="collision"):
-        ps.register("A", Tensor(np.zeros(4)))
-    with pytest.raises(ShapeError):
-        ps.register("B", Tensor(np.zeros((2, 2))))
-    with pytest.raises(ConfigError, match="unknown prompt"):
-        ps.get("missing")
-    assert ps.names() == ("A",)
+def test_prompts_are_an_ordered_name_to_tensor_map():
+    model = small_model(prompts=("Seq", "IC", "PPI"))
+    assert isinstance(model.prompts, dict)
+    assert tuple(model.prompts) == ("Seq", "IC", "PPI")
+    assert [name for name in model.parameters() if name.startswith("prompt.")] == [
+        "prompt.Seq", "prompt.IC", "prompt.PPI"]
+    assert all(p.requires_grad and p.shape == (16,) for p in model.prompts.values())
+    seq = T.encode("ACD", 8)
+    with pytest.raises(ConfigError,
+                       match=r"unknown prompt 'Nope'; registered: \['Seq', 'IC', 'PPI'\]"):
+        model.embed(seq, ("Seq", "Nope"))
+    model.prompts["Flat"] = Tensor(np.zeros((2, 8)), requires_grad=True)
+    with pytest.raises(ShapeError, match="prompt shapes"):
+        model.embed(seq, ("Flat",))
 
 
 def test_prompt_rows_carry_no_position_or_segment():
     model = small_model()
     seq = T.encode("ACD", 8)
     x = model.embed(seq, ("Seq", "IC"))
-    assert np.array_equal(x.data[0], model.prompts.get("Seq").data)
-    assert np.array_equal(x.data[1], model.prompts.get("IC").data)
+    assert np.array_equal(x.data[0], model.prompts["Seq"].data)
+    assert np.array_equal(x.data[1], model.prompts["IC"].data)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +267,8 @@ def test_inputs_never_reach_prompts_additive():
     for name in ("embed.tok", "embed.pos", "embed.seg"):
         g = model.parameters()[name].grad
         assert g is None or np.all(g == 0.0), f"{name} leaked into prompts"
-    assert np.any(model.prompts.get("Seq").grad != 0.0)
-    assert np.any(model.prompts.get("IC").grad != 0.0)
+    assert np.any(model.prompts["Seq"].grad != 0.0)
+    assert np.any(model.prompts["IC"].grad != 0.0)
 
 
 def test_prompt_rows_do_not_depend_on_the_input():
@@ -288,7 +292,7 @@ def test_prompts_do_reach_inputs_additive():
     for p in model.parameters().values():
         p.grad = None
     nm.backward(tape, loss)
-    assert np.any(model.prompts.get("Seq").grad != 0.0)
+    assert np.any(model.prompts["Seq"].grad != 0.0)
     assert np.any(model.parameters()["embed.tok"].grad != 0.0)
 
 
@@ -302,9 +306,9 @@ def test_prompts_are_isolated_from_each_other():
     for p in model.parameters().values():
         p.grad = None
     nm.backward(tape, loss)
-    ic = model.prompts.get("IC").grad
+    ic = model.prompts["IC"].grad
     assert ic is None or np.all(ic == 0.0)
-    assert np.any(model.prompts.get("Seq").grad != 0.0)
+    assert np.any(model.prompts["Seq"].grad != 0.0)
 
 
 def test_prompt_permutation_leaves_inputs_invariant():

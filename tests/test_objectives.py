@@ -145,8 +145,8 @@ def test_routing_blocks_conserve_gradient_from_ic():
     before = _snapshot(model)
     opt = O.Adam(model.parameters(), lr=1e-3)
     O.train_step(model, opt, mlm, [], True, 1.0, {"ppi": 1.0}, step=0)
-    assert np.array_equal(model.prompts.get("IC").data, before["prompt.IC"])
-    assert not np.array_equal(model.prompts.get("Seq").data, before["prompt.Seq"])
+    assert np.array_equal(model.prompts["IC"].data, before["prompt.IC"])
+    assert not np.array_equal(model.prompts["Seq"].data, before["prompt.Seq"])
     assert not np.array_equal(model.parameters()["embed.tok"].data, before["embed.tok"])
     assert np.all(opt.m["prompt.IC"] == 0.0)
 
@@ -157,8 +157,8 @@ def test_routing_blocks_task_gradient_from_seq():
     before = _snapshot(model)
     opt = O.Adam(model.parameters(), lr=1e-3)
     O.train_step(model, opt, None, [ppi], True, 1.0, {"ppi": 1.0}, step=0)
-    assert np.array_equal(model.prompts.get("Seq").data, before["prompt.Seq"])
-    assert not np.array_equal(model.prompts.get("IC").data, before["prompt.IC"])
+    assert np.array_equal(model.prompts["Seq"].data, before["prompt.Seq"])
+    assert not np.array_equal(model.prompts["IC"].data, before["prompt.IC"])
     assert np.all(opt.m["prompt.Seq"] == 0.0)
 
 
@@ -194,7 +194,7 @@ def test_routing_off_lets_everything_through():
     before = _snapshot(model)
     opt = O.Adam(model.parameters(), lr=1e-3)
     O.train_step(model, opt, mlm, [], False, 1.0, {"ppi": 1.0}, step=0)
-    assert not np.array_equal(model.prompts.get("IC").data, before["prompt.IC"])
+    assert not np.array_equal(model.prompts["IC"].data, before["prompt.IC"])
 
 
 def test_frozen_prompts_table():
@@ -408,7 +408,7 @@ def test_eval_pair_logits_are_the_training_logits(d, width):
     residues = "ACDEFGHIKLMNPQRSTVWY"
     seqs = [T.encode("".join(residues[int(k)] for k in rng.integers(20, size=n)), 24, f"s{i}")
             for i, n in enumerate(rng.integers(1, 23, size=10))]
-    outs = [model.encode(s, model.prompts.names()) for s in seqs]
+    outs = [model.encode(s, tuple(model.prompts)) for s in seqs]
     pooled = np.array([model.pool(out).data for out in outs])
     w, b = model.pair_head(width)
     for size in (1, 16, *rng.integers(2, 16, size=6)):
