@@ -62,14 +62,16 @@ def _task_ppi(args) -> D.PPIGraph:
     return _load_ppi(args.data, D.parse_fasta(args.fasta))
 
 
-def _load_ppi(tsv, table: dict[str, str]) -> D.PPIGraph:
-    """Parse an interaction TSV, report its skipped lines, attach residues."""
+def _load_ppi(tsv, table: dict[str, str] | None = None) -> D.PPIGraph:
+    """Parse an interaction TSV, report its skipped lines and refuse it if no
+    edge is left; attach table's residues when given."""
     graph, skips = D.parse_ppi_tsv(tsv)
     for line in skips:
         print(line, file=sys.stderr)
     if not graph.edges:
         raise DataError(f"{tsv}: no interaction rows (self-loops are skipped)")
-    graph.attach_sequences(table)
+    if table is not None:
+        graph.attach_sequences(table)
     return graph
 
 
@@ -229,8 +231,6 @@ def cmd_pretrain(args) -> int:
 
     table = D.parse_fasta(cfg.fasta)
     encoded = _encode_table(table, cfg.max_len)
-    if not encoded:
-        raise DataError(f"{cfg.fasta}: empty corpus")
     corpus = list(encoded.values())
     # the graph's endpoints reuse the corpus's encodings
     tasks = {"ppi": _ppi_batches(_load_ppi(cfg.ppi, table), encoded, cfg, 1)} if cfg.ppi else {}
@@ -397,7 +397,7 @@ def _eval_ss(model, cfg, args, prompt_sel):
         logits = model.token_logits(model.encode(seq, prompt_sel), classes)
         preds.append(np.argmax(logits.data, axis=1))
         truths.append(truth)
-    acc = MX.q_accuracy(np.concatenate(preds), np.concatenate(truths), classes)
+    acc = MX.q_accuracy(np.concatenate(preds), np.concatenate(truths))
     return [(f"q{classes}", acc)]
 
 
@@ -453,9 +453,7 @@ def cmd_build_contacts(args) -> int:
 
 
 def cmd_split(args) -> int:
-    graph, skips = D.parse_ppi_tsv(args.ppi)
-    for line in skips:
-        print(line, file=sys.stderr)
+    graph = _load_ppi(args.ppi)
     spec = D.split_graph(graph, args.mode, args.fraction, args.seed)
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)

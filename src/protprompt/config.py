@@ -13,7 +13,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .data import read_lines
+from .data import CONTACT_THRESHOLD, read_lines
 from .errors import ConfigError
 
 # keys that define the network topology; a command that reads a checkpoint
@@ -75,7 +75,7 @@ class RunConfig:
     # data
     fasta: str = ""
     ppi: str = ""
-    contact_threshold: float = 8.0
+    contact_threshold: float = CONTACT_THRESHOLD
     probe_cutoff: float = 1.0
 
     def __post_init__(self):

@@ -40,8 +40,8 @@ def parse_fasta(path) -> dict[str, str]:
     """Read a FASTA file into an ordered id -> sequence map.
 
     The id is the first whitespace-delimited token of the header. Folded
-    sequence lines are joined. Duplicate ids and sequence data before the
-    first header are errors.
+    sequence lines are joined. Duplicate ids, sequence data before the
+    first header and a file without a record are errors.
     """
     table: dict[str, str] = {}
     current: str | None = None
@@ -75,6 +75,8 @@ def parse_fasta(path) -> dict[str, str]:
                 )
             chunks.append(stripped)
     flush()
+    if not table:
+        raise FormatError(f"{path}: empty corpus")
     return table
 
 
@@ -92,8 +94,6 @@ class PPIGraph:
     label_width: int = 0
 
     def add_edge(self, a: str, b: str, labels: np.ndarray) -> None:
-        if a == b:
-            raise DataError(f"self-loop {a!r} cannot be added")
         key = (a, b) if a < b else (b, a)
         self.nodes.setdefault(a, None)
         self.nodes.setdefault(b, None)
@@ -240,16 +240,13 @@ def split_graph(graph: PPIGraph, mode: str, fraction: float, seed: int) -> Split
 
     Neighbor order is sorted ids, so the traversal is fully deterministic
     given (mode, seed). Selecting every node of the component would leave
-    no training edges inside it and is a config error.
+    no training edges inside it and is a config error. cmd_split's gates
+    admit only bfs or dfs and a graph with an edge.
     """
-    if mode not in ("bfs", "dfs"):
-        raise ConfigError(f"split mode must be bfs or dfs, got {mode!r}")
     if not (0.0 < fraction < 1.0):
         raise ConfigError(f"test fraction must be in (0, 1), got {fraction}")
     if seed < 0:
         raise ConfigError(f"split seed must be >= 0, got {seed}")
-    if not graph.edges:
-        raise DataError("cannot split a graph with no edges")
     adj = {n: sorted(nbs) for n, nbs in graph.neighbors().items()}
     comps = _components(adj)
     component = max(comps, key=len)  # _components yields sorted, stable order
@@ -400,7 +397,8 @@ def parse_pdb(path) -> tuple[dict[str, list[ResidueRecord]], list[str]]:
 
 @dataclass
 class ContactMap:
-    """Symmetric boolean residue-residue contact matrix, false diagonal."""
+    """Symmetric boolean residue-residue contact matrix, false diagonal; tag
+    is one of CONTACT_TAGS (build-contacts --tag, read_contact_map's header)."""
 
     n: int
     bits: np.ndarray
@@ -408,8 +406,6 @@ class ContactMap:
     tag: str = "native"
 
     def __post_init__(self):
-        if self.tag not in CONTACT_TAGS:
-            raise ConfigError(f"contact map tag must be one of {CONTACT_TAGS}")
         if self.bits.shape != (self.n, self.n):
             raise DataError(f"contact bits shape {self.bits.shape} does not match n={self.n}")
 
@@ -418,8 +414,6 @@ def build_contact_map(
     residues: list[ResidueRecord], threshold: float = CONTACT_THRESHOLD, tag: str = "native"
 ) -> ContactMap:
     """Pairwise Euclidean distance < threshold (strict); diagonal false."""
-    if not residues:
-        raise DataError("cannot build a contact map from zero residues")
     coords = np.stack([r.xyz for r in residues])
     # one (n, n) plane per axis, summed (dx² + dy²) + dz² in the order
     # (delta * delta).sum(axis=2) over an (n, n, 3) delta sums them, so

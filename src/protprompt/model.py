@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .numerics import Tensor
 from .tokenizer import VOCAB_SIZE, TokenSequence
 
@@ -191,8 +191,6 @@ class ProteinEncoder:
     def pool(self, out: EncoderOutput) -> Tensor:
         """Mean of real-residue rows; prompts, CLS and EOS excluded, by
         pair_bce's pooling kernel."""
-        if out.seq.n_residues < 1:
-            raise ContractError("pool needs at least one real residue")
         return Tensor(nm._pool_forward(out.h.data, out.rows()))
 
     # -- heads --
@@ -203,12 +201,9 @@ class ProteinEncoder:
     # constant Tensors.
 
     def pair_head(self, width: int) -> tuple[Tensor, Tensor]:
-        """(w, b) of the binary (width 1) or interaction-type (PAIR_TYPES) head."""
-        if width == 1:
-            return self.head("pair_bin")
-        if width == PAIR_TYPES:
-            return self.head("pair")
-        raise ConfigError(f"no pair head has {width} logits (1 or {PAIR_TYPES})")
+        """(w, b) of the binary (width 1) or interaction-type (PAIR_TYPES) head;
+        parse_ppi_tsv admits no other label width."""
+        return self.head("pair_bin" if width == 1 else "pair")
 
     def pair_logits(self, pooled_p: Tensor, pooled_q: Tensor, width: int) -> Tensor:
         """Symmetric pair scores from two pooled vectors, from the head that
@@ -228,14 +223,10 @@ class ProteinEncoder:
         over blocks of diagonals, never building per-pair feature rows, and
         symmetrises the result, so the matrix is symmetric bit for bit.
         """
-        if out.seq.n_residues < 1:
-            raise ContractError("contact_logits needs at least one residue")
         return nm.contact_scores(out.h, out.rows(), *self.head("contact"))
 
     def token_logits(self, out: EncoderOutput, classes: int) -> Tensor:
         """Per-residue class logits for 3- or 8-state structure labels."""
-        if classes not in (SS3_CLASSES, SS8_CLASSES):
-            raise ConfigError(f"token classification supports 3 or 8 classes, got {classes}")
         w, b = self.head(f"ss{classes}")
         return Tensor(nm._affine_forward(out.h.data[out.rows()], w.data, b.data))
 

@@ -1029,7 +1029,7 @@ def test_eval_regress_on_one_row_names_the_file(ws, tmp_path, capsys):
 
 @pytest.mark.parametrize("rows", ["# a comment\n\n", "p00\tp00\t1\np01\tp01\t0\n"],
                          ids=["comments", "self-loops"])
-@pytest.mark.parametrize("command", ["eval", "inject", "pretrain"])
+@pytest.mark.parametrize("command", ["eval", "inject", "pretrain", "split"])
 def test_interaction_file_without_rows_is_a_data_error(ws, tmp_path, capsys, command, rows):
     tsv, out = tmp_path / "empty.tsv", tmp_path / "out"
     tsv.write_text(rows)
@@ -1039,6 +1039,8 @@ def test_interaction_file_without_rows_is_a_data_error(ws, tmp_path, capsys, com
         "inject": ["inject", "--checkpoint", str(ws["final"]), "--prompt", "PPI", *task],
         "pretrain": ["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(tsv),
                      "--out-dir", str(out), "--steps", "1", *BASE_SETS],
+        "split": ["split", "--ppi", str(tsv), "--mode", "bfs", "--fraction", "0.5",
+                  "--out-prefix", str(out / "s")],
     }[command]
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -1403,17 +1405,24 @@ def test_build_contacts_keeps_going_after_bad_file(tmp_path, capsys):
     pdb_dir = tmp_path / "pdbs"
     pdb_dir.mkdir()
     (pdb_dir / "bad.pdb").write_text("ATOM      1  CA  ALA A   1\n")
+    # a residue with neither CB nor CA is skipped before its chain opens, so
+    # chain B yields no map and a file of such residues no chain at all
+    (pdb_dir / "bare.pdb").write_text(_atom(1, "N", "ALA", "A", 1, 0, 0, 0))
     (pdb_dir / "good.pdb").write_text(
         "ATOM      1  CB  ALA A   1       0.000   0.000   0.000  1.00  0.00\n"
         "ATOM      2  CB  SER A   2       3.000   0.000   0.000  1.00  0.00\n"
+        + _atom(3, "N", "GLY", "B", 1, 0, 0, 0)
     )
     maps = tmp_path / "maps"
     rc = main(["build-contacts", "--pdb-dir", str(pdb_dir), "--out-dir", str(maps)])
     assert rc == 1
-    assert (maps / "good_A.cmap").exists()
+    assert sorted(p.name for p in maps.iterdir()) == ["good_A.cmap", "report.txt"]
     report = (maps / "report.txt").read_text()
     assert "error:" in report and "bad.pdb" in report
+    assert f"error: {pdb_dir / 'bare.pdb'}: no usable ATOM records found" in report
+    assert "chain B residue 1 (GLY) has neither CB nor CA; skipped" in report
     assert "good_A.cmap: n=2" in report
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_build_contacts_empty_dir_is_ok(tmp_path):
@@ -1463,6 +1472,119 @@ def test_probe_rejects_an_unknown_prompt_and_leaves_no_output(ws, tmp_path, caps
     assert rc == 2
     assert "config error: unknown prompt 'Nope'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_probe_rejects_an_empty_fasta(ws, tmp_path, capsys):
+    # with no record nothing is encoded, so without the reader's gate an
+    # unknown prompt would pass unchecked and leave an empty directory
+    fasta, out = tmp_path / "empty.fasta", tmp_path / "probes"
+    fasta.write_text("")
+    rc = main(["probe", "--checkpoint", str(ws["final"]), "--fasta", str(fasta),
+               "--prompt", "Nope", "--out-dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"data error: {fasta}: empty corpus\n", err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "inject", "eval-ppi", "eval-contact-scores"])
+def test_every_command_refuses_a_fasta_without_a_record(ws, tmp_path, capsys, command):
+    # eval --task contact --scores-dir reads no sequence, but still checks
+    # a --fasta it is given
+    fasta, out = tmp_path / "empty.fasta", tmp_path / "out"
+    fasta.write_text("\n\n")
+    maps = tmp_path / "maps"
+    maps.mkdir()
+    D.write_contact_map(D.ContactMap(n=8, bits=np.zeros((8, 8), dtype=bool)), maps / "p00.cmap")
+    ppi = ["--task", "ppi", "--data", str(ws["pairs"]), "--fasta", str(fasta)]
+    argv = {
+        "pretrain": ["pretrain", "--fasta", str(fasta), "--out-dir", str(out), "--steps", "1",
+                     *BASE_SETS],
+        "inject": ["inject", "--checkpoint", str(ws["final"]), "--prompt", "PPI", *ppi,
+                   "--out", str(out)],
+        "eval-ppi": ["eval", "--checkpoint", str(ws["final"]), *ppi, "--out", str(out)],
+        "eval-contact-scores": ["eval", "--checkpoint", str(ws["final"]), "--task", "contact",
+                                "--maps-dir", str(maps), "--scores-dir", str(maps),
+                                "--fasta", str(fasta), "--out", str(out)],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"data error: {fasta}: empty corpus\n", captured.err
+    assert not captured.out and not out.exists()
+
+
+def _exit_code(argv) -> int:
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# each input that once reached a check below the readers, fed to the command
+# it would reach, with the gate that now refuses it first: (argv, exit code,
+# stderr text). The label range, empty rows, a one-row regression file and a
+# self-loop table have their own tests above.
+def _gate_case(ws, root, case):
+    inputs = root / "in"
+    inputs.mkdir()
+
+    def write(name, text):
+        (inputs / name).write_text(text)
+        return str(inputs / name)
+
+    out = root / "out"
+    ckpt_ = ["eval", "--checkpoint", str(ws["final"])]
+    ppi = [*ckpt_, "--task", "ppi", "--fasta", str(ws["fasta"]), "--out", str(out)]
+    maps = inputs / "maps"
+    maps.mkdir()
+    tag = "guess" if case == "contact-map-tag" else "native"
+    write("maps/x_A.cmap", f"n=3 threshold=8.0 tag={tag}\n000\n000\n000\n")
+    contact = [*ckpt_, "--task", "contact", "--maps-dir", str(maps), "--out", str(out)]
+    return {
+        # micro_f1's 0/1 check
+        "ppi-label-2": ([*ppi, "--data", write("two.tsv", "p00\tp03\t2\n")], 1,
+                        "labels must be 0 or 1"),
+        # pair_head's width check
+        "ppi-4-columns": ([*ppi, "--data", write("four.tsv", "p00\tp03\t1\t0\n")], 1,
+                          "expected 3 or 9 tab-separated columns, got 4"),
+        # q_accuracy's and token_logits' classes checks
+        "ss-classes": ([*ckpt_, "--task", "ss", "--data", write("ss.tsv", "s1\tACD\t012\n"),
+                        "--classes", "4", "--out", str(out)], 2, "invalid choice"),
+        # q_accuracy's empty-input check
+        "ss-no-rows": ([*ckpt_, "--task", "ss", "--data", write("none.tsv", "# none\n"),
+                        "--out", str(out)], 1, "no data rows"),
+        # pool's residue check
+        "ppi-empty-record": ([*ckpt_, "--task", "ppi", "--data", str(ws["pairs"]),
+                              "--fasta", write("e.fasta", ">p00\n>p01\nACD\n"),
+                              "--out", str(out)], 1, "record 'p00' has an empty sequence"),
+        # contact_logits' residue check
+        "contact-empty-record": (
+            [*contact, "--fasta", write("x.fasta", ">x_A\n>y\nACD\n")], 1,
+            "record 'x_A' has an empty sequence"),
+        # ContactMap's tag check, on a map read
+        "contact-map-tag": (
+            [*contact, "--scores-dir", str(maps)], 1, "bad contact map header"),
+        # ContactMap's tag check, on a map built
+        "build-contacts-tag": (["build-contacts", "--pdb-dir", str(_blob_pdb_dir(inputs)),
+                                "--out-dir", str(out), "--tag", "guess"], 2, "invalid choice"),
+        # split_graph's mode check
+        "split-mode": (["split", "--ppi", str(ws["pairs"]), "--mode", "random", "--fraction",
+                        "0.5", "--out-prefix", str(out / "s")], 2, "invalid choice"),
+    }[case]
+
+
+GATE_CASES = ["ppi-label-2", "ppi-4-columns", "ss-classes", "ss-no-rows", "ppi-empty-record",
+              "contact-empty-record", "contact-map-tag", "build-contacts-tag", "split-mode"]
+
+
+@pytest.mark.parametrize("case", GATE_CASES)
+def test_each_input_is_refused_where_it_enters(ws, tmp_path, capsys, case):
+    argv, code, text = _gate_case(ws, tmp_path, case)
+    assert _exit_code(argv) == code
+    captured = capsys.readouterr()
+    assert text in captured.err and "Traceback" not in captured.err, captured.err
+    assert not captured.out and [p.name for p in tmp_path.iterdir()] == ["in"]
 
 
 def test_eval_scores_dir_rejects_an_unknown_prompt(ws, tmp_path, capsys):

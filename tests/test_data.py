@@ -50,6 +50,13 @@ def test_fasta_empty_sequence_and_header(tmp_path):
         D.parse_fasta(p2)
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
+def test_fasta_without_a_record_is_an_empty_corpus(tmp_path, text):
+    p = _write(tmp_path, "none.fasta", text)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: empty corpus$"):
+        D.parse_fasta(p)
+
+
 # ---------------------------------------------------------------------------
 # interaction tables
 
@@ -149,13 +156,9 @@ def test_split_five_node_bfs_dfs_differ():
 
 def test_split_validation():
     g = _graph(FOUR_CYCLE)
-    with pytest.raises(ConfigError, match="bfs or dfs"):
-        D.split_graph(g, "random", 0.5, 0)
     for f in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ConfigError, match="fraction"):
             D.split_graph(g, "bfs", f, 0)
-    with pytest.raises(DataError, match="no edges"):
-        D.split_graph(D.PPIGraph(), "bfs", 0.5, 0)
     # ceil(0.9 * 4) = 4 selects the whole component
     with pytest.raises(ConfigError, match="nothing would remain"):
         D.split_graph(g, "bfs", 0.9, 0)
@@ -490,9 +493,5 @@ def test_contact_map_tamper_detection(tmp_path):
 
 
 def test_contact_map_validation():
-    with pytest.raises(DataError, match="zero residues"):
-        D.build_contact_map([])
-    with pytest.raises(ConfigError, match="tag"):
-        D.ContactMap(n=1, bits=np.zeros((1, 1), dtype=bool), tag="guess")
     with pytest.raises(DataError, match="shape"):
         D.ContactMap(n=2, bits=np.zeros((1, 1), dtype=bool))

@@ -453,8 +453,6 @@ def test_pair_node_counts_a_repeated_row_each_time():
 
 def test_pair_node_checks_labels():
     model, _, ppi = _step_fixture()
-    with pytest.raises(ConfigError, match="no pair head"):
-        O._forward_pairs(model, O.PairTaskBatch("ppi", ppi.proteins, ppi.pairs, np.zeros((5, 3))))
     with pytest.raises(ShapeError, match="labels shape"):
         O._forward_pairs(model, O.PairTaskBatch("ppi", ppi.proteins, ppi.pairs, np.zeros((4, 1))))
 

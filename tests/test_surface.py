@@ -1,5 +1,6 @@
 """Every name the package defines has a caller inside the package, every
 record field is read in it, and every name a module imports is read in it.
+Input errors are raised only where a file or flag value enters.
 
 A function, class or method that only tests reach is dead surface: its
 last src/ caller went, and the tests that still call it keep it alive.
@@ -17,6 +18,7 @@ import pkgutil
 from pathlib import Path
 
 import protprompt
+from protprompt.errors import ConfigError, DataError
 
 # public names with no src/ caller, each with why it stays
 UNCALLED = {
@@ -28,6 +30,15 @@ UNREAD = {
     "model.EncoderOutput.attn": "tests read the maps to assert the one-way mask's exact zeros",
     "data.ResidueRecord.atom": "tests check the CB/CA policy through it",
     "metrics.ContactPrecision.scored_pairs": "tests check the L/2 count through it",
+}
+
+# modules that only ever see values a reader, argparse or RunConfig.validate
+# has checked
+BELOW_THE_GATES = ("metrics", "model", "numerics", "objectives")
+# their functions that raise a ConfigError or DataError, each with why
+INPUT_ERROR_RAISERS = {
+    "model.ProteinEncoder.embed": "the gate for probe --prompt, which is checked at its "
+                                  "first encode",
 }
 
 
@@ -130,3 +141,35 @@ def test_every_src_import_is_read():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unread += [f"{path.name}: {name}" for name in sorted(bound - read)]
     assert unread == []
+
+
+def _raised_names(node, scope: str):
+    """(scope.qualname of the enclosing def, raised name) of each raise of
+    a bare or module-qualified name, called or not, under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _raised_names(child, f"{scope}.{child.name}")
+            continue
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if isinstance(exc, ast.Name):
+                yield scope, (exc.id,)
+            elif isinstance(exc, ast.Attribute) and isinstance(exc.value, ast.Name):
+                yield scope, (exc.value.id, exc.attr)
+        yield from _raised_names(child, scope)
+
+
+def test_only_gates_raise_input_errors():
+    # a file or flag value is checked once, where it enters; below the
+    # readers only contract, shape and numerics errors are raised
+    raisers = set()
+    for short, mod, tree in _modules():
+        if short not in BELOW_THE_GATES:
+            continue
+        for scope, path in _raised_names(tree, short):
+            exc = mod
+            for part in path:
+                exc = getattr(exc, part, None)
+            if inspect.isclass(exc) and issubclass(exc, (ConfigError, DataError)):
+                raisers.add(scope)
+    assert sorted(raisers) == sorted(INPUT_ERROR_RAISERS)
