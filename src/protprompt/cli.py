@@ -306,13 +306,8 @@ def cmd_eval(args) -> int:
     elif args.prompts == "":
         prompt_sel = ()
     else:
-        prompt_sel = tuple(p.strip() for p in args.prompts.split(","))
-        for i, p in enumerate(prompt_sel):
-            # checked here: --task contact --scores-dir encodes nothing
-            if p not in model.prompts:
-                raise ConfigError(f"unknown prompt {p!r}; registered: {list(model.prompts)}")
-            if p in prompt_sel[:i]:
-                raise ConfigError(f"--prompts names {p!r} twice")
+        # checked here: --task contact --scores-dir encodes nothing
+        prompt_sel = _checked_prompts(model, tuple(p.strip() for p in args.prompts.split(",")))
 
     records = _EVAL_TASKS[args.task](model, cfg, args, prompt_sel)
     lines = [f"# config_hash={cfg.hash()}", "task,metric,value,prompts"]
@@ -472,9 +467,10 @@ def cmd_split(args) -> int:
 
 def cmd_probe(args) -> int:
     cfg, model, _ = _load_config(args, ("probe_cutoff",), args.checkpoint)
-    # every record is probed before the first CSV, so a bad record or an
-    # unknown prompt leaves no output
+    # the FASTA and the prompt are checked and every record is probed
+    # before the first CSV, so a bad input leaves no output
     encoded = _encode_table(D.parse_fasta(args.fasta), cfg.max_len)
+    _checked_prompts(model, (args.prompt,))
     probed = [(name, seq, MX.embedding_shift_probe(model, seq, args.prompt))
               for name, seq in encoded.items()]
     out_dir = Path(args.out_dir)
@@ -502,6 +498,17 @@ def _flag_overrides(args, keys: tuple[str, ...]) -> dict[str, str]:
         if val is not None:
             overrides[key] = str(val)
     return overrides
+
+
+def _checked_prompts(model, names: tuple[str, ...]) -> tuple[str, ...]:
+    """names, once none is unknown to model or repeated: the one gate for
+    the prompt names of probe --prompt and eval --prompts."""
+    for i, name in enumerate(names):
+        if name not in model.prompts:
+            raise ConfigError(f"unknown prompt {name!r}; registered: {list(model.prompts)}")
+        if name in names[:i]:
+            raise ConfigError(f"--prompts names {name!r} twice")
+    return names
 
 
 def _load_config(args, keys: tuple[str, ...], checkpoint=None):

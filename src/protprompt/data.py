@@ -303,9 +303,7 @@ class ResidueRecord:
     """One residue's representative coordinate from a PDB chain."""
 
     index: int  # author residue number, strictly increasing per chain
-    name: str  # 3-letter residue code
-    xyz: np.ndarray
-    atom: str  # "CB", or "CA" for glycine / fallback
+    xyz: np.ndarray  # CB's, or CA's for glycine / fallback
 
 
 def parse_pdb(path) -> tuple[dict[str, list[ResidueRecord]], list[str]]:
@@ -326,11 +324,11 @@ def parse_pdb(path) -> tuple[dict[str, list[ResidueRecord]], list[str]]:
             return
         atoms = pending["atoms"]
         if "CB" in atoms and pending["name"] != "GLY":
-            xyz, atom = atoms["CB"], "CB"
+            xyz = atoms["CB"]
         elif "CA" in atoms:
-            xyz, atom = atoms["CA"], "CA"
+            xyz = atoms["CA"]
         elif "CB" in atoms:  # glycine with a (modelled) CB but no CA
-            xyz, atom = atoms["CB"], "CB"
+            xyz = atoms["CB"]
         else:
             skipped.append(
                 f"{path}: chain {pending['chain']} residue {pending['index']} "
@@ -338,7 +336,7 @@ def parse_pdb(path) -> tuple[dict[str, list[ResidueRecord]], list[str]]:
             )
             pending = None
             return
-        rec = ResidueRecord(index=pending["index"], name=pending["name"], xyz=xyz, atom=atom)
+        rec = ResidueRecord(index=pending["index"], xyz=xyz)
         chain = chains.setdefault(pending["chain"], [])
         if chain and chain[-1].index >= rec.index:
             raise FormatError(

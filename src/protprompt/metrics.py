@@ -34,7 +34,6 @@ RANGE_CLASSES = {"short": SHORT, "medium": MEDIUM, "long": LONG}
 
 class ContactPrecision(NamedTuple):
     precision: float
-    scored_pairs: int
     truncated: bool  # fewer eligible pairs than floor(L/2)
 
 
@@ -64,7 +63,7 @@ def precision_at_l_half(
     jj = np.repeat(rows + lo - (np.cumsum(counts) - counts), counts)
     jj += np.arange(jj.size)
     if ii.size == 0 or k == 0:
-        return ContactPrecision(precision=0.0, scored_pairs=0, truncated=True)
+        return ContactPrecision(precision=0.0, truncated=True)
     # rank by score descending, then (i, j) ascending: the pairs are already
     # in (i, j) order, so a stable sort of the candidates that can reach the
     # top `take` (every score at least the take-th best) breaks ties by it.
@@ -76,9 +75,7 @@ def precision_at_l_half(
     top = cand[np.argsort(neg[cand], kind="stable")[:take]]
     top_i, top_j = ii[top], jj[top]
     hits = int(truth.bits[top_i, top_j].sum())
-    return ContactPrecision(
-        precision=hits / take, scored_pairs=take, truncated=take < k
-    )
+    return ContactPrecision(precision=hits / take, truncated=take < k)
 
 
 def micro_f1(pred, truth) -> float:

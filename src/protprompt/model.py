@@ -14,12 +14,16 @@ never depends on the input; an input row's softmax runs over every key.
 Inputs are never padded, so M is the whole mask. An encode records L+1 tape
 nodes: numerics.encoder_input for the prompt and embedding rows, then one
 numerics.encoder_layer per layer (all heads, residuals, layernorms and the
-feed-forward block), each with a closed-form backward.
+feed-forward block), each with a closed-form backward. Attention
+normalises after the value product, so no encode forms the attention maps;
+tests/conftest.py rebuilds them from the same kernels as an oracle.
 
 Prompts are a name -> Tensor map outside the token vocabulary, so no
-prompt can collide with an input id. Prompt rows receive no position and
-no segment embedding, and they pass through the same per-layer
-residual/layernorm/feed-forward block as every other row.
+prompt can collide with an input id. A name reaches an encode only from
+that map or through the CLI's prompt gate, which refuses an unknown one.
+Prompt rows receive no position and no segment embedding, and they pass
+through the same per-layer residual/layernorm/feed-forward block as every
+other row.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .errors import ConfigError
 from .numerics import Tensor
 from .tokenizer import VOCAB_SIZE, TokenSequence
 
@@ -52,11 +55,11 @@ LAYER_WEIGHT_NAMES = (
 class ModelConfig:
     """Architecture-level settings consumed by the encoder."""
 
-    d: int = 64
-    layers: int = 2
-    heads: int = 4
-    max_len: int = 256
-    prompt_names: tuple[str, ...] = ("Seq", "IC")
+    d: int
+    layers: int
+    heads: int
+    max_len: int
+    prompt_names: tuple[str, ...]
 
     @classmethod
     def from_run_config(cls, cfg) -> "ModelConfig":
@@ -76,7 +79,6 @@ class EncoderOutput:
     h: Tensor  # (m + n, d)
     m: int
     seq: TokenSequence
-    attn: list | None = None  # per layer, per head attention rows (numpy)
 
     def rows(self, positions=None) -> np.ndarray:
         """Row indices into h of seq's token positions, by default its real
@@ -162,15 +164,13 @@ class ProteinEncoder:
         """Prompt rows (no position/segment embedding), then the token +
         segment + position embedding of seq, as one tape node.
 
-        A prompt named in frozen enters as a constant copy of its vector,
-        so no gradient from this encode reaches the prompt itself.
+        Every name is one of self.prompts (the CLI's prompt gate checks
+        --prompt and --prompts). A prompt named in frozen enters as a
+        constant copy of its vector, so no gradient from this encode
+        reaches the prompt itself.
         """
-        prompts = []
-        for name in prompt_names:
-            if name not in self.prompts:
-                raise ConfigError(f"unknown prompt {name!r}; registered: {list(self.prompts)}")
-            vec = self.prompts[name]
-            prompts.append(Tensor(vec.data) if name in frozen else vec)
+        prompts = [Tensor(self.prompts[name].data) if name in frozen else self.prompts[name]
+                   for name in prompt_names]
         return nm.encoder_input(self.encoder["embed.tok"], self.encoder["embed.seg"],
                                 self.encoder["embed.pos"], seq.ids, prompts)
 
@@ -178,15 +178,13 @@ class ProteinEncoder:
         self,
         seq: TokenSequence,
         prompt_names: tuple[str, ...] = (),
-        collect_attn: bool = False,
         frozen: frozenset[str] = frozenset(),
     ) -> EncoderOutput:
         m = len(prompt_names)
         x = self.embed(seq, prompt_names, frozen)
-        collect: list | None = [] if collect_attn else None
         for weights in self.layers:
-            x = nm.encoder_layer(x, weights, self.config.heads, m, collect)
-        return EncoderOutput(h=x, m=m, seq=seq, attn=collect)
+            x = nm.encoder_layer(x, weights, self.config.heads, m)
+        return EncoderOutput(h=x, m=m, seq=seq)
 
     def pool(self, out: EncoderOutput) -> Tensor:
         """Mean of real-residue rows; prompts, CLS and EOS excluded, by

@@ -36,9 +36,9 @@ input rows are scored. 1/sqrt(dh) is folded into Q before the score
 product, and the softmax is normalised after the value product, out =
 (E V) / rowsum E, the deferred normalisation of FlashAttention (Dao et al.
 2022). So no pass over the (heads, n - m, n) score block scales or divides
-it, and only a map-collecting encode forms the normalised block, in place,
-for the maps. Taped and tape-free encodes run this one formula and give the
-same bits.
+it, and no encode forms the normalised maps; tests/conftest.py rebuilds
+them from the same kernels as an oracle. Taped and tape-free encodes run
+this one formula and give the same bits.
 
 A taped encoder_layer keeps only what its backward cannot rebuild bit for
 bit from a few cheap passes: Q, K, V by head, the attention's row maxima
@@ -302,12 +302,11 @@ def _pair_forward(left: np.ndarray, right: np.ndarray, w: np.ndarray, b: np.ndar
     return z, feats
 
 
-def _layernorm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                       eps: float = LAYERNORM_EPS):
+def _layernorm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """Row layernorm of 2-d x: (out, xhat, invstd), the last two for the backward."""
     xhat = x - _row_mean(x)  # centred, scaled below
     var = _row_mean(np.square(xhat))
-    invstd = 1.0 / np.sqrt(var + eps)
+    invstd = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat *= invstd
     return _gain_bias(xhat, gain, bias), xhat, invstd
 
@@ -320,13 +319,11 @@ def _gain_bias(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarr
 
 
 def _layernorm_backward(g: np.ndarray, gain: Tensor, bias: Tensor, xhat: np.ndarray,
-                        invstd: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
+                        invstd: np.ndarray) -> np.ndarray:
     if gain.requires_grad:
         _accum(gain, np.add.reduce(g * xhat, axis=0))
     if bias.requires_grad:
         _accum(bias, np.add.reduce(g, axis=0))
-    if not need_dx:
-        return None
     dxhat = g * gain.data
     m1 = _row_mean(dxhat)
     m2 = _row_mean(dxhat * xhat)
@@ -388,7 +385,7 @@ def _exp_scores(qh: np.ndarray, kt: np.ndarray, m: int, rowmax: np.ndarray | Non
 
 
 def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, m: int,
-                       collect: list | None, taped: bool):
+                       taped: bool):
     """One-way multi-head attention of (n, d) arrays, the first m rows prompts:
     (out, saved), where saved = (qh, kt, vh, rowmax, rowsum, m) holds what
     the backward needs when taped, else None.
@@ -399,11 +396,9 @@ def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, 
     itself, so the mask applies by structure: a prompt row's output is its
     own V row and only the n - m input rows are scored. For them E =
     exp(S - rowmax S) and r = rowsum E, and the output is (E V_h) / r,
-    normalised after the value product. A taped forward keeps no score
-    block, only its (heads, n - m) row maxima and sums: the backward
-    rebuilds Y = E / r from them. Y is formed here, in place in E, only when
-    collect (a list) is given; collect gets each head's full (n, n) map,
-    its prompt rows identity rows.
+    normalised after the value product, so the maps Y = E / r are never
+    formed. A taped forward keeps no score block, only its (heads, n - m)
+    row maxima and sums: the backward rebuilds Y from them.
     """
     n, d = q.shape
     if d % heads or not 0 <= m <= n:
@@ -421,9 +416,6 @@ def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, 
     rows = out[m:].reshape(n - m, heads, dh)  # the input rows, by head
     np.matmul(e, vh, out=rows.transpose(1, 0, 2))
     rows /= r.transpose(1, 0, 2)  # in the rows' own order: faster than on the head view
-    if collect is not None:
-        e /= r  # Y
-        collect.append([np.vstack([np.eye(m, n), y]) for y in e])
     return out, (qh, kt, vh, rowmax, r, m) if taped else None
 
 
@@ -521,28 +513,21 @@ def encoder_input(tok_table: Tensor, seg_table: Tensor, pos_table: Tensor, ids,
                  "encoder_input")
 
 
-def encoder_layer(
-    x: Tensor,
-    weights: Sequence[Tensor],
-    heads: int,
-    m: int,
-    collect: list | None = None,
-) -> Tensor:
+def encoder_layer(x: Tensor, weights: Sequence[Tensor], heads: int, m: int) -> Tensor:
     """One post-norm transformer encoder layer as one tape node.
 
     weights = (wq, bq, wk, bk, wv, bv, wo, bo, ln1_gain, ln1_bias,
     w1, b1, w2, b2, ln2_gain, ln2_bias), x (n, d):
         a = attention(x wq + bq, x wk + bk, x wv + bv) wo + bo
         h = layernorm(x + a; ln1),  out = layernorm(h + gelu(h w1 + b1) w2 + b2; ln2)
-    with heads, m (x's prompt rows come first) and collect as in
-    _attention_forward. The closed-form backward runs the kernels'
-    backwards in reverse order; the gradient reaches h as d_res2 + dh_ff
-    and x as ((d_res1 + dx_v) + dx_k) + dx_q, the order in which the per-op
-    tape summed them. The closure keeps neither the GELU output act, nor h,
-    nor the attention maps Y: the backward rebuilds act = f1 * cdf, h =
-    xhat1 * gain + bias and Y where it reads them, by the forward's own
-    operations, bit for bit. Every intermediate the per-op chain checked is
-    checked for finiteness.
+    with heads and m (x's prompt rows come first) as in _attention_forward.
+    The closed-form backward runs the kernels' backwards in reverse order;
+    the gradient reaches h as d_res2 + dh_ff and x as ((d_res1 + dx_v) +
+    dx_k) + dx_q, the order in which the per-op tape summed them. The
+    closure keeps neither the GELU output act, nor h, nor the attention maps
+    Y: the backward rebuilds act = f1 * cdf, h = xhat1 * gain + bias and Y
+    where it reads them, by the forward's own operations, bit for bit. Every
+    intermediate the per-op chain checked is checked for finiteness.
     """
     if len(weights) != 16 or x.data.ndim != 2:
         raise ShapeError(f"encoder_layer needs a 2-d x and 16 weights, got {x.shape} "
@@ -561,7 +546,7 @@ def encoder_layer(
         _check_finite(_affine_forward(xd, wq.data, bq.data), "affine"),
         _check_finite(_affine_forward(xd, wk.data, bk.data), "affine"),
         _check_finite(_affine_forward(xd, wv.data, bv.data), "affine"),
-        heads, m, collect, taped,
+        heads, m, taped,
     )
     _check_finite(att, "multihead_attention")
     r1 = xd + _check_finite(_affine_forward(att, wo.data, bo.data), "affine")

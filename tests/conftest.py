@@ -192,13 +192,13 @@ def affine(x, w, b):
     return nm._node((x, w, b), out_data[0] if vector_in else out_data, backprop, "affine")
 
 
-def multihead_attention(q, k, v, heads, m, collect=None):
+def multihead_attention(q, k, v, heads, m):
     """One-way attention of (n, d) q, k, v, the first m rows prompts, as one
     tape node; the kernels' docstrings give the forward and backward."""
     if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"attention got q/k/v {q.shape}/{k.shape}/{v.shape}")
     taped = nm._active_tape() is not None and any(t.requires_grad for t in (q, k, v))
-    out_data, saved = nm._attention_forward(q.data, k.data, v.data, heads, m, collect, taped)
+    out_data, saved = nm._attention_forward(q.data, k.data, v.data, heads, m, taped)
 
     def backprop(g):
         dq, dk, dv = nm._attention_backward(g, saved)
@@ -209,7 +209,7 @@ def multihead_attention(q, k, v, heads, m, collect=None):
     return nm._node((q, k, v), out_data, backprop, "multihead_attention")
 
 
-def layernorm(x, gain, bias, eps=nm.LAYERNORM_EPS):
+def layernorm(x, gain, bias):
     """Row-wise layer normalisation: x (n, d), gain (d,), bias (d,) -> (n, d)."""
     if x.data.ndim != 2:
         raise ShapeError(f"layernorm needs a 2-d tensor, got {x.shape}")
@@ -218,12 +218,10 @@ def layernorm(x, gain, bias, eps=nm.LAYERNORM_EPS):
         raise ShapeError(
             f"layernorm gain/bias shapes {gain.shape}/{bias.shape} do not match width {d}"
         )
-    out_data, xhat, invstd = nm._layernorm_forward(x.data, gain.data, bias.data, eps)
+    out_data, xhat, invstd = nm._layernorm_forward(x.data, gain.data, bias.data)
 
     def backprop(g):
-        dx = nm._layernorm_backward(g, gain, bias, xhat, invstd, x.requires_grad)
-        if dx is not None:
-            nm._accum(x, dx)
+        nm._accum(x, nm._layernorm_backward(g, gain, bias, xhat, invstd))
 
     return nm._node((x, gain, bias), out_data, backprop, "layernorm")
 
@@ -250,7 +248,7 @@ def embedding_lookup(table, ids):
     return nm._node((table,), table.data[idx], backprop, "embedding_lookup")
 
 
-def reference_encoder_layer(weights, heads, x, m, collect=None):
+def reference_encoder_layer(weights, heads, x, m):
     """The per-op chain an encoder layer ran before it had a node of its
     own: twelve single-op tape nodes (q/k/v affines, attention, the output
     affine, two residual adds, two layernorms, affine-gelu-affine)."""
@@ -259,7 +257,7 @@ def reference_encoder_layer(weights, heads, x, m, collect=None):
     q = affine(x, wq, bq)
     k = affine(x, wk, bk)
     v = affine(x, wv, bv)
-    heads_out = multihead_attention(q, k, v, heads, m, collect)
+    heads_out = multihead_attention(q, k, v, heads, m)
     attn_out = affine(heads_out, wo, bo)
     x = layernorm(nm.add(x, attn_out), ln1_gain, ln1_bias)
     ff = affine(gelu(affine(x, ff_w1, ff_b1)), ff_w2, ff_b2)
@@ -287,13 +285,46 @@ def reference_embed(model, seq, prompt_names=(), frozen=frozenset()):
 
 
 def reference_encode(model, seq, prompt_names=(), frozen=frozenset()):
-    """ProteinEncoder.encode on the per-op chain: (h, collected maps)."""
-    collect = []
+    """ProteinEncoder.encode's h on the per-op chain."""
     x = reference_embed(model, seq, prompt_names, frozen)
     for weights in model.layers:
-        x = reference_encoder_layer(weights, model.config.heads, x, len(prompt_names),
-                                    collect)
-    return x, collect
+        x = reference_encoder_layer(weights, model.config.heads, x, len(prompt_names))
+    return x
+
+
+def attention_maps(model, seq, prompt_names=()):
+    """The attention maps of model.encode(seq, prompt_names): per layer, one
+    (m+n, m+n) map per head. No encode forms them (attention normalises
+    after the value product), so this oracle rebuilds them tape-free.
+
+    Each layer's input comes from the encode's own nodes. The input rows are
+    the forward's kernels in the forward's order (the q and k affines, the
+    head split with 1/sqrt(dh) folded into Q, _exp_scores), divided by their
+    row sums: the bits the forward divides its value product by. The prompt
+    rows are scored against penalty_mask's rows, as reference_attention
+    scores them, so src/'s one-way mask is not what they show.
+    """
+    if nm._active_tape() is not None:
+        raise OracleError("attention_maps runs without a tape")
+    m, heads = len(prompt_names), model.config.heads
+    x = model.embed(seq, prompt_names).data
+    maps = []
+    for weights in model.layers:
+        wq, bq, wk, bk = (t.data for t in weights[:4])
+        q, k = nm._affine_forward(x, wq, bq), nm._affine_forward(x, wk, bk)
+        n, d = q.shape
+        dh = d // heads
+        qh = np.multiply(nm._heads(q, heads), 1.0 / float(np.sqrt(dh)),
+                         out=np.empty((heads, n, dh)))
+        kt = np.ascontiguousarray(nm._heads(k, heads).transpose(0, 2, 1))
+        e, _ = nm._exp_scores(qh, kt, m)
+        e /= np.add.reduce(e, axis=-1, keepdims=True)
+        s = qh[:, :m] @ kt + penalty_mask(m, n - m)[:m]
+        p = np.exp(s - s.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
+        maps.append([np.vstack([p[h], e[h]]) for h in range(heads)])
+        x = nm.encoder_layer(Tensor(x), weights, heads, m).data
+    return maps
 
 
 # ---------------------------------------------------------------------------

@@ -456,7 +456,7 @@ def test_6_contact_pipeline(tmp_path):
         coords = rng.uniform(-30, 30, size=(n, 3))
         thr = float(rng.uniform(4, 14))
         recs = [
-            D.ResidueRecord(index=i + 1, name="ALA", xyz=coords[i], atom="CB")
+            D.ResidueRecord(index=i + 1, xyz=coords[i])
             for i in range(n)
         ]
         cmap = D.build_contact_map(recs, threshold=thr)
@@ -485,17 +485,17 @@ def test_6_contact_pipeline(tmp_path):
     chains, skipped = D.parse_pdb(pdb)
     assert skipped == []
     recs = chains["A"]
-    assert [(r.atom, *r.xyz) for r in recs] == [
-        ("CB", 2.0, 0.0, 0.0),
-        ("CA", 3.0, 1.0, 0.0),
-        ("CB", 4.0, 2.0, 0.0),
+    assert [tuple(r.xyz) for r in recs] == [
+        (2.0, 0.0, 0.0),  # CB
+        (3.0, 1.0, 0.0),  # CA
+        (4.0, 2.0, 0.0),  # CB
     ]
 
     # contact-map file round trip identity
     rng = np.random.default_rng(61)
     coords = rng.uniform(-10, 10, size=(25, 3))
     source = D.build_contact_map(
-        [D.ResidueRecord(index=i + 1, name="ALA", xyz=coords[i], atom="CB")
+        [D.ResidueRecord(index=i + 1, xyz=coords[i])
          for i in range(25)],
         threshold=7.25,
     )
@@ -520,7 +520,7 @@ def test_7_metric_oracles():
         n = int(rng.integers(2, 60))
         coords = rng.uniform(-15, 15, size=(n, 3))
         truth = D.build_contact_map(
-            [D.ResidueRecord(index=i + 1, name="ALA", xyz=coords[i], atom="CB")
+            [D.ResidueRecord(index=i + 1, xyz=coords[i])
              for i in range(n)]
         )
         scores = rng.normal(size=(n, n))
@@ -536,13 +536,13 @@ def test_7_metric_oracles():
         got = MX.precision_at_l_half(scores, truth, rc)
         k = n // 2
         if not pairs or k == 0:
-            assert got == (0.0, 0, True)
+            assert got == (0.0, True)
             continue
         pairs.sort(key=lambda p: (-scores[p[0], p[1]], p[0], p[1]))
         take = min(k, len(pairs))
         hits = sum(1 for i, j in pairs[:take] if truth.bits[i, j])
         assert got.precision == hits / take
-        assert got.scored_pairs == take and got.truncated == (take < k)
+        assert got.truncated == (take < k)
 
     # micro-F1 vs pooled-count loops
     for trial in range(120):

@@ -1475,8 +1475,8 @@ def test_probe_rejects_an_unknown_prompt_and_leaves_no_output(ws, tmp_path, caps
 
 
 def test_probe_rejects_an_empty_fasta(ws, tmp_path, capsys):
-    # with no record nothing is encoded, so without the reader's gate an
-    # unknown prompt would pass unchecked and leave an empty directory
+    # the FASTA is read before the prompt is checked, so the reader's gate
+    # refuses an empty file first, and no directory is made
     fasta, out = tmp_path / "empty.fasta", tmp_path / "probes"
     fasta.write_text("")
     rc = main(["probe", "--checkpoint", str(ws["final"]), "--fasta", str(fasta),

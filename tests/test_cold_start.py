@@ -69,7 +69,8 @@ def test_first_encode_binds_scipy_erf(tmp_path):
         from protprompt import tokenizer as T
         from protprompt.model import ModelConfig, ProteinEncoder
 
-        model = ProteinEncoder(ModelConfig(d=8, layers=1, heads=2, max_len=12), seed=3)
+        model = ProteinEncoder(ModelConfig(d=8, layers=1, heads=2, max_len=12,
+                                           prompt_names=("Seq", "IC")), seed=3)
         assert "scipy" not in sys.modules
         model.encode(T.encode("ACDEF", 12))
         assert "scipy.special" in sys.modules

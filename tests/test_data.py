@@ -231,11 +231,9 @@ def test_pdb_cb_preferred_ca_for_glycine(tmp_path):
     chains, skipped = D.parse_pdb(_write(tmp_path, "a.pdb", text))
     assert skipped == []
     (recs,) = chains.values()
-    assert [r.atom for r in recs] == ["CB", "CA"]
-    assert recs[0].xyz.tolist() == [2.0, 0.0, 0.0]
+    assert recs[0].xyz.tolist() == [2.0, 0.0, 0.0]  # CB, not CA
     assert recs[1].xyz.tolist() == [3.0, 1.0, 0.0]  # glycine ignores its CB
     assert [r.index for r in recs] == [1, 2]
-    assert recs[0].name == "ALA"
 
 
 def test_pdb_altloc_filtering(tmp_path):
@@ -320,7 +318,7 @@ def test_pdb_no_atoms_error(tmp_path):
 
 def _records(coords):
     return [
-        D.ResidueRecord(index=i + 1, name="ALA", xyz=np.asarray(c, dtype=float), atom="CB")
+        D.ResidueRecord(index=i + 1, xyz=np.asarray(c, dtype=float))
         for i, c in enumerate(coords)
     ]
 

@@ -15,9 +15,9 @@ these are hashed: the `checkpoint.save_model` bytes of two freshly seeded
 models (2 layers and no prompts; 3 layers, three prompts, another d and
 max_len); the raw bytes of `contact_logits` from a seeded d=64 encoder at
 residue counts that end inside, on and across the contact head's row blocks;
-and a seeded encoder's output rows, collected attention maps and parameter
-gradients at 0, 1 and 3 prompts, with the encoder trainable and frozen as
-`inject` runs it.
+and a seeded encoder's output rows, attention maps (rebuilt by the
+conftest oracle) and parameter gradients at 0, 1 and 3 prompts, with the
+encoder trainable and frozen as `inject` runs it.
 
 Float results depend on numpy, its BLAS, scipy (GELU's erf, whose oddness
 the GELU kernel relies on) and the CPU, so golden/digests.json holds one
@@ -52,7 +52,7 @@ from protprompt.config import build_config
 from protprompt.model import ModelConfig, ProteinEncoder
 from protprompt.numerics import Tape, Tensor
 
-from conftest import mul, sum_all
+from conftest import attention_maps, mul, sum_all
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 
@@ -141,7 +141,8 @@ def _write_structures(rng) -> str:
 def _logit_digests() -> dict[str, str]:
     """SHA-256 of contact_logits(...).data of a seeded d=64 encoder for one
     random sequence of each length in LOGIT_LENGTHS."""
-    model = ProteinEncoder(ModelConfig(d=64, layers=1, heads=4, max_len=256), seed=11)
+    model = ProteinEncoder(ModelConfig(d=64, layers=1, heads=4, max_len=256,
+                                       prompt_names=("Seq", "IC")), seed=11)
     rng = np.random.default_rng(12)
     digests = {}
     for n in LOGIT_LENGTHS:
@@ -168,8 +169,8 @@ def _sha(data: bytes) -> str:
 
 
 def _encoder_digests() -> dict[str, str]:
-    """SHA-256 of a seeded 2-layer encoder's output rows, collected attention
-    maps and parameter gradients of sum(h * c), c seeded, for the first m of
+    """SHA-256 of a seeded 2-layer encoder's output rows, attention maps
+    (conftest.attention_maps) and parameter gradients of sum(h * c), c seeded, for the first m of
     ENCODER_PROMPTS, m in (0, 1, 3). The gradients are taken twice: with every
     parameter trainable, then with the encoder frozen as inject runs it, so
     only the prompts take them. Each gradient is hashed with its name."""
@@ -187,15 +188,16 @@ def _encoder_digests() -> dict[str, str]:
                 p.grad = None
             tape = Tape()
             with tape:
-                out = model.encode(seq, ENCODER_PROMPTS[:m], collect_attn=True)
+                out = model.encode(seq, ENCODER_PROMPTS[:m])
                 c = np.random.default_rng(20 + m).normal(size=out.h.shape)
                 loss = sum_all(mul(out.h, Tensor(c)))
             if loss.requires_grad:  # not so with a frozen encoder and no prompts
                 nm.backward(tape, loss)
             if mode == "trainable":
                 digests[f"encode/m={m}"] = _sha(out.h.data.tobytes())
-                digests[f"attention/m={m}"] = _sha(
-                    b"".join(w.tobytes() for layer in out.attn for w in layer))
+                digests[f"attention/m={m}"] = _sha(b"".join(
+                    w.tobytes() for layer in attention_maps(model, seq, ENCODER_PROMPTS[:m])
+                    for w in layer))
             digests[f"grads/{mode}/m={m}"] = _sha(b"".join(
                 name.encode() + p.grad.tobytes()
                 for name, p in params.items() if p.grad is not None))

@@ -36,17 +36,17 @@ def _brute_precision(scores, truth, range_class):
             pairs.append((i, j))
     k = n // 2
     if not pairs or k == 0:
-        return 0.0, 0, True
+        return 0.0, True
     pairs.sort(key=lambda p: (-scores[p[0], p[1]], p[0], p[1]))
     take = min(k, len(pairs))
     hits = sum(1 for i, j in pairs[:take] if truth.bits[i, j])
-    return hits / take, take, take < k
+    return hits / take, take < k
 
 
 def _random_map(rng, n):
     coords = rng.uniform(-15, 15, size=(n, 3))
     recs = [
-        D.ResidueRecord(index=i + 1, name="ALA", xyz=coords[i], atom="CB")
+        D.ResidueRecord(index=i + 1, xyz=coords[i])
         for i in range(n)
     ]
     return D.build_contact_map(recs)
@@ -62,10 +62,8 @@ def test_precision_matches_brute_force():
         if trial % 3 == 0:
             scores = np.round(scores, 1)  # force score ties
         rc = classes[trial % len(classes)]
-        got = M.precision_at_l_half(scores, truth, rc)
-        want_p, want_n, want_t = _brute_precision(scores, truth, rc)
-        assert got.precision == want_p, trial
-        assert got.scored_pairs == want_n and got.truncated == want_t
+        assert M.precision_at_l_half(scores, truth, rc) == _brute_precision(scores, truth, rc), \
+            trial
 
 
 def _lexsort_precision(scores, truth, range_class):
@@ -80,11 +78,11 @@ def _lexsort_precision(scores, truth, range_class):
         keep &= sep <= range_class.max_sep
     ii, jj = ii[keep], jj[keep]
     if ii.size == 0 or k == 0:
-        return M.ContactPrecision(precision=0.0, scored_pairs=0, truncated=True)
+        return M.ContactPrecision(precision=0.0, truncated=True)
     order = np.lexsort((jj, ii, -scores[ii, jj]))
     take = min(k, ii.size)
     hits = int(truth.bits[ii[order[:take]], jj[order[:take]]].sum())
-    return M.ContactPrecision(precision=hits / take, scored_pairs=take, truncated=take < k)
+    return M.ContactPrecision(precision=hits / take, truncated=take < k)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 13, 60, 150, 254])
@@ -116,14 +114,14 @@ def _triu_precision(scores, truth, range_class):
         keep &= sep <= range_class.max_sep
     ii, jj = ii[keep], jj[keep]
     if ii.size == 0 or k == 0:
-        return M.ContactPrecision(precision=0.0, scored_pairs=0, truncated=True)
+        return M.ContactPrecision(precision=0.0, truncated=True)
     neg = -scores[ii, jj]
     take = min(k, ii.size)
     cut = np.partition(neg, take - 1)[take - 1]
     cand = np.flatnonzero(~(neg > cut))
     top = cand[np.argsort(neg[cand], kind="stable")[:take]]
     hits = int(truth.bits[ii[top], jj[top]].sum())
-    return M.ContactPrecision(precision=hits / take, scored_pairs=take, truncated=take < k)
+    return M.ContactPrecision(precision=hits / take, truncated=take < k)
 
 
 @pytest.mark.parametrize("n", [*range(65), 150, 254])
@@ -145,7 +143,9 @@ def test_short_class_precision_memory_grows_with_its_pairs():
     # the short band holds ~6n pairs; the whole upper triangle, n^2/2 of them,
     # would need far more than n^2 bytes for its index arrays alone
     n = 3000
-    truth = D.ContactMap(n=n, bits=np.zeros((n, n), dtype=bool))
+    bits = np.zeros((n, n), dtype=bool)
+    bits[0, 6] = bits[6, 0] = True  # the first pair in tie order, so one hit
+    truth = D.ContactMap(n=n, bits=bits)
     scores = np.zeros((n, n))
     tracemalloc.start()
     try:
@@ -153,7 +153,7 @@ def test_short_class_precision_memory_grows_with_its_pairs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got == (0.0, n // 2, False)
+    assert got == (1 / (n // 2), False)  # one hit among the n // 2 scored
     assert peak < n * n // 4
 
 
@@ -166,8 +166,7 @@ def test_precision_tie_break_is_lexicographic():
     scores = np.zeros((n, n))  # every pair ties
     got = M.precision_at_l_half(scores, truth, M.SHORT)
     # k=7 picks (0,6),(0,7)...(0,11),(1,7); exactly one hit
-    assert got.scored_pairs == 7
-    assert got.precision == 1 / 7
+    assert got.precision == 1 / 7  # one hit among the 7 scored
     again = M.precision_at_l_half(scores, truth, M.SHORT)
     assert got == again
 
@@ -178,14 +177,14 @@ def test_precision_truncation_flag():
     bits[0, 6] = bits[6, 0] = True
     truth = D.ContactMap(n=n, bits=bits)
     got = M.precision_at_l_half(np.zeros((n, n)), truth, M.SHORT)
-    assert got.truncated and got.scored_pairs == 3
-    assert got.precision == 1 / 3
+    assert got.truncated
+    assert got.precision == 1 / 3  # one hit among the 3 scored
 
 
 def test_precision_no_eligible_pairs():
     truth = _random_map(np.random.default_rng(0), 5)  # max sep 4 < short min
     got = M.precision_at_l_half(np.zeros((5, 5)), truth, M.SHORT)
-    assert got == (0.0, 0, True)
+    assert got == (0.0, True)
     with pytest.raises(ContractError, match="shape"):
         M.precision_at_l_half(np.zeros((4, 4)), truth, M.SHORT)
 

@@ -8,11 +8,11 @@ import pytest
 from protprompt import numerics as nm
 from protprompt import objectives as O
 from protprompt import tokenizer as T
-from protprompt.errors import ConfigError, ContractError, ShapeError
+from protprompt.errors import ContractError, ShapeError
 from protprompt.model import ModelConfig, ProteinEncoder
 from protprompt.numerics import Tape, Tensor
 
-from conftest import (affine, mlm_logits, mlm_loss, mul, multihead_attention,
+from conftest import (affine, attention_maps, mlm_logits, mlm_loss, mul, multihead_attention,
                       reference_encode, reference_forward, select_rows, sum_all)
 
 
@@ -22,7 +22,8 @@ def small_model(prompts=("Seq", "IC"), seed=0, max_len=12):
 
 
 # ---------------------------------------------------------------------------
-# mask semantics: encode applies M by structure, so its attention maps show it
+# mask semantics on the attention maps of conftest.attention_maps: its input
+# rows are the encode's own scores, its prompt rows the explicit mask's
 
 
 def _attention_support(m, n):
@@ -31,7 +32,7 @@ def _attention_support(m, n):
     cfg = ModelConfig(d=16, layers=2, heads=4, max_len=8, prompt_names=("Seq", "IC", "PPI"))
     model = ProteinEncoder(cfg, seed=6)
     seq = T.TokenSequence(ids=np.random.default_rng(n).integers(0, T.VOCAB_SIZE, n))
-    maps = model.encode(seq, cfg.prompt_names[:m], collect_attn=True).attn
+    maps = attention_maps(model, seq, cfg.prompt_names[:m])
     support = {(w != 0.0).tobytes() for layer in maps for w in layer}
     assert len(support) == 1, (m, n)
     return np.frombuffer(support.pop(), dtype=bool).reshape(m + n, m + n)
@@ -95,9 +96,6 @@ def test_prompts_are_an_ordered_name_to_tensor_map():
         "prompt.Seq", "prompt.IC", "prompt.PPI"]
     assert all(p.requires_grad and p.shape == (16,) for p in model.prompts.values())
     seq = T.encode("ACD", 8)
-    with pytest.raises(ConfigError,
-                       match=r"unknown prompt 'Nope'; registered: \['Seq', 'IC', 'PPI'\]"):
-        model.embed(seq, ("Seq", "Nope"))
     model.prompts["Flat"] = Tensor(np.zeros((2, 8)), requires_grad=True)
     with pytest.raises(ShapeError, match="prompt shapes"):
         model.embed(seq, ("Flat",))
@@ -115,15 +113,12 @@ def test_prompt_rows_carry_no_position_or_segment():
 # attention semantics
 
 
-def _attn_maps(model, seq, prompts):
-    out = model.encode(seq, prompts, collect_attn=True)
-    return out, out.attn
-
-
 def test_additive_prompt_self_weight_is_exactly_one():
+    # on the oracle's prompt rows: the explicit mask's finite penalty leaves
+    # a prompt exactly its own key at the encode's own scores
     model = small_model()
     seq = T.encode("ACDEF", 10)
-    _, attn = _attn_maps(model, seq, ("Seq", "IC"))
+    attn = attention_maps(model, seq, ("Seq", "IC"))
     for layer_maps in attn:
         for head in layer_maps:
             assert head[0, 0] == 1.0 and head[1, 1] == 1.0
@@ -134,7 +129,7 @@ def test_additive_prompt_self_weight_is_exactly_one():
 def test_additive_rows_sum_to_one_everywhere():
     model = small_model()
     seq = T.encode("ACD", 10)
-    _, attn = _attn_maps(model, seq, ("Seq", "IC"))
+    attn = attention_maps(model, seq, ("Seq", "IC"))
     for layer_maps in attn:
         for head in layer_maps:
             assert head.shape == (7, 7)  # 2 prompts + CLS, 3 residues, EOS; no padding
@@ -205,7 +200,7 @@ def test_encode_tape_size_does_not_depend_on_heads(seed):
 @pytest.mark.parametrize("heads", [1, 2, 4, 8], ids=lambda h: f"additive-{h}")
 def test_fused_encode_matches_the_per_op_chain(heads, prompts, frozen, frozen_encoder):
     # encoder_input and encoder_layer against the per-op chain kept in
-    # conftest: output, attention maps and every gradient, bit for bit
+    # conftest: output and every gradient, bit for bit
     cfg = ModelConfig(d=16, layers=2, heads=heads, max_len=16, prompt_names=("Seq", "IC"))
     model = ProteinEncoder(cfg, seed=5)
     rng = np.random.default_rng(3)
@@ -222,20 +217,14 @@ def test_fused_encode_matches_the_per_op_chain(heads, prompts, frozen, frozen_en
             p.grad = None
         tape = Tape()
         with tape:
-            h, maps = encode()
+            h = encode()
             loss = sum_all(mul(h, probe))
         nm.backward(tape, loss)
-        return h.data, maps, {name: p.grad for name, p in model.parameters().items()}
+        return h.data, {name: p.grad for name, p in model.parameters().items()}
 
-    def fused():
-        out = model.encode(seq, prompts, collect_attn=True, frozen=frozen)
-        return out.h, out.attn
-
-    h, maps, grads = run(fused)
-    ref_h, ref_maps, ref_grads = run(lambda: reference_encode(model, seq, prompts, frozen))
+    h, grads = run(lambda: model.encode(seq, prompts, frozen=frozen).h)
+    ref_h, ref_grads = run(lambda: reference_encode(model, seq, prompts, frozen))
     assert h.tobytes() == ref_h.tobytes()
-    assert [[w.tobytes() for w in layer] for layer in maps] == \
-        [[w.tobytes() for w in layer] for layer in ref_maps]
     for name, g in grads.items():
         assert (g is None) == (ref_grads[name] is None), name
         assert g is None or g.tobytes() == ref_grads[name].tobytes(), name
@@ -319,12 +308,6 @@ def test_prompt_permutation_leaves_inputs_invariant():
     assert np.abs(fwd - rev).max() <= 1e-12
 
 
-def test_unknown_prompt_rejected_at_encode():
-    model = small_model()
-    with pytest.raises(ConfigError, match="unknown prompt"):
-        model.encode(T.encode("ACD", 8), ("Nope",))
-
-
 def test_sequence_longer_than_position_table():
     model = small_model(max_len=6)
     seq = T.encode("ACDEFG", 8)  # 8 ids, table only has 6 positions
@@ -373,7 +356,8 @@ def test_contact_logits_builds_no_pair_feature_rows():
     # head holds one block of CONTACT_BLOCK_ROWS * n * d floats (1 MB) and a
     # few (n, n) arrays (0.5 MB each), so it stays under 4 MB
     n, d = 254, 64
-    model = ProteinEncoder(ModelConfig(d=d, layers=1, heads=4, max_len=256), seed=3)
+    model = ProteinEncoder(ModelConfig(d=d, layers=1, heads=4, max_len=256,
+                                       prompt_names=("Seq", "IC")), seed=3)
     residues = "".join(np.random.default_rng(13).choice(list("ACDEFGHIKLMNPQRSTVWY"), size=n))
     out = model.encode(T.encode(residues, 256), ())
     tracemalloc.start()
@@ -390,37 +374,25 @@ def test_contact_logits_builds_no_pair_feature_rows():
 def test_taped_and_tape_free_encodes_agree_bitwise(m, heads):
     # one attention formula serves both: a tape adds only the row maxima and
     # sums from which the backward rebuilds the normalised maps, so the rows
-    # and the collected maps keep their bits, at every length up to 254 rows
-    # of input; and the backward is one, so collecting the maps leaves every
-    # gradient's bits alone
-    model = ProteinEncoder(ModelConfig(d=64, layers=2, heads=heads, max_len=256), seed=5)
+    # keep their bits at every length up to 254 rows of input; a backward
+    # reaches every trained parameter
+    model = ProteinEncoder(ModelConfig(d=64, layers=2, heads=heads, max_len=256,
+                                       prompt_names=("Seq", "IC")), seed=5)
     names = model.config.prompt_names[:m]
     rng = np.random.default_rng(17)
-
-    def grads(encode, probe):
-        for p in model.parameters().values():
-            p.grad = None
-        with Tape() as tape:
-            loss = sum_all(mul(encode().h, probe))
-        nm.backward(tape, loss)
-        return {name: p.grad for name, p in model.parameters().items()}
-
     for residues in (1, 9, 73, 252):
         seq = T.encode("".join(rng.choice(list("ACDEFGHIKLMNPQRSTVWY"), size=residues)), 256)
         plain = model.encode(seq, names)
-        mapped = model.encode(seq, names, collect_attn=True)
+        for p in model.parameters().values():
+            p.grad = None
         with Tape() as tape:
-            taped = model.encode(seq, names, collect_attn=True)
-        assert len(tape.nodes) == 1 + model.config.layers
-        assert plain.h.data.tobytes() == taped.h.data.tobytes() == mapped.h.data.tobytes()
-        assert [[w.tobytes() for w in layer] for layer in taped.attn] == \
-            [[w.tobytes() for w in layer] for layer in mapped.attn]
-        probe = Tensor(rng.normal(size=plain.h.shape))
-        with_maps = grads(lambda: model.encode(seq, names, collect_attn=True), probe)
-        without = grads(lambda: model.encode(seq, names), probe)
-        assert sum(g is not None for g in without.values()) == 3 + 16 * model.config.layers + m
-        assert {k: g is None or g.tobytes() for k, g in with_maps.items()} == \
-            {k: g is None or g.tobytes() for k, g in without.items()}
+            taped = model.encode(seq, names)
+            assert len(tape.nodes) == 1 + model.config.layers
+            loss = sum_all(mul(taped.h, Tensor(rng.normal(size=plain.h.shape))))
+        assert plain.h.data.tobytes() == taped.h.data.tobytes()
+        nm.backward(tape, loss)
+        grads = [p.grad for p in model.parameters().values()]
+        assert sum(g is not None for g in grads) == 3 + 16 * model.config.layers + m
 
 
 @pytest.mark.parametrize("m", [0, 2])
@@ -431,7 +403,8 @@ def test_taped_encode_keeps_linear_floats_per_row(m):
     # 8d + 3f floats per row (5.2 MB here) bound what it keeps; keeping those
     # three as well takes about 9.5 MB here, the maps alone 4n floats per row
     d, layers = 64, 2
-    model = ProteinEncoder(ModelConfig(d=d, layers=layers, heads=4, max_len=256), seed=3)
+    model = ProteinEncoder(ModelConfig(d=d, layers=layers, heads=4, max_len=256,
+                                       prompt_names=("Seq", "IC")), seed=3)
     seq = T.encode("".join(np.random.default_rng(13).choice(list("ACDEFGHIKLMNPQRSTVWY"),
                                                           size=252)), 256)
     names = model.config.prompt_names[:m]
@@ -450,7 +423,8 @@ def test_taped_encode_keeps_linear_floats_per_row(m):
 def _tape_free_encode_peak(residues=254, heads=4, m=0):
     """tracemalloc peak of a tape-free encode at d=64 with m prompts, and the
     row count n, prompt rows included."""
-    model = ProteinEncoder(ModelConfig(d=64, layers=1, heads=heads, max_len=256), seed=3)
+    model = ProteinEncoder(ModelConfig(d=64, layers=1, heads=heads, max_len=256,
+                                       prompt_names=("Seq", "IC")), seed=3)
     seq = T.encode("".join(np.random.default_rng(13).choice(list("ACDEFGHIKLMNPQRSTVWY"),
                                                           size=residues)), 256)
     names = model.config.prompt_names[:m]

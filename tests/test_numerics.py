@@ -95,10 +95,9 @@ def test_multihead_attention_matches_per_head_reference(heads):
     for m in (0, 1, 3):
         for n in (1, 5):
             q, k, v, g = _attention_inputs(m, n)
-            collect = []
             tape = Tape()
             with tape:
-                out = multihead_attention(q, k, v, heads, m, collect)
+                out = multihead_attention(q, k, v, heads, m)
                 loss = sum_all(mul(out, Tensor(g)))
             assert len(tape.nodes) == 3  # attention, mul, sum_all: one node for all heads
             nm.backward(tape, loss)
@@ -106,10 +105,6 @@ def test_multihead_attention_matches_per_head_reference(heads):
             assert np.array_equal(out.data, ref_out), (m, n)
             for t, ref in ((q, dq), (k, dk), (v, dv)):
                 assert np.abs(t.grad - ref).max() <= 1e-12, (m, n)
-            (maps,) = collect  # one list of per-head maps per call
-            assert len(maps) == heads and all(w.shape == (m + n, m + n) for w in maps)
-            for w in maps:  # one-way flow: a prompt row is zero off its diagonal
-                assert np.array_equal(w[:m] != 0.0, np.eye(m, m + n, dtype=bool)), (m, n)
 
 
 @pytest.mark.parametrize("dh", [4, 8, 16])
@@ -145,10 +140,8 @@ def test_one_way_flow_is_exact_for_any_finite_score():
     # by structure leaves the prompt its own value row, bit for bit
     q, k, v = (Tensor(np.random.default_rng(seed).normal(size=(4, 4))) for seed in (70, 71, 72))
     q.data[0], k.data[0], k.data[2] = [1e5, 0, 0, 0], [-1e5, 0, 0, 0], [1e5, 0, 0, 0]
-    collect = []
-    out = multihead_attention(q, k, v, 1, 1, collect)
+    out = multihead_attention(q, k, v, 1, 1)
     assert out.data[0].tobytes() == v.data[0].tobytes()
-    assert collect[0][0][0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_fused_encoder_nodes_reject_bad_arguments():
@@ -284,7 +277,7 @@ def test_affine_gradients_all_arguments():
 
 
 def _kernel_cases():
-    """(f, inputs, g, collect) per in-place kernel, as pytest params."""
+    """(f, inputs, g) per in-place kernel, as pytest params."""
     rng = np.random.default_rng(60)
 
     def rand(*shape):
@@ -298,41 +291,36 @@ def _kernel_cases():
     for heads, suffix in ((2, "additive"), (1, "h1"), (8, "h8")):
         q, k, v, g_att = _attention_inputs(m=2, n=9, d=8)
         x, *_, g_layer = _attention_inputs(m=2, n=9, d=8)
-        att_maps, layer_maps = [], []
         cases[f"attention-{suffix}"] = (
-            lambda *qkv, heads=heads, maps=att_maps: multihead_attention(*qkv, heads, 2, maps),
-            (q, k, v), g_att, att_maps)
+            lambda *qkv, heads=heads: multihead_attention(*qkv, heads, 2), (q, k, v), g_att)
         cases[f"encoder-layer-{suffix}"] = (
-            lambda x, *w, heads=heads, maps=layer_maps: nm.encoder_layer(x, w, heads, 2, maps),
-            (x, *weights), g_layer, layer_maps)
+            lambda x, *w, heads=heads: nm.encoder_layer(x, w, heads, 2), (x, *weights), g_layer)
     cases |= {
         "encoder-input": (lambda *t: nm.encoder_input(*t[:3], [3, 7, 3, 0], t[3:]),
                           (rand(9, 5), rand(1, 5), rand(6, 5), rand(5), rand(5)),
-                          rng.normal(size=(6, 5)), []),
-        "gelu": (gelu, (rand(6, 5),), rng.normal(size=(6, 5)), []),
-        "gelu-0d": (gelu, (rand(),), rng.normal(size=()), []),
-        "layernorm": (layernorm, (rand(6, 5), rand(5), rand(5)), rng.normal(size=(6, 5)), []),
-        "affine": (affine, (rand(6, 5), rand(5, 3), rand(3)), rng.normal(size=(6, 3)), []),
-        "affine-vector": (affine, (rand(5), rand(5, 3), rand(3)), rng.normal(size=3), []),
+                          rng.normal(size=(6, 5))),
+        "gelu": (gelu, (rand(6, 5),), rng.normal(size=(6, 5))),
+        "gelu-0d": (gelu, (rand(),), rng.normal(size=())),
+        "layernorm": (layernorm, (rand(6, 5), rand(5), rand(5)), rng.normal(size=(6, 5))),
+        "affine": (affine, (rand(6, 5), rand(5, 3), rand(3)), rng.normal(size=(6, 3))),
+        "affine-vector": (affine, (rand(5), rand(5, 3), rand(3)), rng.normal(size=3)),
     }
     return [pytest.param(*case, id=name) for name, case in cases.items()]
 
 
-@pytest.mark.parametrize("f, inputs, g, collect", _kernel_cases())
-def test_kernels_write_only_into_their_own_arrays(f, inputs, g, collect):
-    # in-place kernels must leave their inputs, the upstream gradient, their
-    # own output and the maps handed to collect as they were
+@pytest.mark.parametrize("f, inputs, g", _kernel_cases())
+def test_kernels_write_only_into_their_own_arrays(f, inputs, g):
+    # in-place kernels must leave their inputs, the upstream gradient and
+    # their own output as they were
     before = [t.data.tobytes() for t in inputs]
     g_before = g.tobytes()
     with Tape():
         out = f(*inputs)
     out_before = out.data.tobytes()
-    maps_before = [w.tobytes() for maps in collect for w in maps]
     out._backprop(g)
     assert [t.data.tobytes() for t in inputs] == before
     assert g.tobytes() == g_before
     assert out.data.tobytes() == out_before
-    assert [w.tobytes() for maps in collect for w in maps] == maps_before
     assert all(t.grad is not None and not np.shares_memory(t.grad, g) for t in inputs)
 
 
@@ -415,16 +403,12 @@ def test_softmax_rows_sum_to_one():
 
 
 def test_mask_penalty_underflows_to_zero():
-    # row 0 may attend only to itself: every head puts weight exactly 1.0
-    # there, so its output is exactly its own value row; at scores of
-    # ordinary size these are the bits the oracle's finite penalty gives
+    # row 0 may attend only to itself, so its output is exactly its own
+    # value row; at scores of ordinary size the oracle's finite penalty
+    # underflows to weights of exactly 0.0 and gives the same bits
     rng = np.random.default_rng(43)
     q, k, v = (Tensor(rng.normal(0, 1, (3, 4))) for _ in range(3))
-    collect = []
-    out = multihead_attention(q, k, v, 2, 1, collect)
-    for w in collect[0]:
-        assert w[0, 0] == 1.0
-        assert w[0, 1] == 0.0 and w[0, 2] == 0.0
+    out = multihead_attention(q, k, v, 2, 1)
     assert np.array_equal(out.data[0], v.data[0])
     ref, *_ = reference_attention(q.data, k.data, v.data, 2, 1, np.zeros((3, 4)))
     assert out.data.tobytes() == ref.tobytes()

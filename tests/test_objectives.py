@@ -403,7 +403,8 @@ def test_eval_pair_logits_are_the_training_logits(d, width):
     # step's pairs in one call. Both run the pair kernel, whose sums over d do
     # not depend on the pairs sharing a call, so the logits agree bit for bit
     # at every batch size, and so does the loss computed from them
-    model = ProteinEncoder(ModelConfig(d=d, layers=1, heads=2, max_len=24), seed=d + width)
+    model = ProteinEncoder(ModelConfig(d=d, layers=1, heads=2, max_len=24,
+                                       prompt_names=("Seq", "IC")), seed=d + width)
     rng = np.random.default_rng(d * width)
     residues = "ACDEFGHIKLMNPQRSTVWY"
     seqs = [T.encode("".join(residues[int(k)] for k in rng.integers(20, size=n)), 24, f"s{i}")

@@ -26,20 +26,13 @@ UNCALLED = {
 }
 
 # record fields with no attribute read in src/, each with why it stays
-UNREAD = {
-    "model.EncoderOutput.attn": "tests read the maps to assert the one-way mask's exact zeros",
-    "data.ResidueRecord.atom": "tests check the CB/CA policy through it",
-    "metrics.ContactPrecision.scored_pairs": "tests check the L/2 count through it",
-}
+UNREAD = {}
 
 # modules that only ever see values a reader, argparse or RunConfig.validate
 # has checked
 BELOW_THE_GATES = ("metrics", "model", "numerics", "objectives")
 # their functions that raise a ConfigError or DataError, each with why
-INPUT_ERROR_RAISERS = {
-    "model.ProteinEncoder.embed": "the gate for probe --prompt, which is checked at its "
-                                  "first encode",
-}
+INPUT_ERROR_RAISERS = {}
 
 
 def _modules():
