@@ -172,6 +172,16 @@ def test_split_confined_to_largest_component():
     assert ("x", "y") in spec.train_edges
 
 
+def test_split_tie_between_largest_components_takes_the_smallest_id():
+    # two 3-node components; the one listed first does not hold the smallest id
+    edges = [("x", "y"), ("y", "z"), ("c", "b"), ("b", "a")]
+    for mode in ("bfs", "dfs"):
+        for seed in range(6):
+            spec = D.split_graph(_graph(edges), mode, 0.5, seed)
+            assert spec.root in {"a", "b", "c"} and set(spec.selected) <= {"a", "b", "c"}
+            assert spec.train_edges == (("x", "y"), ("y", "z"))
+
+
 def test_split_properties_random_graphs():
     for trial in range(40):
         rng = np.random.default_rng(900 + trial)
@@ -236,6 +246,16 @@ def test_pdb_cb_preferred_ca_for_glycine(tmp_path):
     assert [r.index for r in recs] == [1, 2]
 
 
+def test_pdb_glycine_without_ca_takes_its_cb(tmp_path):
+    text = (
+        _atom(1, "N", "GLY", "A", 1, 0.0, 0.0, 0.0)
+        + _atom(2, "CB", "GLY", "A", 1, 4.0, 5.0, 6.0)
+    )
+    chains, skipped = D.parse_pdb(_write(tmp_path, "g.pdb", text))
+    assert skipped == []
+    assert chains["A"][0].xyz.tolist() == [4.0, 5.0, 6.0]
+
+
 def test_pdb_altloc_filtering(tmp_path):
     text = (
         _atom(1, "CB", "SER", "A", 1, 1.0, 1.0, 1.0, alt="B")
@@ -245,6 +265,20 @@ def test_pdb_altloc_filtering(tmp_path):
     chains, _ = D.parse_pdb(_write(tmp_path, "alt.pdb", text))
     rec = chains["A"][0]
     assert rec.xyz.tolist() == [2.0, 2.0, 2.0]  # first accepted wins, B ignored
+
+
+def test_pdb_residue_with_only_altloc_b_coordinates_is_reported(tmp_path):
+    text = (
+        _atom(1, "CA", "ALA", "A", 1, 0.0, 0.0, 0.0)
+        + _atom(2, "N", "SER", "A", 2, 1.0, 0.0, 0.0)
+        + _atom(3, "CA", "SER", "A", 2, 1.5, 0.0, 0.0, alt="B")
+        + _atom(4, "CB", "SER", "A", 2, 2.0, 0.0, 0.0, alt="B")
+        + _atom(5, "CA", "LYS", "A", 3, 3.0, 0.0, 0.0)
+    )
+    chains, skipped = D.parse_pdb(_write(tmp_path, "b.pdb", text))
+    assert [r.index for r in chains["A"]] == [1, 3]
+    assert len(skipped) == 1
+    assert "residue 2 (SER) has neither CB nor CA" in skipped[0]
 
 
 def test_pdb_insertion_code_rejected(tmp_path):
