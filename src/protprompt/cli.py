@@ -55,23 +55,27 @@ def _encode_table(table: dict[str, str], max_len: int) -> dict[str, T.TokenSeque
     return {name: T.encode(seq, max_len, name) for name, seq in sorted(table.items())}
 
 
-def _task_ppi(args) -> D.PPIGraph:
-    """The --data interaction TSV of inject or eval, with its --fasta residues."""
+def _task_ppi(args, max_len: int) -> tuple[D.PPIGraph, dict[str, T.TokenSequence]]:
+    """The --data interaction TSV of inject or eval, and its endpoints encoded
+    from --fasta."""
     if not args.data or not args.fasta:
         raise ConfigError(f"{args.command} --task ppi needs --data (TSV) and --fasta")
-    return _load_ppi(args.data, D.parse_fasta(args.fasta))
+    table = D.parse_fasta(args.fasta)
+    graph = _load_ppi(args.data, table)
+    return graph, _encode_table({name: table[name] for name in graph.nodes}, max_len)
 
 
 def _load_ppi(tsv, table: dict[str, str] | None = None) -> D.PPIGraph:
     """Parse an interaction TSV, report its skipped lines and refuse it if no
-    edge is left; attach table's residues when given."""
+    edge is left or, given table, if an endpoint has no residues there."""
     graph, skips = D.parse_ppi_tsv(tsv)
     for line in skips:
         print(line, file=sys.stderr)
     if not graph.edges:
         raise DataError(f"{tsv}: no interaction rows (self-loops are skipped)")
-    if table is not None:
-        graph.attach_sequences(table)
+    missing = [name for name in graph.nodes if table is not None and name not in table]
+    if missing:
+        raise DataError(f"no sequence for interaction endpoints: {missing}")
     return graph
 
 
@@ -100,7 +104,7 @@ def _ppi_batches(graph: D.PPIGraph, encoded, cfg: RunConfig, width: int):
     takes the file's rows and bits as given.
     """
     rows = sorted(graph.edges.items())
-    names = sorted(graph.nodes)
+    names = graph.nodes
     has_explicit_negatives = graph.label_width == 1 and any(
         not bits.any() for bits in graph.edges.values()
     )
@@ -280,9 +284,8 @@ def cmd_inject(args) -> int:
     # the config gate refuses a name the base already holds
     cfg = build_config(base_text=cfg.to_text(),
                        overrides={"prompts": ",".join((*cfg.prompt_names(), prompt_name))})
-    graph = _task_ppi(args)
-    tasks = {args.task: _ppi_batches(graph, _encode_table(graph.nodes, cfg.max_len), cfg,
-                                     graph.label_width)}
+    graph, encoded = _task_ppi(args, cfg.max_len)
+    tasks = {args.task: _ppi_batches(graph, encoded, cfg, graph.label_width)}
     init_rng = np.random.default_rng((cfg.seed, len(model.prompts)))
     model.prompts[prompt_name] = Tensor(init_rng.normal(0.0, PROMPT_INIT_STD, cfg.d))
 
@@ -323,18 +326,11 @@ def cmd_eval(args) -> int:
 
 
 def _eval_ppi(model, cfg, args, prompt_sel):
-    graph = _task_ppi(args)
-    encoded = _encode_table(graph.nodes, cfg.max_len)
-    pooled: dict[str, Tensor] = {}
-
-    def pool_of(name: str) -> Tensor:
-        if name not in pooled:
-            pooled[name] = model.pool(model.encode(encoded[name], prompt_sel))
-        return pooled[name]
-
+    graph, encoded = _task_ppi(args, cfg.max_len)
+    pooled = {name: model.pool(model.encode(seq, prompt_sel)) for name, seq in encoded.items()}
     preds, truths = [], []
     for (a, b), bits in sorted(graph.edges.items()):
-        logits = model.pair_logits(pool_of(a), pool_of(b), graph.label_width).data
+        logits = model.pair_logits(pooled[a], pooled[b], graph.label_width).data
         preds.append((logits > 0).astype(np.int64))
         truths.append(bits)
     f1 = MX.micro_f1(np.stack(preds), np.stack(truths))

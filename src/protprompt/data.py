@@ -20,7 +20,8 @@ from .errors import ConfigError, DataError, FormatError
 CONTACT_THRESHOLD = 8.0
 CONTACT_TAGS = ("native", "interaction")
 
-# residues resolved to CB, glycine to CA; other atoms are ignored
+# a residue's representative atom, then its stand-in (reversed for glycine);
+# other atoms are ignored
 _COORD_ATOMS = ("CB", "CA")
 
 
@@ -82,40 +83,28 @@ def parse_fasta(path) -> dict[str, str]:
 
 @dataclass
 class PPIGraph:
-    """Undirected interaction graph with per-edge 0/1 label vectors.
+    """Undirected interaction graph with per-edge 0/1 label vectors; its
+    nodes are the endpoints of its edges.
 
     Edge keys are canonical (lexicographically smaller id first). Label
     vectors have width 1 (binary interaction files) or 7 (typed files);
     widths never mix within one graph.
     """
 
-    nodes: dict[str, str | None] = field(default_factory=dict)
     edges: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
     label_width: int = 0
 
+    @property
+    def nodes(self) -> list[str]:
+        """The endpoints of the edges, sorted."""
+        return sorted({name for edge in self.edges for name in edge})
+
     def add_edge(self, a: str, b: str, labels: np.ndarray) -> None:
         key = (a, b) if a < b else (b, a)
-        self.nodes.setdefault(a, None)
-        self.nodes.setdefault(b, None)
         if key in self.edges:
             self.edges[key] = self.edges[key] | labels
         else:
             self.edges[key] = labels.copy()
-
-    def neighbors(self) -> dict[str, list[str]]:
-        adj: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
-
-    def attach_sequences(self, table: dict[str, str]) -> None:
-        """Link node ids to residue strings; every endpoint must resolve."""
-        missing = sorted(n for n in self.nodes if n not in table)
-        if missing:
-            raise DataError(f"no sequence for interaction endpoints: {missing}")
-        for n in self.nodes:
-            self.nodes[n] = table[n]
 
 
 def _tsv_rows(path):
@@ -213,24 +202,19 @@ class SplitSpec:
     test_edges: tuple[tuple[str, str], ...]
 
 
-def _components(adj: dict[str, list[str]]) -> list[list[str]]:
-    seen: set[str] = set()
-    comps: list[list[str]] = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = []
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            node = queue.popleft()
-            comp.append(node)
-            for nb in adj[node]:
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        comps.append(sorted(comp))
-    return comps
+def _walk(adj: dict[str, list[str]], root: str, mode: str, limit: float = math.inf) -> list[str]:
+    """Up to limit nodes reached from root, in visit order: breadth first for
+    bfs, else a stack walk that marks a node when it is pushed. Neighbours go
+    in sorted order, so the smallest is visited first in both."""
+    order, marked, frontier = [], {root}, deque([root])
+    take, ahead = (frontier.popleft, iter) if mode == "bfs" else (frontier.pop, reversed)
+    while frontier and len(order) < limit:
+        order.append(take())
+        for nb in ahead(adj[order[-1]]):
+            if nb not in marked:
+                marked.add(nb)
+                frontier.append(nb)
+    return order
 
 
 def split_graph(graph: PPIGraph, mode: str, fraction: float, seed: int) -> SplitSpec:
@@ -238,6 +222,7 @@ def split_graph(graph: PPIGraph, mode: str, fraction: float, seed: int) -> Split
     component C from a seed-chosen random root; an edge is TEST iff at
     least one endpoint was selected.
 
+    Of equally large components, C is the one holding the smallest id.
     Neighbor order is sorted ids, so the traversal is fully deterministic
     given (mode, seed). Selecting every node of the component would leave
     no training edges inside it and is a config error. cmd_split's gates
@@ -247,9 +232,21 @@ def split_graph(graph: PPIGraph, mode: str, fraction: float, seed: int) -> Split
         raise ConfigError(f"test fraction must be in (0, 1), got {fraction}")
     if seed < 0:
         raise ConfigError(f"split seed must be >= 0, got {seed}")
-    adj = {n: sorted(nbs) for n, nbs in graph.neighbors().items()}
-    comps = _components(adj)
-    component = max(comps, key=len)  # _components yields sorted, stable order
+    adj: dict[str, list[str]] = {n: [] for n in graph.nodes}
+    for a, b in graph.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    for nbs in adj.values():
+        nbs.sort()
+    component: list[str] = []
+    seen: set[str] = set()
+    for start in adj:  # sorted, so the first largest holds the smallest id
+        if start not in seen:
+            reached = _walk(adj, start, "bfs")
+            seen.update(reached)
+            if len(reached) > len(component):
+                component = reached
+    component.sort()
     k = math.ceil(fraction * len(component))
     if k >= len(component):
         raise ConfigError(
@@ -258,27 +255,7 @@ def split_graph(graph: PPIGraph, mode: str, fraction: float, seed: int) -> Split
         )
     rng = np.random.default_rng(seed)
     root = component[int(rng.integers(len(component)))]
-
-    selected: list[str] = []
-    visited = {root}
-    if mode == "bfs":
-        queue = deque([root])
-        while queue and len(selected) < k:
-            node = queue.popleft()
-            selected.append(node)
-            for nb in adj[node]:
-                if nb not in visited:
-                    visited.add(nb)
-                    queue.append(nb)
-    else:
-        stack = [root]
-        while stack and len(selected) < k:
-            node = stack.pop()
-            selected.append(node)
-            for nb in reversed(adj[node]):
-                if nb not in visited:
-                    visited.add(nb)
-                    stack.append(nb)
+    selected = _walk(adj, root, mode, k)
 
     chosen = set(selected)
     train: list[tuple[str, str]] = []
@@ -309,43 +286,17 @@ class ResidueRecord:
 def parse_pdb(path) -> tuple[dict[str, list[ResidueRecord]], list[str]]:
     """Fixed-width parse of ATOM records into per-chain residue coordinates.
 
-    Policy: CB is the representative atom, CA for glycine. Alternate
-    locations other than ' ' or 'A' are ignored. Insertion codes are
-    rejected. Only the first model is read. Residues with neither CB nor
-    CA go to the skip report.
+    Policy: CB is the representative atom, CA for glycine; either stands in
+    for the other when it is missing. Alternate locations other than ' ' or
+    'A' are ignored. Insertion codes are rejected. Only the first model is
+    read. Residues with neither CB nor CA go to the skip report. Every line
+    is read before residue order is checked, so a malformed line is reported
+    ahead of residue numbers that do not strictly increase.
     """
-    chains: dict[str, list[ResidueRecord]] = {}
-    skipped: list[str] = []
-    pending: dict | None = None
-
-    def flush():
-        nonlocal pending
-        if pending is None:
-            return
-        atoms = pending["atoms"]
-        if "CB" in atoms and pending["name"] != "GLY":
-            xyz = atoms["CB"]
-        elif "CA" in atoms:
-            xyz = atoms["CA"]
-        elif "CB" in atoms:  # glycine with a (modelled) CB but no CA
-            xyz = atoms["CB"]
-        else:
-            skipped.append(
-                f"{path}: chain {pending['chain']} residue {pending['index']} "
-                f"({pending['name']}) has neither CB nor CA; skipped"
-            )
-            pending = None
-            return
-        rec = ResidueRecord(index=pending["index"], xyz=xyz)
-        chain = chains.setdefault(pending["chain"], [])
-        if chain and chain[-1].index >= rec.index:
-            raise FormatError(
-                f"{path}: chain {pending['chain']} residue numbers not strictly "
-                f"increasing at residue {rec.index}"
-            )
-        chain.append(rec)
-        pending = None
-
+    # one (chain, residue number, residue name, {CB/CA: xyz}) group per run of
+    # lines naming the same residue, in file order; a residue without CB or CA
+    # keeps its group so it reaches the skip report
+    groups: list[tuple[str, int, str, dict[str, tuple[float, float, float]]]] = []
     for lineno, line in read_lines(path):
         if line.startswith("ENDMDL"):
             break
@@ -353,41 +304,39 @@ def parse_pdb(path) -> tuple[dict[str, list[ResidueRecord]], list[str]]:
             continue
         if len(line.rstrip("\n")) < 54:
             raise FormatError(f"{path}:{lineno}: ATOM line shorter than coordinate fields")
-        atom_name = line[12:16].strip()
-        alt_loc = line[16]
-        res_name = line[17:20].strip()
-        chain_id = line[21]
-        icode = line[26]
         try:
             res_index = int(line[22:26])
-            x = float(line[30:38])
-            y = float(line[38:46])
-            z = float(line[46:54])
+            xyz = (float(line[30:38]), float(line[38:46]), float(line[46:54]))
         except ValueError:
             raise FormatError(f"{path}:{lineno}: malformed fixed-width ATOM fields")
-        if icode != " ":
+        if line[26] != " ":
             raise FormatError(
-                f"{path}:{lineno}: insertion code {icode!r} not supported"
+                f"{path}:{lineno}: insertion code {line[26]!r} not supported"
             )
-        if alt_loc not in (" ", "A"):
+        if line[16] not in (" ", "A"):
             continue
-        # every residue opens a record so ones lacking CB/CA still
-        # reach flush() and land in the skip report
-        key = (chain_id, res_index)
-        if pending is not None and (pending["chain"], pending["index"]) != key:
-            flush()
-        if pending is None:
-            pending = {
-                "chain": chain_id,
-                "index": res_index,
-                "name": res_name,
-                "atoms": {},
-            }
+        if not groups or groups[-1][:2] != (line[21], res_index):
+            groups.append((line[21], res_index, line[17:20].strip(), {}))
+        atom_name = line[12:16].strip()
         if atom_name in _COORD_ATOMS:
-            pending["atoms"].setdefault(
-                atom_name, np.array([x, y, z], dtype=np.float64)
+            groups[-1][3].setdefault(atom_name, xyz)
+
+    chains: dict[str, list[ResidueRecord]] = {}
+    skipped: list[str] = []
+    for chain_id, index, res_name, atoms in groups:
+        order = _COORD_ATOMS[::-1] if res_name == "GLY" else _COORD_ATOMS
+        picked = [atoms[name] for name in order if name in atoms]
+        if not picked:
+            skipped.append(f"{path}: chain {chain_id} residue {index} ({res_name}) "
+                           f"has neither CB nor CA; skipped")
+            continue
+        chain = chains.setdefault(chain_id, [])
+        if chain and chain[-1].index >= index:
+            raise FormatError(
+                f"{path}: chain {chain_id} residue numbers not strictly "
+                f"increasing at residue {index}"
             )
-    flush()
+        chain.append(ResidueRecord(index=index, xyz=np.array(picked[0], dtype=np.float64)))
     if not chains:
         raise FormatError(f"{path}: no usable ATOM records found")
     return chains, skipped

@@ -1048,6 +1048,24 @@ def test_interaction_file_without_rows_is_a_data_error(ws, tmp_path, capsys, com
     assert list(tmp_path.iterdir()) == [tsv]
 
 
+@pytest.mark.parametrize("command", ["eval", "inject", "pretrain"])
+def test_interaction_endpoint_without_a_sequence_is_a_data_error(ws, tmp_path, capsys,
+                                                                command):
+    tsv, out = tmp_path / "pairs.tsv", tmp_path / "out"
+    tsv.write_text("p00\tzz\t1\np01\tp02\t1\nyy\tp03\t0\n")
+    task = ["--task", "ppi", "--data", str(tsv), "--fasta", str(ws["fasta"]), "--out", str(out)]
+    argv = {
+        "eval": ["eval", "--checkpoint", str(ws["final"]), *task],
+        "inject": ["inject", "--checkpoint", str(ws["final"]), "--prompt", "PPI", *task],
+        "pretrain": ["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(tsv),
+                     "--out-dir", str(out), "--steps", "1", *BASE_SETS],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "data error: no sequence for interaction endpoints: ['yy', 'zz']" in err, err
+    assert "Traceback" not in err and list(tmp_path.iterdir()) == [tsv]
+
+
 @pytest.mark.parametrize("case", ["threshold-nan", "lambda-inf", "negative-cutoff"])
 def test_non_finite_or_negative_config_values_exit_2(ws, tmp_path, capsys, case):
     out = tmp_path / "out"

@@ -104,12 +104,9 @@ def test_ppi_format_errors(tmp_path):
         D.parse_ppi_tsv(_write(tmp_path, "e.tsv", "a\t\t1\n"))
 
 
-def test_attach_sequences(tmp_path):
-    graph, _ = D.parse_ppi_tsv(_write(tmp_path, "g.tsv", "a\tb\t1\n"))
-    with pytest.raises(DataError, match="no sequence"):
-        graph.attach_sequences({"a": "ACD"})
-    graph.attach_sequences({"a": "ACD", "b": "WY", "c": "MM"})
-    assert graph.nodes["b"] == "WY"
+def test_graph_nodes_are_its_sorted_endpoints(tmp_path):
+    graph, _ = D.parse_ppi_tsv(_write(tmp_path, "g.tsv", "c\tb\t1\nb\ta\t0\nd\td\t1\n"))
+    assert graph.nodes == ["a", "b", "c"]  # the self-loop's d is no endpoint
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +302,20 @@ def test_pdb_non_increasing_residues_rejected(tmp_path):
     )
     with pytest.raises(FormatError, match="strictly"):
         D.parse_pdb(_write(tmp_path, "o.pdb", text))
+
+
+def test_pdb_malformed_line_is_reported_before_residue_order(tmp_path):
+    # every line is read before the order check, so the bad line after the
+    # out-of-order residue is what the error names
+    bad = _atom(4, "CA", "GLU", "A", 7, 0.0, 0.0, 0.0).replace("   0.000", "  BADVAL", 1)
+    text = (
+        _atom(1, "CA", "ALA", "A", 5, 0.0, 0.0, 0.0)
+        + _atom(2, "CA", "SER", "A", 4, 1.0, 0.0, 0.0)
+        + _atom(3, "CA", "LYS", "A", 6, 2.0, 0.0, 0.0)
+        + bad
+    )
+    with pytest.raises(FormatError, match=r"m\.pdb:4: malformed fixed-width ATOM fields"):
+        D.parse_pdb(_write(tmp_path, "m.pdb", text))
 
 
 def test_pdb_residue_without_usable_atom_is_reported(tmp_path):
