@@ -14,10 +14,11 @@ Layout (all integers little-endian):
         dims         ndim x u64
         payload      float64 little-endian, C order
 
-Entries appear in a fixed order: the embedding tables (embed.*), the
-layers (layer{i}.*, layer by layer), the prompts (prompt.*), the heads
-(head.*), then optional training-state entries under the reserved "opt."
-prefix (step counter and Adam moments), which loaders ignore for inference.
+Entries appear once each, in a fixed order: the embedding tables
+(embed.*), the layers (layer{i}.*, layer by layer), the prompts (prompt.*),
+the heads (head.*), then optional training-state entries under the reserved
+"opt." prefix (step counter and Adam moments), which loaders ignore for
+inference.
 
 Checkpoints go through atomic_write, as do the CLI's eval records, probe
 CSVs, contact maps, split TSVs and vocab.txt, so an interrupted write
@@ -112,6 +113,8 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
         for _ in range(count):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "name length"))
             name = _read_text(fh, name_len, path, "entry name")
+            if name in entries:
+                raise FormatError(f"{path}: entry {name} appears twice")
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4, path, "ndim"))
             dims = tuple(
                 struct.unpack("<Q", _read_exact(fh, 8, path, "dim"))[0] for _ in range(ndim)

@@ -175,13 +175,23 @@ def _rows_before(log_path: Path, start_step: int) -> bytes:
     return b"".join(rows)
 
 
-def _prune_checkpoints(out_dir: Path, keep_last: int) -> None:
-    """Delete all but the newest keep_last ckpt_step<digits>.bin files; other
-    names are left alone."""
+def _checkpoints(out_dir: Path) -> list[Path]:
+    """out_dir's ckpt_step<digits>.bin files, oldest step first; other names
+    are left out."""
     steps = {p: p.stem.removeprefix("ckpt_step") for p in out_dir.glob("ckpt_step*.bin")}
-    ckpts = sorted((int(step), p) for p, step in steps.items() if step.isdecimal())
-    for _, old in ckpts[:-keep_last]:
-        old.unlink()
+    return [p for _, p in sorted((int(step), p) for p, step in steps.items() if step.isdecimal())]
+
+
+def _check_unused(out_dir: Path, cfg: RunConfig) -> None:
+    """Refuse an out_dir that holds another run's metrics.csv or rolling
+    checkpoints; one whose metrics.csv starts with cfg's hash holds an earlier
+    try of this same run, which a rerun rewrites."""
+    log = out_dir / "metrics.csv"
+    used = [p for p in (log, *_checkpoints(out_dir)) if p.exists()]
+    if used and not (used[0] == log and
+                     log.read_bytes().startswith(f"# config_hash={cfg.hash()}\n".encode())):
+        raise ConfigError(f"{used[0]}: the output directory holds another run's files; "
+                          "write this run to a new one")
 
 
 def _train(model, cfg: RunConfig, out_dir: Path, final_name: str, mlm, tasks: dict,
@@ -213,7 +223,8 @@ def _train(model, cfg: RunConfig, out_dir: Path, final_name: str, mlm, tasks: di
             if (step + 1) % cfg.checkpoint_every == 0:
                 log.flush()  # a checkpoint never runs ahead of its log rows
                 ckpt.save_model(out_dir / f"ckpt_step{step + 1}.bin", model, cfg, optimizer)
-                _prune_checkpoints(out_dir, cfg.keep_last)
+                for old in _checkpoints(out_dir)[:-cfg.keep_last]:
+                    old.unlink()
     final = out_dir / final_name
     ckpt.save_model(final, model, cfg, optimizer)
     return final
@@ -252,6 +263,8 @@ def cmd_pretrain(args) -> int:
     # the output directory stays out of the config, so it leaves no trace in
     # the checkpoints
     out_dir = Path(args.out_dir or (Path(args.resume).parent if args.resume else "run"))
+    if not args.resume or out_dir.resolve() != Path(args.resume).parent.resolve():
+        _check_unused(out_dir, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     T.write_vocab(out_dir / "vocab.txt")
     # a resumed run keeps the steps before its checkpoint from its own log,
@@ -296,6 +309,7 @@ def cmd_inject(args) -> int:
         p.requires_grad = p in trained
 
     out_dir = Path(args.out)
+    _check_unused(out_dir, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     final = _train(model, cfg, out_dir, "injected.bin", None, tasks, {})
     print(f"inject complete: prompt {prompt_name!r}, checkpoint {final}")

@@ -2,7 +2,10 @@
 
 All parsers fail loudly with file/line context. Nothing is ever silently
 dropped: rejected records (self-loops, residues without usable atoms) are
-returned in skip reports so callers can surface them.
+returned in skip reports so callers can surface them. Each reader returns
+finished records: an interaction graph is its edges, whose endpoints are
+its nodes, and parse_pdb reads every ATOM line into per-residue groups
+before it picks each residue's atom and checks residue order.
 """
 
 from __future__ import annotations
@@ -296,7 +299,7 @@ def parse_pdb(path) -> tuple[dict[str, list[ResidueRecord]], list[str]]:
     # one (chain, residue number, residue name, {CB/CA: xyz}) group per run of
     # lines naming the same residue, in file order; a residue without CB or CA
     # keeps its group so it reaches the skip report
-    groups: list[tuple[str, int, str, dict[str, tuple[float, float, float]]]] = []
+    groups: list[tuple[str, int, str, dict[str, tuple]]] = []
     for lineno, line in read_lines(path):
         if line.startswith("ENDMDL"):
             break

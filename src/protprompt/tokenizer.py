@@ -6,6 +6,9 @@ The vocabulary has exactly 25 symbols with fixed contiguous ids:
     4..23     the 20 standard residues in alphabetical order (ACDEFGHIKLMNPQRSTVWY)
     24        X (unknown residue)
 
+encode folds ASCII case only: a non-ASCII letter is never a residue, even
+one that str.upper maps to an ASCII letter.
+
 Corruption uses numpy's default PCG64 generator seeded per call. The draw
 order is fixed and part of the format: one uniform per residue position for
 selection, then one uniform per selected position for the policy choice,
@@ -37,6 +40,7 @@ SYMBOLS = SPECIAL_SYMBOLS + tuple(RESIDUES) + (UNKNOWN,)
 
 _CHAR_TO_ID = {ch: FIRST_RESIDUE_ID + i for i, ch in enumerate(RESIDUES)}
 _CHAR_TO_ID[UNKNOWN] = UNKNOWN_ID
+_CHAR_TO_ID.update({ch.lower(): tok for ch, tok in _CHAR_TO_ID.items()})
 
 
 def write_vocab(path) -> None:
@@ -78,26 +82,26 @@ class MlmBatch:
 def encode(residues: str, max_len: int, source_id: str = "") -> TokenSequence:
     """Encode a residue string as CLS + ids + EOS, len(residues) + 2 ids.
 
-    Case-insensitive. Unknown characters raise EncodingError naming
-    source_id and the 1-based position. max_len is a limit, not a padded
-    size: sequences longer than max_len - 2 raise TruncationError rather
-    than being cut.
+    Residue letters and X are read in either ASCII case; any other
+    character, a non-ASCII letter that upper-cases to a residue ('ı', 'ſ',
+    'ß') included, raises EncodingError naming source_id and its 1-based
+    position. max_len is a limit, not a padded size: sequences longer than
+    max_len - 2 raise TruncationError rather than being cut.
     """
-    seq = residues.upper()
-    if len(seq) > max_len - 2:
+    if len(residues) > max_len - 2:
         raise TruncationError(
-            f"sequence {source_id or '<anonymous>'!s} has {len(seq)} residues "
+            f"sequence {source_id or '<anonymous>'!s} has {len(residues)} residues "
             f"but max_len {max_len} leaves room for {max_len - 2}; refusing to truncate"
         )
-    ids = np.empty(len(seq) + 2, dtype=np.int64)
+    ids = np.empty(len(residues) + 2, dtype=np.int64)
     ids[0] = CLS_ID
-    for i, ch in enumerate(seq):
+    for i, ch in enumerate(residues):
         tok = _CHAR_TO_ID.get(ch)
         if tok is None:
             raise EncodingError(f"sequence {source_id or '<anonymous>'}: illegal residue "
                                 f"{ch!r} at position {i + 1}")
         ids[1 + i] = tok
-    ids[1 + len(seq)] = EOS_ID
+    ids[-1] = EOS_ID
     return TokenSequence(ids=ids)
 
 

@@ -121,6 +121,35 @@ def test_pruning_leaves_other_checkpoint_names_alone(ws, tmp_path, command):
     assert kept == ["ckpt_step3.bin", "ckpt_step4.bin", "ckpt_step_old.bin"]
 
 
+@pytest.mark.parametrize("second", ["pretrain", "inject", "resume-elsewhere", "same-run"])
+def test_a_second_run_into_a_used_directory_exits_2_and_changes_nothing(ws, tmp_path, capsys,
+                                                                       second):
+    # without the refusal, a pretrain --steps 4 --seed 2 here would prune its own
+    # checkpoints and keep the first run's ckpt_step6.bin and ckpt_step8.bin
+    out = tmp_path / "used"
+    first = ["pretrain", "--fasta", str(ws["fasta"]), "--out-dir", str(out), "--steps", "8",
+             "--seed", "1", *BASE_SETS, "--set", "keep_last=2"]
+    assert main(first) == 0
+    used = out / "metrics.csv"
+    if second == "same-run":  # without its log, not even the same run may reuse the directory
+        used.unlink()
+        used = out / "ckpt_step6.bin"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    argv = {
+        "pretrain": ["pretrain", "--fasta", str(ws["fasta"]), "--out-dir", str(out),
+                     "--steps", "4", "--seed", "2", *BASE_SETS],
+        "inject": [*_training_argv(ws, "inject", out), "--steps", "2"],
+        "resume-elsewhere": ["pretrain", "--resume", str(ws["out"] / "ckpt_step2.bin"),
+                             "--out-dir", str(out)],
+        "same-run": first,
+    }[second]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"config error: {used}: the output directory holds "
+                                       "another run's files; write this run to a new one\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_inject_rolling_checkpoints_are_injected_models(ws, tmp_path, capsys):
     out = tmp_path / "inj"
     assert main([*_training_argv(ws, "inject", out), "--steps", "4"]) == 0
@@ -398,8 +427,10 @@ def _split_tsv(ws, root, variant):
 
 
 def _vocab(ws, root, variant):
+    # vocab.txt never varies, and a second run into the same directory must be
+    # the same run, so both variants share one config
     argv = ["pretrain", "--fasta", str(ws["fasta"]), "--out-dir", str(root / "run"),
-            "--steps", "1", "--seed", str(variant), *BASE_SETS]
+            "--steps", "1", "--seed", "0", *BASE_SETS]
     return argv, root / "run" / "vocab.txt"
 
 
@@ -417,7 +448,7 @@ def test_interrupted_output_write_keeps_the_previous_file(ws, tmp_path, monkeypa
         return _FullDisk(fh, room=10) if target.name in str(path) else fh
 
     monkeypatch.setattr(ckpt, "open", open_failing_target, raising=False)
-    argv, target = case(ws, tmp_path, 1)  # the same file, other content
+    argv, target = case(ws, tmp_path, 1)  # the same file, other content if any
     assert main(argv) == 1
     assert target.read_bytes() == before
     assert not list(target.parent.glob("*.tmp"))
@@ -819,6 +850,25 @@ def test_eval_structural_contradiction_exit_2(ws, tmp_path, capsys):
         ])
         assert rc == 2
         assert "contradicts checkpoint value" in capsys.readouterr().err
+
+
+def test_eval_refuses_a_checkpoint_that_names_an_entry_twice(ws, tmp_path, capsys):
+    # a second head.regress.b appended, entry count bumped: a loader filling a
+    # map by name would keep the last copy and load 123.0
+    raw = ws["final"].read_bytes()
+    count_at = 16 + struct.unpack_from("<Q", raw, 8)[0]
+    count = struct.unpack_from("<Q", raw, count_at)[0]
+    name = b"head.regress.b"
+    shape = ckpt.load_checkpoint(ws["final"])[1][name.decode()].shape
+    entry = (struct.pack(f"<I{len(name)}sI{len(shape)}Q", len(name), name, len(shape), *shape)
+             + np.full(shape, 123.0).astype("<f8").tobytes())
+    bad = tmp_path / "twice.bin"
+    bad.write_bytes(raw[:count_at] + struct.pack("<Q", count + 1) + raw[count_at + 8:] + entry)
+    rc = main(["eval", "--checkpoint", str(bad), "--task", "ppi",
+               "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"])])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"data error: {bad}: entry head.regress.b appears twice\n", err
 
 
 @pytest.mark.parametrize("declared", ["dims", "config-length"])

@@ -44,6 +44,14 @@ def test_encode_illegal_symbol_position():
         T.encode("ACDB", 8)
 
 
+@pytest.mark.parametrize("letter", ["ı", "ſ", "ß", "ﬀ"])
+def test_encode_refuses_non_ascii_letters_that_upper_case_to_residues(letter):
+    # 'ı'.upper() is 'I', 'ſ'.upper() 'S', 'ß'.upper() 'SS' and 'ﬀ'.upper() 'FF'
+    for max_len in (5, 4):  # 'ß' and 'ﬀ' upper-case to two letters, past room for 2
+        with pytest.raises(EncodingError, match=f"illegal residue '{letter}' at position 2"):
+            T.encode(f"A{letter}", max_len)
+
+
 def test_encode_refuses_truncation():
     with pytest.raises(TruncationError, match="refusing to truncate"):
         T.encode("ACDE", 5)
