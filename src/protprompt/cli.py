@@ -100,7 +100,8 @@ def _ppi_batches(graph: D.PPIGraph, encoded, cfg: RunConfig, width: int):
 
     Width 1 labels a row 1 when any of its bits is set and adds an equal
     count of non-adjacent negatives; binary files that carry explicit 0
-    labels supply their own negatives and are sampled as given. A wider head
+    labels supply their own negatives and are sampled as given; without
+    them, a complete graph is refused here, before any step. A wider head
     takes the file's rows and bits as given.
     """
     rows = sorted(graph.edges.items())
@@ -108,6 +109,10 @@ def _ppi_batches(graph: D.PPIGraph, encoded, cfg: RunConfig, width: int):
     has_explicit_negatives = graph.label_width == 1 and any(
         not bits.any() for bits in graph.edges.values()
     )
+    complete = len(rows) == len(names) * (len(names) - 1) // 2
+    if width == 1 and not has_explicit_negatives and complete:
+        raise DataError(f"every pair of the graph's {len(names)} proteins interacts, "
+                        "so no non-interacting pair can be sampled")
 
     def build(step: int) -> O.PairTaskBatch:
         picked = _pick_rows(rows, cfg, step)
@@ -142,11 +147,6 @@ def _ppi_batches(graph: D.PPIGraph, encoded, cfg: RunConfig, width: int):
 
 # ---------------------------------------------------------------------------
 # the training loop and its run outputs
-
-
-def _print_warnings(cfg: RunConfig) -> None:
-    for note in cfg.warnings():
-        print(note, file=sys.stderr)
 
 
 def _log_header(cfg: RunConfig, tasks: tuple[str, ...]) -> str:
@@ -236,7 +236,6 @@ def _train(model, cfg: RunConfig, out_dir: Path, final_name: str, mlm, tasks: di
 
 def cmd_pretrain(args) -> int:
     cfg, model, state = _load_config(args, ("fasta", "ppi", "steps", "seed"), args.resume)
-    _print_warnings(cfg)
     start_step = ckpt.resume_step(args.resume, state, model) if args.resume else 0
     if start_step > cfg.steps:
         raise ConfigError(f"--resume {args.resume} is at step {start_step}, "
@@ -286,7 +285,6 @@ def cmd_inject(args) -> int:
     so they stay bitwise identical to the base checkpoint.
     """
     cfg, model, _ = _load_config(args, ("steps", "lr", "seed"), args.checkpoint)
-    _print_warnings(cfg)
     prompt_name = args.prompt
     # a name the prompts key cannot list back (empty, or holding a comma)
     if not prompt_name.replace("_", "").isalnum():
@@ -433,6 +431,12 @@ def cmd_build_contacts(args) -> int:
     if not pdb_dir.is_dir():
         raise DataError(f"{pdb_dir}: no such directory")
     out_dir = Path(args.out_dir)
+    # eval --task contact scores every map in a directory, so one run's maps
+    # must not mix with another's
+    used = [p for p in (out_dir / "report.txt", *sorted(out_dir.glob("*.cmap"))) if p.exists()]
+    if used:
+        raise ConfigError(f"{used[0]}: the output directory holds another run's files; "
+                          "write this run to a new one")
     out_dir.mkdir(parents=True, exist_ok=True)
     report_lines = [f"# config_hash={cfg.hash()}"]
     hard_errors = 0

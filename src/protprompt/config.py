@@ -32,15 +32,6 @@ def check_structural(cfg: RunConfig, stored: RunConfig) -> None:
             )
 
 
-# soft bounds; values outside produce a warning line, not an error
-SOFT_BOUNDS = {
-    "lr": (1e-5, 2e-4),
-    "warmup_updates": (0, 10000),
-    "max_len": (2, 2048),
-    "batch_seqs": (1, 2048),
-}
-
-
 @dataclass
 class RunConfig:
     # model topology
@@ -133,15 +124,6 @@ class RunConfig:
 
     def alpha(self) -> dict[str, float]:
         return {"ppi": self.alpha_ppi}
-
-    def warnings(self) -> list[str]:
-        """Out-of-range notes for values beyond the vetted search bounds."""
-        notes = []
-        for key, (lo, hi) in SOFT_BOUNDS.items():
-            val = getattr(self, key)
-            if not (lo <= val <= hi):
-                notes.append(f"config warning: {key}={val} outside vetted range [{lo}, {hi}]")
-        return notes
 
     def to_text(self) -> str:
         """Canonical text form: sorted key=value lines."""

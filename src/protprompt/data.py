@@ -1,11 +1,12 @@
 """Data pipelines: FASTA, TSV tables, graph splits, PDB, contacts.
 
 All parsers fail loudly with file/line context. Nothing is ever silently
-dropped: rejected records (self-loops, residues without usable atoms) are
-returned in skip reports so callers can surface them. Each reader returns
-finished records: an interaction graph is its edges, whose endpoints are
-its nodes, and parse_pdb reads every ATOM line into per-residue groups
-before it picks each residue's atom and checks residue order.
+dropped: rejected records (self-loops, residues without usable atoms,
+HETATM residues) are returned in skip reports so callers can surface them.
+Each reader returns finished records: an interaction graph is its edges,
+whose endpoints are its nodes, and parse_pdb reads every ATOM line into
+per-residue groups before it picks each residue's atom and checks residue
+order.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import io
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,20 +95,13 @@ class PPIGraph:
     widths never mix within one graph.
     """
 
-    edges: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
-    label_width: int = 0
+    edges: dict[tuple[str, str], np.ndarray]
+    label_width: int
 
     @property
     def nodes(self) -> list[str]:
         """The endpoints of the edges, sorted."""
         return sorted({name for edge in self.edges for name in edge})
-
-    def add_edge(self, a: str, b: str, labels: np.ndarray) -> None:
-        key = (a, b) if a < b else (b, a)
-        if key in self.edges:
-            self.edges[key] = self.edges[key] | labels
-        else:
-            self.edges[key] = labels.copy()
 
 
 def _tsv_rows(path):
@@ -125,7 +119,8 @@ def parse_ppi_tsv(path) -> tuple[PPIGraph, list[str]]:
     (interaction types). Duplicate pairs merge by bitwise OR; self-loops
     are rejected into the returned skip report.
     """
-    graph = PPIGraph()
+    edges: dict[tuple[str, str], np.ndarray] = {}
+    label_width = 0
     skipped: list[str] = []
     for lineno, cells in _tsv_rows(path):
         if len(cells) not in (3, 9):
@@ -136,14 +131,11 @@ def parse_ppi_tsv(path) -> tuple[PPIGraph, list[str]]:
         if not a or not b:
             raise FormatError(f"{path}:{lineno}: empty protein id")
         raw = cells[2:]
-        width = len(raw)
-        if graph.label_width == 0:
-            graph.label_width = width
-        elif graph.label_width != width:
+        if label_width and label_width != len(raw):
             raise FormatError(
-                f"{path}:{lineno}: {width} label columns, "
-                f"earlier rows had {graph.label_width}"
+                f"{path}:{lineno}: {len(raw)} label columns, earlier rows had {label_width}"
             )
+        label_width = len(raw)
         try:
             labels = np.array([int(c) for c in raw], dtype=np.int64)
         except ValueError:
@@ -153,8 +145,9 @@ def parse_ppi_tsv(path) -> tuple[PPIGraph, list[str]]:
         if a == b:
             skipped.append(f"{path}:{lineno}: self-loop {a!r} skipped")
             continue
-        graph.add_edge(a, b, labels)
-    return graph, skipped
+        key = (a, b) if a < b else (b, a)
+        edges[key] = edges[key] | labels if key in edges else labels
+    return PPIGraph(edges, label_width), skipped
 
 
 def parse_labeled_tsv(path, classes: int | None = None) -> list[tuple[str, str, object]]:
@@ -292,17 +285,24 @@ def parse_pdb(path) -> tuple[dict[str, list[ResidueRecord]], list[str]]:
     Policy: CB is the representative atom, CA for glycine; either stands in
     for the other when it is missing. Alternate locations other than ' ' or
     'A' are ignored. Insertion codes are rejected. Only the first model is
-    read. Residues with neither CB nor CA go to the skip report. Every line
+    read. Residues with neither CB nor CA, and each HETATM residue (HETATM
+    lines are never read for coordinates), go to the skip report. Every line
     is read before residue order is checked, so a malformed line is reported
     ahead of residue numbers that do not strictly increase.
     """
     # one (chain, residue number, residue name, {CB/CA: xyz}) group per run of
     # lines naming the same residue, in file order; a residue without CB or CA
-    # keeps its group so it reaches the skip report
-    groups: list[tuple[str, int, str, dict[str, tuple]]] = []
+    # keeps its group so it reaches the skip report, and a HETATM residue's
+    # group holds its number as written and None for its atoms
+    groups: list[tuple[str, int | str, str, dict[str, tuple] | None]] = []
     for lineno, line in read_lines(path):
         if line.startswith("ENDMDL"):
             break
+        if line.startswith("HETATM"):
+            het = (line[21:22], line[22:27].strip(), line[17:20].strip(), None)
+            if not groups or groups[-1] != het:
+                groups.append(het)
+            continue
         if not line.startswith("ATOM"):
             continue
         if len(line.rstrip("\n")) < 54:
@@ -327,6 +327,10 @@ def parse_pdb(path) -> tuple[dict[str, list[ResidueRecord]], list[str]]:
     chains: dict[str, list[ResidueRecord]] = {}
     skipped: list[str] = []
     for chain_id, index, res_name, atoms in groups:
+        if atoms is None:
+            skipped.append(f"{path}: chain {chain_id} residue {index} ({res_name}) "
+                           f"is a HETATM record; skipped")
+            continue
         order = _COORD_ATOMS[::-1] if res_name == "GLY" else _COORD_ATOMS
         picked = [atoms[name] for name in order if name in atoms]
         if not picked:

@@ -109,39 +109,30 @@ def _erf():
     return erf
 
 
-def _tape_stack() -> list:
-    stack = getattr(_STATE, "stack", None)
-    if stack is None:
-        stack = []
-        _STATE.stack = stack
-    return stack
-
-
 def _active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return getattr(_STATE, "tape", None)
 
 
 class Tape:
     """Execution-ordered record of primitive applications.
 
     Use as a context manager around a forward pass; backward(tape, loss)
-    then propagates gradients. Tapes may nest; primitives record on the
-    innermost active tape only.
+    then propagates gradients. A thread records on one tape at a time:
+    entering a Tape while another records raises ContractError and leaves
+    the recording one as it was.
     """
 
     def __init__(self):
         self.nodes: list[Tensor] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        if _active_tape() is not None:
+            raise ContractError("a tape is already recording on this thread")
+        _STATE.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
-            raise ContractError("tape context exited out of order")
-        stack.pop()
+        _STATE.tape = None
 
 
 class Tensor:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 from scipy.special import erf
 
+from protprompt import data as D
 from protprompt import numerics as nm
 from protprompt import objectives as O
 from protprompt import tokenizer as T
@@ -493,6 +494,12 @@ def pair_batch(name, seq_pairs, labels):
     pairs = np.array([[slot[id(p)][0], slot[id(q)][0]] for p, q in seq_pairs]).reshape(-1, 2)
     return O.PairTaskBatch(name, [seq for _, seq in slot.values()], pairs,
                            np.asarray(labels, dtype=np.float64))
+
+
+def ppi_graph(edge_list):
+    """A binary PPIGraph labelling each (a, b) of edge_list 1, its keys
+    canonical and repeats merged, as parse_ppi_tsv builds one."""
+    return D.PPIGraph({tuple(sorted(edge)): np.array([1]) for edge in edge_list}, 1)
 
 
 def reference_forward(model, ids):

@@ -14,8 +14,8 @@ import scipy.stats
 
 from conftest import (affine, bce_with_logits_mean, concat_rows, embedding_lookup,
                       finite_diff_check, gelu, layernorm, log_softmax_rows, mean_over_rows,
-                      mlm_loss, mul, multihead_attention, pair_batch, pick, ppi_loss,
-                      reference_forward, reshape, scale, select_rows, sum_all)
+                      mlm_loss, mul, multihead_attention, pair_batch, pick, ppi_graph,
+                      ppi_loss, reference_forward, reshape, scale, select_rows, sum_all)
 from protprompt import checkpoint as ckpt
 from protprompt import data as D
 from protprompt import metrics as MX
@@ -591,17 +591,10 @@ def test_7_metric_oracles():
 # criterion 8: split determinism
 
 
-def _edge_graph(edge_list):
-    g = D.PPIGraph()
-    for a, b in edge_list:
-        g.add_edge(a, b, np.array([1]))
-    return g
-
-
 def test_8_split_determinism():
     # hand-traced fixture 1: the 4-cycle a-b-c-d-a from seed 11 roots at
     # "a" and selects (a, b) under both traversals
-    cycle = _edge_graph([("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+    cycle = ppi_graph([("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
     for mode in ("bfs", "dfs"):
         spec = D.split_graph(cycle, mode, 0.5, seed=11)
         assert spec.root == "a"
@@ -610,7 +603,7 @@ def test_8_split_determinism():
         assert spec.test_edges == (("a", "b"), ("a", "d"), ("b", "c"))
 
     # hand-traced fixture 2: breadth visits a,b,c; depth dives a,b,d
-    tree = _edge_graph([("a", "b"), ("a", "c"), ("b", "d"), ("c", "e")])
+    tree = ppi_graph([("a", "b"), ("a", "c"), ("b", "d"), ("c", "e")])
     bfs = D.split_graph(tree, "bfs", 0.5, seed=11)
     dfs = D.split_graph(tree, "dfs", 0.5, seed=11)
     assert bfs.selected == ("a", "b", "c") and bfs.train_edges == ()
@@ -622,13 +615,12 @@ def test_8_split_determinism():
         rng = np.random.default_rng(8000 + trial)
         n = int(rng.integers(5, 24))
         names = [f"n{i:02d}" for i in range(n)]
-        g = D.PPIGraph()
-        for i in range(n - 1):
-            g.add_edge(names[i], names[i + 1], np.array([1]))
+        edges = [(names[i], names[i + 1]) for i in range(n - 1)]
         for _ in range(n):
             i, j = rng.integers(n, size=2)
             if i != j:
-                g.add_edge(names[int(i)], names[int(j)], np.array([1]))
+                edges.append((names[int(i)], names[int(j)]))
+        g = ppi_graph(edges)
         mode = "bfs" if trial % 2 else "dfs"
         seed = int(rng.integers(10_000))
         spec = D.split_graph(g, mode, 0.3, seed)

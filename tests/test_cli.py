@@ -412,14 +412,6 @@ def _probe_csv(ws, root, variant):
     return argv, root / "probes" / "p00.csv"
 
 
-def _contacts(target):
-    def case(ws, root, variant):
-        argv = ["build-contacts", "--pdb-dir", str(_blob_pdb_dir(root)),
-                "--out-dir", str(root / "maps"), "--threshold", ("8.0", "9.5")[variant]]
-        return argv, root / "maps" / target
-    return case
-
-
 def _split_tsv(ws, root, variant):
     argv = ["split", "--ppi", str(ws["pairs"]), "--mode", "bfs", "--fraction", "0.3",
             "--seed", str(variant), "--out-prefix", str(root / "sp")]
@@ -434,10 +426,8 @@ def _vocab(ws, root, variant):
     return argv, root / "run" / "vocab.txt"
 
 
-@pytest.mark.parametrize("case", [_eval_out, _probe_csv, _contacts("blob_A.cmap"),
-                                  _contacts("report.txt"), _split_tsv, _vocab],
-                         ids=["eval-out", "probe-csv", "contact-map", "contacts-report",
-                              "split-tsv", "vocab"])
+@pytest.mark.parametrize("case", [_eval_out, _probe_csv, _split_tsv, _vocab],
+                         ids=["eval-out", "probe-csv", "split-tsv", "vocab"])
 def test_interrupted_output_write_keeps_the_previous_file(ws, tmp_path, monkeypatch, case):
     argv, target = case(ws, tmp_path, 0)
     assert main(argv) == 0
@@ -454,6 +444,25 @@ def test_interrupted_output_write_keeps_the_previous_file(ws, tmp_path, monkeypa
     assert not list(target.parent.glob("*.tmp"))
 
 
+# build-contacts refuses a directory that holds maps or a report, so no
+# earlier file exists to keep: an interrupted write leaves none behind
+@pytest.mark.parametrize("target", ["blob_A.cmap", "report.txt"],
+                         ids=["contact-map", "contacts-report"])
+def test_interrupted_contact_write_leaves_no_file(tmp_path, monkeypatch, target):
+    maps = tmp_path / "maps"
+
+    def open_failing_target(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return _FullDisk(fh, room=10) if target in str(path) else fh
+
+    monkeypatch.setattr(ckpt, "open", open_failing_target, raising=False)
+    rc = main(["build-contacts", "--pdb-dir", str(_blob_pdb_dir(tmp_path)),
+               "--out-dir", str(maps)])
+    assert rc == 1
+    assert not (maps / target).exists()
+    assert not list(maps.glob("*.tmp"))
+
+
 def test_structural_override_on_resume_is_refused(ws, tmp_path, capsys):
     out = tmp_path / "r2"
     rc = main([
@@ -462,6 +471,18 @@ def test_structural_override_on_resume_is_refused(ws, tmp_path, capsys):
     ])
     assert rc == 2
     assert "contradicts checkpoint value" in capsys.readouterr().err
+
+
+def test_documented_learning_rates_run_without_a_warning(ws, tmp_path, capsys):
+    # README's quick-start inject rate and the benchmark's pretrain rate
+    rc = main(["inject", "--checkpoint", str(ws["final"]), "--prompt", "PPI", "--task", "ppi",
+               "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"]),
+               "--out", str(tmp_path / "inj"), "--steps", "1", "--lr", "0.02"])
+    assert rc == 0
+    rc = main(["pretrain", "--fasta", str(ws["fasta"]), "--out-dir", str(tmp_path / "pre"),
+               "--steps", "1", *BASE_SETS, "--set", "lr=0.001"])
+    assert rc == 0
+    assert "config warning" not in capsys.readouterr().err
 
 
 def test_inject_trains_prompt_with_frozen_encoder(ws, tmp_path):
@@ -1493,6 +1514,28 @@ def test_build_contacts_keeps_going_after_bad_file(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_build_contacts_into_a_used_directory_exits_2_and_changes_nothing(tmp_path, capsys):
+    maps = tmp_path / "maps"
+    for stem in ("a", "b"):
+        pdbs = tmp_path / stem
+        pdbs.mkdir()
+        (pdbs / f"{stem}.pdb").write_text(_atom(1, "CB", "ALA", "A", 1, 0, 0, 0)
+                                          + _atom(2, "CB", "SER", "A", 2, 3, 0, 0))
+    assert main(["build-contacts", "--pdb-dir", str(tmp_path / "a"), "--out-dir", str(maps)]) == 0
+    capsys.readouterr()
+    # the report names the run's maps, so it is named first; a stray map alone
+    # also marks the directory as used
+    for used in ("report.txt", "a_A.cmap"):
+        before = {p.name: p.read_bytes() for p in maps.iterdir()}
+        rc = main(["build-contacts", "--pdb-dir", str(tmp_path / "b"), "--out-dir", str(maps)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: {maps / used}: the output directory holds another run's files; "
+            "write this run to a new one\n")
+        assert {p.name: p.read_bytes() for p in maps.iterdir()} == before
+        (maps / "report.txt").unlink(missing_ok=True)
+
+
 def test_build_contacts_empty_dir_is_ok(tmp_path):
     pdb_dir = tmp_path / "empty"
     pdb_dir.mkdir()
@@ -1653,6 +1696,74 @@ def test_each_input_is_refused_where_it_enters(ws, tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert text in captured.err and "Traceback" not in captured.err, captured.err
     assert not captured.out and [p.name for p in tmp_path.iterdir()] == ["in"]
+
+
+# each refusal no other test reaches: (argv, exit code, stderr text). All but
+# graph-too-dense refuse before any write; that one samples its negatives at
+# step 0, after the run's directory holds its vocabulary and log header.
+def _refusal_case(ws, root, case):
+    inputs = root / "in"
+    inputs.mkdir()
+
+    def write(name, text):
+        (inputs / name).write_text(text)
+        return str(inputs / name)
+
+    out = root / "out"
+    ckpt_ = ["eval", "--checkpoint", str(ws["final"])]
+    pretrain = ["pretrain", "--out-dir", str(out), "--steps", "1", *BASE_SETS]
+    maps = inputs / "maps"
+    maps.mkdir()
+    if case.startswith("contact-"):
+        write("maps/x_A.cmap", "n=3 threshold=8.0 tag=native\n000\n000\n000\n")
+    contact = [*ckpt_, "--task", "contact", "--maps-dir", str(maps), "--out", str(out)]
+    # 100 proteins, every pair interacting but one: a negative draw hits it
+    # about once in 5000 tries, too rarely to fill a batch
+    names = [f"q{i:03d}" for i in range(100)]
+    dense = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]][1:]
+    return {
+        "ppi-no-data": ([*ckpt_, "--task", "ppi", "--fasta", str(ws["fasta"]),
+                         "--out", str(out)], 2, "eval --task ppi needs --data (TSV) and --fasta"),
+        "ppi-complete-graph": (
+            [*pretrain, "--fasta", str(ws["fasta"]),
+             "--ppi", write("k3.tsv", "p00\tp01\t1\np01\tp02\t1\np00\tp02\t1\n")], 1,
+            "every pair of the graph's 3 proteins interacts"),
+        "graph-too-dense": (
+            [*pretrain, "--fasta", write("q.fasta", "".join(f">{n}\nACDE\n" for n in names)),
+             "--ppi", write("dense.tsv", "".join(f"{a}\t{b}\t1\n" for a, b in dense)),
+             "--set", "batch_pairs=8"], 1, "graph too dense to sample non-interacting pairs"),
+        "pretrain-no-fasta": (pretrain, 2, "pretrain needs a FASTA corpus"),
+        "contact-no-maps-dir": ([*ckpt_, "--task", "contact", "--fasta", str(ws["fasta"])], 2,
+                                "eval --task contact needs --maps-dir plus --fasta"),
+        "no-cmap-files": ([*contact, "--fasta", str(ws["fasta"])], 1, f"{maps}: no .cmap files"),
+        "contact-no-sequence": ([*contact, "--fasta", write("y.fasta", ">y_A\nACD\n")], 1,
+                                "no sequence with id 'x_A' for map"),
+        "contact-size": ([*contact, "--fasta", write("x.fasta", ">x_A\nACDE\n")], 1,
+                         "map n=3 but sequence 'x_A' has 4 residues"),
+        "ss-no-data": ([*ckpt_, "--task", "ss", "--out", str(out)], 2,
+                       "eval --task ss needs --data"),
+        "regress-no-data": ([*ckpt_, "--task", "regress", "--out", str(out)], 2,
+                            "eval --task regress needs --data"),
+        "regress-two-columns": ([*ckpt_, "--task", "regress", "--out", str(out),
+                                 "--data", write("two.tsv", "r1\tACD\n")], 1,
+                                "expected id, sequence, value columns"),
+    }[case]
+
+
+REFUSAL_CASES = ["ppi-no-data", "ppi-complete-graph", "graph-too-dense", "pretrain-no-fasta",
+                 "contact-no-maps-dir", "no-cmap-files", "contact-no-sequence", "contact-size",
+                 "ss-no-data", "regress-no-data", "regress-two-columns"]
+
+
+@pytest.mark.parametrize("case", REFUSAL_CASES)
+def test_each_refusal_names_its_cause(ws, tmp_path, capsys, case):
+    argv, code, text = _refusal_case(ws, tmp_path, case)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert text in captured.err and "Traceback" not in captured.err, captured.err
+    assert not captured.out
+    written = ["in", "out"] if case == "graph-too-dense" else ["in"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
 
 
 def test_eval_scores_dir_rejects_an_unknown_prompt(ws, tmp_path, capsys):

@@ -141,13 +141,6 @@ def test_retired_keys_are_skipped_in_stored_text_only(tmp_path):
             build_config(str(f), base_text=stored)
 
 
-def test_soft_bounds_warn_but_do_not_fail():
-    cfg = RunConfig(lr=0.01)
-    notes = cfg.warnings()
-    assert len(notes) == 1 and "lr=0.01" in notes[0]
-    assert RunConfig().warnings() == []
-
-
 def test_parse_kv_line():
     assert parse_kv_line("a = 3") == ("a", "3")
     assert parse_kv_line("  # note") is None

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import ppi_graph
 from protprompt import data as D
 from protprompt.errors import ConfigError, DataError, FormatError
 
@@ -113,20 +114,13 @@ def test_graph_nodes_are_its_sorted_endpoints(tmp_path):
 # graph splits
 
 
-def _graph(edge_list):
-    g = D.PPIGraph()
-    for a, b in edge_list:
-        g.add_edge(a, b, np.array([1]))
-    return g
-
-
 # fixture: 4-cycle a-b-c-d-a; with seed 11 the root draw lands on "a"
 FOUR_CYCLE = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
 
 
 def test_split_four_cycle_frozen_trace():
     for mode in ("bfs", "dfs"):
-        spec = D.split_graph(_graph(FOUR_CYCLE), mode, 0.5, seed=11)
+        spec = D.split_graph(ppi_graph(FOUR_CYCLE), mode, 0.5, seed=11)
         assert spec.root == "a"
         assert spec.selected == ("a", "b")
         assert spec.train_edges == (("c", "d"),)
@@ -140,8 +134,8 @@ FIVE_NODE = [("a", "b"), ("a", "c"), ("b", "d"), ("c", "e")]
 
 
 def test_split_five_node_bfs_dfs_differ():
-    bfs = D.split_graph(_graph(FIVE_NODE), "bfs", 0.5, seed=11)
-    dfs = D.split_graph(_graph(FIVE_NODE), "dfs", 0.5, seed=11)
+    bfs = D.split_graph(ppi_graph(FIVE_NODE), "bfs", 0.5, seed=11)
+    dfs = D.split_graph(ppi_graph(FIVE_NODE), "dfs", 0.5, seed=11)
     assert bfs.root == dfs.root == "a"
     assert bfs.selected == ("a", "b", "c")
     assert bfs.train_edges == ()
@@ -152,7 +146,7 @@ def test_split_five_node_bfs_dfs_differ():
 
 
 def test_split_validation():
-    g = _graph(FOUR_CYCLE)
+    g = ppi_graph(FOUR_CYCLE)
     for f in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ConfigError, match="fraction"):
             D.split_graph(g, "bfs", f, 0)
@@ -163,7 +157,7 @@ def test_split_validation():
 
 def test_split_confined_to_largest_component():
     edges = FOUR_CYCLE + [("x", "y")]
-    spec = D.split_graph(_graph(edges), "bfs", 0.4, seed=11)
+    spec = D.split_graph(ppi_graph(edges), "bfs", 0.4, seed=11)
     assert set(spec.selected) <= {"a", "b", "c", "d"}
     # the satellite edge has no selected endpoint, so it trains
     assert ("x", "y") in spec.train_edges
@@ -174,7 +168,7 @@ def test_split_tie_between_largest_components_takes_the_smallest_id():
     edges = [("x", "y"), ("y", "z"), ("c", "b"), ("b", "a")]
     for mode in ("bfs", "dfs"):
         for seed in range(6):
-            spec = D.split_graph(_graph(edges), mode, 0.5, seed)
+            spec = D.split_graph(ppi_graph(edges), mode, 0.5, seed)
             assert spec.root in {"a", "b", "c"} and set(spec.selected) <= {"a", "b", "c"}
             assert spec.train_edges == (("x", "y"), ("y", "z"))
 
@@ -184,13 +178,13 @@ def test_split_properties_random_graphs():
         rng = np.random.default_rng(900 + trial)
         n = int(rng.integers(4, 20))
         names = [f"n{i:02d}" for i in range(n)]
-        g = D.PPIGraph()
-        for i in range(n - 1):  # a path keeps one component dominant
-            g.add_edge(names[i], names[i + 1], np.array([1]))
+        # a path keeps one component dominant
+        edges = [(names[i], names[i + 1]) for i in range(n - 1)]
         for _ in range(int(rng.integers(0, 2 * n))):
             i, j = rng.integers(n, size=2)
             if i != j:
-                g.add_edge(names[int(i)], names[int(j)], np.array([1]))
+                edges.append((names[int(i)], names[int(j)]))
+        g = ppi_graph(edges)
         mode = "bfs" if rng.random() < 0.5 else "dfs"
         frac = float(rng.uniform(0.1, 0.6))
         if math.ceil(frac * n) >= n:
@@ -210,7 +204,7 @@ def test_split_properties_random_graphs():
 
 
 def test_split_selected_order_is_traversal_order():
-    spec = D.split_graph(_graph(FIVE_NODE), "bfs", 0.7, seed=11)
+    spec = D.split_graph(ppi_graph(FIVE_NODE), "bfs", 0.7, seed=11)
     assert spec.selected == ("a", "b", "c", "d")  # breadth layers, sorted ties
 
 
@@ -329,6 +323,19 @@ def test_pdb_residue_without_usable_atom_is_reported(tmp_path):
     assert [r.index for r in chains["A"]] == [1, 3]
     assert len(skipped) == 1
     assert "residue 2" in skipped[0] and "neither CB nor CA" in skipped[0]
+
+
+def test_pdb_hetatm_residue_is_reported(tmp_path):
+    # a selenomethionine between two ATOM residues: ATOM records only are
+    # read, so the HETATM residue leaves its chain with one skip line
+    het = "".join("HETATM" + _atom(i, name, "MSE", "A", 2, x, 0.0, 0.0)[6:]
+                  for i, name, x in ((2, "CA", 1.0), (3, "CB", 1.5)))
+    text = (_atom(1, "CB", "ALA", "A", 1, 0.0, 0.0, 0.0) + het
+            + _atom(4, "CA", "GLY", "A", 3, 2.0, 0.0, 0.0))
+    path = _write(tmp_path, "mse.pdb", text)
+    chains, skipped = D.parse_pdb(path)
+    assert [r.index for r in chains["A"]] == [1, 3]
+    assert skipped == [f"{path}: chain A residue 2 (MSE) is a HETATM record; skipped"]
 
 
 def test_pdb_only_first_model_read(tmp_path):

@@ -477,6 +477,32 @@ def test_backward_rejects_loss_off_tape():
         nm.backward(stray, y)
 
 
+def test_a_second_tape_is_refused_while_one_records():
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=2), requires_grad=True)
+    g = Tensor(rng.normal(size=(3, 2)))
+
+    def run(nested: bool):
+        x.grad = w.grad = b.grad = None
+        with Tape() as tape:
+            h = affine(x, w, b)
+            if nested:
+                with pytest.raises(ContractError, match="already recording"):
+                    with Tape():
+                        pass
+            loss = sum_all(mul(gelu(h), g))
+        nm.backward(tape, loss)
+        return len(tape.nodes), [t.grad.tobytes() for t in (x, w, b)]
+
+    assert run(nested=True) == run(nested=False)
+    # the tape closed, so a new one records again
+    with Tape() as tape:
+        nm.add(x, x)
+    assert len(tape.nodes) == 1
+
+
 def test_shape_errors_carry_both_shapes():
     a = Tensor(np.ones((2, 3)))
     b = Tensor(np.ones((3, 2)))
