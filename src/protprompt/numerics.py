@@ -60,20 +60,16 @@ than through a BLAS matmul, so a pair's logits do not depend on how many
 pairs share the call: eval's one-pair calls give pair_bce's logits bit for
 bit.
 
-GELU takes erf from scipy.special, the module's one scipy dependency. It is
-imported the first time a GELU runs, so commands that never run the encoder
-(build-contacts, split, --help) never load scipy. scipy's erf branches on
-the sign, which costs it ~2.5x on mixed-sign input, so the kernel evaluates
-erf(|x / sqrt 2|) and restores the sign with copysign. erf is odd bit for
-bit (tests/test_numerics.py checks it on both of erf's branches, signed
-zeros, subnormals and saturated values), so GELU keeps the bits of
-x * (0.5 * (1 + erf(x / sqrt 2))); the scipy version is part of the golden
-digests' environment fingerprint for that reason.
+GELU's erf is Cephes's (Moshier 1989), which scipy.special.erf runs, in
+numpy ufuncs and Cephes's operation order: on |u| <= 1 the rational gives
+scipy's bits, and is odd bit for bit; beyond, np.exp stands in for libm's
+exp, within 2^-53. GELU's 0.5 is folded into the coefficients, and cdf =
+0.5 + erf(u) / 2 keeps the bits of 0.5 * (1 + erf(u)). The runtime needs
+numpy only; tests/test_numerics.py checks _erf against scipy.
 """
 
 from __future__ import annotations
 
-import functools
 import threading
 from typing import Callable, Sequence
 
@@ -97,16 +93,22 @@ CONTACT_BLOCK_ROWS = 8
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
+# Cephes's erf (ndtr.c): erf(u) = u T(u^2) / U(u^2) on |u| <= 1, else
+# 1 - exp(-u^2) P(|u|) / Q(|u|); U and Q lead with p1evl's implicit 1.0.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+# erf(u) rounds to +-1.0 from |u| = 5.93 on; |u| <= 6 keeps every Horner sum finite
+_ERF_CLAMP = 6.0
+
 _STATE = threading.local()
-
-
-@functools.cache
-def _erf():
-    """scipy.special.erf, imported by the first GELU (see the module
-    docstring). The cache holds it, so no module global is ever rebound."""
-    from scipy.special import erf
-
-    return erf
 
 
 def _active_tape():
@@ -321,18 +323,46 @@ def _layernorm_backward(g: np.ndarray, gain: Tensor, bias: Tensor, xhat: np.ndar
     return invstd * (dxhat - m1 - xhat * m2)
 
 
+def _polevl(x: np.ndarray, coefs, out: np.ndarray) -> np.ndarray:
+    """Cephes's polevl into out; a leading 1.0 starts from x + coefs[1], as p1evl does."""
+    if coefs[0] == 1.0:
+        np.add(x, coefs[1], out=out)
+    else:
+        np.add(np.multiply(x, coefs[0], out=out), coefs[1], out=out)
+    for c in coefs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erf(u: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """scale * erf(u) written over u (module docstring); a power-of-two scale is
+    exact above the subnormals. Its other arrays of u's shape: u^2, the numerator."""
+    z = np.abs(u, out=np.empty_like(u))
+    tail = np.flatnonzero(z > 1.0)  # flat indices; cheaper than a boolean mask
+    ut = u.take(tail)
+    a = np.abs(ut)
+    if a.size and a.max() > _ERF_CLAMP:  # rare, so only then is every array clamped
+        np.minimum(a, _ERF_CLAMP, out=a)
+        np.minimum(z, _ERF_CLAMP, out=z)
+        np.copysign(z, u, out=u)
+    np.multiply(z, z, out=z)
+    num = _polevl(z, [c * scale for c in _ERF_T], np.empty_like(u))
+    num *= u
+    np.divide(num, _polevl(z, _ERF_U, u), out=u)
+    if tail.size:
+        e = np.exp(np.multiply(a, -a))
+        e *= _polevl(a, [c * scale for c in _ERFC_P], np.empty_like(a))
+        e /= _polevl(a, _ERFC_Q, np.empty_like(a))
+        u.put(tail, np.copysign(np.subtract(scale, e, out=e), ut, out=e))
+    return u
+
+
 def _gelu_forward(x: np.ndarray):
-    """Exact GELU: (out, cdf), cdf for the backward."""
-    # out= arrays rather than `x / _SQRT2`, which is a numpy scalar (and no
-    # valid out=) for a 0-d x. erf runs on |x / sqrt 2| and x gives the sign
-    # back: x / sqrt 2 has x's sign, and erf is odd bit for bit (see the
-    # module docstring)
-    cdf = np.divide(x, _SQRT2, out=np.empty_like(x))
-    np.abs(cdf, out=cdf)
-    _erf()(cdf, out=cdf)
-    np.copysign(cdf, x, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
+    """Exact GELU: (out, cdf), cdf = 0.5 * (1 + erf(x / sqrt 2)) for the backward."""
+    # out= rather than `x / _SQRT2`, a numpy scalar (no valid buffer) for a 0-d x
+    cdf = _erf(np.divide(x, _SQRT2, out=np.empty_like(x)), 0.5)
+    cdf += 0.5
     return x * cdf, cdf
 
 

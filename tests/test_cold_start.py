@@ -1,7 +1,9 @@
-"""scipy loads at the first GELU, not at import.
+"""The runtime needs numpy only: every command runs where scipy cannot load.
 
-Each check runs in a fresh interpreter, because the test process itself has
-long since imported scipy (conftest uses it as an oracle).
+Each check runs in a fresh interpreter, because the test process may have
+imported scipy already (conftest uses it as an oracle). This file itself
+imports neither scipy nor conftest, so it also runs with
+`pytest --noconftest` where only numpy and pytest are installed.
 """
 
 import os
@@ -10,14 +12,24 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from protprompt.cli import main
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+TINY = ["--set", "d=16", "--set", "layers=1", "--set", "heads=2", "--set", "max_len=24",
+        "--set", "batch_seqs=2", "--set", "batch_pairs=2"]
+
+
+def _env() -> dict:
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
 
 
 def _run(script: str, tmp_path) -> None:
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script), str(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_env(), timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
@@ -59,27 +71,69 @@ def test_commands_without_an_encoder_never_import_scipy(tmp_path):
     """, tmp_path)
 
 
-def test_first_encode_binds_scipy_erf(tmp_path):
-    # GELU must stay bitwise x * (0.5 * (1 + erf(x / sqrt 2))), evaluated in
-    # that order, once the lazily bound erf is in place
-    _run("""
-        import math, sys
-        import numpy as np
-        from protprompt import numerics as nm
-        from protprompt import tokenizer as T
-        from protprompt.model import ModelConfig, ProteinEncoder
+@pytest.fixture(scope="module")
+def ws(tmp_path_factory):
+    """A corpus, an interaction file, one PDB chain with its sequence, a tiny
+    pretrained base and a PPI prompt injected into it."""
+    root = tmp_path_factory.mktemp("cold")
+    rng = np.random.default_rng(3)
+    names = [f"p{i}" for i in range(6)]
+    (root / "corpus.fasta").write_text("".join(
+        f">{name}\n{''.join(rng.choice(list('ACDEFGHIKLMNPQRSTVWY'), 12))}\n"
+        for name in names))
+    (root / "pairs.tsv").write_text("".join(
+        f"{names[i]}\t{names[(i + 2) % 6]}\t{i % 2}\n" for i in range(6)))
+    (root / "pdbs").mkdir()
+    (root / "pdbs" / "tiny.pdb").write_text("".join(
+        f"ATOM  {i:>5} CB   ALA A{i:>4}    {i * 3.0:8.3f}   0.000   0.000  1.00  0.00\n"
+        for i in range(1, 11)))
+    (root / "chains.fasta").write_text(">tiny_A\nACDEFGHIKL\n")
+    assert main(["build-contacts", "--pdb-dir", str(root / "pdbs"),
+                 "--out-dir", str(root / "maps")]) == 0
+    data = ["--fasta", str(root / "corpus.fasta")]
+    assert main(["pretrain", *data, "--out-dir", str(root / "base"), "--steps", "2",
+                 *TINY]) == 0
+    assert main(["inject", "--checkpoint", str(root / "base" / "final.bin"), "--prompt", "PPI",
+                 "--task", "ppi", "--data", str(root / "pairs.tsv"), *data,
+                 "--out", str(root / "inj"), "--steps", "2"]) == 0
+    return root
 
-        model = ProteinEncoder(ModelConfig(d=8, layers=1, heads=2, max_len=12,
-                                           prompt_names=("Seq", "IC")), seed=3)
-        assert "scipy" not in sys.modules
-        model.encode(T.encode("ACDEF", 12))
-        assert "scipy.special" in sys.modules
 
-        from scipy.special import erf
-        assert nm._erf() is erf
-        x = np.random.default_rng(5).normal(0.3, 3.0, (9, 16))
-        x[0, :4] = [0.0, -0.0, 40.0, -40.0]
-        want = x * (0.5 * (1.0 + erf(x / math.sqrt(2.0))))
-        got, _ = nm._gelu_forward(x)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    """, tmp_path)
+def _argv(root: Path, command: str, out: Path) -> list[str]:
+    fasta, pairs = str(root / "corpus.fasta"), str(root / "pairs.tsv")
+    injected = str(root / "inj" / "injected.bin")
+    return {
+        "pretrain --ppi": ["pretrain", "--fasta", fasta, "--ppi", pairs, "--out-dir", str(out),
+                           "--steps", "2", *TINY],
+        "inject": ["inject", "--checkpoint", str(root / "base" / "final.bin"), "--prompt", "PPI",
+                   "--task", "ppi", "--data", pairs, "--fasta", fasta, "--out", str(out),
+                   "--steps", "2"],
+        "eval --task ppi": ["eval", "--checkpoint", injected, "--task", "ppi", "--data", pairs,
+                            "--fasta", fasta],
+        "eval --task contact": ["eval", "--checkpoint", injected, "--task", "contact",
+                                "--maps-dir", str(root / "maps"),
+                                "--fasta", str(root / "chains.fasta")],
+        "probe": ["probe", "--checkpoint", injected, "--fasta", fasta, "--prompt", "PPI",
+                  "--out-dir", str(out)],
+        "build-contacts": ["build-contacts", "--pdb-dir", str(root / "pdbs"),
+                           "--out-dir", str(out)],
+        "split": ["split", "--ppi", pairs, "--mode", "bfs", "--fraction", "0.5",
+                  "--out-prefix", str(out / "s")],
+        "--help": ["--help"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["pretrain --ppi", "inject", "eval --task ppi",
+                                     "eval --task contact", "probe", "build-contacts",
+                                     "split", "--help"])
+def test_command_runs_where_scipy_cannot_load(ws, tmp_path, command):
+    # a None entry in sys.modules makes every `import scipy...` raise
+    out = tmp_path / "out"
+    if command == "split":
+        out.mkdir()
+    script = ("import sys; sys.modules['scipy'] = None\n"
+              "from protprompt.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", script, *_argv(ws, command, out)],
+                          capture_output=True, text=True, env=_env(), timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

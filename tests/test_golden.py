@@ -19,10 +19,9 @@ and a seeded encoder's output rows, attention maps (rebuilt by the
 conftest oracle) and parameter gradients at 0, 1 and 3 prompts, with the
 encoder trainable and frozen as `inject` runs it.
 
-Float results depend on numpy, its BLAS, scipy (GELU's erf, whose oddness
-the GELU kernel relies on) and the CPU, so golden/digests.json holds one
-entry per environment fingerprint: numpy version, scipy version, BLAS build
-and CPU architecture. On an environment it does not record the test fails
+Float results depend on numpy, its BLAS and the CPU, so golden/digests.json
+holds one entry per environment fingerprint: numpy version, BLAS build and
+CPU architecture. On an environment it does not record the test fails
 and names the fingerprint. After a change that is
 meant to move bits, or on a new environment, regenerate the entry with
 
@@ -42,7 +41,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from protprompt import numerics as nm
 from protprompt import tokenizer as T
@@ -97,8 +95,7 @@ SHAPE = ["--set", "d=8", "--set", "layers=1", "--set", "heads=2", "--set", "max_
 
 def fingerprint() -> str:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return (f"numpy {np.__version__}; scipy {scipy.__version__}; "
-            f"{blas['name']} {blas['version']}; {platform.machine()}")
+    return f"numpy {np.__version__}; {blas['name']} {blas['version']}; {platform.machine()}"
 
 
 def _masked_log(data: bytes) -> bytes:

@@ -543,7 +543,7 @@ def test_scalar_results_are_zero_dim():
 
 
 def _erf_sample() -> np.ndarray:
-    """Seeded erf arguments of both signs: both of scipy's erf branches
+    """Seeded erf arguments of both signs: both of Cephes's erf branches
     (|u| <= 1 and > 1), the +-1 edge, signed zeros, subnormals and +-30,
     where erf saturates."""
     rng = np.random.default_rng(42)
@@ -554,21 +554,38 @@ def _erf_sample() -> np.ndarray:
     return np.concatenate([u, -u])
 
 
-def test_gelu_folds_erf_sign_without_moving_bits():
-    # _gelu_forward takes erf of |x / sqrt 2| and puts x's sign back, which
-    # keeps every GELU bit only while scipy's erf is odd bit for bit
+def test_erf_is_scipys_and_gelu_keeps_its_bits():
+    # _erf runs Cephes's erf, scipy.special.erf's algorithm, in numpy: the
+    # |u| <= 1 rational gives scipy's bits; beyond, np.exp stands in for
+    # libm's exp, so a result may sit one ulp of 1 (2^-53) away
     from scipy.special import erf
 
-    x = _erf_sample()
-    assert erf(x).tobytes() == np.copysign(erf(np.abs(x)), x).tobytes(), (
-        "scipy.special.erf is not bitwise odd here: _gelu_forward's fold "
-        "erf(u) = copysign(erf(|u|), u) would move GELU bits")
-    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-    out, got_cdf = nm._gelu_forward(x)
-    assert got_cdf.tobytes() == cdf.tobytes()
-    assert out.tobytes() == (x * cdf).tobytes(), (
-        "_gelu_forward differs from x * (0.5 * (1 + erf(x / sqrt 2))): the sign "
-        "fold relies on scipy.special.erf being odd bit for bit")
+    def check(v):
+        got = nm._erf(v.copy())
+        inner = np.abs(v) <= 1.0
+        assert got[inner].tobytes() == erf(v[inner]).tobytes()
+        assert np.max(np.abs(got[~inner] - erf(v[~inner]))) <= 2.0 ** -53
+        return got
+
+    u = _erf_sample()
+    got = check(u)  # +-30 in the sample: the whole array is clamped to +-6
+    check(u[np.abs(u) <= 6.0])  # none past 6: only the |u| > 1 elements branch
+    # a dense grid through +-1, with the 2,000 floats just below 1
+    grid = np.linspace(-1.25, 1.25, 500_001)
+    edge = np.nextafter(1.0, 0.0) - np.arange(2_000) * 2.0 ** -53
+    check(np.concatenate([grid, edge, -edge]))
+    # odd bit for bit, signed zeros included
+    assert got.tobytes() == (-nm._erf(-u)).tobytes()
+    # saturated, with no overflow warning (pytest turns one into an error)
+    big = np.array([6.0, 30.0, 1e300, np.finfo(float).max])
+    assert nm._erf(np.concatenate([big, -big])).tolist() == [1.0] * 4 + [-1.0] * 4
+
+    x = u * 1.5
+    out, cdf = nm._gelu_forward(x)
+    assert cdf.tobytes() == (0.5 * (1.0 + nm._erf(x / np.sqrt(2.0)))).tobytes()
+    assert out.tobytes() == (x * cdf).tobytes()
+    out0, cdf0 = nm._gelu_forward(np.array(-0.75))
+    assert out0.shape == cdf0.shape == () and out0 == -0.75 * cdf0
 
 
 def test_gelu_matches_normal_cdf_oracle():
