@@ -22,8 +22,10 @@ encoder trainable and frozen as `inject` runs it.
 Float results depend on numpy, its BLAS and the CPU, so golden/digests.json
 holds one entry per environment fingerprint: numpy version, BLAS build and
 CPU architecture. On an environment it does not record the test fails
-and names the fingerprint. After a change that is
-meant to move bits, or on a new environment, regenerate the entry with
+and names the fingerprint. A BLAS product may also round by how many threads
+share it, so the digests are computed in a child interpreter started with
+OPENBLAS_NUM_THREADS=1, whatever the calling process sets. After a change
+that is meant to move bits, or on a new environment, regenerate the entry with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -35,6 +37,7 @@ import hashlib
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 import time
@@ -244,6 +247,18 @@ def compute_digests(work: Path) -> dict[str, str]:
         os.chdir(cwd)
 
 
+def pinned_digests(work: Path) -> dict[str, str]:
+    """compute_digests(work) in a child interpreter with one BLAS thread."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, __file__, "--child", str(work)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    if proc.returncode:
+        raise RuntimeError(proc.stdout + proc.stderr)
+    return json.loads((work / "digests.json").read_text())
+
+
 def digest_changes(old: dict[str, str], new: dict[str, str]) -> list[str]:
     """One "added KEY", "removed KEY" or "changed KEY" line per key on which
     old and new differ, in key order."""
@@ -253,7 +268,7 @@ def digest_changes(old: dict[str, str], new: dict[str, str]) -> list[str]:
 
 def test_outputs_match_the_recorded_digests(tmp_path):
     t0 = time.monotonic()
-    got = compute_digests(tmp_path)
+    got = pinned_digests(tmp_path)
     assert time.monotonic() - t0 < 5.0
     recorded = json.loads(GOLDEN.read_text())
     env = fingerprint()
@@ -269,11 +284,15 @@ def test_digest_changes_name_each_differing_key():
     assert digest_changes(old, dict(old)) == []
 
 
-if __name__ == "__main__":
+if __name__ == "__main__" and sys.argv[1:2] == ["--child"]:
+    # pinned_digests's child: the digests go to a file, since the commands print
+    child_work = Path(sys.argv[2])
+    (child_work / "digests.json").write_text(json.dumps(compute_digests(child_work)))
+elif __name__ == "__main__":
     recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     env = fingerprint()
     with tempfile.TemporaryDirectory() as work:
-        digests = compute_digests(Path(work))
+        digests = pinned_digests(Path(work))
     for line in digest_changes(recorded.get(env, {}), digests):
         print(line)
     recorded[env] = digests
