@@ -545,10 +545,12 @@ def encoder_layer(x: Tensor, weights: Sequence[Tensor], heads: int, m: int) -> T
     The closed-form backward runs the kernels' backwards in reverse order;
     the gradient reaches h as d_res2 + dh_ff and x as ((d_res1 + dx_v) +
     dx_k) + dx_q, the order in which the per-op tape summed them. The
-    closure keeps neither the GELU output act, nor h, nor the attention maps
-    Y: the backward rebuilds act = f1 * cdf, h = xhat1 * gain + bias and Y
-    where it reads them, by the forward's own operations, bit for bit. Every
-    intermediate the per-op chain checked is checked for finiteness.
+    closure keeps neither h, nor the feed-forward pre-activation f1, nor the
+    GELU output act, nor the attention maps Y: the backward rebuilds h =
+    xhat1 * gain + bias, f1 = h w1 + b1, act = f1 * cdf and Y where it reads
+    them, by the forward's own operations on the forward's operands, bit for
+    bit, and drops each once its last reader has run. Every intermediate the
+    per-op chain checked is checked for finiteness.
     """
     if len(weights) != 16 or x.data.ndim != 2:
         raise ShapeError(f"encoder_layer needs a 2-d x and 16 weights, got {x.shape} "
@@ -584,10 +586,14 @@ def encoder_layer(x: Tensor, weights: Sequence[Tensor], heads: int, m: int) -> T
     if taped:
         def backprop(g):
             d_res2 = _layernorm_backward(g, ln2_gain, ln2_bias, xhat2, invstd2)
-            d_f1 = _gelu_backward(_affine_backward(d_res2, f1 * cdf, w2, b2), f1, cdf)
             h = _gain_bias(xhat1, ln1_gain.data, ln1_bias.data)
-            d_res1 = _layernorm_backward(d_res2 + _affine_backward(d_f1, h, w1, b1),
-                                         ln1_gain, ln1_bias, xhat1, invstd1)
+            f1 = _affine_forward(h, w1.data, b1.data)  # the forward's operands and GEMM
+            d_f1 = _gelu_backward(_affine_backward(d_res2, f1 * cdf, w2, b2), f1, cdf)
+            del f1
+            d_res2 += _affine_backward(d_f1, h, w1, b1)  # now h's gradient
+            del d_f1, h
+            d_res1 = _layernorm_backward(d_res2, ln1_gain, ln1_bias, xhat1, invstd1)
+            del d_res2
             dq, dk, dv = _attention_backward(_affine_backward(d_res1, att, wo, bo), saved)
             need_dx = x.requires_grad
             dx = _affine_backward(dv, xd, wv, bv, need_dx)
