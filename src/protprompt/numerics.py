@@ -43,14 +43,15 @@ this one formula and give the same bits.
 A taped encoder_layer keeps only what its backward cannot rebuild bit for
 bit from a few cheap passes: Q, K, V by head, the attention's row maxima
 and row sums, the attention output, the layernorms' normalised rows and
-inverse deviations, and the feed-forward pre-activation and its GELU cdf,
-O(d + f) floats per row. The backward recomputes the rest by the forward's
-own operations in the forward's order, so every gradient keeps its bits:
-the normalised maps Y from one score product (FlashAttention's backward),
-the GELU output and the first layernorm's output from one pass each
-(activation recomputation, Chen et al. 2016). At n=256, d=64, f=4d, 4
-heads a taped layer keeps 1.99 MB (tracemalloc); the normalised maps alone
-would add 2.1 MB and grow as n^2.
+inverse deviations, and the GELU cdf, O(d + f) floats per row. The
+backward rebuilds the rest bit for bit by the forward's own operations on
+its operands: the normalised maps Y from one score product, the first
+layernorm's output, the feed-forward pre-activation (the forward's GEMM)
+and the GELU output from one pass each (activation recomputation, Chen et
+al. 2016). It takes each row's D = rowsum(dY * Y) as G . O from the kept
+output rows (FlashAttention's backward), so it holds two score blocks at
+most, Y and dS. At n=256, d=64, f=4d, 4 heads a taped layer keeps 1.47 MB
+(tracemalloc); the normalised maps alone would add 2.1 MB, growing as n^2.
 
 Each head has one forward, shared by training and eval: the loss nodes
 cross_entropy_rows and pair_bce run it on a step's stacked rows, and the
@@ -440,16 +441,18 @@ def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, 
     return out, (qh, kt, vh, rowmax, r, m) if taped else None
 
 
-def _attention_backward(g: np.ndarray, saved):
-    """(dq, dk, dv) of attention for upstream g, from _attention_forward's saved.
+def _attention_backward(g: np.ndarray, out: np.ndarray, saved):
+    """(dq, dk, dv) of attention for upstream g, from _attention_forward's out and saved.
 
     Y is recomputed first, by the forward's own operations in its order (E =
     exp(S - rowmax), then E / r), so it is the forward's Y bit for bit. With
-    G a head's upstream block over the input rows: dV = Y^T G, plus each
-    prompt row's own upstream row; dY = G V^T, dS = Y * (dY - rowsum(dY *
-    Y)); dQ = c (dS K) on the input rows and 0 on the prompt rows, whose
-    scores are fixed; dK = ((c Q)^T dS)^T. The saved Q is already scaled, so
-    c scales dQ, an (n, d) pass, and never dS.
+    G a head's upstream block and O its output block over the input rows:
+    dV = Y^T G, plus each prompt row's own upstream row; dY = G V^T, dS = Y *
+    (dY - D) with D = rowsum(G * O), which is rowsum(dY * Y) since O = Y V
+    (FlashAttention's backward), so D costs no (heads, n - m, n) temporary,
+    and Y goes once dS exists; dQ = c (dS K) on the input rows and 0 on the
+    prompt rows, whose scores are fixed; dK = ((c Q)^T dS)^T. The saved Q is
+    already scaled, so c scales dQ, an (n, d) pass, and never dS.
     """
     qh, kt, vh, rowmax, r, m = saved
     heads, n, dh = qh.shape
@@ -459,8 +462,9 @@ def _attention_backward(g: np.ndarray, saved):
     dv = _merge_heads(y.transpose(0, 2, 1) @ gh)
     dv[:m] += g[:m]
     ds = gh @ vh.transpose(0, 2, 1)  # dY, turned into dS in place
-    ds -= np.add.reduce(ds * y, axis=-1, keepdims=True)
+    ds -= np.add.reduce(gh * _heads(out, heads)[:, m:], axis=-1, keepdims=True)
     np.multiply(y, ds, out=ds)
+    del y
     dq = np.zeros((n, heads * dh))
     np.matmul(ds, kt.transpose(0, 2, 1), out=_heads(dq, heads)[:, m:])
     dq *= 1.0 / float(np.sqrt(dh))
@@ -545,12 +549,11 @@ def encoder_layer(x: Tensor, weights: Sequence[Tensor], heads: int, m: int) -> T
     The closed-form backward runs the kernels' backwards in reverse order;
     the gradient reaches h as d_res2 + dh_ff and x as ((d_res1 + dx_v) +
     dx_k) + dx_q, the order in which the per-op tape summed them. The
-    closure keeps neither h, nor the feed-forward pre-activation f1, nor the
-    GELU output act, nor the attention maps Y: the backward rebuilds h =
-    xhat1 * gain + bias, f1 = h w1 + b1, act = f1 * cdf and Y where it reads
-    them, by the forward's own operations on the forward's operands, bit for
-    bit, and drops each once its last reader has run. Every intermediate the
-    per-op chain checked is checked for finiteness.
+    closure keeps neither h, f1, act nor the attention maps Y: the backward
+    rebuilds h = xhat1 * gain + bias, f1 = h w1 + b1, act = f1 * cdf and Y
+    by the forward's operations on its operands, bit for bit, and drops each
+    after its last reader. Every intermediate the per-op chain checked is
+    checked for finiteness.
     """
     if len(weights) != 16 or x.data.ndim != 2:
         raise ShapeError(f"encoder_layer needs a 2-d x and 16 weights, got {x.shape} "
@@ -594,7 +597,7 @@ def encoder_layer(x: Tensor, weights: Sequence[Tensor], heads: int, m: int) -> T
             del d_f1, h
             d_res1 = _layernorm_backward(d_res2, ln1_gain, ln1_bias, xhat1, invstd1)
             del d_res2
-            dq, dk, dv = _attention_backward(_affine_backward(d_res1, att, wo, bo), saved)
+            dq, dk, dv = _attention_backward(_affine_backward(d_res1, att, wo, bo), att, saved)
             need_dx = x.requires_grad
             dx = _affine_backward(dv, xd, wv, bv, need_dx)
             dx_k = _affine_backward(dk, xd, wk, bk, need_dx)

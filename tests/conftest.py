@@ -202,7 +202,7 @@ def multihead_attention(q, k, v, heads, m):
     out_data, saved = nm._attention_forward(q.data, k.data, v.data, heads, m, taped)
 
     def backprop(g):
-        dq, dk, dv = nm._attention_backward(g, saved)
+        dq, dk, dv = nm._attention_backward(g, out_data, saved)
         nm._accum(v, dv)
         nm._accum(q, dq)
         nm._accum(k, dk)
@@ -604,6 +604,27 @@ def normalised_first_attention(q, k, v, heads, m, g):
         dq[:, sl] = ds @ kh
         dk[:, sl] = (qh.T @ ds).T
     return out, dq, dk, dv
+
+
+def rowsum_d_attention_backward(g, saved):
+    """nm._attention_backward in the order it used before it took D from the
+    attention output: D = rowsum(dY * Y), a (heads, n - m, n) product, where
+    the kernel sums G * O over dh. The kernel must stay within 1e-12 of it."""
+    qh, kt, vh, rowmax, r, m = saved
+    heads, n, dh = qh.shape
+    y, _ = nm._exp_scores(qh, kt, m, rowmax)
+    y /= r
+    gh = nm._heads(g, heads)[:, m:]
+    dv = nm._merge_heads(y.transpose(0, 2, 1) @ gh)
+    dv[:m] += g[:m]
+    ds = gh @ vh.transpose(0, 2, 1)
+    ds -= np.add.reduce(ds * y, axis=-1, keepdims=True)
+    np.multiply(y, ds, out=ds)
+    dq = np.zeros((n, heads * dh))
+    np.matmul(ds, kt.transpose(0, 2, 1), out=nm._heads(dq, heads)[:, m:])
+    dq *= 1.0 / float(np.sqrt(dh))
+    dk = nm._merge_heads((qh[:, m:].transpose(0, 2, 1) @ ds).transpose(0, 2, 1))
+    return dq, dk, dv
 
 
 def reference_contact(h, w_prod, w_diff, b, g):

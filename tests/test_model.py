@@ -397,11 +397,12 @@ def test_taped_and_tape_free_encodes_agree_bitwise(m, heads):
 
 @pytest.mark.parametrize("m", [0, 2])
 def test_taped_encode_keeps_linear_floats_per_row(m):
-    # a taped layer keeps (n, d) and (n, f) arrays and its attention's row
-    # maxima and sums, never a (heads, n - m, n) block: its backward rebuilds
-    # the normalised maps, the GELU output and the first layernorm's output.
-    # 8d + 3f floats per row (5.2 MB here) bound what it keeps; keeping those
-    # three as well takes about 9.5 MB here, the maps alone 4n floats per row
+    # a taped layer keeps (n, d) arrays, the GELU cdf and its attention's
+    # row maxima and sums, never a (heads, n - m, n) block: its backward
+    # rebuilds the normalised maps, the first layernorm's output, the
+    # feed-forward pre-activation and the GELU output. 9d + f floats per row
+    # (3.4 MB here) bound what it keeps, about 748 at d=64; keeping the
+    # pre-activation as well takes 1004, the maps alone 4n more
     d, layers = 64, 2
     model = ProteinEncoder(ModelConfig(d=d, layers=layers, heads=4, max_len=256,
                                        prompt_names=("Seq", "IC")), seed=3)
@@ -417,7 +418,33 @@ def test_taped_encode_keeps_linear_floats_per_row(m):
     finally:
         tracemalloc.stop()
     assert len(tape.nodes) == 1 + layers and out.h.requires_grad
-    assert kept < layers * (8 * d + 3 * 4 * d) * (m + seq.length) * 8, (m, kept)
+    assert kept < layers * (9 * d + 4 * d) * (m + seq.length) * 8, (m, kept)
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_taped_layer_backward_holds_two_score_blocks(m):
+    # the backward of one taped layer rebuilds the normalised maps Y, forms
+    # dS in a second (heads, n - m, n) block and drops Y once dS exists; D
+    # comes from the attention output, so no third block is made for it.
+    # 2.5 blocks plus the weight gradients (5.6 MB at m=2) bound the peak;
+    # with D from dY * Y the peak is about 6.9 MB, 7.7 MB keeping f1 too
+    n, d, heads = 256, 64, 4
+    model = ProteinEncoder(ModelConfig(d=d, layers=1, heads=heads, max_len=n,
+                                       prompt_names=()), seed=3)
+    weights = model.layers[0]
+    rng = np.random.default_rng(19)
+    x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+    with Tape():
+        out = nm.encoder_layer(x, weights, heads, m)
+    g = rng.normal(size=out.shape)
+    tracemalloc.start()
+    try:
+        out._backprop(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(w.grad is not None for w in weights) and x.grad is not None
+    assert peak < 2.5 * heads * (n - m) * n * 8 + sum(w.data.nbytes for w in weights), (m, peak)
 
 
 def _tape_free_encode_peak(residues=254, heads=4, m=0):
