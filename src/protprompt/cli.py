@@ -99,10 +99,11 @@ def _ppi_batches(graph: D.PPIGraph, encoded, cfg: RunConfig, width: int):
     """Per-step batches of rows for a pair head of the given width.
 
     Width 1 labels a row 1 when any of its bits is set and adds an equal
-    count of non-adjacent negatives; binary files that carry explicit 0
-    labels supply their own negatives and are sampled as given; without
-    them, a complete graph is refused here, before any step. A wider head
-    takes the file's rows and bits as given.
+    count of non-adjacent negatives, drawn by rejection and, where a dense
+    graph leaves that short, from the sorted non-adjacent pairs; binary
+    files that carry explicit 0 labels supply their own negatives and are
+    sampled as given; without them, a complete graph is refused here,
+    before any step. A wider head takes the file's rows and bits as given.
     """
     rows = sorted(graph.edges.items())
     names = graph.nodes
@@ -135,7 +136,10 @@ def _ppi_batches(graph: D.PPIGraph, encoded, cfg: RunConfig, width: int):
                 labels.append([0.0])
                 got += 1
             if got < size:
-                raise DataError("graph too dense to sample non-interacting pairs")
+                free = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]
+                        if (a, b) not in graph.edges]
+                ends += [free[int(k)] for k in neg_rng.integers(len(free), size=size - got)]
+                labels += [[0.0]] * (size - got)
         # each protein's index into the batch's proteins, in order of first use
         slot: dict[str, int] = {}
         pairs = np.array([[slot.setdefault(name, len(slot)) for name in edge] for edge in ends])

@@ -1698,9 +1698,8 @@ def test_each_input_is_refused_where_it_enters(ws, tmp_path, capsys, case):
     assert not captured.out and [p.name for p in tmp_path.iterdir()] == ["in"]
 
 
-# each refusal no other test reaches: (argv, exit code, stderr text). All but
-# graph-too-dense refuse before any write; that one samples its negatives at
-# step 0, after the run's directory holds its vocabulary and log header.
+# each refusal no other test reaches: (argv, exit code, stderr text), each
+# made before any write
 def _refusal_case(ws, root, case):
     inputs = root / "in"
     inputs.mkdir()
@@ -1717,10 +1716,6 @@ def _refusal_case(ws, root, case):
     if case.startswith("contact-"):
         write("maps/x_A.cmap", "n=3 threshold=8.0 tag=native\n000\n000\n000\n")
     contact = [*ckpt_, "--task", "contact", "--maps-dir", str(maps), "--out", str(out)]
-    # 100 proteins, every pair interacting but one: a negative draw hits it
-    # about once in 5000 tries, too rarely to fill a batch
-    names = [f"q{i:03d}" for i in range(100)]
-    dense = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]][1:]
     return {
         "ppi-no-data": ([*ckpt_, "--task", "ppi", "--fasta", str(ws["fasta"]),
                          "--out", str(out)], 2, "eval --task ppi needs --data (TSV) and --fasta"),
@@ -1728,10 +1723,6 @@ def _refusal_case(ws, root, case):
             [*pretrain, "--fasta", str(ws["fasta"]),
              "--ppi", write("k3.tsv", "p00\tp01\t1\np01\tp02\t1\np00\tp02\t1\n")], 1,
             "every pair of the graph's 3 proteins interacts"),
-        "graph-too-dense": (
-            [*pretrain, "--fasta", write("q.fasta", "".join(f">{n}\nACDE\n" for n in names)),
-             "--ppi", write("dense.tsv", "".join(f"{a}\t{b}\t1\n" for a, b in dense)),
-             "--set", "batch_pairs=8"], 1, "graph too dense to sample non-interacting pairs"),
         "pretrain-no-fasta": (pretrain, 2, "pretrain needs a FASTA corpus"),
         "contact-no-maps-dir": ([*ckpt_, "--task", "contact", "--fasta", str(ws["fasta"])], 2,
                                 "eval --task contact needs --maps-dir plus --fasta"),
@@ -1750,7 +1741,7 @@ def _refusal_case(ws, root, case):
     }[case]
 
 
-REFUSAL_CASES = ["ppi-no-data", "ppi-complete-graph", "graph-too-dense", "pretrain-no-fasta",
+REFUSAL_CASES = ["ppi-no-data", "ppi-complete-graph", "pretrain-no-fasta",
                  "contact-no-maps-dir", "no-cmap-files", "contact-no-sequence", "contact-size",
                  "ss-no-data", "regress-no-data", "regress-two-columns"]
 
@@ -1761,9 +1752,37 @@ def test_each_refusal_names_its_cause(ws, tmp_path, capsys, case):
     assert main(argv) == code
     captured = capsys.readouterr()
     assert text in captured.err and "Traceback" not in captured.err, captured.err
-    assert not captured.out
-    written = ["in", "out"] if case == "graph-too-dense" else ["in"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == written
+    assert not captured.out and [p.name for p in tmp_path.iterdir()] == ["in"]
+
+
+def test_a_dense_graph_draws_its_negatives_from_the_non_adjacent_pairs(tmp_path, monkeypatch):
+    # 100 proteins, every pair interacting but the first: a rejection draw
+    # hits it about once in 5000 tries, too rarely to fill a batch of 8, so
+    # the rest are drawn from the non-adjacent pairs and the step runs
+    names = [f"q{i:03d}" for i in range(100)]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    fasta, dense = tmp_path / "q.fasta", tmp_path / "dense.tsv"
+    fasta.write_text("".join(f">{n}\nACDE\n" for n in names))
+    dense.write_text("".join(f"{a}\t{b}\t1\n" for a, b in pairs[1:]))
+    negatives = []
+    ppi_batches = cli._ppi_batches
+
+    def recording(graph, encoded, cfg, width):
+        name = {id(seq): n for n, seq in encoded.items()}
+        build = ppi_batches(graph, encoded, cfg, width)
+
+        def record(step):
+            batch = build(step)
+            negatives.extend(tuple(sorted(name[id(batch.proteins[i])] for i in pair))
+                             for pair, label in zip(batch.pairs, batch.labels) if label[0] == 0)
+            return batch
+
+        return record
+
+    monkeypatch.setattr(cli, "_ppi_batches", recording)
+    assert main(["pretrain", "--fasta", str(fasta), "--ppi", str(dense), "--out-dir",
+                 str(tmp_path / "out"), "--steps", "1", *BASE_SETS, "--set", "batch_pairs=8"]) == 0
+    assert negatives and set(negatives) == {pairs[0]}
 
 
 def test_eval_scores_dir_rejects_an_unknown_prompt(ws, tmp_path, capsys):
