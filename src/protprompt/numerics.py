@@ -119,10 +119,10 @@ def _active_tape():
 class Tape:
     """Execution-ordered record of primitive applications.
 
-    Use as a context manager around a forward pass; backward(tape, loss)
-    then propagates gradients. A thread records on one tape at a time:
-    entering a Tape while another records raises ContractError and leaves
-    the recording one as it was.
+    Use as a context manager around a forward pass; backward(tape, loss,
+    weight) then sweeps it from that one root. A thread records on one tape
+    at a time: entering a Tape while another records raises ContractError
+    and leaves the recording one as it was.
     """
 
     def __init__(self):
@@ -191,27 +191,23 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad = t.grad + g
 
 
-def backward(tape: Tape, loss: Tensor | Sequence[tuple[Tensor, float]]) -> None:
-    """Reverse sweep from scalar roots recorded on the tape.
+def backward(tape: Tape, loss: Tensor, weight: float = 1.0) -> None:
+    """Reverse sweep from a scalar root recorded on the tape, seeded with
+    weight, so every leaf reachable from loss gets weight * dloss/dleaf.
 
-    loss is one root, seeded with 1, or a sequence of (root, weight) pairs,
-    each seeded with its weight, so one sweep gives every leaf the weighted
-    sum of the roots' gradients. Gradients accumulate into .grad of every
-    leaf reachable from a root, and leaves keep them across calls (callers
-    zero them). An intermediate node's gradient is dropped as soon as its
-    closure has run, so the sweep holds only the gradients of nodes it has
-    not reached yet; after it, every node on the tape has .grad None.
+    Gradients accumulate into .grad of those leaves, and leaves keep them
+    across calls (callers zero them). An intermediate node's gradient is
+    dropped as soon as its closure has run, so the sweep holds only the
+    gradients of nodes it has not reached yet; after it, every node on the
+    tape has .grad None.
     """
-    roots = [(loss, 1.0)] if isinstance(loss, Tensor) else list(loss)
-    for root, _ in roots:
-        if root.data.size != 1:
-            raise ContractError(f"backward needs a scalar loss, got shape {root.shape}")
-        if not any(root is node for node in tape.nodes):
-            raise ContractError("loss was not recorded on this tape")
+    if loss.data.size != 1:
+        raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+    if not any(loss is node for node in tape.nodes):
+        raise ContractError("loss was not recorded on this tape")
     for node in tape.nodes:
         node.grad = None
-    for root, weight in roots:
-        _accum(root, np.full_like(root.data, weight))
+    _accum(loss, np.full_like(loss.data, weight))
     for node in reversed(tape.nodes):
         if node.grad is None or node._backprop is None:
             continue

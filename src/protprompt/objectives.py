@@ -13,16 +13,16 @@ every prompt learns from every source. The encoder (embeddings and
 layers) learns from every source present and each head from its own
 loss, by construction. Routing happens in the forward pass: while a
 source's forward runs, each prompt outside its route enters as a
-constant, so one backward sweep gives every parameter exactly its routed
-gradient.
+constant, so the source's own sweep gives every parameter exactly its
+routed share.
 
-Each source records one loss node (numerics.cross_entropy_rows or
-numerics.pair_bce) after the L+1 nodes of each encode, L the layer count.
-The weights are no nodes: each loss node is a root of the sweep, seeded
-with its source's coefficient, and the logged total is folded from the
-losses as floats. A pretrain benchmark step records about 114 nodes,
-against 287 for the per-sequence head and loss chain that
-tests/conftest.py keeps as the nodes' oracle.
+Each source records its forward on a tape of its own, L+1 nodes per
+encode (L the layer count) and one loss node (numerics.cross_entropy_rows
+or numerics.pair_bce), sweeps it seeded with its coefficient (no node
+weights it) and drops it before the next source runs; the logged total is
+folded from the losses as floats. A pretrain benchmark step sweeps 79 to
+97 nodes for ppi, then 25 for the masked-LM loss, 114 in all against 287
+for the per-sequence chain tests/conftest.py keeps as the nodes' oracle.
 """
 
 from __future__ import annotations
@@ -156,6 +156,15 @@ def _forward_pairs(model, batch: PairTaskBatch, frozen: frozenset[str] = frozens
                        w, b, batch.labels)
 
 
+def _swept(weight: float, forward, *args) -> float:
+    """Record forward(*args) on a tape of its own and sweep it seeded with
+    weight; the tape dies on return, before the next source's forward."""
+    with Tape() as tape:
+        loss = forward(*args)
+    nm.backward(tape, loss, weight)
+    return float(loss.data)
+
+
 def train_step(
     model,
     optimizer: Adam,
@@ -167,44 +176,39 @@ def train_step(
     step: int = 0,
     mlm_reduction: str = "sum",
 ) -> LossReport:
-    """One multi-task update: routed forward, one backward sweep, Adam.
+    """One multi-task update: a routed forward and a sweep per source, Adam.
 
     Each source s runs its forward with frozen_prompts(prompts, s, routing)
-    held constant, so no prompt outside s's route is on s's part of the
-    tape. Each source's loss node is a root of one backward sweep, seeded
-    with its coefficient c_s (1 for the conservation loss, lambda*alpha_t
-    for task t), so every parameter gets the sum of c_s * dL_s/dtheta over
-    the sources that reach it, and those gradients go to Adam as they are.
-    The logged total is L_conserve + (sum_t alpha_t * L_t) * lambda.
+    held constant, so no prompt outside s's route is on its tape, and sweeps
+    it seeded with c_s (1 for the conservation loss, lambda*alpha_t for
+    task t). Tasks go last-first and the conservation loss last, so each
+    leaf's .grad takes the additions a reverse sweep of one joint tape would
+    make, in the same order, and goes to Adam as it is. The logged total is
+    L_conserve + (sum_t alpha_t * L_t) * lambda, tasks in list order.
     """
     if mlm_batch is None and not task_batches:
         raise ContractError("train_step needs at least one task batch")
+    task_losses = dict.fromkeys(batch.name for batch in task_batches)
+    if len(task_losses) < len(task_batches):
+        raise ContractError(f"duplicate task batch in {[b.name for b in task_batches]}")
     prompts = tuple(model.prompts)
     t0 = time.monotonic()
 
-    tape = Tape()
-    roots: list[tuple[Tensor, float]] = []
-    l_conserve, inject, task_losses = 0.0, 0.0, {}
-    with tape:
-        if mlm_batch is not None:
-            loss = _forward_mlm(model, mlm_batch, mlm_reduction,
-                                frozen_prompts(prompts, CONSERVE, routing))
-            l_conserve = float(loss.data)
-            roots.append((loss, 1.0))
-        for batch in task_batches:
-            a = alpha.get(batch.name, 1.0)
-            if batch.name in task_losses:
-                raise ContractError(f"duplicate task batch {batch.name!r}")
-            loss = _forward_pairs(model, batch, frozen_prompts(prompts, batch.name, routing))
-            task_losses[batch.name] = float(loss.data)
-            inject += task_losses[batch.name] * a
-            roots.append((loss, lambda_weight * a))
-
     for p in optimizer.params.values():
         p.grad = None
-    nm.backward(tape, roots)
+    for batch in reversed(task_batches):
+        c = lambda_weight * alpha.get(batch.name, 1.0)
+        task_losses[batch.name] = _swept(c, _forward_pairs, model, batch,
+                                         frozen_prompts(prompts, batch.name, routing))
+    l_conserve = 0.0
+    if mlm_batch is not None:
+        l_conserve = _swept(1.0, _forward_mlm, model, mlm_batch, mlm_reduction,
+                            frozen_prompts(prompts, CONSERVE, routing))
     optimizer.step({name: p.grad for name, p in optimizer.params.items()})
 
+    inject = 0.0
+    for name, loss in task_losses.items():
+        inject += loss * alpha.get(name, 1.0)
     return LossReport(
         step=step,
         l_conserve=l_conserve,

@@ -81,7 +81,8 @@ def finite_diff_check(f, x, eps=1e-5):
 
 def reference_routed_step(model, optimizer, mlm_batch, task_batches, routes,
                           lambda_weight, alpha, mlm_reduction="sum"):
-    """The per-source router train_step ran before it swept backward once.
+    """The per-source router train_step ran before routing moved into the
+    forward pass.
 
     routes maps each prompt name to the loss sources that may update it.
     Records every source's forward with all prompts live, runs one backward

@@ -634,19 +634,20 @@ def test_inject_step_sweeps_backward_once(ws, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["pretrain", "inject"])
 def test_each_step_records_one_loss_node_per_source(ws, tmp_path, monkeypatch, command):
-    # a step records layers + 1 nodes per encode and one loss node per
-    # source; the weights seed the backward sweep and record no node
-    encodes, steps = [0], []
+    # each source sweeps a tape of its own, holding layers + 1 nodes per
+    # encode and its one loss node; the weight seeds the sweep and records
+    # no node
+    encodes, sweeps = [0], []
     encode, backward = ProteinEncoder.encode, nm.backward
 
     def counting_encode(*args, **kwargs):
         encodes[0] += 1
         return encode(*args, **kwargs)
 
-    def counting_backward(tape, loss):
-        steps.append((len(tape.nodes), encodes[0]))
+    def counting_backward(tape, loss, weight=1.0):
+        sweeps.append((len(tape.nodes), encodes[0]))
         encodes[0] = 0
-        return backward(tape, loss)
+        return backward(tape, loss, weight)
 
     monkeypatch.setattr(ProteinEncoder, "encode", counting_encode)
     monkeypatch.setattr(nm, "backward", counting_backward)
@@ -654,15 +655,15 @@ def test_each_step_records_one_loss_node_per_source(ws, tmp_path, monkeypatch, c
     if command == "pretrain":
         argv = ["pretrain", *data, "--ppi", str(ws["pairs"]), "--out-dir", str(tmp_path),
                 *BASE_SETS, "--set", "layers=2", "--set", "batch_seqs=6"]
-        layers, loss_nodes = 2, 2
+        layers, sources = 2, 2
     else:
         argv = ["inject", *data, "--checkpoint", str(ws["final"]), "--prompt", "PPI",
                 "--task", "ppi", "--data", str(ws["pairs"]), "--out", str(tmp_path)]
-        layers, loss_nodes = 1, 1
+        layers, sources = 1, 1
     assert main(argv) == 0
-    assert len(steps) == 3
-    for nodes, encoded in steps:
-        assert encoded > 0 and nodes == (layers + 1) * encoded + loss_nodes
+    assert len(sweeps) == 3 * sources
+    for nodes, encoded in sweeps:
+        assert encoded > 0 and nodes == (layers + 1) * encoded + 1
 
 
 def test_blas_thread_count_leaves_checkpoints_bitwise(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,22 +122,24 @@ def test_report_decomposition_recomputes_bitwise():
     assert float(cells[3]) == rep.total
 
 
-def test_weighted_roots_sweep_like_the_weighted_total():
-    # seeding each loss node with its coefficient hands every parameter the
-    # bits a sweep of add(l_mlm, scale(sum_t scale(l_t, alpha_t), lambda)) gives
+def test_source_sweeps_give_the_bits_of_one_weighted_total_sweep():
+    # a sweep per source, tasks last-first and masked-LM last, hands every
+    # parameter the bits one sweep of add(l_mlm, scale(sum_t scale(l_t,
+    # alpha_t), lambda)) on a joint tape gives it
     model, mlm, ppi = _fixture(seed=14)
     params = model.parameters()
     with Tape() as tape:
         l_mlm = O._forward_mlm(model, mlm, "sum")
         l_ppi, l_types = (O._forward_pairs(model, b) for b in _two_tasks(ppi))
         total = nm.add(l_mlm, scale(nm.add(scale(l_ppi, 0.5), scale(l_types, 2.0)), 0.7))
-    grads = []
-    for roots in (total, [(l_mlm, 1.0), (l_ppi, 0.7 * 0.5), (l_types, 0.7 * 2.0)]):
-        for p in params.values():
-            p.grad = None
-        nm.backward(tape, roots)
-        grads.append({n: p.grad for n, p in params.items()})
-    assert all(np.array_equal(grads[0][n], grads[1][n]) for n in params)
+    nm.backward(tape, total)
+    want = {n: p.grad for n, p in params.items() if p.grad is not None}
+    opt = O.Adam(params, lr=1e-3)
+    seen = _adam_inputs(opt)
+    O.train_step(model, opt, mlm, _two_tasks(ppi), False, 0.7, {"ppi": 0.5, "types": 2.0})
+    (got,) = seen
+    assert got.keys() == want.keys()
+    assert all(np.array_equal(got[n], want[n]) for n in want)
 
 
 def test_routing_blocks_conserve_gradient_from_ic():
@@ -217,15 +220,44 @@ def test_frozen_prompts_table():
         assert isinstance(got, frozenset) and got == want, (prompts, source, routing)
 
 
-def test_train_step_sweeps_backward_once(monkeypatch):
+def test_train_step_sweeps_backward_once_per_source(monkeypatch):
+    # the task first, seeded with lambda * alpha, then the masked-LM loss
     model, mlm, ppi = _fixture(seed=8)
     opt = O.Adam(model.parameters(), lr=1e-3)
-    calls = []
+    weights = []
     backward = nm.backward
-    monkeypatch.setattr(nm, "backward", lambda *a: calls.append(1) or backward(*a))
+    monkeypatch.setattr(nm, "backward", lambda *a: weights.append(a[2]) or backward(*a))
     for step in range(3):
         O.train_step(model, opt, mlm, [ppi], True, 0.7, {"ppi": 1.3}, step=step)
-        assert len(calls) == step + 1
+        assert weights == [0.7 * 1.3, 1.0] * (step + 1)
+
+
+def test_a_step_holds_one_sources_tape_at_a_time():
+    # each source's tape and loss node die before the next source's forward,
+    # so a two-source step peaks no higher than its larger source alone; at
+    # this shape Adam's temporaries set the whole step's peak, so the peak
+    # is also taken as Adam is called, where a loss node kept bound through
+    # the next source's forward shows (1.22x against 1.01x)
+    model, mlm, ppi = _fixture(seed=9, d=32, layers=2, heads=4)
+    opt = O.Adam(model.parameters(), lr=1e-3)
+    step, swept, whole = opt.step, {}, {}
+
+    def measured(grads):
+        swept[name] = tracemalloc.get_traced_memory()[1]
+        step(grads)
+
+    opt.step = measured
+    for name, (mlm_batch, tasks) in {"mlm": (mlm, []), "ppi": (None, [ppi]),
+                                     "both": (mlm, [ppi])}.items():
+        O.train_step(model, opt, mlm_batch, tasks, True, 1.0, {})
+        tracemalloc.start()
+        try:
+            O.train_step(model, opt, mlm_batch, tasks, True, 1.0, {})
+            whole[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    for peaks in (swept, whole):
+        assert peaks["both"] <= 1.05 * max(peaks["mlm"], peaks["ppi"]), peaks
 
 
 # the paper's routes, prompt -> the loss sources that may update it, and
@@ -276,12 +308,12 @@ def test_single_sweep_matches_per_source_router(routing, weights):
 
 def test_loss_columns_match_per_source_router_over_50_steps():
     runs = []
-    for single_sweep in (True, False):
+    for routed_forward in (True, False):
         model, mlm, ppi = _fixture(seed=10)
         opt = O.Adam(model.parameters(), lr=1e-3)
         rows = []
         for step in range(50):
-            if single_sweep:
+            if routed_forward:
                 rep = O.train_step(model, opt, mlm, [ppi], True, 0.7, {"ppi": 1.3},
                                    step=step)
                 rows.append((rep.l_conserve, rep.task_losses["ppi"]))
@@ -290,9 +322,9 @@ def test_loss_columns_match_per_source_router_over_50_steps():
                                                   0.7, {"ppi": 1.3})
                 rows.append((losses["mlm"], losses["ppi"]))
         runs.append(np.array(rows))
-    single, per_source = runs
-    assert np.all(np.abs(single - per_source) <= 1e-9 * np.abs(per_source))
-    assert not np.array_equal(single[0], single[-1])  # training moved the losses
+    routed, per_source = runs
+    assert np.all(np.abs(routed - per_source) <= 1e-9 * np.abs(per_source))
+    assert not np.array_equal(routed[0], routed[-1])  # training moved the losses
 
 
 def test_train_step_rejects_empty_and_duplicates():
