@@ -16,6 +16,7 @@ bitwise and two runs with the same config produce identical checkpoints.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from pathlib import Path
 
@@ -641,9 +642,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pin_blas_to_one_thread() -> None:
+    """OpenBLAS rounds a product by how it splits it across threads, so a
+    run is a pure function of its seed only on one thread. The setter is
+    that of the scipy-openblas64 build numpy's wheels bundle in numpy.libs
+    (np.show_config names it); a BLAS without it runs unpinned."""
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"):
+        setter = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _pin_blas_to_one_thread()
     try:
         return args.func(args)
     except ConfigError as exc:

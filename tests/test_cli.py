@@ -666,42 +666,82 @@ def test_each_step_records_one_loss_node_per_source(ws, tmp_path, monkeypatch, c
         assert encoded > 0 and nodes == (layers + 1) * encoded + 1
 
 
+def _under_blas_threads(tmp_path, script, *args):
+    """Run script with args in a child interpreter under one and under two
+    OpenBLAS threads; returns the two completed processes."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    procs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script), *map(str, args),
+                               str(tmp_path / f"threads{threads}")],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        procs.append(proc)
+    return procs
+
+
 def test_blas_thread_count_leaves_checkpoints_bitwise(tmp_path):
-    # the head matmuls stack every sequence's rows; at this shape they and
-    # the feed-forward matmuls are large enough for OpenBLAS to split them
-    # across threads, and the bits must not depend on how it splits them
+    # at n of 200-235 OpenBLAS splits the encoder's and the heads' products
+    # across two threads and rounds them by the split; cli.main pins one
+    # thread, so the bits do not depend on OPENBLAS_NUM_THREADS
     rng = np.random.default_rng(31)
     fasta, pairs = tmp_path / "long.fasta", tmp_path / "long.tsv"
     fasta.write_text("".join(
-        f">q{i}\n" + "".join(RESIDUES[int(k)] for k in rng.integers(20, size=50 + i)) + "\n"
-        for i in range(12)))
-    pairs.write_text("".join(f"q{i}\tq{(i + 1) % 12}\t{i % 2}\n" for i in range(12)))
-    script = textwrap.dedent("""
+        f">q{i}\n" + "".join(RESIDUES[int(k)] for k in rng.integers(20, size=200 + 5 * i)) + "\n"
+        for i in range(8)))
+    pairs.write_text("".join(f"q{i}\tq{(i + 1) % 8}\t{i % 2}\n" for i in range(8)))
+    script = """
         import sys
         from protprompt.cli import main
 
         fasta, pairs, out = sys.argv[1:]
         shape = ["--set", "d=64", "--set", "layers=1", "--set", "heads=4",
-                 "--set", "max_len=64", "--set", "batch_seqs=12", "--set", "batch_pairs=12",
-                 "--set", "mask_rate=0.5"]
+                 "--set", "max_len=256", "--set", "batch_seqs=4", "--set", "batch_pairs=4"]
         assert main(["pretrain", "--fasta", fasta, "--ppi", pairs, "--out-dir", out,
-                     "--steps", "3", "--seed", "3", *shape]) == 0
+                     "--steps", "2", "--seed", "3", *shape]) == 0
         assert main(["inject", "--checkpoint", out + "/final.bin", "--prompt", "PPI",
                      "--task", "ppi", "--data", pairs, "--fasta", fasta,
-                     "--out", out + "/inj", "--steps", "3"]) == 0
-    """)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(fasta), str(pairs), str(out)],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        outputs.append([(out / name).read_bytes() for name in ("final.bin", "inj/injected.bin")])
+                     "--out", out + "/inj", "--steps", "2"]) == 0
+    """
+    _under_blas_threads(tmp_path, script, fasta, pairs)
+    outputs = [[(tmp_path / f"threads{threads}" / name).read_bytes()
+                for name in ("final.bin", "inj/injected.bin")] for threads in ("1", "2")]
     assert outputs[0] == outputs[1]
+
+
+def test_blas_thread_count_leaves_contact_scores_bitwise(tmp_path):
+    # the contact head's product term at n=254 rounds by OpenBLAS's split;
+    # eval prints the same records and ranks logits with the same bits
+    rng = np.random.default_rng(5)
+    fasta, maps = tmp_path / "one.fasta", tmp_path / "maps"
+    fasta.write_text(">c\n" + "".join(RESIDUES[int(k)] for k in rng.integers(20, size=254)))
+    maps.mkdir()
+    bits = np.triu(rng.random((254, 254)) < 0.05, 1)
+    D.write_contact_map(D.ContactMap(n=254, bits=bits | bits.T), maps / "c.cmap")
+    assert main(["pretrain", "--fasta", str(fasta), "--out-dir", str(tmp_path / "base"),
+                 "--steps", "1", "--set", "d=64", "--set", "layers=2", "--set", "heads=4",
+                 "--set", "max_len=256", "--set", "batch_seqs=1"]) == 0
+    script = """
+        import hashlib, sys
+        from protprompt.cli import main
+        from protprompt.model import ProteinEncoder
+
+        contact_logits = ProteinEncoder.contact_logits
+
+        def printed(self, out):
+            scores = contact_logits(self, out)
+            print(hashlib.sha1(scores.data.tobytes()).hexdigest())
+            return scores
+
+        ProteinEncoder.contact_logits = printed
+        checkpoint, fasta, maps, out = sys.argv[1:]
+        assert main(["eval", "--checkpoint", checkpoint, "--task", "contact",
+                     "--fasta", fasta, "--maps-dir", maps]) == 0
+    """
+    one, two = _under_blas_threads(tmp_path, script, tmp_path / "base" / "final.bin", fasta, maps)
+    assert one.stdout == two.stdout and "p_at_l2" in one.stdout
 
 
 @pytest.mark.parametrize("name", ["A,B", "", "Seq", "IC"], ids=["comma", "empty", "seq", "taken"])
