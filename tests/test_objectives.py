@@ -308,12 +308,12 @@ def test_single_sweep_matches_per_source_router(routing, weights):
 
 def test_loss_columns_match_per_source_router_over_50_steps():
     runs = []
-    for routed_forward in (True, False):
+    for single_sweep in (True, False):
         model, mlm, ppi = _fixture(seed=10)
         opt = O.Adam(model.parameters(), lr=1e-3)
         rows = []
         for step in range(50):
-            if routed_forward:
+            if single_sweep:
                 rep = O.train_step(model, opt, mlm, [ppi], True, 0.7, {"ppi": 1.3},
                                    step=step)
                 rows.append((rep.l_conserve, rep.task_losses["ppi"]))
@@ -322,9 +322,9 @@ def test_loss_columns_match_per_source_router_over_50_steps():
                                                   0.7, {"ppi": 1.3})
                 rows.append((losses["mlm"], losses["ppi"]))
         runs.append(np.array(rows))
-    routed, per_source = runs
-    assert np.all(np.abs(routed - per_source) <= 1e-9 * np.abs(per_source))
-    assert not np.array_equal(routed[0], routed[-1])  # training moved the losses
+    single, per_source = runs
+    assert np.all(np.abs(single - per_source) <= 1e-9 * np.abs(per_source))
+    assert not np.array_equal(single[0], single[-1])  # training moved the losses
 
 
 def test_train_step_rejects_empty_and_duplicates():
