@@ -17,8 +17,8 @@ Layout (all integers little-endian):
 Entries appear once each, in a fixed order: the embedding tables
 (embed.*), the layers (layer{i}.*, layer by layer), the prompts (prompt.*),
 the heads (head.*), then optional training-state entries under the reserved
-"opt." prefix (step counter and Adam moments), which loaders ignore for
-inference.
+"opt." prefix (step counter and Adam moments), which load_model checks
+and inference ignores.
 
 Checkpoints go through atomic_write, as do the CLI's eval records, probe
 CSVs, contact maps, split TSVs and vocab.txt, so an interrupted write
@@ -133,48 +133,6 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
     return config_text, entries
 
 
-def split_entries(entries: dict[str, np.ndarray]):
-    """Separate model parameters from reserved training-state entries."""
-    params = {k: v for k, v in entries.items() if not k.startswith(OPT_PREFIX)}
-    state = {k: v for k, v in entries.items() if k.startswith(OPT_PREFIX)}
-    return params, state
-
-
-def validate_shapes(expected: dict[str, tuple], got: dict[str, np.ndarray], path) -> None:
-    """Check the loaded parameter set against config-derived expectations."""
-    missing = [k for k in expected if k not in got]
-    extra = [k for k in got if k not in expected]
-    if missing or extra:
-        raise FormatError(
-            f"{path}: parameter set mismatch; missing {missing or 'none'}, "
-            f"unexpected {extra or 'none'}"
-        )
-    for name, shape in expected.items():
-        if got[name].shape != tuple(shape):
-            raise ShapeError(
-                f"{path}: parameter {name} has shape {got[name].shape}, "
-                f"config expects {tuple(shape)}"
-            )
-
-
-def resume_step(path, state: dict[str, np.ndarray], model) -> int:
-    """The step at which a run resumes from path's training state, once Adam
-    can continue it: opt.step is a 0-d whole number >= 0, and each opt.m. or
-    opt.v. moment of a parameter has its partner, both of the parameter's shape."""
-    step = state.get("opt.step", np.asarray(0.0))
-    if step.shape != () or not (float(step).is_integer() and step >= 0):
-        raise FormatError(f"{path}: opt.step must be a whole number >= 0, got {step.tolist()}")
-    for name, p in model.parameters().items():
-        pair = (f"opt.m.{name}", f"opt.v.{name}")
-        for key, partner in (pair, pair[::-1]):
-            if key in state and partner not in state:
-                raise FormatError(f"{path}: {key} has no {partner} partner")
-            if key in state and state[key].shape != p.shape:
-                raise FormatError(f"{path}: {key} has shape {state[key].shape}, "
-                                  f"parameter {name} has {p.shape}")
-    return int(step)
-
-
 def save_model(path, model, run_config, optimizer=None) -> None:
     """Serialise model parameters (and optionally training state)."""
     entries: dict[str, np.ndarray] = {
@@ -186,10 +144,13 @@ def save_model(path, model, run_config, optimizer=None) -> None:
 
 
 def load_model(path):
-    """Rebuild a ProteinEncoder from a checkpoint.
+    """Rebuild a ProteinEncoder from a checkpoint: the one gate of a checkpoint.
 
-    Returns (model, run_config, training-state entries). Parameter names
-    and shapes are validated against the stored config before assignment.
+    Returns (model, run_config, "opt." training-state entries). The
+    parameter names and shapes must be those of the stored config's model,
+    and the training state one Adam can continue: opt.step a 0-d whole
+    number >= 0, and each opt.m. or opt.v. moment of a parameter has its
+    partner, both of the parameter's shape.
     """
     from .config import build_config
     from .model import ModelConfig, ProteinEncoder
@@ -197,9 +158,27 @@ def load_model(path):
     config_text, entries = load_checkpoint(path)
     run_config = build_config(base_text=config_text)
     model = ProteinEncoder(ModelConfig.from_run_config(run_config), seed=run_config.seed)
-    params, state = split_entries(entries)
-    expected = {name: p.shape for name, p in model.parameters().items()}
-    validate_shapes(expected, params, path)
-    for name, p in model.parameters().items():
-        p.data = params[name].copy()
+    params = model.parameters()
+    state = {k: v for k, v in entries.items() if k.startswith(OPT_PREFIX)}
+    missing = [k for k in params if k not in entries]
+    extra = [k for k in entries if k not in params and k not in state]
+    if missing or extra:
+        raise FormatError(f"{path}: parameter set mismatch; missing {missing or 'none'}, "
+                          f"unexpected {extra or 'none'}")
+    for name, p in params.items():
+        if entries[name].shape != p.shape:
+            raise ShapeError(f"{path}: parameter {name} has shape {entries[name].shape}, "
+                             f"config expects {p.shape}")
+        p.data = entries[name]  # load_checkpoint's own copy
+    step = state.get("opt.step", np.asarray(0.0))
+    if step.shape != () or not (float(step).is_integer() and step >= 0):
+        raise FormatError(f"{path}: opt.step must be a whole number >= 0, got {step.tolist()}")
+    for name, p in params.items():
+        pair = (f"opt.m.{name}", f"opt.v.{name}")
+        for key, partner in (pair, pair[::-1]):
+            if key in state and partner not in state:
+                raise FormatError(f"{path}: {key} has no {partner} partner")
+            if key in state and state[key].shape != p.shape:
+                raise FormatError(f"{path}: {key} has shape {state[key].shape}, "
+                                  f"parameter {name} has {p.shape}")
     return model, run_config, state

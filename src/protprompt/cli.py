@@ -241,7 +241,7 @@ def _train(model, cfg: RunConfig, out_dir: Path, final_name: str, mlm, tasks: di
 
 def cmd_pretrain(args) -> int:
     cfg, model, state = _load_config(args, ("fasta", "ppi", "steps", "seed"), args.resume)
-    start_step = ckpt.resume_step(args.resume, state, model) if args.resume else 0
+    start_step = int(state.get("opt.step", 0))
     if start_step > cfg.steps:
         raise ConfigError(f"--resume {args.resume} is at step {start_step}, "
                           f"past steps={cfg.steps}")
@@ -265,18 +265,17 @@ def cmd_pretrain(args) -> int:
         p.requires_grad = p in trained
 
     # the output directory stays out of the config, so it leaves no trace in
-    # the checkpoints
-    out_dir = Path(args.out_dir or (Path(args.resume).parent if args.resume else "run"))
-    if not args.resume or out_dir.resolve() != Path(args.resume).parent.resolve():
+    # the checkpoints; a resume's home is its checkpoint's directory, whose
+    # log the checkpoint never runs ahead of
+    home = Path(args.resume).parent if args.resume else Path("run")
+    out_dir = Path(args.out_dir or home)
+    if not args.resume or out_dir.resolve() != home.resolve():
         _check_unused(out_dir, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     T.write_vocab(out_dir / "vocab.txt")
-    # a resumed run keeps the steps before its checkpoint from its own log,
-    # else from the checkpoint directory's (a run resumed into a new one)
-    resumed = (out_dir, Path(args.resume).parent) if args.resume else ()
-    sources = [d / "metrics.csv" for d in resumed]
+    log = home / "metrics.csv"
     final = _train(model, cfg, out_dir, "final.bin", lambda step: _mlm_batch(corpus, cfg, step),
-                   tasks, state, next((p for p in sources if p.exists()), None))
+                   tasks, state, log if args.resume and log.exists() else None)
     print(f"pretrain complete: {cfg.steps} steps, checkpoint {final}")
     return 0
 

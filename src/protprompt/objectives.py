@@ -101,11 +101,23 @@ class Adam:
             g = grads.get(name)
             if g is None:
                 g = np.zeros_like(p.data)
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
-            mhat = self.m[name] / b1c
-            vhat = self.v[name] / b2c
-            p.data -= rate * mhat / (np.sqrt(vhat) + self.eps)
+            # in place, the same IEEE operations in the same order as
+            # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+            # p -= rate*(m/b1c) / (sqrt(v/b2c) + eps), built in two arrays
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            den = g * g
+            den *= 1.0 - self.beta2
+            v *= self.beta2
+            v += den
+            np.divide(v, b2c, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            step = m / b1c
+            step *= rate
+            step /= den
+            p.data -= step
 
     def state_entries(self) -> dict[str, np.ndarray]:
         """Training state in checkpoint form (reserved "opt." prefix)."""

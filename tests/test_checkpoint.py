@@ -82,23 +82,6 @@ def test_impossible_zero_size_dims_are_a_format_error(tmp_path):
         C.load_checkpoint(path)
 
 
-def test_split_entries_reserved_prefix():
-    params, state = C.split_entries(
-        {"w": np.zeros(2), "opt.step": np.asarray(4.0), "opt.m.w": np.zeros(2)}
-    )
-    assert list(params) == ["w"]
-    assert set(state) == {"opt.step", "opt.m.w"}
-
-
-def test_validate_shapes_messages():
-    with pytest.raises(FormatError, match="missing"):
-        C.validate_shapes({"a": (2,)}, {}, "p")
-    with pytest.raises(FormatError, match="unexpected"):
-        C.validate_shapes({}, {"b": np.zeros(2)}, "p")
-    with pytest.raises(ShapeError, match=r"\(3,\)"):
-        C.validate_shapes({"a": (2,)}, {"a": np.zeros(3)}, "p")
-
-
 def _tiny_model(seed=0):
     rc = RunConfig(d=16, layers=1, heads=2, max_len=8, prompts="Seq,IC", seed=seed)
     return ProteinEncoder(ModelConfig.from_run_config(rc), seed=seed), rc
@@ -133,13 +116,49 @@ def test_model_round_trip_with_optimizer_state(tmp_path):
         assert np.array_equal(opt2.v[name], opt.v[name])
 
 
+def test_load_model_returns_the_reserved_prefix_as_state(tmp_path):
+    model, rc = _tiny_model(seed=4)
+    entries = {n: p.data for n, p in model.parameters().items()}
+    moments = {"opt.m.embed.tok": np.ones((25, 16)), "opt.v.embed.tok": np.ones((25, 16))}
+    path = tmp_path / "m.bin"
+    C.save_checkpoint(path, rc.to_text(), {**entries, "opt.step": np.asarray(4.0), **moments})
+    back, _, state = C.load_model(path)
+    assert list(back.parameters()) == list(entries)
+    assert list(state) == ["opt.step", *moments]
+
+
+PARAMETER_SET_ERRORS = {
+    # case: (entry, its new value or None to delete it, the error's message)
+    "extra": ("b", np.zeros(2),
+              r"m.bin: parameter set mismatch; missing none, unexpected \['b'\]"),
+    "missing": ("head.mlm.b", None,
+                r"m.bin: parameter set mismatch; missing \['head.mlm.b'\], unexpected none"),
+}
+
+
+@pytest.mark.parametrize("case", PARAMETER_SET_ERRORS)
+def test_load_model_parameter_set_messages(tmp_path, case):
+    entry, value, message = PARAMETER_SET_ERRORS[case]
+    model, rc = _tiny_model(seed=3)
+    entries = {n: p.data for n, p in model.parameters().items()}
+    if value is None:
+        del entries[entry]
+    else:
+        entries[entry] = value
+    path = tmp_path / "m.bin"
+    C.save_checkpoint(path, rc.to_text(), entries)
+    with pytest.raises(FormatError, match=message):
+        C.load_model(path)
+
+
 def test_load_model_rejects_shape_drift(tmp_path):
     model, rc = _tiny_model(seed=7)
     entries = {n: p.data for n, p in model.parameters().items()}
     entries["embed.tok"] = np.zeros((3, 3))
     path = tmp_path / "drift.bin"
     C.save_checkpoint(path, rc.to_text(), entries)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"drift.bin: parameter embed.tok has shape \(3, 3\), "
+                                         r"config expects \(25, 16\)"):
         C.load_model(path)
 
 

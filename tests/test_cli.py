@@ -262,6 +262,24 @@ def test_resume_into_a_new_directory_keeps_the_whole_log(ws, tmp_path):
     assert [r[0] for r in _metric_rows(second)] == ["0", "1", "2", "3", "4", "5"]
 
 
+def test_resume_takes_its_rows_from_the_log_beside_its_checkpoint(ws, tmp_path):
+    # --out-dir holds an earlier try of the same run, cut after its step-2
+    # row; the checkpoint's own log, which never runs behind it, gives row 3
+    common = ["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
+              "--seed", "7", *BASE_SETS]
+    first, second, straight = tmp_path / "first", tmp_path / "second", tmp_path / "straight"
+    assert main([*common, "--steps", "4", "--out-dir", str(first)]) == 0
+    assert main([*common, "--steps", "6", "--out-dir", str(straight)]) == 0
+    second.mkdir()
+    log = (straight / "metrics.csv").read_text()
+    (second / "metrics.csv").write_text(log[:log.index("\n3,") + 1])
+    assert main([*common, "--steps", "6", "--out-dir", str(second),
+                 "--resume", str(first / "ckpt_step4.bin")]) == 0
+    assert (second / "final.bin").read_bytes() == (straight / "final.bin").read_bytes()
+    assert [r[0] for r in _metric_rows(second)] == ["0", "1", "2", "3", "4", "5"]
+    assert _log_lines(second) == _log_lines(straight)
+
+
 def test_resume_mid_interval_logs_each_step_once(ws, tmp_path):
     out = tmp_path / "mid"
     common = ["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
@@ -1304,10 +1322,8 @@ BAD_OPTIMIZER_STATES = {
 }
 
 
-@pytest.mark.parametrize("case", BAD_OPTIMIZER_STATES)
-def test_resume_rejects_a_bad_optimizer_state(ws, tmp_path, capsys, case):
-    # Adam could not continue the state: the resume refuses it before the
-    # vocabulary or the log of the checkpoint's own directory is rewritten
+def _bad_optimizer_state(ws, tmp_path, case) -> Path:
+    """A copy of ws's run whose ckpt_step2.bin carries the case's state."""
     entry, value = BAD_OPTIMIZER_STATES[case]
     run = tmp_path / "run"
     shutil.copytree(ws["out"], run)
@@ -1317,14 +1333,45 @@ def test_resume_rejects_a_bad_optimizer_state(ws, tmp_path, capsys, case):
     else:
         entries[entry] = value
     ckpt.save_checkpoint(run / "ckpt_step2.bin", text, entries)
+    return run
+
+
+def _refused_state(capsys, run, entry) -> None:
+    """The refusal names the checkpoint and entry, and nothing is printed."""
+    captured = capsys.readouterr()
+    err = captured.err
+    assert err.startswith(f"data error: {run / 'ckpt_step2.bin'}: ") and entry in err, err
+    assert "Traceback" not in err and not captured.out
+
+
+@pytest.mark.parametrize("case", BAD_OPTIMIZER_STATES)
+def test_resume_rejects_a_bad_optimizer_state(ws, tmp_path, capsys, case):
+    # Adam could not continue the state: the resume refuses it before the
+    # vocabulary or the log of the checkpoint's own directory is rewritten
+    run = _bad_optimizer_state(ws, tmp_path, case)
     before = {p.name: p.read_bytes() for p in run.iterdir()}
     rc = main(["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
                "--steps", "4", "--resume", str(run / "ckpt_step2.bin")])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"data error: {run / 'ckpt_step2.bin'}: ") and entry in err, err
-    assert "Traceback" not in err
+    _refused_state(capsys, run, BAD_OPTIMIZER_STATES[case][0])
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+@pytest.mark.parametrize("case", BAD_OPTIMIZER_STATES)
+@pytest.mark.parametrize("command", ["inject", "eval"])
+def test_every_checkpoint_reader_rejects_a_bad_optimizer_state(ws, tmp_path, capsys, command,
+                                                               case):
+    # load_model is the checkpoint's one gate, so inject and eval refuse the
+    # state a resume refuses, and write nothing
+    run = _bad_optimizer_state(ws, tmp_path, case)
+    out = tmp_path / "out"
+    data = ["--task", "ppi", "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"])]
+    argv = {"inject": ["inject", "--prompt", "PPI", *data, "--out", str(out)],
+            "eval": ["eval", *data, "--out", str(out)]}[command]
+    rc = main([*argv, "--checkpoint", str(run / "ckpt_step2.bin")])
+    assert rc == 1
+    _refused_state(capsys, run, BAD_OPTIMIZER_STATES[case][0])
+    assert not out.exists()
 
 
 # run by the SIGKILL tests: a CLI that SIGKILLs its own process on the

@@ -234,10 +234,10 @@ def test_train_step_sweeps_backward_once_per_source(monkeypatch):
 
 def test_a_step_holds_one_sources_tape_at_a_time():
     # each source's tape and loss node die before the next source's forward,
-    # so a two-source step peaks no higher than its larger source alone; at
-    # this shape Adam's temporaries set the whole step's peak, so the peak
-    # is also taken as Adam is called, where a loss node kept bound through
-    # the next source's forward shows (1.22x against 1.01x)
+    # so a two-source step peaks no higher than its larger source alone; the
+    # peak is taken over the whole step and as Adam is called, where a loss
+    # node kept bound through the next source's forward shows (1.22x against
+    # 1.01x); with Adam in place, the sweeps set both
     model, mlm, ppi = _fixture(seed=9, d=32, layers=2, heads=4)
     opt = O.Adam(model.parameters(), lr=1e-3)
     step, swept, whole = opt.step, {}, {}
@@ -558,6 +558,41 @@ def test_adam_zero_gradient_leaves_parameter_bitwise():
         opt.step({"q": np.array([1.0])})  # p absent -> zero gradient
     assert np.array_equal(p.data, before)
     assert not np.array_equal(q.data, np.array([4.0]))
+
+
+def test_adam_in_place_step_matches_the_textbook_update_bitwise():
+    rng = np.random.default_rng(11)
+    p = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    opt = O.Adam({"p": p}, lr=0.01, warmup_updates=2)
+    want, m, v = p.data.copy(), np.zeros((4, 3)), np.zeros((4, 3))
+    for t in range(1, 6):
+        g = rng.normal(size=(4, 3))
+        opt.step({"p": g})
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * (g * g)
+        rate = 0.01 * t / 2 if t <= 2 else 0.01
+        want -= rate * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+        assert np.array_equal(p.data, want) and np.array_equal(opt.m["p"], m)
+        assert np.array_equal(opt.v["p"], v)
+
+
+def test_adam_step_peaks_below_two_and_a_half_of_its_largest_parameter():
+    # m, v and the parameter are updated in place and the step is built in
+    # two arrays; fresh arrays per update peaked at 5.0x here
+    model = ProteinEncoder(ModelConfig.from_run_config(build_config()), seed=0)
+    params = model.parameters()
+    rng = np.random.default_rng(0)
+    grads = {n: rng.normal(size=p.shape) for n, p in params.items()}
+    tracemalloc.start()
+    try:
+        opt = O.Adam(params, lr=1e-3)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        opt.step(grads)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * max(p.data.nbytes for p in params.values()), peak
 
 
 def test_adam_linear_warmup():
