@@ -10,7 +10,11 @@ with a cutoff that flags some residues of each sequence but not all;
 `build-contacts` on three small PDB chains (one residue without CB or CA,
 so the report holds a skip line) and `eval --task contact --out` on their
 maps with the injected checkpoint. Each output file is hashed
-with SHA-256, `metrics.csv` with its `ms` column blanked. Beside the files
+with SHA-256, `metrics.csv` with its `ms` column blanked. What the training
+runs computed is also hashed apart from their config text, which a config
+key's retirement rewrites: each training checkpoint's entries (names,
+shapes and payloads) under `entries/`, and each `metrics.csv`'s step rows,
+`ms` blanked, under `rows/`. Beside the files
 these are hashed: the `checkpoint.save_model` bytes of two freshly seeded
 models (2 layers and no prompts; 3 layers, three prompts, another d and
 max_len); the raw bytes of `contact_logits` from a seeded d=64 encoder at
@@ -47,7 +51,7 @@ import numpy as np
 
 from protprompt import numerics as nm
 from protprompt import tokenizer as T
-from protprompt.checkpoint import save_model
+from protprompt.checkpoint import load_checkpoint, save_model
 from protprompt.cli import main
 from protprompt.config import build_config
 from protprompt.model import ModelConfig, ProteinEncoder
@@ -108,6 +112,20 @@ def _masked_log(data: bytes) -> bytes:
         line.rsplit(",", 1)[0] + ",\n" if line.split(",", 1)[0].isdigit() else line
         for line in lines
     ).encode()
+
+
+def _step_rows(data: bytes) -> bytes:
+    """_masked_log(data)'s step rows, without the config header."""
+    return b"".join(line for line in _masked_log(data).splitlines(keepends=True)
+                    if line.split(b",", 1)[0].isdigit())
+
+
+def _entries_digest(path: Path) -> str:
+    """SHA-256 of a checkpoint's entries (names, shapes and payloads),
+    without its config text."""
+    _, entries = load_checkpoint(path)
+    return _sha(b"".join(name.encode() + repr(arr.shape).encode() + arr.tobytes()
+                         for name, arr in entries.items()))
 
 
 def _run(argv: list[str]) -> None:
@@ -240,7 +258,10 @@ def compute_digests(work: Path) -> dict[str, str]:
                             Path("contact.csv")]):
             data = path.read_bytes()
             if path.name == "metrics.csv":
+                digests[f"rows/{path.as_posix()}"] = _sha(_step_rows(data))
                 data = _masked_log(data)
+            elif path.suffix == ".bin":
+                digests[f"entries/{path.as_posix()}"] = _entries_digest(path)
             digests[path.as_posix()] = _sha(data)
         return digests
     finally:
