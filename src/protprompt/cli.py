@@ -91,9 +91,8 @@ def _mlm_batch(corpus, cfg: RunConfig, step: int) -> list[T.MlmBatch]:
     rng = _step_rng(cfg.seed, step, _RNG_MLM_PICK)
     size = min(cfg.batch_seqs, len(corpus))
     idx = rng.choice(len(corpus), size=size, replace=False)
-    probs = (cfg.mask_prob_mask, cfg.mask_prob_random, cfg.mask_prob_keep)
     return [T.apply_mlm_mask(corpus[int(i)], cfg.mask_rate,
-                             (cfg.seed, step, _RNG_MLM_MASK, int(i)), probs) for i in idx]
+                             (cfg.seed, step, _RNG_MLM_MASK, int(i))) for i in idx]
 
 
 def _ppi_batches(graph: D.PPIGraph, encoded, cfg: RunConfig, width: int):
@@ -169,11 +168,20 @@ def _log_row(report: O.LossReport, tasks: tuple[str, ...]) -> str:
     return ",".join(cells) + "\n"
 
 
-def _rows_before(log_path: Path, start_step: int) -> bytes:
+def _rows_before(log_path: Path, stored: RunConfig, start_step: int) -> bytes:
     """The log's step rows before start_step, whole rows only (a kill can cut
-    the last); a resume replays those."""
+    the last); a config error unless its header, read by the gate, is stored."""
+    lines = log_path.read_bytes().splitlines(keepends=True)
+    header = b"".join(line[2:] for line in lines[1:] if line.startswith(b"# "))
+    try:
+        theirs = build_config(base_text=header.decode())
+    except (ConfigError, UnicodeDecodeError):
+        theirs = None
+    if theirs != stored:
+        raise ConfigError(f"{log_path}: its header records another config than the checkpoint "
+                          "stores, so its rows are another run's")
     rows = []
-    for line in log_path.read_bytes().splitlines(keepends=True):
+    for line in lines:
         cell = line.split(b",", 1)[0]
         if line.endswith(b"\n") and cell.isdigit() and int(cell) < start_step:
             rows.append(line)
@@ -200,24 +208,19 @@ def _check_unused(out_dir: Path, cfg: RunConfig) -> None:
 
 
 def _train(model, cfg: RunConfig, out_dir: Path, final_name: str, mlm, tasks: dict,
-           state: dict, log_source: Path | None = None) -> Path:
+           state: dict, rows: bytes = b"") -> Path:
     """Train the parameters that require a gradient, Adam resumed from state:
     run steps opt.step..cfg.steps-1, each O.train_step on mlm(step) (None
     without mlm) and each task's build(step) of tasks = {name: build}, and
     return out_dir/final_name. metrics.csv starts atomically with cfg's header
-    and log_source's rows before opt.step; every checkpoint_every steps a
+    and rows, the earlier steps' rows; every checkpoint_every steps a
     rolling checkpoint is saved and all but the newest keep_last are pruned."""
-    optimizer = O.Adam({n: p for n, p in model.parameters().items() if p.requires_grad},
-                       lr=cfg.lr, betas=(cfg.beta1, cfg.beta2), eps=cfg.adam_eps,
-                       warmup_updates=cfg.warmup_updates)
+    optimizer = O.Adam({n: p for n, p in model.parameters().items() if p.requires_grad}, cfg.lr)
     optimizer.load_state_entries(state)
     log_path = out_dir / "metrics.csv"
     names = tuple(tasks)
-    start = _log_header(cfg, names).encode()
-    if log_source is not None:
-        start += _rows_before(log_source, optimizer.t)
     with ckpt.atomic_write(log_path, "wb") as fh:
-        fh.write(start)
+        fh.write(_log_header(cfg, names).encode() + rows)
     with open(log_path, "a") as log:
         for step in range(optimizer.t, cfg.steps):
             report = O.train_step(model, optimizer, mlm(step) if mlm else None,
@@ -240,7 +243,7 @@ def _train(model, cfg: RunConfig, out_dir: Path, final_name: str, mlm, tasks: di
 
 
 def cmd_pretrain(args) -> int:
-    cfg, model, state = _load_config(args, ("fasta", "ppi", "steps", "seed"), args.resume)
+    cfg, model, state, stored = _load_config(args, ("fasta", "ppi", "steps", "seed"), args.resume)
     start_step = int(state.get("opt.step", 0))
     if start_step > cfg.steps:
         raise ConfigError(f"--resume {args.resume} is at step {start_step}, "
@@ -266,16 +269,17 @@ def cmd_pretrain(args) -> int:
 
     # the output directory stays out of the config, so it leaves no trace in
     # the checkpoints; a resume's home is its checkpoint's directory, whose
-    # log the checkpoint never runs ahead of
+    # log the checkpoint never runs ahead of, if that log is its run's
     home = Path(args.resume).parent if args.resume else Path("run")
     out_dir = Path(args.out_dir or home)
     if not args.resume or out_dir.resolve() != home.resolve():
         _check_unused(out_dir, cfg)
+    log = home / "metrics.csv"
+    rows = _rows_before(log, stored, start_step) if args.resume and log.exists() else b""
     out_dir.mkdir(parents=True, exist_ok=True)
     T.write_vocab(out_dir / "vocab.txt")
-    log = home / "metrics.csv"
     final = _train(model, cfg, out_dir, "final.bin", lambda step: _mlm_batch(corpus, cfg, step),
-                   tasks, state, log if args.resume and log.exists() else None)
+                   tasks, state, rows)
     print(f"pretrain complete: {cfg.steps} steps, checkpoint {final}")
     return 0
 
@@ -288,7 +292,7 @@ def cmd_inject(args) -> int:
     outside the trained set require no gradient and get no opt.* entries,
     so they stay bitwise identical to the base checkpoint.
     """
-    cfg, model, _ = _load_config(args, ("steps", "lr", "seed"), args.checkpoint)
+    cfg, model, _, _ = _load_config(args, ("steps", "lr", "seed"), args.checkpoint)
     prompt_name = args.prompt
     # a name the prompts key cannot list back (empty, or holding a comma)
     if not prompt_name.replace("_", "").isalnum():
@@ -319,7 +323,7 @@ def cmd_inject(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg, model, _ = _load_config(args, (), args.checkpoint)
+    cfg, model, _, _ = _load_config(args, (), args.checkpoint)
     if args.prompts is None:
         prompt_sel = tuple(model.prompts)
     elif args.prompts == "":
@@ -430,7 +434,7 @@ _EVAL_TASKS = {"ppi": _eval_ppi, "contact": _eval_contact, "ss": _eval_ss,
 
 
 def cmd_build_contacts(args) -> int:
-    cfg, _, _ = _load_config(args, ("contact_threshold",))
+    cfg, _, _, _ = _load_config(args, ("contact_threshold",))
     pdb_dir = Path(args.pdb_dir)
     if not pdb_dir.is_dir():
         raise DataError(f"{pdb_dir}: no such directory")
@@ -484,7 +488,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    cfg, model, _ = _load_config(args, ("probe_cutoff",), args.checkpoint)
+    cfg, model, _, _ = _load_config(args, ("probe_cutoff",), args.checkpoint)
     # the FASTA and the prompt are checked and every record is probed
     # before the first CSV, so a bad input leaves no output
     encoded = _encode_table(D.parse_fasta(args.fasta), cfg.max_len)
@@ -530,16 +534,16 @@ def _checked_prompts(model, names: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def _load_config(args, keys: tuple[str, ...], checkpoint=None):
-    """(cfg, model, state) from the checkpoint's stored config, if one is
-    given, then --config, --set and the flags named in keys. Without a
-    checkpoint, model is None and state is empty."""
+    """(cfg, model, state, stored): cfg from the checkpoint's stored config,
+    if one is given, then --config, --set and the flags named in keys.
+    Without a checkpoint, model and stored are None and state is empty."""
     model, stored, state = ckpt.load_model(checkpoint) if checkpoint else (None, None, {})
     overrides = _flag_overrides(args, keys)
     base_text = stored.to_text() if stored is not None else None
     cfg = build_config(args.config, overrides, base_text=base_text)
     if stored is not None:
         check_structural(cfg, stored)
-    return cfg, model, state
+    return cfg, model, state, stored
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

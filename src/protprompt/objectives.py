@@ -65,57 +65,43 @@ def frozen_prompts(prompts: tuple[str, ...], source: str, routing: bool) -> froz
     return frozenset(n for n in prompts if (n == "Seq") != (source == CONSERVE))
 
 
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    """Adam with bias correction; beta 0.9/0.999, eps 1e-8, no weight decay.
+    """Adam with bias correction at a constant rate lr; beta 0.9/0.999, eps
+    1e-8 (Kingma & Ba 2015), no weight decay."""
 
-    warmup_updates > 0 scales the rate linearly from lr/warmup to lr over
-    the first warmup steps, constant afterwards.
-    """
-
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float = 1e-5,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        warmup_updates: int = 0,
-    ):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-5):
         self.params = dict(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.warmup_updates = warmup_updates
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        if self.warmup_updates > 0 and self.t <= self.warmup_updates:
-            rate = self.lr * self.t / self.warmup_updates
-        else:
-            rate = self.lr
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - BETA1**self.t
+        b2c = 1.0 - BETA2**self.t
         for name, p in self.params.items():
             g = grads.get(name)
             if g is None:
                 g = np.zeros_like(p.data)
             # in place, the same IEEE operations in the same order as
             # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-            # p -= rate*(m/b1c) / (sqrt(v/b2c) + eps), built in two arrays
+            # p -= lr*(m/b1c) / (sqrt(v/b2c) + eps), built in two arrays
             m, v = self.m[name], self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m *= BETA1
+            m += (1.0 - BETA1) * g
             den = g * g
-            den *= 1.0 - self.beta2
-            v *= self.beta2
+            den *= 1.0 - BETA2
+            v *= BETA2
             v += den
             np.divide(v, b2c, out=den)
             np.sqrt(den, out=den)
-            den += self.eps
+            den += ADAM_EPS
             step = m / b1c
-            step *= rate
+            step *= self.lr
             step /= den
             p.data -= step
 
@@ -128,13 +114,15 @@ class Adam:
         return entries
 
     def load_state_entries(self, entries: dict[str, np.ndarray]) -> None:
+        """Continue from a checkpoint's training state, taking each moment
+        array as it is (step updates it in place), not a copy of it."""
         if "opt.step" in entries:
             self.t = int(entries["opt.step"])
         for name in self.params:
             if f"opt.m.{name}" in entries:
-                self.m[name] = entries[f"opt.m.{name}"].copy()
+                self.m[name] = entries[f"opt.m.{name}"]
             if f"opt.v.{name}" in entries:
-                self.v[name] = entries[f"opt.v.{name}"].copy()
+                self.v[name] = entries[f"opt.v.{name}"]
 
 
 @dataclass

@@ -9,8 +9,9 @@ The vocabulary has exactly 25 symbols with fixed contiguous ids:
 encode folds ASCII case only: a non-ASCII letter is never a residue, even
 one that str.upper maps to an ASCII letter.
 
-Corruption uses numpy's default PCG64 generator seeded per call. The draw
-order is fixed and part of the format: one uniform per residue position for
+Training corrupts with BERT's fixed 80/10/10 split (Devlin et al. 2019)
+and numpy's default PCG64 generator seeded per call. The draw order is
+fixed and part of the format: one uniform per residue position for
 selection, then one uniform per selected position for the policy choice,
 then one integer draw per position that needs a random replacement residue.
 """

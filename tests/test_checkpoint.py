@@ -116,6 +116,22 @@ def test_model_round_trip_with_optimizer_state(tmp_path):
         assert np.array_equal(opt2.v[name], opt.v[name])
 
 
+def test_resumed_optimizer_holds_the_states_moment_arrays(tmp_path):
+    # load_checkpoint made the moments fresh and a resumed run keeps the
+    # state alive, so a copy would hold every moment twice
+    model, rc = _tiny_model(seed=6)
+    opt = Adam(model.parameters(), lr=1e-3)
+    opt.step({n: np.full(p.shape, 0.5) for n, p in model.parameters().items()})
+    path = tmp_path / "m.bin"
+    C.save_model(path, model, rc, optimizer=opt)
+    back, _, state = C.load_model(path)
+    opt2 = Adam(back.parameters(), lr=1e-3)
+    opt2.load_state_entries(state)
+    for name in back.parameters():
+        assert opt2.m[name] is state[f"opt.m.{name}"]
+        assert opt2.v[name] is state[f"opt.v.{name}"]
+
+
 def test_load_model_returns_the_reserved_prefix_as_state(tmp_path):
     model, rc = _tiny_model(seed=4)
     entries = {n: p.data for n, p in model.parameters().items()}

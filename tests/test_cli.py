@@ -280,6 +280,42 @@ def test_resume_takes_its_rows_from_the_log_beside_its_checkpoint(ws, tmp_path):
     assert _log_lines(second) == _log_lines(straight)
 
 
+def test_resume_refuses_a_log_that_another_run_wrote(ws, tmp_path, capsys):
+    # A's checkpoint copied beside C's log: C's rows are not A's run, so the
+    # resume stops before it writes anything rather than replay them
+    common = ["pretrain", "--fasta", str(ws["fasta"]), "--steps", "4", *BASE_SETS]
+    a, c, d = tmp_path / "A", tmp_path / "C", tmp_path / "D"
+    assert main([*common, "--seed", "7", "--out-dir", str(a)]) == 0
+    assert main([*common, "--seed", "8", "--out-dir", str(c)]) == 0
+    shutil.copy(a / "ckpt_step2.bin", c / "ckpt_a2.bin")
+    before = {p.name: p.read_bytes() for p in c.iterdir()}
+    capsys.readouterr()
+    assert main([*common, "--seed", "7", "--out-dir", str(d),
+                 "--resume", str(c / "ckpt_a2.bin")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {c / 'metrics.csv'}: ") and "Traceback" not in err
+    assert not d.exists() and {p.name: p.read_bytes() for p in c.iterdir()} == before
+
+
+def test_resume_reads_a_log_whose_header_names_retired_keys(ws, tmp_path):
+    # a run started before beta1 was retired stored beta1=0.9 in its
+    # checkpoints and its log header; read back, both drop it and agree
+    run, out = tmp_path / "run", tmp_path / "out"
+    shutil.copytree(ws["out"], run)
+    text, entries = ckpt.load_checkpoint(run / "ckpt_step2.bin")
+    ckpt.save_checkpoint(run / "ckpt_step2.bin",
+                         "".join(sorted([*text.splitlines(True), "beta1=0.9\n"])), entries)
+    lines = (run / "metrics.csv").read_text().splitlines(True)
+    header = [i for i, line in enumerate(lines) if line.startswith("# ")][1:]
+    lines[header[0]:header[-1] + 1] = sorted([*lines[header[0]:header[-1] + 1], "# beta1=0.9\n"])
+    (run / "metrics.csv").write_text("".join(lines))
+    assert main(["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
+                 "--steps", "4", "--out-dir", str(out),
+                 "--resume", str(run / "ckpt_step2.bin")]) == 0
+    assert (out / "final.bin").read_bytes() == ws["final"].read_bytes()
+    assert _log_lines(out) == _log_lines(ws["out"])
+
+
 def test_resume_mid_interval_logs_each_step_once(ws, tmp_path):
     out = tmp_path / "mid"
     common = ["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
@@ -1224,9 +1260,10 @@ def test_bad_seed_batch_size_or_beta_exits_2_before_any_output(ws, tmp_path, cap
         "pretrain-seed": ([*pretrain, "--seed", "-1"], "seed"),
         "split-seed": (["split", "--ppi", str(tsv), "--mode", "bfs", "--fraction", "0.5",
                         "--seed", "-1", "--out-prefix", str(tmp_path / "out" / "s")], "seed"),
+        # Adam's betas are constants: no value may be set, not even 0.9
         "beta1": (["eval", "--checkpoint", str(ws["final"]), "--task", "ppi", "--data",
-                   str(ws["pairs"]), "--fasta", str(ws["fasta"]), "--set", "beta1=1.0",
-                   "--out", str(tmp_path / "eval.csv")], "beta1"),
+                   str(ws["pairs"]), "--fasta", str(ws["fasta"]), "--set", "beta1=0.9",
+                   "--out", str(tmp_path / "eval.csv")], "unknown config key 'beta1'"),
         # ckpt_step4.bin holds step 4, two past --steps
         "resume-past-steps": ([*pretrain, "--resume", str(ws["out"] / "ckpt_step4.bin")],
                               "at step 4, past steps=2"),
@@ -1239,15 +1276,7 @@ def test_bad_seed_batch_size_or_beta_exits_2_before_any_output(ws, tmp_path, cap
 
 
 # one row per RunConfig.validate rule, each breaking it through the config
-# keys it names; the negative-probability rows sum to 1
-NEGATIVE_PROBS = {
-    "mask-negative": {"mask_prob_mask": "-0.1", "mask_prob_random": "1.0",
-                      "mask_prob_keep": "0.1"},
-    "random-negative": {"mask_prob_mask": "1.0", "mask_prob_random": "-0.1",
-                        "mask_prob_keep": "0.1"},
-    "keep-negative": {"mask_prob_mask": "1.0", "mask_prob_random": "0.1",
-                      "mask_prob_keep": "-0.1"},
-}
+# keys it names
 GATE_TABLE = {
     "d": {"d": "0"}, "layers": {"layers": "0"}, "heads": {"heads": "0"},
     "indivisible": {"heads": "3"}, "max_len": {"max_len": "1"},
@@ -1255,10 +1284,7 @@ GATE_TABLE = {
     "lambda": {"lambda": "-1"}, "alpha_ppi": {"alpha_ppi": "-0.5"},
     "mlm_reduction": {"mlm_reduction": "max"},
     "mask_rate-0": {"mask_rate": "0"}, "mask_rate-1": {"mask_rate": "1"},
-    "probs-sum": {"mask_prob_mask": "0.5"}, **NEGATIVE_PROBS,
-    "lr": {"lr": "0"}, "adam_eps": {"adam_eps": "0"}, "beta1": {"beta1": "1.0"},
-    "beta1-negative": {"beta1": "-0.1"}, "beta2": {"beta2": "1.0"},
-    "warmup_updates": {"warmup_updates": "-1"}, "steps": {"steps": "-1"},
+    "lr": {"lr": "0"}, "steps": {"steps": "-1"},
     "checkpoint_every": {"checkpoint_every": "0"}, "keep_last": {"keep_last": "0"},
     "batch_seqs": {"batch_seqs": "0"}, "batch_pairs": {"batch_pairs": "0"},
     "seed": {"seed": "-1"}, "contact_threshold": {"contact_threshold": "0"},
@@ -1298,16 +1324,16 @@ def test_every_config_rule_exits_2_before_any_output(ws, tmp_path, capsys, case)
 
 def test_resume_with_a_negative_probability_leaves_its_directory_alone(ws, tmp_path, capsys):
     # a resume writes into its checkpoint's directory by default; the gate
-    # refuses the config before the log is restarted
+    # refuses the config (a negative mask_rate) before the log is restarted
     run = tmp_path / "run"
     shutil.copytree(ws["out"], run)
     before = {p.name: p.read_bytes() for p in run.iterdir()}
     rc = main(["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
                "--steps", "4", "--resume", str(run / "ckpt_step2.bin"),
-               *_gate_argv(NEGATIVE_PROBS["random-negative"])])
+               "--set", "mask_rate=-0.1"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: mask_prob_mask, mask_prob_random and mask_prob_keep")
+    assert err.startswith("config error: mask_rate must be in (0, 1), got -0.1")
     assert "Traceback" not in err
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
@@ -1505,10 +1531,11 @@ def test_non_utf8_input_is_a_data_error(ws, tmp_path, capsys, kind):
 def test_checkpoint_naming_retired_keys_still_loads(ws, tmp_path, capsys):
     # an older release stored alpha_contact, alpha_ss, alpha_regress and
     # weight_decay in every checkpoint, and none of them weighted any loss;
-    # mask_mode=additive named the attention the code still runs
+    # mask_mode=additive named the attention the code still runs, and
+    # RETIRED_DEFAULTS the constants Adam and the masking split run
     text, entries = ckpt.load_checkpoint(ws["final"])
     retired = ["alpha_contact=0.25", "alpha_regress=3.0", "alpha_ss=0.5", "weight_decay=0.0",
-               "mask_mode=additive"]
+               "mask_mode=additive", *(f"{k}={v}" for k, v in RETIRED_DEFAULTS.items())]
     old = tmp_path / "old.bin"
     ckpt.save_checkpoint(old, "\n".join(sorted(text.splitlines() + retired)) + "\n", entries)
     _, cfg, _ = ckpt.load_model(old)
@@ -1522,6 +1549,20 @@ def test_checkpoint_naming_retired_keys_still_loads(ws, tmp_path, capsys):
         return capsys.readouterr().out
 
     assert eval_ppi(old) == eval_ppi(ws["final"])
+    probes = [tmp_path / "probe-old", tmp_path / "probe-new"]
+    for path, probe in zip((old, ws["final"]), probes):
+        assert main(["probe", "--checkpoint", str(path), "--fasta", str(ws["fasta"]),
+                     "--prompt", "IC", "--out-dir", str(probe)]) == 0
+    assert [p.read_bytes() for p in sorted(probes[0].iterdir())] == \
+        [p.read_bytes() for p in sorted(probes[1].iterdir())]
+    new = tmp_path / "new" / "final.bin"
+    new.parent.mkdir()
+    shutil.copy(ws["final"], new)
+    resumed = [tmp_path / "resumed-old", tmp_path / "resumed-new"]
+    for path, out in zip((old, new), resumed):
+        assert main(["pretrain", "--resume", str(path), "--fasta", str(ws["fasta"]),
+                     "--ppi", str(ws["pairs"]), "--steps", "5", "--out-dir", str(out)]) == 0
+    assert (resumed[0] / "final.bin").read_bytes() == (resumed[1] / "final.bin").read_bytes()
     inj = tmp_path / "inj"
     rc = main(["inject", "--checkpoint", str(old), "--prompt", "PPI", "--task", "ppi",
                "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"]),
@@ -1535,27 +1576,51 @@ def test_checkpoint_naming_retired_keys_still_loads(ws, tmp_path, capsys):
     assert "unknown config key 'alpha_ss'" in capsys.readouterr().err
 
 
-def test_checkpoint_storing_literal_mask_mode_is_refused(ws, tmp_path, capsys):
-    # its weights were trained with prompt rows normalised over the input
-    # keys, which the one attention path no longer computes
+# the values Adam and the masking split run, as checkpoints stored them
+# while they were config keys
+RETIRED_DEFAULTS = {"beta1": "0.9", "beta2": "0.999", "adam_eps": "1e-08",
+                    "warmup_updates": "0", "mask_prob_mask": "0.8", "mask_prob_random": "0.1",
+                    "mask_prob_keep": "0.1"}
+
+
+def _stored_value_is_refused(ws, tmp_path, capsys, line: str, want: str) -> None:
+    """A copy of ws's final.bin whose stored config also holds line is
+    refused by eval, inject, probe and pretrain --resume with exit 2 and
+    want in the error, and nothing is written."""
     text, entries = ckpt.load_checkpoint(ws["final"])
-    old = tmp_path / "old" / "literal.bin"
+    old = tmp_path / "old" / "stored.bin"
     old.parent.mkdir()
-    ckpt.save_checkpoint(old, "\n".join(sorted(text.splitlines() + ["mask_mode=literal"]))
-                         + "\n", entries)
+    ckpt.save_checkpoint(old, "".join(sorted([*text.splitlines(True), line + "\n"])), entries)
     data = ["--data", str(ws["pairs"]), "--fasta", str(ws["fasta"])]
     out = tmp_path / "out"
     for argv in (["eval", "--checkpoint", str(old), "--task", "ppi", *data,
                   "--out", str(out / "eval.csv")],
                  ["inject", "--checkpoint", str(old), "--prompt", "PPI", "--task", "ppi",
                   *data, "--out", str(out), "--steps", "1"],
+                 ["probe", "--checkpoint", str(old), "--fasta", str(ws["fasta"]),
+                  "--prompt", "IC", "--out-dir", str(out)],
                  ["pretrain", "--resume", str(old), "--fasta", str(ws["fasta"]),
-                  "--out-dir", str(out), "--steps", "1"]):
+                  "--out-dir", str(out), "--steps", "5"]):
         assert main(argv) == 2, argv[0]
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "mask_mode" in err, err
+        assert err.startswith("config error: ") and want in err, err
         assert "Traceback" not in err
-        assert not out.exists() and os.listdir(old.parent) == ["literal.bin"], argv[0]
+        assert not out.exists() and os.listdir(old.parent) == ["stored.bin"], argv[0]
+
+
+@pytest.mark.parametrize("key", list(RETIRED_DEFAULTS))
+def test_checkpoint_storing_another_adam_or_masking_value_is_refused(ws, tmp_path, capsys,
+                                                                    key):
+    # its weights were trained with a value the code no longer runs
+    _stored_value_is_refused(ws, tmp_path, capsys, f"{key}=0.5",
+                             f"stored {key}=0.5 is no longer supported; only "
+                             f"{key}={RETIRED_DEFAULTS[key]} loads")
+
+
+def test_checkpoint_storing_literal_mask_mode_is_refused(ws, tmp_path, capsys):
+    # its weights were trained with prompt rows normalised over the input
+    # keys, which the one attention path no longer computes
+    _stored_value_is_refused(ws, tmp_path, capsys, "mask_mode=literal", "mask_mode")
 
 
 def test_split_cli_matches_library(tmp_path, capsys):

@@ -92,11 +92,9 @@ def test_bool_spellings():
 def test_validation_rejections():
     with pytest.raises(ConfigError, match="divisible"):
         RunConfig(d=30, heads=4)
-    with pytest.raises(ConfigError, match="sum to"):
-        RunConfig(mask_prob_mask=0.5, mask_prob_random=0.1, mask_prob_keep=0.1)
-    # a negative probability is refused even when the three sum to 1
-    with pytest.raises(ConfigError, match=">= 0"):
-        RunConfig(mask_prob_mask=1.0, mask_prob_random=-0.1, mask_prob_keep=0.1)
+    for rate in (0.0, 1.0, -0.1):
+        with pytest.raises(ConfigError, match="mask_rate"):
+            RunConfig(mask_rate=rate)
     with pytest.raises(ConfigError, match="duplicate prompt"):
         RunConfig(prompts="Seq,Seq")
     with pytest.raises(ConfigError):
@@ -107,22 +105,23 @@ def test_validation_rejections():
         RunConfig(mlm_reduction="max")
     with pytest.raises(ConfigError):
         RunConfig(max_len=1)
-    with pytest.raises(ConfigError):
-        RunConfig(lr=0.0)
-    for key, value in (("adam_eps", 0.0), ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0),
-                       ("seed", -1), ("batch_seqs", 0), ("batch_pairs", -2)):
+    for key, value in (("lr", 0.0), ("lr", -1e-5), ("seed", -1), ("batch_seqs", 0),
+                       ("batch_pairs", -2)):
         with pytest.raises(ConfigError, match=key):
             RunConfig(**{key: value})
     # the edges of each range are valid
-    RunConfig(beta1=0.0, beta2=0.0, adam_eps=1e-300, seed=0, batch_seqs=1, batch_pairs=1)
+    RunConfig(lr=1e-300, mask_rate=1e-12, seed=0, batch_seqs=1, batch_pairs=1)
     with pytest.raises(ConfigError, match="probe_cutoff"):
         RunConfig(probe_cutoff=-0.5)
-    with pytest.raises(ConfigError, match="unknown config key 'weight_decay'"):
-        build_config(overrides=parse_overrides(["weight_decay=0.01"]))
+    for key in ("weight_decay", "beta1", "mask_prob_keep"):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            build_config(overrides=parse_overrides([f"{key}=0.01"]))
 
 
 RETIRED = {"alpha_contact": "0.25", "alpha_regress": "3.0", "alpha_ss": "0.5",
-           "out_dir": "run", "weight_decay": "0.0", "mask_mode": "additive"}
+           "out_dir": "run", "weight_decay": "0.0", "mask_mode": "additive",
+           "beta1": "0.9", "beta2": "0.999", "adam_eps": "1e-08", "warmup_updates": "0",
+           "mask_prob_mask": "0.8", "mask_prob_random": "0.1", "mask_prob_keep": "0.1"}
 
 
 def test_retired_keys_are_skipped_in_stored_text_only(tmp_path):
