@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -170,14 +171,15 @@ def _log_row(report: O.LossReport, tasks: tuple[str, ...]) -> str:
 
 def _rows_before(log_path: Path, stored: RunConfig, start_step: int) -> bytes:
     """The log's step rows before start_step, whole rows only (a kill can cut
-    the last); a config error unless its header, read by the gate, is stored."""
+    the last); a config error unless its header, read by the gate, is stored
+    apart from steps, which draws nothing and which a resume may extend."""
     lines = log_path.read_bytes().splitlines(keepends=True)
     header = b"".join(line[2:] for line in lines[1:] if line.startswith(b"# "))
     try:
         theirs = build_config(base_text=header.decode())
     except (ConfigError, UnicodeDecodeError):
         theirs = None
-    if theirs != stored:
+    if theirs is None or dataclasses.replace(theirs, steps=stored.steps) != stored:
         raise ConfigError(f"{log_path}: its header records another config than the checkpoint "
                           "stores, so its rows are another run's")
     rows = []

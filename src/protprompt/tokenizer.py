@@ -36,6 +36,9 @@ FIRST_RESIDUE_ID = 4
 UNKNOWN_ID = 24
 VOCAB_SIZE = 25
 
+# BERT's split of the selected positions; the remaining 0.1 keep their token
+MASK_SHARE, RANDOM_SHARE = 0.8, 0.1
+
 SPECIAL_SYMBOLS = ("<cls>", "<eos>", "<pad>", "<mask>")
 SYMBOLS = SPECIAL_SYMBOLS + tuple(RESIDUES) + (UNKNOWN,)
 
@@ -106,17 +109,12 @@ def encode(residues: str, max_len: int, source_id: str = "") -> TokenSequence:
     return TokenSequence(ids=ids)
 
 
-def apply_mlm_mask(
-    seq: TokenSequence,
-    rate: float,
-    seed,
-    probs: tuple[float, float, float] = (0.8, 0.1, 0.1),
-) -> MlmBatch:
+def apply_mlm_mask(seq: TokenSequence, rate: float, seed) -> MlmBatch:
     """Corrupt residue positions for masked-token pretraining.
 
     Each real residue is independently selected with probability `rate`;
-    a selected position becomes <mask> with probs[0], a uniform random
-    standard residue with probs[1], and stays unchanged with probs[2].
+    a selected position becomes <mask> with MASK_SHARE, a uniform random
+    standard residue with RANDOM_SHARE, and stays unchanged otherwise.
     Special tokens are never touched. At least one position is always
     selected: if no draw lands under `rate`, the position with the lowest
     draw is used, so every batch carries a prediction target.
@@ -131,10 +129,10 @@ def apply_mlm_mask(
     corrupted = seq.ids.copy()
     targets = seq.ids[selected].copy()
     policy = rng.random(selected.size)
-    need_random = policy >= probs[0]
-    need_random &= policy < probs[0] + probs[1]
+    need_random = policy >= MASK_SHARE
+    need_random &= policy < MASK_SHARE + RANDOM_SHARE
     replacements = rng.integers(0, len(RESIDUES), size=int(need_random.sum()))
-    corrupted[selected[policy < probs[0]]] = MASK_ID
+    corrupted[selected[policy < MASK_SHARE]] = MASK_ID
     corrupted[selected[need_random]] = FIRST_RESIDUE_ID + replacements
     # the other selected positions keep their token, still prediction targets
     return MlmBatch(corrupted=corrupted, positions=selected, targets=targets)

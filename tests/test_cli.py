@@ -297,6 +297,33 @@ def test_resume_refuses_a_log_that_another_run_wrote(ws, tmp_path, capsys):
     assert not d.exists() and {p.name: p.read_bytes() for p in c.iterdir()} == before
 
 
+def test_a_cut_extension_leaves_its_log_readable_to_a_retry(ws, tmp_path, monkeypatch):
+    # a resume that extends a run rewrites the log beside its checkpoint with
+    # the new steps before its first step; cut there, a retry of the same
+    # command and a resume from an older checkpoint both still take that
+    # log's rows, which steps does not change
+    run, older, straight = tmp_path / "run", tmp_path / "older", tmp_path / "straight"
+    shutil.copytree(ws["out"], run)
+    common = ["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
+              "--seed", "7", "--steps", "6", *BASE_SETS]
+    assert main([*common, "--out-dir", str(straight)]) == 0
+    extend = [*common, "--resume", str(run / "final.bin")]
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as m:
+        m.setattr(O, "train_step", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(extend)
+    assert "# steps=6" in _log_lines(run) and [r[0] for r in _metric_rows(run)] == ["0", "1", "2", "3"]
+    assert main([*common, "--out-dir", str(older), "--resume", str(run / "ckpt_step2.bin")]) == 0
+    assert main(extend) == 0
+    for out in (run, older):
+        assert (out / "final.bin").read_bytes() == (straight / "final.bin").read_bytes()
+        assert _log_lines(out) == _log_lines(straight)
+
+
 def test_resume_reads_a_log_whose_header_names_retired_keys(ws, tmp_path):
     # a run started before beta1 was retired stored beta1=0.9 in its
     # checkpoints and its log header; read back, both drop it and agree

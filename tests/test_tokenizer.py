@@ -159,12 +159,16 @@ def test_mlm_mask_policy_mix_monte_carlo():
 
 
 def test_mlm_mask_random_replacements_are_standard_residues():
+    # an all-A sequence: a selected position that is neither <mask> nor A
+    # took the random branch of the fixed split, which draws every standard
+    # residue and nothing else
     seq = T.encode("A" * 30, 40)
     seen = set()
     for seed in range(2000):
-        m = T.apply_mlm_mask(seq, 0.4, seed, probs=(0.0, 1.0, 0.0))
+        m = T.apply_mlm_mask(seq, 0.4, seed)
         seen.update(m.corrupted[m.positions].tolist())
-    assert seen <= set(range(T.FIRST_RESIDUE_ID, T.FIRST_RESIDUE_ID + 20))
+    seen -= {T.MASK_ID}
+    assert seen == set(range(T.FIRST_RESIDUE_ID, T.FIRST_RESIDUE_ID + 20))
     assert T.UNKNOWN_ID not in seen
 
 
