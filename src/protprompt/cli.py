@@ -32,7 +32,7 @@ from .config import (
     RunConfig,
     build_config,
     check_structural,
-    parse_overrides,
+    parse_kv,
 )
 from .errors import ConfigError, DataError, Error
 from .model import PROMPT_INIT_STD, ModelConfig, ProteinEncoder
@@ -169,10 +169,13 @@ def _log_row(report: O.LossReport, tasks: tuple[str, ...]) -> str:
     return ",".join(cells) + "\n"
 
 
-def _rows_before(log_path: Path, stored: RunConfig, start_step: int) -> bytes:
-    """The log's step rows before start_step, whole rows only (a kill can cut
-    the last); a config error unless its header, read by the gate, is stored
-    apart from steps, which draws nothing and which a resume may extend."""
+def _rows_before(log_path: Path, stored: RunConfig, start_step: int,
+                 tasks: tuple[str, ...]) -> bytes:
+    """The log's step rows 0 to start_step-1; a config error unless the log
+    is this run's: its header, read by the gate, is stored apart from steps,
+    which draws nothing and which a resume may extend, its column line is
+    that of a run of tasks, and it holds each of those rows whole (a kill
+    can cut only a row past the checkpoint)."""
     lines = log_path.read_bytes().splitlines(keepends=True)
     header = b"".join(line[2:] for line in lines[1:] if line.startswith(b"# "))
     try:
@@ -182,11 +185,14 @@ def _rows_before(log_path: Path, stored: RunConfig, start_step: int) -> bytes:
     if theirs is None or dataclasses.replace(theirs, steps=stored.steps) != stored:
         raise ConfigError(f"{log_path}: its header records another config than the checkpoint "
                           "stores, so its rows are another run's")
-    rows = []
-    for line in lines:
-        cell = line.split(b",", 1)[0]
-        if line.endswith(b"\n") and cell.isdigit() and int(cell) < start_step:
-            rows.append(line)
+    body = [line for line in lines if not line.startswith(b"# ")]
+    columns = _log_header(stored, tasks).encode().splitlines(keepends=True)[-1]
+    if body[:1] != [columns]:
+        raise ConfigError(f"{log_path}: its columns are not this run's {columns.decode().strip()}")
+    rows = [row for i, row in enumerate(body[1:start_step + 1])
+            if row.startswith(b"%d," % i) and row.endswith(b"\n")]
+    if len(rows) != start_step:
+        raise ConfigError(f"{log_path}: it lacks a step row before step {start_step}")
     return b"".join(rows)
 
 
@@ -277,7 +283,14 @@ def cmd_pretrain(args) -> int:
     if not args.resume or out_dir.resolve() != home.resolve():
         _check_unused(out_dir, cfg)
     log = home / "metrics.csv"
-    rows = _rows_before(log, stored, start_step) if args.resume and log.exists() else b""
+    rows = (_rows_before(log, stored, start_step, tuple(tasks))
+            if args.resume and log.exists() else b"")
+    # a moment Adam has not kept would restart at zero under a later step count
+    fresh = [n for n, p in model.parameters().items()
+             if p.requires_grad and start_step and f"opt.m.{n}" not in state]
+    if fresh:
+        raise ConfigError(f"--resume {args.resume} holds no Adam moments for {fresh[0]}, "
+                          "which this run trains")
     out_dir.mkdir(parents=True, exist_ok=True)
     T.write_vocab(out_dir / "vocab.txt")
     final = _train(model, cfg, out_dir, "final.bin", lambda step: _mlm_batch(corpus, cfg, step),
@@ -303,8 +316,7 @@ def cmd_inject(args) -> int:
         raise ConfigError(f"prompt {prompt_name!r} learns from the conservation loss only, "
                           "so inject could never train it")
     # the config gate refuses a name the base already holds
-    cfg = build_config(base_text=cfg.to_text(),
-                       overrides={"prompts": ",".join((*cfg.prompt_names(), prompt_name))})
+    cfg = dataclasses.replace(cfg, prompts=",".join((*cfg.prompt_names(), prompt_name)))
     graph, encoded = _task_ppi(args, cfg.max_len)
     tasks = {args.task: _ppi_batches(graph, encoded, cfg, graph.label_width)}
     init_rng = np.random.default_rng((cfg.seed, len(model.prompts)))
@@ -516,7 +528,7 @@ def cmd_probe(args) -> int:
 
 def _flag_overrides(args, keys: tuple[str, ...]) -> dict[str, str]:
     """Combine --set pairs with direct flags (flags win)."""
-    overrides = parse_overrides(args.set or [])
+    overrides = parse_kv(("--set", item) for item in args.set or [])
     for key in keys:
         val = getattr(args, key, None)
         if val is not None:

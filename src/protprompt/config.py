@@ -171,27 +171,17 @@ def _coerce(key: str, raw: str):
     return raw
 
 
-def parse_kv_line(line: str) -> tuple[str, str] | None:
-    stripped = line.strip()
-    if not stripped or stripped.startswith("#"):
-        return None
-    if "=" not in stripped:
-        raise ConfigError(f"config line {line!r} is not key=value")
-    key, _, val = stripped.partition("=")
-    return key.strip(), val.strip()
-
-
-def _kv_pairs(lines) -> dict[str, str]:
+def parse_kv(items) -> dict[str, str]:
+    """The key -> value map of (source, text) items: each text is split at its
+    first '=' and both sides stripped, and the last value of a key wins. A
+    text without '=' is a ConfigError naming its source."""
     pairs: dict[str, str] = {}
-    for line in lines:
-        kv = parse_kv_line(line)
-        if kv is not None:
-            pairs[kv[0]] = kv[1]
+    for source, text in items:
+        key, eq, value = text.partition("=")
+        if not eq:
+            raise ConfigError(f"{source}: {text.strip()!r} is not key=value")
+        pairs[key.strip()] = value.strip()
     return pairs
-
-
-def read_config_file(path) -> dict[str, str]:
-    return _kv_pairs(line for _, line in read_lines(path))
 
 
 def build_config(
@@ -201,8 +191,9 @@ def build_config(
 ) -> RunConfig:
     """Assemble a RunConfig from (optional) base text, file and overrides.
 
-    base_text is a stored canonical config (e.g. from a checkpoint); the
-    file, then the overrides, are layered on top of it. Retired keys in
+    base_text is a stored config read from a file (a checkpoint's, or a log
+    header's); the file, then the overrides, are layered on top of it. Blank
+    and # lines of base_text and the file are dropped. Retired keys in
     base_text are dropped, so checkpoints that name them still load, unless
     one holds a value the code no longer runs.
     """
@@ -215,25 +206,17 @@ def build_config(
             values[_KEY_TO_FIELD.get(key, key)] = _coerce(key, raw)
 
     if base_text is not None:
-        stored = _kv_pairs(base_text.splitlines())
+        stored = parse_kv(("stored config", line) for line in base_text.splitlines()
+                          if line.strip()[:1] not in ("", "#"))
         for key, kept in _RETIRED_KEYS.items():
             if kept is not None and stored.get(key, kept) != kept:
                 raise ConfigError(f"stored {key}={stored[key]} is no longer supported; "
                                   f"only {key}={kept} loads")
         absorb({k: v for k, v in stored.items() if k not in _RETIRED_KEYS})
     if file_path:
-        absorb(read_config_file(file_path))
+        absorb(parse_kv((f"{file_path}:{n}", line) for n, line in read_lines(file_path)
+                        if line.strip()[:1] not in ("", "#")))
     if overrides:
         absorb(dict(overrides))
     return RunConfig(**values)
 
-
-def parse_overrides(items: list[str]) -> dict[str, str]:
-    """Parse repeated --set key=value arguments."""
-    out: dict[str, str] = {}
-    for item in items:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, val = item.partition("=")
-        out[key.strip()] = val.strip()
-    return out

@@ -4,9 +4,10 @@ All parsers fail loudly with file/line context. Nothing is ever silently
 dropped: rejected records (self-loops, residues without usable atoms,
 HETATM residues) are returned in skip reports so callers can surface them.
 Each reader returns finished records: an interaction graph is its edges,
-whose endpoints are its nodes, and parse_pdb reads every ATOM line into
-per-residue groups before it picks each residue's atom and checks residue
-order.
+whose endpoints are its nodes. parse_fasta reads every line into
+per-record groups before it checks and joins each record, and parse_pdb
+reads every ATOM line into per-residue groups before it picks each
+residue's atom and checks residue order.
 """
 
 from __future__ import annotations
@@ -46,40 +47,33 @@ def parse_fasta(path) -> dict[str, str]:
 
     The id is the first whitespace-delimited token of the header. Folded
     sequence lines are joined. Duplicate ids, sequence data before the
-    first header and a file without a record are errors.
+    first header and a file without a record are errors. Every line is read
+    before the records are built, so an empty header or sequence data before
+    the first header is reported ahead of a duplicate id or an empty record.
     """
-    table: dict[str, str] = {}
-    current: str | None = None
-    chunks: list[str] = []
-
-    def flush():
-        if current is not None:
-            seq = "".join(chunks)
-            if not seq:
-                raise FormatError(f"{path}: record {current!r} has an empty sequence")
-            table[current] = seq
-
+    # one (header line number, id, sequence lines) group per header, in file order
+    groups: list[tuple[int, str, list[str]]] = []
     for lineno, line in read_lines(path):
         stripped = line.strip()
         if not stripped:
             continue
         if stripped.startswith(">"):
-            flush()
             header = stripped[1:].strip()
             if not header:
                 raise FormatError(f"{path}:{lineno}: empty FASTA header")
-            name = header.split()[0]
-            if name in table:
-                raise FormatError(f"{path}:{lineno}: duplicate sequence id {name!r}")
-            current = name
-            chunks = []
+            groups.append((lineno, header.split()[0], []))
+        elif not groups:
+            raise FormatError(f"{path}:{lineno}: sequence data before the first '>' header")
         else:
-            if current is None:
-                raise FormatError(
-                    f"{path}:{lineno}: sequence data before the first '>' header"
-                )
-            chunks.append(stripped)
-    flush()
+            groups[-1][2].append(stripped)
+
+    table: dict[str, str] = {}
+    for lineno, name, chunks in groups:
+        if name in table:
+            raise FormatError(f"{path}:{lineno}: duplicate sequence id {name!r}")
+        if not chunks:
+            raise FormatError(f"{path}: record {name!r} has an empty sequence")
+        table[name] = "".join(chunks)
     if not table:
         raise FormatError(f"{path}: empty corpus")
     return table

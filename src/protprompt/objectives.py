@@ -72,7 +72,7 @@ class Adam:
     """Adam with bias correction at a constant rate lr; beta 0.9/0.999, eps
     1e-8 (Kingma & Ba 2015), no weight decay."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-5):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = dict(params)
         self.lr = lr
         self.t = 0

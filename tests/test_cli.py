@@ -297,6 +297,79 @@ def test_resume_refuses_a_log_that_another_run_wrote(ws, tmp_path, capsys):
     assert not d.exists() and {p.name: p.read_bytes() for p in c.iterdir()} == before
 
 
+def _files(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_resume_refuses_a_log_that_lacks_its_checkpoints_rows(ws, tmp_path, monkeypatch, capsys):
+    # a rerun of the same command may rewrite the log, and one cut before its
+    # first step row leaves the first run's checkpoints beside a log without
+    # rows; a resume from them would log no step before its own
+    a = tmp_path / "A"
+    run = ["pretrain", "--fasta", str(ws["fasta"]), "--steps", "4", "--out-dir", str(a),
+           *BASE_SETS]
+    assert main(run) == 0
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as m:
+        m.setattr(O, "train_step", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(run)
+    assert _metric_rows(a, "step,l_conserve,total,ms") == []
+    before = _files(tmp_path)
+    capsys.readouterr()
+    assert main(["pretrain", "--resume", str(a / "ckpt_step4.bin")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {a / 'metrics.csv'}: it lacks a step row before "
+                          "step 4"), err
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("case", ["ppi", "no-ppi", "routing", "injected", "injected-no-log"])
+def test_resume_refuses_to_change_its_tasks_or_what_it_trains(ws, tmp_path, capsys, case):
+    # A trains without --ppi, ws's base with it. A resume that adds or drops
+    # the task would write rows under another run's columns; one that trains
+    # a parameter the checkpoint keeps no moments for (IC with routing off,
+    # or the encoder after an inject) would step it from zero moments
+    a = tmp_path / "A"
+    assert main(["pretrain", "--fasta", str(ws["fasta"]), "--steps", "4", "--out-dir", str(a),
+                 *BASE_SETS]) == 0
+    if case.startswith("injected"):
+        assert main([*_training_argv(ws, "inject", tmp_path / "I"), "--steps", "2",
+                     "--checkpoint", str(a / "final.bin")]) == 0
+    if case == "injected-no-log":
+        (tmp_path / "I" / "metrics.csv").unlink()
+    resume, named = {
+        "ppi": (["--resume", str(a / "ckpt_step2.bin"), "--ppi", str(ws["pairs"]),
+                 "--out-dir", str(tmp_path / "B")],
+                f"{a / 'metrics.csv'}: its columns are not this run's "
+                "step,l_conserve,l_ppi,total,ms"),
+        "no-ppi": (["--resume", str(ws["out"] / "ckpt_step2.bin"), "--set", "ppi=",
+                    "--out-dir", str(tmp_path / "B")],
+                   f"{ws['out'] / 'metrics.csv'}: its columns are not this run's "
+                   "step,l_conserve,total,ms"),
+        "routing": (["--resume", str(a / "ckpt_step2.bin"), "--set", "routing=false",
+                     "--out-dir", str(tmp_path / "R")],
+                    f"--resume {a / 'ckpt_step2.bin'} holds no Adam moments for prompt.IC,"),
+        "injected": (["--resume", str(tmp_path / "I" / "injected.bin")],
+                     f"{tmp_path / 'I' / 'metrics.csv'}: its columns are not this run's "
+                     "step,l_conserve,total,ms"),
+        "injected-no-log": (["--resume", str(tmp_path / "I" / "injected.bin")],
+                            f"--resume {tmp_path / 'I' / 'injected.bin'} holds no Adam "
+                            "moments for embed."),
+    }[case]
+    before, base = _files(tmp_path), _files(ws["out"])
+    capsys.readouterr()
+    assert main(["pretrain", *resume]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {named}"), captured.err
+    assert "Traceback" not in captured.err and not captured.out
+    assert _files(tmp_path) == before and _files(ws["out"]) == base
+
+
 def test_a_cut_extension_leaves_its_log_readable_to_a_retry(ws, tmp_path, monkeypatch):
     # a resume that extends a run rewrites the log beside its checkpoint with
     # the new steps before its first step; cut there, a retry of the same
@@ -461,9 +534,9 @@ def test_failed_resume_log_start_keeps_the_previous_log(ws, tmp_path, monkeypatc
     assert [r[:-1] for r in _metric_rows(out)] == [r[:-1] for r in straight_rows]
 
 
-def _metric_rows(out_dir):
+def _metric_rows(out_dir, columns="step,l_conserve,l_ppi,total,ms"):
     lines = (out_dir / "metrics.csv").read_text().splitlines()
-    start = lines.index("step,l_conserve,l_ppi,total,ms") + 1
+    start = lines.index(columns) + 1
     return [ln.split(",") for ln in lines[start:]]
 
 
@@ -1277,10 +1350,13 @@ def test_non_finite_or_negative_config_values_exit_2(ws, tmp_path, capsys, case)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("case", ["pretrain-seed", "split-seed", "beta1", "resume-past-steps"])
+@pytest.mark.parametrize("case", ["pretrain-seed", "split-seed", "beta1", "resume-past-steps",
+                                  "set-item", "config-line"])
 def test_bad_seed_batch_size_or_beta_exits_2_before_any_output(ws, tmp_path, capsys, case):
     tsv = tmp_path / "pairs.tsv"
     tsv.write_text("a\tb\t1\nb\tc\t1\nc\td\t1\n")
+    conf = tmp_path / "bad.cfg"
+    conf.write_text("# a comment\nseed=3\njust words\n")
     pretrain = ["pretrain", "--fasta", str(ws["fasta"]), "--out-dir", str(tmp_path / "out"),
                 "--steps", "2", *BASE_SETS]
     argv, key = {
@@ -1294,12 +1370,16 @@ def test_bad_seed_batch_size_or_beta_exits_2_before_any_output(ws, tmp_path, cap
         # ckpt_step4.bin holds step 4, two past --steps
         "resume-past-steps": ([*pretrain, "--resume", str(ws["out"] / "ckpt_step4.bin")],
                               "at step 4, past steps=2"),
+        # a --set item is never a comment, and a bad config line names its place
+        "set-item": ([*pretrain, "--set", "# x"], "--set: '# x' is not key=value"),
+        "config-line": ([*pretrain, "--config", str(conf)],
+                        f"{conf}:3: 'just words' is not key=value"),
     }[case]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("config error:") and key in captured.err, captured.err
     assert "Traceback" not in captured.err and not captured.out
-    assert list(tmp_path.iterdir()) == [tsv]
+    assert sorted(tmp_path.iterdir()) == [conf, tsv]
 
 
 # one row per RunConfig.validate rule, each breaking it through the config

@@ -10,9 +10,7 @@ from protprompt.config import (
     _VALID_KEYS,
     RunConfig,
     build_config,
-    parse_kv_line,
-    parse_overrides,
-    read_config_file,
+    parse_kv,
 )
 from protprompt.errors import ConfigError
 
@@ -115,7 +113,7 @@ def test_validation_rejections():
         RunConfig(probe_cutoff=-0.5)
     for key in ("weight_decay", "beta1", "mask_prob_keep"):
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
-            build_config(overrides=parse_overrides([f"{key}=0.01"]))
+            build_config(overrides=parse_kv([("--set", f"{key}=0.01")]))
 
 
 RETIRED = {"alpha_contact": "0.25", "alpha_regress": "3.0", "alpha_ss": "0.5",
@@ -140,24 +138,27 @@ def test_retired_keys_are_skipped_in_stored_text_only(tmp_path):
             build_config(str(f), base_text=stored)
 
 
-def test_parse_kv_line():
-    assert parse_kv_line("a = 3") == ("a", "3")
-    assert parse_kv_line("  # note") is None
-    assert parse_kv_line("") is None
-    with pytest.raises(ConfigError):
-        parse_kv_line("just words")
+def test_parse_kv_strips_each_item_and_names_a_bad_one():
+    # each item splits at its first '='; the last value of a key wins
+    items = [("--set", "a = 3"), ("--set", "b= x=y "), ("--set", "a=4")]
+    assert parse_kv(items) == {"a": "4", "b": "x=y"}
+    # an item is never dropped: blank and # items are not key=value
+    for text in ("just words", "", "# x"):
+        with pytest.raises(ConfigError, match=f"^--set: {re.escape(repr(text))} is not"):
+            parse_kv([("--set", "a=1"), ("--set", text)])
 
 
-def test_parse_overrides():
-    assert parse_overrides(["a=1", "b = x "]) == {"a": "1", "b": "x"}
-    with pytest.raises(ConfigError):
-        parse_overrides(["oops"])
-
-
-def test_read_config_file_last_wins(tmp_path):
+def test_config_file_drops_blank_and_comment_lines_and_names_a_bad_line(tmp_path):
     f = tmp_path / "c.cfg"
-    f.write_text("d=32\nd=48\n")
-    assert read_config_file(str(f)) == {"d": "48"}
+    f.write_text("  # note\nd=32\n\n   \nd = 48\n")
+    assert build_config(str(f)).d == 48
+    f.write_text("d=32\n# x\njust words\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(f))}:3: 'just words' is not"):
+        build_config(str(f))
+    # stored text drops the same lines, and names itself
+    assert build_config(base_text="# note\n\nd=32\n").d == 32
+    with pytest.raises(ConfigError, match="^stored config: 'd' is not"):
+        build_config(base_text="d\n")
 
 
 def test_empty_prompts_allowed():
