@@ -138,12 +138,20 @@ def test_retired_keys_are_skipped_in_stored_text_only(tmp_path):
             build_config(str(f), base_text=stored)
 
 
-def test_parse_kv_strips_each_item_and_names_a_bad_one():
-    # each item splits at its first '='; the last value of a key wins
-    items = [("--set", "a = 3"), ("--set", "b= x=y "), ("--set", "a=4")]
-    assert parse_kv(items) == {"a": "4", "b": "x=y"}
+def test_parse_kv_line():
+    # one line splits at its first '=' and both sides are stripped
+    assert parse_kv([("c.cfg:1", "a = 3")]) == {"a": "3"}
+    assert parse_kv([("c.cfg:1", " b= x=y ")]) == {"b": "x=y"}
+    with pytest.raises(ConfigError, match="^c.cfg:2: 'just words' is not"):
+        parse_kv([("c.cfg:1", "a=3"), ("c.cfg:2", "just words")])
+
+
+def test_parse_overrides():
+    # --set items: the last value of a key wins
+    items = [("--set", "a=1"), ("--set", "b = x "), ("--set", "a=4")]
+    assert parse_kv(items) == {"a": "4", "b": "x"}
     # an item is never dropped: blank and # items are not key=value
-    for text in ("just words", "", "# x"):
+    for text in ("oops", "", "# x"):
         with pytest.raises(ConfigError, match=f"^--set: {re.escape(repr(text))} is not"):
             parse_kv([("--set", "a=1"), ("--set", text)])
 
