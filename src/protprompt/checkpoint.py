@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError
 
 MAGIC = b"CFPT"
 VERSION = 1
@@ -156,7 +156,10 @@ def load_model(path):
     from .model import ModelConfig, ProteinEncoder
 
     config_text, entries = load_checkpoint(path)
-    run_config = build_config(base_text=config_text)
+    try:
+        run_config = build_config(base_text=config_text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     model = ProteinEncoder(ModelConfig.from_run_config(run_config), seed=run_config.seed)
     params = model.parameters()
     state = {k: v for k, v in entries.items() if k.startswith(OPT_PREFIX)}

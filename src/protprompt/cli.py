@@ -19,6 +19,7 @@ import argparse
 import ctypes
 import dataclasses
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -161,11 +162,15 @@ def _log_header(cfg: RunConfig, tasks: tuple[str, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _log_row(report: O.LossReport, tasks: tuple[str, ...]) -> str:
-    """One metrics.csv row; every loss at full precision."""
-    cells = [str(report.step), repr(report.l_conserve)]
-    cells += [repr(report.task_losses.get(t, 0.0)) for t in tasks]
-    cells += [repr(report.total), f"{report.wall_ms:.3f}"]
+def _log_row(step: int, l_conserve: float, task_losses: dict[str, float], cfg: RunConfig,
+             ms: float) -> str:
+    """One metrics.csv row, every loss at full precision; the total is
+    L_conserve + (sum_t L_t * alpha_t) * lambda, tasks in list order."""
+    alpha, inject = cfg.alpha(), 0.0
+    for name, loss in task_losses.items():
+        inject += loss * alpha.get(name, 1.0)
+    cells = [str(step), repr(l_conserve), *map(repr, task_losses.values()),
+             repr(l_conserve + inject * cfg.lambda_weight), f"{ms:.3f}"]
     return ",".join(cells) + "\n"
 
 
@@ -226,16 +231,18 @@ def _train(model, cfg: RunConfig, out_dir: Path, final_name: str, mlm, tasks: di
     optimizer = O.Adam({n: p for n, p in model.parameters().items() if p.requires_grad}, cfg.lr)
     optimizer.load_state_entries(state)
     log_path = out_dir / "metrics.csv"
-    names = tuple(tasks)
     with ckpt.atomic_write(log_path, "wb") as fh:
-        fh.write(_log_header(cfg, names).encode() + rows)
+        fh.write(_log_header(cfg, tuple(tasks)).encode() + rows)
     with open(log_path, "a") as log:
         for step in range(optimizer.t, cfg.steps):
-            report = O.train_step(model, optimizer, mlm(step) if mlm else None,
-                                  [build(step) for build in tasks.values()], cfg.routing,
-                                  cfg.lambda_weight, cfg.alpha(), step=step,
-                                  mlm_reduction=cfg.mlm_reduction)
-            log.write(_log_row(report, names))
+            mlm_batch = mlm(step) if mlm else None
+            task_batches = [build(step) for build in tasks.values()]
+            t0 = time.monotonic()  # ms times the update, not the batch building
+            l_conserve, task_losses = O.train_step(
+                model, optimizer, mlm_batch, task_batches, cfg.routing, cfg.lambda_weight,
+                cfg.alpha(), mlm_reduction=cfg.mlm_reduction)
+            ms = (time.monotonic() - t0) * 1000.0
+            log.write(_log_row(step, l_conserve, task_losses, cfg, ms))
             if (step + 1) % cfg.checkpoint_every == 0:
                 log.flush()  # a checkpoint never runs ahead of its log rows
                 ckpt.save_model(out_dir / f"ckpt_step{step + 1}.bin", model, cfg, optimizer)
@@ -507,6 +514,10 @@ def cmd_probe(args) -> int:
     # before the first CSV, so a bad input leaves no output
     encoded = _encode_table(D.parse_fasta(args.fasta), cfg.max_len)
     _checked_prompts(model, (args.prompt,))
+    for name in encoded:  # each id names its CSV in --out-dir
+        if "/" in name or "\0" in name:
+            raise DataError(f"{args.fasta}: id {name!r} holds '/' or NUL, "
+                            "so it cannot name a CSV in --out-dir")
     probed = [(name, seq, MX.embedding_shift_probe(model, seq, args.prompt))
               for name, seq in encoded.items()]
     out_dir = Path(args.out_dir)

@@ -278,11 +278,13 @@ def parse_pdb(path) -> tuple[dict[str, list[ResidueRecord]], list[str]]:
 
     Policy: CB is the representative atom, CA for glycine; either stands in
     for the other when it is missing. Alternate locations other than ' ' or
-    'A' are ignored. Insertion codes are rejected. Only the first model is
-    read. Residues with neither CB nor CA, and each HETATM residue (HETATM
-    lines are never read for coordinates), go to the skip report. Every line
-    is read before residue order is checked, so a malformed line is reported
-    ahead of residue numbers that do not strictly increase.
+    'A' are ignored. Insertion codes, and chain ids other than a letter, a
+    digit or blank (the ids that can name a map file), are rejected. Only
+    the first model is read. Residues with neither CB nor CA, and each
+    HETATM residue (HETATM lines are never read for coordinates), go to the
+    skip report. Every line is read before residue order is checked, so a
+    malformed line is reported ahead of residue numbers that do not
+    strictly increase.
     """
     # one (chain, residue number, residue name, {CB/CA: xyz}) group per run of
     # lines naming the same residue, in file order; a residue without CB or CA
@@ -310,6 +312,9 @@ def parse_pdb(path) -> tuple[dict[str, list[ResidueRecord]], list[str]]:
             raise FormatError(
                 f"{path}:{lineno}: insertion code {line[26]!r} not supported"
             )
+        if not (line[21] == " " or line[21].isascii() and line[21].isalnum()):
+            raise FormatError(f"{path}:{lineno}: chain id {line[21]!r} is not a letter, "
+                              "a digit or blank")
         if line[16] not in (" ", "A"):
             continue
         if not groups or groups[-1][:2] != (line[21], res_index):

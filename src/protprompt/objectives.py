@@ -19,15 +19,15 @@ routed share.
 Each source records its forward on a tape of its own, L+1 nodes per
 encode (L the layer count) and one loss node (numerics.cross_entropy_rows
 or numerics.pair_bce), sweeps it seeded with its coefficient (no node
-weights it) and drops it before the next source runs; the logged total is
-folded from the losses as floats. A pretrain benchmark step sweeps 79 to
-97 nodes for ppi, then 25 for the masked-LM loss, 114 in all against 287
-for the per-sequence chain tests/conftest.py keeps as the nodes' oracle.
+weights it) and drops it before the next source runs. train_step returns
+the losses, and the CLI's training loop folds the logged total from them
+as floats. A pretrain benchmark step sweeps 79 to 97 nodes for ppi, then
+25 for the masked-LM loss, 114 in all against 287 for the per-sequence
+chain tests/conftest.py keeps as the nodes' oracle.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,18 +38,6 @@ from .numerics import Tape, Tensor
 from .tokenizer import MlmBatch, TokenSequence
 
 CONSERVE = "mlm"
-
-
-@dataclass
-class LossReport:
-    """Per-step scalar record; the CLI's training loop writes it as a
-    metrics.csv row."""
-
-    step: int
-    l_conserve: float
-    task_losses: dict[str, float]
-    total: float
-    wall_ms: float = 0.0
 
 
 def frozen_prompts(prompts: tuple[str, ...], source: str, routing: bool) -> frozenset[str]:
@@ -173,9 +161,8 @@ def train_step(
     routing: bool,
     lambda_weight: float,
     alpha: dict[str, float],
-    step: int = 0,
     mlm_reduction: str = "sum",
-) -> LossReport:
+) -> tuple[float, dict[str, float]]:
     """One multi-task update: a routed forward and a sweep per source, Adam.
 
     Each source s runs its forward with frozen_prompts(prompts, s, routing)
@@ -183,8 +170,9 @@ def train_step(
     it seeded with c_s (1 for the conservation loss, lambda*alpha_t for
     task t). Tasks go last-first and the conservation loss last, so each
     leaf's .grad takes the additions a reverse sweep of one joint tape would
-    make, in the same order, and goes to Adam as it is. The logged total is
-    L_conserve + (sum_t alpha_t * L_t) * lambda, tasks in list order.
+    make, in the same order, and goes to Adam as it is. Returns
+    (l_conserve, task_losses): the masked-LM loss, 0.0 without mlm_batch,
+    and each task's loss by name, in list order.
     """
     if mlm_batch is None and not task_batches:
         raise ContractError("train_step needs at least one task batch")
@@ -192,7 +180,6 @@ def train_step(
     if len(task_losses) < len(task_batches):
         raise ContractError(f"duplicate task batch in {[b.name for b in task_batches]}")
     prompts = tuple(model.prompts)
-    t0 = time.monotonic()
 
     for p in optimizer.params.values():
         p.grad = None
@@ -205,14 +192,4 @@ def train_step(
         l_conserve = _swept(1.0, _forward_mlm, model, mlm_batch, mlm_reduction,
                             frozen_prompts(prompts, CONSERVE, routing))
     optimizer.step({name: p.grad for name, p in optimizer.params.items()})
-
-    inject = 0.0
-    for name, loss in task_losses.items():
-        inject += loss * alpha.get(name, 1.0)
-    return LossReport(
-        step=step,
-        l_conserve=l_conserve,
-        task_losses=task_losses,
-        total=l_conserve + inject * lambda_weight,
-        wall_ms=(time.monotonic() - t0) * 1000.0,
-    )
+    return l_conserve, task_losses

@@ -17,12 +17,14 @@ from conftest import (affine, bce_with_logits_mean, concat_rows, embedding_looku
                       mlm_loss, mul, multihead_attention, pair_batch, pick, ppi_graph,
                       ppi_loss, reference_forward, reshape, scale, select_rows, sum_all)
 from protprompt import checkpoint as ckpt
+from protprompt import cli
 from protprompt import data as D
 from protprompt import metrics as MX
 from protprompt import numerics as nm
 from protprompt import objectives as O
 from protprompt import tokenizer as T
 from protprompt.cli import main
+from protprompt.config import RunConfig
 from protprompt.model import ModelConfig, ProteinEncoder
 from protprompt.numerics import Tape, Tensor
 
@@ -320,30 +322,31 @@ def test_3_objective_fidelity():
                - math.log(1 + math.exp(-2.0))) < 1e-9
 
     # the logged decomposition is bit-reproducible and recombines exactly
-    reports = []
+    cfg = RunConfig(lambda_weight=0.7, alpha_ppi=1.3)
+    reports, rows = [], []
     for _ in range(2):
         model, mlm, ppi = _objective_fixture(seed=11)
         opt = O.Adam(model.parameters(), lr=1e-4)
-        rep = O.train_step(model, opt, mlm, [ppi], True, 0.7, {"ppi": 1.3}, step=0)
-        reports.append(rep)
-    assert reports[0].l_conserve == reports[1].l_conserve
-    assert reports[0].task_losses == reports[1].task_losses
-    assert reports[0].total == reports[1].total
-    assert reports[0].total == reports[0].l_conserve + reports[0].task_losses["ppi"] * 1.3 * 0.7
+        l_conserve, task_losses = O.train_step(model, opt, mlm, [ppi], True, 0.7, {"ppi": 1.3})
+        reports.append((l_conserve, task_losses))
+        rows.append(cli._log_row(0, l_conserve, task_losses, cfg, 0.0))
+    assert reports[0] == reports[1] and rows[0] == rows[1]
+    total = float(rows[0].split(",")[3])
+    assert total == reports[0][0] + reports[0][1]["ppi"] * 1.3 * 0.7
 
     # routing: the conservation loss never touches IC, the task loss
     # never touches Seq
     model, mlm, ppi = _objective_fixture(seed=12)
     before = {n: p.data.copy() for n, p in model.parameters().items()}
     opt = O.Adam(model.parameters(), lr=1e-3)
-    O.train_step(model, opt, mlm, [], True, 1.0, {"ppi": 1.0}, step=0)
+    O.train_step(model, opt, mlm, [], True, 1.0, {"ppi": 1.0})
     assert np.array_equal(model.prompts["IC"].data, before["prompt.IC"])
     assert not np.array_equal(model.prompts["Seq"].data, before["prompt.Seq"])
 
     model, mlm, ppi = _objective_fixture(seed=13)
     before = {n: p.data.copy() for n, p in model.parameters().items()}
     opt = O.Adam(model.parameters(), lr=1e-3)
-    O.train_step(model, opt, None, [ppi], True, 1.0, {"ppi": 1.0}, step=0)
+    O.train_step(model, opt, None, [ppi], True, 1.0, {"ppi": 1.0})
     assert np.array_equal(model.prompts["Seq"].data, before["prompt.Seq"])
     assert not np.array_equal(model.prompts["IC"].data, before["prompt.IC"])
 

@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import re
+import shlex
 import shutil
 import signal
 import struct
@@ -1710,7 +1711,7 @@ def _stored_value_is_refused(ws, tmp_path, capsys, line: str, want: str) -> None
                   "--out-dir", str(out), "--steps", "5"]):
         assert main(argv) == 2, argv[0]
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and want in err, err
+        assert err.startswith(f"config error: {old}: ") and want in err, err
         assert "Traceback" not in err
         assert not out.exists() and os.listdir(old.parent) == ["stored.bin"], argv[0]
 
@@ -1728,6 +1729,16 @@ def test_checkpoint_storing_literal_mask_mode_is_refused(ws, tmp_path, capsys):
     # its weights were trained with prompt rows normalised over the input
     # keys, which the one attention path no longer computes
     _stored_value_is_refused(ws, tmp_path, capsys, "mask_mode=literal", "mask_mode")
+
+
+@pytest.mark.parametrize("line,want", [
+    ("oops", "stored config: 'oops' is not key=value"),
+    ("zz=1", "unknown config key 'zz'"),
+    ("mlm_reduction=zzz", "mlm_reduction must be sum or mean, got 'zzz'"),
+], ids=["malformed", "unknown-key", "gate"])
+def test_a_stored_config_error_names_its_checkpoint(ws, tmp_path, capsys, line, want):
+    # a retired key's other value is checked the same way, by the tests above
+    _stored_value_is_refused(ws, tmp_path, capsys, line, want)
 
 
 def test_split_cli_matches_library(tmp_path, capsys):
@@ -1757,6 +1768,10 @@ def test_build_contacts_keeps_going_after_bad_file(tmp_path, capsys):
     # a residue with neither CB nor CA is skipped before its chain opens, so
     # chain B yields no map and a file of such residues no chain at all
     (pdb_dir / "bare.pdb").write_text(_atom(1, "N", "ALA", "A", 1, 0, 0, 0))
+    # a chain id names its map, so one that is not a letter, a digit or blank
+    # is refused before any map of its file is written
+    (pdb_dir / "chain.pdb").write_text(_atom(1, "CB", "ALA", "A", 1, 0, 0, 0)
+                                       + _atom(2, "CB", "ALA", "/", 1, 0, 0, 0))
     (pdb_dir / "good.pdb").write_text(
         "ATOM      1  CB  ALA A   1       0.000   0.000   0.000  1.00  0.00\n"
         "ATOM      2  CB  SER A   2       3.000   0.000   0.000  1.00  0.00\n"
@@ -1769,6 +1784,8 @@ def test_build_contacts_keeps_going_after_bad_file(tmp_path, capsys):
     report = (maps / "report.txt").read_text()
     assert "error:" in report and "bad.pdb" in report
     assert f"error: {pdb_dir / 'bare.pdb'}: no usable ATOM records found" in report
+    assert (f"error: {pdb_dir / 'chain.pdb'}:2: chain id '/' is not a letter, a digit or blank"
+            in report)
     assert "chain B residue 1 (GLY) has neither CB nor CA; skipped" in report
     assert "good_A.cmap: n=2" in report
     assert "Traceback" not in capsys.readouterr().err
@@ -1856,6 +1873,21 @@ def test_probe_rejects_an_empty_fasta(ws, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"data error: {fasta}: empty corpus\n", err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["sub/b", "../escaped", "nul\0"], ids=["slash", "parent", "nul"])
+def test_probe_refuses_an_id_that_cannot_name_a_csv(ws, tmp_path, capsys, bad):
+    # each id names its CSV in --out-dir: a '/' would put it below or beside
+    # that directory, and a NUL cannot be in a file name
+    fasta, out = tmp_path / "bad.fasta", tmp_path / "probes"
+    fasta.write_text(f">a\nACDEF\n>{bad}\nWYKRH\n")
+    rc = main(["probe", "--checkpoint", str(ws["final"]), "--fasta", str(fasta),
+               "--prompt", "IC", "--out-dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == (f"data error: {fasta}: id {bad!r} holds '/' or NUL, "
+                   "so it cannot name a CSV in --out-dir\n"), err
+    assert not out.exists() and not (tmp_path / "escaped.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["pretrain", "inject", "eval-ppi", "eval-contact-scores"])
@@ -2080,3 +2112,19 @@ def test_missing_files_exit_1(ws, tmp_path, capsys):
     assert rc == 1
     assert str(tmp_path / "absent") in capsys.readouterr().err
     assert not (tmp_path / "maps").exists()
+
+
+def test_readme_command_lines_parse():
+    # every protprompt command line in README's sh blocks, \ continuations
+    # joined, parses, so a renamed flag or choice fails here naming the line
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("protprompt ")]
+    assert len(commands) >= 4
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README: {shlex.join(argv)} does not parse")

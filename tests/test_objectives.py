@@ -3,6 +3,7 @@
 import math
 import operator
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -85,20 +86,27 @@ def _two_tasks(ppi):
     return [ppi, O.PairTaskBatch("types", ppi.proteins, ppi.pairs, labels)]
 
 
+def _logged_total(l_conserve, task_losses, lambda_weight, alpha):
+    """The total cell cli._log_row writes for train_step's losses."""
+    cfg = types.SimpleNamespace(lambda_weight=lambda_weight, alpha=lambda: alpha)
+    return float(cli._log_row(0, l_conserve, task_losses, cfg, 0.0).split(",")[-2])
+
+
 def test_injection_loss_weighted_fold():
     # L_inject = sum_t alpha_t * L_t in task order (a task alpha leaves out
     # weighs 1); no tasks fold to 0
     model, mlm, ppi = _fixture()
     opt = O.Adam(model.parameters(), lr=1e-4)
-    rep = O.train_step(model, opt, None, _two_tasks(ppi), True, 1.0,
-                       {"ppi": 0.5, "types": 2.0}, step=0)
-    l_ppi, l_types = rep.task_losses["ppi"], rep.task_losses["types"]
-    assert rep.l_conserve == 0.0 and l_ppi > 0 and l_types > 0
-    assert rep.total == l_ppi * 0.5 + l_types * 2.0
-    unit = O.train_step(model, opt, None, [ppi], True, 1.0, {}, step=1)
-    assert unit.total == unit.task_losses["ppi"]
-    mlm_only = O.train_step(model, opt, mlm, [], True, 0.7, {"ppi": 0.5}, step=2)
-    assert mlm_only.task_losses == {} and mlm_only.total == mlm_only.l_conserve
+    alpha = {"ppi": 0.5, "types": 2.0}
+    l_conserve, task_losses = O.train_step(model, opt, None, _two_tasks(ppi), True, 1.0, alpha)
+    l_ppi, l_types = task_losses["ppi"], task_losses["types"]
+    assert list(task_losses) == ["ppi", "types"]
+    assert l_conserve == 0.0 and l_ppi > 0 and l_types > 0
+    assert _logged_total(l_conserve, task_losses, 1.0, alpha) == l_ppi * 0.5 + l_types * 2.0
+    unit = O.train_step(model, opt, None, [ppi], True, 1.0, {})
+    assert _logged_total(*unit, 1.0, {}) == unit[1]["ppi"]
+    l_mlm, no_tasks = O.train_step(model, opt, mlm, [], True, 0.7, {"ppi": 0.5})
+    assert no_tasks == {} and _logged_total(l_mlm, no_tasks, 0.7, {"ppi": 0.5}) == l_mlm
 
 
 def test_report_decomposition_recomputes_bitwise():
@@ -107,19 +115,18 @@ def test_report_decomposition_recomputes_bitwise():
     model, mlm, ppi = _fixture()
     opt = O.Adam(model.parameters(), lr=1e-4)
     alpha = {"ppi": 0.5, "types": 2.0}
-    rep = O.train_step(model, opt, mlm, _two_tasks(ppi), True, 0.7, alpha, step=0)
-    l_ppi, l_types = rep.task_losses["ppi"], rep.task_losses["types"]
-    assert rep.l_conserve > 0 and l_ppi > 0 and l_types > 0
-    assert rep.total == rep.l_conserve + (l_ppi * 0.5 + l_types * 2.0) * 0.7
-    task_only = O.train_step(model, opt, None, [ppi], True, 0.7, {}, step=1)
-    assert task_only.l_conserve == 0.0
-    assert task_only.total == task_only.task_losses["ppi"] * 0.7
-    line = cli._log_row(rep, ("ppi",))
+    l_conserve, task_losses = O.train_step(model, opt, mlm, _two_tasks(ppi), True, 0.7, alpha)
+    l_ppi, l_types = task_losses["ppi"], task_losses["types"]
+    assert l_conserve > 0 and l_ppi > 0 and l_types > 0
+    total = l_conserve + (l_ppi * 0.5 + l_types * 2.0) * 0.7
+    l_none, task_only = O.train_step(model, opt, None, [ppi], True, 0.7, {})
+    assert l_none == 0.0
+    assert _logged_total(l_none, task_only, 0.7, {}) == task_only["ppi"] * 0.7
+    cfg = types.SimpleNamespace(lambda_weight=0.7, alpha=lambda: alpha)
+    line = cli._log_row(3, l_conserve, task_losses, cfg, 12.3456)
     cells = line.rstrip("\n").split(",")
-    assert cells[0] == "0"
-    assert float(cells[1]) == rep.l_conserve
-    assert float(cells[2]) == rep.task_losses["ppi"]
-    assert float(cells[3]) == rep.total
+    assert cells[0] == "3" and cells[-1] == "12.346"
+    assert [float(c) for c in cells[1:-1]] == [l_conserve, l_ppi, l_types, total]
 
 
 def test_source_sweeps_give_the_bits_of_one_weighted_total_sweep():
@@ -147,7 +154,7 @@ def test_routing_blocks_conserve_gradient_from_ic():
     model, mlm, _ = _fixture(seed=1)
     before = _snapshot(model)
     opt = O.Adam(model.parameters(), lr=1e-3)
-    O.train_step(model, opt, mlm, [], True, 1.0, {"ppi": 1.0}, step=0)
+    O.train_step(model, opt, mlm, [], True, 1.0, {"ppi": 1.0})
     assert np.array_equal(model.prompts["IC"].data, before["prompt.IC"])
     assert not np.array_equal(model.prompts["Seq"].data, before["prompt.Seq"])
     assert not np.array_equal(model.parameters()["embed.tok"].data, before["embed.tok"])
@@ -159,7 +166,7 @@ def test_routing_blocks_task_gradient_from_seq():
     model, _, ppi = _fixture(seed=2)
     before = _snapshot(model)
     opt = O.Adam(model.parameters(), lr=1e-3)
-    O.train_step(model, opt, None, [ppi], True, 1.0, {"ppi": 1.0}, step=0)
+    O.train_step(model, opt, None, [ppi], True, 1.0, {"ppi": 1.0})
     assert np.array_equal(model.prompts["Seq"].data, before["prompt.Seq"])
     assert not np.array_equal(model.prompts["IC"].data, before["prompt.IC"])
     assert np.all(opt.m["prompt.Seq"] == 0.0)
@@ -171,8 +178,8 @@ def test_lambda_zero_equals_mlm_only_run():
         model, mlm, ppi = _fixture(seed=3)
         opt = O.Adam(model.parameters(), lr=1e-3)
         tasks = [ppi] if include_task else []
-        for step in range(3):
-            O.train_step(model, opt, mlm, tasks, True, 0.0, {"ppi": 1.0}, step=step)
+        for _ in range(3):
+            O.train_step(model, opt, mlm, tasks, True, 0.0, {"ppi": 1.0})
         runs.append(_snapshot(model))
     with_task, without = runs
     for name in with_task:
@@ -186,8 +193,8 @@ def test_alpha_zero_equals_mlm_only_run():
         opt = O.Adam(model.parameters(), lr=1e-3)
         tasks = [ppi] if alpha is not None else []
         a = {"ppi": alpha} if alpha is not None else {}
-        for step in range(3):
-            O.train_step(model, opt, mlm, tasks, True, 1.0, a, step=step)
+        for _ in range(3):
+            O.train_step(model, opt, mlm, tasks, True, 1.0, a)
         runs.append(_snapshot(model))
     assert all(np.array_equal(runs[0][n], runs[1][n]) for n in runs[0])
 
@@ -196,7 +203,7 @@ def test_routing_off_lets_everything_through():
     model, mlm, _ = _fixture(seed=5)
     before = _snapshot(model)
     opt = O.Adam(model.parameters(), lr=1e-3)
-    O.train_step(model, opt, mlm, [], False, 1.0, {"ppi": 1.0}, step=0)
+    O.train_step(model, opt, mlm, [], False, 1.0, {"ppi": 1.0})
     assert not np.array_equal(model.prompts["IC"].data, before["prompt.IC"])
 
 
@@ -228,7 +235,7 @@ def test_train_step_sweeps_backward_once_per_source(monkeypatch):
     backward = nm.backward
     monkeypatch.setattr(nm, "backward", lambda *a: weights.append(a[2]) or backward(*a))
     for step in range(3):
-        O.train_step(model, opt, mlm, [ppi], True, 0.7, {"ppi": 1.3}, step=step)
+        O.train_step(model, opt, mlm, [ppi], True, 0.7, {"ppi": 1.3})
         assert weights == [0.7 * 1.3, 1.0] * (step + 1)
 
 
@@ -289,13 +296,14 @@ def test_single_sweep_matches_per_source_router(routing, weights):
     model, mlm, ppi = _fixture(seed=9, d=32, layers=2, heads=4)
     opt = O.Adam(model.parameters(), lr=1e-3)
     seen = _adam_inputs(opt)
-    rep = O.train_step(model, opt, mlm, [ppi], routing, lam, alpha, mlm_reduction="mean")
+    l_conserve, task_losses = O.train_step(model, opt, mlm, [ppi], routing, lam, alpha,
+                                           mlm_reduction="mean")
     ref_model, ref_mlm, ref_ppi = _fixture(seed=9, d=32, layers=2, heads=4)
     ref_opt = O.Adam(ref_model.parameters(), lr=1e-3)
     want, ref_losses = reference_routed_step(ref_model, ref_opt, ref_mlm, [ref_ppi], routes,
                                              lam, alpha, mlm_reduction="mean")
     # holding a prompt constant changes no forward value
-    assert rep.l_conserve == ref_losses["mlm"] and rep.task_losses == {"ppi": ref_losses["ppi"]}
+    assert l_conserve == ref_losses["mlm"] and task_losses == {"ppi": ref_losses["ppi"]}
     (got,) = seen
     assert got.keys() == want.keys()
     for name, g in want.items():
@@ -312,11 +320,11 @@ def test_loss_columns_match_per_source_router_over_50_steps():
         model, mlm, ppi = _fixture(seed=10)
         opt = O.Adam(model.parameters(), lr=1e-3)
         rows = []
-        for step in range(50):
+        for _ in range(50):
             if single_sweep:
-                rep = O.train_step(model, opt, mlm, [ppi], True, 0.7, {"ppi": 1.3},
-                                   step=step)
-                rows.append((rep.l_conserve, rep.task_losses["ppi"]))
+                l_conserve, task_losses = O.train_step(model, opt, mlm, [ppi], True, 0.7,
+                                                       {"ppi": 1.3})
+                rows.append((l_conserve, task_losses["ppi"]))
             else:
                 _, losses = reference_routed_step(model, opt, mlm, [ppi], ROUTED,
                                                   0.7, {"ppi": 1.3})
@@ -331,9 +339,9 @@ def test_train_step_rejects_empty_and_duplicates():
     model, mlm, ppi = _fixture(seed=6)
     opt = O.Adam(model.parameters(), lr=1e-3)
     with pytest.raises(ContractError):
-        O.train_step(model, opt, None, [], True, 1.0, {}, step=0)
+        O.train_step(model, opt, None, [], True, 1.0, {})
     with pytest.raises(ContractError, match="duplicate"):
-        O.train_step(model, opt, None, [ppi, ppi], True, 1.0, {}, step=0)
+        O.train_step(model, opt, None, [ppi, ppi], True, 1.0, {})
 
 
 def test_pair_forward_pools_each_protein_once(tmp_path):
