@@ -17,17 +17,20 @@ Layout (all integers little-endian):
 Entries appear once each, in a fixed order: the embedding tables
 (embed.*), the layers (layer{i}.*, layer by layer), the prompts (prompt.*),
 the heads (head.*), then optional training-state entries under the reserved
-"opt." prefix (step counter and Adam moments), which load_model checks
-and inference ignores.
+"opt." prefix, which inference ignores: the step counter and Adam moments,
+which load_model checks, then a training run's opt.loss (each step's loss
+cells) and opt.sha256.<key> (each input file's digest), which resume checks.
 
 Checkpoints go through atomic_write, as do the CLI's eval records, probe
 CSVs, contact maps, split TSVs and vocab.txt, so an interrupted write
-leaves no partial file.
+leaves no partial file; probe and build-contacts fill their directory
+through atomic_dir, so it appears whole or not at all.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import struct
 from contextlib import contextmanager
 from pathlib import Path
@@ -56,6 +59,22 @@ def atomic_write(path, mode: str = "w"):
         tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
+
+
+@contextmanager
+def atomic_dir(path):
+    """Fill a fresh path.tmp, renamed onto path (absent or empty) at the end, removed on failure."""
+    path, tmp = Path(path), Path(f"{path}.tmp")
+    if path.exists() and any(path.iterdir()):
+        raise ConfigError(f"{path}: the output directory is not empty; write this run to a new one")
+    shutil.rmtree(tmp, ignore_errors=True)
+    tmp.mkdir(parents=True)
+    try:
+        yield tmp
+        tmp.replace(path)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
         raise
 
 
@@ -133,13 +152,15 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
     return config_text, entries
 
 
-def save_model(path, model, run_config, optimizer=None) -> None:
-    """Serialise model parameters (and optionally training state)."""
+def save_model(path, model, run_config, optimizer=None, extra=None) -> None:
+    """Serialise model parameters (and optionally training state: the
+    optimizer's entries, then extra's "opt." entries)."""
     entries: dict[str, np.ndarray] = {
         name: p.data for name, p in model.parameters().items()
     }
     if optimizer is not None:
         entries.update(optimizer.state_entries())
+    entries.update(extra or {})
     save_checkpoint(path, run_config.to_text(), entries)
 
 

@@ -1,12 +1,12 @@
 """Command-line interface.
 
-Subcommands: pretrain, inject, eval, build-contacts, split, probe.
+Subcommands: pretrain, inject, resume, eval, build-contacts, split, probe.
 Exit codes: 0 success, 1 data error, 2 config error.
 
-Every command that reads a checkpoint (pretrain --resume, inject, eval,
-probe) builds its config in one order: the checkpoint's stored config,
-then --config, then --set, then flags. A supplied value that contradicts
-a structural key of the checkpoint is a config error.
+inject, eval and probe build their config in one order: the checkpoint's
+stored config, then --config, then --set, then flags. A supplied value
+that contradicts a structural key of the checkpoint is a config error.
+resume takes its checkpoint's config as stored, apart from --steps.
 
 Runs are deterministic: all randomness is derived per step from
 (seed, step, purpose), so a resumed run reproduces the uninterrupted one
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -58,13 +59,13 @@ def _encode_table(table: dict[str, str], max_len: int) -> dict[str, T.TokenSeque
     return {name: T.encode(seq, max_len, name) for name, seq in sorted(table.items())}
 
 
-def _task_ppi(args, max_len: int) -> tuple[D.PPIGraph, dict[str, T.TokenSequence]]:
+def _task_ppi(command: str, tsv: str, fasta: str, max_len: int) -> tuple[D.PPIGraph, dict]:
     """The --data interaction TSV of inject or eval, and its endpoints encoded
     from --fasta."""
-    if not args.data or not args.fasta:
-        raise ConfigError(f"{args.command} --task ppi needs --data (TSV) and --fasta")
-    table = D.parse_fasta(args.fasta)
-    graph = _load_ppi(args.data, table)
+    if not tsv or not fasta:
+        raise ConfigError(f"{command} --task ppi needs --data (TSV) and --fasta")
+    table = D.parse_fasta(fasta)
+    graph = _load_ppi(tsv, table)
     return graph, _encode_table({name: table[name] for name in graph.nodes}, max_len)
 
 
@@ -158,47 +159,25 @@ def _ppi_batches(graph: D.PPIGraph, encoded, cfg: RunConfig, width: int):
 def _log_header(cfg: RunConfig, tasks: tuple[str, ...]) -> str:
     lines = [f"# config_hash={cfg.hash()}"]
     lines += [f"# {line}" for line in cfg.to_text().strip().splitlines()]
-    lines.append(",".join(["step", "l_conserve", *(f"l_{t}" for t in tasks), "total", "ms"]))
+    lines.append(",".join(["step", "l_conserve", *(f"l_{t}" for t in tasks), "total"]))
     return "\n".join(lines) + "\n"
 
 
-def _log_row(step: int, l_conserve: float, task_losses: dict[str, float], cfg: RunConfig,
-             ms: float) -> str:
+def _log_row(step: int, l_conserve: float, task_losses: dict[str, float], cfg: RunConfig) -> str:
     """One metrics.csv row, every loss at full precision; the total is
     L_conserve + (sum_t L_t * alpha_t) * lambda, tasks in list order."""
     alpha, inject = cfg.alpha(), 0.0
     for name, loss in task_losses.items():
         inject += loss * alpha.get(name, 1.0)
     cells = [str(step), repr(l_conserve), *map(repr, task_losses.values()),
-             repr(l_conserve + inject * cfg.lambda_weight), f"{ms:.3f}"]
+             repr(l_conserve + inject * cfg.lambda_weight)]
     return ",".join(cells) + "\n"
 
 
-def _rows_before(log_path: Path, stored: RunConfig, start_step: int,
-                 tasks: tuple[str, ...]) -> bytes:
-    """The log's step rows 0 to start_step-1; a config error unless the log
-    is this run's: its header, read by the gate, is stored apart from steps,
-    which draws nothing and which a resume may extend, its column line is
-    that of a run of tasks, and it holds each of those rows whole (a kill
-    can cut only a row past the checkpoint)."""
-    lines = log_path.read_bytes().splitlines(keepends=True)
-    header = b"".join(line[2:] for line in lines[1:] if line.startswith(b"# "))
-    try:
-        theirs = build_config(base_text=header.decode())
-    except (ConfigError, UnicodeDecodeError):
-        theirs = None
-    if theirs is None or dataclasses.replace(theirs, steps=stored.steps) != stored:
-        raise ConfigError(f"{log_path}: its header records another config than the checkpoint "
-                          "stores, so its rows are another run's")
-    body = [line for line in lines if not line.startswith(b"# ")]
-    columns = _log_header(stored, tasks).encode().splitlines(keepends=True)[-1]
-    if body[:1] != [columns]:
-        raise ConfigError(f"{log_path}: its columns are not this run's {columns.decode().strip()}")
-    rows = [row for i, row in enumerate(body[1:start_step + 1])
-            if row.startswith(b"%d," % i) and row.endswith(b"\n")]
-    if len(rows) != start_step:
-        raise ConfigError(f"{log_path}: it lacks a step row before step {start_step}")
-    return b"".join(rows)
+def _input_digests(cfg: RunConfig) -> dict[str, np.ndarray]:
+    """opt.sha256.<key>: each input file cfg names, its SHA-256 as 32 byte values."""
+    return {f"opt.sha256.{key}": np.array([*hashlib.sha256(Path(path).read_bytes()).digest()])
+            for key, path in (("fasta", cfg.fasta), ("ppi", cfg.ppi)) if path}
 
 
 def _checkpoints(out_dir: Path) -> list[Path]:
@@ -208,49 +187,72 @@ def _checkpoints(out_dir: Path) -> list[Path]:
     return [p for _, p in sorted((int(step), p) for p, step in steps.items() if step.isdecimal())]
 
 
-def _check_unused(out_dir: Path, cfg: RunConfig) -> None:
+def _check_unused(out_dir: Path, *cfgs: RunConfig) -> None:
     """Refuse an out_dir that holds another run's metrics.csv or rolling
-    checkpoints; one whose metrics.csv starts with cfg's hash holds an earlier
-    try of this same run, which a rerun rewrites."""
+    checkpoints; one whose metrics.csv starts with the hash of one of cfgs
+    holds an earlier try of this same run, which a rerun rewrites."""
     log = out_dir / "metrics.csv"
     used = [p for p in (log, *_checkpoints(out_dir)) if p.exists()]
-    if used and not (used[0] == log and
-                     log.read_bytes().startswith(f"# config_hash={cfg.hash()}\n".encode())):
+    if used and not (used[0] == log and log.read_bytes().split(b"\n")[0] in
+                     {f"# config_hash={cfg.hash()}".encode() for cfg in cfgs}):
         raise ConfigError(f"{used[0]}: the output directory holds another run's files; "
                           "write this run to a new one")
 
 
-def _train(model, cfg: RunConfig, out_dir: Path, final_name: str, mlm, tasks: dict,
-           state: dict, rows: bytes = b"") -> Path:
+def _train(model, cfg: RunConfig, out_dir: Path, mlm, tasks: dict, state: dict) -> Path:
     """Train the parameters that require a gradient, Adam resumed from state:
     run steps opt.step..cfg.steps-1, each O.train_step on mlm(step) (None
     without mlm) and each task's build(step) of tasks = {name: build}, and
-    return out_dir/final_name. metrics.csv starts atomically with cfg's header
-    and rows, the earlier steps' rows; every checkpoint_every steps a
-    rolling checkpoint is saved and all but the newest keep_last are pruned."""
+    return out_dir's final.bin (with mlm, after vocab.txt) or injected.bin.
+    metrics.csv starts atomically with cfg's header and the rows of state's
+    opt.loss; timing.csv takes each step's ms. Every checkpoint carries its
+    steps' loss cells (opt.loss) and input digests; every checkpoint_every
+    steps one is saved and all but the newest keep_last are pruned."""
     optimizer = O.Adam({n: p for n, p in model.parameters().items() if p.requires_grad}, cfg.lr)
     optimizer.load_state_entries(state)
+    names, start, digests = tuple(tasks), optimizer.t, _input_digests(cfg)
+    losses = np.zeros((cfg.steps, 1 + len(names)))
+    losses[:start] = state.get("opt.loss", 0.0)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if mlm:
+        T.write_vocab(out_dir / "vocab.txt")
     log_path = out_dir / "metrics.csv"
-    with ckpt.atomic_write(log_path, "wb") as fh:
-        fh.write(_log_header(cfg, tuple(tasks)).encode() + rows)
-    with open(log_path, "a") as log:
-        for step in range(optimizer.t, cfg.steps):
+    with ckpt.atomic_write(log_path) as fh:
+        fh.write(_log_header(cfg, names) + "".join(
+            _log_row(step, cells[0], dict(zip(names, cells[1:])), cfg)
+            for step, cells in enumerate(losses[:start].tolist())))
+    with open(log_path, "a") as log, open(out_dir / "timing.csv", "w") as timing:
+        timing.write("step,ms\n")
+        for step in range(start, cfg.steps):
             mlm_batch = mlm(step) if mlm else None
             task_batches = [build(step) for build in tasks.values()]
             t0 = time.monotonic()  # ms times the update, not the batch building
             l_conserve, task_losses = O.train_step(
                 model, optimizer, mlm_batch, task_batches, cfg.routing, cfg.lambda_weight,
                 cfg.alpha(), mlm_reduction=cfg.mlm_reduction)
-            ms = (time.monotonic() - t0) * 1000.0
-            log.write(_log_row(step, l_conserve, task_losses, cfg, ms))
+            timing.write(f"{step},{(time.monotonic() - t0) * 1000.0:.3f}\n")
+            losses[step] = (l_conserve, *task_losses.values())
+            log.write(_log_row(step, l_conserve, task_losses, cfg))
             if (step + 1) % cfg.checkpoint_every == 0:
                 log.flush()  # a checkpoint never runs ahead of its log rows
-                ckpt.save_model(out_dir / f"ckpt_step{step + 1}.bin", model, cfg, optimizer)
+                ckpt.save_model(out_dir / f"ckpt_step{step + 1}.bin", model, cfg, optimizer,
+                                {"opt.loss": losses[:step + 1], **digests})
                 for old in _checkpoints(out_dir)[:-cfg.keep_last]:
                     old.unlink()
-    final = out_dir / final_name
-    ckpt.save_model(final, model, cfg, optimizer)
+    final = out_dir / ("final.bin" if mlm else "injected.bin")
+    ckpt.save_model(final, model, cfg, optimizer, {"opt.loss": losses, **digests})
     return final
+
+
+def _pretrain_sources(cfg: RunConfig):
+    """pretrain's masked-LM batch builder over cfg.fasta, and its tasks: the
+    binary ppi task over cfg.ppi, if set."""
+    table = D.parse_fasta(cfg.fasta)
+    encoded = _encode_table(table, cfg.max_len)
+    corpus = list(encoded.values())
+    # the graph's endpoints reuse the corpus's encodings
+    tasks = {"ppi": _ppi_batches(_load_ppi(cfg.ppi, table), encoded, cfg, 1)} if cfg.ppi else {}
+    return (lambda step: _mlm_batch(corpus, cfg, step)), tasks
 
 
 # ---------------------------------------------------------------------------
@@ -258,22 +260,12 @@ def _train(model, cfg: RunConfig, out_dir: Path, final_name: str, mlm, tasks: di
 
 
 def cmd_pretrain(args) -> int:
-    cfg, model, state, stored = _load_config(args, ("fasta", "ppi", "steps", "seed"), args.resume)
-    start_step = int(state.get("opt.step", 0))
-    if start_step > cfg.steps:
-        raise ConfigError(f"--resume {args.resume} is at step {start_step}, "
-                          f"past steps={cfg.steps}")
+    cfg, _ = _load_config(args, ("fasta", "ppi", "steps", "seed"))
     if not cfg.fasta:
         raise ConfigError("pretrain needs a FASTA corpus (--fasta or config key fasta)")
+    mlm, tasks = _pretrain_sources(cfg)
 
-    table = D.parse_fasta(cfg.fasta)
-    encoded = _encode_table(table, cfg.max_len)
-    corpus = list(encoded.values())
-    # the graph's endpoints reuse the corpus's encodings
-    tasks = {"ppi": _ppi_batches(_load_ppi(cfg.ppi, table), encoded, cfg, 1)} if cfg.ppi else {}
-
-    if model is None:
-        model = ProteinEncoder(ModelConfig.from_run_config(cfg), seed=cfg.seed)
+    model = ProteinEncoder(ModelConfig.from_run_config(cfg), seed=cfg.seed)
     # train what some source reaches: encoder, MLM head, --ppi's head, free prompts
     held = frozenset.intersection(*(O.frozen_prompts(tuple(model.prompts), s, cfg.routing)
                                     for s in (O.CONSERVE, *tasks)))
@@ -283,25 +275,10 @@ def cmd_pretrain(args) -> int:
         p.requires_grad = p in trained
 
     # the output directory stays out of the config, so it leaves no trace in
-    # the checkpoints; a resume's home is its checkpoint's directory, whose
-    # log the checkpoint never runs ahead of, if that log is its run's
-    home = Path(args.resume).parent if args.resume else Path("run")
-    out_dir = Path(args.out_dir or home)
-    if not args.resume or out_dir.resolve() != home.resolve():
-        _check_unused(out_dir, cfg)
-    log = home / "metrics.csv"
-    rows = (_rows_before(log, stored, start_step, tuple(tasks))
-            if args.resume and log.exists() else b"")
-    # a moment Adam has not kept would restart at zero under a later step count
-    fresh = [n for n, p in model.parameters().items()
-             if p.requires_grad and start_step and f"opt.m.{n}" not in state]
-    if fresh:
-        raise ConfigError(f"--resume {args.resume} holds no Adam moments for {fresh[0]}, "
-                          "which this run trains")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    T.write_vocab(out_dir / "vocab.txt")
-    final = _train(model, cfg, out_dir, "final.bin", lambda step: _mlm_batch(corpus, cfg, step),
-                   tasks, state, rows)
+    # the checkpoints
+    out_dir = Path(args.out_dir or "run")
+    _check_unused(out_dir, cfg)
+    final = _train(model, cfg, out_dir, mlm, tasks, {})
     print(f"pretrain complete: {cfg.steps} steps, checkpoint {final}")
     return 0
 
@@ -314,7 +291,7 @@ def cmd_inject(args) -> int:
     outside the trained set require no gradient and get no opt.* entries,
     so they stay bitwise identical to the base checkpoint.
     """
-    cfg, model, _, _ = _load_config(args, ("steps", "lr", "seed"), args.checkpoint)
+    cfg, model = _load_config(args, ("steps", "lr", "seed"), args.checkpoint)
     prompt_name = args.prompt
     # a name the prompts key cannot list back (empty, or holding a comma)
     if not prompt_name.replace("_", "").isalnum():
@@ -322,9 +299,11 @@ def cmd_inject(args) -> int:
     if prompt_name in O.frozen_prompts((prompt_name,), args.task, cfg.routing):
         raise ConfigError(f"prompt {prompt_name!r} learns from the conservation loss only, "
                           "so inject could never train it")
-    # the config gate refuses a name the base already holds
-    cfg = dataclasses.replace(cfg, prompts=",".join((*cfg.prompt_names(), prompt_name)))
-    graph, encoded = _task_ppi(args, cfg.max_len)
+    # the config gate refuses a name the base already holds; the task's files
+    # become the run's ppi and fasta keys, which a resume reads
+    cfg = dataclasses.replace(cfg, prompts=",".join((*cfg.prompt_names(), prompt_name)),
+                              ppi=args.data, fasta=args.fasta)
+    graph, encoded = _task_ppi(args.command, cfg.ppi, cfg.fasta, cfg.max_len)
     tasks = {args.task: _ppi_batches(graph, encoded, cfg, graph.label_width)}
     init_rng = np.random.default_rng((cfg.seed, len(model.prompts)))
     model.prompts[prompt_name] = Tensor(init_rng.normal(0.0, PROMPT_INIT_STD, cfg.d))
@@ -337,14 +316,44 @@ def cmd_inject(args) -> int:
 
     out_dir = Path(args.out)
     _check_unused(out_dir, cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    final = _train(model, cfg, out_dir, "injected.bin", None, tasks, {})
+    final = _train(model, cfg, out_dir, None, tasks, {})
     print(f"inject complete: prompt {prompt_name!r}, checkpoint {final}")
     return 0
 
 
+def cmd_resume(args) -> int:
+    """Continue a pretrain or inject run from its checkpoint alone: its config
+    (--steps aside), its unchanged inputs and its trained set, its moments' names."""
+    model, stored, state = ckpt.load_model(args.checkpoint)
+    cfg = dataclasses.replace(stored, steps=stored.steps if args.steps is None else args.steps)
+    step = int(state.get("opt.step", 0))
+    # both commands log one task column, ppi, exactly when cfg.ppi is set
+    if state.get("opt.loss", np.zeros(0)).shape != (step, 1 + bool(cfg.ppi)):
+        raise ConfigError(f"{args.checkpoint} holds no opt.loss of its {step} steps, so it "
+                          "cannot resume (it predates them)")
+    if step > cfg.steps:
+        raise ConfigError(f"{args.checkpoint} is at step {step}, past steps={cfg.steps}")
+    for key, digest in _input_digests(cfg).items():
+        if not np.array_equal(state.get(key), digest):
+            raise ConfigError(f"{getattr(cfg, key.removeprefix('opt.sha256.'))}: the file is not "
+                              f"the one {args.checkpoint} was trained on ({key} differs)")
+    for name, p in model.parameters().items():
+        p.requires_grad = f"opt.m.{name}" in state
+    if "opt.m.head.mlm.w" in state:  # a pretrain; an inject trains no masked-LM head
+        mlm, tasks = _pretrain_sources(cfg)
+    else:
+        graph, encoded = _task_ppi("inject", cfg.ppi, cfg.fasta, cfg.max_len)
+        mlm, tasks = None, {"ppi": _ppi_batches(graph, encoded, cfg, graph.label_width)}
+    # its run's log, with the stored steps or the new, marks its run's directory
+    out_dir = Path(args.out_dir or Path(args.checkpoint).parent)
+    _check_unused(out_dir, cfg, stored)
+    final = _train(model, cfg, out_dir, mlm, tasks, state)
+    print(f"resume complete: {cfg.steps} steps, checkpoint {final}")
+    return 0
+
+
 def cmd_eval(args) -> int:
-    cfg, model, _, _ = _load_config(args, (), args.checkpoint)
+    cfg, model = _load_config(args, (), args.checkpoint)
     if args.prompts is None:
         prompt_sel = tuple(model.prompts)
     elif args.prompts == "":
@@ -367,7 +376,7 @@ def cmd_eval(args) -> int:
 
 
 def _eval_ppi(model, cfg, args, prompt_sel):
-    graph, encoded = _task_ppi(args, cfg.max_len)
+    graph, encoded = _task_ppi(args.command, args.data, args.fasta, cfg.max_len)
     pooled = {name: model.pool(model.encode(seq, prompt_sel)) for name, seq in encoded.items()}
     preds, truths = [], []
     for (a, b), bits in sorted(graph.edges.items()):
@@ -455,37 +464,32 @@ _EVAL_TASKS = {"ppi": _eval_ppi, "contact": _eval_contact, "ss": _eval_ss,
 
 
 def cmd_build_contacts(args) -> int:
-    cfg, _, _, _ = _load_config(args, ("contact_threshold",))
+    cfg, _ = _load_config(args, ("contact_threshold",))
     pdb_dir = Path(args.pdb_dir)
     if not pdb_dir.is_dir():
         raise DataError(f"{pdb_dir}: no such directory")
-    out_dir = Path(args.out_dir)
-    # eval --task contact scores every map in a directory, so one run's maps
-    # must not mix with another's
-    used = [p for p in (out_dir / "report.txt", *sorted(out_dir.glob("*.cmap"))) if p.exists()]
-    if used:
-        raise ConfigError(f"{used[0]}: the output directory holds another run's files; "
-                          "write this run to a new one")
-    out_dir.mkdir(parents=True, exist_ok=True)
     report_lines = [f"# config_hash={cfg.hash()}"]
     hard_errors = 0
     pdb_files = sorted(pdb_dir.glob("*.pdb"))
-    for pdb_file in pdb_files:
-        try:
-            chains, skips = D.parse_pdb(pdb_file)
-        except DataError as exc:
-            report_lines.append(f"error: {exc}")
-            print(f"error: {exc}", file=sys.stderr)
-            hard_errors += 1
-            continue
-        report_lines.extend(skips)
-        for chain_id, residues in sorted(chains.items()):
-            cmap = D.build_contact_map(residues, cfg.contact_threshold, tag=args.tag)
-            out_path = out_dir / f"{pdb_file.stem}_{chain_id}.cmap"
-            D.write_contact_map(cmap, out_path)
-            report_lines.append(f"{out_path.name}: n={cmap.n} from {pdb_file.name}")
-    with ckpt.atomic_write(out_dir / "report.txt") as fh:
-        fh.write("\n".join(report_lines) + "\n")
+    # eval --task contact scores every map in a directory, so one run's maps
+    # must not mix with another's
+    with ckpt.atomic_dir(args.out_dir) as out_dir:
+        for pdb_file in pdb_files:
+            try:
+                chains, skips = D.parse_pdb(pdb_file)
+            except DataError as exc:
+                report_lines.append(f"error: {exc}")
+                print(f"error: {exc}", file=sys.stderr)
+                hard_errors += 1
+                continue
+            report_lines.extend(skips)
+            for chain_id, residues in sorted(chains.items()):
+                cmap = D.build_contact_map(residues, cfg.contact_threshold, tag=args.tag)
+                out_path = out_dir / f"{pdb_file.stem}_{chain_id}.cmap"
+                D.write_contact_map(cmap, out_path)
+                report_lines.append(f"{out_path.name}: n={cmap.n} from {pdb_file.name}")
+        with ckpt.atomic_write(out_dir / "report.txt") as fh:
+            fh.write("\n".join(report_lines) + "\n")
     print(f"built contact maps for {len(pdb_files)} files, {hard_errors} hard errors")
     return 1 if hard_errors else 0
 
@@ -509,7 +513,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    cfg, model, _, _ = _load_config(args, ("probe_cutoff",), args.checkpoint)
+    cfg, model = _load_config(args, ("probe_cutoff",), args.checkpoint)
     # the FASTA and the prompt are checked and every record is probed
     # before the first CSV, so a bad input leaves no output
     encoded = _encode_table(D.parse_fasta(args.fasta), cfg.max_len)
@@ -520,16 +524,15 @@ def cmd_probe(args) -> int:
                             "so it cannot name a CSV in --out-dir")
     probed = [(name, seq, MX.embedding_shift_probe(model, seq, args.prompt))
               for name, seq in encoded.items()]
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, seq, distances in probed:
-        flagged = distances > cfg.probe_cutoff
-        lines = [f"# config_hash={cfg.hash()}", "index,residue,distance,flagged"]
-        lines += [f"{i},{T.SYMBOLS[tok]},{float(x)!r},{int(f)}" for i, (tok, x, f) in
-                  enumerate(zip(seq.ids[seq.residue_positions()], distances, flagged))]
-        with ckpt.atomic_write(out_dir / f"{name}.csv") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print(f"{name}: {distances.size} residues, {int(flagged.sum())} above cutoff")
+    with ckpt.atomic_dir(args.out_dir) as out_dir:
+        for name, seq, distances in probed:
+            flagged = distances > cfg.probe_cutoff
+            lines = [f"# config_hash={cfg.hash()}", "index,residue,distance,flagged"]
+            lines += [f"{i},{T.SYMBOLS[tok]},{float(x)!r},{int(f)}" for i, (tok, x, f) in
+                      enumerate(zip(seq.ids[seq.residue_positions()], distances, flagged))]
+            with ckpt.atomic_write(out_dir / f"{name}.csv") as fh:
+                fh.write("\n".join(lines) + "\n")
+            print(f"{name}: {distances.size} residues, {int(flagged.sum())} above cutoff")
     return 0
 
 
@@ -559,16 +562,16 @@ def _checked_prompts(model, names: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def _load_config(args, keys: tuple[str, ...], checkpoint=None):
-    """(cfg, model, state, stored): cfg from the checkpoint's stored config,
-    if one is given, then --config, --set and the flags named in keys.
-    Without a checkpoint, model and stored are None and state is empty."""
-    model, stored, state = ckpt.load_model(checkpoint) if checkpoint else (None, None, {})
+    """(cfg, model): cfg from the checkpoint's stored config, if one is
+    given, then --config, --set and the flags named in keys. Without a
+    checkpoint, model is None."""
+    model, stored, _ = ckpt.load_model(checkpoint) if checkpoint else (None, None, {})
     overrides = _flag_overrides(args, keys)
     base_text = stored.to_text() if stored is not None else None
     cfg = build_config(args.config, overrides, base_text=base_text)
     if stored is not None:
         check_structural(cfg, stored)
-    return cfg, model, state, stored
+    return cfg, model
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -590,13 +593,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--fasta", default=None, help="training corpus")
     p.add_argument("--ppi", default=None, help="interaction TSV for the injection task")
-    p.add_argument(
-        "--out-dir", dest="out_dir", default=None,
-        help="output directory (default: the --resume checkpoint's directory, else run)",
-    )
+    p.add_argument("--out-dir", dest="out_dir", default=None,
+                   help="output directory (default: run)")
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("inject", help="train a new prompt on a task")
@@ -604,8 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--prompt", required=True, help="name of the new prompt")
     p.add_argument("--task", required=True, choices=("ppi",))
-    p.add_argument("--data", default=None, help="task data file")
-    p.add_argument("--fasta", default=None, help="sequences for the task data")
+    p.add_argument("--data", default="", help="task data file")
+    p.add_argument("--fasta", default="", help="sequences for the task data")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
@@ -615,6 +615,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="also update encoder parameters (frozen by default)",
     )
     p.set_defaults(func=cmd_inject)
+
+    p = sub.add_parser("resume", help="continue a pretrain or inject run from its checkpoint")
+    p.add_argument("checkpoint", help="a rolling or final checkpoint of the run")
+    p.add_argument("--steps", type=int, default=None, help="step count (default: the run's)")
+    p.add_argument("--out-dir", dest="out_dir", default=None,
+                   help="output directory (default: the checkpoint's directory)")
+    p.set_defaults(func=cmd_resume)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a task")
     _add_common(p)

@@ -191,8 +191,8 @@ def build_config(
 ) -> RunConfig:
     """Assemble a RunConfig from (optional) base text, file and overrides.
 
-    base_text is a stored config read from a file (a checkpoint's, or a log
-    header's); the file, then the overrides, are layered on top of it. Blank
+    base_text is a stored config read from a file (a checkpoint's); the
+    file, then the overrides, are layered on top of it. Blank
     and # lines of base_text and the file are dropped. Retired keys in
     base_text are dropped, so checkpoints that name them still load, unless
     one holds a value the code no longer runs.

@@ -76,7 +76,7 @@ def corpus(tmp_path_factory):
 
 
 def _metric_columns(out_dir, tasks=("ppi",)):
-    header = ",".join(["step", "l_conserve", *[f"l_{t}" for t in tasks], "total", "ms"])
+    header = ",".join(["step", "l_conserve", *[f"l_{t}" for t in tasks], "total"])
     lines = (out_dir / "metrics.csv").read_text().splitlines()
     rows = [ln.split(",") for ln in lines[lines.index(header) + 1:]]
     return {
@@ -329,7 +329,7 @@ def test_3_objective_fidelity():
         opt = O.Adam(model.parameters(), lr=1e-4)
         l_conserve, task_losses = O.train_step(model, opt, mlm, [ppi], True, 0.7, {"ppi": 1.3})
         reports.append((l_conserve, task_losses))
-        rows.append(cli._log_row(0, l_conserve, task_losses, cfg, 0.0))
+        rows.append(cli._log_row(0, l_conserve, task_losses, cfg))
     assert reports[0] == reports[1] and rows[0] == rows[1]
     total = float(rows[0].split(",")[3])
     assert total == reports[0][0] + reports[0][1]["ppi"] * 1.3 * 0.7

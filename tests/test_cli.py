@@ -1,6 +1,7 @@
 """End-to-end command-line workflows on a tiny corpus."""
 
 import dataclasses
+import hashlib
 import os
 import re
 import shlex
@@ -77,17 +78,27 @@ def ws(tmp_path_factory):
 def test_pretrain_writes_artifacts(ws):
     out = ws["out"]
     for name in ("final.bin", "ckpt_step2.bin", "ckpt_step4.bin",
-                 "metrics.csv", "vocab.txt"):
+                 "metrics.csv", "timing.csv", "vocab.txt"):
         assert (out / name).exists(), name
     lines = (out / "metrics.csv").read_text().splitlines()
     assert lines[0].startswith("# config_hash=")
     assert "# d=16" in lines
-    header_at = lines.index("step,l_conserve,l_ppi,total,ms")
+    header_at = lines.index("step,l_conserve,l_ppi,total")
     rows = [ln.split(",") for ln in lines[header_at + 1:]]
     assert [r[0] for r in rows] == ["0", "1", "2", "3"]
     for r in rows:
         total = float(r[1]) + float(r[2])  # lambda = alpha_ppi = 1 here
         assert 0 < float(r[3]) and abs(float(r[3]) - total) < 1e-9 * (1 + total)
+    # the log holds only what the seed decides; each step's time goes beside it
+    timing = (out / "timing.csv").read_text().splitlines()
+    assert timing[0] == "step,ms" and [t.split(",")[0] for t in timing[1:]] == ["0", "1", "2", "3"]
+    # the checkpoint carries the loss cells the rows print and its inputs' digests
+    _, _, state = ckpt.load_model(out / "final.bin")
+    assert [[repr(x) for x in cells] for cells in state["opt.loss"].tolist()] == \
+        [r[1:3] for r in rows]
+    for key, path in (("fasta", ws["fasta"]), ("ppi", ws["pairs"])):
+        digest = bytes(state[f"opt.sha256.{key}"].astype(np.uint8))
+        assert digest == hashlib.sha256(path.read_bytes()).digest()
     vocab = (out / "vocab.txt").read_text().splitlines()
     assert len(vocab) == 25 and vocab[0].endswith("<cls>")
 
@@ -140,8 +151,7 @@ def test_a_second_run_into_a_used_directory_exits_2_and_changes_nothing(ws, tmp_
         "pretrain": ["pretrain", "--fasta", str(ws["fasta"]), "--out-dir", str(out),
                      "--steps", "4", "--seed", "2", *BASE_SETS],
         "inject": [*_training_argv(ws, "inject", out), "--steps", "2"],
-        "resume-elsewhere": ["pretrain", "--resume", str(ws["out"] / "ckpt_step2.bin"),
-                             "--out-dir", str(out)],
+        "resume-elsewhere": ["resume", str(ws["out"] / "ckpt_step2.bin"), "--out-dir", str(out)],
         "same-run": first,
     }[second]
     capsys.readouterr()
@@ -173,6 +183,11 @@ def test_pretrain_with_ppi_parses_its_fasta_once(ws, tmp_path, monkeypatch):
     assert calls == [str(ws["fasta"])]
 
 
+def _outputs(out_dir, final="final.bin"):
+    """The bytes of out_dir's final checkpoint and metrics.csv."""
+    return {name: (out_dir / name).read_bytes() for name in (final, "metrics.csv")}
+
+
 def test_resume_reproduces_single_run_bitwise(ws, tmp_path):
     fasta, pairs = ws["fasta"], ws["pairs"]
     out = tmp_path / "resume"
@@ -181,29 +196,100 @@ def test_resume_reproduces_single_run_bitwise(ws, tmp_path):
               "--set", "checkpoint_every=3"]
 
     assert main([*common, "--steps", "6"]) == 0
-    straight_final = (out / "final.bin").read_bytes()
-    straight_rows = _metric_rows(out)
+    straight = _outputs(out)
     shutil.rmtree(out)
 
     assert main([*common, "--steps", "3"]) == 0
     assert (out / "ckpt_step3.bin").exists()
-    assert main([*common, "--steps", "6",
-                 "--resume", str(out / "ckpt_step3.bin")]) == 0
-    assert (out / "final.bin").read_bytes() == straight_final
-    resumed_rows = _metric_rows(out)
-    # loss columns replay exactly; the ms timing column may differ
-    assert [r[:-1] for r in resumed_rows] == [r[:-1] for r in straight_rows]
+    assert main(["resume", str(out / "ckpt_step3.bin"), "--steps", "6"]) == 0
+    assert _outputs(out) == straight
+
+
+@pytest.mark.parametrize("case", ["pretrain --ppi", "pretrain", "inject",
+                                  "inject --no-freeze-encoder"])
+def test_resume_from_every_rolling_checkpoint_gives_the_uninterrupted_bytes(ws, tmp_path, case):
+    # the trained set comes from the checkpoint's moments and the rows from
+    # its opt.loss; resume --steps extends a run to a straight run's bytes
+    def argv(out, steps):
+        if case.startswith("pretrain"):
+            run = ["pretrain", "--fasta", str(ws["fasta"]), "--out-dir", str(out), *BASE_SETS,
+                   *(["--ppi", str(ws["pairs"])] if "--ppi" in case else [])]
+        else:
+            run = [*_training_argv(ws, "inject", out), *case.split()[1:]]
+        return [*run, "--seed", "5", "--steps", str(steps), "--set", "checkpoint_every=1",
+                "--set", "keep_last=9"]
+
+    final = "final.bin" if case.startswith("pretrain") else "injected.bin"
+    straight, longer = tmp_path / "straight", tmp_path / "longer"
+    assert main(argv(straight, 4)) == 0 and main(argv(longer, 6)) == 0
+    for k in range(1, 5):
+        out = tmp_path / f"from{k}"
+        assert main(["resume", str(straight / f"ckpt_step{k}.bin"), "--out-dir", str(out)]) == 0
+        assert _outputs(out, final) == _outputs(straight, final), k
+    extended = tmp_path / "extended"
+    assert main(["resume", str(straight / final), "--steps", "6", "--out-dir", str(extended)]) == 0
+    assert _outputs(extended, final) == _outputs(longer, final)
+
+
+@pytest.mark.parametrize("command", ["pretrain", "inject"])
+def test_resume_refuses_a_changed_input(ws, tmp_path, capsys, command):
+    # a 2-step run into B, then one FASTA record (pretrain) or one --data row
+    # (inject) edited: the resume exits 2 naming the file and leaves B alone
+    fasta, pairs, b = tmp_path / "in.fasta", tmp_path / "in.tsv", tmp_path / "B"
+    shutil.copy(ws["fasta"], fasta)
+    shutil.copy(ws["pairs"], pairs)
+    if command == "pretrain":
+        argv = ["pretrain", "--fasta", str(fasta), "--out-dir", str(b), *BASE_SETS]
+        edited, text = fasta, fasta.read_text().replace(">p00\n", ">p00\nW", 1)
+    else:
+        argv = ["inject", "--checkpoint", str(ws["final"]), "--prompt", "PPI", "--task", "ppi",
+                "--data", str(pairs), "--fasta", str(fasta), "--out", str(b)]
+        edited, text = pairs, pairs.read_text().replace("\t0\n", "\t1\n", 1)
+    assert main([*argv, "--steps", "2"]) == 0
+    assert text != edited.read_text()
+    edited.write_text(text)
+    before = _files(b)
+    capsys.readouterr()
+    assert main(["resume", str(b / "ckpt_step2.bin"), "--steps", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {edited}: the file is not the one "
+                                   f"{b / 'ckpt_step2.bin'} was trained on"), captured.err
+    assert "Traceback" not in captured.err and not captured.out
+    assert _files(b) == before
+
+
+def test_resume_refuses_a_checkpoint_without_its_losses(ws, tmp_path, capsys):
+    # one written before checkpoints carried opt.loss and the input digests:
+    # resume refuses it before any write; eval, probe and inject still read it
+    text, entries = ckpt.load_checkpoint(ws["out"] / "ckpt_step2.bin")
+    old = tmp_path / "old" / "ckpt_step2.bin"
+    old.parent.mkdir()
+    ckpt.save_checkpoint(old, text, {k: v for k, v in entries.items()
+                                     if not k.startswith(("opt.loss", "opt.sha256."))})
+    capsys.readouterr()
+    assert main(["resume", str(old), "--steps", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {old} holds no opt.loss of its 2 steps"), err
+    assert os.listdir(old.parent) == ["ckpt_step2.bin"]
+    data = ["--data", str(ws["pairs"]), "--fasta", str(ws["fasta"])]
+    assert main(["eval", "--checkpoint", str(old), "--task", "ppi", *data]) == 0
+    assert main(["probe", "--checkpoint", str(old), "--fasta", str(ws["fasta"]), "--prompt", "IC",
+                 "--out-dir", str(tmp_path / "probe")]) == 0
+    assert main(["inject", "--checkpoint", str(old), "--prompt", "PPI", "--task", "ppi", *data,
+                 "--out", str(tmp_path / "inj"), "--steps", "1"]) == 0
 
 
 def test_resume_from_a_checkpoint_with_moments_for_every_parameter(ws, tmp_path):
     # checkpoints written before Adam held only the trained set carry zero
-    # moments for every other parameter; they resume to the same bytes
+    # moments for every other parameter. A resume trains what has moments, and
+    # the others reach no loss: they and their moments keep their bits, and
+    # every other entry and the log equal the straight run's
     out = tmp_path / "resume"
     common = ["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
               "--out-dir", str(out), "--seed", "7", *BASE_SETS]
     assert main([*common, "--steps", "4"]) == 0
-    straight_final = (out / "final.bin").read_bytes()
-    straight_rows = [r[:-1] for r in _metric_rows(out)]
+    _, straight = ckpt.load_checkpoint(out / "final.bin")
+    straight_log = (out / "metrics.csv").read_bytes()
     shutil.rmtree(out)
 
     assert main([*common, "--steps", "2"]) == 0
@@ -211,15 +297,21 @@ def test_resume_from_a_checkpoint_with_moments_for_every_parameter(ws, tmp_path)
     model, cfg, state = ckpt.load_model(rolled)
     everything = O.Adam(model.parameters(), lr=cfg.lr)
     everything.load_state_entries(state)
-    ckpt.save_model(rolled, model, cfg, everything)
+    ckpt.save_model(rolled, model, cfg, everything,
+                    {k: v for k, v in state.items() if k.startswith(("opt.loss", "opt.sha256."))})
     _, entries = ckpt.load_checkpoint(rolled)
     moments = {n: v for n, v in entries.items() if n.startswith("opt.m.")}
     assert len(moments) == len(model.parameters()) == 36
     assert not any(moments[f"opt.m.{n}"].any() for n in ("head.contact.b", "head.pair.w"))
 
-    assert main([*common, "--steps", "4", "--resume", str(rolled)]) == 0
-    assert (out / "final.bin").read_bytes() == straight_final
-    assert [r[:-1] for r in _metric_rows(out)] == straight_rows
+    assert main(["resume", str(rolled), "--steps", "4"]) == 0
+    _, resumed = ckpt.load_checkpoint(out / "final.bin")
+    assert {k: resumed[k].tobytes() for k in straight} == \
+        {k: v.tobytes() for k, v in straight.items()}
+    untrained = resumed.keys() - straight.keys()
+    assert len(untrained) == 2 * (36 - len(moments.keys() & straight.keys()))
+    assert not any(resumed[k].any() for k in untrained)
+    assert (out / "metrics.csv").read_bytes() == straight_log
 
 
 def test_output_directory_leaves_no_trace_in_outputs(ws, tmp_path):
@@ -244,7 +336,7 @@ def test_pretrain_output_directory_defaults(ws, tmp_path, monkeypatch):
     assert (tmp_path / "run" / "final.bin").exists()
     moved = tmp_path / "moved"
     (tmp_path / "run").rename(moved)
-    assert main([*common, "--steps", "4", "--resume", str(moved / "ckpt_step2.bin")]) == 0
+    assert main(["resume", str(moved / "ckpt_step2.bin"), "--steps", "4"]) == 0
     assert [r[0] for r in _metric_rows(moved)] == ["0", "1", "2", "3"]
     assert (moved / "ckpt_step4.bin").exists() and not (tmp_path / "run").exists()
 
@@ -254,63 +346,26 @@ def test_resume_into_a_new_directory_keeps_the_whole_log(ws, tmp_path):
               "--seed", "7", "--steps", "6", *BASE_SETS, "--set", "checkpoint_every=3"]
     first, second = tmp_path / "first", tmp_path / "second"
     assert main([*common, "--out-dir", str(first)]) == 0
-    assert main([*common, "--out-dir", str(second),
-                 "--resume", str(first / "ckpt_step3.bin")]) == 0
-    assert (second / "final.bin").read_bytes() == (first / "final.bin").read_bytes()
-    logs = [(d / "metrics.csv").read_text().splitlines() for d in (first, second)]
-    masked = [[ln.rsplit(",", 1)[0] if ln[:1].isdigit() else ln for ln in log] for log in logs]
-    assert masked[0] == masked[1]
+    assert main(["resume", str(first / "ckpt_step3.bin"), "--out-dir", str(second)]) == 0
+    assert _outputs(second) == _outputs(first)
+    assert (second / "vocab.txt").read_bytes() == (first / "vocab.txt").read_bytes()
     assert [r[0] for r in _metric_rows(second)] == ["0", "1", "2", "3", "4", "5"]
 
 
-def test_resume_takes_its_rows_from_the_log_beside_its_checkpoint(ws, tmp_path):
-    # --out-dir holds an earlier try of the same run, cut after its step-2
-    # row; the checkpoint's own log, which never runs behind it, gives row 3
-    common = ["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
-              "--seed", "7", *BASE_SETS]
-    first, second, straight = tmp_path / "first", tmp_path / "second", tmp_path / "straight"
-    assert main([*common, "--steps", "4", "--out-dir", str(first)]) == 0
-    assert main([*common, "--steps", "6", "--out-dir", str(straight)]) == 0
-    second.mkdir()
+def test_resume_takes_its_rows_from_its_checkpoint(ws, tmp_path, monkeypatch):
+    # no log is read: not another run's log beside a copied checkpoint (C's,
+    # resumed into E), not the log a rerun cut before its first row left
+    # beside the first run's checkpoints (A's), and not an earlier try in
+    # --out-dir cut after its step-2 row (D's). The rows come from opt.loss
+    common = ["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]), *BASE_SETS]
+    a, c, d, straight = (tmp_path / name for name in ("A", "C", "D", "straight"))
+    assert main([*common, "--seed", "7", "--steps", "4", "--out-dir", str(a)]) == 0
+    assert main([*common, "--seed", "8", "--steps", "4", "--out-dir", str(c)]) == 0
+    assert main([*common, "--seed", "7", "--steps", "6", "--out-dir", str(straight)]) == 0
+    shutil.copy(a / "ckpt_step4.bin", c / "ckpt_a4.bin")
+    d.mkdir()
     log = (straight / "metrics.csv").read_text()
-    (second / "metrics.csv").write_text(log[:log.index("\n3,") + 1])
-    assert main([*common, "--steps", "6", "--out-dir", str(second),
-                 "--resume", str(first / "ckpt_step4.bin")]) == 0
-    assert (second / "final.bin").read_bytes() == (straight / "final.bin").read_bytes()
-    assert [r[0] for r in _metric_rows(second)] == ["0", "1", "2", "3", "4", "5"]
-    assert _log_lines(second) == _log_lines(straight)
-
-
-def test_resume_refuses_a_log_that_another_run_wrote(ws, tmp_path, capsys):
-    # A's checkpoint copied beside C's log: C's rows are not A's run, so the
-    # resume stops before it writes anything rather than replay them
-    common = ["pretrain", "--fasta", str(ws["fasta"]), "--steps", "4", *BASE_SETS]
-    a, c, d = tmp_path / "A", tmp_path / "C", tmp_path / "D"
-    assert main([*common, "--seed", "7", "--out-dir", str(a)]) == 0
-    assert main([*common, "--seed", "8", "--out-dir", str(c)]) == 0
-    shutil.copy(a / "ckpt_step2.bin", c / "ckpt_a2.bin")
-    before = {p.name: p.read_bytes() for p in c.iterdir()}
-    capsys.readouterr()
-    assert main([*common, "--seed", "7", "--out-dir", str(d),
-                 "--resume", str(c / "ckpt_a2.bin")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {c / 'metrics.csv'}: ") and "Traceback" not in err
-    assert not d.exists() and {p.name: p.read_bytes() for p in c.iterdir()} == before
-
-
-def _files(root):
-    """Every file under root, by relative path, with its bytes."""
-    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
-
-
-def test_resume_refuses_a_log_that_lacks_its_checkpoints_rows(ws, tmp_path, monkeypatch, capsys):
-    # a rerun of the same command may rewrite the log, and one cut before its
-    # first step row leaves the first run's checkpoints beside a log without
-    # rows; a resume from them would log no step before its own
-    a = tmp_path / "A"
-    run = ["pretrain", "--fasta", str(ws["fasta"]), "--steps", "4", "--out-dir", str(a),
-           *BASE_SETS]
-    assert main(run) == 0
+    (d / "metrics.csv").write_text(log[:log.index("\n3,") + 1])
 
     def interrupt(*args, **kwargs):
         raise KeyboardInterrupt
@@ -318,23 +373,45 @@ def test_resume_refuses_a_log_that_lacks_its_checkpoints_rows(ws, tmp_path, monk
     with monkeypatch.context() as m:
         m.setattr(O, "train_step", interrupt)
         with pytest.raises(KeyboardInterrupt):
-            main(run)
-    assert _metric_rows(a, "step,l_conserve,total,ms") == []
-    before = _files(tmp_path)
+            main([*common, "--seed", "7", "--steps", "4", "--out-dir", str(a)])
+    assert _metric_rows(a) == []
+    c_files = _files(c)
+    for checkpoint, out in ((a / "ckpt_step4.bin", a), (c / "ckpt_a4.bin", tmp_path / "E"),
+                            (a / "ckpt_step4.bin", d)):
+        assert main(["resume", str(checkpoint), "--steps", "6", "--out-dir", str(out)]) == 0
+        assert _outputs(out) == _outputs(straight), out
+    assert _files(c) == c_files
+
+
+def test_resume_refuses_a_log_that_another_run_wrote(ws, tmp_path, capsys):
+    # A's checkpoint copied beside C's log: a resume into the checkpoint's
+    # directory would overwrite another run's files, so it stops before it
+    # writes anything; into a new directory it runs (see above)
+    common = ["pretrain", "--fasta", str(ws["fasta"]), "--steps", "4", *BASE_SETS]
+    a, c = tmp_path / "A", tmp_path / "C"
+    assert main([*common, "--seed", "7", "--out-dir", str(a)]) == 0
+    assert main([*common, "--seed", "8", "--out-dir", str(c)]) == 0
+    shutil.copy(a / "ckpt_step2.bin", c / "ckpt_a2.bin")
+    before = _files(c)
     capsys.readouterr()
-    assert main(["pretrain", "--resume", str(a / "ckpt_step4.bin")]) == 2
+    assert main(["resume", str(c / "ckpt_a2.bin")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {a / 'metrics.csv'}: it lacks a step row before "
-                          "step 4"), err
-    assert _files(tmp_path) == before
+    assert err == (f"config error: {c / 'metrics.csv'}: the output directory holds another "
+                   "run's files; write this run to a new one\n"), err
+    assert _files(c) == before
+
+
+def _files(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 @pytest.mark.parametrize("case", ["ppi", "no-ppi", "routing", "injected", "injected-no-log"])
 def test_resume_refuses_to_change_its_tasks_or_what_it_trains(ws, tmp_path, capsys, case):
-    # A trains without --ppi, ws's base with it. A resume that adds or drops
-    # the task would write rows under another run's columns; one that trains
-    # a parameter the checkpoint keeps no moments for (IC with routing off,
-    # or the encoder after an inject) would step it from zero moments
+    # A trains without --ppi, ws's base with it, and I is an inject into A. A
+    # resume takes its tasks and trained set from its checkpoint, so no option
+    # can add or drop --ppi, turn routing off, resume an inject as a pretrain
+    # or unfreeze its encoder: each is an argparse error before any write
     a = tmp_path / "A"
     assert main(["pretrain", "--fasta", str(ws["fasta"]), "--steps", "4", "--out-dir", str(a),
                  *BASE_SETS]) == 0
@@ -343,45 +420,33 @@ def test_resume_refuses_to_change_its_tasks_or_what_it_trains(ws, tmp_path, caps
                      "--checkpoint", str(a / "final.bin")]) == 0
     if case == "injected-no-log":
         (tmp_path / "I" / "metrics.csv").unlink()
-    resume, named = {
-        "ppi": (["--resume", str(a / "ckpt_step2.bin"), "--ppi", str(ws["pairs"]),
-                 "--out-dir", str(tmp_path / "B")],
-                f"{a / 'metrics.csv'}: its columns are not this run's "
-                "step,l_conserve,l_ppi,total,ms"),
-        "no-ppi": (["--resume", str(ws["out"] / "ckpt_step2.bin"), "--set", "ppi=",
-                    "--out-dir", str(tmp_path / "B")],
-                   f"{ws['out'] / 'metrics.csv'}: its columns are not this run's "
-                   "step,l_conserve,total,ms"),
-        "routing": (["--resume", str(a / "ckpt_step2.bin"), "--set", "routing=false",
-                     "--out-dir", str(tmp_path / "R")],
-                    f"--resume {a / 'ckpt_step2.bin'} holds no Adam moments for prompt.IC,"),
-        "injected": (["--resume", str(tmp_path / "I" / "injected.bin")],
-                     f"{tmp_path / 'I' / 'metrics.csv'}: its columns are not this run's "
-                     "step,l_conserve,total,ms"),
-        "injected-no-log": (["--resume", str(tmp_path / "I" / "injected.bin")],
-                            f"--resume {tmp_path / 'I' / 'injected.bin'} holds no Adam "
-                            "moments for embed."),
+    injected = str(tmp_path / "I" / "injected.bin")
+    argv, named = {
+        "ppi": (["resume", str(a / "ckpt_step2.bin"), "--ppi", str(ws["pairs"])], "--ppi"),
+        "no-ppi": (["resume", str(ws["out"] / "ckpt_step2.bin"), "--set", "ppi="], "--set"),
+        "routing": (["resume", str(a / "ckpt_step2.bin"), "--set", "routing=false"], "--set"),
+        "injected": (["pretrain", "--resume", injected], "--resume"),
+        "injected-no-log": (["resume", injected, "--no-freeze-encoder"], "--no-freeze-encoder"),
     }[case]
     before, base = _files(tmp_path), _files(ws["out"])
     capsys.readouterr()
-    assert main(["pretrain", *resume]) == 2
+    assert _exit_code(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"config error: {named}"), captured.err
+    assert f"error: unrecognized arguments: {named}" in captured.err, captured.err
     assert "Traceback" not in captured.err and not captured.out
     assert _files(tmp_path) == before and _files(ws["out"]) == base
 
 
 def test_a_cut_extension_leaves_its_log_readable_to_a_retry(ws, tmp_path, monkeypatch):
-    # a resume that extends a run rewrites the log beside its checkpoint with
-    # the new steps before its first step; cut there, a retry of the same
-    # command and a resume from an older checkpoint both still take that
-    # log's rows, which steps does not change
+    # a resume that extends a run rewrites the log beside its checkpoint,
+    # whole, with the new steps before its first step; cut there, the log
+    # holds the rows so far, and a retry of the same command and a resume from
+    # an older checkpoint both still write the straight run's bytes
     run, older, straight = tmp_path / "run", tmp_path / "older", tmp_path / "straight"
     shutil.copytree(ws["out"], run)
-    common = ["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
-              "--seed", "7", "--steps", "6", *BASE_SETS]
-    assert main([*common, "--out-dir", str(straight)]) == 0
-    extend = [*common, "--resume", str(run / "final.bin")]
+    assert main(["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
+                 "--seed", "7", "--steps", "6", *BASE_SETS, "--out-dir", str(straight)]) == 0
+    extend = ["resume", str(run / "final.bin"), "--steps", "6"]
 
     def interrupt(*args, **kwargs):
         raise KeyboardInterrupt
@@ -391,30 +456,11 @@ def test_a_cut_extension_leaves_its_log_readable_to_a_retry(ws, tmp_path, monkey
         with pytest.raises(KeyboardInterrupt):
             main(extend)
     assert "# steps=6" in _log_lines(run) and [r[0] for r in _metric_rows(run)] == ["0", "1", "2", "3"]
-    assert main([*common, "--out-dir", str(older), "--resume", str(run / "ckpt_step2.bin")]) == 0
+    assert main(["resume", str(run / "ckpt_step2.bin"), "--steps", "6",
+                 "--out-dir", str(older)]) == 0
     assert main(extend) == 0
     for out in (run, older):
-        assert (out / "final.bin").read_bytes() == (straight / "final.bin").read_bytes()
-        assert _log_lines(out) == _log_lines(straight)
-
-
-def test_resume_reads_a_log_whose_header_names_retired_keys(ws, tmp_path):
-    # a run started before beta1 was retired stored beta1=0.9 in its
-    # checkpoints and its log header; read back, both drop it and agree
-    run, out = tmp_path / "run", tmp_path / "out"
-    shutil.copytree(ws["out"], run)
-    text, entries = ckpt.load_checkpoint(run / "ckpt_step2.bin")
-    ckpt.save_checkpoint(run / "ckpt_step2.bin",
-                         "".join(sorted([*text.splitlines(True), "beta1=0.9\n"])), entries)
-    lines = (run / "metrics.csv").read_text().splitlines(True)
-    header = [i for i, line in enumerate(lines) if line.startswith("# ")][1:]
-    lines[header[0]:header[-1] + 1] = sorted([*lines[header[0]:header[-1] + 1], "# beta1=0.9\n"])
-    (run / "metrics.csv").write_text("".join(lines))
-    assert main(["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
-                 "--steps", "4", "--out-dir", str(out),
-                 "--resume", str(run / "ckpt_step2.bin")]) == 0
-    assert (out / "final.bin").read_bytes() == ws["final"].read_bytes()
-    assert _log_lines(out) == _log_lines(ws["out"])
+        assert _outputs(out) == _outputs(straight)
 
 
 def test_resume_mid_interval_logs_each_step_once(ws, tmp_path):
@@ -423,23 +469,20 @@ def test_resume_mid_interval_logs_each_step_once(ws, tmp_path):
               "--out-dir", str(out), "--seed", "7", *BASE_SETS,
               "--set", "checkpoint_every=3"]
     assert main([*common, "--steps", "6"]) == 0
-    straight_rows = _metric_rows(out)
+    straight_log = (out / "metrics.csv").read_bytes()
     shutil.rmtree(out)
 
     # stop at step 5: steps 3 and 4 are logged after the last checkpoint
     assert main([*common, "--steps", "5"]) == 0
     assert [r[0] for r in _metric_rows(out)] == ["0", "1", "2", "3", "4"]
-    assert main([*common, "--steps", "6",
-                 "--resume", str(out / "ckpt_step3.bin")]) == 0
-    resumed_rows = _metric_rows(out)
-    assert [r[0] for r in resumed_rows] == ["0", "1", "2", "3", "4", "5"]
-    assert [r[:-1] for r in resumed_rows] == [r[:-1] for r in straight_rows]
+    assert main(["resume", str(out / "ckpt_step3.bin"), "--steps", "6"]) == 0
+    assert [r[0] for r in _metric_rows(out)] == ["0", "1", "2", "3", "4", "5"]
+    assert (out / "metrics.csv").read_bytes() == straight_log
 
 
 def _log_lines(out_dir):
-    """metrics.csv's lines with the ms cell of every step row cut off."""
-    lines = (out_dir / "metrics.csv").read_text().splitlines()
-    return [ln.rsplit(",", 1)[0] if ln[:1].isdigit() else ln for ln in lines]
+    """metrics.csv's lines."""
+    return (out_dir / "metrics.csv").read_text().splitlines()
 
 
 def test_resumed_log_states_the_resumed_config(ws, tmp_path):
@@ -449,8 +492,7 @@ def test_resumed_log_states_the_resumed_config(ws, tmp_path):
               "--seed", "7", *BASE_SETS]
     out, straight = tmp_path / "resumed", tmp_path / "straight"
     assert main([*common, "--out-dir", str(out), "--steps", "3"]) == 0
-    assert main([*common, "--out-dir", str(out), "--steps", "4",
-                 "--resume", str(out / "ckpt_step2.bin")]) == 0
+    assert main(["resume", str(out / "ckpt_step2.bin"), "--steps", "4"]) == 0
     assert main([*common, "--out-dir", str(straight), "--steps", "4"]) == 0
     _, cfg, _ = ckpt.load_model(out / "final.bin")
     assert _log_lines(out)[0] == f"# config_hash={cfg.hash()}"
@@ -466,8 +508,7 @@ def test_resume_drops_a_cut_row_after_the_checkpoint(ws, tmp_path):
     assert main([*common, "--out-dir", str(out), "--steps", "10"]) == 0
     with open(out / "metrics.csv", "ab") as fh:
         fh.write(b"1")
-    assert main([*common, "--out-dir", str(out), "--steps", "11",
-                 "--resume", str(out / "ckpt_step10.bin")]) == 0
+    assert main(["resume", str(out / "ckpt_step10.bin"), "--steps", "11"]) == 0
     assert main([*common, "--out-dir", str(straight), "--steps", "11"]) == 0
     assert _log_lines(out) == _log_lines(straight)
 
@@ -505,7 +546,7 @@ def test_failed_checkpoint_save_keeps_the_previous_one(ws, tmp_path, monkeypatch
     assert rc == 1
     # the newest good checkpoint survives; no partial or temporary file is left
     assert sorted(p.name for p in out.iterdir()) == [
-        "ckpt_step2.bin", "metrics.csv", "vocab.txt"]
+        "ckpt_step2.bin", "metrics.csv", "timing.csv", "vocab.txt"]
     _, _, state = ckpt.load_model(out / "ckpt_step2.bin")
     assert int(state["opt.step"]) == 2
 
@@ -514,9 +555,9 @@ def test_failed_resume_log_start_keeps_the_previous_log(ws, tmp_path, monkeypatc
     out = tmp_path / "cut"
     argv = ["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
             "--out-dir", str(out), "--seed", "7", *BASE_SETS, "--set", "checkpoint_every=3"]
-    resume = ["--steps", "6", "--resume", str(out / "ckpt_step3.bin")]
+    resume = ["resume", str(out / "ckpt_step3.bin"), "--steps", "6"]
     assert main([*argv, "--steps", "6"]) == 0
-    straight_rows = _metric_rows(out)
+    straight_log = (out / "metrics.csv").read_bytes()
     shutil.rmtree(out)
     # rows 3 and 4 follow the last checkpoint, so the resume must cut them
     assert main([*argv, "--steps", "5"]) == 0
@@ -528,14 +569,14 @@ def test_failed_resume_log_start_keeps_the_previous_log(ws, tmp_path, monkeypatc
 
     with monkeypatch.context() as patch:
         patch.setattr(ckpt, "open", open_failing_log, raising=False)
-        assert main([*argv, *resume]) == 1
+        assert main(resume) == 1
     assert (out / "metrics.csv").read_bytes() == before
     assert not list(out.glob("*.tmp"))
-    assert main([*argv, *resume]) == 0
-    assert [r[:-1] for r in _metric_rows(out)] == [r[:-1] for r in straight_rows]
+    assert main(resume) == 0
+    assert (out / "metrics.csv").read_bytes() == straight_log
 
 
-def _metric_rows(out_dir, columns="step,l_conserve,l_ppi,total,ms"):
+def _metric_rows(out_dir, columns="step,l_conserve,l_ppi,total"):
     lines = (out_dir / "metrics.csv").read_text().splitlines()
     start = lines.index(columns) + 1
     return [ln.split(",") for ln in lines[start:]]
@@ -561,12 +602,6 @@ def _eval_out(ws, root, variant):
     return argv, out
 
 
-def _probe_csv(ws, root, variant):
-    argv = ["probe", "--checkpoint", str(ws["final"]), "--fasta", str(ws["fasta"]),
-            "--prompt", ("Seq", "IC")[variant], "--out-dir", str(root / "probes")]
-    return argv, root / "probes" / "p00.csv"
-
-
 def _split_tsv(ws, root, variant):
     argv = ["split", "--ppi", str(ws["pairs"]), "--mode", "bfs", "--fraction", "0.3",
             "--seed", str(variant), "--out-prefix", str(root / "sp")]
@@ -581,8 +616,10 @@ def _vocab(ws, root, variant):
     return argv, root / "run" / "vocab.txt"
 
 
-@pytest.mark.parametrize("case", [_eval_out, _probe_csv, _split_tsv, _vocab],
-                         ids=["eval-out", "probe-csv", "split-tsv", "vocab"])
+# probe writes a directory, whole or not at all: see
+# test_probe_writes_its_directory_whole_or_not_at_all
+@pytest.mark.parametrize("case", [_eval_out, _split_tsv, _vocab],
+                         ids=["eval-out", "split-tsv", "vocab"])
 def test_interrupted_output_write_keeps_the_previous_file(ws, tmp_path, monkeypatch, case):
     argv, target = case(ws, tmp_path, 0)
     assert main(argv) == 0
@@ -599,8 +636,8 @@ def test_interrupted_output_write_keeps_the_previous_file(ws, tmp_path, monkeypa
     assert not list(target.parent.glob("*.tmp"))
 
 
-# build-contacts refuses a directory that holds maps or a report, so no
-# earlier file exists to keep: an interrupted write leaves none behind
+# build-contacts fills an absent or empty directory, so no earlier file
+# exists to keep: an interrupted write leaves none behind, nor the directory
 @pytest.mark.parametrize("target", ["blob_A.cmap", "report.txt"],
                          ids=["contact-map", "contacts-report"])
 def test_interrupted_contact_write_leaves_no_file(tmp_path, monkeypatch, target):
@@ -615,17 +652,18 @@ def test_interrupted_contact_write_leaves_no_file(tmp_path, monkeypatch, target)
                "--out-dir", str(maps)])
     assert rc == 1
     assert not (maps / target).exists()
-    assert not list(maps.glob("*.tmp"))
+    assert not list(maps.glob("*.tmp")) and not maps.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pdbs"]
 
 
 def test_structural_override_on_resume_is_refused(ws, tmp_path, capsys):
+    # resume takes its config from the checkpoint: it has no --set at all
     out = tmp_path / "r2"
-    rc = main([
-        "pretrain", "--fasta", str(ws["fasta"]), "--out-dir", str(out),
-        "--steps", "6", "--resume", str(ws["final"]), "--set", "d=32", *BASE_SETS[2:],
-    ])
+    rc = _exit_code(["resume", str(ws["final"]), "--out-dir", str(out), "--steps", "6",
+                     "--set", "d=32"])
     assert rc == 2
-    assert "contradicts checkpoint value" in capsys.readouterr().err
+    assert "unrecognized arguments: --set d=32" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_documented_learning_rates_run_without_a_warning(ws, tmp_path, capsys):
@@ -714,7 +752,7 @@ def test_inject_optimizes_only_the_pair_head_its_labels_pick(ws, tmp_path, monke
         _, entries = ckpt.load_checkpoint(out / "injected.bin")
         params = [(n, v.tobytes()) for n, v in entries.items() if not n.startswith("opt.")]
         opt_heads = [n for n in entries if n.startswith("opt.") and ".head." in n]
-        return params, opt_heads, [row[:-1] for row in _metric_rows(out)]
+        return params, opt_heads, _metric_rows(out)
 
     params, opt_heads, rows = run(tmp_path / "picked")
     assert sorted(opt_heads) == ["opt.m.head.pair_bin.b", "opt.m.head.pair_bin.w",
@@ -1369,8 +1407,8 @@ def test_bad_seed_batch_size_or_beta_exits_2_before_any_output(ws, tmp_path, cap
                    str(ws["pairs"]), "--fasta", str(ws["fasta"]), "--set", "beta1=0.9",
                    "--out", str(tmp_path / "eval.csv")], "unknown config key 'beta1'"),
         # ckpt_step4.bin holds step 4, two past --steps
-        "resume-past-steps": ([*pretrain, "--resume", str(ws["out"] / "ckpt_step4.bin")],
-                              "at step 4, past steps=2"),
+        "resume-past-steps": (["resume", str(ws["out"] / "ckpt_step4.bin"), "--steps", "2",
+                               "--out-dir", str(tmp_path / "out")], "at step 4, past steps=2"),
         # a --set item is never a comment, and a bad config line names its place
         "set-item": ([*pretrain, "--set", "# x"], "--set: '# x' is not key=value"),
         "config-line": ([*pretrain, "--config", str(conf)],
@@ -1431,18 +1469,17 @@ def test_every_config_rule_exits_2_before_any_output(ws, tmp_path, capsys, case)
 
 
 def test_resume_with_a_negative_probability_leaves_its_directory_alone(ws, tmp_path, capsys):
-    # a resume writes into its checkpoint's directory by default; the gate
-    # refuses the config (a negative mask_rate) before the log is restarted
+    # a resume writes into its checkpoint's directory by default. It sets no
+    # config key (a negative mask_rate is an argparse error), and the gate
+    # refuses the one value it takes, --steps, before the log is restarted
     run = tmp_path / "run"
     shutil.copytree(ws["out"], run)
     before = {p.name: p.read_bytes() for p in run.iterdir()}
-    rc = main(["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
-               "--steps", "4", "--resume", str(run / "ckpt_step2.bin"),
-               "--set", "mask_rate=-0.1"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: mask_rate must be in (0, 1), got -0.1")
-    assert "Traceback" not in err
+    for flag, value, want in (("--set", "mask_rate=-0.1", "unrecognized arguments: --set"),
+                              ("--steps", "-1", "config error: steps must be >= 0")):
+        assert _exit_code(["resume", str(run / "ckpt_step2.bin"), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert want in err and "Traceback" not in err, err
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
@@ -1484,8 +1521,7 @@ def test_resume_rejects_a_bad_optimizer_state(ws, tmp_path, capsys, case):
     # vocabulary or the log of the checkpoint's own directory is rewritten
     run = _bad_optimizer_state(ws, tmp_path, case)
     before = {p.name: p.read_bytes() for p in run.iterdir()}
-    rc = main(["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
-               "--steps", "4", "--resume", str(run / "ckpt_step2.bin")])
+    rc = main(["resume", str(run / "ckpt_step2.bin"), "--steps", "4"])
     assert rc == 1
     _refused_state(capsys, run, BAD_OPTIMIZER_STATES[case][0])
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
@@ -1532,47 +1568,50 @@ KILLING_CLI = textwrap.dedent("""
 """)
 
 
+def _killed(hook, count, argv) -> None:
+    """Run KILLING_CLI's argv with src on the child's path; it must die by SIGKILL."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", KILLING_CLI, hook, str(count), *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == -signal.SIGKILL, proc.stdout + proc.stderr
+
+
+def _newest_checkpoint(out):
+    ckpts = sorted(out.glob("ckpt_step*.bin"), key=lambda p: int(p.stem[9:]))
+    return ckpts[-1] if ckpts else None
+
+
 def test_sigkilled_pretrain_resumes_to_the_uninterrupted_bytes(ws, tmp_path):
     # a real process killed with no chance to clean up: at a seeded step,
     # with the log rows since the last checkpoint still buffered, and at a
     # seeded rename, with a whole .tmp file written but not in place. Resumed
     # from its newest checkpoint (restarted if it has none), it must write
-    # the uninterrupted run's final.bin and metrics.csv (ms blanked)
+    # the uninterrupted run's final.bin and metrics.csv
     steps, every = 8, 2
     argv = ["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]), "--steps",
             str(steps), "--seed", "5", *BASE_SETS, "--set", f"checkpoint_every={every}"]
-
-    def outputs(out):
-        log = (out / "metrics.csv").read_text().splitlines(keepends=True)
-        return (out / "final.bin").read_bytes(), [
-            line.rsplit(",", 1)[0] if line[0].isdigit() else line for line in log]
-
     assert main([*argv, "--out-dir", str(tmp_path / "straight")]) == 0
-    want = outputs(tmp_path / "straight")
+    want = _outputs(tmp_path / "straight")
     rng = np.random.default_rng(19)
     points = [("step", int(rng.integers(1, steps + 1))),
               ("rename", int(rng.integers(1, steps // every + 3)))]
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     for hook, count in points:
         out = tmp_path / f"{hook}{count}"
-        proc = subprocess.run(
-            [sys.executable, "-c", KILLING_CLI, hook, str(count), *argv, "--out-dir", str(out)],
-            capture_output=True, text=True, env=env, timeout=60)
-        assert proc.returncode == -signal.SIGKILL, proc.stdout + proc.stderr
+        _killed(hook, count, [*argv, "--out-dir", str(out)])
         assert not (out / "final.bin").exists()
-        ckpts = sorted(out.glob("ckpt_step*.bin"), key=lambda p: int(p.stem[9:]))
-        resume = ["--resume", str(ckpts[-1])] if ckpts else []
-        assert main([*argv, "--out-dir", str(out), *resume]) == 0
-        assert outputs(out) == want, (hook, count)
+        newest = _newest_checkpoint(out)
+        assert main(["resume", str(newest)] if newest else [*argv, "--out-dir", str(out)]) == 0
+        assert _outputs(out) == want, (hook, count)
 
 
 def test_sigkilled_inject_reruns_to_the_uninterrupted_bytes(ws, tmp_path):
-    # inject cannot resume, so the same command is run again into the killed
-    # run's directory. It must leave the uninterrupted run's files: the same
-    # injected.bin, metrics.csv (ms blanked) and rolling checkpoints, and no
-    # .tmp file or older checkpoint beside them
+    # killed the same way, inject is resumed from its newest checkpoint, or
+    # run again with the same command if it has none, in the killed run's
+    # directory. It must leave the uninterrupted run's files byte for byte:
+    # the same injected.bin, metrics.csv and rolling checkpoints, and no .tmp
+    # file or older checkpoint beside them; only timing.csv differs
     steps, every = 8, 2
 
     def run_argv(out):
@@ -1580,8 +1619,7 @@ def test_sigkilled_inject_reruns_to_the_uninterrupted_bytes(ws, tmp_path):
                 "--set", f"checkpoint_every={every}", "--set", "keep_last=2"]
 
     def outputs(out):
-        return {p.name: _log_lines(out) if p.name == "metrics.csv" else p.read_bytes()
-                for p in out.iterdir()}
+        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "timing.csv"}
 
     assert main(run_argv(tmp_path / "straight")) == 0
     want = outputs(tmp_path / "straight")
@@ -1590,17 +1628,12 @@ def test_sigkilled_inject_reruns_to_the_uninterrupted_bytes(ws, tmp_path):
     # renames: metrics.csv, the steps // every checkpoints, then injected.bin
     points = [("step", int(rng.integers(1, steps + 1))),
               ("rename", int(rng.integers(1, steps // every + 3)))]
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     for hook, count in points:
         out = tmp_path / f"{hook}{count}"
-        proc = subprocess.run([sys.executable, "-c", KILLING_CLI, hook, str(count),
-                               *run_argv(out)], capture_output=True, text=True, env=env,
-                              timeout=60)
-        assert proc.returncode == -signal.SIGKILL, proc.stdout + proc.stderr
+        _killed(hook, count, run_argv(out))
         assert not (out / "injected.bin").exists()
-        assert main(run_argv(out)) == 0
+        newest = _newest_checkpoint(out)
+        assert main(["resume", str(newest)] if newest else run_argv(out)) == 0
         assert outputs(out) == want, (hook, count)
 
 
@@ -1667,10 +1700,10 @@ def test_checkpoint_naming_retired_keys_still_loads(ws, tmp_path, capsys):
     new.parent.mkdir()
     shutil.copy(ws["final"], new)
     resumed = [tmp_path / "resumed-old", tmp_path / "resumed-new"]
+    # their logs as well: a resume writes its config's text, which drops them
     for path, out in zip((old, new), resumed):
-        assert main(["pretrain", "--resume", str(path), "--fasta", str(ws["fasta"]),
-                     "--ppi", str(ws["pairs"]), "--steps", "5", "--out-dir", str(out)]) == 0
-    assert (resumed[0] / "final.bin").read_bytes() == (resumed[1] / "final.bin").read_bytes()
+        assert main(["resume", str(path), "--steps", "5", "--out-dir", str(out)]) == 0
+    assert _outputs(resumed[0]) == _outputs(resumed[1])
     inj = tmp_path / "inj"
     rc = main(["inject", "--checkpoint", str(old), "--prompt", "PPI", "--task", "ppi",
                "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"]),
@@ -1693,7 +1726,7 @@ RETIRED_DEFAULTS = {"beta1": "0.9", "beta2": "0.999", "adam_eps": "1e-08",
 
 def _stored_value_is_refused(ws, tmp_path, capsys, line: str, want: str) -> None:
     """A copy of ws's final.bin whose stored config also holds line is
-    refused by eval, inject, probe and pretrain --resume with exit 2 and
+    refused by eval, inject, probe and resume with exit 2 and
     want in the error, and nothing is written."""
     text, entries = ckpt.load_checkpoint(ws["final"])
     old = tmp_path / "old" / "stored.bin"
@@ -1707,8 +1740,7 @@ def _stored_value_is_refused(ws, tmp_path, capsys, line: str, want: str) -> None
                   *data, "--out", str(out), "--steps", "1"],
                  ["probe", "--checkpoint", str(old), "--fasta", str(ws["fasta"]),
                   "--prompt", "IC", "--out-dir", str(out)],
-                 ["pretrain", "--resume", str(old), "--fasta", str(ws["fasta"]),
-                  "--out-dir", str(out), "--steps", "5"]):
+                 ["resume", str(old), "--out-dir", str(out), "--steps", "5"]):
         assert main(argv) == 2, argv[0]
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {old}: ") and want in err, err
@@ -1781,6 +1813,7 @@ def test_build_contacts_keeps_going_after_bad_file(tmp_path, capsys):
     rc = main(["build-contacts", "--pdb-dir", str(pdb_dir), "--out-dir", str(maps)])
     assert rc == 1
     assert sorted(p.name for p in maps.iterdir()) == ["good_A.cmap", "report.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["maps", "pdbs"]
     report = (maps / "report.txt").read_text()
     assert "error:" in report and "bad.pdb" in report
     assert f"error: {pdb_dir / 'bare.pdb'}: no usable ATOM records found" in report
@@ -1800,17 +1833,22 @@ def test_build_contacts_into_a_used_directory_exits_2_and_changes_nothing(tmp_pa
                                           + _atom(2, "CB", "SER", "A", 2, 3, 0, 0))
     assert main(["build-contacts", "--pdb-dir", str(tmp_path / "a"), "--out-dir", str(maps)]) == 0
     capsys.readouterr()
-    # the report names the run's maps, so it is named first; a stray map alone
-    # also marks the directory as used
-    for used in ("report.txt", "a_A.cmap"):
+    # the directory must be absent or empty: the first run's maps and report,
+    # or a stray file alone, mark it as used
+    for stray in ("a_A.cmap", "report.txt"):
         before = {p.name: p.read_bytes() for p in maps.iterdir()}
         rc = main(["build-contacts", "--pdb-dir", str(tmp_path / "b"), "--out-dir", str(maps)])
         assert rc == 2
         assert capsys.readouterr().err == (
-            f"config error: {maps / used}: the output directory holds another run's files; "
+            f"config error: {maps}: the output directory is not empty; "
             "write this run to a new one\n")
         assert {p.name: p.read_bytes() for p in maps.iterdir()} == before
-        (maps / "report.txt").unlink(missing_ok=True)
+        (maps / stray).unlink()
+    (maps / "notes.txt").write_text("")
+    assert main(["build-contacts", "--pdb-dir", str(tmp_path / "b"), "--out-dir", str(maps)]) == 2
+    (maps / "notes.txt").unlink()
+    assert main(["build-contacts", "--pdb-dir", str(tmp_path / "b"), "--out-dir", str(maps)]) == 0
+    assert sorted(p.name for p in maps.iterdir()) == ["b_A.cmap", "report.txt"]
 
 
 def test_build_contacts_empty_dir_is_ok(tmp_path):
@@ -1851,6 +1889,29 @@ def test_probe_cli_writes_per_sequence_csv(ws, tmp_path):
     assert lines[0].startswith("# config_hash=")
     assert lines[1] == "index,residue,distance,flagged"
     assert all(ln.endswith(",1") for ln in lines[2:])  # cutoff 0 flags all
+
+
+def test_probe_writes_its_directory_whole_or_not_at_all(ws, tmp_path, capsys):
+    # an id too long to name a file fails the second CSV's write, and a run
+    # SIGKILLed after the first CSV leaves only its temporary directory:
+    # neither leaves PR, and the same command then writes it whole
+    fasta, out = tmp_path / "ids.fasta", tmp_path / "PR"
+    fasta.write_text(f">a\nACDEF\n>{'z' * 300}\nWYKRH\n")
+    argv = ["probe", "--checkpoint", str(ws["final"]), "--fasta", str(fasta), "--prompt", "IC",
+            "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert "File name too long" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [fasta]
+    fasta.write_text(">a\nACDEF\n>b\nWYKRH\n")
+    _killed("rename", 2, argv)  # a.csv is in place, b.csv.tmp written
+    assert not out.exists()
+    assert main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["a.csv", "b.csv"]
+    assert sorted(tmp_path.iterdir()) == [out, fasta]
+    # the directory must be absent or empty
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"config error: {out}: the output directory is not empty" in capsys.readouterr().err
 
 
 def test_probe_rejects_an_unknown_prompt_and_leaves_no_output(ws, tmp_path, capsys):

@@ -103,6 +103,9 @@ def _argv(root: Path, command: str, out: Path) -> list[str]:
     fasta, pairs = str(root / "corpus.fasta"), str(root / "pairs.tsv")
     injected = str(root / "inj" / "injected.bin")
     return {
+        "resume pretrain": ["resume", str(root / "base" / "final.bin"), "--steps", "3",
+                            "--out-dir", str(out)],
+        "resume inject": ["resume", injected, "--steps", "3", "--out-dir", str(out)],
         "pretrain --ppi": ["pretrain", "--fasta", fasta, "--ppi", pairs, "--out-dir", str(out),
                            "--steps", "2", *TINY],
         "inject": ["inject", "--checkpoint", str(root / "base" / "final.bin"), "--prompt", "PPI",
@@ -123,7 +126,8 @@ def _argv(root: Path, command: str, out: Path) -> list[str]:
     }[command]
 
 
-@pytest.mark.parametrize("command", ["pretrain --ppi", "inject", "eval --task ppi",
+@pytest.mark.parametrize("command", ["pretrain --ppi", "inject", "resume pretrain",
+                                     "resume inject", "eval --task ppi",
                                      "eval --task contact", "probe", "build-contacts",
                                      "split", "--help"])
 def test_command_runs_where_scipy_cannot_load(ws, tmp_path, command):

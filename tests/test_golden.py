@@ -2,19 +2,19 @@
 write exactly the recorded bytes.
 
 The runs: a `pretrain` with an interaction file (negatives drawn), lambda and
-alpha_ppi away from 1, stopped after a checkpoint and resumed in the same
-directory; an `inject` on a file with explicit 0 rows, and a shorter one on
-the same file with `--no-freeze-encoder`; `eval --task ppi --out` on the
+alpha_ppi away from 1, stopped after a checkpoint and extended by `resume`
+in the same directory; an `inject` on a file with explicit 0 rows, and a
+shorter one on the same file with `--no-freeze-encoder`; `eval --task ppi --out` on the
 injected checkpoint; a `probe` of the injected prompt on that checkpoint,
 with a cutoff that flags some residues of each sequence but not all;
 `build-contacts` on three small PDB chains (one residue without CB or CA,
 so the report holds a skip line) and `eval --task contact --out` on their
-maps with the injected checkpoint. Each output file is hashed
-with SHA-256, `metrics.csv` with its `ms` column blanked. What the training
+maps with the injected checkpoint. Each output file but `timing.csv`, the
+steps' wall times, is hashed with SHA-256. What the training
 runs computed is also hashed apart from their config text, which a config
 key's retirement rewrites: each training checkpoint's entries (names,
-shapes and payloads) under `entries/`, and each `metrics.csv`'s step rows,
-`ms` blanked, under `rows/`. Beside the files
+shapes and payloads) under `entries/`, and each `metrics.csv`'s step rows
+under `rows/`. Beside the files
 these are hashed: the `checkpoint.save_model` bytes of two freshly seeded
 models (2 layers and no prompts; 3 layers, three prompts, another d and
 max_len); the raw bytes of `contact_logits` from a seeded d=64 encoder at
@@ -105,18 +105,9 @@ def fingerprint() -> str:
     return f"numpy {np.__version__}; {blas['name']} {blas['version']}; {platform.machine()}"
 
 
-def _masked_log(data: bytes) -> bytes:
-    """metrics.csv with the wall-time cell of every step row blanked."""
-    lines = data.decode().splitlines(keepends=True)
-    return "".join(
-        line.rsplit(",", 1)[0] + ",\n" if line.split(",", 1)[0].isdigit() else line
-        for line in lines
-    ).encode()
-
-
 def _step_rows(data: bytes) -> bytes:
-    """_masked_log(data)'s step rows, without the config header."""
-    return b"".join(line for line in _masked_log(data).splitlines(keepends=True)
+    """metrics.csv's step rows, without the config header."""
+    return b"".join(line for line in data.splitlines(keepends=True)
                     if line.split(b",", 1)[0].isdigit())
 
 
@@ -235,7 +226,7 @@ def compute_digests(work: Path) -> dict[str, str]:
         base = ["pretrain", "--fasta", "seqs.fasta", "--ppi", "positives.tsv",
                 "--out-dir", "pretrain", "--seed", "3", *SHAPE, *weights]
         _run([*base, "--steps", "3"])
-        _run([*base, "--steps", "4", "--resume", "pretrain/ckpt_step2.bin"])
+        _run(["resume", "pretrain/ckpt_step2.bin", "--steps", "4"])
         _run(["inject", "--checkpoint", "pretrain/final.bin", "--prompt", "PPI",
               "--task", "ppi", "--data", "labeled.tsv", "--fasta", "seqs.fasta",
               "--out", "inject", "--steps", "3", "--seed", "4"])
@@ -257,9 +248,10 @@ def compute_digests(work: Path) -> dict[str, str]:
                             *Path("contacts").iterdir(), Path("eval.csv"),
                             Path("contact.csv")]):
             data = path.read_bytes()
+            if path.name == "timing.csv":
+                continue
             if path.name == "metrics.csv":
                 digests[f"rows/{path.as_posix()}"] = _sha(_step_rows(data))
-                data = _masked_log(data)
             elif path.suffix == ".bin":
                 digests[f"entries/{path.as_posix()}"] = _entries_digest(path)
             digests[path.as_posix()] = _sha(data)

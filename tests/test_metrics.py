@@ -304,8 +304,9 @@ def _probe_model():
 
 def _probe_rows(tmp_path, residues, prompt, cutoff):
     """The cells of each residue row of the probe command's CSV for one
-    sequence, run on a checkpoint of _probe_model."""
-    model_path, fasta, out = tmp_path / "model.bin", tmp_path / "p.fasta", tmp_path / "probes"
+    sequence, run on a checkpoint of _probe_model into a new directory."""
+    model_path, fasta = tmp_path / "model.bin", tmp_path / "p.fasta"
+    out = tmp_path / f"probes{len(list(tmp_path.glob('probes*')))}"
     C.save_model(model_path, _probe_model(), PROBE_CONFIG)
     fasta.write_text(f">p\n{residues}\n")
     assert main(["probe", "--checkpoint", str(model_path), "--fasta", str(fasta), "--prompt",

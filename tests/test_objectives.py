@@ -89,7 +89,7 @@ def _two_tasks(ppi):
 def _logged_total(l_conserve, task_losses, lambda_weight, alpha):
     """The total cell cli._log_row writes for train_step's losses."""
     cfg = types.SimpleNamespace(lambda_weight=lambda_weight, alpha=lambda: alpha)
-    return float(cli._log_row(0, l_conserve, task_losses, cfg, 0.0).split(",")[-2])
+    return float(cli._log_row(0, l_conserve, task_losses, cfg).split(",")[-1])
 
 
 def test_injection_loss_weighted_fold():
@@ -123,10 +123,10 @@ def test_report_decomposition_recomputes_bitwise():
     assert l_none == 0.0
     assert _logged_total(l_none, task_only, 0.7, {}) == task_only["ppi"] * 0.7
     cfg = types.SimpleNamespace(lambda_weight=0.7, alpha=lambda: alpha)
-    line = cli._log_row(3, l_conserve, task_losses, cfg, 12.3456)
+    line = cli._log_row(3, l_conserve, task_losses, cfg)
     cells = line.rstrip("\n").split(",")
-    assert cells[0] == "3" and cells[-1] == "12.346"
-    assert [float(c) for c in cells[1:-1]] == [l_conserve, l_ppi, l_types, total]
+    assert cells[0] == "3"
+    assert [float(c) for c in cells[1:]] == [l_conserve, l_ppi, l_types, total]
 
 
 def test_source_sweeps_give_the_bits_of_one_weighted_total_sweep():
