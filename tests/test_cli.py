@@ -352,11 +352,10 @@ def test_resume_into_a_new_directory_keeps_the_whole_log(ws, tmp_path):
     assert [r[0] for r in _metric_rows(second)] == ["0", "1", "2", "3", "4", "5"]
 
 
-def test_resume_takes_its_rows_from_its_checkpoint(ws, tmp_path, monkeypatch):
+def test_resume_takes_its_rows_from_its_checkpoint(ws, tmp_path):
     # no log is read: not another run's log beside a copied checkpoint (C's,
-    # resumed into E), not the log a rerun cut before its first row left
-    # beside the first run's checkpoints (A's), and not an earlier try in
-    # --out-dir cut after its step-2 row (D's). The rows come from opt.loss
+    # resumed into E), and not an earlier try in --out-dir cut after its
+    # step-2 row (D's). The rows come from opt.loss
     common = ["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]), *BASE_SETS]
     a, c, d, straight = (tmp_path / name for name in ("A", "C", "D", "straight"))
     assert main([*common, "--seed", "7", "--steps", "4", "--out-dir", str(a)]) == 0
@@ -366,6 +365,21 @@ def test_resume_takes_its_rows_from_its_checkpoint(ws, tmp_path, monkeypatch):
     d.mkdir()
     log = (straight / "metrics.csv").read_text()
     (d / "metrics.csv").write_text(log[:log.index("\n3,") + 1])
+    c_files = _files(c)
+    for checkpoint, out in ((c / "ckpt_a4.bin", tmp_path / "E"), (a / "ckpt_step4.bin", d)):
+        assert main(["resume", str(checkpoint), "--steps", "6", "--out-dir", str(out)]) == 0
+        assert _outputs(out) == _outputs(straight), out
+    assert _files(c) == c_files
+
+
+def test_resume_beside_a_log_cut_before_its_first_row(ws, tmp_path, monkeypatch):
+    # a rerun of the same command cut before its first step row leaves the
+    # first run's checkpoints beside a log without rows; a resume from them
+    # takes its rows from the checkpoint and gives the straight run's bytes
+    common = ["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]), *BASE_SETS]
+    a, straight = tmp_path / "A", tmp_path / "straight"
+    assert main([*common, "--seed", "7", "--steps", "4", "--out-dir", str(a)]) == 0
+    assert main([*common, "--seed", "7", "--steps", "6", "--out-dir", str(straight)]) == 0
 
     def interrupt(*args, **kwargs):
         raise KeyboardInterrupt
@@ -375,12 +389,26 @@ def test_resume_takes_its_rows_from_its_checkpoint(ws, tmp_path, monkeypatch):
         with pytest.raises(KeyboardInterrupt):
             main([*common, "--seed", "7", "--steps", "4", "--out-dir", str(a)])
     assert _metric_rows(a) == []
-    c_files = _files(c)
-    for checkpoint, out in ((a / "ckpt_step4.bin", a), (c / "ckpt_a4.bin", tmp_path / "E"),
-                            (a / "ckpt_step4.bin", d)):
-        assert main(["resume", str(checkpoint), "--steps", "6", "--out-dir", str(out)]) == 0
-        assert _outputs(out) == _outputs(straight), out
-    assert _files(c) == c_files
+    assert main(["resume", str(a / "ckpt_step4.bin"), "--steps", "6", "--out-dir", str(a)]) == 0
+    assert _outputs(a) == _outputs(straight)
+
+
+def test_resume_of_a_checkpoint_naming_a_retired_key_beside_its_log(ws, tmp_path):
+    # a run started before beta1 was retired stored beta1=0.9 in its
+    # checkpoints and its log header; a resume drops it from both and writes
+    # the bytes of the same run without it
+    run, out = tmp_path / "run", tmp_path / "out"
+    shutil.copytree(ws["out"], run)
+    text, entries = ckpt.load_checkpoint(run / "ckpt_step2.bin")
+    ckpt.save_checkpoint(run / "ckpt_step2.bin",
+                         "".join(sorted([*text.splitlines(True), "beta1=0.9\n"])), entries)
+    lines = (run / "metrics.csv").read_text().splitlines(True)
+    header = [i for i, line in enumerate(lines) if line.startswith("# ")][1:]
+    lines[header[0]:header[-1] + 1] = sorted([*lines[header[0]:header[-1] + 1], "# beta1=0.9\n"])
+    (run / "metrics.csv").write_text("".join(lines))
+    assert main(["resume", str(run / "ckpt_step2.bin"), "--steps", "4",
+                 "--out-dir", str(out)]) == 0
+    assert _outputs(out) == _outputs(ws["out"])
 
 
 def test_resume_refuses_a_log_that_another_run_wrote(ws, tmp_path, capsys):
