@@ -3,10 +3,11 @@
 Subcommands: pretrain, inject, resume, eval, build-contacts, split, probe.
 Exit codes: 0 success, 1 data error, 2 config error.
 
-inject, eval and probe build their config in one order: the checkpoint's
-stored config, then --config, then --set, then flags. A supplied value
-that contradicts a structural key of the checkpoint is a config error.
-resume takes its checkpoint's config as stored, apart from --steps.
+A config holds what a training run reads, so only pretrain and inject take
+--config and --set. inject layers them, then its flags, on its checkpoint's
+stored config, and a value that contradicts a structural key of it is a
+config error. resume, eval and probe take the checkpoint's config as stored
+(resume apart from --steps).
 
 Runs are deterministic: all randomness is derived per step from
 (seed, step, purpose), so a resumed run reproduces the uninterrupted one
@@ -180,6 +181,20 @@ def _input_digests(cfg: RunConfig) -> dict[str, np.ndarray]:
             for key, path in (("fasta", cfg.fasta), ("ppi", cfg.ppi)) if path}
 
 
+def _timing_rows(path: Path, start: int) -> str:
+    """The rows of an earlier try's timing.csv at path for steps before
+    start, one per step; a row that does not parse is dropped."""
+    rows, text = {}, path.read_text(errors="replace") if path.exists() else ""
+    for line in text.splitlines():
+        step, _, ms = line.partition(",")
+        try:
+            if 0 <= int(step) < start:
+                rows[int(step)] = f"{int(step)},{float(ms):.3f}\n"
+        except ValueError:
+            continue
+    return "".join(rows[step] for step in sorted(rows))
+
+
 def _checkpoints(out_dir: Path) -> list[Path]:
     """out_dir's ckpt_step<digits>.bin files, oldest step first; other names
     are left out."""
@@ -205,9 +220,10 @@ def _train(model, cfg: RunConfig, out_dir: Path, mlm, tasks: dict, state: dict) 
     without mlm) and each task's build(step) of tasks = {name: build}, and
     return out_dir's final.bin (with mlm, after vocab.txt) or injected.bin.
     metrics.csv starts atomically with cfg's header and the rows of state's
-    opt.loss; timing.csv takes each step's ms. Every checkpoint carries its
-    steps' loss cells (opt.loss) and input digests; every checkpoint_every
-    steps one is saved and all but the newest keep_last are pruned."""
+    opt.loss; timing.csv keeps an earlier try's rows of those steps and takes
+    each new step's ms. Every checkpoint carries its steps' loss cells
+    (opt.loss) and input digests; every checkpoint_every steps one is saved
+    and all but the newest keep_last are pruned."""
     optimizer = O.Adam({n: p for n, p in model.parameters().items() if p.requires_grad}, cfg.lr)
     optimizer.load_state_entries(state)
     names, start, digests = tuple(tasks), optimizer.t, _input_digests(cfg)
@@ -221,8 +237,9 @@ def _train(model, cfg: RunConfig, out_dir: Path, mlm, tasks: dict, state: dict) 
         fh.write(_log_header(cfg, names) + "".join(
             _log_row(step, cells[0], dict(zip(names, cells[1:])), cfg)
             for step, cells in enumerate(losses[:start].tolist())))
+    kept = _timing_rows(out_dir / "timing.csv", start)
     with open(log_path, "a") as log, open(out_dir / "timing.csv", "w") as timing:
-        timing.write("step,ms\n")
+        timing.write("step,ms\n" + kept)
         for step in range(start, cfg.steps):
             mlm_batch = mlm(step) if mlm else None
             task_batches = [build(step) for build in tasks.values()]
@@ -333,6 +350,10 @@ def cmd_resume(args) -> int:
                           "cannot resume (it predates them)")
     if step > cfg.steps:
         raise ConfigError(f"{args.checkpoint} is at step {step}, past steps={cfg.steps}")
+    for key, path in (("fasta", cfg.fasta), ("ppi", cfg.ppi)):
+        if path and not Path(path).is_file():
+            raise DataError(f"{args.checkpoint}: its input {key}={path} is not a file "
+                            "(relative paths are read from the current directory)")
     for key, digest in _input_digests(cfg).items():
         if not np.array_equal(state.get(key), digest):
             raise ConfigError(f"{getattr(cfg, key.removeprefix('opt.sha256.'))}: the file is not "
@@ -353,7 +374,7 @@ def cmd_resume(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg, model = _load_config(args, (), args.checkpoint)
+    model, cfg, _ = ckpt.load_model(args.checkpoint)
     if args.prompts is None:
         prompt_sel = tuple(model.prompts)
     elif args.prompts == "":
@@ -464,11 +485,12 @@ _EVAL_TASKS = {"ppi": _eval_ppi, "contact": _eval_contact, "ss": _eval_ss,
 
 
 def cmd_build_contacts(args) -> int:
-    cfg, _ = _load_config(args, ("contact_threshold",))
+    if not 0 < args.threshold < np.inf:
+        raise ConfigError(f"--threshold must be a finite number > 0, got {args.threshold}")
     pdb_dir = Path(args.pdb_dir)
     if not pdb_dir.is_dir():
         raise DataError(f"{pdb_dir}: no such directory")
-    report_lines = [f"# config_hash={cfg.hash()}"]
+    report_lines = [f"# threshold={args.threshold!r} tag={args.tag}"]
     hard_errors = 0
     pdb_files = sorted(pdb_dir.glob("*.pdb"))
     # eval --task contact scores every map in a directory, so one run's maps
@@ -484,7 +506,7 @@ def cmd_build_contacts(args) -> int:
                 continue
             report_lines.extend(skips)
             for chain_id, residues in sorted(chains.items()):
-                cmap = D.build_contact_map(residues, cfg.contact_threshold, tag=args.tag)
+                cmap = D.build_contact_map(residues, args.threshold, tag=args.tag)
                 out_path = out_dir / f"{pdb_file.stem}_{chain_id}.cmap"
                 D.write_contact_map(cmap, out_path)
                 report_lines.append(f"{out_path.name}: n={cmap.n} from {pdb_file.name}")
@@ -513,7 +535,9 @@ def cmd_split(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    cfg, model = _load_config(args, ("probe_cutoff",), args.checkpoint)
+    if not 0 <= args.cutoff < np.inf:
+        raise ConfigError(f"--cutoff must be a finite number >= 0, got {args.cutoff}")
+    model, cfg, _ = ckpt.load_model(args.checkpoint)
     # the FASTA and the prompt are checked and every record is probed
     # before the first CSV, so a bad input leaves no output
     encoded = _encode_table(D.parse_fasta(args.fasta), cfg.max_len)
@@ -526,7 +550,7 @@ def cmd_probe(args) -> int:
               for name, seq in encoded.items()]
     with ckpt.atomic_dir(args.out_dir) as out_dir:
         for name, seq, distances in probed:
-            flagged = distances > cfg.probe_cutoff
+            flagged = distances > args.cutoff
             lines = [f"# config_hash={cfg.hash()}", "index,residue,distance,flagged"]
             lines += [f"{i},{T.SYMBOLS[tok]},{float(x)!r},{int(f)}" for i, (tok, x, f) in
                       enumerate(zip(seq.ids[seq.residue_positions()], distances, flagged))]
@@ -624,7 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_resume)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a task")
-    _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--task", required=True, choices=tuple(_EVAL_TASKS))
     p.add_argument("--data", default=None, help="task data file (ppi/ss/regress)")
@@ -644,13 +667,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("build-contacts", help="PDB directory to contact maps")
-    _add_common(p)
     p.add_argument("--pdb-dir", dest="pdb_dir", required=True)
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument(
-        "--threshold", dest="contact_threshold", type=float, default=None,
-        help="contact distance threshold in angstroms",
-    )
+    p.add_argument("--threshold", type=float, default=D.CONTACT_THRESHOLD,
+                   help="contact distance in angstroms, finite and > 0 (default: %(default)s)")
     p.add_argument("--tag", default="native", choices=D.CONTACT_TAGS)
     p.set_defaults(func=cmd_build_contacts)
 
@@ -663,14 +683,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("probe", help="per-residue embedding shift report")
-    _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--fasta", required=True)
     p.add_argument("--prompt", required=True)
-    p.add_argument(
-        "--cutoff", dest="probe_cutoff", type=float, default=None,
-        help="flag residues whose representation moved further than this",
-    )
+    p.add_argument("--cutoff", type=float, default=1.0,
+                   help="flag residues whose representation moved further than this, "
+                        "finite and >= 0 (default: %(default)s)")
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.set_defaults(func=cmd_probe)
 

@@ -1,9 +1,10 @@
 """Run configuration: flat key=value files, CLI overrides, canonical hash.
 
-Precedence is CLI override > config file > built-in default. The canonical
-text form (sorted key=value lines) is embedded verbatim in checkpoints and
-its SHA-256 hash is stamped on every other artifact, so any two artifacts
-can be checked for config agreement.
+A config holds only what a training run reads. Precedence is CLI override >
+config file > built-in default. The canonical text form (sorted key=value
+lines) is embedded verbatim in checkpoints, and its SHA-256 hash heads the
+training log and the records of the commands that read a checkpoint, so
+each can be traced to the checkpoint that made it.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .data import CONTACT_THRESHOLD, read_lines
+from .data import read_lines
 from .errors import ConfigError
 
-# keys that define the network topology; a command that reads a checkpoint
-# refuses explicit user values that contradict its stored ones
+# keys that define the network topology; inject, which builds on a
+# checkpoint's config, refuses explicit user values that contradict its stored ones
 STRUCTURAL_KEYS = ("d", "layers", "heads", "max_len", "prompts")
 
 
@@ -58,8 +59,6 @@ class RunConfig:
     # data
     fasta: str = ""
     ppi: str = ""
-    contact_threshold: float = CONTACT_THRESHOLD
-    probe_cutoff: float = 1.0
 
     def __post_init__(self):
         self.validate()
@@ -95,10 +94,6 @@ class RunConfig:
                                   "must be alphanumeric")
         if len(set(names)) != len(names):
             raise ConfigError(f"prompts={self.prompts!r}: duplicate prompt names")
-        if self.contact_threshold <= 0:
-            raise ConfigError("contact_threshold must be positive")
-        if self.probe_cutoff < 0:
-            raise ConfigError(f"probe_cutoff must be >= 0, got {self.probe_cutoff}")
 
     def prompt_names(self) -> tuple[str, ...]:
         if not self.prompts.strip():
@@ -136,10 +131,12 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 _VALID_KEYS = {_FIELD_TO_KEY.get(name, name) for name in _FIELD_TYPES}
 # keys that older checkpoints store: skipped in a stored config, unknown
 # everywhere else. Each maps to the one stored value the code still runs, so
-# a checkpoint holding another is refused, or to None for a key that never
-# shaped a run's outputs (out_dir only named where they went)
+# a checkpoint holding another is refused, or to None for a key no training
+# step read (out_dir named where outputs went; contact_threshold and
+# probe_cutoff are now build-contacts --threshold and probe --cutoff)
 _RETIRED_KEYS = {"alpha_contact": None, "alpha_regress": None, "alpha_ss": None,
-                 "out_dir": None, "weight_decay": None, "mask_mode": "additive",
+                 "out_dir": None, "weight_decay": None, "contact_threshold": None,
+                 "probe_cutoff": None, "mask_mode": "additive",
                  "beta1": "0.9", "beta2": "0.999", "adam_eps": "1e-08", "warmup_updates": "0",
                  "mask_prob_mask": "0.8", "mask_prob_random": "0.1", "mask_prob_keep": "0.1"}
 

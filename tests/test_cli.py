@@ -1,5 +1,6 @@
 """End-to-end command-line workflows on a tiny corpus."""
 
+import argparse
 import dataclasses
 import hashlib
 import os
@@ -256,6 +257,46 @@ def test_resume_refuses_a_changed_input(ws, tmp_path, capsys, command):
                                    f"{b / 'ckpt_step2.bin'} was trained on"), captured.err
     assert "Traceback" not in captured.err and not captured.out
     assert _files(b) == before
+
+
+def test_resume_from_another_directory_names_its_relative_input(ws, tmp_path, capsys,
+                                                                monkeypatch):
+    # a run stores its input paths as given; a resume reads a relative one
+    # from the current directory, so started elsewhere it finds no file and
+    # stops before any write, naming the checkpoint, the key and the path
+    work = tmp_path / "work"
+    work.mkdir()
+    shutil.copy(ws["fasta"], work / "c.fasta")
+    monkeypatch.chdir(work)
+    assert main(["pretrain", "--fasta", "c.fasta", "--out-dir", "run", "--steps", "2",
+                 *BASE_SETS]) == 0
+    checkpoint = work / "run" / "ckpt_step2.bin"
+    monkeypatch.chdir(tmp_path)
+    before = _files(tmp_path)
+    capsys.readouterr()
+    assert main(["resume", str(checkpoint), "--steps", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"data error: {checkpoint}: its input fasta=c.fasta is not a file "
+                            "(relative paths are read from the current directory)\n")
+    assert not captured.out and _files(tmp_path) == before
+    monkeypatch.chdir(work)
+    assert main(["resume", "run/ckpt_step2.bin", "--steps", "4"]) == 0
+
+
+def test_resume_in_place_keeps_the_earlier_timing_rows(ws, tmp_path):
+    # resumed from ckpt_step2.bin, a 4-step run keeps its first try's times
+    # of steps 0 and 1 and times steps 2 and 3 anew; rows that do not parse
+    # are dropped
+    run = tmp_path / "run"
+    shutil.copytree(ws["out"], run)
+    first = (run / "timing.csv").read_bytes()
+    (run / "timing.csv").write_bytes(first + b"1,slow\n-1,2.0\nstep 9\n\xff,1.0\n")
+    assert main(["resume", str(run / "ckpt_step2.bin")]) == 0
+    rows = (run / "timing.csv").read_text().splitlines()
+    assert rows[0] == "step,ms" and [r.split(",")[0] for r in rows[1:]] == ["0", "1", "2", "3"]
+    assert rows[1:3] == first.decode().splitlines()[1:3]
+    assert all(float(r.split(",")[1]) >= 0 for r in rows[1:])
+    assert _outputs(run) == _outputs(ws["out"])
 
 
 def test_resume_refuses_a_checkpoint_without_its_losses(ws, tmp_path, capsys):
@@ -1064,7 +1105,8 @@ def test_eval_ppi_records(ws, tmp_path, capsys):
     ])
     assert rc == 0
     lines = rec.read_text().splitlines()
-    assert lines[0].startswith("# config_hash=")
+    # the checkpoint's own config, as stored
+    assert lines[0] == f"# config_hash={ckpt.load_model(ws['final'])[1].hash()}"
     assert lines[1] == "task,metric,value,prompts"
     body = dict()
     for ln in lines[2:]:
@@ -1123,16 +1165,15 @@ def test_eval_unknown_prompt_exit_2(ws, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_eval_structural_contradiction_exit_2(ws, tmp_path, capsys):
+def test_inject_structural_contradiction_exit_2(ws, tmp_path, capsys):
     conf = tmp_path / "heads.conf"
     conf.write_text("heads=8\n")
+    out = tmp_path / "out"
     for supplied in (["--set", "heads=8"], ["--config", str(conf)]):
-        rc = main([
-            "eval", "--checkpoint", str(ws["final"]), "--task", "ppi",
-            "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"]), *supplied,
-        ])
+        rc = main([*_training_argv(ws, "inject", out), "--steps", "1", *supplied])
         assert rc == 2
         assert "contradicts checkpoint value" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_eval_refuses_a_checkpoint_that_names_an_entry_twice(ws, tmp_path, capsys):
@@ -1195,7 +1236,7 @@ def test_eval_contact_with_truth_scores(ws, tmp_path, capsys):
     assert rc == 0
     assert (maps / "blob_A.cmap").exists()
     report = (maps / "report.txt").read_text()
-    assert report.startswith("# config_hash=")
+    assert report.startswith("# threshold=8.0 tag=native\n")
     assert "blob_A.cmap: n=30" in report
 
     rec = tmp_path / "contact.csv"
@@ -1399,22 +1440,50 @@ def test_interaction_endpoint_without_a_sequence_is_a_data_error(ws, tmp_path, c
     assert "Traceback" not in err and list(tmp_path.iterdir()) == [tsv]
 
 
-@pytest.mark.parametrize("case", ["threshold-nan", "lambda-inf", "negative-cutoff"])
+# the gate of the two range flags: build-contacts --threshold takes a finite
+# number > 0 and probe --cutoff a finite number >= 0
+FLAG_GATES = {"threshold-nan": ("--threshold", "nan"), "threshold-inf": ("--threshold", "inf"),
+              "threshold-0": ("--threshold", "0"), "threshold-negative": ("--threshold", "-1"),
+              "cutoff-nan": ("--cutoff", "nan"), "cutoff-inf": ("--cutoff", "inf"),
+              "negative-cutoff": ("--cutoff", "-0.5")}
+
+
+@pytest.mark.parametrize("case", ["lambda-inf", *FLAG_GATES])
 def test_non_finite_or_negative_config_values_exit_2(ws, tmp_path, capsys, case):
+    # a config key is refused by the config gate, a range flag by its command
+    # before it reads an input; each error names what to fix
     out = tmp_path / "out"
-    argv, key = {
-        "threshold-nan": (["build-contacts", "--pdb-dir", str(_blob_pdb_dir(tmp_path)),
-                           "--threshold", "nan"], "'contact_threshold'"),
-        "lambda-inf": (["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
-                        "--steps", "2", *BASE_SETS, "--set", "lambda=inf"], "'lambda'"),
-        "negative-cutoff": (["probe", "--checkpoint", str(ws["final"]), "--fasta",
-                             str(ws["fasta"]), "--prompt", "IC", "--cutoff", "-1"],
-                            "probe_cutoff"),
-    }[case]
+    if case == "lambda-inf":
+        argv, named = (["pretrain", "--fasta", str(ws["fasta"]), "--ppi", str(ws["pairs"]),
+                        "--steps", "2", *BASE_SETS, "--set", "lambda=inf"], "'lambda'")
+    else:
+        flag, value = FLAG_GATES[case]
+        command = {"--threshold": ["build-contacts", "--pdb-dir", str(_blob_pdb_dir(tmp_path))],
+                   "--cutoff": ["probe", "--checkpoint", str(ws["final"]),
+                                "--fasta", str(ws["fasta"]), "--prompt", "IC"]}[flag]
+        argv, named = [*command, flag, value], f"{flag} must be a finite number"
+    before = sorted(tmp_path.iterdir())
     assert main([*argv, "--out-dir", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and key in err and "Traceback" not in err, err
-    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and named in captured.err, captured.err
+    assert "Traceback" not in captured.err and not captured.out
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_only_training_commands_take_config_and_set(ws, capsys):
+    # a config holds what a training run reads: eval and probe take their
+    # checkpoint's as stored, resume too (--steps aside), and build-contacts
+    # and split read none
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    taken = {name: {"--config", "--set"} & {o for a in p._actions for o in a.option_strings}
+             for name, p in sub.choices.items()}
+    assert {name for name, opts in taken.items() if opts} == {"pretrain", "inject"}
+    assert taken["pretrain"] == taken["inject"] == {"--config", "--set"}
+    assert _exit_code(["eval", "--checkpoint", str(ws["final"]), "--task", "ppi",
+                       "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"]),
+                       "--set", "steps=999"]) == 2
+    assert "unrecognized arguments: --set steps=999" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", ["pretrain-seed", "split-seed", "beta1", "resume-past-steps",
@@ -1431,9 +1500,8 @@ def test_bad_seed_batch_size_or_beta_exits_2_before_any_output(ws, tmp_path, cap
         "split-seed": (["split", "--ppi", str(tsv), "--mode", "bfs", "--fraction", "0.5",
                         "--seed", "-1", "--out-prefix", str(tmp_path / "out" / "s")], "seed"),
         # Adam's betas are constants: no value may be set, not even 0.9
-        "beta1": (["eval", "--checkpoint", str(ws["final"]), "--task", "ppi", "--data",
-                   str(ws["pairs"]), "--fasta", str(ws["fasta"]), "--set", "beta1=0.9",
-                   "--out", str(tmp_path / "eval.csv")], "unknown config key 'beta1'"),
+        "beta1": ([*_training_argv(ws, "inject", tmp_path / "out"), "--set", "beta1=0.9"],
+                  "unknown config key 'beta1'"),
         # ckpt_step4.bin holds step 4, two past --steps
         "resume-past-steps": (["resume", str(ws["out"] / "ckpt_step4.bin"), "--steps", "2",
                                "--out-dir", str(tmp_path / "out")], "at step 4, past steps=2"),
@@ -1461,8 +1529,7 @@ GATE_TABLE = {
     "lr": {"lr": "0"}, "steps": {"steps": "-1"},
     "checkpoint_every": {"checkpoint_every": "0"}, "keep_last": {"keep_last": "0"},
     "batch_seqs": {"batch_seqs": "0"}, "batch_pairs": {"batch_pairs": "0"},
-    "seed": {"seed": "-1"}, "contact_threshold": {"contact_threshold": "0"},
-    "probe_cutoff": {"probe_cutoff": "-0.5"},
+    "seed": {"seed": "-1"},
 }
 
 
@@ -1682,7 +1749,8 @@ def _non_utf8_input(ws, path):
                   "--scores-dir", str(maps)], maps / "bad.cmap"),
         "pdb": (["build-contacts", "--pdb-dir", str(pdbs), "--out-dir", str(path / "m")],
                 pdbs / "bad.pdb"),
-        "config": (["eval", *common, "--task", "ppi", "--config", "{}"], path / "bad.cfg"),
+        "config": (["pretrain", "--fasta", str(ws["fasta"]), "--out-dir", str(path / "o"),
+                    "--config", "{}"], path / "bad.cfg"),
     }
 
 
@@ -1700,11 +1768,14 @@ def test_non_utf8_input_is_a_data_error(ws, tmp_path, capsys, kind):
 def test_checkpoint_naming_retired_keys_still_loads(ws, tmp_path, capsys):
     # an older release stored alpha_contact, alpha_ss, alpha_regress and
     # weight_decay in every checkpoint, and none of them weighted any loss;
-    # mask_mode=additive named the attention the code still runs, and
-    # RETIRED_DEFAULTS the constants Adam and the masking split run
+    # nor did contact_threshold and probe_cutoff, now the flags of
+    # build-contacts and probe; mask_mode=additive named the attention the
+    # code still runs, and RETIRED_DEFAULTS the constants Adam and the
+    # masking split run
     text, entries = ckpt.load_checkpoint(ws["final"])
     retired = ["alpha_contact=0.25", "alpha_regress=3.0", "alpha_ss=0.5", "weight_decay=0.0",
-               "mask_mode=additive", *(f"{k}={v}" for k, v in RETIRED_DEFAULTS.items())]
+               "contact_threshold=6.0", "probe_cutoff=0.2", "mask_mode=additive",
+               *(f"{k}={v}" for k, v in RETIRED_DEFAULTS.items())]
     old = tmp_path / "old.bin"
     ckpt.save_checkpoint(old, "\n".join(sorted(text.splitlines() + retired)) + "\n", entries)
     _, cfg, _ = ckpt.load_model(old)
@@ -1724,6 +1795,19 @@ def test_checkpoint_naming_retired_keys_still_loads(ws, tmp_path, capsys):
                      "--prompt", "IC", "--out-dir", str(probe)]) == 0
     assert [p.read_bytes() for p in sorted(probes[0].iterdir())] == \
         [p.read_bytes() for p in sorted(probes[1].iterdir())]
+    # probe flags at --cutoff, here the median distance, and not at the
+    # stored probe_cutoff=0.2
+    rows = [line.split(",") for p in sorted(probes[0].iterdir())
+            for line in p.read_text().splitlines()[2:]]
+    cutoff = float(np.median([float(r[2]) for r in rows]))
+    assert main(["probe", "--checkpoint", str(old), "--fasta", str(ws["fasta"]),
+                 "--prompt", "IC", "--cutoff", repr(cutoff), "--out-dir",
+                 str(tmp_path / "probe-cut")]) == 0
+    flagged = [(float(r[2]), r[3] == "1") for p in sorted((tmp_path / "probe-cut").iterdir())
+               for r in (line.split(",") for line in p.read_text().splitlines()[2:])]
+    assert all(flag == (distance > cutoff) for distance, flag in flagged)
+    assert any(flag and distance <= 0.2 for distance, flag in flagged)
+    assert not all(flag for _, flag in flagged)
     new = tmp_path / "new" / "final.bin"
     new.parent.mkdir()
     shutil.copy(ws["final"], new)
@@ -1738,11 +1822,17 @@ def test_checkpoint_naming_retired_keys_still_loads(ws, tmp_path, capsys):
                "--out", str(inj), "--steps", "1"])
     assert rc == 0
     stored, _ = ckpt.load_checkpoint(inj / "injected.bin")
-    assert "alpha_ss" not in stored and "weight_decay" not in stored
-    rc = main(["eval", "--checkpoint", str(old), "--task", "ppi", "--set", "alpha_ss=0.5",
-               "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"])])
+    assert not any(key.split("=")[0] in stored for key in retired)
+    rc = main(["inject", "--checkpoint", str(old), "--prompt", "PPI", "--task", "ppi",
+               "--data", str(ws["pairs"]), "--fasta", str(ws["fasta"]),
+               "--out", str(tmp_path / "inj2"), "--set", "alpha_ss=0.5"])
     assert rc == 2
     assert "unknown config key 'alpha_ss'" in capsys.readouterr().err
+    rc = main(["pretrain", "--fasta", str(ws["fasta"]), "--out-dir", str(tmp_path / "pre"),
+               "--set", "contact_threshold=6"])
+    assert rc == 2
+    assert "unknown config key 'contact_threshold'" in capsys.readouterr().err
+    assert not (tmp_path / "pre").exists()
 
 
 # the values Adam and the masking split run, as checkpoints stored them
@@ -1913,8 +2003,9 @@ def test_probe_cli_writes_per_sequence_csv(ws, tmp_path):
     assert rc == 0
     files = sorted(out.glob("*.csv"))
     assert len(files) == 12
+    assert {f.read_text().splitlines()[0] for f in files} == \
+        {f"# config_hash={ckpt.load_model(ws['final'])[1].hash()}"}
     lines = files[0].read_text().splitlines()
-    assert lines[0].startswith("# config_hash=")
     assert lines[1] == "index,residue,distance,flagged"
     assert all(ln.endswith(",1") for ln in lines[2:])  # cutoff 0 flags all
 

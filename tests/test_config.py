@@ -109,15 +109,15 @@ def test_validation_rejections():
             RunConfig(**{key: value})
     # the edges of each range are valid
     RunConfig(lr=1e-300, mask_rate=1e-12, seed=0, batch_seqs=1, batch_pairs=1)
-    with pytest.raises(ConfigError, match="probe_cutoff"):
-        RunConfig(probe_cutoff=-0.5)
-    for key in ("weight_decay", "beta1", "mask_prob_keep"):
+    # the flags build-contacts --threshold and probe --cutoff replaced two keys
+    for key in ("weight_decay", "beta1", "mask_prob_keep", "contact_threshold", "probe_cutoff"):
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             build_config(overrides=parse_kv([("--set", f"{key}=0.01")]))
 
 
 RETIRED = {"alpha_contact": "0.25", "alpha_regress": "3.0", "alpha_ss": "0.5",
-           "out_dir": "run", "weight_decay": "0.0", "mask_mode": "additive",
+           "out_dir": "run", "weight_decay": "0.0", "contact_threshold": "6.0",
+           "probe_cutoff": "0.2", "mask_mode": "additive",
            "beta1": "0.9", "beta2": "0.999", "adam_eps": "1e-08", "warmup_updates": "0",
            "mask_prob_mask": "0.8", "mask_prob_random": "0.1", "mask_prob_keep": "0.1"}
 
