@@ -1445,7 +1445,7 @@ def test_interaction_endpoint_without_a_sequence_is_a_data_error(ws, tmp_path, c
 FLAG_GATES = {"threshold-nan": ("--threshold", "nan"), "threshold-inf": ("--threshold", "inf"),
               "threshold-0": ("--threshold", "0"), "threshold-negative": ("--threshold", "-1"),
               "cutoff-nan": ("--cutoff", "nan"), "cutoff-inf": ("--cutoff", "inf"),
-              "negative-cutoff": ("--cutoff", "-0.5")}
+              "cutoff-negative": ("--cutoff", "-0.5"), "negative-cutoff": ("--cutoff", "-1")}
 
 
 @pytest.mark.parametrize("case", ["lambda-inf", *FLAG_GATES])
