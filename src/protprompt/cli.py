@@ -5,9 +5,9 @@ Exit codes: 0 success, 1 data error, 2 config error.
 
 A config holds what a training run reads, so only pretrain and inject take
 --config and --set. inject layers them, then its flags, on its checkpoint's
-stored config, and a value that contradicts a structural key of it is a
-config error. resume, eval and probe take the checkpoint's config as stored
-(resume apart from --steps).
+stored config, its fasta and ppi blanked, and a value that contradicts a
+structural key of it is a config error. resume, eval and probe take the
+checkpoint's config as stored (resume apart from --steps).
 
 Runs are deterministic: all randomness is derived per step from
 (seed, step, purpose), so a resumed run reproduces the uninterrupted one
@@ -214,16 +214,38 @@ def _check_unused(out_dir: Path, *cfgs: RunConfig) -> None:
                           "write this run to a new one")
 
 
-def _train(model, cfg: RunConfig, out_dir: Path, mlm, tasks: dict, state: dict) -> Path:
-    """Train the parameters that require a gradient, Adam resumed from state:
-    run steps opt.step..cfg.steps-1, each O.train_step on mlm(step) (None
-    without mlm) and each task's build(step) of tasks = {name: build}, and
-    return out_dir's final.bin (with mlm, after vocab.txt) or injected.bin.
+def _sources(cfg: RunConfig, pretrain: bool):
+    """(mlm, {task: build}, pair head width): a pretrain's masked-LM over
+    cfg.fasta plus binary ppi over cfg.ppi, if set, or an inject's ppi over
+    cfg.ppi at its file's label width, encoding only the graph's endpoints."""
+    if not pretrain:
+        graph, encoded = _task_ppi("inject", cfg.ppi, cfg.fasta, cfg.max_len)
+        width = graph.label_width
+        return None, {"ppi": _ppi_batches(graph, encoded, cfg, width)}, width
+    table = D.parse_fasta(cfg.fasta)
+    encoded = _encode_table(table, cfg.max_len)
+    corpus = list(encoded.values())
+    # the graph's endpoints reuse the corpus's encodings
+    tasks = {"ppi": _ppi_batches(_load_ppi(cfg.ppi, table), encoded, cfg, 1)} if cfg.ppi else {}
+    return (lambda step: _mlm_batch(corpus, cfg, step)), tasks, 1
+
+
+def _train(model, cfg: RunConfig, out_dir: Path, trained: set, state: dict, *same_run) -> Path:
+    """Train trained plus its task's pair head, alone requiring a gradient,
+    Adam resumed from state, into out_dir unless another run than cfg's or
+    same_run's used it. A run that trains head.mlm is a pretrain, else an
+    inject; it runs steps opt.step..cfg.steps-1 on its _sources and returns
+    out_dir's final.bin (a pretrain's, after vocab.txt) or injected.bin.
     metrics.csv starts atomically with cfg's header and the rows of state's
     opt.loss; timing.csv keeps an earlier try's rows of those steps and takes
     each new step's ms. Every checkpoint carries its steps' loss cells
     (opt.loss) and input digests; every checkpoint_every steps one is saved
     and all but the newest keep_last are pruned."""
+    mlm, tasks, width = _sources(cfg, model.heads["head.mlm.w"] in trained)
+    trained = {*trained, *(model.pair_head(width) if tasks else ())}
+    for p in model.parameters().values():
+        p.requires_grad = p in trained
+    _check_unused(out_dir, cfg, *same_run)
     optimizer = O.Adam({n: p for n, p in model.parameters().items() if p.requires_grad}, cfg.lr)
     optimizer.load_state_entries(state)
     names, start, digests = tuple(tasks), optimizer.t, _input_digests(cfg)
@@ -261,17 +283,6 @@ def _train(model, cfg: RunConfig, out_dir: Path, mlm, tasks: dict, state: dict) 
     return final
 
 
-def _pretrain_sources(cfg: RunConfig):
-    """pretrain's masked-LM batch builder over cfg.fasta, and its tasks: the
-    binary ppi task over cfg.ppi, if set."""
-    table = D.parse_fasta(cfg.fasta)
-    encoded = _encode_table(table, cfg.max_len)
-    corpus = list(encoded.values())
-    # the graph's endpoints reuse the corpus's encodings
-    tasks = {"ppi": _ppi_batches(_load_ppi(cfg.ppi, table), encoded, cfg, 1)} if cfg.ppi else {}
-    return (lambda step: _mlm_batch(corpus, cfg, step)), tasks
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -280,22 +291,15 @@ def cmd_pretrain(args) -> int:
     cfg, _ = _load_config(args, ("fasta", "ppi", "steps", "seed"))
     if not cfg.fasta:
         raise ConfigError("pretrain needs a FASTA corpus (--fasta or config key fasta)")
-    mlm, tasks = _pretrain_sources(cfg)
-
     model = ProteinEncoder(ModelConfig.from_run_config(cfg), seed=cfg.seed)
-    # train what some source reaches: encoder, MLM head, --ppi's head, free prompts
+    # train what some source reaches: encoder, MLM head, free prompts
     held = frozenset.intersection(*(O.frozen_prompts(tuple(model.prompts), s, cfg.routing)
-                                    for s in (O.CONSERVE, *tasks)))
-    trained = {*model.encoder.values(), *model.head("mlm"), *(model.pair_head(1) if tasks else ()),
+                                    for s in (O.CONSERVE, "ppi")[:1 + bool(cfg.ppi)]))
+    trained = {*model.encoder.values(), *model.head("mlm"),
                *(p for n, p in model.prompts.items() if n not in held)}
-    for p in model.parameters().values():
-        p.requires_grad = p in trained
-
     # the output directory stays out of the config, so it leaves no trace in
     # the checkpoints
-    out_dir = Path(args.out_dir or "run")
-    _check_unused(out_dir, cfg)
-    final = _train(model, cfg, out_dir, mlm, tasks, {})
+    final = _train(model, cfg, Path(args.out_dir or "run"), trained, {})
     print(f"pretrain complete: {cfg.steps} steps, checkpoint {final}")
     return 0
 
@@ -308,7 +312,7 @@ def cmd_inject(args) -> int:
     outside the trained set require no gradient and get no opt.* entries,
     so they stay bitwise identical to the base checkpoint.
     """
-    cfg, model = _load_config(args, ("steps", "lr", "seed"), args.checkpoint)
+    cfg, model = _load_config(args, ("fasta", "ppi", "steps", "lr", "seed"), args.checkpoint)
     prompt_name = args.prompt
     # a name the prompts key cannot list back (empty, or holding a comma)
     if not prompt_name.replace("_", "").isalnum():
@@ -316,24 +320,13 @@ def cmd_inject(args) -> int:
     if prompt_name in O.frozen_prompts((prompt_name,), args.task, cfg.routing):
         raise ConfigError(f"prompt {prompt_name!r} learns from the conservation loss only, "
                           "so inject could never train it")
-    # the config gate refuses a name the base already holds; the task's files
-    # become the run's ppi and fasta keys, which a resume reads
-    cfg = dataclasses.replace(cfg, prompts=",".join((*cfg.prompt_names(), prompt_name)),
-                              ppi=args.data, fasta=args.fasta)
-    graph, encoded = _task_ppi(args.command, cfg.ppi, cfg.fasta, cfg.max_len)
-    tasks = {args.task: _ppi_batches(graph, encoded, cfg, graph.label_width)}
+    # the config gate refuses a name the base already holds
+    cfg = dataclasses.replace(cfg, prompts=",".join((*cfg.prompt_names(), prompt_name)))
     init_rng = np.random.default_rng((cfg.seed, len(model.prompts)))
     model.prompts[prompt_name] = Tensor(init_rng.normal(0.0, PROMPT_INIT_STD, cfg.d))
-
-    # the one pair head the labels reach; the other would only gain zero moments
-    trained = {model.prompts[prompt_name], *model.pair_head(graph.label_width),
+    trained = {model.prompts[prompt_name],
                *(model.encoder.values() if args.no_freeze_encoder else ())}
-    for p in model.parameters().values():
-        p.requires_grad = p in trained
-
-    out_dir = Path(args.out)
-    _check_unused(out_dir, cfg)
-    final = _train(model, cfg, out_dir, None, tasks, {})
+    final = _train(model, cfg, Path(args.out), trained, {})
     print(f"inject complete: prompt {prompt_name!r}, checkpoint {final}")
     return 0
 
@@ -358,17 +351,10 @@ def cmd_resume(args) -> int:
         if not np.array_equal(state.get(key), digest):
             raise ConfigError(f"{getattr(cfg, key.removeprefix('opt.sha256.'))}: the file is not "
                               f"the one {args.checkpoint} was trained on ({key} differs)")
-    for name, p in model.parameters().items():
-        p.requires_grad = f"opt.m.{name}" in state
-    if "opt.m.head.mlm.w" in state:  # a pretrain; an inject trains no masked-LM head
-        mlm, tasks = _pretrain_sources(cfg)
-    else:
-        graph, encoded = _task_ppi("inject", cfg.ppi, cfg.fasta, cfg.max_len)
-        mlm, tasks = None, {"ppi": _ppi_batches(graph, encoded, cfg, graph.label_width)}
+    trained = {p for name, p in model.parameters().items() if f"opt.m.{name}" in state}
     # its run's log, with the stored steps or the new, marks its run's directory
     out_dir = Path(args.out_dir or Path(args.checkpoint).parent)
-    _check_unused(out_dir, cfg, stored)
-    final = _train(model, cfg, out_dir, mlm, tasks, state)
+    final = _train(model, cfg, out_dir, trained, state, stored)
     print(f"resume complete: {cfg.steps} steps, checkpoint {final}")
     return 0
 
@@ -507,7 +493,8 @@ def cmd_build_contacts(args) -> int:
             report_lines.extend(skips)
             for chain_id, residues in sorted(chains.items()):
                 cmap = D.build_contact_map(residues, args.threshold, tag=args.tag)
-                out_path = out_dir / f"{pdb_file.stem}_{chain_id}.cmap"
+                # FASTA ids end at whitespace, so a blank chain is spelled _
+                out_path = out_dir / f"{pdb_file.stem}_{chain_id.strip() or '_'}.cmap"
                 D.write_contact_map(cmap, out_path)
                 report_lines.append(f"{out_path.name}: n={cmap.n} from {pdb_file.name}")
         with ckpt.atomic_write(out_dir / "report.txt") as fh:
@@ -591,7 +578,8 @@ def _load_config(args, keys: tuple[str, ...], checkpoint=None):
     checkpoint, model is None."""
     model, stored, _ = ckpt.load_model(checkpoint) if checkpoint else (None, None, {})
     overrides = _flag_overrides(args, keys)
-    base_text = stored.to_text() if stored is not None else None
+    # the stored fasta and ppi name the base run's inputs, not this run's
+    base_text = stored and dataclasses.replace(stored, fasta="", ppi="").to_text()
     cfg = build_config(args.config, overrides, base_text=base_text)
     if stored is not None:
         check_structural(cfg, stored)
@@ -628,8 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--prompt", required=True, help="name of the new prompt")
     p.add_argument("--task", required=True, choices=("ppi",))
-    p.add_argument("--data", default="", help="task data file")
-    p.add_argument("--fasta", default="", help="sequences for the task data")
+    p.add_argument("--data", dest="ppi", default=None, help="task data file (config key ppi)")
+    p.add_argument("--fasta", default=None, help="sequences for the task data")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)

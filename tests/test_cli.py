@@ -72,7 +72,13 @@ def ws(tmp_path_factory):
         "--out-dir", str(out), "--steps", "4", "--seed", "7", *BASE_SETS,
     ])
     assert rc == 0
-    return {"root": root, "fasta": fasta, "pairs": pairs, "out": out,
+    # the same proteins under seven interaction-type columns, one set per pair
+    typed = root / "typed.tsv"
+    with open(typed, "w") as fh:
+        for i in range(10):
+            bits = ["1" if k == i % 7 else "0" for k in range(7)]
+            fh.write("\t".join([f"p{i:02d}", f"p{(i + 5) % 12:02d}", *bits]) + "\n")
+    return {"root": root, "fasta": fasta, "pairs": pairs, "typed": typed, "out": out,
             "final": out / "final.bin"}
 
 
@@ -207,7 +213,7 @@ def test_resume_reproduces_single_run_bitwise(ws, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["pretrain --ppi", "pretrain", "inject",
-                                  "inject --no-freeze-encoder"])
+                                  "inject --no-freeze-encoder", "inject typed"])
 def test_resume_from_every_rolling_checkpoint_gives_the_uninterrupted_bytes(ws, tmp_path, case):
     # the trained set comes from the checkpoint's moments and the rows from
     # its opt.loss; resume --steps extends a run to a straight run's bytes
@@ -216,7 +222,8 @@ def test_resume_from_every_rolling_checkpoint_gives_the_uninterrupted_bytes(ws, 
             run = ["pretrain", "--fasta", str(ws["fasta"]), "--out-dir", str(out), *BASE_SETS,
                    *(["--ppi", str(ws["pairs"])] if "--ppi" in case else [])]
         else:
-            run = [*_training_argv(ws, "inject", out), *case.split()[1:]]
+            run = [*_training_argv(ws, "inject", out),
+                   *(["--data", str(ws["typed"])] if case == "inject typed" else case.split()[1:])]
         return [*run, "--seed", "5", "--steps", str(steps), "--set", "checkpoint_every=1",
                 "--set", "keep_last=9"]
 
@@ -830,10 +837,8 @@ def test_inject_optimizes_only_the_pair_head_its_labels_pick(ws, tmp_path, monke
     # inject as it ran before: Adam also held the head the binary labels never reach
     train = cli._train
 
-    def both_pair_heads(model, *args):
-        for p in model.head("pair"):
-            p.requires_grad = True
-        return train(model, *args)
+    def both_pair_heads(model, cfg, out_dir, trained, *args):
+        return train(model, cfg, out_dir, {*trained, *model.head("pair")}, *args)
 
     monkeypatch.setattr(cli, "_train", both_pair_heads)
     old_params, old_opt_heads, old_rows = run(tmp_path / "both")
@@ -848,21 +853,25 @@ ENCODER = {"embed.tok", "embed.pos", "embed.seg", "layer0.attn.wq", "layer0.attn
            "layer0.ln2.bias"}
 MLM_HEAD = {"head.mlm.w", "head.mlm.b"}
 BIN_HEAD = {"head.pair_bin.w", "head.pair_bin.b"}
+TYPED_HEAD = {"head.pair.w", "head.pair.b"}
 
 
 @pytest.mark.parametrize("case, extra, trained", [
-    ("pretrain", ["--ppi"], ENCODER | MLM_HEAD | BIN_HEAD | {"prompt.Seq", "prompt.IC"}),
+    ("pretrain", ["--ppi", "pairs"], ENCODER | MLM_HEAD | BIN_HEAD | {"prompt.Seq", "prompt.IC"}),
     ("pretrain", [], ENCODER | MLM_HEAD | {"prompt.Seq"}),
     ("pretrain", ["--set", "routing=false"], ENCODER | MLM_HEAD | {"prompt.Seq", "prompt.IC"}),
     ("inject", [], BIN_HEAD | {"prompt.PPI"}),
     ("inject", ["--no-freeze-encoder"], ENCODER | BIN_HEAD | {"prompt.PPI"}),
-], ids=["pretrain-ppi", "pretrain", "pretrain-unrouted", "inject-frozen", "inject-unfrozen"])
+    # pretrain reads typed labels as binary; inject trains the head they pick
+    ("pretrain", ["--ppi", "typed"], ENCODER | MLM_HEAD | BIN_HEAD | {"prompt.Seq", "prompt.IC"}),
+    ("inject", ["--data", "typed"], TYPED_HEAD | {"prompt.PPI"}),
+], ids=["pretrain-ppi", "pretrain", "pretrain-unrouted", "inject-frozen", "inject-unfrozen",
+        "pretrain-ppi-typed", "inject-typed"])
 def test_optimizer_moments_name_the_trained_set(ws, tmp_path, monkeypatch, case, extra, trained):
     # Adam holds exactly what some source reaches: each held parameter gets a
     # gradient on every step, and the checkpoints keep moments for it alone
     out = tmp_path / "run"
-    if extra[:1] == ["--ppi"]:
-        extra = ["--ppi", str(ws["pairs"])]
+    extra = [str(ws[arg]) if arg in ("pairs", "typed") else arg for arg in extra]
     steps, step = [], O.Adam.step
 
     def checked(self, grads):
@@ -1176,6 +1185,37 @@ def test_inject_structural_contradiction_exit_2(ws, tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["set", "config", "flags-win", "neither"])
+def test_inject_takes_its_inputs_as_the_ppi_and_fasta_keys(ws, tmp_path, capsys, case):
+    # --data and --fasta are the ppi and fasta keys, so --set and --config
+    # can give them too, and the flags win over both; the inputs the base
+    # checkpoint stores are its own run's and never reach an inject
+    conf, out = tmp_path / "inputs.conf", tmp_path / "out"
+    good = (ws["pairs"], ws["fasta"])
+    paths = good if case == "config" else (tmp_path / "no.tsv", tmp_path / "no.fasta")
+    conf.write_text(f"ppi={paths[0]}\nfasta={paths[1]}\n")
+    supplied = {
+        "set": ["--set", f"ppi={good[0]}", "--set", f"fasta={good[1]}"],
+        "config": ["--config", str(conf)],
+        "flags-win": ["--config", str(conf), "--set", f"ppi={paths[0]}",
+                      "--set", f"fasta={paths[1]}", "--data", str(good[0]), "--fasta", str(good[1])],
+        "neither": [],
+    }[case]
+    _, stored, _ = ckpt.load_model(ws["final"])
+    assert (stored.ppi, stored.fasta) == tuple(map(str, good))
+    rc = main(["inject", "--checkpoint", str(ws["final"]), "--prompt", "PPI", "--task", "ppi",
+               "--out", str(out), "--steps", "1", *supplied])
+    if case == "neither":
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: inject --task ppi needs --data (TSV) and --fasta\n")
+        assert not out.exists()
+        return
+    assert rc == 0
+    lines = (out / "metrics.csv").read_text().splitlines()
+    assert f"# ppi={good[0]}" in lines and f"# fasta={good[1]}" in lines
+
+
 def test_eval_refuses_a_checkpoint_that_names_an_entry_twice(ws, tmp_path, capsys):
     # a second head.regress.b appended, entry count bumped: a loader filling a
     # map by name would keep the last copy and load 123.0
@@ -1287,6 +1327,23 @@ def test_eval_contact_with_model_scores(ws, tmp_path):
         "--maps-dir", str(maps), "--fasta", str(fasta),
     ])
     assert rc == 0
+
+
+def test_a_blank_chain_map_is_scored_from_its_fasta_record(ws, tmp_path, capsys):
+    # FASTA ids end at the first whitespace, so a blank chain's map is named
+    # <stem>__.cmap, which no letter or digit chain can produce
+    pdb_dir, maps, fasta = tmp_path / "pdbs", tmp_path / "maps", tmp_path / "chains.fasta"
+    pdb_dir.mkdir()
+    (pdb_dir / "x.pdb").write_text(
+        "".join(_atom(i + 1, "CB", "ALA", " ", i + 1, 3.0 * i, 0, 0) for i in range(6)))
+    assert main(["build-contacts", "--pdb-dir", str(pdb_dir), "--out-dir", str(maps)]) == 0
+    assert sorted(p.name for p in maps.iterdir()) == ["report.txt", "x__.cmap"]
+    assert "x__.cmap: n=6 from x.pdb" in (maps / "report.txt").read_text()
+    fasta.write_text(">x__\nACDEFG\n")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ws["final"]), "--task", "contact",
+                 "--maps-dir", str(maps), "--fasta", str(fasta)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "task,metric,value,prompts"
 
 
 def test_eval_ss_and_regress(ws, tmp_path):
@@ -2295,13 +2352,13 @@ def test_missing_files_exit_1(ws, tmp_path, capsys):
 
 
 def test_readme_command_lines_parse():
-    # every protprompt command line in README's sh blocks, \ continuations
+    # every protprompt command line in README's fenced blocks, \ continuations
     # joined, parses, so a renamed flag or choice fails here naming the line
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
     lines = "".join(blocks).replace("\\\n", " ").splitlines()
     commands = [shlex.split(line) for line in lines if line.startswith("protprompt ")]
-    assert len(commands) >= 4
+    assert len(commands) >= 5
     parser = cli.build_parser()
     for argv in commands:
         try:
