@@ -231,10 +231,11 @@ def _sources(cfg: RunConfig, pretrain: bool):
 
 
 def _train(model, cfg: RunConfig, out_dir: Path, trained: set, state: dict, *same_run) -> Path:
-    """Train trained plus its task's pair head, alone requiring a gradient,
-    Adam resumed from state, into out_dir unless another run than cfg's or
-    same_run's used it. A run that trains head.mlm is a pretrain, else an
-    inject; it runs steps opt.step..cfg.steps-1 on its _sources and returns
+    """Train trained plus its task's pair head, less the prompts every source
+    holds, alone requiring a gradient, Adam resumed from state, into out_dir
+    unless another run than cfg's or same_run's used it. A run that trains
+    head.mlm is a pretrain, else an inject; it runs steps
+    opt.step..cfg.steps-1 on its _sources and returns
     out_dir's final.bin (a pretrain's, after vocab.txt) or injected.bin.
     metrics.csv starts atomically with cfg's header and the rows of state's
     opt.loss; timing.csv keeps an earlier try's rows of those steps and takes
@@ -242,7 +243,10 @@ def _train(model, cfg: RunConfig, out_dir: Path, trained: set, state: dict, *sam
     (opt.loss) and input digests; every checkpoint_every steps one is saved
     and all but the newest keep_last are pruned."""
     mlm, tasks, width = _sources(cfg, model.heads["head.mlm.w"] in trained)
-    trained = {*trained, *(model.pair_head(width) if tasks else ())}
+    held = frozenset.intersection(*(O.frozen_prompts(tuple(model.prompts), s, cfg.routing)
+                                    for s in (O.CONSERVE,)[:bool(mlm)] + tuple(tasks)))
+    trained = {*trained, *(model.pair_head(width) if tasks else ())} - \
+        {model.prompts[n] for n in held}
     for p in model.parameters().values():
         p.requires_grad = p in trained
     _check_unused(out_dir, cfg, *same_run)
@@ -292,11 +296,7 @@ def cmd_pretrain(args) -> int:
     if not cfg.fasta:
         raise ConfigError("pretrain needs a FASTA corpus (--fasta or config key fasta)")
     model = ProteinEncoder(ModelConfig.from_run_config(cfg), seed=cfg.seed)
-    # train what some source reaches: encoder, MLM head, free prompts
-    held = frozenset.intersection(*(O.frozen_prompts(tuple(model.prompts), s, cfg.routing)
-                                    for s in (O.CONSERVE, "ppi")[:1 + bool(cfg.ppi)]))
-    trained = {*model.encoder.values(), *model.head("mlm"),
-               *(p for n, p in model.prompts.items() if n not in held)}
+    trained = {*model.encoder.values(), *model.head("mlm"), *model.prompts.values()}
     # the output directory stays out of the config, so it leaves no trace in
     # the checkpoints
     final = _train(model, cfg, Path(args.out_dir or "run"), trained, {})

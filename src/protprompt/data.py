@@ -353,14 +353,13 @@ class ContactMap:
     """Symmetric boolean residue-residue contact matrix, false diagonal; tag
     is one of CONTACT_TAGS (build-contacts --tag, read_contact_map's header)."""
 
-    n: int
     bits: np.ndarray
     threshold: float = CONTACT_THRESHOLD
     tag: str = "native"
 
-    def __post_init__(self):
-        if self.bits.shape != (self.n, self.n):
-            raise DataError(f"contact bits shape {self.bits.shape} does not match n={self.n}")
+    @property
+    def n(self) -> int:
+        return len(self.bits)
 
 
 def build_contact_map(
@@ -379,7 +378,7 @@ def build_contact_map(
     dx += dz
     bits = np.sqrt(dx, out=dx) < threshold
     np.fill_diagonal(bits, False)
-    return ContactMap(n=len(residues), bits=bits, threshold=threshold, tag=tag)
+    return ContactMap(bits=bits, threshold=threshold, tag=tag)
 
 
 def write_contact_map(cmap: ContactMap, path) -> None:
@@ -403,10 +402,10 @@ def _raise_first_bad_row(path, n: int, rows: list[tuple[int, str]]) -> None:
 def read_contact_map(path) -> ContactMap:
     lines = read_lines(path)
     header = next(lines, (1, ""))[1].strip()
-    fields = dict(
-        part.split("=", 1) for part in header.split() if "=" in part
-    )
-    if set(fields) != {"n", "threshold", "tag"}:
+    parts = header.split()
+    # three parts, so a repeated key or a token without '=' fails too
+    fields = dict(part.split("=", 1) for part in parts if "=" in part)
+    if len(parts) != 3 or set(fields) != {"n", "threshold", "tag"}:
         raise FormatError(f"{path}:1: bad contact map header {header!r}")
     try:
         n = int(fields["n"])
@@ -436,4 +435,4 @@ def read_contact_map(path) -> ContactMap:
         raise FormatError(f"{path}: contact map is not symmetric")
     if n and bits.diagonal().any():
         raise FormatError(f"{path}: contact map has true diagonal entries")
-    return ContactMap(n=n, bits=bits, threshold=threshold, tag=fields["tag"])
+    return ContactMap(bits=bits, threshold=threshold, tag=fields["tag"])

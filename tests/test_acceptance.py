@@ -581,7 +581,7 @@ def test_7_metric_oracles():
     n = 14
     bits = np.zeros((n, n), dtype=bool)
     bits[0, 6] = bits[6, 0] = True
-    tied_truth = D.ContactMap(n=n, bits=bits)
+    tied_truth = D.ContactMap(bits=bits)
     tied_scores = np.zeros((n, n))
     runs = {MX.precision_at_l_half(tied_scores, tied_truth, MX.SHORT)
             for _ in range(5)}

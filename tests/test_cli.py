@@ -890,6 +890,23 @@ def test_optimizer_moments_name_the_trained_set(ws, tmp_path, monkeypatch, case,
             assert held == trained, (path.name, moment)
 
 
+def test_pretrain_trains_no_prompt_that_all_of_its_sources_hold(ws, tmp_path, monkeypatch):
+    # the held prompts follow the sources _sources builds: a pretrain --ppi
+    # whose ppi task is taken away keeps masked-LM alone, which with routing
+    # on holds IC, so no checkpoint carries moments for it
+    sources = cli._sources
+    monkeypatch.setattr(cli, "_sources", lambda cfg, pretrain: (sources(cfg, pretrain)[0], {}, 1))
+    out = tmp_path / "run"
+    assert main([*_training_argv(ws, "pretrain", out), "--ppi", str(ws["pairs"]),
+                 "--steps", "2"]) == 0
+    paths = sorted(out.glob("*.bin"))
+    assert [p.name for p in paths] == ["ckpt_step2.bin", "final.bin"]
+    for path in paths:
+        _, entries = ckpt.load_checkpoint(path)
+        assert [n for n in entries if n.startswith("opt.m.prompt.")] == ["opt.m.prompt.Seq"], \
+            path.name
+
+
 def test_inject_step_sweeps_backward_once(ws, tmp_path, monkeypatch):
     calls = []
     backward = nm.backward
@@ -990,7 +1007,7 @@ def test_blas_thread_count_leaves_contact_scores_bitwise(tmp_path):
     fasta.write_text(">c\n" + "".join(RESIDUES[int(k)] for k in rng.integers(20, size=254)))
     maps.mkdir()
     bits = np.triu(rng.random((254, 254)) < 0.05, 1)
-    D.write_contact_map(D.ContactMap(n=254, bits=bits | bits.T), maps / "c.cmap")
+    D.write_contact_map(D.ContactMap(bits=bits | bits.T), maps / "c.cmap")
     assert main(["pretrain", "--fasta", str(fasta), "--out-dir", str(tmp_path / "base"),
                  "--steps", "1", "--set", "d=64", "--set", "layers=2", "--set", "heads=4",
                  "--set", "max_len=256", "--set", "batch_seqs=1"]) == 0
@@ -1299,13 +1316,30 @@ def test_eval_contact_names_both_files_when_the_score_map_size_differs(ws, tmp_p
     maps, scores = tmp_path / "maps", tmp_path / "scores"
     for root, n in ((maps, 20), (scores, 12)):
         root.mkdir()
-        D.write_contact_map(D.ContactMap(n=n, bits=np.zeros((n, n), dtype=bool)),
+        D.write_contact_map(D.ContactMap(bits=np.zeros((n, n), dtype=bool)),
                             root / "x_A.cmap")
     rc = main(["eval", "--checkpoint", str(ws["final"]), "--task", "contact",
                "--maps-dir", str(maps), "--scores-dir", str(scores)])
     assert rc == 1
     assert capsys.readouterr().err == (
         f"data error: {scores / 'x_A.cmap'}: n=12 but {maps / 'x_A.cmap'} has n=20\n")
+
+
+@pytest.mark.parametrize("which", ["maps", "scores"])
+def test_eval_contact_refuses_a_map_header_with_a_repeated_or_bare_token(ws, tmp_path, capsys,
+                                                                         which):
+    # a truth map and a --scores-dir map pass the same header rule
+    maps, scores = tmp_path / "maps", tmp_path / "scores"
+    for root in (maps, scores):
+        root.mkdir()
+        D.write_contact_map(D.ContactMap(bits=np.zeros((3, 3), dtype=bool)), root / "x_A.cmap")
+    bad = tmp_path / which / "x_A.cmap"
+    header = "n=2 n=3 threshold=8.0 tag=native junk"
+    bad.write_text(header + "\n000\n000\n000\n")
+    rc = main(["eval", "--checkpoint", str(ws["final"]), "--task", "contact",
+               "--maps-dir", str(maps), "--scores-dir", str(scores)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"data error: {bad}:1: bad contact map header {header!r}\n"
 
 
 def test_eval_contact_with_model_scores(ws, tmp_path):
@@ -2135,7 +2169,7 @@ def test_every_command_refuses_a_fasta_without_a_record(ws, tmp_path, capsys, co
     fasta.write_text("\n\n")
     maps = tmp_path / "maps"
     maps.mkdir()
-    D.write_contact_map(D.ContactMap(n=8, bits=np.zeros((8, 8), dtype=bool)), maps / "p00.cmap")
+    D.write_contact_map(D.ContactMap(bits=np.zeros((8, 8), dtype=bool)), maps / "p00.cmap")
     ppi = ["--task", "ppi", "--data", str(ws["pairs"]), "--fasta", str(fasta)]
     argv = {
         "pretrain": ["pretrain", "--fasta", str(fasta), "--out-dir", str(out), "--steps", "1",
@@ -2318,7 +2352,7 @@ def test_eval_scores_dir_rejects_an_unknown_prompt(ws, tmp_path, capsys):
     # precomputed scores encode nothing, so eval checks --prompts itself
     maps = tmp_path / "maps"
     maps.mkdir()
-    D.write_contact_map(D.ContactMap(n=8, bits=np.zeros((8, 8), dtype=bool)), maps / "x_A.cmap")
+    D.write_contact_map(D.ContactMap(bits=np.zeros((8, 8), dtype=bool)), maps / "x_A.cmap")
     rc = main(["eval", "--checkpoint", str(ws["final"]), "--task", "contact",
                "--maps-dir", str(maps), "--scores-dir", str(maps), "--prompts", "Nope"])
     assert rc == 2

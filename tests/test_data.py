@@ -8,7 +8,7 @@ import pytest
 
 from conftest import ppi_graph
 from protprompt import data as D
-from protprompt.errors import ConfigError, DataError, FormatError
+from protprompt.errors import ConfigError, FormatError
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +450,7 @@ def test_contact_map_writer_bytes(tmp_path, n):
     # byte for byte what the per-character writer produced
     bits = np.random.default_rng(n).random((n, n)) < 0.4
     bits = np.triu(bits, 1)
-    cmap = D.ContactMap(n=n, bits=bits | bits.T, threshold=7.25, tag="native")
+    cmap = D.ContactMap(bits=bits | bits.T, threshold=7.25, tag="native")
     want = f"n={n} threshold=7.25 tag=native\n" + "".join(
         "".join("1" if b else "0" for b in row) + "\n" for row in cmap.bits)
     path = tmp_path / "m.cmap"
@@ -537,11 +537,11 @@ def test_contact_map_tamper_detection(tmp_path):
     expect([lines[0], "01x", "100", "x00"], r"bad\.cmap:2: .*0/1")
     expect(["n=3 tag=native", *lines[1:]], "bad contact map header")
     expect(["n=three threshold=8.0 tag=native", *lines[1:]], "non-numeric")
+    # n, threshold and tag, each once: a repeated key or a token without '='
+    # would leave the map's size to the order of its tokens
     for header in ("n=3 threshold=8.0 tag=bogus", "n=3 threshold=-1 tag=native",
-                   "n=3 threshold=nan tag=native"):
+                   "n=3 threshold=nan tag=native", "n=2 n=3 threshold=8.0 tag=native junk",
+                   "n=3 n=3 threshold=8.0 tag=native", "n=3 threshold=8.0 threshold=6.0 tag=native",
+                   "n=3 threshold=8.0 tag=native tag=interaction",
+                   "n=3 threshold=8.0 tag=native junk", "junk n=3 threshold=8.0 tag=native"):
         expect([header, *lines[1:]], r"bad\.cmap:1: bad contact map header")
-
-
-def test_contact_map_validation():
-    with pytest.raises(DataError, match="shape"):
-        D.ContactMap(n=2, bits=np.zeros((1, 1), dtype=bool))

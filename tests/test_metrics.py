@@ -90,7 +90,7 @@ def test_precision_matches_the_full_sort_on_tie_heavy_scores(n):
     rng = np.random.default_rng(n)
     bits = rng.random((n, n)) < 0.3
     bits = np.triu(bits, 1)
-    truth = D.ContactMap(n=n, bits=bits | bits.T)
+    truth = D.ContactMap(bits=bits | bits.T)
     gauss = rng.normal(size=(n, n))
     with_nan = np.round(gauss, 1)
     with_nan[rng.random((n, n)) < 0.05] = np.nan
@@ -128,7 +128,7 @@ def _triu_precision(scores, truth, range_class):
 def test_band_pairs_match_the_masked_triangle(n):
     rng = np.random.default_rng(500 + n)
     bits = np.triu(rng.random((n, n)) < 0.3, 1)
-    truth = D.ContactMap(n=n, bits=bits | bits.T)
+    truth = D.ContactMap(bits=bits | bits.T)
     gauss = rng.normal(size=(n, n))
     with_nan = np.round(gauss, 1)
     with_nan[rng.random((n, n)) < 0.1] = np.nan
@@ -145,7 +145,7 @@ def test_short_class_precision_memory_grows_with_its_pairs():
     n = 3000
     bits = np.zeros((n, n), dtype=bool)
     bits[0, 6] = bits[6, 0] = True  # the first pair in tie order, so one hit
-    truth = D.ContactMap(n=n, bits=bits)
+    truth = D.ContactMap(bits=bits)
     scores = np.zeros((n, n))
     tracemalloc.start()
     try:
@@ -162,7 +162,7 @@ def test_precision_tie_break_is_lexicographic():
     bits = np.zeros((n, n), dtype=bool)
     # only the lexicographically first eligible pair is a contact
     bits[0, 6] = bits[6, 0] = True
-    truth = D.ContactMap(n=n, bits=bits)
+    truth = D.ContactMap(bits=bits)
     scores = np.zeros((n, n))  # every pair ties
     got = M.precision_at_l_half(scores, truth, M.SHORT)
     # k=7 picks (0,6),(0,7)...(0,11),(1,7); exactly one hit
@@ -175,7 +175,7 @@ def test_precision_truncation_flag():
     n = 8  # short range leaves only (0,6),(0,7),(1,7) but k=4
     bits = np.zeros((n, n), dtype=bool)
     bits[0, 6] = bits[6, 0] = True
-    truth = D.ContactMap(n=n, bits=bits)
+    truth = D.ContactMap(bits=bits)
     got = M.precision_at_l_half(np.zeros((n, n)), truth, M.SHORT)
     assert got.truncated
     assert got.precision == 1 / 3  # one hit among the 3 scored
